@@ -24,10 +24,10 @@ from .field import (DROP, CdfTrace, Ray, SampleGrid, cdf_from_sigma_values,
                     render_confidence, trapezoid_deltas)
 from .losses import LossBreakdown
 from .metrics import PointCloud
+# motion_compensate is not called here; perfbench/layers.py probes this name.
 from .sensor import (Pose, ScanFrame, SensorIntrinsics, UnitCubeScale,
-                     motion_compensate, read_poses, read_scan,
-                     sensor_frame_directions, to_unit_cube, write_poses,
-                     write_scan)
+                     motion_compensate, ray_directions, read_poses, read_scan,
+                     to_unit_cube, write_poses, write_scan)
 from .simscene import SceneSpec, generate_dataset, load_scene
 
 
@@ -51,48 +51,33 @@ def frames_static(frames: list) -> bool:
     )
 
 
+def _frame_rays(frame: ScanFrame) -> tuple:
+    """(N, 3) world origins and directions of a frame's rays, beam-major."""
+    origins, dirs = ray_directions(frame.intrinsics, frame)
+    return origins.reshape(-1, 3), dirs.reshape(-1, 3)
+
+
 def build_rays(frames: list) -> list:
     """Group frame measurements into training rays (see module docstring)."""
     if not frames:
         raise InvalidInputError("need at least one frame")
-    intr = frames[0].intrinsics
-    rays = []
+    s_max = frames[0].intrinsics.s_max
     if frames_static(frames):
-        frame0 = frames[0]
-        poses = motion_compensate(frame0)
-        local = sensor_frame_directions(intr)
-        for b in range(intr.n_beams):
-            for a in range(intr.azimuth_count):
-                pose = poses[a]
-                direction = local[b, a, :] @ pose.rotation.T
-                values = [f.ranges[b, a] for f in frames if f.returned[b, a]]
-                rays.append(Ray(
-                    origin=pose.translation,
-                    direction=direction,
-                    s_max=intr.s_max,
-                    measurements=np.sort(np.asarray(values)),
-                    drop_flag=1 if values else 0,
-                    ray_id=b * intr.azimuth_count + a,
-                ))
-        return rays
-    ray_id = 0
+        origins, dirs = _frame_rays(frames[0])
+        ranges = np.stack([f.ranges.reshape(-1) for f in frames])
+        returned = np.stack([f.returned.reshape(-1) for f in frames])
+        return [Ray(origin=o, direction=d, s_max=s_max,
+                    measurements=np.sort(ranges[returned[:, i], i]),
+                    drop_flag=int(returned[:, i].any()), ray_id=i)
+                for i, (o, d) in enumerate(zip(origins, dirs))]
+    rays = []
     for frame in frames:
-        poses = motion_compensate(frame)
-        local = sensor_frame_directions(intr)
-        for b in range(intr.n_beams):
-            for a in range(intr.azimuth_count):
-                pose = poses[a]
-                direction = local[b, a, :] @ pose.rotation.T
-                returned = bool(frame.returned[b, a])
-                rays.append(Ray(
-                    origin=pose.translation,
-                    direction=direction,
-                    s_max=intr.s_max,
-                    measurements=np.array([frame.ranges[b, a]]) if returned else np.empty(0),
-                    drop_flag=1 if returned else 0,
-                    ray_id=ray_id,
-                ))
-                ray_id += 1
+        origins, dirs = _frame_rays(frame)
+        ranges, returned = frame.ranges.reshape(-1), frame.returned.reshape(-1)
+        rays += [Ray(origin=o, direction=d, s_max=s_max,
+                     measurements=np.array([ranges[i]]) if returned[i] else np.empty(0),
+                     drop_flag=int(returned[i]), ray_id=len(rays) + i)
+                 for i, (o, d) in enumerate(zip(origins, dirs))]
     return rays
 
 
@@ -157,6 +142,10 @@ def train(train_set: TrainSet, config: RunConfig, depth_l2: bool = False,
 
 
 # -- rendering --------------------------------------------------------------------
+
+# Stands in for the epoch in rendering's per-ray streams: SeedSequence takes
+# no negative entropy, and no training run reaches this many epochs.
+RENDER_STREAM = 0x4E4DE2
 
 
 @dataclass
@@ -239,22 +228,15 @@ def render_frame_cloud(state: sampler.TrainState, frame: ScanFrame,
     result order is fixed, so output bytes do not depend on scheduling.
     Stochastic draws come from per-ray streams keyed on the config seed.
     """
-    intr = frame.intrinsics
-    poses = motion_compensate(frame)
-    local = sensor_frame_directions(intr)
+    s_max = frame.intrinsics.s_max
     n_fine = config.render_fine or config.n_fine
-    jobs = []
-    for b in range(intr.n_beams):
-        for a in range(intr.azimuth_count):
-            pose = poses[a]
-            direction = local[b, a, :] @ pose.rotation.T
-            jobs.append((b * intr.azimuth_count + a, pose.translation, direction))
+    jobs = list(enumerate(zip(*_frame_rays(frame))))
 
     def run(job):
-        ray_id, origin, direction = job
-        ray = Ray(origin, direction, intr.s_max, ray_id=ray_id)
+        ray_id, (origin, direction) = job
+        ray = Ray(origin, direction, s_max, ray_id=ray_id)
         render = evaluate_ray(state, ray, scale, config.n_bins, n_fine)
-        rng = sampler.ray_rng(config.seed, ray_id, epoch=-1)
+        rng = sampler.ray_rng(config.seed, ray_id, epoch=RENDER_STREAM)
         if baseline:
             ranges = render_baseline_ray(render)
         else:
@@ -275,17 +257,10 @@ def render_frame_cloud(state: sampler.TrainState, frame: ScanFrame,
 
 def ground_truth_cloud(frame: ScanFrame) -> PointCloud:
     """World-frame points of a frame's returned measurements (drops excluded)."""
-    intr = frame.intrinsics
-    poses = motion_compensate(frame)
-    local = sensor_frame_directions(intr)
-    points = []
-    for b in range(intr.n_beams):
-        for a in range(intr.azimuth_count):
-            if frame.returned[b, a]:
-                pose = poses[a]
-                direction = local[b, a, :] @ pose.rotation.T
-                points.append(pose.translation + frame.ranges[b, a] * direction)
-    return PointCloud(np.asarray(points) if points else np.empty((0, 3)))
+    origins, dirs = _frame_rays(frame)
+    returned = frame.returned.reshape(-1)
+    ranges = frame.ranges.reshape(-1)[returned]
+    return PointCloud(origins[returned] + ranges[:, None] * dirs[returned])
 
 
 # -- dataset directory layout -------------------------------------------------------
