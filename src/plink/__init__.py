@@ -9,14 +9,14 @@ from .field import (DROP, CdfTrace, Drop, Ray, SampleGrid, SigmaTrace,
                     baseline_weighted_depth, cumulative_from_sigma,
                     inverse_transform_sample, is_drop, pdf_from_cdf,
                     render_confidence)
-from .losses import (LossBreakdown, RayDropEstimate, cdf_loss, coarse_loss,
-                     drop_bce, fine_loss, normalize_for_coarse, pool_ray_drop)
+from .losses import (LossBreakdown, cdf_loss, coarse_loss, drop_bce, fine_loss,
+                     normalize_for_coarse, pool_ray_drop)
 from .metrics import MetricsReport, PointCloud, accuracy, completion, evaluate, f_score
 from .net import FieldModel, GradientTape, encode, init_model, opt_step
-from .sampler import (FinePointSet, ProposalHistogram, coarse_bins,
-                      histogram_from_coarse, importance_sample, train_step)
+from .sampler import (FinePointSet, ProposalHistogram, histogram_from_coarse,
+                      importance_sample, train_step)
 from .sensor import (Pose, ScanFrame, SensorIntrinsics, UnitCubeScale,
-                     motion_compensate, patch_scan, ray_directions, to_unit_cube)
+                     motion_compensate, ray_directions, to_unit_cube)
 from .simscene import (SceneSpec, SceneSurface, generate_dataset, load_scene,
                        sample_return, trace_true_cdf)
 

@@ -262,24 +262,6 @@ def log(x):
     return np.log(x)
 
 
-def sin(x):
-    if isinstance(x, Tensor):
-        a = x.value
-        out = Tensor(np.sin(a), _parents=(x,))
-        out._vjp = lambda g: (g * np.cos(a),)
-        return out
-    return np.sin(x)
-
-
-def cos(x):
-    if isinstance(x, Tensor):
-        a = x.value
-        out = Tensor(np.cos(a), _parents=(x,))
-        out._vjp = lambda g: (-g * np.sin(a),)
-        return out
-    return np.cos(x)
-
-
 def maximum0(x):
     """Elementwise max(0, x); gradient is zero on the inactive side."""
     if isinstance(x, Tensor):

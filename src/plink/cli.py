@@ -36,7 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", dest="out_dir")
-        p.add_argument("--threads", type=int)
 
     p = sub.add_parser("gen", help="simulate a scan dataset from a scene")
     common(p)
@@ -134,10 +133,7 @@ def _run_training(args, depth_l2: bool, stem: str) -> int:
                              state.coarse, state.fine)
         return EXIT_DIVERGED
 
-    with open(curve_path, "w") as fh:
-        fh.write("epoch,l_c,l_drop,l_coarse,l_fine\n")
-        for row in history:
-            fh.write(",".join([str(int(row[0]))] + [repr(float(v)) for v in row[1:]]) + "\n")
+    _write_history(curve_path, history)
     nets.save_checkpoint(ckpt_path, state.coarse, state.fine)
     print(f"checkpoint: {ckpt_path}")
     print(f"loss curve: {curve_path}")
@@ -181,16 +177,16 @@ def cmd_eval(args) -> int:
     gt = metrics.read_cloud(args.gt)
     synth = metrics.read_cloud(args.synth)
     report = metrics.evaluate(gt, synth, config.threshold_cm)
-    _print_reports([("synth", report)])
+    _print_reports([("synth", report.as_row())])
     return EXIT_OK
 
 
-def _print_reports(named_reports) -> None:
+def _print_reports(named_rows) -> None:
+    """Print (name, MetricsReport.as_row()) pairs as a table."""
     header = f"{'method':<14}{'completion':>12}{'accuracy':>12}{'chamfer-l1':>12}{'f-score':>10}"
     print(header)
-    for name, report in named_reports:
-        print(f"{name:<14}{report.completion_cm:>12.3f}{report.accuracy_cm:>12.3f}"
-              f"{report.chamfer_l1_cm:>12.3f}{report.f_score_pct:>10.2f}")
+    for name, (completion, accuracy, chamfer, f_score, _) in named_rows:
+        print(f"{name:<14}{completion:>12.3f}{accuracy:>12.3f}{chamfer:>12.3f}{f_score:>10.2f}")
 
 
 def cmd_compare(args) -> int:
@@ -242,17 +238,22 @@ def cmd_compare(args) -> int:
 
     rows = []
     named = []
+    gt_merged = metrics.PointCloud(np.concatenate([c.points for c in gt_clouds]))
+    no_metrics = [np.nan] * 4 + [config.threshold_cm]
     for name, clouds in (("model", prob_clouds), ("baseline", base_clouds)):
-        merged = metrics.PointCloud(np.concatenate([c.points for c in clouds]))
-        gt_merged = metrics.PointCloud(np.concatenate([c.points for c in gt_clouds]))
-        aggregate = metrics.evaluate(gt_merged, merged, config.threshold_cm)
-        per_scan = [metrics.evaluate(g, c, config.threshold_cm)
-                    for g, c in zip(gt_clouds, clouds) if len(g) and len(c)]
-        mean_row = (np.mean([r.as_row() for r in per_scan], axis=0)
-                    if per_scan else np.full(5, np.nan))
-        rows.append([name, "aggregate"] + [repr(float(v)) for v in aggregate.as_row()])
+        if not any(len(c) for c in clouds):
+            # An under-trained model can render nothing; that is a result, not an error.
+            print(f"warning: {name} rendered no points; its metrics are NaN", file=sys.stderr)
+            aggregate_row = mean_row = no_metrics
+        else:
+            merged = metrics.PointCloud(np.concatenate([c.points for c in clouds]))
+            aggregate_row = metrics.evaluate(gt_merged, merged, config.threshold_cm).as_row()
+            per_scan = [metrics.evaluate(g, c, config.threshold_cm).as_row()
+                        for g, c in zip(gt_clouds, clouds) if len(g) and len(c)]
+            mean_row = np.mean(per_scan, axis=0) if per_scan else no_metrics
+        rows.append([name, "aggregate"] + [repr(float(v)) for v in aggregate_row])
         rows.append([name, "per_scan_mean"] + [repr(float(v)) for v in mean_row])
-        named.append((name, aggregate))
+        named.append((name, aggregate_row))
 
     report_path = os.path.join(out, "report.csv")
     with open(report_path, "w") as fh:

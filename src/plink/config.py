@@ -51,7 +51,6 @@ class RunConfig:
     render_fine: int = 0  # 0 = reuse n_fine
     # evaluation
     threshold_cm: float = 20.0
-    threads: int = 0  # 0 = all available cores
 
     def validate(self) -> "RunConfig":
         if not (0.0 <= self.alpha <= 1.0):

@@ -29,19 +29,6 @@ DEFAULT_ALPHA = 0.999
 
 
 @dataclass
-class RayDropEstimate:
-    """Raw per-sample drop channel values and their pooled ray estimate."""
-
-    phi: np.ndarray
-    pooled: float
-
-    def __post_init__(self):
-        self.phi = np.asarray(self.phi, dtype=float)
-        if not (0.0 < self.pooled < 1.0):
-            raise InvalidInputError("pooled estimate must lie strictly in (0, 1)")
-
-
-@dataclass
 class LossBreakdown:
     """All scalar loss terms for one training step."""
 
@@ -124,14 +111,17 @@ def measurement_counts(measurements_sorted: np.ndarray, gammas: np.ndarray) -> n
     return np.searchsorted(measurements_sorted, gammas, side="right").astype(float)
 
 
-def fine_bin_integrals(fine_trace: SigmaTrace, bin_edges: np.ndarray) -> np.ndarray:
-    """Trapezoid mass of the fine field accumulated into proposal bins."""
-    idx = np.clip(np.searchsorted(bin_edges, fine_trace.grid.gammas, side="right") - 1,
-                  0, len(bin_edges) - 2)
-    per_sample = fine_trace.sigmas * fine_trace.grid.deltas
-    out = np.zeros(len(bin_edges) - 1)
-    np.add.at(out, idx, per_sample)
-    return out
+def bin_accumulate(per_sample: np.ndarray, grid: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Sum per-sample mass rows (..., J) into proposal bins (..., n_bins) by location."""
+    n_bins = edges.size - 1
+    lead = grid.shape[:-1]
+    grid = grid.reshape(-1, grid.shape[-1])
+    n_rays, _ = grid.shape
+    idx = np.clip(np.searchsorted(edges, grid, side="right") - 1, 0, n_bins - 1)
+    out = np.zeros((n_rays, n_bins))
+    rows = np.repeat(np.arange(n_rays), grid.shape[1])
+    np.add.at(out, (rows, idx.ravel()), np.ravel(per_sample))
+    return out.reshape(lead + (n_bins,))
 
 
 def normalize_for_coarse(histogram, fine_trace: SigmaTrace, fallback_uniform: bool = False):
@@ -171,7 +161,8 @@ def coarse_loss(histogram, fine_trace: SigmaTrace) -> float:
     hist_masses = histogram.heights * widths
     if abs(hist_masses.sum() - 1.0) > NORMALIZATION_TOL:
         raise InvalidInputError("histogram masses must sum to 1")
-    fine_masses = fine_bin_integrals(fine_trace, histogram.bin_edges)
+    fine_masses = bin_accumulate(fine_trace.sigmas * fine_trace.grid.deltas,
+                                 fine_trace.grid.gammas, histogram.bin_edges)
     if abs(fine_masses.sum() - 1.0) > NORMALIZATION_TOL:
         raise InvalidInputError("fine field integral must equal 1")
     return float(hinge_values(fine_masses, hist_masses))

@@ -6,8 +6,8 @@ L1 Chamfer distance. The F-score is the harmonic mean of precision and
 recall at a threshold distance. Distances are reported in centimeters.
 
 Nearest neighbors run through a k-d tree with exact queries, so the values
-match an O(n^2) scan to round-off. Clouds travel as ASCII PLY or plain
-``x y z`` text.
+match an O(n^2) scan to round-off. Clouds are written as ASCII PLY and
+read from PLY or plain ``x y z`` text.
 """
 
 from __future__ import annotations
@@ -133,12 +133,6 @@ def read_ply(path) -> PointCloud:
             raise InvalidInputError("PLY header declares no vertices")
         points = np.loadtxt(fh, max_rows=n_vertices, ndmin=2) if n_vertices else np.empty((0, 3))
     return PointCloud(points)
-
-
-def write_xyz(path, cloud: PointCloud) -> None:
-    with open(path, "w") as fh:
-        for x, y, z in cloud.points:
-            fh.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
 
 
 def read_xyz(path) -> PointCloud:

@@ -4,11 +4,16 @@ Ray grouping rule: measurements aggregate per exact emitted-ray identity.
 For a static-path dataset every frame repeats the same rays, so samples
 pool across frames per (beam, azimuth); for a moving path each
 (frame, beam, azimuth) is its own ray with at most one measurement.
+
+Rendering runs the march that training runs (``sampler.march``), on plain
+arrays: a frame's rays go through it in chunks of ``batch_rays``, and
+each ray's ranges are then picked from its cumulative trace.
 """
 
 from __future__ import annotations
 
 import os
+# ThreadPoolExecutor is not used here; perfbench/layers.py replaces this name.
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -19,9 +24,9 @@ from . import net as nets
 from . import sampler
 from .config import RunConfig
 from .errors import InvalidInputError
-from .field import (DROP, CdfTrace, Ray, SampleGrid, cdf_from_sigma_values,
-                    bin_masses, inverse_transform_sample, is_drop,
-                    render_confidence, trapezoid_deltas)
+# cdf_from_sigma_values is not called here; perfbench/layers.py probes this name.
+from .field import (CdfTrace, Ray, SampleGrid, cdf_from_sigma_values, bin_masses,
+                    inverse_transform_sample, is_drop, render_confidence)
 from .losses import LossBreakdown
 from .metrics import PointCloud
 # motion_compensate is not called here; perfbench/layers.py probes this name.
@@ -157,26 +162,19 @@ class RayRender:
     q_hat: float
 
 
-def evaluate_ray(state: sampler.TrainState, ray: Ray, scale: UnitCubeScale,
-                 n_bins: int, n_fine: int) -> RayRender:
-    """Coarse-to-fine evaluation of the trained fields along a single ray."""
-    grid = sampler.coarse_bins(ray, n_bins)
-    hist = sampler.histogram_from_coarse(state.coarse, ray, grid, scale)
-    points = sampler.quantile_points(hist, n_fine)
-    edges = sampler.uniform_bin_edges(ray.s_max, n_bins)
-    gammas = sampler.strictify(np.sort(np.concatenate([points.points, edges])))
-    deltas = trapezoid_deltas(gammas)
-    world = ray.point_at(gammas)
-    feats = nets.encode(
-        scale.apply(world),
-        np.broadcast_to(ray.direction, world.shape) if state.fine.use_direction else None,
-        state.fine.encoding_levels, state.fine.dir_levels)
-    sigma, phi = nets.forward(state.fine, feats)
-    cdf, survival = cdf_from_sigma_values(sigma, deltas)
-    trace = CdfTrace(SampleGrid(gammas, deltas), cdf, survival)
-    masses = bin_masses(cdf)
-    q_hat = float(expit(np.dot(masses, phi)))
-    return RayRender(trace, phi, q_hat)
+def evaluate_ray(state: sampler.TrainState, origins: np.ndarray, dirs: np.ndarray,
+                 s_max: float, scale: UnitCubeScale, n_bins: int, n_fine: int) -> list:
+    """Render-time march of one chunk of rays; returns one RayRender per ray.
+
+    Plain network passes and quantile placement, so the result is
+    deterministic. The name is singular because perfbench/layers.py probes
+    it under this name.
+    """
+    _, grid, deltas, _, phi, cdf = sampler.march(
+        state, origins, dirs, s_max, n_bins, scale, nets.forward,
+        lambda histograms: sampler.quantile_points(histograms, n_fine))
+    return [RayRender(CdfTrace(SampleGrid(g, d), c, 1.0 - c), p, float(expit(np.dot(m, p))))
+            for g, d, c, p, m in zip(grid, deltas, cdf, phi, bin_masses(cdf))]
 
 
 def render_ray(render: RayRender, mode: str, *, draws: int = 3, level: float = 0.5,
@@ -224,34 +222,27 @@ def render_frame_cloud(state: sampler.TrainState, frame: ScanFrame,
                        baseline: bool = False) -> PointCloud:
     """Point cloud for one sensor pose, all beams and azimuth steps.
 
-    Rays are evaluated in parallel chunks (``threads`` config key); the
-    result order is fixed, so output bytes do not depend on scheduling.
-    Stochastic draws come from per-ray streams keyed on the config seed.
+    Rays are marched in chunks of ``config.batch_rays``, so rendering holds
+    no more activations than a training step. Stochastic draws come from
+    per-ray streams keyed on the config seed and the ray's index in the
+    frame, so output bytes do not depend on the chunk size.
     """
-    s_max = frame.intrinsics.s_max
     n_fine = config.render_fine or config.n_fine
-    jobs = list(enumerate(zip(*_frame_rays(frame))))
-
-    def run(job):
-        ray_id, (origin, direction) = job
-        ray = Ray(origin, direction, s_max, ray_id=ray_id)
-        render = evaluate_ray(state, ray, scale, config.n_bins, n_fine)
-        rng = sampler.ray_rng(config.seed, ray_id, epoch=RENDER_STREAM)
-        if baseline:
-            ranges = render_baseline_ray(render)
-        else:
-            ranges = render_ray(render, mode, draws=config.render_draws,
-                                level=config.confidence_level,
-                                peak_threshold=config.peak_threshold, rng=rng)
-        return [origin + s * direction for s in ranges]
-
-    workers = config.threads if config.threads > 0 else (os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-    points = [p for chunk in results for p in chunk]
+    origins, dirs = _frame_rays(frame)
+    points = []
+    for start in range(0, len(origins), config.batch_rays):
+        chunk = slice(start, start + config.batch_rays)
+        renders = evaluate_ray(state, origins[chunk], dirs[chunk], frame.intrinsics.s_max,
+                               scale, config.n_bins, n_fine)
+        for ray_id, render in enumerate(renders, start):
+            if baseline:
+                ranges = render_baseline_ray(render)
+            else:
+                rng = sampler.ray_rng(config.seed, ray_id, epoch=RENDER_STREAM)
+                ranges = render_ray(render, mode, draws=config.render_draws,
+                                    level=config.confidence_level,
+                                    peak_threshold=config.peak_threshold, rng=rng)
+            points += [origins[ray_id] + s * dirs[ray_id] for s in ranges]
     return PointCloud(np.asarray(points) if points else np.empty((0, 3)))
 
 

@@ -1,10 +1,15 @@
-"""Coarse-to-fine sampling and the joint training step.
+"""Coarse-to-fine ray marching and the joint training step.
 
-A proposal network is evaluated on uniform bin centers along each ray; its
-normalized output is a histogram whose masses drive stratified importance
-sampling of the fine test points. The fine network is trained on the
-distribution and drop objectives, the proposal on the underestimation hinge
-against the (detached) fine field, one optimizer step each per batch.
+One batched march serves training and rendering. A proposal network is
+evaluated on uniform bin centers along each ray; its normalized output is a
+histogram whose masses place the fine test points, and the fine network is
+evaluated on the union of those points and the bin edges. The callers differ
+only in what they pass in: training records the graph and places points by
+stratified importance sampling on per-ray streams, rendering runs the plain
+forward and takes deterministic mass-quantile midpoints. The fine network is
+trained on the distribution and drop objectives, the proposal on the
+underestimation hinge against the (detached) fine field, one optimizer step
+each per batch.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ import numpy as np
 from . import autodiff as ad
 from . import net as nets
 from .errors import DivergenceError, InvalidInputError
-from .field import Ray, SampleGrid, cdf_from_sigma_values, bin_masses, trapezoid_deltas
-from .losses import (DEFAULT_ALPHA, LossBreakdown, bce_values, hinge_values,
-                     measurement_counts, step_mismatch_values)
+from .field import cdf_from_sigma_values, bin_masses, trapezoid_deltas
+from .losses import (DEFAULT_ALPHA, LossBreakdown, bce_values, bin_accumulate,
+                     hinge_values, measurement_counts, step_mismatch_values)
 
 MIN_GAP = 1e-9
 
@@ -60,14 +65,6 @@ class FinePointSet:
             raise InvalidInputError("points and provenance must be congruent")
 
 
-def coarse_bins(ray: Ray, n_bins: int) -> SampleGrid:
-    """Uniform bin centers over [0, s_max]; edges sit midway between them."""
-    if n_bins < 2:
-        raise InvalidInputError("need at least two coarse bins")
-    centers = uniform_bin_centers(ray.s_max, n_bins)
-    return SampleGrid.from_gammas(centers)
-
-
 def uniform_bin_centers(s_max: float, n_bins: int) -> np.ndarray:
     width = s_max / n_bins
     return (np.arange(n_bins) + 0.5) * width
@@ -77,19 +74,21 @@ def uniform_bin_edges(s_max: float, n_bins: int) -> np.ndarray:
     return np.linspace(0.0, s_max, n_bins + 1)
 
 
-def histogram_from_coarse(model_coarse, ray: Ray, grid: SampleGrid, scale) -> ProposalHistogram:
-    """Proposal histogram from the coarse field at the bin centers.
+def histogram_from_coarse(model, origins, dirs, s_max: float, n_bins: int, scale,
+                          forward):
+    """Normalized proposal masses (B, n_bins) from the coarse field at the bin centers.
 
-    An all-zero response falls back to a uniform histogram, flagged via
-    ``degenerate`` so callers can monitor early-training behavior.
+    ``forward(model, feats)`` is the network pass; the result is a Tensor
+    when it records a graph, a plain array otherwise.
     """
-    points = scale.apply(ray.point_at(grid.gammas))
-    directions = np.broadcast_to(ray.direction, points.shape) if model_coarse.use_direction else None
-    feats = nets.encode(points, directions, model_coarse.encoding_levels,
-                        model_coarse.dir_levels)
-    sigmas, _ = nets.forward(model_coarse, feats)
-    edges = uniform_bin_edges(ray.s_max, grid.gammas.size)
-    return histogram_from_heights(edges, sigmas)
+    if n_bins < 2:
+        raise InvalidInputError("need at least two coarse bins")
+    centers = uniform_bin_centers(s_max, n_bins)
+    widths = np.diff(uniform_bin_edges(s_max, n_bins))
+    points = origins[:, None, :] + centers[None, :, None] * dirs[:, None, :]
+    sigma, _ = forward(model, _encode_batch(model, points, dirs, scale))
+    masses = sigma.reshape(len(origins), n_bins) * widths
+    return masses / (masses.sum(axis=-1, keepdims=True) + 1e-12)
 
 
 def histogram_from_heights(edges: np.ndarray, raw_heights: np.ndarray) -> ProposalHistogram:
@@ -121,18 +120,18 @@ def importance_sample(histogram: ProposalHistogram, n_fine: int, rng) -> FinePoi
     return FinePointSet(points[order], bins[order])
 
 
-def quantile_points(histogram: ProposalHistogram, n_fine: int) -> FinePointSet:
-    """Deterministic variant used at render time: mass quantile midpoints."""
-    masses = histogram.masses
-    cdf = np.cumsum(masses)
-    cdf[-1] = max(cdf[-1], 1.0)
+def quantile_points(histograms: list, n_fine: int) -> np.ndarray:
+    """Deterministic render placement: mass-quantile bin midpoints, (B, n_fine).
+
+    All histograms share their bin edges; rows come out ascending.
+    """
+    edges = histograms[0].bin_edges
+    cdf = np.cumsum([h.masses for h in histograms], axis=-1)
+    cdf[:, -1] = np.maximum(cdf[:, -1], 1.0)
     u = (np.arange(n_fine) + 0.5) / n_fine
-    bins = np.searchsorted(cdf, u, side="left")
-    left = histogram.bin_edges[bins]
-    width = np.diff(histogram.bin_edges)[bins]
-    points = left + 0.5 * width
-    order = np.argsort(points, kind="stable")
-    return FinePointSet(points[order], bins[order])
+    # Per row, the count of cdf values below u is searchsorted(cdf, u, "left").
+    bins = np.count_nonzero(cdf[:, None, :] < u[:, None], axis=-1)
+    return edges[bins] + 0.5 * np.diff(edges)[bins]
 
 
 def strictify(gammas: np.ndarray, min_gap: float = MIN_GAP) -> np.ndarray:
@@ -192,68 +191,72 @@ class StepConfig:
     depth_l2: bool = False  # deterministic weighted-depth baseline objective
 
 
+def march(state: TrainState, origins: np.ndarray, dirs: np.ndarray, s_max: float,
+          n_bins: int, scale, forward, place) -> tuple:
+    """Coarse -> proposal -> fine evaluation of a batch of B rays.
+
+    ``forward(model, feats) -> (sigma, phi)`` runs a network (recording a
+    graph or not); ``place(histograms) -> (B, n_fine)`` puts the fine points
+    from the per-ray proposal histograms. Returns ``(hist_masses, grid,
+    deltas, sigma, phi, cdf)``, each with B rows.
+    """
+    hist_masses = histogram_from_coarse(state.coarse, origins, dirs, s_max, n_bins,
+                                        scale, forward)
+    # Placement happens outside any graph: sample positions are constants
+    # with respect to both parameter vectors.
+    edges = uniform_bin_edges(s_max, n_bins)
+    widths = np.diff(edges)
+    histograms = [histogram_from_heights(edges, row / widths)
+                  for row in ad.value_of(hist_masses)]
+    grid = fine_grid_rows(place(histograms), edges)          # (B, J)
+    deltas = trapezoid_deltas(grid)
+    points = origins[:, None, :] + grid[:, :, None] * dirs[:, None, :]
+    sigma, phi = forward(state.fine, _encode_batch(state.fine, points, dirs, scale))
+    sigma, phi = sigma.reshape(grid.shape), phi.reshape(grid.shape)
+    cdf, _ = cdf_from_sigma_values(sigma, deltas)
+    return hist_masses, grid, deltas, sigma, phi, cdf
+
+
 def train_step(state: TrainState, rays: list, config: StepConfig, scale,
                epoch: int = 0):
     """One joint optimization step over a ray batch.
 
-    Per ray: coarse bins -> proposal histogram -> stratified fine points
-    (union with bin edges) -> fine forward -> cumulative trace -> fine loss;
-    then the proposal hinge against the detached fine field. Fine and coarse
-    parameters each receive one optimizer step, fine first.
+    The march records both networks' graphs and places the fine points by
+    stratified draws on each ray's (seed, ray, epoch) stream. Then the fine
+    loss on the cumulative trace, and the proposal hinge against the
+    detached fine field. Fine and coarse parameters each receive one
+    optimizer step, fine first.
     """
     if not rays:
         raise InvalidInputError("ray batch must be nonempty")
     if not state.fine.has_phi_head:
         raise InvalidInputError("the fine model must carry the drop channel head")
-    n_rays = len(rays)
     s_max = rays[0].s_max
     if any(r.s_max != s_max for r in rays):
         raise InvalidInputError("all rays in a batch must share s_max")
-    n_bins, n_fine = config.n_bins, config.n_fine
-    edges = uniform_bin_edges(s_max, n_bins)
-    centers = uniform_bin_centers(s_max, n_bins)
-    widths = np.diff(edges)
+    graphs = []
 
-    origins = np.stack([r.origin for r in rays])
-    dirs = np.stack([r.direction for r in rays])
+    def record(model, feats):
+        graphs.append(nets.ModelGraph(model))
+        return graphs[-1].forward(feats)
 
-    # Coarse forward over all bin centers, graph recorded for the hinge.
-    coarse_pts = origins[:, None, :] + centers[None, :, None] * dirs[:, None, :]
-    coarse_feats = _encode_batch(state.coarse, coarse_pts, dirs, scale)
-    coarse_graph = nets.ModelGraph(state.coarse)
-    sigma_c, _ = coarse_graph.forward(coarse_feats)
-    sigma_c = sigma_c.reshape(n_rays, n_bins)
-    hist_masses = sigma_c * widths
-    hist_masses = hist_masses / (hist_masses.sum(axis=-1, keepdims=True) + 1e-12)
+    def stratified(histograms):
+        return np.stack([
+            importance_sample(h, config.n_fine, ray_rng(config.seed, r.ray_id, epoch)).points
+            for h, r in zip(histograms, rays)])
 
-    # Importance sampling happens outside the graph: sample placement is a
-    # constant with respect to both parameter vectors.
-    masses_np = ad.value_of(hist_masses)
-    fine_points = np.empty((n_rays, n_fine))
-    for i, ray in enumerate(rays):
-        rng = ray_rng(config.seed, ray.ray_id, epoch)
-        hist = histogram_from_heights(edges, masses_np[i] / widths)
-        fine_points[i] = importance_sample(hist, n_fine, rng).points
-
-    grid = fine_grid_rows(fine_points, edges)          # (B, J)
-    deltas = trapezoid_deltas(grid)
-    n_points = grid.shape[1]
-
-    fine_pts_world = origins[:, None, :] + grid[:, :, None] * dirs[:, None, :]
-    fine_feats = _encode_batch(state.fine, fine_pts_world, dirs, scale)
-    fine_graph = nets.ModelGraph(state.fine)
-    sigma_f, phi_f = fine_graph.forward(fine_feats)
-    sigma_f = sigma_f.reshape(n_rays, n_points)
-    cdf, _ = cdf_from_sigma_values(sigma_f, deltas)
+    hist_masses, grid, deltas, sigma_f, phi_f, cdf = march(
+        state, np.stack([r.origin for r in rays]), np.stack([r.direction for r in rays]),
+        s_max, config.n_bins, scale, record, stratified)
+    coarse_graph, fine_graph = graphs
 
     if config.depth_l2:
         l_c = _depth_l2_term(cdf, grid, rays)
     else:
         l_c = _cdf_term(cdf, deltas, grid, rays)
 
-    masses_f = bin_masses(cdf)
     q_true = np.array([float(r.drop_flag) for r in rays])
-    q_hat = ad.sigmoid(ad.reduce_sum(masses_f * phi_f.reshape(n_rays, n_points), axis=-1))
+    q_hat = ad.sigmoid(ad.reduce_sum(bin_masses(cdf) * phi_f, axis=-1))
     l_drop = bce_values(q_true, q_hat)
     l_fine = config.alpha * l_c + (1.0 - config.alpha) * l_drop
 
@@ -262,11 +265,11 @@ def train_step(state: TrainState, rays: list, config: StepConfig, scale,
         raise DivergenceError("fine loss is non-finite")
 
     # Proposal hinge: fine masses are detached constants (stop gradient).
-    sigma_f_const = ad.value_of(sigma_f)
-    fine_bin_mass = _bin_accumulate(sigma_f_const * deltas, grid, edges)
+    edges = uniform_bin_edges(s_max, config.n_bins)
+    fine_bin_mass = bin_accumulate(ad.value_of(sigma_f) * deltas, grid, edges)
     totals = fine_bin_mass.sum(axis=-1, keepdims=True)
     fine_bin_mass = np.where(totals > 1e-12, fine_bin_mass / np.maximum(totals, 1e-300),
-                             1.0 / n_bins)
+                             1.0 / config.n_bins)
     l_coarse = hinge_values(fine_bin_mass, hist_masses).mean()
     coarse_tape = nets.backward(coarse_graph, l_coarse)
     if not np.isfinite(coarse_tape.loss):
@@ -335,14 +338,3 @@ def _depth_l2_term(cdf, grid, rays):
         return per_ray.sum() * 0.0
     weights = (k > 0).astype(float) / contributing
     return ad.reduce_sum(per_ray * weights)
-
-
-def _bin_accumulate(per_sample: np.ndarray, grid: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Sum per-sample mass rows into proposal bins by sample location."""
-    n_rays, _ = grid.shape
-    n_bins = edges.size - 1
-    idx = np.clip(np.searchsorted(edges, grid, side="right") - 1, 0, n_bins - 1)
-    out = np.zeros((n_rays, n_bins))
-    rows = np.repeat(np.arange(n_rays), grid.shape[1])
-    np.add.at(out, (rows, idx.ravel()), per_sample.ravel())
-    return out

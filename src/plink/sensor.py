@@ -1,9 +1,8 @@
 """LiDAR geometry: spherical ray generation, motion compensation, scaling.
 
 A mechanically spinning sensor samples a spherical projection surface: one
-elevation angle per beam, azimuth advancing with the rotor. Because the
-projection model is natively spherical, scan patching exists purely as a
-batching convenience; no planar reprojection is ever performed.
+elevation angle per beam, azimuth advancing with the rotor. The projection
+model is natively spherical; no planar reprojection is ever performed.
 
 On-disk formats:
   scan file   CSV with columns beam_idx, azimuth_idx, range_m, drop_flag,
@@ -144,26 +143,6 @@ def ray_directions(intrinsics: SensorIntrinsics, frame: ScanFrame):
         directions[:, a, :] = local[:, a, :] @ pose.rotation.T
         origins[:, a, :] = pose.translation
     return origins, directions
-
-
-def patch_scan(frame: ScanFrame, azimuth_patches: int) -> list:
-    """Azimuth-interval batches of (beam, azimuth) index pairs.
-
-    Batching only; the spherical model is exact, so no reprojection happens.
-    The final patch is ragged when the patch count does not divide the
-    azimuth count.
-    """
-    if azimuth_patches < 1:
-        raise InvalidInputError("need at least one patch")
-    n_az = frame.intrinsics.azimuth_count
-    per = int(np.ceil(n_az / azimuth_patches))
-    batches = []
-    for start in range(0, n_az, per):
-        az = np.arange(start, min(start + per, n_az))
-        beams = np.arange(frame.intrinsics.n_beams)
-        bb, aa = np.meshgrid(beams, az, indexing="ij")
-        batches.append(np.stack([bb.ravel(), aa.ravel()], axis=1))
-    return batches
 
 
 # -- unit-cube scaling ---------------------------------------------------------

@@ -42,8 +42,6 @@ RNG = np.random.default_rng(7)
     lambda t: (t ** 3).sum(),
     lambda t: ad.exp(t).sum(),
     lambda t: ad.log(t + 3.0).sum(),
-    lambda t: ad.sin(t).sum(),
-    lambda t: ad.cos(t).sum(),
     lambda t: ad.sigmoid(t).sum(),
     lambda t: ad.softplus(t).sum(),
     lambda t: (ad.maximum0(t) * t).sum(),

@@ -1,11 +1,15 @@
 """Pipeline: training rays and ground truth from the shared ray generator,
-and reproducible stochastic rendering."""
+and batched rendering against the per-ray path it replaced."""
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from plink import pipeline, sensor, simscene
+from plink import net as nets
+from plink import pipeline, sampler, sensor, simscene
 from plink.config import RunConfig
+from plink.field import (CdfTrace, Ray, SampleGrid, bin_masses, cdf_from_sigma_values,
+                         trapezoid_deltas)
 
 # A direction from the per-ray `local[b, a] @ R.T` product and one from the
 # per-azimuth (beams, 3) @ (3, 3) product can round differently: by about
@@ -82,20 +86,96 @@ class TestGroundTruthCloud:
         np.testing.assert_allclose(dist, frame.ranges.reshape(-1)[returned], atol=1e-12)
 
 
+def oracle_evaluate_ray(state, ray, scale, n_bins, n_fine):
+    """Per-ray coarse -> quantile -> fine evaluation: the reference."""
+    def field(model, gammas):
+        world = ray.point_at(gammas)
+        dirs = np.broadcast_to(ray.direction, world.shape) if model.use_direction else None
+        feats = nets.encode(scale.apply(world), dirs, model.encoding_levels, model.dir_levels)
+        return nets.forward(model, feats)
+
+    edges = sampler.uniform_bin_edges(ray.s_max, n_bins)
+    sigmas, _ = field(state.coarse, sampler.uniform_bin_centers(ray.s_max, n_bins))
+    hist = sampler.histogram_from_heights(edges, sigmas)
+    cdf = np.cumsum(hist.masses)
+    cdf[-1] = max(cdf[-1], 1.0)
+    bins = np.searchsorted(cdf, (np.arange(n_fine) + 0.5) / n_fine, side="left")
+    points = np.sort(edges[bins] + 0.5 * np.diff(edges)[bins])
+    gammas = sampler.strictify(np.sort(np.concatenate([points, edges])))
+    deltas = trapezoid_deltas(gammas)
+    sigma, phi = field(state.fine, gammas)
+    cdf, survival = cdf_from_sigma_values(sigma, deltas)
+    trace = CdfTrace(SampleGrid(gammas, deltas), cdf, survival)
+    return pipeline.RayRender(trace, phi, float(expit(np.dot(bin_masses(cdf), phi))))
+
+
+def oracle_frame_cloud(state, frame, scale, config, mode, baseline=False):
+    """One ray at a time, each on its own render stream."""
+    n_fine = config.render_fine or config.n_fine
+    origins, dirs = sensor.ray_directions(frame.intrinsics, frame)
+    points = []
+    for ray_id, (origin, direction) in enumerate(zip(origins.reshape(-1, 3),
+                                                     dirs.reshape(-1, 3))):
+        ray = Ray(origin, direction, frame.intrinsics.s_max, ray_id=ray_id)
+        render = oracle_evaluate_ray(state, ray, scale, config.n_bins, n_fine)
+        if baseline:
+            ranges = pipeline.render_baseline_ray(render)
+        else:
+            rng = sampler.ray_rng(config.seed, ray_id, epoch=pipeline.RENDER_STREAM)
+            ranges = pipeline.render_ray(render, mode, draws=config.render_draws,
+                                         level=config.confidence_level,
+                                         peak_threshold=config.peak_threshold, rng=rng)
+        points += [origin + r * direction for r in ranges]
+    return np.asarray(points).reshape(-1, 3)
+
+
+def render_setup(seed, batch_rays):
+    config = RunConfig(elevations=[-0.05, 0.0, 0.05], azimuth_count=8, s_max=4.0,
+                       n_bins=8, n_fine=8, render_fine=11, hidden_width=8,
+                       hidden_layers=1, encoding_levels=2, dir_levels=1, sigma_bias=0.0,
+                       batch_rays=batch_rays, seed=seed).validate()
+    state = pipeline.models_from_config(config)
+    _, scale = sensor.to_unit_cube(np.zeros((1, 3)), ([-5.0] * 3, [5.0] * 3))
+    intr = pipeline.intrinsics_from_config(config)
+    shape = (intr.n_beams, intr.azimuth_count)
+    frame = sensor.ScanFrame(intr, sensor.Pose(np.eye(3), np.zeros(3), 0.0),
+                             sensor.Pose(np.eye(3), np.array([0.5, 0.0, 0.0]), 0.1),
+                             np.zeros(shape), np.zeros(shape, dtype=bool))
+    return state, frame, scale, config
+
+
+RENDERS = [("stochastic", False), ("confidence", False), ("first-return", False),
+           ("strongest-return", False), ("stochastic", True)]
+
+
 class TestRender:
     def test_stochastic_frame_is_reproducible(self):
-        config = RunConfig(elevations=[-0.05, 0.05], azimuth_count=8, s_max=4.0,
-                           n_bins=8, n_fine=8, hidden_width=8, hidden_layers=1,
-                           encoding_levels=2, dir_levels=1, sigma_bias=0.0).validate()
-        state = pipeline.models_from_config(config)
-        _, scale = sensor.to_unit_cube(np.zeros((1, 3)), ([-5.0] * 3, [5.0] * 3))
-        intr = pipeline.intrinsics_from_config(config)
-        shape = (intr.n_beams, intr.azimuth_count)
-        frame = sensor.ScanFrame(intr, sensor.Pose(np.eye(3), np.zeros(3), 0.0),
-                                 sensor.Pose(np.eye(3), np.array([0.5, 0.0, 0.0]), 0.1),
-                                 np.zeros(shape), np.zeros(shape, dtype=bool))
+        state, frame, scale, config = render_setup(seed=1, batch_rays=64)
         first, second = (pipeline.render_frame_cloud(state, frame, scale, config,
                                                      "stochastic").points
                          for _ in range(2))
         assert len(first) > 0
         assert first.tobytes() == second.tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("mode, baseline", RENDERS)
+    def test_batched_frame_matches_per_ray_oracle(self, mode, baseline, seed):
+        # 24 rays in chunks of 7: the last chunk is ragged.
+        state, frame, scale, config = render_setup(seed, batch_rays=7)
+        want = oracle_frame_cloud(state, frame, scale, config, mode, baseline)
+        got = pipeline.render_frame_cloud(state, frame, scale, config, mode,
+                                          baseline=baseline).points
+        assert len(want) > 0
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
+    def test_evaluates_one_render_per_ray(self):
+        state, frame, scale, config = render_setup(seed=1, batch_rays=7)
+        origins, dirs = sensor.ray_directions(frame.intrinsics, frame)
+        renders = pipeline.evaluate_ray(state, origins.reshape(-1, 3)[:5],
+                                        dirs.reshape(-1, 3)[:5], 4.0, scale, 8, 11)
+        assert len(renders) == 5
+        for render in renders:
+            assert render.trace.grid.gammas.shape == (8 + 1 + 11,)
+            assert render.phi.shape == render.trace.cdf.shape
+            assert 0.0 < render.q_hat < 1.0

@@ -1,4 +1,4 @@
-"""Coarse-to-fine machinery: bins, histograms, stratified draws, train step."""
+"""Coarse-to-fine machinery: bins, histograms, placements, the march, train step."""
 
 import numpy as np
 import pytest
@@ -17,10 +17,17 @@ def make_ray(direction=(1.0, 0.0, 0.0), s_max=10.0, measurements=(), ray_id=0):
                drop_flag=1 if measurements.size else 0, ray_id=ray_id)
 
 
+SCALE = UnitCubeScale(center=np.zeros(3), scale=1.0 / 12.0)
+
+
+def coarse_model():
+    return nets.init_model(encoding_levels=2, dir_levels=1, layer_widths=[8], rng=0,
+                           sigma_bias=0.0)
+
+
 class TestCoarseBins:
     def test_two_bins_over_ten_meters(self):
-        grid = sampler.coarse_bins(make_ray(), 2)
-        np.testing.assert_allclose(grid.gammas, [2.5, 7.5])
+        np.testing.assert_allclose(sampler.uniform_bin_centers(10.0, 2), [2.5, 7.5])
 
     def test_edges_tile_range(self):
         edges = sampler.uniform_bin_edges(10.0, 4)
@@ -34,7 +41,9 @@ class TestCoarseBins:
 
     def test_rejects_single_bin(self):
         with pytest.raises(InvalidInputError):
-            sampler.coarse_bins(make_ray(), 1)
+            sampler.histogram_from_coarse(coarse_model(), np.zeros((1, 3)),
+                                          np.array([[1.0, 0.0, 0.0]]), 10.0, 1,
+                                          SCALE, nets.forward)
 
 
 class TestHistogram:
@@ -52,14 +61,15 @@ class TestHistogram:
         np.testing.assert_allclose(hist.masses, 0.25)
 
     def test_from_coarse_model(self):
-        model = nets.init_model(encoding_levels=2, dir_levels=1,
-                                layer_widths=[8], rng=0, sigma_bias=0.0)
-        ray = make_ray()
-        grid = sampler.coarse_bins(ray, 8)
-        scale = UnitCubeScale(center=np.zeros(3), scale=1.0 / 12.0)
-        hist = sampler.histogram_from_coarse(model, ray, grid, scale)
-        assert hist.masses.sum() == pytest.approx(1.0)
-        assert not hist.degenerate
+        dirs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        masses = sampler.histogram_from_coarse(coarse_model(), np.zeros((3, 3)), dirs,
+                                               10.0, 8, SCALE, nets.forward)
+        assert masses.shape == (3, 8)
+        assert np.all(masses > 0.0)
+        np.testing.assert_allclose(masses.sum(axis=-1), 1.0)
+        edges = sampler.uniform_bin_edges(10.0, 8)
+        for row in masses:
+            assert not sampler.histogram_from_heights(edges, row / np.diff(edges)).degenerate
 
 
 class TestImportanceSample:
@@ -101,10 +111,27 @@ class TestImportanceSample:
 
     def test_quantile_points_are_deterministic(self):
         edges = np.linspace(0.0, 10.0, 9)
-        hist = sampler.histogram_from_heights(edges, np.arange(1.0, 9.0))
-        a = sampler.quantile_points(hist, 33)
-        b = sampler.quantile_points(hist, 33)
-        np.testing.assert_array_equal(a.points, b.points)
+        hists = [sampler.histogram_from_heights(edges, np.arange(1.0, 9.0)),
+                 sampler.histogram_from_heights(edges, np.ones(8))]
+        a = sampler.quantile_points(hists, 33)
+        b = sampler.quantile_points(hists, 33)
+        assert a.shape == (2, 33)
+        np.testing.assert_array_equal(a, b)
+
+    def test_quantile_points_match_per_row_search(self):
+        rng = np.random.default_rng(5)
+        edges = np.linspace(0.0, 10.0, 9)
+        heights = rng.uniform(0.0, 2.0, size=(6, 8))
+        heights[1, 2:] = 0.0            # all mass in the first two bins
+        hists = [sampler.histogram_from_heights(edges, h) for h in heights]
+        got = sampler.quantile_points(hists, 17)
+        u = (np.arange(17) + 0.5) / 17
+        for hist, row in zip(hists, got):
+            cdf = np.cumsum(hist.masses)
+            cdf[-1] = max(cdf[-1], 1.0)
+            bins = np.searchsorted(cdf, u, side="left")
+            np.testing.assert_array_equal(row, edges[bins] + 0.5 * np.diff(edges)[bins])
+            assert np.all(np.diff(row) >= 0.0)
 
 
 class TestStrictify:
@@ -134,6 +161,35 @@ def tiny_state(seed=0):
     coarse = nets.init_model(has_phi_head=False, **kwargs)
     fine = nets.init_model(has_phi_head=True, **kwargs)
     return sampler.TrainState.fresh(coarse, fine)
+
+
+class TestMarch:
+    def march(self, state, origins, dirs):
+        return sampler.march(state, origins, dirs, 10.0, 8, SCALE, nets.forward,
+                             lambda hists: sampler.quantile_points(hists, 5))
+
+    def test_shapes_and_cdf(self):
+        dirs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        hist_masses, grid, deltas, sigma, phi, cdf = self.march(tiny_state(), np.zeros((3, 3)),
+                                                                dirs)
+        assert hist_masses.shape == (3, 8)
+        for rows in (grid, deltas, sigma, phi, cdf):
+            assert rows.shape == (3, 8 + 1 + 5)
+        assert np.all(np.diff(grid, axis=1) > 0.0) and np.all(deltas > 0.0)
+        np.testing.assert_allclose(deltas.sum(axis=1), grid[:, -1])
+        assert np.all(np.diff(cdf, axis=1) >= 0.0) and np.all((cdf >= 0.0) & (cdf < 1.0))
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        rng = np.random.default_rng(9)
+        dirs = rng.normal(size=(4, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        origins = rng.uniform(-1.0, 1.0, size=(4, 3))
+        state = tiny_state(seed=2)
+        batch = self.march(state, origins, dirs)
+        for i in range(4):
+            single = self.march(state, origins[i:i + 1], dirs[i:i + 1])
+            for whole, row in zip(batch, single):
+                np.testing.assert_allclose(whole[i], row[0], rtol=1e-12, atol=1e-15)
 
 
 class TestTrainStep:
