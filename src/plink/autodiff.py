@@ -1,11 +1,16 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
-A deliberately small tape: exactly the operations the field/loss/network
-stack needs (elementwise arithmetic, matmul, reductions, cumulative sums,
-basic slicing, concatenation, and a few nonlinearities). Everything is
-float64. The module-level helpers (`exp`, `sigmoid`, `cumsum`, ...)
-dispatch on type, so numerical kernels can be written once and evaluated
-either on plain arrays (no graph) or on `Tensor`s (graph recorded).
+A deliberately small tape that serves the loss head of training: the cdf,
+the step mismatch, the drop BCE and the proposal hinge, on `(B, J)` arrays
+that start from the networks' `(sigma, phi)` leaves. The MLPs below those
+leaves have a hand-written backward in `net`. The ops are elementwise
+arithmetic, reductions, cumulative sums, basic slicing, reshape,
+concatenation and a few nonlinearities, plus `matmul` and a `softplus`
+node, which serve as a reference for the hand-written MLP pass in tests.
+Everything is float64. The module-level helpers (`exp`, `sigmoid`,
+`cumsum`, ...) dispatch on type, so numerical kernels can be written once
+and evaluated either on plain arrays (no graph) or on `Tensor`s (graph
+recorded).
 """
 
 from __future__ import annotations
@@ -46,10 +51,6 @@ class Tensor:
     @property
     def shape(self):
         return self.value.shape
-
-    @property
-    def ndim(self):
-        return self.value.ndim
 
     @property
     def size(self):
@@ -125,12 +126,6 @@ class Tensor:
             lambda g: a.T @ g,
             unbroadcast=False,
         )
-        return out
-
-    def __rmatmul__(self, other):
-        a, b = _val(other), self.value
-        out = Tensor(a @ b, _parents=(self,))
-        out._vjp = lambda g: (a.T @ g,)
         return out
 
     # -- shape and indexing -------------------------------------------------
@@ -215,10 +210,6 @@ class Tensor:
                 parent.grad += g
 
 
-def _ensure(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _tensor_parents(*args) -> tuple:
     return tuple(a for a in args if isinstance(a, Tensor))
 
@@ -271,9 +262,6 @@ def maximum0(x):
         out._vjp = lambda g: (g * mask,)
         return out
     return np.maximum(0.0, x)
-
-
-relu = maximum0
 
 
 def clip(x, lo, hi):
@@ -350,10 +338,6 @@ def concatenate(parts, axis=0):
         out._vjp = vjp
         return out
     return np.concatenate(parts, axis=axis)
-
-
-def detach(x):
-    return x.detach() if isinstance(x, Tensor) else x
 
 
 def value_of(x) -> np.ndarray:

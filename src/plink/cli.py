@@ -176,9 +176,21 @@ def cmd_eval(args) -> int:
     config = resolve_config(args)
     gt = metrics.read_cloud(args.gt)
     synth = metrics.read_cloud(args.synth)
-    report = metrics.evaluate(gt, synth, config.threshold_cm)
-    _print_reports([("synth", report.as_row())])
+    empty = [path for path, cloud in ((args.gt, gt), (args.synth, synth)) if not len(cloud)]
+    if empty:
+        # An under-trained model can render nothing; that is a result, not an error.
+        for path in empty:
+            print(f"warning: {path} has no points; the metrics are NaN", file=sys.stderr)
+        row = _no_metrics(config)
+    else:
+        row = metrics.evaluate(gt, synth, config.threshold_cm).as_row()
+    _print_reports([("synth", row)])
     return EXIT_OK
+
+
+def _no_metrics(config: RunConfig) -> list:
+    """The metric row of a pair with an empty cloud: NaN at the configured threshold."""
+    return [np.nan] * 4 + [config.threshold_cm]
 
 
 def _print_reports(named_rows) -> None:
@@ -239,7 +251,7 @@ def cmd_compare(args) -> int:
     rows = []
     named = []
     gt_merged = metrics.PointCloud(np.concatenate([c.points for c in gt_clouds]))
-    no_metrics = [np.nan] * 4 + [config.threshold_cm]
+    no_metrics = _no_metrics(config)
     for name, clouds in (("model", prob_clouds), ("baseline", base_clouds)):
         if not any(len(c) for c in clouds):
             # An under-trained model can render nothing; that is a result, not an error.

@@ -2,9 +2,17 @@
 
 A positionally encoded fully-connected network with two output heads: a
 nonnegative reflection density (softplus) and an unbounded drop channel.
-Parameters live in one flat float64 vector; gradients come back as a flat
-vector of the same length via the autodiff tape, and the optimizer is a
-standard adaptive-moment update with bias correction.
+Parameters live in one flat float64 vector, and the optimizer is a standard
+adaptive-moment update with bias correction.
+
+The MLP has one definition, a layer loop on plain arrays that serves both
+inference and training. For training, `ModelGraph` keeps each hidden
+layer's input and returns `(sigma, phi)` as leaf tensors: the autodiff tape
+starts there and records only the loss head. `backward` runs the tape down
+to those leaves, then a hand-written backward through the heads and hidden
+layers turns their gradients into a flat vector in `layer_shapes` order.
+The hand-written pass uses the same array operations as a tape-recorded
+MLP would, so the gradient is bit-identical to one.
 
 Checkpoint layout (single model record, little-endian):
 
@@ -39,26 +47,36 @@ def encode(positions, directions=None, levels: int = 8, dir_levels: int = 2) -> 
     Raw coordinates are kept alongside sin/cos pairs at frequencies
     2^0 pi ... 2^(levels-1) pi. Output width is 3 + 6*levels, plus
     3 + 6*dir_levels when directions are given.
+
+    Directions come one per position, or one per ray: B rows for N = B*J
+    positions, where row i serves positions i*J ... (i+1)*J - 1. Per-ray
+    directions are encoded once and repeated.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     if np.any(np.abs(positions) > POSITION_BOUND):
         raise OutOfBoundsError("encoded positions must lie inside the unit cube")
-    parts = [positions]
-    parts.extend(_fourier(positions, levels))
+    n = positions.shape[0]
+    pos_width = encoded_width(levels, 0, False)
+    out = np.empty((n, encoded_width(levels, dir_levels, directions is not None)))
+    _fourier_into(out[:, :pos_width], positions, levels)
     if directions is not None:
         directions = np.atleast_2d(np.asarray(directions, dtype=float))
-        parts.append(directions)
-        parts.extend(_fourier(directions, dir_levels))
-    return np.concatenate(parts, axis=-1)
+        rays = directions.shape[0]
+        if rays == 0 or n % rays:
+            raise InvalidInputError("directions must come per position or per ray")
+        per_ray = np.empty((rays, out.shape[1] - pos_width))
+        _fourier_into(per_ray, directions, dir_levels)
+        out.reshape(rays, n // rays, -1)[:, :, pos_width:] = per_ray[:, None, :]
+    return out
 
 
-def _fourier(coords: np.ndarray, levels: int) -> list:
-    out = []
+def _fourier_into(out: np.ndarray, coords: np.ndarray, levels: int) -> None:
+    """Write [coords, sin, cos at each level] into the (n, 3 + 6*levels) block."""
+    out[:, :3] = coords
     for k in range(levels):
         scaled = coords * (2.0 ** k * np.pi)
-        out.append(np.sin(scaled))
-        out.append(np.cos(scaled))
-    return out
+        np.sin(scaled, out=out[:, 3 + 6 * k:6 + 6 * k])
+        np.cos(scaled, out=out[:, 6 + 6 * k:9 + 6 * k])
 
 
 def encoded_width(levels: int, dir_levels: int, use_direction: bool) -> int:
@@ -106,16 +124,23 @@ class FieldModel:
 
     def param_views(self) -> list:
         """(weight, bias) ndarray views into the flat vector, layout order."""
-        views = []
+        return _layout_views(self.layer_shapes(), self.params)
+
+    def describe_parameter(self, index: int) -> str:
+        """Where flat parameter ``index`` lives: network, layer, W/b and position."""
+        network = "fine" if self.has_phi_head else "coarse"
+        n_hidden = len(self.layer_widths)
         offset = 0
-        for w_shape, b_shape in self.layer_shapes():
-            w_size = int(np.prod(w_shape))
-            b_size = int(np.prod(b_shape))
-            w = self.params[offset:offset + w_size].reshape(w_shape)
-            b = self.params[offset + w_size:offset + w_size + b_size]
-            views.append((w, b))
+        for i, (w_shape, b_shape) in enumerate(self.layer_shapes()):
+            layer = f"layer {i}" if i < n_hidden else ("sigma head", "phi head")[i - n_hidden]
+            w_size, b_size = int(np.prod(w_shape)), int(np.prod(b_shape))
+            if index < offset + w_size:
+                row, col = divmod(index - offset, w_shape[1])
+                return f"{network} {layer} W[{row}, {col}]"
+            if index < offset + w_size + b_size:
+                return f"{network} {layer} b[{index - offset - w_size}]"
             offset += w_size + b_size
-        return views
+        raise InvalidInputError(f"parameter index {index} is out of range")
 
     def copy(self) -> "FieldModel":
         return FieldModel(self.encoding_levels, self.dir_levels, self.use_direction,
@@ -142,72 +167,149 @@ def init_model(encoding_levels: int = 8, dir_levels: int = 2, use_direction: boo
     return model
 
 
+def _layout_views(shapes: list, flat: np.ndarray) -> list:
+    """(weight, bias) views into a flat vector laid out by ``shapes``."""
+    views = []
+    offset = 0
+    for w_shape, b_shape in shapes:
+        w_size = int(np.prod(w_shape))
+        b_size = int(np.prod(b_shape))
+        w = flat[offset:offset + w_size].reshape(w_shape)
+        b = flat[offset + w_size:offset + w_size + b_size]
+        views.append((w, b))
+        offset += w_size + b_size
+    return views
+
+
 class ModelGraph:
-    """Leaf tensors over a model's parameters for one differentiable pass."""
+    """One training pass of a model: what its hand-written backward needs.
+
+    ``forward`` keeps each hidden layer's input and the last hidden
+    activation (``acts``) and the sigma head's pre-activation; a relu mask
+    is recomputed from the layer's output as ``h > 0``.
+    """
 
     def __init__(self, model: FieldModel):
         self.model = model
-        self.leaves = [(ad.Tensor(w), ad.Tensor(b)) for w, b in model.param_views()]
+        self.views = model.param_views()
+        self.acts = []
+        self.pre_sigma = None
+        self.sigma = self.phi = None
 
     def forward(self, feats: np.ndarray):
-        """(sigma, phi) Tensors of shape (N,); phi is None without the head."""
-        n_hidden = len(self.model.layer_widths)
-        h = feats
-        for w, b in self.leaves[:n_hidden]:
-            h = ad.relu(h @ w + b)
-        w_s, b_s = self.leaves[n_hidden]
-        sigma = ad.softplus((h @ w_s + b_s)[:, 0])
-        phi = None
-        if self.model.has_phi_head:
-            w_p, b_p = self.leaves[n_hidden + 1]
-            phi = (h @ w_p + b_p)[:, 0]
-        return sigma, phi
+        """(sigma, phi) leaf Tensors of shape (N,); phi is None without the head.
 
-    def gradient(self) -> np.ndarray:
-        """Flat gradient gathered from the leaves after a backward pass."""
-        parts = []
-        for w, b in self.leaves:
-            for leaf in (w, b):
-                g = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
-                parts.append(np.ravel(g))
-        return np.concatenate(parts)
+        The tape starts at these leaves: nothing of the MLP is recorded.
+        """
+        self.pre_sigma, phi = _layers(self.model, self.views, feats, self.acts)
+        self.sigma = ad.Tensor(ad.softplus(self.pre_sigma))
+        self.phi = None if phi is None else ad.Tensor(phi)
+        return self.sigma, self.phi
+
+
+def _layers(model: FieldModel, views: list, feats, acts=None):
+    """The MLP on plain arrays: (sigma head pre-activation, phi-or-None).
+
+    A list ``acts`` receives each hidden layer's input, then the last
+    hidden activation. Relu is ``z * (z > 0)`` and the bias is added to
+    the matmul result: the same values a tape-recorded MLP computes.
+    """
+    n_hidden = len(model.layer_widths)
+    h = np.asarray(feats, dtype=float)
+    for w, b in views[:n_hidden]:
+        if acts is not None:
+            acts.append(h)
+        h = h @ w
+        h += b
+        np.multiply(h, h > 0, out=h)
+    if acts is not None:
+        acts.append(h)
+    w_s, b_s = views[n_hidden]
+    pre_sigma = (h @ w_s + b_s)[:, 0]
+    phi = None
+    if model.has_phi_head:
+        w_p, b_p = views[n_hidden + 1]
+        phi = (h @ w_p + b_p)[:, 0]
+    return pre_sigma, phi
 
 
 def forward(model: FieldModel, feats: np.ndarray):
     """Inference pass on plain arrays; returns (sigma, phi-or-None)."""
     if np.isnan(model.params).any():
         raise CorruptedModelError("model parameters contain NaN")
-    n_hidden = len(model.layer_widths)
-    views = model.param_views()
-    h = np.asarray(feats, dtype=float)
-    for w, b in views[:n_hidden]:
-        h = np.maximum(0.0, h @ w + b)
-    w_s, b_s = views[n_hidden]
-    sigma = ad.softplus((h @ w_s + b_s)[:, 0])
-    phi = None
-    if model.has_phi_head:
-        w_p, b_p = views[n_hidden + 1]
-        phi = (h @ w_p + b_p)[:, 0]
-    return sigma, phi
+    pre_sigma, phi = _layers(model, model.param_views(), feats)
+    return ad.softplus(pre_sigma), phi
 
 
 @dataclass
 class GradientTape:
-    """A scalar loss value and its flat parameter gradient."""
+    """A scalar loss value and its flat parameter gradient.
+
+    With the model given, a non-finite gradient is reported by the layer
+    and position of its first bad entry.
+    """
 
     loss: float
     gradient: np.ndarray
+    model: FieldModel = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.gradient = np.asarray(self.gradient, dtype=np.float64)
         if not np.all(np.isfinite(self.gradient)):
-            raise DivergenceError("gradient contains non-finite entries")
+            where = ""
+            if self.model is not None:
+                bad = int(np.flatnonzero(~np.isfinite(self.gradient))[0])
+                where = f", first at {self.model.describe_parameter(bad)} (parameter {bad})"
+            raise DivergenceError(f"gradient contains non-finite entries{where}")
 
 
 def backward(graph: ModelGraph, loss: ad.Tensor) -> GradientTape:
-    """Reverse-mode gradient of a recorded scalar loss for one model."""
+    """Gradient of a scalar loss for one model's parameters.
+
+    The tape runs from ``loss`` down to the graph's ``(sigma, phi)``
+    leaves; the hand-written MLP backward takes it from there.
+    """
     loss.backward()
-    return GradientTape(loss.item(), graph.gradient())
+    n = graph.pre_sigma.shape[0]
+    g_sigma = graph.sigma.grad if graph.sigma.grad is not None else np.zeros(n)
+    g_phi = None
+    if graph.phi is not None:
+        g_phi = graph.phi.grad if graph.phi.grad is not None else np.zeros(n)
+    return GradientTape(loss.item(), _mlp_backward(graph, g_sigma, g_phi), graph.model)
+
+
+def _mlp_backward(graph: ModelGraph, g_sigma: np.ndarray, g_phi) -> np.ndarray:
+    """Flat parameter gradient from the (N,) gradients at sigma and phi.
+
+    Each step mirrors the vjp a tape-recorded MLP would run, so the result
+    is bit-identical to it: softplus' as ``g * sigmoid(pre)``, head
+    gradients through ``(N, 1)`` columns, bias gradients as sums over rows
+    and weight gradients as ``input.T @ g``. The input features get none.
+    """
+    model, views, acts = graph.model, graph.views, graph.acts
+    grad = np.empty(model.param_count())
+    grad_views = _layout_views(model.layer_shapes(), grad)
+    n_hidden = len(model.layer_widths)
+    heads = [g_sigma * ad.sigmoid(graph.pre_sigma)]
+    if g_phi is not None:
+        heads.append(g_phi)
+    h = acts[n_hidden]
+    g_h = None
+    for i, g in enumerate(heads, start=n_hidden):
+        column = g.reshape(-1, 1)
+        g_w, g_b = grad_views[i]
+        np.matmul(h.T, column, out=g_w)
+        g_b[...] = column.sum(axis=0)
+        part = column @ views[i][0].T
+        g_h = part if g_h is None else g_h + part
+    for i in reversed(range(n_hidden)):
+        g_h *= acts[i + 1] > 0
+        g_w, g_b = grad_views[i]
+        np.matmul(acts[i].T, g_h, out=g_w)
+        g_b[...] = g_h.sum(axis=0)
+        if i:
+            g_h = g_h @ views[i][0].T
+    return grad
 
 
 @dataclass
@@ -239,8 +341,8 @@ def opt_step(model: FieldModel, tape: GradientTape, lr: float, state: AdamState,
     if not np.all(np.isfinite(update)):
         bad = int(np.flatnonzero(~np.isfinite(update))[0])
         raise DivergenceError(
-            f"non-finite update at parameter {bad} "
-            f"(m={state.m[bad]!r}, v={state.v[bad]!r}, step {state.t})"
+            f"non-finite update at {model.describe_parameter(bad)} (parameter {bad}, "
+            f"m={state.m[bad]!r}, v={state.v[bad]!r}, step {state.t})"
         )
     model.params -= update
 

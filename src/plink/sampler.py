@@ -4,12 +4,14 @@ One batched march serves training and rendering. A proposal network is
 evaluated on uniform bin centers along each ray; its normalized output is a
 histogram whose masses place the fine test points, and the fine network is
 evaluated on the union of those points and the bin edges. The callers differ
-only in what they pass in: training records the graph and places points by
-stratified importance sampling on per-ray streams, rendering runs the plain
-forward and takes deterministic mass-quantile midpoints. The fine network is
-trained on the distribution and drop objectives, the proposal on the
-underestimation hinge against the (detached) fine field, one optimizer step
-each per batch.
+only in what they pass in: training runs each network through a
+`net.ModelGraph`, whose `(sigma, phi)` leaves start the autodiff tape, and
+places points by stratified importance sampling on per-ray streams;
+rendering runs the plain forward and takes deterministic mass-quantile
+midpoints. The tape records only the loss head; the MLPs have a
+hand-written backward in `net`. The fine network is trained on the
+distribution and drop objectives, the proposal on the underestimation hinge
+against the (detached) fine field, one optimizer step each per batch.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def histogram_from_coarse(model, origins, dirs, s_max: float, n_bins: int, scale
     """Normalized proposal masses (B, n_bins) from the coarse field at the bin centers.
 
     ``forward(model, feats)`` is the network pass; the result is a Tensor
-    when it records a graph, a plain array otherwise.
+    when sigma is a tape leaf, a plain array otherwise.
     """
     if n_bins < 2:
         raise InvalidInputError("need at least two coarse bins")
@@ -195,9 +197,9 @@ def march(state: TrainState, origins: np.ndarray, dirs: np.ndarray, s_max: float
           n_bins: int, scale, forward, place) -> tuple:
     """Coarse -> proposal -> fine evaluation of a batch of B rays.
 
-    ``forward(model, feats) -> (sigma, phi)`` runs a network (recording a
-    graph or not); ``place(histograms) -> (B, n_fine)`` puts the fine points
-    from the per-ray proposal histograms. Returns ``(hist_masses, grid,
+    ``forward(model, feats) -> (sigma, phi)`` runs a network (tape leaves
+    or plain arrays); ``place(histograms) -> (B, n_fine)`` puts the fine
+    points from the per-ray proposal histograms. Returns ``(hist_masses, grid,
     deltas, sigma, phi, cdf)``, each with B rows.
     """
     hist_masses = histogram_from_coarse(state.coarse, origins, dirs, s_max, n_bins,
@@ -221,11 +223,13 @@ def train_step(state: TrainState, rays: list, config: StepConfig, scale,
                epoch: int = 0):
     """One joint optimization step over a ray batch.
 
-    The march records both networks' graphs and places the fine points by
+    The march runs both networks through a `net.ModelGraph`, whose
+    ``(sigma, phi)`` leaves start the tape, and places the fine points by
     stratified draws on each ray's (seed, ray, epoch) stream. Then the fine
     loss on the cumulative trace, and the proposal hinge against the
-    detached fine field. Fine and coarse parameters each receive one
-    optimizer step, fine first.
+    detached fine field; `net.backward` takes each loss through the tape
+    to the leaves and on through the hand-written MLP backward. Fine and
+    coarse parameters each receive one optimizer step, fine first.
     """
     if not rays:
         raise InvalidInputError("ray batch must be nonempty")
@@ -288,13 +292,13 @@ def train_step(state: TrainState, rays: list, config: StepConfig, scale,
 
 
 def _encode_batch(model, points_world, dirs, scale) -> np.ndarray:
-    """Flatten (B, J, 3) world points into encoded features (B*J, D)."""
-    n_rays, n_points, _ = points_world.shape
+    """Flatten (B, J, 3) world points into encoded features (B*J, D).
+
+    The B ray directions are encoded once per ray, not once per point.
+    """
     flat = scale.apply(points_world.reshape(-1, 3))
-    if model.use_direction:
-        dirs_flat = np.repeat(dirs, n_points, axis=0)
-        return nets.encode(flat, dirs_flat, model.encoding_levels, model.dir_levels)
-    return nets.encode(flat, None, model.encoding_levels, model.dir_levels)
+    return nets.encode(flat, dirs if model.use_direction else None,
+                       model.encoding_levels, model.dir_levels)
 
 
 def _cdf_term(cdf, deltas, grid, rays):

@@ -72,10 +72,10 @@ def test_matmul_grads():
     np.testing.assert_allclose(t.grad, numerical_grad(fn_a, a0), rtol=1e-6)
 
     def fn_b(arr):
-        return float(ad.value_of((a0 @ ad.Tensor(arr)).sum()))
+        return float(ad.value_of((ad.Tensor(a0) @ ad.Tensor(arr)).sum()))
 
     t = ad.Tensor(b0.copy())
-    out = (a0 @ t).sum()
+    out = (ad.Tensor(a0) @ t).sum()
     out.backward()
     np.testing.assert_allclose(t.grad, numerical_grad(fn_b, b0), rtol=1e-6)
 
@@ -118,14 +118,14 @@ def test_mlp_composite_gradient():
     def loss_fn(params):
         t1 = ad.Tensor(params[: w1.size].reshape(w1.shape))
         t2 = ad.Tensor(params[w1.size:].reshape(w2.shape))
-        h = ad.relu(x @ t1)
+        h = ad.maximum0(ad.Tensor(x) @ t1)
         y = ad.softplus((h @ t2)[:, 0])
         return (y ** 2).sum()
 
     params = np.concatenate([w1.ravel(), w2.ravel()])
     t1 = ad.Tensor(params[: w1.size].reshape(w1.shape).copy())
     t2 = ad.Tensor(params[w1.size:].reshape(w2.shape).copy())
-    h = ad.relu(x @ t1)
+    h = ad.maximum0(ad.Tensor(x) @ t1)
     y = ad.softplus((h @ t2)[:, 0])
     loss = (y ** 2).sum()
     loss.backward()

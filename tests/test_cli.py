@@ -1,5 +1,6 @@
 """The command line end to end on the shipped scene: gen -> train -> render
--> eval and compare, each byte-identical across two runs."""
+-> eval and compare, each byte-identical across two runs; eval on an empty
+cloud, bad config files and the PLINK_SEED override."""
 
 import os
 
@@ -111,3 +112,58 @@ def test_compare_with_empty_renders_writes_nan_rows(tmp_path, capsys):
     for row in rows:
         values = np.array(row[2:], dtype=float)
         assert np.all(np.isnan(values[:4])) and values[4] == 20.0
+
+
+def test_eval_with_an_empty_synthetic_cloud_prints_nan(tmp_path, capsys):
+    cfg = write_config(tmp_path, UNDER_TRAINED)
+    data, train, render = tmp_path / "data", tmp_path / "train", tmp_path / "render"
+    assert run(capsys, "gen", "--config", cfg, "--scene", SCENE, "--path", PATH,
+               "--out", data)[0] == cli.EXIT_OK
+    assert run(capsys, "train", "--config", cfg, "--scene", SCENE, "--data", data,
+               "--out", train)[0] == cli.EXIT_OK
+    assert run(capsys, "render", "--config", cfg, "--scene", SCENE,
+               "--checkpoint", train / "model.ckpt", "--poses", data / "poses.csv",
+               "--out", render)[0] == cli.EXIT_OK
+    synth = render / "cloud_0000.ply"
+    assert len(metrics.read_cloud(synth)) == 0
+    gt = tmp_path / "gt.ply"
+    metrics.write_ply(gt, pipeline.ground_truth_cloud(pipeline.read_dataset(data)[0]))
+    code, table, err = run(capsys, "eval", "--config", cfg, "--gt", gt, "--synth", synth)
+    assert code == cli.EXIT_OK
+    assert f"warning: {synth} has no points" in err
+    assert table.splitlines()[1].split()[1:] == ["nan"] * 4
+
+
+@pytest.mark.parametrize("text, message", [
+    ("bogus_key = 1\n", "unknown key 'bogus_key'"),
+    ("n_bins = many\n", "n_bins: expected int"),
+    ("use_direction = perhaps\n", "use_direction: expected a boolean"),
+    ("alpha = 2.0\n", "alpha must lie in [0, 1]"),
+    ("render_mode = brightest\n", "unknown render mode"),
+])
+def test_bad_config_exits_2(tmp_path, capsys, text, message):
+    cfg = write_config(tmp_path, text)
+    code, _, err = run(capsys, "gen", "--config", cfg, "--scene", SCENE, "--path", PATH,
+                       "--out", tmp_path / "data")
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("invalid config:") and message in err
+    assert not (tmp_path / "data").exists()
+
+
+def test_plink_seed_beats_config_file_and_flag(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, UNDER_TRAINED + "seed = 5\n")
+
+    def gen(out, *flags):
+        assert run(capsys, "gen", "--config", cfg, "--scene", SCENE, "--path", PATH,
+                   "--out", out, *flags)[0] == cli.EXIT_OK
+        return tree_bytes(out)
+
+    args = cli.build_parser().parse_args(["gen", "--config", str(cfg), "--seed", "6"])
+    assert cli.resolve_config(args).seed == 6
+    plain = gen(tmp_path / "seed7", "--seed", "7")
+    monkeypatch.setenv("PLINK_SEED", "7")
+    assert cli.resolve_config(args).seed == 7
+    overridden = gen(tmp_path / "env7", "--seed", "6")
+    monkeypatch.delenv("PLINK_SEED")
+    assert overridden == plain
+    assert gen(tmp_path / "seed6", "--seed", "6") != plain

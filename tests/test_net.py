@@ -1,5 +1,7 @@
 """Network stack: encoding, forward/backward, optimizer, checkpoints."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,47 @@ def probe_model(seed=0, has_phi=True):
     return nets.init_model(encoding_levels=2, dir_levels=1, use_direction=True,
                            layer_widths=[8, 8], has_phi_head=has_phi,
                            rng=seed, sigma_bias=-1.0)
+
+
+def tape_mlp(model, feats):
+    """Reference: the MLP recorded op by op on the autodiff tape.
+
+    Returns (sigma, phi-or-None, gradient), where gradient() gathers the
+    flat parameter gradient from the leaves after a backward pass.
+    """
+    leaves = [(ad.Tensor(w), ad.Tensor(b)) for w, b in model.param_views()]
+    n_hidden = len(model.layer_widths)
+    h = ad.Tensor(feats)
+    for w, b in leaves[:n_hidden]:
+        h = ad.maximum0(h @ w + b)
+    w_s, b_s = leaves[n_hidden]
+    sigma = ad.softplus((h @ w_s + b_s)[:, 0])
+    phi = None
+    if model.has_phi_head:
+        w_p, b_p = leaves[n_hidden + 1]
+        phi = (h @ w_p + b_p)[:, 0]
+
+    def gradient():
+        return np.concatenate([
+            np.ravel(leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value))
+            for pair in leaves for leaf in pair])
+
+    return sigma, phi, gradient
+
+
+def reference_encode(positions, directions, levels, dir_levels):
+    """The encoding built block by block and concatenated."""
+    def fourier(coords, n):
+        out = [coords]
+        for k in range(n):
+            scaled = coords * (2.0 ** k * np.pi)
+            out += [np.sin(scaled), np.cos(scaled)]
+        return out
+
+    parts = fourier(positions, levels)
+    if directions is not None:
+        parts += fourier(directions, dir_levels)
+    return np.concatenate(parts, axis=-1)
 
 
 class TestEncode:
@@ -41,6 +84,26 @@ class TestEncode:
     def test_out_of_cube_rejected(self):
         with pytest.raises(OutOfBoundsError):
             nets.encode(np.array([[1.2, 0.0, 0.0]]), None, levels=2)
+
+    def test_matches_concatenated_blocks(self):
+        rng = np.random.default_rng(3)
+        p = rng.uniform(-1, 1, size=(12, 3))
+        d = rng.normal(size=(12, 3))
+        np.testing.assert_array_equal(nets.encode(p, d, levels=4, dir_levels=2),
+                                      reference_encode(p, d, 4, 2))
+        np.testing.assert_array_equal(nets.encode(p, None, levels=3),
+                                      reference_encode(p, None, 3, 0))
+
+    def test_per_ray_directions_match_per_point_copies(self):
+        rng = np.random.default_rng(4)
+        p = rng.uniform(-1, 1, size=(4 * 7, 3))
+        d = rng.normal(size=(4, 3))
+        per_point = nets.encode(p, np.repeat(d, 7, axis=0), levels=3, dir_levels=2)
+        np.testing.assert_array_equal(nets.encode(p, d, levels=3, dir_levels=2), per_point)
+
+    def test_directions_must_divide_positions(self):
+        with pytest.raises(InvalidInputError):
+            nets.encode(np.zeros((5, 3)), np.ones((2, 3)), levels=1, dir_levels=1)
 
     def test_frequencies_are_powers_of_two_pi(self):
         p = np.array([[0.25, 0.0, 0.0]])
@@ -86,6 +149,106 @@ class TestModel:
         sigma_t, phi_t = graph.forward(feats)
         np.testing.assert_allclose(ad.value_of(sigma_t), sigma_np, rtol=1e-12)
         np.testing.assert_allclose(ad.value_of(phi_t), phi_np, rtol=1e-12)
+
+
+def mixed_loss(sigma, phi):
+    """A scalar loss on one or both heads, through the tape."""
+    loss = (sigma.reshape(3, -1) ** 2).sum() * 0.5
+    if phi is not None:
+        loss = loss + ad.sigmoid(phi * ad.log(sigma + 1.0)).mean()
+    return loss
+
+
+class TestHandWrittenBackward:
+    """The hand-written MLP backward against the tape-recorded MLP."""
+
+    @pytest.mark.parametrize("has_phi, widths", [(True, [16, 16, 16]), (False, [16, 16]),
+                                                 (True, [12])])
+    def test_gradient_is_bit_identical_to_the_tape(self, has_phi, widths):
+        model = nets.init_model(encoding_levels=3, dir_levels=2, layer_widths=widths,
+                                has_phi_head=has_phi, rng=21, sigma_bias=-0.5)
+        rng = np.random.default_rng(21)
+        feats = nets.encode(rng.uniform(-1, 1, (60, 3)), rng.normal(size=(60, 3)),
+                            model.encoding_levels, model.dir_levels)
+        sigma_ref, phi_ref, gradient = tape_mlp(model, feats)
+        loss_ref = mixed_loss(sigma_ref, phi_ref)
+        loss_ref.backward()
+
+        graph = nets.ModelGraph(model)
+        sigma, phi = graph.forward(feats)
+        np.testing.assert_array_equal(sigma.value, sigma_ref.value)
+        if has_phi:
+            np.testing.assert_array_equal(phi.value, phi_ref.value)
+        else:
+            assert phi is None
+        tape = nets.backward(graph, mixed_loss(sigma, phi))
+        assert tape.loss == loss_ref.item()
+        assert np.array_equal(tape.gradient, gradient())
+        assert np.any(tape.gradient[:model.input_width() * widths[0]] != 0.0)
+
+    def test_unused_head_matches_the_tape(self):
+        model = probe_model(seed=22)
+        rng = np.random.default_rng(22)
+        feats = nets.encode(rng.uniform(-1, 1, (6, 3)), rng.normal(size=(6, 3)),
+                            model.encoding_levels, model.dir_levels)
+        sigma_ref, _, gradient = tape_mlp(model, feats)
+        sigma_ref.sum().backward()
+        graph = nets.ModelGraph(model)
+        sigma, _ = graph.forward(feats)
+        assert np.array_equal(nets.backward(graph, sigma.sum()).gradient, gradient())
+
+    def test_graph_keeps_one_input_per_layer(self):
+        model = probe_model(seed=23)
+        feats = nets.encode(np.full((5, 3), 0.1), np.full((5, 3), 0.3),
+                            model.encoding_levels, model.dir_levels)
+        graph = nets.ModelGraph(model)
+        sigma, phi = graph.forward(feats)
+        assert [a.shape for a in graph.acts] == [(5, model.input_width()), (5, 8), (5, 8)]
+        assert sigma._parents == () and phi._parents == ()
+
+
+class TestDivergenceReport:
+    @pytest.mark.parametrize("layer, part, index, expected", [
+        (1, 0, (2, 5), "fine layer 1 W[2, 5]"),
+        (0, 1, (3,), "fine layer 0 b[3]"),
+        (3, 0, (4, 0), "fine phi head W[4, 0]"),
+    ])
+    def test_opt_step_names_the_layer(self, layer, part, index, expected):
+        model = probe_model(seed=24)
+        tape = nets.GradientTape(1.0, np.zeros(model.params.size))
+        # Planted after construction, which would reject it already.
+        planted = nets.FieldModel(model.encoding_levels, model.dir_levels,
+                                  model.use_direction, model.layer_widths,
+                                  model.has_phi_head, tape.gradient)
+        planted.param_views()[layer][part][index] = np.nan
+        with pytest.raises(DivergenceError, match=re.escape(f"at {expected} (parameter")):
+            nets.opt_step(model, tape, 1e-3, nets.AdamState.for_model(model))
+
+    def test_gradient_tape_names_the_layer(self):
+        model = probe_model(seed=25, has_phi=False)
+        grad = np.zeros(model.params.size)
+        bad = model.param_count() - 1  # the sigma head bias
+        grad[bad] = np.inf
+        with pytest.raises(DivergenceError,
+                           match=re.escape(f"first at coarse sigma head b[0] (parameter {bad})")):
+            nets.GradientTape(1.0, grad, model)
+
+    def test_backward_names_the_layer(self):
+        model = probe_model(seed=26)
+        feats = nets.encode(np.full((4, 3), 0.2), np.full((4, 3), 0.4),
+                            model.encoding_levels, model.dir_levels)
+        graph = nets.ModelGraph(model)
+        sigma, phi = graph.forward(feats)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(DivergenceError, match=re.escape("fine layer 0 W[0, 0]")):
+            nets.backward(graph, (sigma * np.inf).sum() + phi.sum())
+
+    def test_every_index_maps_to_its_own_position(self):
+        model = probe_model(seed=27)
+        names = {model.describe_parameter(i) for i in range(model.param_count())}
+        assert len(names) == model.param_count()
+        with pytest.raises(InvalidInputError):
+            model.describe_parameter(model.param_count())
 
 
 class TestBackward:

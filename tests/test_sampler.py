@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from plink import autodiff as ad
 from plink import net as nets
 from plink import sampler
 from plink.errors import InvalidInputError
@@ -155,9 +156,9 @@ class TestFineGrid:
         assert np.all(np.diff(grid[0]) > 0.0)
 
 
-def tiny_state(seed=0):
+def tiny_state(seed=0, hidden_layers=2):
     kwargs = dict(encoding_levels=2, dir_levels=1, use_direction=True,
-                  layer_widths=[16, 16], rng=seed, sigma_bias=-1.0)
+                  layer_widths=[16] * hidden_layers, rng=seed, sigma_bias=-1.0)
     coarse = nets.init_model(has_phi_head=False, **kwargs)
     fine = nets.init_model(has_phi_head=True, **kwargs)
     return sampler.TrainState.fresh(coarse, fine)
@@ -223,6 +224,28 @@ class TestTrainStep:
             results.append((state.coarse.params.copy(), state.fine.params.copy()))
         assert np.array_equal(results[0][0], results[1][0])
         assert np.array_equal(results[0][1], results[1][1])
+
+    def tape_nodes(self, monkeypatch, state, config):
+        """Tape nodes built during one train step, counted at Tensor.__init__."""
+        count = [0]
+        init = ad.Tensor.__init__
+
+        def counting_init(tensor, *args, **kwargs):
+            count[0] += 1
+            init(tensor, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ad.Tensor, "__init__", counting_init)
+            sampler.train_step(state, self.rays, config, self.scale)
+        return count[0]
+
+    @pytest.mark.parametrize("depth_l2", [False, True])
+    def test_tape_size_does_not_grow_with_depth(self, monkeypatch, depth_l2):
+        # The MLPs have a hand-written backward: only the loss head is on the tape.
+        config = sampler.StepConfig(n_bins=8, n_fine=16, lr=1e-3, seed=3, depth_l2=depth_l2)
+        shallow = self.tape_nodes(monkeypatch, tiny_state(hidden_layers=2), config)
+        deep = self.tape_nodes(monkeypatch, tiny_state(hidden_layers=4), config)
+        assert shallow == deep > 0
 
     def test_empty_batch_rejected(self):
         with pytest.raises(InvalidInputError):
