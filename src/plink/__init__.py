@@ -5,12 +5,8 @@ conflicting) range measurements, integrates it into per-ray cumulative
 return distributions, and renders novel views stochastically or by rule.
 """
 
-from .field import (DROP, CdfTrace, Drop, Ray, SampleGrid, SigmaTrace,
-                    baseline_weighted_depth, cumulative_from_sigma,
-                    inverse_transform_sample, is_drop, pdf_from_cdf,
-                    render_confidence)
-from .losses import (LossBreakdown, cdf_loss, coarse_loss, drop_bce, fine_loss,
-                     normalize_for_coarse, pool_ray_drop)
+from .field import DROP, CdfTrace, Drop, Ray, SampleGrid, is_drop
+from .losses import LossBreakdown
 from .metrics import MetricsReport, PointCloud, accuracy, completion, evaluate, f_score
 from .net import FieldModel, GradientTape, encode, init_model, opt_step
 from .sampler import (FinePointSet, ProposalHistogram, histogram_from_coarse,

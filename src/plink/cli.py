@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -212,7 +213,7 @@ def cmd_compare(args) -> int:
     # Training data, then a fresh stochastic realization as ground truth.
     train_dir = os.path.join(out, "data")
     pipeline.generate_to_disk(scene_path, path_path, train_dir, config)
-    test_config = _with(config, seed=config.seed + 1000, out_dir=out)
+    test_config = replace(config, seed=config.seed + 1000, out_dir=out)
     test_dir = os.path.join(out, "testdata")
     pipeline.generate_to_disk(scene_path, path_path, test_dir, test_config)
 
@@ -275,15 +276,6 @@ def cmd_compare(args) -> int:
     _print_reports(named)
     print(f"report: {report_path}")
     return EXIT_OK
-
-
-def _with(config: RunConfig, **kwargs) -> RunConfig:
-    import copy
-
-    out = copy.deepcopy(config)
-    for key, value in kwargs.items():
-        setattr(out, key, value)
-    return out
 
 
 def _write_history(path, history) -> None:

@@ -61,6 +61,8 @@ class RunConfig:
             raise ConfigError("epochs, batch_rays, n_frames must be at least 1")
         if np.any(np.diff(np.asarray(self.elevations)) <= 0.0):
             raise ConfigError("elevations must be strictly increasing")
+        if not (0.0 < self.confidence_level < 1.0):
+            raise ConfigError("confidence_level must lie in (0, 1)")
         if self.render_mode not in ("stochastic", "confidence", "first-return",
                                     "strongest-return"):
             raise ConfigError(f"unknown render mode {self.render_mode!r}")

@@ -9,14 +9,6 @@ class InvalidInputError(PlinkError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class UndefinedDepthError(PlinkError, ValueError):
-    """Weighted depth requested with zero total weight."""
-
-
-class DegenerateInputError(PlinkError, ValueError):
-    """Normalization requested for an all-zero histogram or field."""
-
-
 class OutOfBoundsError(PlinkError, ValueError):
     """Query point falls outside the scaled unit cube."""
 

@@ -7,8 +7,11 @@ return is generated at or before path distance s:
     C(s) = 1 - exp(-integral_0^s sigma)
 
 Survival P(s) = 1 - C(s) is the probability the pulse is transmitted past s.
-Everything here is a pure function of its inputs; randomness (the uniform
-variate for transform sampling) is supplied by the caller.
+The kernels take a batch of rays at once: (B, J) rows of samples, plain
+arrays or autodiff Tensors. Training and rendering both call them on the
+rows of `sampler.march`. The dataclasses describe one ray: a pulse with its
+recorded ranges (`Ray`), and the exact jump-list distribution that
+`simscene.trace_true_cdf` returns (`SampleGrid`, `CdfTrace`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import InvalidInputError, UndefinedDepthError
+from .errors import InvalidInputError
 
 UNIT_NORM_TOL = 1e-9
 COMPLEMENT_TOL = 1e-9
@@ -76,10 +79,6 @@ class Ray:
         if self.drop_flag == 0 and self.measurements.size:
             raise InvalidInputError("a dropped ray cannot carry measurements")
 
-    def point_at(self, s):
-        s = np.asarray(s, dtype=float)
-        return self.origin + s[..., None] * self.direction
-
 
 @dataclass
 class SampleGrid:
@@ -133,21 +132,6 @@ def trapezoid_deltas(gammas: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class SigmaTrace:
-    """Differential reflection probability sampled on a grid (per meter)."""
-
-    grid: SampleGrid
-    sigmas: np.ndarray
-
-    def __post_init__(self):
-        self.sigmas = np.asarray(self.sigmas, dtype=float)
-        if self.sigmas.shape != self.grid.gammas.shape:
-            raise InvalidInputError("sigmas must match the grid")
-        if self.sigmas.size and np.any(self.sigmas < 0.0):
-            raise InvalidInputError("sigma values must be nonnegative")
-
-
-@dataclass
 class CdfTrace:
     """Cumulative return probability and its complement along a ray."""
 
@@ -196,57 +180,3 @@ def bin_masses(cdf):
         rest = cdf[..., 1:] - cdf[..., :-1]
         return ad.concatenate([first, rest], axis=-1)
     return np.concatenate([cdf[..., :1], np.diff(cdf, axis=-1)], axis=-1)
-
-
-# -- public operations ---------------------------------------------------------
-
-
-def cumulative_from_sigma(trace: SigmaTrace) -> CdfTrace:
-    """Integrate a sigma trace into its cumulative return distribution."""
-    cdf, survival = cdf_from_sigma_values(trace.sigmas, trace.grid.deltas)
-    return CdfTrace(trace.grid, cdf, survival)
-
-
-def pdf_from_cdf(trace: CdfTrace) -> np.ndarray:
-    """Per-bin return mass; sums to the cdf value at the far end of the grid."""
-    return bin_masses(trace.cdf)
-
-
-def inverse_transform_sample(trace: CdfTrace, x: float):
-    """Invert the cumulative distribution at level x in (0, 1).
-
-    Returns the smallest s with C(s) >= x, linearly interpolated between
-    grid knots (the trace is anchored at C(0) = 0). Returns DROP when x
-    exceeds the total return mass. Flat segments resolve to their left edge.
-    """
-    if not (0.0 < x < 1.0):
-        raise InvalidInputError("inversion level must lie strictly in (0, 1)")
-    if trace.cdf.size == 0 or x > trace.total_mass:
-        return DROP
-    s_knots = np.concatenate([[0.0], trace.grid.gammas])
-    c_knots = np.concatenate([[0.0], trace.cdf])
-    hi = int(np.searchsorted(c_knots, x, side="left"))
-    lo = hi - 1
-    rise = c_knots[hi] - c_knots[lo]
-    if rise <= 0.0:
-        return float(s_knots[hi])
-    frac = (x - c_knots[lo]) / rise
-    return float(s_knots[lo] + frac * (s_knots[hi] - s_knots[lo]))
-
-
-def render_confidence(trace: CdfTrace, level: float):
-    """Deterministic range at a fixed confidence level (DROP when unreached)."""
-    return inverse_transform_sample(trace, level)
-
-
-def baseline_weighted_depth(weights, grid: SampleGrid) -> float:
-    """Expected depth under normalized nonnegative weights over the grid."""
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != grid.gammas.shape:
-        raise InvalidInputError("weights must match the grid")
-    if np.any(weights < 0.0):
-        raise InvalidInputError("weights must be nonnegative")
-    total = weights.sum()
-    if total <= 0.0:
-        raise UndefinedDepthError("all-zero weights: depth is undefined")
-    return float(np.dot(weights / total, grid.gammas))

@@ -328,21 +328,28 @@ class AdamState:
 
 def opt_step(model: FieldModel, tape: GradientTape, lr: float, state: AdamState,
              betas=(0.9, 0.999), eps: float = 1e-8) -> None:
-    """One bias-corrected adaptive-moment update, in place."""
+    """One bias-corrected adaptive-moment update, in place.
+
+    A non-finite moment is a divergence, like a non-finite update: a finite
+    gradient above about 1e154 overflows ``v``, which would freeze the entry.
+    """
     if tape.gradient.shape != model.params.shape:
         raise InvalidInputError("gradient length must match the parameter vector")
     b1, b2 = betas
     state.t += 1
-    state.m = b1 * state.m + (1.0 - b1) * tape.gradient
-    state.v = b2 * state.v + (1.0 - b2) * tape.gradient ** 2
-    m_hat = state.m / (1.0 - b1 ** state.t)
-    v_hat = state.v / (1.0 - b2 ** state.t)
-    update = lr * m_hat / (np.sqrt(v_hat) + eps)
-    if not np.all(np.isfinite(update)):
-        bad = int(np.flatnonzero(~np.isfinite(update))[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        state.m = b1 * state.m + (1.0 - b1) * tape.gradient
+        state.v = b2 * state.v + (1.0 - b2) * tape.gradient ** 2
+        m_hat = state.m / (1.0 - b1 ** state.t)
+        v_hat = state.v / (1.0 - b2 ** state.t)
+        update = lr * m_hat / (np.sqrt(v_hat) + eps)
+    finite = np.isfinite(m_hat) & np.isfinite(v_hat) & np.isfinite(update)
+    if not np.all(finite):
+        bad = int(np.flatnonzero(~finite)[0])
         raise DivergenceError(
-            f"non-finite update at {model.describe_parameter(bad)} (parameter {bad}, "
-            f"m={state.m[bad]!r}, v={state.v[bad]!r}, step {state.t})"
+            f"non-finite moment or update at {model.describe_parameter(bad)} (parameter "
+            f"{bad}, gradient={float(tape.gradient[bad])!r}, m={float(state.m[bad])!r}, "
+            f"v={float(state.v[bad])!r}, step {state.t})"
         )
     model.params -= update
 

@@ -6,8 +6,11 @@ pool across frames per (beam, azimuth); for a moving path each
 (frame, beam, azimuth) is its own ray with at most one measurement.
 
 Rendering runs the march that training runs (``sampler.march``), on plain
-arrays: a frame's rays go through it in chunks of ``batch_rays``, and
-each ray's ranges are then picked from its cumulative trace.
+arrays: a frame's rays go through it in chunks of ``batch_rays``. Each
+chunk stays a set of (B, J) rows, the grid and the cdf, plus the pooled
+return estimate per ray; one picker (``render_ray``) then takes every ray's
+ranges from its row at once, in any render mode or as the baseline's
+weighted depth.
 """
 
 from __future__ import annotations
@@ -18,18 +21,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import net as nets
 from . import sampler
 from .config import RunConfig
 from .errors import InvalidInputError
 # cdf_from_sigma_values is not called here; perfbench/layers.py probes this name.
-from .field import (CdfTrace, Ray, SampleGrid, cdf_from_sigma_values, bin_masses,
-                    inverse_transform_sample, is_drop, render_confidence)
-from .losses import LossBreakdown
+from .field import Ray, bin_masses, cdf_from_sigma_values
+from .losses import pooled_drop_values
 from .metrics import PointCloud
-# motion_compensate is not called here; perfbench/layers.py probes this name.
 from .sensor import (Pose, ScanFrame, SensorIntrinsics, UnitCubeScale,
                      motion_compensate, ray_directions, read_poses, read_scan,
                      to_unit_cube, write_poses, write_scan)
@@ -153,68 +153,78 @@ def train(train_set: TrainSet, config: RunConfig, depth_l2: bool = False,
 RENDER_STREAM = 0x4E4DE2
 
 
-@dataclass
-class RayRender:
-    """Field evaluations along one render ray."""
-
-    trace: CdfTrace
-    phi: np.ndarray
-    q_hat: float
+# The render mode of the depth-L2 baseline: the mass-weighted mean depth.
+WEIGHTED_DEPTH = "weighted-depth"
 
 
 def evaluate_ray(state: sampler.TrainState, origins: np.ndarray, dirs: np.ndarray,
-                 s_max: float, scale: UnitCubeScale, n_bins: int, n_fine: int) -> list:
-    """Render-time march of one chunk of rays; returns one RayRender per ray.
+                 s_max: float, scale: UnitCubeScale, n_bins: int, n_fine: int) -> tuple:
+    """Render-time march of one chunk of B rays: ``(grid, cdf, q_hat)``.
 
-    Plain network passes and quantile placement, so the result is
-    deterministic. The name is singular because perfbench/layers.py probes
-    it under this name.
+    ``grid`` and ``cdf`` are (B, J) rows, ``q_hat`` the pooled return
+    estimate per ray. Plain network passes and quantile placement, so the
+    result is deterministic. The name is singular because
+    perfbench/layers.py probes it under this name.
     """
-    _, grid, deltas, _, phi, cdf = sampler.march(
+    _, grid, _, _, phi, cdf = sampler.march(
         state, origins, dirs, s_max, n_bins, scale, nets.forward,
         lambda histograms: sampler.quantile_points(histograms, n_fine))
-    return [RayRender(CdfTrace(SampleGrid(g, d), c, 1.0 - c), p, float(expit(np.dot(m, p))))
-            for g, d, c, p, m in zip(grid, deltas, cdf, phi, bin_masses(cdf))]
+    return grid, cdf, pooled_drop_values(phi, bin_masses(cdf))
 
 
-def render_ray(render: RayRender, mode: str, *, draws: int = 3, level: float = 0.5,
-               peak_threshold: float = 0.05, rng=None, drop_gate: bool = True) -> list:
-    """Ranges (possibly several, possibly none) for one evaluated ray."""
-    if drop_gate and render.q_hat < 0.5:
-        return []
-    trace = render.trace
-    if mode == "stochastic":
-        out = []
-        for _ in range(draws):
-            sample = inverse_transform_sample(trace, float(rng.uniform(1e-12, 1.0)))
-            if not is_drop(sample):
-                out.append(sample)
-        return out
-    if mode == "confidence":
-        sample = render_confidence(trace, level)
-        return [] if is_drop(sample) else [sample]
-    masses = bin_masses(trace.cdf)
-    if mode == "strongest-return":
-        if masses.size == 0 or masses.max() < peak_threshold:
-            return []
-        return [float(trace.grid.gammas[int(np.argmax(masses))])]
-    if mode == "first-return":
-        above = np.flatnonzero(masses >= peak_threshold)
-        if above.size == 0:
-            return []
-        return [float(trace.grid.gammas[int(above[0])])]
-    raise InvalidInputError(f"unknown render mode {mode!r}")
+def render_ray(grid: np.ndarray, cdf: np.ndarray, q_hat: np.ndarray, mode: str, *,
+               uniforms: np.ndarray | None = None, level: float = 0.5,
+               peak_threshold: float = 0.05, drop_gate: bool = True) -> np.ndarray:
+    """Ranges picked from each ray's cdf: (B, K), NaN where a ray gives none.
+
+    ``stochastic`` inverts each cdf at its row of ``uniforms`` (B, K) and
+    ``confidence`` at ``level``; ``first-return`` and ``strongest-return``
+    take the first and the largest per-bin mass of at least
+    ``peak_threshold``; ``WEIGHTED_DEPTH`` takes the mass-weighted mean
+    depth of a ray with more than 1e-6 mass. With ``drop_gate``, rays with
+    ``q_hat < 0.5`` give none. The name is singular because
+    perfbench/layers.py probes it under this name.
+    """
+    masses = bin_masses(cdf)
+    if mode in ("stochastic", "confidence"):
+        x = uniforms if mode == "stochastic" else np.full((len(grid), 1), level)
+        ranges = _invert_cdf(grid, cdf, x)
+    elif mode in ("first-return", "strongest-return"):
+        above = masses >= peak_threshold
+        pick = np.argmax(above if mode == "first-return" else masses, axis=1)[:, None]
+        ranges = np.where(np.take_along_axis(above, pick, 1),
+                          np.take_along_axis(grid, pick, 1), np.nan)
+    elif mode == WEIGHTED_DEPTH:
+        total = masses.sum(axis=1)
+        mass = total > 1e-6
+        weights = masses / np.where(mass, total, 1.0)[:, None]
+        # One dot product per ray, as np.dot takes it for a single pair of rows.
+        depth = np.matmul(weights[:, None, :], grid[:, :, None])[:, 0, 0]
+        ranges = np.where(mass, depth, np.nan)[:, None]
+    else:
+        raise InvalidInputError(f"unknown render mode {mode!r}")
+    if drop_gate:
+        ranges[q_hat < 0.5] = np.nan
+    return ranges
 
 
-def render_baseline_ray(render: RayRender, drop_gate: bool = True) -> list:
-    """Deterministic weighted-depth rendering used by the baseline model."""
-    if drop_gate and render.q_hat < 0.5:
-        return []
-    masses = bin_masses(render.trace.cdf)
-    total = masses.sum()
-    if total <= 1e-6:
-        return []
-    return [float(np.dot(masses / total, render.trace.grid.gammas))]
+def _invert_cdf(grid: np.ndarray, cdf: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Smallest s with C(s) >= x for each level of ``x`` (B, K).
+
+    Linear between grid knots, with each cdf anchored at C(0) = 0; flat
+    segments resolve to their left edge. NaN where x exceeds the ray's
+    total return mass: the pulse drops.
+    """
+    s_knots, c_knots = np.pad(grid, ((0, 0), (1, 0))), np.pad(cdf, ((0, 0), (1, 0)))
+    # The count of knots below x is searchsorted(c_knots, x, "left") per row.
+    hi = np.minimum(np.count_nonzero(c_knots[:, None, :] < x[:, :, None], axis=-1),
+                    grid.shape[1])
+    c_lo, c_hi = (np.take_along_axis(c_knots, i, 1) for i in (hi - 1, hi))
+    s_lo, s_hi = (np.take_along_axis(s_knots, i, 1) for i in (hi - 1, hi))
+    rise = c_hi - c_lo
+    frac = (x - c_lo) / np.where(rise > 0.0, rise, 1.0)
+    ranges = np.where(rise > 0.0, s_lo + frac * (s_hi - s_lo), s_hi)
+    return np.where(x > cdf[:, -1:], np.nan, ranges)
 
 
 def render_frame_cloud(state: sampler.TrainState, frame: ScanFrame,
@@ -225,25 +235,28 @@ def render_frame_cloud(state: sampler.TrainState, frame: ScanFrame,
     Rays are marched in chunks of ``config.batch_rays``, so rendering holds
     no more activations than a training step. Stochastic draws come from
     per-ray streams keyed on the config seed and the ray's index in the
-    frame, so output bytes do not depend on the chunk size.
+    frame, so output bytes do not depend on the chunk size. The baseline
+    renders its weighted depth whatever ``mode`` says.
     """
     n_fine = config.render_fine or config.n_fine
+    mode = WEIGHTED_DEPTH if baseline else mode
     origins, dirs = _frame_rays(frame)
-    points = []
+    ranges = np.empty((len(origins), config.render_draws if mode == "stochastic" else 1))
     for start in range(0, len(origins), config.batch_rays):
         chunk = slice(start, start + config.batch_rays)
-        renders = evaluate_ray(state, origins[chunk], dirs[chunk], frame.intrinsics.s_max,
-                               scale, config.n_bins, n_fine)
-        for ray_id, render in enumerate(renders, start):
-            if baseline:
-                ranges = render_baseline_ray(render)
-            else:
-                rng = sampler.ray_rng(config.seed, ray_id, epoch=RENDER_STREAM)
-                ranges = render_ray(render, mode, draws=config.render_draws,
-                                    level=config.confidence_level,
-                                    peak_threshold=config.peak_threshold, rng=rng)
-            points += [origins[ray_id] + s * dirs[ray_id] for s in ranges]
-    return PointCloud(np.asarray(points) if points else np.empty((0, 3)))
+        grid, cdf, q_hat = evaluate_ray(state, origins[chunk], dirs[chunk],
+                                        frame.intrinsics.s_max, scale, config.n_bins, n_fine)
+        uniforms = None
+        if mode == "stochastic":
+            uniforms = np.stack([
+                sampler.ray_rng(config.seed, ray_id, epoch=RENDER_STREAM).uniform(
+                    1e-12, 1.0, config.render_draws)
+                for ray_id in range(start, start + len(grid))])
+        ranges[chunk] = render_ray(grid, cdf, q_hat, mode, uniforms=uniforms,
+                                   level=config.confidence_level,
+                                   peak_threshold=config.peak_threshold)
+    ray, draw = np.nonzero(~np.isnan(ranges))
+    return PointCloud(origins[ray] + ranges[ray, draw][:, None] * dirs[ray])
 
 
 def ground_truth_cloud(frame: ScanFrame) -> PointCloud:
@@ -289,20 +302,25 @@ def read_dataset(data_dir) -> list:
 
 
 def _read_intrinsics(path) -> SensorIntrinsics:
-    values = {}
+    lines = {}
     with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, raw = (part.strip() for part in line.split("=", 1))
-            values[key] = raw
-    return SensorIntrinsics(
-        elevation_angles=np.array([float(v) for v in values["elevations"].split()]),
-        azimuth_count=int(values["azimuth_count"]),
-        s_max=float(values["s_max"]),
-        scan_period=float(values["scan_period"]),
-    )
+        for n, line in enumerate(fh, start=1):
+            key, _, raw = line.split("#", 1)[0].partition("=")
+            lines[key.strip()] = (n, raw.strip())
+    values = []
+    for key, parse in (("elevations", lambda raw: np.array([float(v) for v in raw.split()])),
+                       ("azimuth_count", int), ("s_max", float), ("scan_period", float)):
+        if key not in lines:
+            raise InvalidInputError(f"{path}: no {key} line")
+        n, raw = lines[key]
+        try:
+            values.append(parse(raw))
+        except ValueError:
+            raise InvalidInputError(f"{path} line {n}: bad {key} value {raw!r}") from None
+    try:
+        return SensorIntrinsics(*values)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
 
 
 def resample_path(poses: list, n_frames: int) -> list:
@@ -313,23 +331,11 @@ def resample_path(poses: list, n_frames: int) -> list:
     """
     if len(poses) != 2 or n_frames == 1:
         return poses
-    from .sensor import matrix_from_quat, quat_from_matrix, quat_slerp
-
     start, end = poses
-    static = (np.array_equal(start.rotation, end.rotation)
-              and np.array_equal(start.translation, end.translation))
-    q0, q1 = quat_from_matrix(start.rotation), quat_from_matrix(end.rotation)
-    out = []
-    for k in range(n_frames + 1):
-        f = k / n_frames
-        t = (1.0 - f) * start.timestamp + f * end.timestamp
-        if static:
-            out.append(Pose(start.rotation, start.translation, t))
-        else:
-            rot = matrix_from_quat(quat_slerp(q0, q1, f))
-            trans = (1.0 - f) * start.translation + f * end.translation
-            out.append(Pose(rot, trans, t))
-    return out
+    fractions = np.arange(n_frames + 1) / n_frames
+    rotations, translations = motion_compensate(start, end, fractions)
+    return [Pose(rot, trans, float((1.0 - f) * start.timestamp + f * end.timestamp))
+            for rot, trans, f in zip(rotations, translations, fractions)]
 
 
 def generate_to_disk(scene_path, pose_path, out_dir, config: RunConfig) -> list:

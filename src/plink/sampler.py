@@ -25,7 +25,8 @@ from . import net as nets
 from .errors import DivergenceError, InvalidInputError
 from .field import cdf_from_sigma_values, bin_masses, trapezoid_deltas
 from .losses import (DEFAULT_ALPHA, LossBreakdown, bce_values, bin_accumulate,
-                     hinge_values, measurement_counts, step_mismatch_values)
+                     hinge_values, measurement_counts, pooled_drop_values,
+                     step_mismatch_values)
 
 MIN_GAP = 1e-9
 
@@ -137,16 +138,22 @@ def quantile_points(histograms: list, n_fine: int) -> np.ndarray:
 
 
 def strictify(gammas: np.ndarray, min_gap: float = MIN_GAP) -> np.ndarray:
-    """Force strictly increasing rows by nudging duplicate values forward."""
+    """Force strictly increasing rows by nudging duplicate values forward.
+
+    Left to right, a value not above its (already nudged) left neighbour
+    becomes that neighbour plus ``min_gap``: one pass over the columns, on
+    every row that stalls anywhere at once.
+    """
     gammas = np.array(gammas, dtype=float, copy=True)
     flat = np.atleast_2d(gammas)
-    stalled = np.diff(flat, axis=1) <= 0.0
-    for r in np.flatnonzero(stalled.any(axis=1)):
-        row = flat[r]
-        for j in range(1, row.size):
-            if row[j] <= row[j - 1]:
-                row[j] = row[j - 1] + min_gap
-    return flat.reshape(gammas.shape)
+    rows = np.flatnonzero((np.diff(flat, axis=1) <= 0.0).any(axis=1))
+    if rows.size:
+        stalled = flat[rows]
+        for j in range(1, flat.shape[1]):
+            left = stalled[:, j - 1]
+            stalled[:, j] = np.where(stalled[:, j] <= left, left + min_gap, stalled[:, j])
+        flat[rows] = stalled
+    return gammas
 
 
 def fine_grid_rows(fine_points: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -260,7 +267,7 @@ def train_step(state: TrainState, rays: list, config: StepConfig, scale,
         l_c = _cdf_term(cdf, deltas, grid, rays)
 
     q_true = np.array([float(r.drop_flag) for r in rays])
-    q_hat = ad.sigmoid(ad.reduce_sum(bin_masses(cdf) * phi_f, axis=-1))
+    q_hat = pooled_drop_values(phi_f, bin_masses(cdf))
     l_drop = bce_values(q_true, q_hat)
     l_fine = config.alpha * l_c + (1.0 - config.alpha) * l_drop
 
@@ -310,12 +317,7 @@ def _cdf_term(cdf, deltas, grid, rays):
         if ray.measurements.size:
             counts[i] = measurement_counts(np.sort(ray.measurements), grid[i])
             k[i] = ray.measurements.size
-    per_ray = step_mismatch_values(cdf, deltas, counts, k)
-    contributing = float(np.count_nonzero(k))
-    if contributing == 0.0:
-        return per_ray.sum() * 0.0
-    weights = (k > 0).astype(float) / contributing
-    return ad.reduce_sum(per_ray * weights)
+    return _measured_mean(step_mismatch_values(cdf, deltas, counts, k), k)
 
 
 def _depth_l2_term(cdf, grid, rays):
@@ -336,9 +338,12 @@ def _depth_l2_term(cdf, grid, rays):
             d_var[i] = max(0.0, float(np.mean(ray.measurements ** 2)) - d_mean[i] ** 2)
             k[i] = ray.measurements.size
     # mean_k (d_k - D)^2 expands to (D - dbar)^2 + var(d).
-    per_ray = (depth - d_mean) ** 2 + d_var
+    return _measured_mean((depth - d_mean) ** 2 + d_var, k)
+
+
+def _measured_mean(per_ray, k):
+    """Batch mean of a per-ray term over the rays with measurements (k > 0)."""
     contributing = float(np.count_nonzero(k))
     if contributing == 0.0:
         return per_ray.sum() * 0.0
-    weights = (k > 0).astype(float) / contributing
-    return ad.reduce_sum(per_ray * weights)
+    return ad.reduce_sum(per_ray * ((k > 0).astype(float) / contributing))

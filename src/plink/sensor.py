@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidFrameError, InvalidInputError
-from .field import DROP, Drop
 
 ORTHONORMAL_TOL = 1e-9
 
@@ -61,7 +60,7 @@ class Pose:
         self.translation = np.asarray(self.translation, dtype=float)
         if self.rotation.shape != (3, 3) or self.translation.shape != (3,):
             raise InvalidInputError("pose needs a 3x3 rotation and a 3-vector")
-        if np.max(np.abs(self.rotation.T @ self.rotation - np.eye(3))) > ORTHONORMAL_TOL:
+        if not np.all(np.abs(self.rotation.T @ self.rotation - np.eye(3)) <= ORTHONORMAL_TOL):
             raise InvalidInputError("rotation must be orthonormal")
         if np.linalg.det(self.rotation) < 0.0:
             raise InvalidInputError("rotation must be proper (det +1)")
@@ -84,11 +83,6 @@ class ScanFrame:
         if self.ranges.shape != shape or self.returned.shape != shape:
             raise InvalidInputError("measurement grid must match the intrinsics")
 
-    def measurement(self, beam: int, azimuth: int):
-        if self.returned[beam, azimuth]:
-            return float(self.ranges[beam, azimuth])
-        return DROP
-
     def sample_times(self) -> np.ndarray:
         """Per-azimuth-step sample times, offset from the frame start."""
         az = np.arange(self.intrinsics.azimuth_count)
@@ -107,42 +101,40 @@ def sensor_frame_directions(intrinsics: SensorIntrinsics) -> np.ndarray:
     ], axis=-1)
 
 
-def motion_compensate(frame: ScanFrame) -> list:
-    """Pose for every azimuth step via linear/spherical-linear interpolation."""
-    start, end = frame.start_pose, frame.end_pose
-    if end.timestamp <= start.timestamp:
-        raise InvalidFrameError("end pose must be later than the start pose")
-    times = frame.sample_times()
-    static = (np.array_equal(start.rotation, end.rotation)
-              and np.array_equal(start.translation, end.translation))
-    if static:
-        # Bitwise no-op for identity motion; skips quaternion round-trips.
-        return [Pose(start.rotation, start.translation, float(t)) for t in times]
-    fractions = (times - start.timestamp) / (end.timestamp - start.timestamp)
-    q0 = quat_from_matrix(start.rotation)
-    q1 = quat_from_matrix(end.rotation)
-    poses = []
-    for t, f in zip(times, fractions):
-        rot = matrix_from_quat(quat_slerp(q0, q1, float(f)))
-        trans = (1.0 - f) * start.translation + f * end.translation
-        poses.append(Pose(rot, trans, float(t)))
-    return poses
+def motion_compensate(start: Pose, end: Pose, fractions) -> tuple:
+    """Poses at fractions of the way from ``start`` to ``end``, stacked.
+
+    Returns ``(rotations (A, 3, 3), translations (A, 3))`` for A fractions:
+    linear translation, spherical-linear rotation. Identical boundary poses
+    come back bitwise, without a quaternion round trip.
+    """
+    fractions = np.asarray(fractions, dtype=float)
+    if (np.array_equal(start.rotation, end.rotation)
+            and np.array_equal(start.translation, end.translation)):
+        return (np.broadcast_to(start.rotation, fractions.shape + (3, 3)),
+                np.broadcast_to(start.translation, fractions.shape + (3,)))
+    q0, q1 = quat_from_matrix(start.rotation), quat_from_matrix(end.rotation)
+    f = fractions[..., None]
+    return (matrix_from_quat(quat_slerp(q0, q1, fractions)),
+            (1.0 - f) * start.translation + f * end.translation)
 
 
 def ray_directions(intrinsics: SensorIntrinsics, frame: ScanFrame):
     """World-frame origins and directions for every (beam, azimuth) sample.
 
     Returns (origins, directions), each (n_beams, azimuth_count, 3), with
-    the pose interpolated at each sample's time.
+    the pose interpolated at each azimuth step's time.
     """
+    start, end = frame.start_pose, frame.end_pose
+    if end.timestamp <= start.timestamp:
+        raise InvalidFrameError("end pose must be later than the start pose")
+    fractions = (frame.sample_times() - start.timestamp) / (end.timestamp - start.timestamp)
+    rotations, translations = motion_compensate(start, end, fractions)
     local = sensor_frame_directions(intrinsics)
-    poses = motion_compensate(frame)
-    origins = np.empty((intrinsics.n_beams, intrinsics.azimuth_count, 3))
-    directions = np.empty_like(origins)
-    for a, pose in enumerate(poses):
-        directions[:, a, :] = local[:, a, :] @ pose.rotation.T
-        origins[:, a, :] = pose.translation
-    return origins, directions
+    # One (n_beams, 3) @ (3, 3) product per azimuth step, as a stacked matmul.
+    directions = np.matmul(local.transpose(1, 0, 2), rotations.transpose(0, 2, 1))
+    origins = np.broadcast_to(translations, local.shape)
+    return origins.copy(), np.ascontiguousarray(directions.transpose(1, 0, 2))
 
 
 # -- unit-cube scaling ---------------------------------------------------------
@@ -157,9 +149,6 @@ class UnitCubeScale:
 
     def apply(self, points):
         return (np.asarray(points, dtype=float) - self.center) * self.scale
-
-    def invert(self, points):
-        return np.asarray(points, dtype=float) / self.scale + self.center
 
 
 def to_unit_cube(points, bounds):
@@ -211,28 +200,35 @@ def quat_from_matrix(rot: np.ndarray) -> np.ndarray:
     return q / np.linalg.norm(q)
 
 
+def _norms(q: np.ndarray) -> np.ndarray:
+    """Norm (..., 1) of each row of q, as one dot product like ``np.linalg.norm``."""
+    return np.sqrt(np.matmul(q[..., None, :], q[..., :, None]))[..., 0]
+
+
 def matrix_from_quat(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q / np.linalg.norm(q)
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-    ])
+    """Rotation matrices (..., 3, 3) from quaternions (..., 4)."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = np.moveaxis(q / _norms(q), -1, 0)
+    return np.stack([
+        np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)], -1),
+        np.stack([2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)], -1),
+        np.stack([2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)], -1),
+    ], -2)
 
 
-def quat_slerp(q0: np.ndarray, q1: np.ndarray, fraction: float) -> np.ndarray:
-    """Shortest-path spherical interpolation between unit quaternions."""
+def quat_slerp(q0: np.ndarray, q1: np.ndarray, fractions) -> np.ndarray:
+    """Shortest-path spherical interpolation: one (4,) quaternion per fraction."""
     q0 = q0 / np.linalg.norm(q0)
     q1 = q1 / np.linalg.norm(q1)
     dot = float(np.dot(q0, q1))
     if dot < 0.0:
         q1, dot = -q1, -dot
+    f = np.asarray(fractions, dtype=float)[..., None]
     if dot > 1.0 - 1e-12:
-        out = (1.0 - fraction) * q0 + fraction * q1
-        return out / np.linalg.norm(out)
+        out = (1.0 - f) * q0 + f * q1
+        return out / _norms(out)
     angle = np.arccos(np.clip(dot, -1.0, 1.0))
-    return (np.sin((1.0 - fraction) * angle) * q0
-            + np.sin(fraction * angle) * q1) / np.sin(angle)
+    return (np.sin((1.0 - f) * angle) * q0 + np.sin(f * angle) * q1) / np.sin(angle)
 
 
 # -- file IO ---------------------------------------------------------------------
@@ -257,19 +253,36 @@ def write_scan(path, frame: ScanFrame) -> None:
                 ])
 
 
+def _csv_rows(path, header: list, parse):
+    """``parse(fields)`` of each data row; a row with the wrong column count, or
+    that ``parse`` rejects with ValueError, raises InvalidInputError naming it."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if [h.strip() for h in next(reader, [])] != header:
+            raise InvalidInputError(f"unexpected header in {path}")
+        for n, row in enumerate(reader, start=2):
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} columns, got {len(row)}")
+                yield parse(row)
+            except ValueError as exc:
+                raise InvalidInputError(f"{path} row {n}: {exc}") from None
+
+
 def read_scan(path, intrinsics: SensorIntrinsics, start_pose: Pose, end_pose: Pose) -> ScanFrame:
     shape = (intrinsics.n_beams, intrinsics.azimuth_count)
     ranges = np.zeros(shape)
     returned = np.zeros(shape, dtype=bool)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header] != SCAN_HEADER:
-            raise InvalidInputError(f"unexpected scan header in {path}")
-        for row in reader:
-            b, a = int(row[0]), int(row[1])
-            returned[b, a] = bool(int(row[3]))
-            ranges[b, a] = float(row[2])
+
+    def parse(row):
+        b, a = int(row[0]), int(row[1])
+        if not (0 <= b < shape[0] and 0 <= a < shape[1]):
+            raise ValueError(f"beam {b}, azimuth {a} is outside the {shape[0]} x {shape[1]} scan")
+        return b, a, bool(int(row[3])), float(row[2])
+
+    for b, a, flag, value in _csv_rows(path, SCAN_HEADER, parse):
+        returned[b, a] = flag
+        ranges[b, a] = value
     return ScanFrame(intrinsics, start_pose, end_pose, ranges, returned)
 
 
@@ -285,15 +298,8 @@ def write_poses(path, poses: list) -> None:
 
 
 def read_poses(path) -> list:
-    poses = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header] != POSE_HEADER:
-            raise InvalidInputError(f"unexpected pose header in {path}")
-        for row in reader:
-            t = float(row[0])
-            trans = np.array([float(v) for v in row[1:4]])
-            quat = np.array([float(v) for v in row[4:8]])
-            poses.append(Pose(matrix_from_quat(quat), trans, t))
-    return poses
+    def parse(row):  # a bad number, or a pose that Pose rejects, is a ValueError
+        t, *values = (float(v) for v in row)
+        return Pose(matrix_from_quat(np.array(values[3:])), np.array(values[:3]), t)
+
+    return list(_csv_rows(path, POSE_HEADER, parse))

@@ -1,6 +1,7 @@
 """The command line end to end on the shipped scene: gen -> train -> render
 -> eval and compare, each byte-identical across two runs; eval on an empty
-cloud, bad config files and the PLINK_SEED override."""
+cloud, bad config files, malformed dataset files and the PLINK_SEED
+override."""
 
 import os
 
@@ -140,6 +141,8 @@ def test_eval_with_an_empty_synthetic_cloud_prints_nan(tmp_path, capsys):
     ("use_direction = perhaps\n", "use_direction: expected a boolean"),
     ("alpha = 2.0\n", "alpha must lie in [0, 1]"),
     ("render_mode = brightest\n", "unknown render mode"),
+    ("confidence_level = 1.0\n", "confidence_level must lie in (0, 1)"),
+    ("confidence_level = 0\n", "confidence_level must lie in (0, 1)"),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, text, message):
     cfg = write_config(tmp_path, text)
@@ -167,3 +170,28 @@ def test_plink_seed_beats_config_file_and_flag(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("PLINK_SEED")
     assert overridden == plain
     assert gen(tmp_path / "seed6", "--seed", "6") != plain
+
+
+@pytest.mark.parametrize("name, line, bad, message", [
+    ("intrinsics.txt", 3, None, "intrinsics.txt: no s_max line"),
+    ("intrinsics.txt", 2, "azimuth_count = many", "intrinsics.txt line 2: bad azimuth_count"),
+    ("scan_0000.csv", 2, "0,1,abc,1,0.0", "scan_0000.csv row 2: could not convert"),
+    ("scan_0000.csv", 3, "9,0,5.0,1,0.0", "scan_0000.csv row 3: beam 9, azimuth 0 is outside"),
+    ("scan_0000.csv", 2, "-1,0,5.0,1,0.0", "scan_0000.csv row 2: beam -1, azimuth 0 is outside"),
+    ("scan_0001.csv", 4, "0,3,5.0", "scan_0001.csv row 4: expected 5 columns, got 3"),
+    ("poses.csv", 2, "0.0,0,0,0,1,0,0,x", "poses.csv row 2: could not convert"),
+    ("poses.csv", 3, "0.1,0,0,0,0,0,0,0", "poses.csv row 3: rotation must be orthonormal"),
+])
+def test_malformed_dataset_file_exits_2(tmp_path, capsys, name, line, bad, message):
+    cfg = write_config(tmp_path, UNDER_TRAINED)
+    data = tmp_path / "data"
+    assert run(capsys, "gen", "--config", cfg, "--scene", SCENE, "--path", PATH,
+               "--out", data)[0] == cli.EXIT_OK
+    lines = (data / name).read_text().splitlines()
+    lines[line - 1:line] = [] if bad is None else [bad]
+    (data / name).write_text("\n".join(lines) + "\n")
+    with np.errstate(invalid="ignore"):     # the all-zero quaternion
+        code, _, err = run(capsys, "train", "--config", cfg, "--scene", SCENE,
+                           "--data", data, "--out", tmp_path / "train")
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("error: ") and str(data) in err and message in err

@@ -1,15 +1,86 @@
-"""Cumulative-distribution math: examples, invariants, and convergence."""
+"""Cumulative-distribution math: examples, invariants, and convergence.
+
+The per-ray operations here (`SigmaTrace` to `baseline_weighted_depth`)
+are references: the package computes each of them only in batched form,
+and the batched kernels are checked against these ray by ray.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plink.errors import InvalidInputError, UndefinedDepthError
-from plink.field import (DROP, CdfTrace, Ray, SampleGrid, SigmaTrace,
-                         baseline_weighted_depth, cumulative_from_sigma,
-                         inverse_transform_sample, is_drop, pdf_from_cdf,
-                         render_confidence, trapezoid_deltas)
+from plink.errors import InvalidInputError
+from plink.field import (DROP, CdfTrace, Ray, SampleGrid, bin_masses, cdf_from_sigma_values,
+                         is_drop, trapezoid_deltas)
+
+
+@dataclass
+class SigmaTrace:
+    """Differential reflection probability sampled on one ray's grid (per meter)."""
+
+    grid: SampleGrid
+    sigmas: np.ndarray
+
+    def __post_init__(self):
+        self.sigmas = np.asarray(self.sigmas, dtype=float)
+        if self.sigmas.shape != self.grid.gammas.shape:
+            raise InvalidInputError("sigmas must match the grid")
+        if self.sigmas.size and np.any(self.sigmas < 0.0):
+            raise InvalidInputError("sigma values must be nonnegative")
+
+
+def cumulative_from_sigma(trace: SigmaTrace) -> CdfTrace:
+    """Integrate one sigma trace: C = 1 - exp(-running integral)."""
+    survival = np.exp(-np.cumsum(trace.sigmas * trace.grid.deltas))
+    return CdfTrace(trace.grid, 1.0 - survival, survival)
+
+
+def pdf_from_cdf(trace: CdfTrace) -> np.ndarray:
+    """Per-bin return mass; sums to the cdf value at the far end of the grid."""
+    return np.diff(trace.cdf, prepend=0.0)
+
+
+def inverse_transform_sample(trace: CdfTrace, x: float):
+    """Invert the cumulative distribution at level x in (0, 1).
+
+    Returns the smallest s with C(s) >= x, linearly interpolated between
+    grid knots (the trace is anchored at C(0) = 0). Returns DROP when x
+    exceeds the total return mass. Flat segments resolve to their left edge.
+    """
+    if not (0.0 < x < 1.0):
+        raise InvalidInputError("inversion level must lie strictly in (0, 1)")
+    if trace.cdf.size == 0 or x > trace.total_mass:
+        return DROP
+    s_knots = np.concatenate([[0.0], trace.grid.gammas])
+    c_knots = np.concatenate([[0.0], trace.cdf])
+    hi = int(np.searchsorted(c_knots, x, side="left"))
+    lo = hi - 1
+    rise = c_knots[hi] - c_knots[lo]
+    if rise <= 0.0:
+        return float(s_knots[hi])
+    frac = (x - c_knots[lo]) / rise
+    return float(s_knots[lo] + frac * (s_knots[hi] - s_knots[lo]))
+
+
+def render_confidence(trace: CdfTrace, level: float):
+    """Deterministic range at a fixed confidence level (DROP when unreached)."""
+    return inverse_transform_sample(trace, level)
+
+
+def baseline_weighted_depth(weights, grid: SampleGrid) -> float:
+    """Expected depth under normalized nonnegative weights over the grid."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != grid.gammas.shape:
+        raise InvalidInputError("weights must match the grid")
+    if np.any(weights < 0.0):
+        raise InvalidInputError("weights must be nonnegative")
+    total = weights.sum()
+    if total <= 0.0:
+        raise InvalidInputError("all-zero weights: depth is undefined")
+    return float(np.dot(weights / total, grid.gammas))
 
 
 def uniform_grid(s_max, n):
@@ -217,7 +288,7 @@ class TestBaselineWeightedDepth:
 
     def test_all_zero_weights_error(self):
         grid = SampleGrid.from_gammas(np.array([4.0, 8.0]))
-        with pytest.raises(UndefinedDepthError):
+        with pytest.raises(InvalidInputError):
             baseline_weighted_depth([0.0, 0.0], grid)
 
     @settings(max_examples=100, deadline=None)
@@ -256,3 +327,19 @@ class TestSamplingCorrectness:
         ks = max(np.max(np.abs(empirical_hi - target)),
                  np.max(np.abs(empirical_lo - target)))
         assert ks < 0.05
+
+
+class TestBatchedKernels:
+    """The batched kernels against the per-ray references above, ray by ray."""
+
+    def test_cdf_rows_match_per_ray_integration(self):
+        rng = np.random.default_rng(21)
+        gammas = np.sort(rng.uniform(0.1, 20.0, size=(6, 30)), axis=1)
+        deltas = trapezoid_deltas(gammas)
+        sigma = rng.exponential(0.3, size=gammas.shape)
+        cdf, survival = cdf_from_sigma_values(sigma, deltas)
+        for g, d, s, c, p in zip(gammas, deltas, sigma, cdf, survival):
+            want = cumulative_from_sigma(SigmaTrace(SampleGrid(g, d), s))
+            np.testing.assert_array_equal(c, want.cdf)
+            np.testing.assert_array_equal(p, want.survival)
+            np.testing.assert_array_equal(bin_masses(c[None])[0], pdf_from_cdf(want))

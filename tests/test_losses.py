@@ -1,17 +1,110 @@
-"""Training-objective values against hand-rolled oracles, plus gradients."""
+"""Training-objective values against hand-rolled oracles, plus gradients.
+
+The per-ray losses here (`cdf_loss` to `fine_loss`) are references: the
+package computes each term only as a batched kernel, and the kernels are
+checked against these ray by ray.
+"""
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from plink import autodiff as ad
-from plink.errors import DegenerateInputError, InvalidInputError
-from plink.field import SampleGrid, SigmaTrace, cumulative_from_sigma
-from plink.losses import (bce_values, cdf_loss, coarse_loss, drop_bce,
-                          fine_loss, hinge_values, normalize_for_coarse,
-                          pool_ray_drop, pooled_drop_values,
+from plink.errors import InvalidInputError
+from plink.field import CdfTrace, SampleGrid, bin_masses, trapezoid_deltas
+from plink.losses import (BCE_EPS, DEFAULT_ALPHA, bce_values, bin_accumulate,
+                          hinge_values, measurement_counts, pooled_drop_values,
                           step_mismatch_values)
 from plink.sampler import ProposalHistogram
-from tests.test_field import near_step_trace, uniform_grid
+from tests.test_field import SigmaTrace, cumulative_from_sigma, near_step_trace, uniform_grid
+
+NORMALIZATION_TOL = 1e-6
+
+
+def cdf_loss(trace: CdfTrace, measurements) -> float:
+    """Step-function mismatch of one ray's cumulative trace against its ranges.
+
+    ``counts[j]`` measurements lie at or before gamma_j, so the sum of the K
+    step mismatches is sum_j [counts_j (1 - C_j)^2 + (K - counts_j) C_j^2] delta_j.
+    Empty measurement lists mean a drop-only ray: no contribution, returns 0.
+    """
+    measurements = np.asarray(measurements, dtype=float)
+    if measurements.size == 0:
+        return 0.0
+    s_max = trace.grid.gammas[-1]
+    if np.any(measurements <= 0.0) or np.any(measurements > s_max + 1e-9):
+        raise InvalidInputError("measurements must lie in (0, s_max]")
+    counts = np.searchsorted(np.sort(measurements), trace.grid.gammas, side="right")
+    misses = measurements.size - counts
+    cdf = trace.cdf
+    return float(np.sum(((1.0 - cdf) ** 2 * counts + cdf ** 2 * misses) * trace.grid.deltas))
+
+
+def normalize_for_coarse(histogram, fine_trace: SigmaTrace, fallback_uniform: bool = False):
+    """Scale histogram masses to sum 1 and the fine field to unit integral.
+
+    Raises on all-zero input unless ``fallback_uniform`` is set, in which
+    case the degenerate side becomes a uniform distribution.
+    """
+    widths = np.diff(histogram.bin_edges)
+    mass_total = float(np.sum(histogram.heights * widths))
+    sigma_total = float(np.sum(fine_trace.sigmas * fine_trace.grid.deltas))
+    if mass_total <= 0.0:
+        if not fallback_uniform:
+            raise InvalidInputError("histogram carries no mass")
+        heights = np.full_like(histogram.heights, 1.0 / widths.sum())
+    else:
+        heights = histogram.heights / mass_total
+    if sigma_total <= 0.0:
+        if not fallback_uniform:
+            raise InvalidInputError("fine field carries no mass")
+        sigmas = np.full_like(fine_trace.sigmas, 1.0 / np.sum(fine_trace.grid.deltas))
+    else:
+        sigmas = fine_trace.sigmas / sigma_total
+    return (ProposalHistogram(histogram.bin_edges, heights),
+            SigmaTrace(fine_trace.grid, sigmas))
+
+
+def coarse_loss(histogram, fine_trace: SigmaTrace) -> float:
+    """Asymmetric proposal loss of one ray; both inputs must be normalized."""
+    widths = np.diff(histogram.bin_edges)
+    hist_masses = histogram.heights * widths
+    if abs(hist_masses.sum() - 1.0) > NORMALIZATION_TOL:
+        raise InvalidInputError("histogram masses must sum to 1")
+    n_bins = widths.size
+    bins = np.clip(np.searchsorted(histogram.bin_edges, fine_trace.grid.gammas,
+                                   side="right") - 1, 0, n_bins - 1)
+    fine_masses = np.zeros(n_bins)
+    for b, mass in zip(bins, fine_trace.sigmas * fine_trace.grid.deltas):
+        fine_masses[b] += mass
+    if abs(fine_masses.sum() - 1.0) > NORMALIZATION_TOL:
+        raise InvalidInputError("fine field integral must equal 1")
+    return float(np.sum(np.maximum(fine_masses - hist_masses, 0.0)))
+
+
+def pool_ray_drop(phi, trace: CdfTrace) -> float:
+    """Sigmoid of the drop channel weighted by one ray's per-bin return mass."""
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != trace.grid.gammas.shape:
+        raise InvalidInputError("phi must share the trace grid")
+    return float(expit(np.dot(np.diff(trace.cdf, prepend=0.0), phi)))
+
+
+def drop_bce(q_true, q_hat) -> float:
+    """Binary cross-entropy between drop flags and pooled estimates."""
+    q_true = np.asarray(q_true, dtype=float)
+    q_hat = np.asarray(q_hat, dtype=float)
+    if q_true.shape != q_hat.shape or q_true.size == 0:
+        raise InvalidInputError("flag and estimate vectors must match and be nonempty")
+    q = np.clip(q_hat, BCE_EPS, 1.0 - BCE_EPS)
+    return float(-np.mean(q_true * np.log(q) + (1.0 - q_true) * np.log(1.0 - q)))
+
+
+def fine_loss(l_c: float, l_drop: float, alpha: float = DEFAULT_ALPHA) -> float:
+    """Weighted combination of the distribution and drop objectives."""
+    if not (0.0 <= alpha <= 1.0):
+        raise InvalidInputError("alpha must lie in [0, 1]")
+    return alpha * l_c + (1.0 - alpha) * l_drop
 
 
 def brute_force_cdf_loss(trace, measurements):
@@ -31,7 +124,6 @@ class TestCdfLoss:
     def test_zero_cdf_integrates_tail(self):
         n = 4000
         grid = uniform_grid(20.0, n)
-        from plink.field import CdfTrace
         trace = CdfTrace(grid, np.zeros(n), np.ones(n))
         # closed form: integral of 1 over [5, 20] = 15
         assert cdf_loss(trace, [5.0]) == pytest.approx(15.0, abs=0.02)
@@ -164,7 +256,7 @@ class TestNormalizeForCoarse:
         hist = ProposalHistogram(edges, np.zeros(2))
         grid = SampleGrid.from_gammas(np.array([0.5, 1.5]))
         trace = SigmaTrace(grid, np.ones(2))
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(InvalidInputError):
             normalize_for_coarse(hist, trace)
 
     def test_degenerate_fallback_is_uniform(self):
@@ -194,7 +286,6 @@ class TestPoolRayDrop:
         gammas = np.array([2.0, 5.0, 8.0])
         grid = SampleGrid.from_gammas(gammas)
         cdf = np.array([0.0005, 0.9995, 1.0])
-        from plink.field import CdfTrace
         trace = CdfTrace(grid, cdf, 1.0 - cdf)
         phi = np.array([-0.8, 1.0, 0.9])
         got = pool_ray_drop(phi, trace)
@@ -313,3 +404,64 @@ class TestLossGradients:
         out = hinge_values(fine, t)
         out.backward()
         self.assert_close(t.grad, self.fd(value, hist0.copy()))
+
+
+def random_rows(rng, n_rays=7, n_points=25, s_max=12.0):
+    """(grid, deltas, sigma, cdf) rows of ascending samples, as the march makes."""
+    grid = np.sort(rng.uniform(0.05, s_max, size=(n_rays, n_points)), axis=1)
+    deltas = trapezoid_deltas(grid)
+    sigma = rng.exponential(0.3, size=grid.shape)
+    sigma[1] = 0.0                  # a ray that returns nothing
+    cdf = 1.0 - np.exp(-np.cumsum(sigma * deltas, axis=1))
+    return grid, deltas, sigma, cdf
+
+
+class TestBatchedAgainstPerRay:
+    """Each batched kernel equals its per-ray reference, ray by ray."""
+
+    def test_step_mismatch_matches_cdf_loss(self):
+        rng = np.random.default_rng(31)
+        grid, deltas, _, cdf = random_rows(rng)
+        ranges = [np.sort(rng.uniform(0.1, 12.0, size=k)) for k in (1, 3, 0, 5, 2, 8, 1)]
+        counts = np.stack([measurement_counts(r, g) for r, g in zip(ranges, grid)])
+        k = np.array([r.size for r in ranges], dtype=float)
+        got = step_mismatch_values(cdf, deltas, counts, k)
+        for i, r in enumerate(ranges):
+            trace = CdfTrace(SampleGrid(grid[i], deltas[i]), cdf[i], 1.0 - cdf[i])
+            assert got[i] == pytest.approx(cdf_loss(trace, r), rel=1e-13, abs=0.0)
+
+    def test_bin_accumulate_and_hinge_match_coarse_loss(self):
+        rng = np.random.default_rng(32)
+        grid, deltas, sigma, _ = random_rows(rng)
+        sigma[1] = rng.exponential(0.3, size=grid.shape[1])
+        edges = np.linspace(0.0, 12.0, 7)
+        hist_masses = rng.dirichlet(np.ones(6), size=len(grid))
+        fine = bin_accumulate(sigma * deltas, grid, edges)
+        fine /= fine.sum(axis=1, keepdims=True)
+        got = hinge_values(fine, hist_masses)
+        for i in range(len(grid)):
+            hist = ProposalHistogram(edges, hist_masses[i] / np.diff(edges))
+            trace = SigmaTrace(SampleGrid(grid[i], deltas[i]), sigma[i])
+            want = coarse_loss(*normalize_for_coarse(hist, trace))
+            assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    def test_pooled_drop_matches_pool_ray_drop(self):
+        rng = np.random.default_rng(33)
+        grid, deltas, _, cdf = random_rows(rng)
+        phi = rng.normal(scale=3.0, size=grid.shape)
+        got = pooled_drop_values(phi, bin_masses(cdf))
+        for i in range(len(grid)):
+            trace = CdfTrace(SampleGrid(grid[i], deltas[i]), cdf[i], 1.0 - cdf[i])
+            assert got[i] == pytest.approx(pool_ray_drop(phi[i], trace), rel=1e-14, abs=0.0)
+
+    def test_bce_matches_drop_bce(self):
+        rng = np.random.default_rng(34)
+        q_true = rng.integers(0, 2, size=9).astype(float)
+        q_hat = rng.uniform(0.0, 1.0, size=9)
+        q_hat[:2] = [0.0, 1.0]          # clamped away from {0, 1}
+        for i in range(q_true.size):
+            one = slice(i, i + 1)
+            assert float(bce_values(q_true[one], q_hat[one])) == pytest.approx(
+                drop_bce(q_true[one], q_hat[one]), rel=1e-14, abs=0.0)
+        assert float(bce_values(q_true, q_hat)) == pytest.approx(drop_bce(q_true, q_hat),
+                                                                 rel=1e-14)

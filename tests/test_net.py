@@ -345,6 +345,26 @@ class TestOptStep:
         g[0] = np.inf
         with pytest.raises(DivergenceError):
             nets.opt_step(model, nets.GradientTape(1.0, g), 1e-3, state)
+        # A finite gradient passes GradientTape; an infinite lr makes only
+        # the update non-finite, so opt_step's own check has to fire.
+        before = model.params.copy()
+        with pytest.raises(DivergenceError, match=re.escape("(parameter 0, gradient=1.0")):
+            nets.opt_step(model, nets.GradientTape(1.0, np.eye(1, g.size)[0]), np.inf,
+                          nets.AdamState.for_model(model))
+        np.testing.assert_array_equal(model.params, before)
+
+    def test_overflowing_gradient_raises_instead_of_freezing(self):
+        model = probe_model(seed=15)
+        state = nets.AdamState.for_model(model)
+        huge = np.zeros(model.params.size)
+        huge[0] = 1e200             # finite, but its square overflows
+        name = model.describe_parameter(0)
+        with pytest.raises(DivergenceError, match=re.escape(f"at {name} (parameter 0,")):
+            nets.opt_step(model, nets.GradientTape(1.0, huge), 1e-3, state)
+        # The same step followed by ordinary ones used to leave v[0] = inf and
+        # params[0] unmoved, with no error; every step now reports it.
+        with pytest.raises(DivergenceError):
+            nets.opt_step(model, nets.GradientTape(1.0, np.eye(1, huge.size)[0]), 1e-3, state)
 
     def test_gradient_length_mismatch_rejected(self):
         model = probe_model(seed=14)

@@ -1,5 +1,12 @@
 """Pipeline: training rays and ground truth from the shared ray generator,
-and batched rendering against the per-ray path it replaced."""
+and batched rendering against the per-ray path it replaced.
+
+The per-ray render path (`oracle_evaluate_ray`, `RayRender`,
+`oracle_render_ray`, `oracle_baseline_ray`) lives here only as the
+reference for the batched march and picker.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,8 +15,11 @@ from scipy.special import expit
 from plink import net as nets
 from plink import pipeline, sampler, sensor, simscene
 from plink.config import RunConfig
+from plink.errors import InvalidInputError
 from plink.field import (CdfTrace, Ray, SampleGrid, bin_masses, cdf_from_sigma_values,
-                         trapezoid_deltas)
+                         is_drop, trapezoid_deltas)
+from tests.test_field import inverse_transform_sample, render_confidence
+from tests.test_sensor import frame_fractions, oracle_poses
 
 # A direction from the per-ray `local[b, a] @ R.T` product and one from the
 # per-azimuth (beams, 3) @ (3, 3) product can round differently: by about
@@ -21,7 +31,7 @@ POINT_TOL = 20.0 * DIRECTION_TOL
 
 def reference_rays(frame):
     """(origin, direction) per ray from a beam x azimuth loop over poses."""
-    poses = sensor.motion_compensate(frame)
+    poses = oracle_poses(frame.start_pose, frame.end_pose, frame_fractions(frame))
     local = sensor.sensor_frame_directions(frame.intrinsics)
     return [(poses[a].translation, local[b, a, :] @ poses[a].rotation.T)
             for b in range(frame.intrinsics.n_beams)
@@ -86,10 +96,19 @@ class TestGroundTruthCloud:
         np.testing.assert_allclose(dist, frame.ranges.reshape(-1)[returned], atol=1e-12)
 
 
+@dataclass
+class RayRender:
+    """Field evaluations along one render ray."""
+
+    trace: CdfTrace
+    phi: np.ndarray
+    q_hat: float
+
+
 def oracle_evaluate_ray(state, ray, scale, n_bins, n_fine):
     """Per-ray coarse -> quantile -> fine evaluation: the reference."""
     def field(model, gammas):
-        world = ray.point_at(gammas)
+        world = ray.origin + gammas[:, None] * ray.direction
         dirs = np.broadcast_to(ray.direction, world.shape) if model.use_direction else None
         feats = nets.encode(scale.apply(world), dirs, model.encoding_levels, model.dir_levels)
         return nets.forward(model, feats)
@@ -106,7 +125,47 @@ def oracle_evaluate_ray(state, ray, scale, n_bins, n_fine):
     sigma, phi = field(state.fine, gammas)
     cdf, survival = cdf_from_sigma_values(sigma, deltas)
     trace = CdfTrace(SampleGrid(gammas, deltas), cdf, survival)
-    return pipeline.RayRender(trace, phi, float(expit(np.dot(bin_masses(cdf), phi))))
+    return RayRender(trace, phi, float(expit(np.dot(bin_masses(cdf), phi))))
+
+
+def oracle_render_ray(render, mode, *, draws=3, level=0.5, peak_threshold=0.05, rng=None,
+                      drop_gate=True):
+    """Ranges (possibly several, possibly none) for one evaluated ray."""
+    if drop_gate and render.q_hat < 0.5:
+        return []
+    trace = render.trace
+    if mode == "stochastic":
+        out = []
+        for _ in range(draws):
+            sample = inverse_transform_sample(trace, float(rng.uniform(1e-12, 1.0)))
+            if not is_drop(sample):
+                out.append(sample)
+        return out
+    if mode == "confidence":
+        sample = render_confidence(trace, level)
+        return [] if is_drop(sample) else [sample]
+    masses = bin_masses(trace.cdf)
+    if mode == "strongest-return":
+        if masses.size == 0 or masses.max() < peak_threshold:
+            return []
+        return [float(trace.grid.gammas[int(np.argmax(masses))])]
+    if mode == "first-return":
+        above = np.flatnonzero(masses >= peak_threshold)
+        if above.size == 0:
+            return []
+        return [float(trace.grid.gammas[int(above[0])])]
+    raise InvalidInputError(f"unknown render mode {mode!r}")
+
+
+def oracle_baseline_ray(render, drop_gate=True):
+    """Deterministic weighted-depth rendering of one ray, for the baseline."""
+    if drop_gate and render.q_hat < 0.5:
+        return []
+    masses = bin_masses(render.trace.cdf)
+    total = masses.sum()
+    if total <= 1e-6:
+        return []
+    return [float(np.dot(masses / total, render.trace.grid.gammas))]
 
 
 def oracle_frame_cloud(state, frame, scale, config, mode, baseline=False):
@@ -119,12 +178,12 @@ def oracle_frame_cloud(state, frame, scale, config, mode, baseline=False):
         ray = Ray(origin, direction, frame.intrinsics.s_max, ray_id=ray_id)
         render = oracle_evaluate_ray(state, ray, scale, config.n_bins, n_fine)
         if baseline:
-            ranges = pipeline.render_baseline_ray(render)
+            ranges = oracle_baseline_ray(render)
         else:
             rng = sampler.ray_rng(config.seed, ray_id, epoch=pipeline.RENDER_STREAM)
-            ranges = pipeline.render_ray(render, mode, draws=config.render_draws,
-                                         level=config.confidence_level,
-                                         peak_threshold=config.peak_threshold, rng=rng)
+            ranges = oracle_render_ray(render, mode, draws=config.render_draws,
+                                       level=config.confidence_level,
+                                       peak_threshold=config.peak_threshold, rng=rng)
         points += [origin + r * direction for r in ranges]
     return np.asarray(points).reshape(-1, 3)
 
@@ -172,10 +231,65 @@ class TestRender:
     def test_evaluates_one_render_per_ray(self):
         state, frame, scale, config = render_setup(seed=1, batch_rays=7)
         origins, dirs = sensor.ray_directions(frame.intrinsics, frame)
-        renders = pipeline.evaluate_ray(state, origins.reshape(-1, 3)[:5],
-                                        dirs.reshape(-1, 3)[:5], 4.0, scale, 8, 11)
-        assert len(renders) == 5
-        for render in renders:
-            assert render.trace.grid.gammas.shape == (8 + 1 + 11,)
-            assert render.phi.shape == render.trace.cdf.shape
-            assert 0.0 < render.q_hat < 1.0
+        grid, cdf, q_hat = pipeline.evaluate_ray(state, origins.reshape(-1, 3)[:5],
+                                                 dirs.reshape(-1, 3)[:5], 4.0, scale, 8, 11)
+        assert grid.shape == cdf.shape == (5, 8 + 1 + 11)
+        assert q_hat.shape == (5,)
+        assert np.all((0.0 < q_hat) & (q_hat < 1.0))
+        for i, (origin, direction) in enumerate(zip(origins.reshape(-1, 3)[:5],
+                                                    dirs.reshape(-1, 3)[:5])):
+            want = oracle_evaluate_ray(state, Ray(origin, direction, 4.0), scale, 8, 11)
+            np.testing.assert_array_equal(grid[i], want.trace.grid.gammas)
+            np.testing.assert_allclose(cdf[i], want.trace.cdf, rtol=1e-12, atol=1e-15)
+            assert q_hat[i] == pytest.approx(want.q_hat, rel=1e-12)
+
+
+def picker_rows(seed, n_rays=40, n_points=30):
+    """Random (grid, cdf, q_hat, uniforms) rows with plateaus and an empty ray."""
+    rng = np.random.default_rng(seed)
+    grid = sampler.strictify(np.sort(rng.uniform(0.1, 20.0, size=(n_rays, n_points)), axis=1))
+    sigma = rng.exponential(0.2, size=grid.shape) * (rng.random(grid.shape) < 0.4)
+    sigma[0] = 0.0                          # no mass at all
+    sigma[1, 5] = 50.0                      # nearly all mass in one bin
+    sigma[2, [3, 9]] = 1.0                  # two peaks
+    cdf, _ = cdf_from_sigma_values(sigma, trapezoid_deltas(grid))
+    q_hat = rng.uniform(0.3, 0.7, size=n_rays)
+    q_hat[3] = 0.5                          # exactly at the gate
+    return grid, cdf, q_hat, rng.uniform(1e-12, 1.0, size=(n_rays, 4))
+
+
+class TestRenderPicker:
+    """The batched picker against the per-ray render path, ray by ray."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("mode", ["stochastic", "confidence", "first-return",
+                                      "strongest-return", pipeline.WEIGHTED_DEPTH])
+    @pytest.mark.parametrize("drop_gate", [True, False])
+    def test_matches_per_ray_picks(self, seed, mode, drop_gate):
+        grid, cdf, q_hat, uniforms = picker_rows(seed)
+        got = pipeline.render_ray(grid, cdf, q_hat, mode, uniforms=uniforms, level=0.3,
+                                  peak_threshold=0.04, drop_gate=drop_gate)
+        assert got.shape == (len(grid), 4 if mode == "stochastic" else 1)
+        for i in range(len(grid)):
+            trace = CdfTrace(SampleGrid(grid[i], trapezoid_deltas(grid[i])), cdf[i], 1.0 - cdf[i])
+            render = RayRender(trace, np.zeros_like(cdf[i]), float(q_hat[i]))
+            if mode == pipeline.WEIGHTED_DEPTH:
+                want = oracle_baseline_ray(render, drop_gate=drop_gate)
+            else:
+                draws = iter(uniforms[i])
+                fixed = type("Draws", (), {"uniform": lambda self, lo, hi: next(draws)})()
+                want = oracle_render_ray(render, mode, draws=4, level=0.3, peak_threshold=0.04,
+                                         rng=fixed, drop_gate=drop_gate)
+            row = got[i][~np.isnan(got[i])]
+            assert row.tolist() == want, i
+
+    def test_per_ray_draws_equal_one_vector_draw(self):
+        scalar = sampler.ray_rng(1, 17, epoch=pipeline.RENDER_STREAM)
+        vector = sampler.ray_rng(1, 17, epoch=pipeline.RENDER_STREAM)
+        want = [float(scalar.uniform(1e-12, 1.0)) for _ in range(5)]
+        assert vector.uniform(1e-12, 1.0, 5).tolist() == want
+
+    def test_unknown_mode_rejected(self):
+        grid, cdf, q_hat, _ = picker_rows(3)
+        with pytest.raises(InvalidInputError):
+            pipeline.render_ray(grid, cdf, q_hat, "brightest")

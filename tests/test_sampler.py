@@ -135,7 +135,30 @@ class TestImportanceSample:
             assert np.all(np.diff(row) >= 0.0)
 
 
+def strictify_per_element(gammas, min_gap=sampler.MIN_GAP):
+    """Reference: the left-to-right nudge, one element at a time."""
+    out = np.array(gammas, dtype=float, copy=True)
+    for row in np.atleast_2d(out):
+        for j in range(1, row.size):
+            if row[j] <= row[j - 1]:
+                row[j] = row[j - 1] + min_gap
+    return out
+
+
 class TestStrictify:
+    def test_matches_per_element_loop(self):
+        rng = np.random.default_rng(17)
+        # Values on a coarse lattice, so sorted rows hold runs of duplicates,
+        # some longer than one step of min_gap can clear.
+        rows = np.sort(rng.integers(0, 12, size=(40, 33)) * 0.5, axis=1)
+        rows[3] = 2.0                                   # one run over the whole row
+        rows[5] = np.arange(33.0)                       # clean
+        rows[7, 10:14] = rows[7, 9] + np.array([0.0, 5e-10, 1e-9, 1e-9])  # near-ties
+        got = sampler.strictify(rows)
+        np.testing.assert_array_equal(got, strictify_per_element(rows))
+        assert np.all(np.diff(got, axis=1) > 0.0)
+        np.testing.assert_array_equal(sampler.strictify(rows[2]), strictify_per_element(rows[2]))
+
     def test_breaks_ties_forward(self):
         out = sampler.strictify(np.array([1.0, 1.0, 1.0, 2.0]))
         assert np.all(np.diff(out) > 0.0)
