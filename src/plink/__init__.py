@@ -7,10 +7,9 @@ return distributions, and renders novel views stochastically or by rule.
 
 from .field import DROP, CdfTrace, Drop, Ray, SampleGrid, is_drop
 from .losses import LossBreakdown
-from .metrics import MetricsReport, PointCloud, accuracy, completion, evaluate, f_score
+from .metrics import MetricsReport, PointCloud, evaluate
 from .net import FieldModel, GradientTape, encode, init_model, opt_step
-from .sampler import (FinePointSet, ProposalHistogram, histogram_from_coarse,
-                      importance_sample, train_step)
+from .sampler import histogram_from_coarse, importance_sample, train_step
 from .sensor import (Pose, ScanFrame, SensorIntrinsics, UnitCubeScale,
                      motion_compensate, ray_directions, to_unit_cube)
 from .simscene import (SceneSpec, SceneSurface, generate_dataset, load_scene,

@@ -59,10 +59,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.value)
 
-    def detach(self) -> "Tensor":
-        """A graph-free copy of this node (stop-gradient)."""
-        return Tensor(self.value)
-
     def __repr__(self):
         return f"Tensor(shape={self.value.shape})"
 

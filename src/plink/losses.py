@@ -88,9 +88,9 @@ def hinge_values(fine_bin_masses, histogram_masses):
     return ad.reduce_sum(ad.maximum0(gap), axis=-1)
 
 
-def measurement_counts(measurements_sorted: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """#measurements <= gamma_j for each grid point (measurements pre-sorted)."""
-    return np.searchsorted(measurements_sorted, gammas, side="right").astype(float)
+def measurement_counts(ranges: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """#measurements <= gamma_j per grid row (..., J), from inf-padded ranges (..., K)."""
+    return np.count_nonzero(ranges[..., None, :] <= grid[..., :, None], axis=-1).astype(float)
 
 
 def bin_accumulate(per_sample: np.ndarray, grid: np.ndarray, edges: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ read from PLY or plain ``x y z`` text.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,34 +68,22 @@ def _nn_distances(queries: PointCloud, targets: PointCloud) -> np.ndarray:
     return np.asarray(distances)
 
 
-def completion(gt: PointCloud, synth: PointCloud) -> float:
-    """Mean ground-truth-to-synthetic nearest distance, in cm."""
-    return float(np.mean(_nn_distances(gt, synth))) * METERS_TO_CM
-
-
-def accuracy(gt: PointCloud, synth: PointCloud) -> float:
-    """Mean synthetic-to-ground-truth nearest distance, in cm."""
-    return float(np.mean(_nn_distances(synth, gt))) * METERS_TO_CM
-
-
-def f_score(gt: PointCloud, synth: PointCloud, threshold_cm: float) -> float:
-    """Harmonic mean of threshold precision and recall, in percent."""
-    threshold_m = threshold_cm / METERS_TO_CM
-    precision = float(np.mean(_nn_distances(synth, gt) <= threshold_m)) * 100.0
-    recall = float(np.mean(_nn_distances(gt, synth) <= threshold_m)) * 100.0
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
 def evaluate(gt: PointCloud, synth: PointCloud, threshold_cm: float = 20.0) -> MetricsReport:
-    comp = completion(gt, synth)
-    acc = accuracy(gt, synth)
+    """The metric suite, from one nearest-neighbor query in each direction."""
+    to_synth = _nn_distances(gt, synth)     # completion, recall
+    to_gt = _nn_distances(synth, gt)        # accuracy, precision
+    comp = float(np.mean(to_synth)) * METERS_TO_CM
+    acc = float(np.mean(to_gt)) * METERS_TO_CM
+    threshold_m = threshold_cm / METERS_TO_CM
+    precision = float(np.mean(to_gt <= threshold_m)) * 100.0
+    recall = float(np.mean(to_synth <= threshold_m)) * 100.0
+    f_score = 0.0 if precision + recall == 0.0 else \
+        2.0 * precision * recall / (precision + recall)
     return MetricsReport(
         completion_cm=comp,
         accuracy_cm=acc,
         chamfer_l1_cm=0.5 * (comp + acc),
-        f_score_pct=f_score(gt, synth, threshold_cm),
+        f_score_pct=f_score,
         threshold_cm=threshold_cm,
     )
 
@@ -115,36 +104,51 @@ def write_ply(path, cloud: PointCloud) -> None:
             fh.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
 
 
+def _read_points(path, numbered_lines) -> PointCloud:
+    """The first three numbers of each nonblank ``(line number, text)`` pair."""
+    rows = []
+    for n, line in numbered_lines:
+        fields = line.replace(",", " ").split()
+        if not fields:
+            continue
+        try:
+            if len(fields) < 3:
+                raise ValueError(f"expected x y z, got {len(fields)} values")
+            rows.append([float(v) for v in fields[:3]])
+        except ValueError as exc:
+            raise InvalidInputError(f"{path} line {n}: {exc}") from None
+    return PointCloud(np.asarray(rows) if rows else np.empty((0, 3)))
+
+
 def read_ply(path) -> PointCloud:
     with open(path) as fh:
         if fh.readline().strip() != "ply":
             raise InvalidInputError(f"{path} is not a PLY file")
+        lines = enumerate(fh, start=2)
         n_vertices = None
-        while True:
-            line = fh.readline()
-            if not line:
-                raise InvalidInputError("PLY header has no end_header")
+        for n, line in lines:
             line = line.strip()
             if line.startswith("element vertex"):
-                n_vertices = int(line.split()[-1])
+                try:
+                    n_vertices = int(line.split()[-1])
+                except ValueError:
+                    raise InvalidInputError(f"{path} line {n}: bad vertex count") from None
             if line == "end_header":
                 break
+        else:
+            raise InvalidInputError(f"{path}: PLY header has no end_header")
         if n_vertices is None:
-            raise InvalidInputError("PLY header declares no vertices")
-        points = np.loadtxt(fh, max_rows=n_vertices, ndmin=2) if n_vertices else np.empty((0, 3))
-    return PointCloud(points)
+            raise InvalidInputError(f"{path}: PLY header declares no vertices")
+        cloud = _read_points(path, itertools.islice(lines, n_vertices))
+    if len(cloud) != n_vertices:
+        raise InvalidInputError(f"{path}: header declares {n_vertices} vertices, "
+                                f"found {len(cloud)}")
+    return cloud
 
 
 def read_xyz(path) -> PointCloud:
-    rows = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.replace(",", " ").split()
-            rows.append([float(v) for v in parts[:3]])
-    return PointCloud(np.asarray(rows) if rows else np.empty((0, 3)))
+        return _read_points(path, enumerate(fh, start=1))
 
 
 def read_cloud(path) -> PointCloud:

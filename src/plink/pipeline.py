@@ -168,7 +168,7 @@ def evaluate_ray(state: sampler.TrainState, origins: np.ndarray, dirs: np.ndarra
     """
     _, grid, _, _, phi, cdf = sampler.march(
         state, origins, dirs, s_max, n_bins, scale, nets.forward,
-        lambda histograms: sampler.quantile_points(histograms, n_fine))
+        lambda masses, edges: sampler.quantile_points(masses, edges, n_fine))
     return grid, cdf, pooled_drop_values(phi, bin_masses(cdf))
 
 
@@ -248,10 +248,9 @@ def render_frame_cloud(state: sampler.TrainState, frame: ScanFrame,
                                         frame.intrinsics.s_max, scale, config.n_bins, n_fine)
         uniforms = None
         if mode == "stochastic":
-            uniforms = np.stack([
-                sampler.ray_rng(config.seed, ray_id, epoch=RENDER_STREAM).uniform(
-                    1e-12, 1.0, config.render_draws)
-                for ray_id in range(start, start + len(grid))])
+            draws = sampler.ray_draws(config.seed, range(start, start + len(grid)),
+                                      RENDER_STREAM, config.render_draws)
+            uniforms = 1e-12 + (1.0 - 1e-12) * draws    # uniform on [1e-12, 1)
         ranges[chunk] = render_ray(grid, cdf, q_hat, mode, uniforms=uniforms,
                                    level=config.confidence_level,
                                    peak_threshold=config.peak_threshold)

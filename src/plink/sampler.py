@@ -1,22 +1,25 @@
 """Coarse-to-fine ray marching and the joint training step.
 
 One batched march serves training and rendering. A proposal network is
-evaluated on uniform bin centers along each ray; its normalized output is a
-histogram whose masses place the fine test points, and the fine network is
-evaluated on the union of those points and the bin edges. The callers differ
-only in what they pass in: training runs each network through a
-`net.ModelGraph`, whose `(sigma, phi)` leaves start the autodiff tape, and
-places points by stratified importance sampling on per-ray streams;
-rendering runs the plain forward and takes deterministic mass-quantile
-midpoints. The tape records only the loss head; the MLPs have a
-hand-written backward in `net`. The fine network is trained on the
-distribution and drop objectives, the proposal on the underestimation hinge
-against the (detached) fine field, one optimizer step each per batch.
+evaluated on uniform bin centers along each ray; its normalized output is
+one (B, n_bins) array of masses, and one placement kernel,
+`importance_sample`, inverts every row's mass cdf at once to put the fine
+test points. The fine network is evaluated on the union of those points
+and the bin edges. The callers differ only in what they pass in: training
+runs each network through a `net.ModelGraph`, whose `(sigma, phi)` leaves
+start the autodiff tape, and draws stratified offsets from per-ray streams
+(`ray_draws`); rendering runs the plain forward and places at the
+mass quantiles (`quantile_points`, every draw 0.5). The tape records only
+the loss head; the MLPs have a hand-written backward in `net`. The fine
+network is trained on the distribution and drop objectives, the proposal
+on the underestimation hinge against the (detached) fine field, one
+optimizer step each per batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,43 +32,6 @@ from .losses import (DEFAULT_ALPHA, LossBreakdown, bce_values, bin_accumulate,
                      step_mismatch_values)
 
 MIN_GAP = 1e-9
-
-
-@dataclass
-class ProposalHistogram:
-    """Normalized per-ray bin heights driving importance sampling."""
-
-    bin_edges: np.ndarray
-    heights: np.ndarray
-    degenerate: bool = False
-
-    def __post_init__(self):
-        self.bin_edges = np.asarray(self.bin_edges, dtype=float)
-        self.heights = np.asarray(self.heights, dtype=float)
-        if self.bin_edges.size != self.heights.size + 1:
-            raise InvalidInputError("need one more edge than heights")
-        if np.any(np.diff(self.bin_edges) <= 0.0):
-            raise InvalidInputError("bin edges must be strictly increasing")
-        if np.any(self.heights < 0.0):
-            raise InvalidInputError("heights must be nonnegative")
-
-    @property
-    def masses(self) -> np.ndarray:
-        return self.heights * np.diff(self.bin_edges)
-
-
-@dataclass
-class FinePointSet:
-    """Importance-sampled path distances plus their source bin indices."""
-
-    points: np.ndarray
-    provenance: np.ndarray
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        self.provenance = np.asarray(self.provenance, dtype=int)
-        if self.points.shape != self.provenance.shape:
-            raise InvalidInputError("points and provenance must be congruent")
 
 
 def uniform_bin_centers(s_max: float, n_bins: int) -> np.ndarray:
@@ -94,47 +60,49 @@ def histogram_from_coarse(model, origins, dirs, s_max: float, n_bins: int, scale
     return masses / (masses.sum(axis=-1, keepdims=True) + 1e-12)
 
 
-def histogram_from_heights(edges: np.ndarray, raw_heights: np.ndarray) -> ProposalHistogram:
-    widths = np.diff(edges)
-    total = float(np.sum(raw_heights * widths))
-    if total <= 0.0:
-        uniform = np.full(widths.size, 1.0 / (edges[-1] - edges[0]))
-        return ProposalHistogram(edges, uniform, degenerate=True)
-    return ProposalHistogram(edges, raw_heights / total)
+class Proposal(NamedTuple):
+    """Normalized proposal masses (..., n_bins) and the count of uniform rows."""
+
+    masses: np.ndarray
+    degenerate: int
 
 
-def importance_sample(histogram: ProposalHistogram, n_fine: int, rng) -> FinePointSet:
-    """Stratified draws from the histogram, sorted ascending.
+def histogram_from_heights(edges: np.ndarray, raw_heights: np.ndarray) -> Proposal:
+    """Bin heights (..., n_bins) normalized to unit mass per row.
 
-    Bin selection inverts the mass CDF on stratified uniforms; placement
-    within the chosen bin is uniform.
+    A row without positive mass falls back to the uniform histogram; the
+    result counts such rows in ``degenerate``.
     """
+    widths = np.diff(edges)
+    total = np.sum(raw_heights * widths, axis=-1, keepdims=True)
+    flat = total <= 0.0
+    heights = np.where(flat, 1.0 / (edges[-1] - edges[0]),
+                       raw_heights / np.where(flat, 1.0, total))
+    return Proposal(heights * widths, int(np.count_nonzero(flat)))
+
+
+def importance_sample(masses: np.ndarray, edges: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Stratified placement of n_fine points per row of ``masses``, sorted ascending.
+
+    ``draws`` (B, 2 n_fine) holds uniforms in [0, 1): the first half offsets
+    each stratum, and bin selection inverts the mass cdf at those levels;
+    the second half places each point inside its bin. Returns (B, n_fine).
+    """
+    n_fine = draws.shape[-1] // 2
     if n_fine < 1:
         raise InvalidInputError("need at least one fine point")
-    masses = histogram.masses
-    cdf = np.cumsum(masses)
-    cdf[-1] = max(cdf[-1], 1.0)  # guard against round-off shortfall at the top
-    u = (np.arange(n_fine) + rng.random(n_fine)) / n_fine
-    bins = np.searchsorted(cdf, u, side="left")
-    left = histogram.bin_edges[bins]
-    width = np.diff(histogram.bin_edges)[bins]
-    points = left + rng.random(n_fine) * width
-    order = np.argsort(points, kind="stable")
-    return FinePointSet(points[order], bins[order])
-
-
-def quantile_points(histograms: list, n_fine: int) -> np.ndarray:
-    """Deterministic render placement: mass-quantile bin midpoints, (B, n_fine).
-
-    All histograms share their bin edges; rows come out ascending.
-    """
-    edges = histograms[0].bin_edges
-    cdf = np.cumsum([h.masses for h in histograms], axis=-1)
-    cdf[:, -1] = np.maximum(cdf[:, -1], 1.0)
-    u = (np.arange(n_fine) + 0.5) / n_fine
+    cdf = np.cumsum(masses, axis=-1)
+    cdf[..., -1] = np.maximum(cdf[..., -1], 1.0)  # round-off shortfall at the top
+    u = (np.arange(n_fine) + draws[..., :n_fine]) / n_fine
     # Per row, the count of cdf values below u is searchsorted(cdf, u, "left").
-    bins = np.count_nonzero(cdf[:, None, :] < u[:, None], axis=-1)
-    return edges[bins] + 0.5 * np.diff(edges)[bins]
+    bins = np.count_nonzero(cdf[..., None, :] < u[..., None], axis=-1)
+    points = edges[bins] + draws[..., n_fine:] * np.diff(edges)[bins]
+    return np.sort(points, axis=-1, kind="stable")
+
+
+def quantile_points(masses: np.ndarray, edges: np.ndarray, n_fine: int) -> np.ndarray:
+    """Deterministic render placement: mass-quantile bin midpoints, (B, n_fine)."""
+    return importance_sample(masses, edges, np.full(masses.shape[:-1] + (2 * n_fine,), 0.5))
 
 
 def strictify(gammas: np.ndarray, min_gap: float = MIN_GAP) -> np.ndarray:
@@ -173,6 +141,11 @@ def ray_rng(seed: int, ray_id: int, epoch: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, ray_id, epoch)))
 
 
+def ray_draws(seed: int, ray_ids, stream: int, n: int) -> np.ndarray:
+    """(B, n) uniforms in [0, 1), row i from ray ``ray_ids[i]``'s stream."""
+    return np.stack([ray_rng(seed, int(i), stream).random(n) for i in ray_ids])
+
+
 @dataclass
 class TrainState:
     """Both networks with their optimizer accumulators."""
@@ -205,19 +178,18 @@ def march(state: TrainState, origins: np.ndarray, dirs: np.ndarray, s_max: float
     """Coarse -> proposal -> fine evaluation of a batch of B rays.
 
     ``forward(model, feats) -> (sigma, phi)`` runs a network (tape leaves
-    or plain arrays); ``place(histograms) -> (B, n_fine)`` puts the fine
-    points from the per-ray proposal histograms. Returns ``(hist_masses, grid,
-    deltas, sigma, phi, cdf)``, each with B rows.
+    or plain arrays). The proposal is one (B, n_bins) array of normalized
+    masses, and ``place(masses, edges) -> (B, n_fine)`` puts every ray's
+    fine points from it at once. Returns ``(hist_masses, grid, deltas,
+    sigma, phi, cdf)``, each with B rows.
     """
     hist_masses = histogram_from_coarse(state.coarse, origins, dirs, s_max, n_bins,
                                         scale, forward)
     # Placement happens outside any graph: sample positions are constants
     # with respect to both parameter vectors.
     edges = uniform_bin_edges(s_max, n_bins)
-    widths = np.diff(edges)
-    histograms = [histogram_from_heights(edges, row / widths)
-                  for row in ad.value_of(hist_masses)]
-    grid = fine_grid_rows(place(histograms), edges)          # (B, J)
+    proposal = histogram_from_heights(edges, ad.value_of(hist_masses) / np.diff(edges))
+    grid = fine_grid_rows(place(proposal.masses, edges), edges)     # (B, J)
     deltas = trapezoid_deltas(grid)
     points = origins[:, None, :] + grid[:, :, None] * dirs[:, None, :]
     sigma, phi = forward(state.fine, _encode_batch(state.fine, points, dirs, scale))
@@ -230,43 +202,55 @@ def train_step(state: TrainState, rays: list, config: StepConfig, scale,
                epoch: int = 0):
     """One joint optimization step over a ray batch.
 
-    The march runs both networks through a `net.ModelGraph`, whose
-    ``(sigma, phi)`` leaves start the tape, and places the fine points by
-    stratified draws on each ray's (seed, ray, epoch) stream. Then the fine
-    loss on the cumulative trace, and the proposal hinge against the
-    detached fine field; `net.backward` takes each loss through the tape
-    to the leaves and on through the hand-written MLP backward. Fine and
-    coarse parameters each receive one optimizer step, fine first.
+    One pass over the rays gathers their origins, directions, drop flags
+    and measurements, inf-padded to (B, K). The march runs both networks
+    through a `net.ModelGraph`, whose ``(sigma, phi)`` leaves start the
+    tape, and places the fine points by stratified draws on each ray's
+    (seed, ray, epoch) stream. Then the fine loss on the cumulative trace,
+    and the proposal hinge against the detached fine field; `net.backward`
+    takes each loss through the tape to the leaves and on through the
+    hand-written MLP backward. Fine and coarse parameters each receive one
+    optimizer step, fine first.
     """
     if not rays:
         raise InvalidInputError("ray batch must be nonempty")
     if not state.fine.has_phi_head:
         raise InvalidInputError("the fine model must carry the drop channel head")
     s_max = rays[0].s_max
-    if any(r.s_max != s_max for r in rays):
-        raise InvalidInputError("all rays in a batch must share s_max")
+    n_rays = len(rays)
+    origins, dirs = np.empty((n_rays, 3)), np.empty((n_rays, 3))
+    q_true, k = np.empty(n_rays), np.zeros(n_rays)
+    moments = np.zeros((n_rays, 2))     # per-ray mean of d and d^2, for the baseline
+    ray_ids, measured = [], []
+    for i, ray in enumerate(rays):
+        if ray.s_max != s_max:
+            raise InvalidInputError("all rays in a batch must share s_max")
+        origins[i], dirs[i], q_true[i] = ray.origin, ray.direction, ray.drop_flag
+        ray_ids.append(ray.ray_id)
+        measured.append(ray.measurements)
+        k[i] = ray.measurements.size
+        if config.depth_l2 and ray.measurements.size:
+            moments[i] = ray.measurements.mean(), np.mean(ray.measurements ** 2)
+    ranges = np.full((n_rays, int(k.max())), np.inf)
+    ranges[np.arange(ranges.shape[1]) < k[:, None]] = np.concatenate(measured)
+    draws = ray_draws(config.seed, ray_ids, epoch, 2 * config.n_fine)
     graphs = []
 
     def record(model, feats):
         graphs.append(nets.ModelGraph(model))
         return graphs[-1].forward(feats)
 
-    def stratified(histograms):
-        return np.stack([
-            importance_sample(h, config.n_fine, ray_rng(config.seed, r.ray_id, epoch)).points
-            for h, r in zip(histograms, rays)])
-
     hist_masses, grid, deltas, sigma_f, phi_f, cdf = march(
-        state, np.stack([r.origin for r in rays]), np.stack([r.direction for r in rays]),
-        s_max, config.n_bins, scale, record, stratified)
+        state, origins, dirs, s_max, config.n_bins, scale, record,
+        lambda masses, edges: importance_sample(masses, edges, draws))
     coarse_graph, fine_graph = graphs
 
     if config.depth_l2:
-        l_c = _depth_l2_term(cdf, grid, rays)
+        l_c = _depth_l2_term(cdf, grid, moments, k)
     else:
-        l_c = _cdf_term(cdf, deltas, grid, rays)
+        counts = measurement_counts(ranges, grid)
+        l_c = _measured_mean(step_mismatch_values(cdf, deltas, counts, k), k)
 
-    q_true = np.array([float(r.drop_flag) for r in rays])
     q_hat = pooled_drop_values(phi_f, bin_masses(cdf))
     l_drop = bce_values(q_true, q_hat)
     l_fine = config.alpha * l_c + (1.0 - config.alpha) * l_drop
@@ -308,35 +292,18 @@ def _encode_batch(model, points_world, dirs, scale) -> np.ndarray:
                        model.encoding_levels, model.dir_levels)
 
 
-def _cdf_term(cdf, deltas, grid, rays):
-    """Batch-mean step-mismatch over the rays that carry measurements."""
-    n_rays, n_points = grid.shape
-    counts = np.zeros((n_rays, n_points))
-    k = np.zeros(n_rays)
-    for i, ray in enumerate(rays):
-        if ray.measurements.size:
-            counts[i] = measurement_counts(np.sort(ray.measurements), grid[i])
-            k[i] = ray.measurements.size
-    return _measured_mean(step_mismatch_values(cdf, deltas, counts, k), k)
-
-
-def _depth_l2_term(cdf, grid, rays):
+def _depth_l2_term(cdf, grid, moments, k):
     """Deterministic baseline: squared error of the composited expected depth.
 
     Weights follow the standard opacity-compositing rule (per-bin mass of
     the cumulative trace), normalized per ray before the depth dot product.
+    ``moments`` holds each ray's mean measured range and mean squared range.
     """
     masses = bin_masses(cdf)
     totals = ad.reduce_sum(masses, axis=-1, keepdims=True) + 1e-12
-    depth = ad.reduce_sum(masses * grid, axis=-1) / totals.reshape(len(rays))
-    d_mean = np.zeros(len(rays))
-    d_var = np.zeros(len(rays))
-    k = np.zeros(len(rays))
-    for i, ray in enumerate(rays):
-        if ray.measurements.size:
-            d_mean[i] = ray.measurements.mean()
-            d_var[i] = max(0.0, float(np.mean(ray.measurements ** 2)) - d_mean[i] ** 2)
-            k[i] = ray.measurements.size
+    depth = ad.reduce_sum(masses * grid, axis=-1) / totals.reshape(len(k))
+    d_mean = moments[:, 0]
+    d_var = np.maximum(0.0, moments[:, 1] - d_mean ** 2)
     # mean_k (d_k - D)^2 expands to (D - dbar)^2 + var(d).
     return _measured_mean((depth - d_mean) ** 2 + d_var, k)
 

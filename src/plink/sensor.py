@@ -270,19 +270,32 @@ def _csv_rows(path, header: list, parse):
 
 
 def read_scan(path, intrinsics: SensorIntrinsics, start_pose: Pose, end_pose: Pose) -> ScanFrame:
+    """A scan file that names every (beam, azimuth) cell once, with drop flag
+    0 or 1 and, where the pulse returned, a range in (0, s_max]."""
     shape = (intrinsics.n_beams, intrinsics.azimuth_count)
     ranges = np.zeros(shape)
     returned = np.zeros(shape, dtype=bool)
+    seen = np.zeros(shape, dtype=bool)
 
     def parse(row):
-        b, a = int(row[0]), int(row[1])
+        b, a, flag, value = int(row[0]), int(row[1]), int(row[3]), float(row[2])
         if not (0 <= b < shape[0] and 0 <= a < shape[1]):
             raise ValueError(f"beam {b}, azimuth {a} is outside the {shape[0]} x {shape[1]} scan")
-        return b, a, bool(int(row[3])), float(row[2])
+        if seen[b, a]:
+            raise ValueError(f"beam {b}, azimuth {a} is named twice")
+        if flag not in (0, 1):
+            raise ValueError(f"drop flag {flag} is not 0 or 1")
+        if flag and not 0.0 < value <= intrinsics.s_max:
+            raise ValueError(f"range {value!r} is outside (0, {intrinsics.s_max!r}]")
+        seen[b, a] = True
+        return b, a, bool(flag), value
 
     for b, a, flag, value in _csv_rows(path, SCAN_HEADER, parse):
         returned[b, a] = flag
         ranges[b, a] = value
+    if not seen.all():
+        b, a = np.argwhere(~seen)[0]
+        raise InvalidInputError(f"{path}: no row for beam {b}, azimuth {a}")
     return ScanFrame(intrinsics, start_pose, end_pose, ranges, returned)
 
 

@@ -95,13 +95,6 @@ def test_broadcast_add_unbroadcasts():
     np.testing.assert_array_equal(bias.grad, [5.0, 5.0])
 
 
-def test_detach_blocks_gradient():
-    t = ad.Tensor(np.array([2.0, 3.0]))
-    out = (t.detach() * t).sum()
-    out.backward()
-    np.testing.assert_array_equal(t.grad, [2.0, 3.0])  # only the live branch
-
-
 def test_diamond_graph_accumulates():
     t = ad.Tensor(np.array([1.5]))
     a = t * 2.0

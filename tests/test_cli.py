@@ -179,6 +179,11 @@ def test_plink_seed_beats_config_file_and_flag(tmp_path, capsys, monkeypatch):
     ("scan_0000.csv", 3, "9,0,5.0,1,0.0", "scan_0000.csv row 3: beam 9, azimuth 0 is outside"),
     ("scan_0000.csv", 2, "-1,0,5.0,1,0.0", "scan_0000.csv row 2: beam -1, azimuth 0 is outside"),
     ("scan_0001.csv", 4, "0,3,5.0", "scan_0001.csv row 4: expected 5 columns, got 3"),
+    ("scan_0000.csv", 3, None, "scan_0000.csv: no row for beam 0, azimuth 1"),
+    ("scan_0000.csv", 3, "0,0,5.0,1,0.0", "scan_0000.csv row 3: beam 0, azimuth 0 is named twice"),
+    ("scan_0000.csv", 2, "0,0,5.0,7,0.0", "scan_0000.csv row 2: drop flag 7 is not 0 or 1"),
+    ("scan_0000.csv", 2, "0,0,25.0,1,0.0", "scan_0000.csv row 2: range 25.0 is outside (0, 20.0]"),
+    ("scan_0001.csv", 5, "0,3,-3.0,1,0.0", "scan_0001.csv row 5: range -3.0 is outside (0, 20.0]"),
     ("poses.csv", 2, "0.0,0,0,0,1,0,0,x", "poses.csv row 2: could not convert"),
     ("poses.csv", 3, "0.1,0,0,0,0,0,0,0", "poses.csv row 3: rotation must be orthonormal"),
 ])
@@ -195,3 +200,26 @@ def test_malformed_dataset_file_exits_2(tmp_path, capsys, name, line, bad, messa
                            "--data", data, "--out", tmp_path / "train")
     assert code == cli.EXIT_CONFIG
     assert err.startswith("error: ") and str(data) in err and message in err
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("bad.ply", "ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
+     "property float y\nproperty float z\nend_header\n1 2 3\n4 5 abc\n",
+     "bad.ply line 9: could not convert"),
+    ("bad.ply", "ply\nformat ascii 1.0\nelement vertex x\nend_header\n",
+     "bad.ply line 3: bad vertex count"),
+    ("bad.ply", "ply\nformat ascii 1.0\nelement vertex 3\nend_header\n1 2 3\n",
+     "bad.ply: header declares 3 vertices, found 1"),
+    ("bad.xyz", "1 2 3\n\n1 2\n", "bad.xyz line 3: expected x y z, got 2 values"),
+    ("bad.xyz", "1 2 q\n", "bad.xyz line 1: could not convert"),
+], ids=["ply-vertex-not-a-number", "ply-vertex-count", "ply-short", "xyz-two-values",
+        "xyz-not-a-number"])
+def test_malformed_cloud_file_exits_2(tmp_path, capsys, name, text, message):
+    cfg = write_config(tmp_path, UNDER_TRAINED)
+    good, bad = tmp_path / "good.xyz", tmp_path / name
+    good.write_text("0 0 0\n1 1 1\n")
+    bad.write_text(text)
+    for gt, synth in ((good, bad), (bad, good)):
+        code, _, err = run(capsys, "eval", "--config", cfg, "--gt", gt, "--synth", synth)
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("error: ") and str(tmp_path) in err and message in err

@@ -15,8 +15,8 @@ from plink.field import CdfTrace, SampleGrid, bin_masses, trapezoid_deltas
 from plink.losses import (BCE_EPS, DEFAULT_ALPHA, bce_values, bin_accumulate,
                           hinge_values, measurement_counts, pooled_drop_values,
                           step_mismatch_values)
-from plink.sampler import ProposalHistogram
 from tests.test_field import SigmaTrace, cumulative_from_sigma, near_step_trace, uniform_grid
+from tests.test_sampler import ProposalHistogram
 
 NORMALIZATION_TOL = 1e-6
 
@@ -423,10 +423,14 @@ class TestBatchedAgainstPerRay:
         rng = np.random.default_rng(31)
         grid, deltas, _, cdf = random_rows(rng)
         ranges = [np.sort(rng.uniform(0.1, 12.0, size=k)) for k in (1, 3, 0, 5, 2, 8, 1)]
-        counts = np.stack([measurement_counts(r, g) for r, g in zip(ranges, grid)])
         k = np.array([r.size for r in ranges], dtype=float)
+        padded = np.full((len(ranges), 8), np.inf)     # inf-padded, unsorted rows
+        for row, r in zip(padded, ranges):
+            row[:r.size] = rng.permutation(r)
+        counts = measurement_counts(padded, grid)
         got = step_mismatch_values(cdf, deltas, counts, k)
         for i, r in enumerate(ranges):
+            np.testing.assert_array_equal(counts[i], np.searchsorted(r, grid[i], side="right"))
             trace = CdfTrace(SampleGrid(grid[i], deltas[i]), cdf[i], 1.0 - cdf[i])
             assert got[i] == pytest.approx(cdf_loss(trace, r), rel=1e-13, abs=0.0)
 

@@ -70,3 +70,6 @@ def test_degenerate_flag_is_a_scalar():
         flag = sampler.histogram_from_heights(edges, heights).degenerate
         assert np.ndim(flag) == 0
         assert int(flag) == (not heights.any())
+    batch = np.stack([np.arange(1.0, 5.0), np.zeros(4), np.ones(4)])
+    count = sampler.histogram_from_heights(edges, batch).degenerate
+    assert np.ndim(count) == 0 and int(count) == 1

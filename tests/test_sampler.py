@@ -1,4 +1,11 @@
-"""Coarse-to-fine machinery: bins, histograms, placements, the march, train step."""
+"""Coarse-to-fine machinery: bins, histograms, placements, the march, train step.
+
+The per-ray proposal (`ProposalHistogram`, `oracle_histogram`,
+`oracle_importance_sample`) lives here only as the reference for the
+batched placement kernel.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -47,19 +54,74 @@ class TestCoarseBins:
                                           SCALE, nets.forward)
 
 
+@dataclass
+class ProposalHistogram:
+    """Reference: one ray's normalized bin heights, validated."""
+
+    bin_edges: np.ndarray
+    heights: np.ndarray
+    degenerate: bool = False
+
+    def __post_init__(self):
+        self.bin_edges = np.asarray(self.bin_edges, dtype=float)
+        self.heights = np.asarray(self.heights, dtype=float)
+        if self.bin_edges.size != self.heights.size + 1:
+            raise InvalidInputError("need one more edge than heights")
+        if np.any(np.diff(self.bin_edges) <= 0.0):
+            raise InvalidInputError("bin edges must be strictly increasing")
+        if np.any(self.heights < 0.0):
+            raise InvalidInputError("heights must be nonnegative")
+
+    @property
+    def masses(self) -> np.ndarray:
+        return self.heights * np.diff(self.bin_edges)
+
+
+def oracle_histogram(edges, raw_heights) -> ProposalHistogram:
+    """Reference: one ray's heights normalized, uniform when they carry no mass."""
+    widths = np.diff(edges)
+    total = float(np.sum(raw_heights * widths))
+    if total <= 0.0:
+        uniform = np.full(widths.size, 1.0 / (edges[-1] - edges[0]))
+        return ProposalHistogram(edges, uniform, degenerate=True)
+    return ProposalHistogram(edges, raw_heights / total)
+
+
+def oracle_importance_sample(histogram: ProposalHistogram, n_fine: int, rng) -> np.ndarray:
+    """Reference: one ray's stratified draws, sorted ascending.
+
+    Bin selection inverts the mass CDF on stratified uniforms; placement
+    within the chosen bin is uniform.
+    """
+    cdf = np.cumsum(histogram.masses)
+    cdf[-1] = max(cdf[-1], 1.0)
+    u = (np.arange(n_fine) + rng.random(n_fine)) / n_fine
+    bins = np.searchsorted(cdf, u, side="left")
+    left = histogram.bin_edges[bins]
+    width = np.diff(histogram.bin_edges)[bins]
+    points = left + rng.random(n_fine) * width
+    return points[np.argsort(points, kind="stable")]
+
+
+def source_bins(points, edges):
+    return np.searchsorted(edges, points, side="right") - 1
+
+
 class TestHistogram:
     def test_masses_always_sum_to_one(self):
         rng = np.random.default_rng(0)
         edges = np.linspace(0.0, 10.0, 9)
-        for _ in range(50):
-            hist = sampler.histogram_from_heights(edges, rng.uniform(0, 3, size=8))
-            assert hist.masses.sum() == pytest.approx(1.0)
+        proposal = sampler.histogram_from_heights(edges, rng.uniform(0, 3, size=(50, 8)))
+        np.testing.assert_allclose(proposal.masses.sum(axis=-1), 1.0)
+        assert proposal.degenerate == 0
 
     def test_all_zero_falls_back_to_uniform(self):
         edges = np.linspace(0.0, 10.0, 5)
-        hist = sampler.histogram_from_heights(edges, np.zeros(4))
-        assert hist.degenerate
-        np.testing.assert_allclose(hist.masses, 0.25)
+        heights = np.ones((3, 4))
+        heights[[0, 2]] = 0.0
+        proposal = sampler.histogram_from_heights(edges, heights)
+        assert proposal.degenerate == 2
+        np.testing.assert_allclose(proposal.masses, 0.25)
 
     def test_from_coarse_model(self):
         dirs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -69,53 +131,76 @@ class TestHistogram:
         assert np.all(masses > 0.0)
         np.testing.assert_allclose(masses.sum(axis=-1), 1.0)
         edges = sampler.uniform_bin_edges(10.0, 8)
-        for row in masses:
-            assert not sampler.histogram_from_heights(edges, row / np.diff(edges)).degenerate
+        assert sampler.histogram_from_heights(edges, masses / np.diff(edges)).degenerate == 0
 
 
 class TestImportanceSample:
     def test_single_loaded_bin_catches_all_points(self):
         edges = np.array([0.0, 2.0, 4.0, 6.0])
-        heights = np.array([0.0, 0.5, 0.0])
-        hist = sampler.ProposalHistogram(edges, heights)
-        points = sampler.importance_sample(hist, 64, np.random.default_rng(0))
-        assert np.all((points.points >= 2.0) & (points.points <= 4.0))
-        assert np.all(points.provenance == 1)
+        masses = np.array([[0.0, 1.0, 0.0]])
+        draws = np.random.default_rng(0).random((1, 128))
+        points = sampler.importance_sample(masses, edges, draws)
+        assert points.shape == (1, 64)
+        assert np.all((points >= 2.0) & (points <= 4.0))
 
     def test_points_lie_inside_their_bins(self):
         rng = np.random.default_rng(1)
         edges = np.linspace(0.0, 10.0, 9)
-        hist = sampler.histogram_from_heights(edges, rng.uniform(0.1, 2.0, 8))
-        points = sampler.importance_sample(hist, 200, rng)
-        for p, b in zip(points.points, points.provenance):
-            assert edges[b] <= p <= edges[b + 1]
-        assert np.all(np.diff(points.points) >= 0.0)
+        masses = sampler.histogram_from_heights(edges, rng.uniform(0.1, 2.0, (3, 8))).masses
+        draws = rng.random((3, 400))
+        points = sampler.importance_sample(masses, edges, draws)
+        assert np.all(np.diff(points, axis=1) >= 0.0)
+        cdf = np.cumsum(masses, axis=1)
+        u = (np.arange(200) + draws[:, :200]) / 200
+        for row, c, levels in zip(points, cdf, u):
+            want = np.sort(np.searchsorted(c, levels, side="left"))
+            np.testing.assert_array_equal(source_bins(row, edges), want)
 
     def test_uniform_histogram_counts_match_multinomial(self):
         # chi-square style check at n = 1e4: per-bin counts within 3 sigma
         n_bins, n_fine = 10, 10_000
         edges = np.linspace(0.0, 10.0, n_bins + 1)
-        hist = sampler.histogram_from_heights(edges, np.ones(n_bins))
-        points = sampler.importance_sample(hist, n_fine, np.random.default_rng(7))
-        counts = np.bincount(points.provenance, minlength=n_bins)
+        masses = sampler.histogram_from_heights(edges, np.ones((1, n_bins))).masses
+        draws = np.random.default_rng(7).random((1, 2 * n_fine))
+        points = sampler.importance_sample(masses, edges, draws)
+        counts = np.bincount(source_bins(points[0], edges), minlength=n_bins)
         expected = n_fine / n_bins
         sigma = np.sqrt(n_fine * (1 / n_bins) * (1 - 1 / n_bins))
         assert np.all(np.abs(counts - expected) <= 3.0 * sigma)
 
     def test_fixed_seed_reproducible(self):
-        edges = np.linspace(0.0, 10.0, 9)
-        hist = sampler.histogram_from_heights(edges, np.arange(1.0, 9.0))
-        a = sampler.importance_sample(hist, 50, np.random.default_rng(42))
-        b = sampler.importance_sample(hist, 50, np.random.default_rng(42))
-        np.testing.assert_array_equal(a.points, b.points)
-        np.testing.assert_array_equal(a.provenance, b.provenance)
+        draws = sampler.ray_draws(42, [3, 0, 3], 5, 6)
+        assert draws.shape == (3, 6)
+        np.testing.assert_array_equal(draws[0], draws[2])
+        np.testing.assert_array_equal(draws[1], sampler.ray_rng(42, 0, 5).random(6))
+        assert not np.array_equal(draws[0], draws[1])
+
+    @pytest.mark.parametrize("n_bins, n_fine, n_rays", [
+        (64, 64, 64), (32, 32, 7), (8, 5, 3), (200, 129, 16)])
+    def test_batched_placement_equals_oracle_row_by_row(self, n_bins, n_fine, n_rays):
+        rng = np.random.default_rng(n_bins + n_fine)
+        edges = sampler.uniform_bin_edges(20.0, n_bins)
+        raw = rng.exponential(1.0, size=(n_rays, n_bins))
+        raw[1] = 0.0                                    # degenerate: uniform fallback
+        raw[-1, n_bins // 2:] = 0.0                     # mass in the first half only
+        proposal = sampler.histogram_from_heights(edges, raw)
+        ray_ids = rng.permutation(1000)[:n_rays]
+        draws = sampler.ray_draws(9, ray_ids, 4, 2 * n_fine)
+        points = sampler.importance_sample(proposal.masses, edges, draws)
+        assert proposal.degenerate == 1 and points.shape == (n_rays, n_fine)
+        for i, ray_id in enumerate(ray_ids):
+            hist = oracle_histogram(edges, raw[i])
+            assert hist.degenerate == (i == 1)
+            np.testing.assert_array_equal(proposal.masses[i], hist.masses)
+            want = oracle_importance_sample(hist, n_fine, sampler.ray_rng(9, ray_id, 4))
+            np.testing.assert_array_equal(points[i], want)
 
     def test_quantile_points_are_deterministic(self):
         edges = np.linspace(0.0, 10.0, 9)
-        hists = [sampler.histogram_from_heights(edges, np.arange(1.0, 9.0)),
-                 sampler.histogram_from_heights(edges, np.ones(8))]
-        a = sampler.quantile_points(hists, 33)
-        b = sampler.quantile_points(hists, 33)
+        masses = sampler.histogram_from_heights(
+            edges, np.stack([np.arange(1.0, 9.0), np.ones(8)])).masses
+        a = sampler.quantile_points(masses, edges, 33)
+        b = sampler.quantile_points(masses, edges, 33)
         assert a.shape == (2, 33)
         np.testing.assert_array_equal(a, b)
 
@@ -124,11 +209,12 @@ class TestImportanceSample:
         edges = np.linspace(0.0, 10.0, 9)
         heights = rng.uniform(0.0, 2.0, size=(6, 8))
         heights[1, 2:] = 0.0            # all mass in the first two bins
-        hists = [sampler.histogram_from_heights(edges, h) for h in heights]
-        got = sampler.quantile_points(hists, 17)
+        heights[4] = 0.0                # degenerate
+        masses = sampler.histogram_from_heights(edges, heights).masses
+        got = sampler.quantile_points(masses, edges, 17)
         u = (np.arange(17) + 0.5) / 17
-        for hist, row in zip(hists, got):
-            cdf = np.cumsum(hist.masses)
+        for h, row in zip(heights, got):
+            cdf = np.cumsum(oracle_histogram(edges, h).masses)
             cdf[-1] = max(cdf[-1], 1.0)
             bins = np.searchsorted(cdf, u, side="left")
             np.testing.assert_array_equal(row, edges[bins] + 0.5 * np.diff(edges)[bins])
@@ -190,7 +276,7 @@ def tiny_state(seed=0, hidden_layers=2):
 class TestMarch:
     def march(self, state, origins, dirs):
         return sampler.march(state, origins, dirs, 10.0, 8, SCALE, nets.forward,
-                             lambda hists: sampler.quantile_points(hists, 5))
+                             lambda masses, edges: sampler.quantile_points(masses, edges, 5))
 
     def test_shapes_and_cdf(self):
         dirs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -283,6 +369,34 @@ class TestTrainStep:
             last = sampler.train_step(state, self.rays, config, self.scale,
                                       epoch=epoch)
         assert last.l_fine < first.l_fine
+
+    @pytest.mark.parametrize("depth_l2", [False, True])
+    def test_distribution_term_matches_per_ray_brute_force(self, depth_l2):
+        # Unsorted and uneven measurement lists, inf-padded inside the step.
+        rays = [make_ray(measurements=[9.8, 5.0, 5.1], ray_id=4),
+                make_ray(direction=(0.0, 0.0, 1.0), ray_id=2),
+                make_ray(direction=(0.0, 1.0, 0.0), measurements=[4.0], ray_id=7),
+                make_ray(direction=(0.6, 0.8, 0.0), measurements=[2.0, 8.5, 3.0, 3.0, 1.5],
+                         ray_id=1)]
+        config = sampler.StepConfig(n_bins=8, n_fine=16, lr=1e-3, seed=3, depth_l2=depth_l2)
+        state = tiny_state(seed=5)
+        draws = sampler.ray_draws(3, [r.ray_id for r in rays], 2, 32)
+        _, grid, deltas, _, _, cdf = sampler.march(
+            state, np.stack([r.origin for r in rays]), np.stack([r.direction for r in rays]),
+            10.0, 8, self.scale, nets.forward,
+            lambda masses, edges: sampler.importance_sample(masses, edges, draws))
+        per_ray = []
+        for ray, g, d, c in zip(rays, grid, deltas, cdf):
+            if not ray.measurements.size:
+                continue
+            if depth_l2:
+                masses = np.diff(c, prepend=0.0)
+                depth = np.dot(masses, g) / (masses.sum() + 1e-12)
+                per_ray.append(np.mean((ray.measurements - depth) ** 2))
+            else:
+                per_ray.append(sum(np.sum(((g >= m) - c) ** 2 * d) for m in ray.measurements))
+        losses = sampler.train_step(state, rays, config, self.scale, epoch=2)
+        assert losses.l_c == pytest.approx(np.mean(per_ray), rel=1e-9)
 
     def test_baseline_objective_runs(self):
         state = tiny_state(seed=4)
