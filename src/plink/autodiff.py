@@ -129,10 +129,14 @@ class Tensor:
     def __getitem__(self, key):
         a = self.value
         out = Tensor(a[key], _parents=(self,))
+        basic = _is_basic_index(key)
 
         def vjp(g):
             full = np.zeros_like(a)
-            np.add.at(full, key, g)
+            if basic:
+                full[key] = g
+            else:
+                np.add.at(full, key, g)
             return (full,)
 
         out._vjp = vjp
@@ -178,7 +182,11 @@ class Tensor:
     # -- backward pass ------------------------------------------------------
 
     def backward(self):
-        """Accumulate gradients of this (scalar or any-shape) node into leaves."""
+        """Accumulate gradients of this (scalar or any-shape) node into leaves.
+
+        The first gradient to reach a node becomes its own copy; later ones
+        are added to it in place.
+        """
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -202,8 +210,17 @@ class Tensor:
                 if g is None:
                     continue
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.value)
-                parent.grad += g
+                    parent.grad = np.array(g, dtype=np.float64)
+                else:
+                    parent.grad += g
+
+
+def _is_basic_index(key) -> bool:
+    """Ints, slices, None and Ellipsis only: no element is selected twice."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(k is None or k is Ellipsis or isinstance(k, slice)
+               or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+               for k in parts)
 
 
 def _tensor_parents(*args) -> tuple:

@@ -166,7 +166,7 @@ def cmd_render(args) -> int:
                           np.zeros(grid_shape), np.zeros(grid_shape, dtype=bool))
         cloud = pipeline.render_frame_cloud(
             state, frame, scale, config, config.render_mode,
-            baseline=args.baseline_depth)
+            baseline=args.baseline_depth, frame_index=i)
         out = os.path.join(config.out_dir, f"cloud_{i:04d}.ply")
         metrics.write_ply(out, cloud)
         print(f"{out}: {len(cloud)} points")
@@ -239,9 +239,10 @@ def cmd_compare(args) -> int:
     for i, frame in enumerate(test_frames):
         gt = pipeline.ground_truth_cloud(frame)
         prob = pipeline.render_frame_cloud(prob_state, frame, train_set.scale,
-                                           config, "stochastic")
+                                           config, "stochastic", frame_index=i)
         base = pipeline.render_frame_cloud(base_state, frame, train_set.scale,
-                                           config, "stochastic", baseline=True)
+                                           config, "stochastic", baseline=True,
+                                           frame_index=i)
         gt_clouds.append(gt)
         prob_clouds.append(prob)
         base_clouds.append(base)

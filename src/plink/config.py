@@ -59,6 +59,10 @@ class RunConfig:
             raise ConfigError("s_max, n_bins, n_fine must be positive (n_bins >= 2)")
         if self.epochs < 1 or self.batch_rays < 1 or self.n_frames < 1:
             raise ConfigError("epochs, batch_rays, n_frames must be at least 1")
+        if self.encoding_levels < 0 or self.dir_levels < 0:
+            raise ConfigError("encoding_levels and dir_levels must be at least 0")
+        if self.hidden_width < 1 or self.hidden_layers < 1:
+            raise ConfigError("hidden_width and hidden_layers must be at least 1")
         if np.any(np.diff(np.asarray(self.elevations)) <= 0.0):
             raise ConfigError("elevations must be strictly increasing")
         if not (0.0 < self.confidence_level < 1.0):

@@ -11,8 +11,11 @@ layer's input and returns `(sigma, phi)` as leaf tensors: the autodiff tape
 starts there and records only the loss head. `backward` runs the tape down
 to those leaves, then a hand-written backward through the heads and hidden
 layers turns their gradients into a flat vector in `layer_shapes` order.
-The hand-written pass uses the same array operations as a tape-recorded
-MLP would, so the gradient is bit-identical to one.
+Each elementwise step is one in-place pass over the activations: bias add,
+relu as ``np.maximum``, the relu mask on the gradient, and the rank-1 head
+products as broadcast multiplies. Each rounds as the op a tape-recorded MLP
+would run, so the gradient is bit-identical to one (up to the sign of a
+zero: relu gives +0.0 where the tape's ``z * (z > 0)`` gives -0.0).
 
 Checkpoint layout (single model record, little-endian):
 
@@ -45,8 +48,9 @@ def encode(positions, directions=None, levels: int = 8, dir_levels: int = 2) -> 
     """Fourier-feature encoding of unit-cube positions (and optional directions).
 
     Raw coordinates are kept alongside sin/cos pairs at frequencies
-    2^0 pi ... 2^(levels-1) pi. Output width is 3 + 6*levels, plus
-    3 + 6*dir_levels when directions are given.
+    2^0 pi ... 2^(levels-1) pi, built by angle doubling from one sin and
+    cos of pi * coords (see `_fourier_into` for its round-off). Output
+    width is 3 + 6*levels, plus 3 + 6*dir_levels when directions are given.
 
     Directions come one per position, or one per ray: B rows for N = B*J
     positions, where row i serves positions i*J ... (i+1)*J - 1. Per-ray
@@ -71,12 +75,31 @@ def encode(positions, directions=None, levels: int = 8, dir_levels: int = 2) -> 
 
 
 def _fourier_into(out: np.ndarray, coords: np.ndarray, levels: int) -> None:
-    """Write [coords, sin, cos at each level] into the (n, 3 + 6*levels) block."""
+    """Write [coords, sin, cos at each level] into the (n, 3 + 6*levels) block.
+
+    Level 0 is one sin and one cos of pi * coords. Each next level doubles
+    the angle, sin 2a = 2 sin a cos a and cos 2a = (cos a - sin a)(cos a + sin a),
+    so level k is within about 2^k * 2e-16 of np.sin and np.cos of
+    2^k pi coords. The levels are built as contiguous (levels, n, 3) blocks
+    and written through one (n, levels, 2, 3) view of the output.
+    """
+    n = coords.shape[0]
     out[:, :3] = coords
-    for k in range(levels):
-        scaled = coords * (2.0 ** k * np.pi)
-        np.sin(scaled, out=out[:, 3 + 6 * k:6 + 6 * k])
-        np.cos(scaled, out=out[:, 6 + 6 * k:9 + 6 * k])
+    if not levels:
+        return
+    waves = np.empty((2, levels, n, 3))
+    sin, cos = waves
+    np.multiply(coords, np.pi, out=cos[0])
+    np.sin(cos[0], out=sin[0])
+    np.cos(cos[0], out=cos[0])
+    for k in range(1, levels):    # sin[k] holds cos - sin until cos[k] is done
+        np.add(cos[k - 1], sin[k - 1], out=cos[k])
+        np.subtract(cos[k - 1], sin[k - 1], out=sin[k])
+        cos[k] *= sin[k]
+        np.multiply(sin[k - 1], cos[k - 1], out=sin[k])
+        sin[k] *= 2.0
+    # Splitting the unit-stride last axis gives a view, never a copy.
+    out[:, 3:].reshape(n, levels, 2, 3)[...] = waves.transpose(2, 1, 0, 3)
 
 
 def encoded_width(levels: int, dir_levels: int, use_direction: bool) -> int:
@@ -211,8 +234,10 @@ def _layers(model: FieldModel, views: list, feats, acts=None):
     """The MLP on plain arrays: (sigma head pre-activation, phi-or-None).
 
     A list ``acts`` receives each hidden layer's input, then the last
-    hidden activation. Relu is ``z * (z > 0)`` and the bias is added to
-    the matmul result: the same values a tape-recorded MLP computes.
+    hidden activation. Each layer is one matmul, then the bias add and
+    relu, ``np.maximum(z, 0.0)``, in place on its result: the values a
+    tape-recorded MLP computes, with +0.0 where its ``z * (z > 0)`` gives
+    -0.0.
     """
     n_hidden = len(model.layer_widths)
     h = np.asarray(feats, dtype=float)
@@ -221,7 +246,7 @@ def _layers(model: FieldModel, views: list, feats, acts=None):
             acts.append(h)
         h = h @ w
         h += b
-        np.multiply(h, h > 0, out=h)
+        np.maximum(h, 0.0, out=h)
     if acts is not None:
         acts.append(h)
     w_s, b_s = views[n_hidden]
@@ -281,9 +306,11 @@ def backward(graph: ModelGraph, loss: ad.Tensor) -> GradientTape:
 def _mlp_backward(graph: ModelGraph, g_sigma: np.ndarray, g_phi) -> np.ndarray:
     """Flat parameter gradient from the (N,) gradients at sigma and phi.
 
-    Each step mirrors the vjp a tape-recorded MLP would run, so the result
-    is bit-identical to it: softplus' as ``g * sigmoid(pre)``, head
-    gradients through ``(N, 1)`` columns, bias gradients as sums over rows
+    Each step rounds as the vjp a tape-recorded MLP would run, so the
+    result is bit-identical to it: softplus' as ``g * sigmoid(pre)``; each
+    head's part of the last hidden gradient as the broadcast product
+    ``column * w.T``, which equals the tape's K=1 matmul, summed in place;
+    the relu mask multiplied in place; bias gradients as sums over rows
     and weight gradients as ``input.T @ g``. The input features get none.
     """
     model, views, acts = graph.model, graph.views, graph.acts
@@ -300,8 +327,11 @@ def _mlp_backward(graph: ModelGraph, g_sigma: np.ndarray, g_phi) -> np.ndarray:
         g_w, g_b = grad_views[i]
         np.matmul(h.T, column, out=g_w)
         g_b[...] = column.sum(axis=0)
-        part = column @ views[i][0].T
-        g_h = part if g_h is None else g_h + part
+        part = column * views[i][0].T
+        if g_h is None:
+            g_h = part
+        else:
+            g_h += part
     for i in reversed(range(n_hidden)):
         g_h *= acts[i + 1] > 0
         g_w, g_b = grad_views[i]
@@ -330,6 +360,8 @@ def opt_step(model: FieldModel, tape: GradientTape, lr: float, state: AdamState,
              betas=(0.9, 0.999), eps: float = 1e-8) -> None:
     """One bias-corrected adaptive-moment update, in place.
 
+    The moments are updated in their arrays, with the operation order of
+    ``m = b1 * m + (1 - b1) * g`` and ``v = b2 * v + (1 - b2) * g ** 2``.
     A non-finite moment is a divergence, like a non-finite update: a finite
     gradient above about 1e154 overflows ``v``, which would freeze the entry.
     """
@@ -337,18 +369,27 @@ def opt_step(model: FieldModel, tape: GradientTape, lr: float, state: AdamState,
         raise InvalidInputError("gradient length must match the parameter vector")
     b1, b2 = betas
     state.t += 1
+    g = tape.gradient
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        state.m = b1 * state.m + (1.0 - b1) * tape.gradient
-        state.v = b2 * state.v + (1.0 - b2) * tape.gradient ** 2
-        m_hat = state.m / (1.0 - b1 ** state.t)
-        v_hat = state.v / (1.0 - b2 ** state.t)
-        update = lr * m_hat / (np.sqrt(v_hat) + eps)
-    finite = np.isfinite(m_hat) & np.isfinite(v_hat) & np.isfinite(update)
+        state.m *= b1
+        state.m += (1.0 - b1) * g
+        state.v *= b2
+        square = g * g
+        square *= 1.0 - b2
+        state.v += square
+        update = state.m / (1.0 - b1 ** state.t)
+        update *= lr
+        denom = state.v / (1.0 - b2 ** state.t)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        update /= denom
+    # A non-finite m_hat makes lr * m_hat non-finite; a non-finite v_hat, its root.
+    finite = np.isfinite(update) & np.isfinite(denom)
     if not np.all(finite):
         bad = int(np.flatnonzero(~finite)[0])
         raise DivergenceError(
             f"non-finite moment or update at {model.describe_parameter(bad)} (parameter "
-            f"{bad}, gradient={float(tape.gradient[bad])!r}, m={float(state.m[bad])!r}, "
+            f"{bad}, gradient={float(g[bad])!r}, m={float(state.m[bad])!r}, "
             f"v={float(state.v[bad])!r}, step {state.t})"
         )
     model.params -= update

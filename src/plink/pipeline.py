@@ -25,7 +25,7 @@ import numpy as np
 from . import net as nets
 from . import sampler
 from .config import RunConfig
-from .errors import InvalidInputError
+from .errors import InvalidInputError, OutOfBoundsError
 # cdf_from_sigma_values is not called here; perfbench/layers.py probes this name.
 from .field import Ray, bin_masses, cdf_from_sigma_values
 from .losses import pooled_drop_values
@@ -87,9 +87,39 @@ def build_rays(frames: list) -> list:
 
 
 def train_set_from_frames(frames: list, scene: SceneSpec) -> TrainSet:
+    """The grouped rays in the scene's unit cube; a ray that leaves it is an error."""
     _, scale = to_unit_cube(np.zeros((1, 3)), scene.bounds)
     rays = build_rays(frames)
-    return TrainSet(rays, scale, frames[0].intrinsics.s_max)
+    s_max = frames[0].intrinsics.s_max
+    # A static dataset's rays are frame 0's; a moving one's run frame by frame.
+    _check_in_bounds(np.array([ray.origin for ray in rays]),
+                     np.array([ray.direction for ray in rays]), s_max, scale,
+                     frames[0].intrinsics)
+    return TrainSet(rays, scale, s_max)
+
+
+def _check_in_bounds(origins: np.ndarray, dirs: np.ndarray, s_max: float,
+                     scale: UnitCubeScale, intrinsics: SensorIntrinsics,
+                     first_frame: int = 0) -> None:
+    """Reject the first ray whose [0, s_max] segment leaves the scene bounds.
+
+    ``origins`` and ``dirs`` are (R, 3) world rays, frame after frame and
+    beam-major within a frame. The test is the one `net.encode` applies to
+    every sample point: ``POSITION_BOUND`` in the unit cube, which is the
+    cube of the bounds' largest extent, scaled. A cube is convex, so a
+    segment is inside when both its ends are. Raises `OutOfBoundsError`
+    naming the frame, beam and azimuth.
+    """
+    ends = scale.apply(np.stack([origins, origins + s_max * dirs]))
+    outside = np.any(np.abs(ends) > nets.POSITION_BOUND, axis=(0, 2))
+    if outside.any():
+        ray = int(np.argmax(outside))
+        frame, cell = divmod(ray, intrinsics.n_beams * intrinsics.azimuth_count)
+        beam, azimuth = divmod(cell, intrinsics.azimuth_count)
+        raise OutOfBoundsError(
+            f"frame {first_frame + frame}, beam {beam}, azimuth {azimuth}: the ray's "
+            f"[0, {s_max:g}] m segment leaves the scene bounds (the cube of their "
+            f"largest extent)")
 
 
 def intrinsics_from_config(config: RunConfig) -> SensorIntrinsics:
@@ -229,8 +259,11 @@ def _invert_cdf(grid: np.ndarray, cdf: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def render_frame_cloud(state: sampler.TrainState, frame: ScanFrame,
                        scale: UnitCubeScale, config: RunConfig, mode: str,
-                       baseline: bool = False) -> PointCloud:
+                       baseline: bool = False, frame_index: int = 0) -> PointCloud:
     """Point cloud for one sensor pose, all beams and azimuth steps.
+
+    A ray that leaves the scene bounds is rejected before any is marched;
+    the error names it as frame ``frame_index`` with its beam and azimuth.
 
     Rays are marched in chunks of ``config.batch_rays``, so rendering holds
     no more activations than a training step. Stochastic draws come from
@@ -241,6 +274,8 @@ def render_frame_cloud(state: sampler.TrainState, frame: ScanFrame,
     n_fine = config.render_fine or config.n_fine
     mode = WEIGHTED_DEPTH if baseline else mode
     origins, dirs = _frame_rays(frame)
+    _check_in_bounds(origins, dirs, frame.intrinsics.s_max, scale, frame.intrinsics,
+                     frame_index)
     ranges = np.empty((len(origins), config.render_draws if mode == "stochastic" else 1))
     for start in range(0, len(origins), config.batch_rays):
         chunk = slice(start, start + config.batch_rays)

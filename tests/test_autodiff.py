@@ -125,3 +125,29 @@ def test_mlp_composite_gradient():
     analytic = np.concatenate([t1.grad.ravel(), t2.grad.ravel()])
     numeric = numerical_grad(lambda p: float(ad.value_of(loss_fn(p))), params)
     np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
+
+
+@pytest.mark.parametrize("key, expected", [
+    ((slice(1, None), 0), [[0, 0, 0], [1, 0, 0], [1, 0, 0]]),
+    ((..., slice(None, 1)), [[1, 0, 0], [1, 0, 0], [1, 0, 0]]),
+    ((np.int64(2), None), [[0, 0, 0], [0, 0, 0], [1, 1, 1]]),
+    (([0, 0, 2], 1), [[0, 2, 0], [0, 0, 0], [0, 1, 0]]),       # repeats accumulate
+    ((np.array([True, False, True]),), [[1, 1, 1], [0, 0, 0], [1, 1, 1]]),
+])
+def test_getitem_gradient_counts_each_selection(key, expected):
+    t = ad.Tensor(np.arange(9.0).reshape(3, 3))
+    t[key].sum().backward()
+    np.testing.assert_array_equal(t.grad, expected)
+
+
+@pytest.mark.parametrize("add_first", [True, False])
+def test_a_gradient_passed_to_two_parents_is_not_shared(add_first):
+    # The add node hands the same gradient array to both operands; if the
+    # first to arrive were stored without a copy, adding a's other term in
+    # place would change b's gradient too.
+    a, b = ad.Tensor(np.array([1.0, 2.0])), ad.Tensor(np.array([3.0, 4.0]))
+    terms = [(a + b).sum(), (a * 2.0).sum()]
+    loss = terms[0] + terms[1] if add_first else terms[1] + terms[0]
+    loss.backward()
+    np.testing.assert_array_equal(a.grad, [3.0, 3.0])
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0])

@@ -1,7 +1,7 @@
 """The command line end to end on the shipped scene: gen -> train -> render
 -> eval and compare, each byte-identical across two runs; eval on an empty
-cloud, bad config files, malformed dataset files and the PLINK_SEED
-override."""
+cloud, bad config files, malformed dataset files, rays that leave the scene
+bounds and the PLINK_SEED override."""
 
 import os
 
@@ -223,3 +223,51 @@ def test_malformed_cloud_file_exits_2(tmp_path, capsys, name, text, message):
         code, _, err = run(capsys, "eval", "--config", cfg, "--gt", gt, "--synth", synth)
         assert code == cli.EXIT_CONFIG
         assert err.startswith("error: ") and str(tmp_path) in err and message in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("encoding_levels = -1\n", "encoding_levels and dir_levels must be at least 0"),
+    ("dir_levels = -1\n", "encoding_levels and dir_levels must be at least 0"),
+    ("hidden_width = 0\n", "hidden_width and hidden_layers must be at least 1"),
+    ("hidden_layers = 0\n", "hidden_width and hidden_layers must be at least 1"),
+])
+def test_bad_network_config_exits_2_before_training(tmp_path, capsys, text, message):
+    data = tmp_path / "data"
+    assert run(capsys, "gen", "--config", write_config(tmp_path / "good", UNDER_TRAINED),
+               "--scene", SCENE, "--path", PATH, "--out", data)[0] == cli.EXIT_OK
+    cfg = write_config(tmp_path / "bad", UNDER_TRAINED + text)
+    code, _, err = run(capsys, "train", "--config", cfg, "--scene", SCENE, "--data", data,
+                       "--out", tmp_path / "train")
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("invalid config:") and message in err
+    assert not (tmp_path / "train").exists()
+
+
+def test_ray_leaving_the_scene_bounds_exits_2_before_work(tmp_path, capsys):
+    # Bounds centred 4 m ahead: the unit cube reaches 18 m behind the sensor,
+    # so of 16 azimuths only the 20 m ray pointing straight back (azimuth 8)
+    # leaves it on frame 0.
+    with open(SCENE) as fh:
+        text = fh.read()
+    cut = tmp_path / "cut_room.txt"
+    cut.write_text(text.replace("bounds = -22 -22 -3 22 22 3", "bounds = -17 -22 -3 25 22 3"))
+    cfg = write_config(tmp_path, UNDER_TRAINED)
+    data, train = tmp_path / "data", tmp_path / "train"
+    assert run(capsys, "gen", "--config", cfg, "--scene", cut, "--path", PATH,
+               "--out", data)[0] == cli.EXIT_OK
+    message = "frame 0, beam 0, azimuth 8: the ray's [0, 20] m segment leaves the scene bounds"
+    code, _, err = run(capsys, "train", "--config", cfg, "--scene", cut, "--data", data,
+                       "--out", train)
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("error: ") and message in err
+    assert not train.exists()
+
+    assert run(capsys, "train", "--config", cfg, "--scene", SCENE, "--data", data,
+               "--out", train)[0] == cli.EXIT_OK
+    render = tmp_path / "render"
+    code, _, err = run(capsys, "render", "--config", cfg, "--scene", cut,
+                       "--checkpoint", train / "model.ckpt", "--poses", data / "poses.csv",
+                       "--out", render)
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("error: ") and message in err
+    assert not any(render.iterdir())

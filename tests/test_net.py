@@ -59,6 +59,19 @@ def reference_encode(positions, directions, levels, dir_levels):
     return np.concatenate(parts, axis=-1)
 
 
+# net.encode doubles the angle from level to level instead of calling
+# np.sin and np.cos at each one; level k may differ from them by this
+# much times 2^k (about 5x what was observed at positions up to the bound).
+LEVEL_TOL = 1e-15
+
+
+def encode_tolerance(*levels):
+    """Per-column bound on |encode - reference_encode| for these blocks."""
+    return np.concatenate([np.concatenate([np.zeros(3)] + [np.full(6, 2.0 ** k * LEVEL_TOL)
+                                                           for k in range(n)])
+                           for n in levels])
+
+
 class TestEncode:
     def test_origin_level_one(self):
         out = nets.encode(np.zeros((1, 3)), None, levels=1)
@@ -89,10 +102,25 @@ class TestEncode:
         rng = np.random.default_rng(3)
         p = rng.uniform(-1, 1, size=(12, 3))
         d = rng.normal(size=(12, 3))
-        np.testing.assert_array_equal(nets.encode(p, d, levels=4, dir_levels=2),
-                                      reference_encode(p, d, 4, 2))
-        np.testing.assert_array_equal(nets.encode(p, None, levels=3),
-                                      reference_encode(p, None, 3, 0))
+        for out, ref, tol in (
+                (nets.encode(p, d, levels=4, dir_levels=2), reference_encode(p, d, 4, 2),
+                 encode_tolerance(4, 2)),
+                (nets.encode(p, None, levels=3), reference_encode(p, None, 3, 0),
+                 encode_tolerance(3))):
+            assert out.shape == ref.shape
+            assert np.all(np.abs(out - ref) <= tol)
+
+    @pytest.mark.parametrize("levels", range(11))
+    def test_doubling_recurrence_is_within_the_stated_bound(self, levels):
+        rng = np.random.default_rng(30 + levels)
+        bound = nets.POSITION_BOUND
+        p = rng.uniform(-bound, bound, size=(5000, 3))
+        p[:3] = [[bound, -bound, 0.0], [-bound, bound, 1.0], [0.5, -0.25, 1e-300]]
+        out = nets.encode(p, None, levels=levels)
+        assert out.shape == (5000, 3 + 6 * levels)
+        np.testing.assert_array_equal(out[:, :3], p)   # levels = 0: the coordinates only
+        assert np.all(np.abs(out - reference_encode(p, None, levels, 0))
+                      <= encode_tolerance(levels))
 
     def test_per_ray_directions_match_per_point_copies(self):
         rng = np.random.default_rng(4)
@@ -185,6 +213,32 @@ class TestHandWrittenBackward:
         assert tape.loss == loss_ref.item()
         assert np.array_equal(tape.gradient, gradient())
         assert np.any(tape.gradient[:model.input_width() * widths[0]] != 0.0)
+
+    def test_exact_zero_pre_activations_match_the_tape(self):
+        # Relu is np.maximum(z, 0): +0.0 where the tape's z * (z > 0) gives
+        # -0.0, and 0 at z == 0 exactly, whose mask the backward must drop.
+        model = nets.init_model(encoding_levels=1, dir_levels=1, layer_widths=[10, 10],
+                                has_phi_head=True, rng=28, sigma_bias=-0.5)
+        rng = np.random.default_rng(28)
+        feats = rng.normal(size=(48, model.input_width()))
+        feats[::4] = 0.0                              # every unit of these rows is at 0
+        w0, _ = model.param_views()[0]
+        w0[:, :3] = 0.0                               # these units are 0 on every row
+        pre = feats @ w0
+        assert np.count_nonzero(pre == 0.0) > 3 * 48 and np.any(pre < 0.0)
+        sigma_ref, phi_ref, gradient = tape_mlp(model, feats)
+        loss_ref = mixed_loss(sigma_ref, phi_ref)
+        loss_ref.backward()
+
+        graph = nets.ModelGraph(model)
+        sigma, phi = graph.forward(feats)
+        assert not np.any(np.signbit(graph.acts[1]))
+        np.testing.assert_array_equal(sigma.value, sigma_ref.value)
+        np.testing.assert_array_equal(phi.value, phi_ref.value)
+        tape = nets.backward(graph, mixed_loss(sigma, phi))
+        assert tape.loss == loss_ref.item()
+        assert np.array_equal(tape.gradient, gradient())
+        assert np.all(tape.gradient[:w0.size].reshape(w0.shape)[:, :3] == 0.0)
 
     def test_unused_head_matches_the_tape(self):
         model = probe_model(seed=22)

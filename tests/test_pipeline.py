@@ -6,6 +6,7 @@ The per-ray render path (`oracle_evaluate_ray`, `RayRender`,
 reference for the batched march and picker.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,7 @@ from scipy.special import expit
 from plink import net as nets
 from plink import pipeline, sampler, sensor, simscene
 from plink.config import RunConfig
-from plink.errors import InvalidInputError
+from plink.errors import InvalidInputError, OutOfBoundsError
 from plink.field import (CdfTrace, Ray, SampleGrid, bin_masses, cdf_from_sigma_values,
                          is_drop, trapezoid_deltas)
 from tests.test_field import inverse_transform_sample, render_confidence
@@ -73,6 +74,60 @@ class TestBuildRays:
             np.testing.assert_array_equal(ray.measurements, [r] if ok else [])
             np.testing.assert_array_equal(ray.origin, origin)
             np.testing.assert_allclose(ray.direction, direction, rtol=0.0, atol=DIRECTION_TOL)
+
+
+def oracle_first_outside(frames, scale):
+    """(frame, beam, azimuth) of the first ray, frame by frame, with a sample
+    point outside the encoder's cube, from a loop over rays and 201 points
+    along each; None when every ray stays inside."""
+    s_max = frames[0].intrinsics.s_max
+    for f, frame in enumerate(frames):
+        for i, (origin, direction) in enumerate(reference_rays(frame)):
+            points = origin + np.linspace(0.0, s_max, 201)[:, None] * direction
+            if np.any(np.abs(scale.apply(points)) > nets.POSITION_BOUND):
+                return (f,) + divmod(i, frame.intrinsics.azimuth_count)
+    return None
+
+
+class TestBoundsCheck:
+    # Frame 0 of the moving path starts 1 m behind the origin and frame 1 at
+    # it; these bounds put the far side of the unit cube 19.5 m ahead of the
+    # origin, which only frame 1's forward rays pass.
+    CUT = ([-24.5, -22.0, -3.0], [19.5, 22.0, 3.0])
+
+    def scene(self, bounds):
+        spec = simscene.load_scene(simscene.builtin_scene_path("panel_room.txt"))
+        return simscene.SceneSpec(spec.surfaces, bounds)
+
+    def test_train_set_names_the_first_ray_outside(self):
+        frames = dataset("moving_path.csv", 2)
+        scene = self.scene(self.CUT)
+        _, scale = sensor.to_unit_cube(np.zeros((1, 3)), scene.bounds)
+        frame, beam, azimuth = oracle_first_outside(frames, scale)
+        assert frame == 1
+        with pytest.raises(OutOfBoundsError, match=re.escape(
+                f"frame 1, beam {beam}, azimuth {azimuth}: the ray's [0, 20] m segment")):
+            pipeline.train_set_from_frames(frames, scene)
+
+    def test_rays_inside_pass(self):
+        frames = dataset("moving_path.csv", 2)
+        scene = self.scene(simscene.load_scene(
+            simscene.builtin_scene_path("panel_room.txt")).bounds)
+        assert oracle_first_outside(frames, pipeline.train_set_from_frames(
+            frames, scene).scale) is None
+
+    def test_render_names_the_frame_it_is_given(self):
+        frames = dataset("moving_path.csv", 2)
+        scene = self.scene(self.CUT)
+        train_set = pipeline.train_set_from_frames(frames[:1], scene)
+        _, beam, azimuth = oracle_first_outside(frames[1:], train_set.scale)
+        config = RunConfig(n_bins=4, n_fine=4, hidden_width=8, hidden_layers=1,
+                           encoding_levels=2, dir_levels=1)
+        state = pipeline.models_from_config(config)
+        with pytest.raises(OutOfBoundsError, match=re.escape(
+                f"frame 5, beam {beam}, azimuth {azimuth}:")):
+            pipeline.render_frame_cloud(state, frames[1], train_set.scale, config,
+                                        "stochastic", frame_index=5)
 
 
 class TestGroundTruthCloud:
