@@ -5,7 +5,7 @@ conflicting) range measurements, integrates it into per-ray cumulative
 return distributions, and renders novel views stochastically or by rule.
 """
 
-from .field import DROP, CdfTrace, Drop, Ray, SampleGrid, is_drop
+from .field import CdfTrace, Ray, RaySet, SampleGrid
 from .losses import LossBreakdown
 from .metrics import MetricsReport, PointCloud, evaluate
 from .net import FieldModel, GradientTape, encode, init_model, opt_step

@@ -159,11 +159,12 @@ def cmd_render(args) -> int:
         raise ConfigError("pose file needs at least two poses (frame boundaries)")
     intr = pipeline.intrinsics_from_config(config)
     _, scale = pipeline.to_unit_cube(np.zeros((1, 3)), scene.bounds)
+    grid_shape = (intr.n_beams, intr.azimuth_count)
+    frames = [ScanFrame(intr, start, end, np.zeros(grid_shape), np.zeros(grid_shape, dtype=bool))
+              for start, end in zip(poses, poses[1:])]
+    pipeline.check_frames_in_bounds(frames, scale)  # before any cloud is written
     os.makedirs(config.out_dir, exist_ok=True)
-    for i in range(len(poses) - 1):
-        grid_shape = (intr.n_beams, intr.azimuth_count)
-        frame = ScanFrame(intr, poses[i], poses[i + 1],
-                          np.zeros(grid_shape), np.zeros(grid_shape, dtype=bool))
+    for i, frame in enumerate(frames):
         cloud = pipeline.render_frame_cloud(
             state, frame, scale, config, config.render_mode,
             baseline=args.baseline_depth, frame_index=i)

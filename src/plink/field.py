@@ -9,14 +9,15 @@ return is generated at or before path distance s:
 Survival P(s) = 1 - C(s) is the probability the pulse is transmitted past s.
 The kernels take a batch of rays at once: (B, J) rows of samples, plain
 arrays or autodiff Tensors. Training and rendering both call them on the
-rows of `sampler.march`. The dataclasses describe one ray: a pulse with its
-recorded ranges (`Ray`), and the exact jump-list distribution that
+rows of `sampler.march`. The dataclasses describe rays: one emitted pulse
+(`Ray`), the training rays with their recorded ranges as columns
+(`RaySet`), and the exact jump-list distribution that
 `simscene.trace_true_cdf` returns (`SampleGrid`, `CdfTrace`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,57 +28,66 @@ UNIT_NORM_TOL = 1e-9
 COMPLEMENT_TOL = 1e-9
 
 
-class Drop:
-    """Distinguished non-return outcome. A single shared instance, ``DROP``."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "DROP"
-
-
-DROP = Drop()
-
-
-def is_drop(x) -> bool:
-    return isinstance(x, Drop)
-
-
 @dataclass
 class Ray:
-    """A single emitted pulse direction with its recorded range outcomes.
-
-    ``measurements`` holds every recorded range for this emitted-ray identity
-    (possibly several conflicting values). ``drop_flag`` is 1 when at least
-    one return was observed, 0 for a pure ray drop.
-    """
+    """One emitted pulse: origin, unit direction and range limit."""
 
     origin: np.ndarray
     direction: np.ndarray
     s_max: float
-    measurements: np.ndarray = field(default_factory=lambda: np.empty(0))
-    drop_flag: int = 1
-    ray_id: int = 0
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float)
         self.direction = np.asarray(self.direction, dtype=float)
-        self.measurements = np.asarray(self.measurements, dtype=float)
         if self.origin.shape != (3,) or self.direction.shape != (3,):
             raise InvalidInputError("origin and direction must be 3-vectors")
         if abs(np.linalg.norm(self.direction) - 1.0) > UNIT_NORM_TOL:
             raise InvalidInputError("direction must be unit-norm")
-        if self.measurements.size and (
-            np.any(self.measurements <= 0.0) or np.any(self.measurements > self.s_max)
-        ):
-            raise InvalidInputError("measurements must lie in (0, s_max]")
-        if self.drop_flag == 0 and self.measurements.size:
-            raise InvalidInputError("a dropped ray cannot carry measurements")
+
+
+@dataclass
+class RaySet:
+    """R training rays as columns, checked all at once.
+
+    ``ranges`` (R, K) holds each ray's recorded ranges in ascending order,
+    padded with ``inf``; a row of ``inf`` is a pure ray drop. ``ids`` (R,)
+    key each ray's sample streams and default to the row numbers. Indexing
+    with an array or slice gives a ``RaySet`` of those rows with their ids;
+    with an integer, that row's ``Ray``.
+    """
+
+    origins: np.ndarray
+    dirs: np.ndarray
+    ranges: np.ndarray
+    s_max: float
+    ids: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.origins = np.asarray(self.origins, dtype=float)
+        self.dirs = np.asarray(self.dirs, dtype=float)
+        self.ranges = np.asarray(self.ranges, dtype=float)
+        n = len(self.origins)
+        self.ids = np.arange(n) if self.ids is None else np.asarray(self.ids)
+        if (self.origins.shape != (n, 3) or self.dirs.shape != (n, 3)
+                or self.ranges.ndim != 2 or len(self.ranges) != n or self.ids.shape != (n,)):
+            raise InvalidInputError("origins and dirs must be (R, 3), ranges (R, K), ids (R,)")
+        if np.any(np.abs(np.linalg.norm(self.dirs, axis=1) - 1.0) > UNIT_NORM_TOL):
+            raise InvalidInputError("directions must be unit-norm")
+        padded = self.ranges == np.inf
+        if not np.all((self.ranges > 0.0) & (self.ranges <= self.s_max) | padded):
+            raise InvalidInputError("ranges must lie in (0, s_max]")
+
+    def __len__(self):
+        return len(self.origins)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return Ray(self.origins[index], self.dirs[index], self.s_max)
+        return RaySet(self.origins[index], self.dirs[index], self.ranges[index],
+                      self.s_max, self.ids[index])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 @dataclass

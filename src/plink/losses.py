@@ -93,6 +93,19 @@ def measurement_counts(ranges: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.count_nonzero(ranges[..., None, :] <= grid[..., :, None], axis=-1).astype(float)
 
 
+def range_moments(ranges: np.ndarray, k: np.ndarray) -> tuple:
+    """Per-row mean of the recorded ranges and of their squares, 0 where k = 0.
+
+    ``ranges`` (..., K) are ascending and inf-padded, ``k`` counts each
+    row's recorded ranges. The sums skip the padding rather than adding
+    zeros for it, so each row sums as ``np.mean`` sums its k values.
+    """
+    recorded = ranges < np.inf
+    return tuple(np.divide(np.sum(x, axis=-1, where=recorded), k,
+                           out=np.zeros(k.shape), where=k > 0)
+                 for x in (ranges, ranges ** 2))
+
+
 def bin_accumulate(per_sample: np.ndarray, grid: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Sum per-sample mass rows (..., J) into proposal bins (..., n_bins) by location."""
     n_bins = edges.size - 1

@@ -411,16 +411,22 @@ def _write_model(fh, model: FieldModel) -> None:
     fh.write(model.params.astype("<f4").tobytes())
 
 
+def _read_exact(fh, n: int) -> bytes:
+    data = fh.read(n) if n >= 0 else b""
+    if len(data) != n:
+        raise InvalidInputError(f"the file ends {n - len(data)} bytes early")
+    return data
+
+
 def _read_model(fh) -> FieldModel:
     magic = fh.read(len(MODEL_MAGIC))
     if magic != MODEL_MAGIC:
         raise InvalidInputError("not a field-model record")
     levels, dir_levels, use_dir, n_hidden, width, has_phi, count = struct.unpack(
-        "<7i", fh.read(28))
-    params = np.frombuffer(fh.read(4 * count), dtype="<f4").astype(np.float64)
-    model = FieldModel(levels, dir_levels, bool(use_dir), [width] * n_hidden,
-                       bool(has_phi), params)
-    return model
+        "<7i", _read_exact(fh, 28))
+    params = np.frombuffer(_read_exact(fh, 4 * count), dtype="<f4").astype(np.float64)
+    return FieldModel(levels, dir_levels, bool(use_dir), [width] * n_hidden,
+                      bool(has_phi), params)
 
 
 def save_checkpoint(path, coarse: FieldModel, fine: FieldModel) -> None:
@@ -432,13 +438,14 @@ def save_checkpoint(path, coarse: FieldModel, fine: FieldModel) -> None:
 
 
 def load_checkpoint(path):
+    """(coarse, fine) models; a malformed or short file raises naming it."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise InvalidInputError("not a checkpoint file")
-        (count,) = struct.unpack("<i", fh.read(4))
-        if count != 2:
-            raise InvalidInputError("checkpoint must hold coarse and fine models")
-        coarse = _read_model(fh)
-        fine = _read_model(fh)
-    return coarse, fine
+        try:
+            if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+                raise InvalidInputError("not a checkpoint file")
+            (count,) = struct.unpack("<i", _read_exact(fh, 4))
+            if count != 2:
+                raise InvalidInputError("checkpoint must hold coarse and fine models")
+            return _read_model(fh), _read_model(fh)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{path}: {exc}") from None

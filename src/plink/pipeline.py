@@ -1,9 +1,11 @@
 """Dataset assembly, the epoch loop, and novel-view rendering.
 
-Ray grouping rule: measurements aggregate per exact emitted-ray identity.
-For a static-path dataset every frame repeats the same rays, so samples
-pool across frames per (beam, azimuth); for a moving path each
-(frame, beam, azimuth) is its own ray with at most one measurement.
+Ray grouping rule: measurements aggregate per exact emitted-ray identity,
+into one `field.RaySet`: a row per ray, its recorded ranges ascending and
+padded with inf. For a static-path dataset every frame repeats the same
+rays, so samples pool across frames per (beam, azimuth); for a moving path
+each (frame, beam, azimuth) is its own row with one column. Row numbers
+key the rays' sample streams, and each training step takes a set of rows.
 
 Rendering runs the march that training runs (``sampler.march``), on plain
 arrays: a frame's rays go through it in chunks of ``batch_rays``. Each
@@ -27,7 +29,7 @@ from . import sampler
 from .config import RunConfig
 from .errors import InvalidInputError, OutOfBoundsError
 # cdf_from_sigma_values is not called here; perfbench/layers.py probes this name.
-from .field import Ray, bin_masses, cdf_from_sigma_values
+from .field import RaySet, bin_masses, cdf_from_sigma_values
 from .losses import pooled_drop_values
 from .metrics import PointCloud
 from .sensor import (Pose, ScanFrame, SensorIntrinsics, UnitCubeScale,
@@ -40,9 +42,8 @@ from .simscene import SceneSpec, generate_dataset, load_scene
 class TrainSet:
     """Grouped rays plus the world-to-unit-cube transform they live in."""
 
-    rays: list
+    rays: RaySet
     scale: UnitCubeScale
-    s_max: float
 
 
 def frames_static(frames: list) -> bool:
@@ -56,46 +57,40 @@ def frames_static(frames: list) -> bool:
     )
 
 
-def _frame_rays(frame: ScanFrame) -> tuple:
-    """(N, 3) world origins and directions of a frame's rays, beam-major."""
-    origins, dirs = ray_directions(frame.intrinsics, frame)
-    return origins.reshape(-1, 3), dirs.reshape(-1, 3)
+def _frame_rays(frames: list) -> tuple:
+    """(N, 3) world origins and directions of the frames' rays, frame after
+    frame and beam-major within a frame."""
+    rays = [ray_directions(f.intrinsics, f) for f in frames]
+    return tuple(np.concatenate([r[k].reshape(-1, 3) for r in rays]) for k in (0, 1))
 
 
-def build_rays(frames: list) -> list:
+def build_rays(frames: list) -> RaySet:
     """Group frame measurements into training rays (see module docstring)."""
     if not frames:
         raise InvalidInputError("need at least one frame")
-    s_max = frames[0].intrinsics.s_max
+    recorded = np.stack([np.where(f.returned, f.ranges, np.inf).reshape(-1) for f in frames])
     if frames_static(frames):
-        origins, dirs = _frame_rays(frames[0])
-        ranges = np.stack([f.ranges.reshape(-1) for f in frames])
-        returned = np.stack([f.returned.reshape(-1) for f in frames])
-        return [Ray(origin=o, direction=d, s_max=s_max,
-                    measurements=np.sort(ranges[returned[:, i], i]),
-                    drop_flag=int(returned[:, i].any()), ray_id=i)
-                for i, (o, d) in enumerate(zip(origins, dirs))]
-    rays = []
-    for frame in frames:
-        origins, dirs = _frame_rays(frame)
-        ranges, returned = frame.ranges.reshape(-1), frame.returned.reshape(-1)
-        rays += [Ray(origin=o, direction=d, s_max=s_max,
-                     measurements=np.array([ranges[i]]) if returned[i] else np.empty(0),
-                     drop_flag=int(returned[i]), ray_id=len(rays) + i)
-                 for i, (o, d) in enumerate(zip(origins, dirs))]
-    return rays
+        ranges = np.sort(recorded.T, axis=1)
+        ranges = ranges[:, :np.count_nonzero(ranges < np.inf, axis=1).max()]
+        frames = frames[:1]     # every frame repeats frame 0's rays
+    else:
+        ranges = recorded.reshape(-1, 1)
+    return RaySet(*_frame_rays(frames), ranges, frames[0].intrinsics.s_max)
 
 
 def train_set_from_frames(frames: list, scene: SceneSpec) -> TrainSet:
     """The grouped rays in the scene's unit cube; a ray that leaves it is an error."""
     _, scale = to_unit_cube(np.zeros((1, 3)), scene.bounds)
     rays = build_rays(frames)
-    s_max = frames[0].intrinsics.s_max
     # A static dataset's rays are frame 0's; a moving one's run frame by frame.
-    _check_in_bounds(np.array([ray.origin for ray in rays]),
-                     np.array([ray.direction for ray in rays]), s_max, scale,
+    _check_in_bounds(rays.origins, rays.dirs, rays.s_max, scale, frames[0].intrinsics)
+    return TrainSet(rays, scale)
+
+
+def check_frames_in_bounds(frames: list, scale: UnitCubeScale) -> None:
+    """`_check_in_bounds` over every ray of ``frames``, frame after frame."""
+    _check_in_bounds(*_frame_rays(frames), frames[0].intrinsics.s_max, scale,
                      frames[0].intrinsics)
-    return TrainSet(rays, scale, s_max)
 
 
 def _check_in_bounds(origins: np.ndarray, dirs: np.ndarray, s_max: float,
@@ -153,9 +148,6 @@ def train(train_set: TrainSet, config: RunConfig, depth_l2: bool = False,
     """
     if state is None:
         state = models_from_config(config)
-    step_config = sampler.StepConfig(
-        n_bins=config.n_bins, n_fine=config.n_fine, lr=config.lr,
-        alpha=config.alpha, seed=config.seed, depth_l2=depth_l2)
     order_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x0BDE4)))
     history = []
     rays = train_set.rays
@@ -164,9 +156,8 @@ def train(train_set: TrainSet, config: RunConfig, depth_l2: bool = False,
         totals = np.zeros(4)
         n_steps = 0
         for start in range(0, len(rays), config.batch_rays):
-            batch = [rays[i] for i in order[start:start + config.batch_rays]]
-            losses = sampler.train_step(state, batch, step_config,
-                                        train_set.scale, epoch=epoch)
+            losses = sampler.train_step(state, rays[order[start:start + config.batch_rays]],
+                                        config, train_set.scale, epoch, depth_l2)
             totals += [losses.l_c, losses.l_drop, losses.l_coarse, losses.l_fine]
             n_steps += 1
         row = totals / n_steps
@@ -273,7 +264,7 @@ def render_frame_cloud(state: sampler.TrainState, frame: ScanFrame,
     """
     n_fine = config.render_fine or config.n_fine
     mode = WEIGHTED_DEPTH if baseline else mode
-    origins, dirs = _frame_rays(frame)
+    origins, dirs = _frame_rays([frame])
     _check_in_bounds(origins, dirs, frame.intrinsics.s_max, scale, frame.intrinsics,
                      frame_index)
     ranges = np.empty((len(origins), config.render_draws if mode == "stochastic" else 1))
@@ -295,7 +286,7 @@ def render_frame_cloud(state: sampler.TrainState, frame: ScanFrame,
 
 def ground_truth_cloud(frame: ScanFrame) -> PointCloud:
     """World-frame points of a frame's returned measurements (drops excluded)."""
-    origins, dirs = _frame_rays(frame)
+    origins, dirs = _frame_rays([frame])
     returned = frame.returned.reshape(-1)
     ranges = frame.ranges.reshape(-1)[returned]
     return PointCloud(origins[returned] + ranges[:, None] * dirs[returned])

@@ -26,9 +26,10 @@ import numpy as np
 from . import autodiff as ad
 from . import net as nets
 from .errors import DivergenceError, InvalidInputError
-from .field import cdf_from_sigma_values, bin_masses, trapezoid_deltas
-from .losses import (DEFAULT_ALPHA, LossBreakdown, bce_values, bin_accumulate,
-                     hinge_values, measurement_counts, pooled_drop_values,
+from .config import RunConfig
+from .field import RaySet, cdf_from_sigma_values, bin_masses, trapezoid_deltas
+from .losses import (LossBreakdown, bce_values, bin_accumulate, hinge_values,
+                     measurement_counts, pooled_drop_values, range_moments,
                      step_mismatch_values)
 
 MIN_GAP = 1e-9
@@ -161,18 +162,6 @@ class TrainState:
                    nets.AdamState.for_model(fine))
 
 
-@dataclass
-class StepConfig:
-    """Hyperparameters consumed by one training step."""
-
-    n_bins: int = 64
-    n_fine: int = 64
-    lr: float = 5e-4
-    alpha: float = DEFAULT_ALPHA
-    seed: int = 0
-    depth_l2: bool = False  # deterministic weighted-depth baseline objective
-
-
 def march(state: TrainState, origins: np.ndarray, dirs: np.ndarray, s_max: float,
           n_bins: int, scale, forward, place) -> tuple:
     """Coarse -> proposal -> fine evaluation of a batch of B rays.
@@ -198,42 +187,28 @@ def march(state: TrainState, origins: np.ndarray, dirs: np.ndarray, s_max: float
     return hist_masses, grid, deltas, sigma, phi, cdf
 
 
-def train_step(state: TrainState, rays: list, config: StepConfig, scale,
-               epoch: int = 0):
-    """One joint optimization step over a ray batch.
+def train_step(state: TrainState, rays: RaySet, config: RunConfig, scale,
+               epoch: int = 0, depth_l2: bool = False):
+    """One joint optimization step over a batch of rays.
 
-    One pass over the rays gathers their origins, directions, drop flags
-    and measurements, inf-padded to (B, K). The march runs both networks
-    through a `net.ModelGraph`, whose ``(sigma, phi)`` leaves start the
-    tape, and places the fine points by stratified draws on each ray's
-    (seed, ray, epoch) stream. Then the fine loss on the cumulative trace,
-    and the proposal hinge against the detached fine field; `net.backward`
-    takes each loss through the tape to the leaves and on through the
-    hand-written MLP backward. Fine and coarse parameters each receive one
-    optimizer step, fine first.
+    The batch's columns go in whole: the drop target is whether a ray
+    recorded any range, and the (B, K) inf-padded ranges feed the step
+    mismatch (or, with ``depth_l2``, the deterministic weighted-depth
+    baseline). The march runs both networks through a `net.ModelGraph`,
+    whose ``(sigma, phi)`` leaves start the tape, and places the fine points
+    by stratified draws on each ray's (seed, id, epoch) stream. Then the
+    fine loss on the cumulative trace, and the proposal hinge against the
+    detached fine field; `net.backward` takes each loss through the tape to
+    the leaves and on through the hand-written MLP backward. Fine and coarse
+    parameters each receive one optimizer step, fine first.
     """
-    if not rays:
+    if not len(rays):
         raise InvalidInputError("ray batch must be nonempty")
     if not state.fine.has_phi_head:
         raise InvalidInputError("the fine model must carry the drop channel head")
-    s_max = rays[0].s_max
-    n_rays = len(rays)
-    origins, dirs = np.empty((n_rays, 3)), np.empty((n_rays, 3))
-    q_true, k = np.empty(n_rays), np.zeros(n_rays)
-    moments = np.zeros((n_rays, 2))     # per-ray mean of d and d^2, for the baseline
-    ray_ids, measured = [], []
-    for i, ray in enumerate(rays):
-        if ray.s_max != s_max:
-            raise InvalidInputError("all rays in a batch must share s_max")
-        origins[i], dirs[i], q_true[i] = ray.origin, ray.direction, ray.drop_flag
-        ray_ids.append(ray.ray_id)
-        measured.append(ray.measurements)
-        k[i] = ray.measurements.size
-        if config.depth_l2 and ray.measurements.size:
-            moments[i] = ray.measurements.mean(), np.mean(ray.measurements ** 2)
-    ranges = np.full((n_rays, int(k.max())), np.inf)
-    ranges[np.arange(ranges.shape[1]) < k[:, None]] = np.concatenate(measured)
-    draws = ray_draws(config.seed, ray_ids, epoch, 2 * config.n_fine)
+    ranges, s_max = rays.ranges, rays.s_max
+    k = np.count_nonzero(ranges < np.inf, axis=1).astype(float)
+    draws = ray_draws(config.seed, rays.ids, epoch, 2 * config.n_fine)
     graphs = []
 
     def record(model, feats):
@@ -241,18 +216,18 @@ def train_step(state: TrainState, rays: list, config: StepConfig, scale,
         return graphs[-1].forward(feats)
 
     hist_masses, grid, deltas, sigma_f, phi_f, cdf = march(
-        state, origins, dirs, s_max, config.n_bins, scale, record,
+        state, rays.origins, rays.dirs, s_max, config.n_bins, scale, record,
         lambda masses, edges: importance_sample(masses, edges, draws))
     coarse_graph, fine_graph = graphs
 
-    if config.depth_l2:
-        l_c = _depth_l2_term(cdf, grid, moments, k)
+    if depth_l2:
+        l_c = _depth_l2_term(cdf, grid, ranges, k)
     else:
         counts = measurement_counts(ranges, grid)
         l_c = _measured_mean(step_mismatch_values(cdf, deltas, counts, k), k)
 
     q_hat = pooled_drop_values(phi_f, bin_masses(cdf))
-    l_drop = bce_values(q_true, q_hat)
+    l_drop = bce_values(k > 0, q_hat)
     l_fine = config.alpha * l_c + (1.0 - config.alpha) * l_drop
 
     fine_tape = nets.backward(fine_graph, l_fine)
@@ -292,18 +267,18 @@ def _encode_batch(model, points_world, dirs, scale) -> np.ndarray:
                        model.encoding_levels, model.dir_levels)
 
 
-def _depth_l2_term(cdf, grid, moments, k):
+def _depth_l2_term(cdf, grid, ranges, k):
     """Deterministic baseline: squared error of the composited expected depth.
 
     Weights follow the standard opacity-compositing rule (per-bin mass of
     the cumulative trace), normalized per ray before the depth dot product.
-    ``moments`` holds each ray's mean measured range and mean squared range.
+    The target is each ray's mean measured range and mean squared range.
     """
     masses = bin_masses(cdf)
     totals = ad.reduce_sum(masses, axis=-1, keepdims=True) + 1e-12
     depth = ad.reduce_sum(masses * grid, axis=-1) / totals.reshape(len(k))
-    d_mean = moments[:, 0]
-    d_var = np.maximum(0.0, moments[:, 1] - d_mean ** 2)
+    d_mean, d_sq = range_moments(ranges, k)
+    d_var = np.maximum(0.0, d_sq - d_mean ** 2)
     # mean_k (d_k - D)^2 expands to (D - dbar)^2 + var(d).
     return _measured_mean((depth - d_mean) ** 2 + d_var, k)
 

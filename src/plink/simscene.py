@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .field import DROP, CdfTrace, Ray, SampleGrid, is_drop
+from .field import CdfTrace, Ray, SampleGrid
 # motion_compensate is not called here; perfbench/layers.py probes this name.
 from .sensor import ScanFrame, SensorIntrinsics, motion_compensate, ray_directions
 
@@ -280,15 +280,16 @@ def _hit_list(scene: SceneSpec, ray: Ray) -> list:
 
 def _first_reflection(hits, rng):
     """Outcome of one pulse walking (distance, return_prob, drops) hits in
-    distance order: one uniform draw per surface reached, until one reflects."""
+    distance order: one uniform draw per surface reached, until one reflects.
+    None is a ray drop."""
     for s, prob, drops in hits:
         if rng.random() < prob:
-            return DROP if drops else float(s)
-    return DROP
+            return None if drops else float(s)
+    return None
 
 
 def sample_return(scene: SceneSpec, ray: Ray, rng):
-    """One stochastic pulse outcome: a range in meters or DROP."""
+    """One stochastic pulse outcome: a range in meters, or None for a drop."""
     return _first_reflection(_hit_list(scene, ray), rng)
 
 
@@ -326,7 +327,7 @@ def generate_dataset(scene: SceneSpec, sensor_path: list, intrinsics: SensorIntr
             rng = np.random.default_rng(np.random.SeedSequence((seed, f, b, a)))
             k = n_hits[i]
             outcome = _first_reflection(zip(dist[i, :k], probs[i, :k], drops[i, :k]), rng)
-            if not is_drop(outcome):
+            if outcome is not None:
                 ranges[i] = outcome
                 returned[i] = True
     return frames

@@ -1,14 +1,15 @@
 """The command line end to end on the shipped scene: gen -> train -> render
 -> eval and compare, each byte-identical across two runs; eval on an empty
 cloud, bad config files, malformed dataset files, rays that leave the scene
-bounds and the PLINK_SEED override."""
+bounds, truncated checkpoints and the PLINK_SEED override."""
 
 import os
 
 import numpy as np
 import pytest
 
-from plink import cli, metrics, pipeline, simscene
+from plink import cli, metrics, net as nets, pipeline, simscene
+from plink.config import load_config
 
 SCENE = simscene.builtin_scene_path("panel_room.txt")
 PATH = simscene.builtin_scene_path("moving_path.csv")
@@ -270,4 +271,40 @@ def test_ray_leaving_the_scene_bounds_exits_2_before_work(tmp_path, capsys):
                        "--out", render)
     assert code == cli.EXIT_CONFIG
     assert err.startswith("error: ") and message in err
-    assert not any(render.iterdir())
+    assert not render.exists()
+
+
+def checkpoint_and_config(root):
+    """An untrained model's checkpoint and the config that built it."""
+    cfg = write_config(root, UNDER_TRAINED)
+    state = pipeline.models_from_config(load_config(cfg))
+    ckpt = root / "model.ckpt"
+    nets.save_checkpoint(ckpt, state.coarse, state.fine)
+    return ckpt, cfg
+
+
+def test_render_checks_every_frame_before_writing_a_cloud(tmp_path, capsys):
+    # Frame 0 stands at the origin; in frame 1 the sensor moves 10 m along
+    # +x, so its forward rays end past the bounds' 22 m half extent.
+    ckpt, cfg = checkpoint_and_config(tmp_path)
+    poses = tmp_path / "poses.csv"
+    poses.write_text("t_s,tx,ty,tz,qw,qx,qy,qz\n0.0,0,0,0,1,0,0,0\n"
+                     "0.1,0,0,0,1,0,0,0\n0.2,10,0,0,1,0,0,0\n")
+    render = tmp_path / "render"
+    code, _, err = run(capsys, "render", "--config", cfg, "--scene", SCENE,
+                       "--checkpoint", ckpt, "--poses", poses, "--out", render)
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("error: frame 1, beam ") and "leaves the scene bounds" in err
+    assert not list(render.glob("cloud_*.ply"))
+
+
+@pytest.mark.parametrize("cut", [lambda data: data[:30], lambda data: data[:-10]],
+                         ids=["first-30-bytes", "10-bytes-short"])
+def test_truncated_checkpoint_exits_2(tmp_path, capsys, cut):
+    ckpt, cfg = checkpoint_and_config(tmp_path)
+    short = tmp_path / "short.ckpt"
+    short.write_bytes(cut(ckpt.read_bytes()))
+    code, _, err = run(capsys, "render", "--config", cfg, "--scene", SCENE,
+                       "--checkpoint", short, "--poses", PATH, "--out", tmp_path / "render")
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith(f"error: {short}: the file ends ") and "bytes early" in err

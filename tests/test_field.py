@@ -5,7 +5,7 @@ are references: the package computes each of them only in batched form,
 and the batched kernels are checked against these ray by ray.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plink.errors import InvalidInputError
-from plink.field import (DROP, CdfTrace, Ray, SampleGrid, bin_masses, cdf_from_sigma_values,
-                         is_drop, trapezoid_deltas)
+from plink.field import (CdfTrace, Ray, RaySet, SampleGrid, bin_masses, cdf_from_sigma_values,
+                         trapezoid_deltas)
 
 
 @dataclass
@@ -47,13 +47,13 @@ def inverse_transform_sample(trace: CdfTrace, x: float):
     """Invert the cumulative distribution at level x in (0, 1).
 
     Returns the smallest s with C(s) >= x, linearly interpolated between
-    grid knots (the trace is anchored at C(0) = 0). Returns DROP when x
+    grid knots (the trace is anchored at C(0) = 0). Returns None (a drop) when x
     exceeds the total return mass. Flat segments resolve to their left edge.
     """
     if not (0.0 < x < 1.0):
         raise InvalidInputError("inversion level must lie strictly in (0, 1)")
     if trace.cdf.size == 0 or x > trace.total_mass:
-        return DROP
+        return None
     s_knots = np.concatenate([[0.0], trace.grid.gammas])
     c_knots = np.concatenate([[0.0], trace.cdf])
     hi = int(np.searchsorted(c_knots, x, side="left"))
@@ -66,7 +66,7 @@ def inverse_transform_sample(trace: CdfTrace, x: float):
 
 
 def render_confidence(trace: CdfTrace, level: float):
-    """Deterministic range at a fixed confidence level (DROP when unreached)."""
+    """Deterministic range at a fixed confidence level (None when unreached)."""
     return inverse_transform_sample(trace, level)
 
 
@@ -126,14 +126,55 @@ class TestRay:
         with pytest.raises(InvalidInputError):
             Ray(np.zeros(3), np.array([1.0, 1.0, 0.0]), 10.0)
 
-    def test_rejects_out_of_range_measurement(self):
-        with pytest.raises(InvalidInputError):
-            Ray(np.zeros(3), np.array([1.0, 0, 0]), 10.0, measurements=[12.0])
+    def test_holds_only_origin_direction_and_range_limit(self):
+        assert [f.name for f in fields(Ray)] == ["origin", "direction", "s_max"]
 
-    def test_drop_flag_requires_empty_measurements(self):
-        with pytest.raises(InvalidInputError):
-            Ray(np.zeros(3), np.array([1.0, 0, 0]), 10.0,
-                measurements=[5.0], drop_flag=0)
+
+def ray_set(**changes):
+    """Three rays along the axes: two and one recorded ranges, and a drop."""
+    columns = dict(origins=np.zeros((3, 3)), dirs=np.eye(3),
+                   ranges=[[1.0, 2.0], [3.0, np.inf], [np.inf, np.inf]], s_max=10.0)
+    return RaySet(**dict(columns, **changes))
+
+
+class TestRaySet:
+    def test_rejects_non_unit_direction(self):
+        with pytest.raises(InvalidInputError, match="unit-norm"):
+            ray_set(dirs=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+
+    def test_rejects_range_above_s_max(self):
+        with pytest.raises(InvalidInputError, match="s_max"):
+            ray_set(ranges=[[1.0, 12.0], [3.0, np.inf], [np.inf, np.inf]])
+
+    @pytest.mark.parametrize("bad", [0.0, -3.0, -np.inf, np.nan])
+    def test_rejects_nonpositive_range(self, bad):
+        with pytest.raises(InvalidInputError, match="s_max"):
+            ray_set(ranges=[[1.0, 2.0], [bad, np.inf], [np.inf, np.inf]])
+
+    @pytest.mark.parametrize("changes", [
+        dict(dirs=np.eye(3)[:2]), dict(origins=np.zeros((3, 2))),
+        dict(ranges=[[1.0], [2.0]]), dict(ranges=[1.0, 2.0, 3.0]), dict(ids=[0, 1])])
+    def test_rejects_mismatched_shapes(self, changes):
+        with pytest.raises(InvalidInputError, match=r"must be \(R, 3\)"):
+            ray_set(**changes)
+
+    def test_rows_keep_their_ids(self):
+        rays = ray_set()
+        assert len(rays) == 3
+        np.testing.assert_array_equal(rays.ids, [0, 1, 2])
+        picked = rays[np.array([2, 0])]
+        assert isinstance(picked, RaySet) and len(picked) == 2
+        np.testing.assert_array_equal(picked.ids, [2, 0])
+        np.testing.assert_array_equal(picked.ranges, [[np.inf, np.inf], [1.0, 2.0]])
+        np.testing.assert_array_equal(picked.dirs, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(picked[np.array([1])].ids, [0])
+
+    def test_integer_index_and_iteration_give_rays(self):
+        rays = ray_set()
+        for i, ray in enumerate(rays):
+            assert isinstance(ray, Ray) and ray.s_max == 10.0
+            np.testing.assert_array_equal(ray.direction, np.eye(3)[i])
+        np.testing.assert_array_equal(rays[np.int64(1)].direction, [0.0, 1.0, 0.0])
 
 
 class TestCumulativeFromSigma:
@@ -238,7 +279,7 @@ class TestInverseTransform:
         grid = SampleGrid.from_gammas(gammas)
         cdf = np.linspace(0.05, 0.4, 10)
         trace = CdfTrace(grid, cdf, 1.0 - cdf)
-        assert is_drop(inverse_transform_sample(trace, 0.9))
+        assert inverse_transform_sample(trace, 0.9) is None
 
     def test_rejects_levels_outside_unit_interval(self):
         trace = near_step_trace([(5.0, 1.0)], 10.0)
@@ -270,7 +311,7 @@ class TestRenderConfidence:
         gammas = np.linspace(1.0, 10.0, 10)
         cdf = np.linspace(0.03, 0.3, 10)
         trace = CdfTrace(SampleGrid.from_gammas(gammas), cdf, 1.0 - cdf)
-        assert is_drop(render_confidence(trace, 0.5))
+        assert render_confidence(trace, 0.5) is None
 
 
 class TestBaselineWeightedDepth:
@@ -315,7 +356,7 @@ class TestSamplingCorrectness:
         trace = cumulative_from_sigma(SigmaTrace(grid, sigma))
         draws = [inverse_transform_sample(trace, rng.uniform(1e-12, 1.0))
                  for _ in range(10_000)]
-        returns = np.sort([d for d in draws if not is_drop(d)])
+        returns = np.sort([d for d in draws if d is not None])
         drop_rate = 1.0 - len(returns) / len(draws)
         assert abs(drop_rate - (1.0 - trace.total_mass)) <= 0.02
 

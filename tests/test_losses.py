@@ -14,7 +14,7 @@ from plink.errors import InvalidInputError
 from plink.field import CdfTrace, SampleGrid, bin_masses, trapezoid_deltas
 from plink.losses import (BCE_EPS, DEFAULT_ALPHA, bce_values, bin_accumulate,
                           hinge_values, measurement_counts, pooled_drop_values,
-                          step_mismatch_values)
+                          range_moments, step_mismatch_values)
 from tests.test_field import SigmaTrace, cumulative_from_sigma, near_step_trace, uniform_grid
 from tests.test_sampler import ProposalHistogram
 
@@ -469,3 +469,19 @@ class TestBatchedAgainstPerRay:
                 drop_bce(q_true[one], q_hat[one]), rel=1e-14, abs=0.0)
         assert float(bce_values(q_true, q_hat)) == pytest.approx(drop_bce(q_true, q_hat),
                                                                  rel=1e-14)
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 20])
+    def test_range_moments_equal_per_ray_mean_bitwise(self, width):
+        # Eight and more values sum pairwise in np.mean, so summing inf
+        # padding as zeros would round differently.
+        rng = np.random.default_rng(35 + width)
+        ranges = np.full((40, width + 3), np.inf)
+        k = rng.integers(0, width + 1, size=40)
+        k[0] = width
+        for row, n in zip(ranges, k):
+            row[:n] = np.sort(rng.uniform(0.1, 20.0, size=n))
+        mean, mean_sq = range_moments(ranges, k.astype(float))
+        for i, n in enumerate(k):
+            values = ranges[i, :n]
+            want = (values.mean(), np.mean(values ** 2)) if n else (0.0, 0.0)
+            assert (mean[i], mean_sq[i]) == want

@@ -18,7 +18,7 @@ from plink import pipeline, sampler, sensor, simscene
 from plink.config import RunConfig
 from plink.errors import InvalidInputError, OutOfBoundsError
 from plink.field import (CdfTrace, Ray, SampleGrid, bin_masses, cdf_from_sigma_values,
-                         is_drop, trapezoid_deltas)
+                         trapezoid_deltas)
 from tests.test_field import inverse_transform_sample, render_confidence
 from tests.test_sensor import frame_fractions, oracle_poses
 
@@ -47,33 +47,50 @@ def dataset(path_name, n_frames, seed=4):
     return simscene.generate_dataset(scene, path, intr, seed)
 
 
+def padded(values, width):
+    """Ascending ``values`` padded with inf to ``width`` columns."""
+    return np.concatenate([np.sort(values), np.full(width - len(values), np.inf)])
+
+
 class TestBuildRays:
     def test_static_frames_pool_per_ray(self):
         frames = dataset("static_path.csv", 3)
         rays = pipeline.build_rays(frames)
         ref = reference_rays(frames[0])
         assert len(rays) == len(ref) == frames[0].ranges.size
-        for i, (ray, (origin, direction)) in enumerate(zip(rays, ref)):
+        np.testing.assert_array_equal(rays.ids, np.arange(len(ref)))
+        counts = sum(f.returned.reshape(-1).astype(int) for f in frames)
+        assert rays.ranges.shape == (len(ref), counts.max())
+        assert counts.min() < counts.max()      # some rows are padded
+        for i, (origin, direction) in enumerate(ref):
             b, a = divmod(i, frames[0].intrinsics.azimuth_count)
             values = [f.ranges[b, a] for f in frames if f.returned[b, a]]
-            assert ray.ray_id == i
-            assert ray.drop_flag == (1 if values else 0)
-            np.testing.assert_array_equal(ray.measurements, np.sort(values))
-            np.testing.assert_array_equal(ray.origin, origin)
-            np.testing.assert_array_equal(ray.direction, direction)
+            np.testing.assert_array_equal(rays.ranges[i], padded(values, counts.max()))
+            np.testing.assert_array_equal(rays.origins[i], origin)
+            np.testing.assert_array_equal(rays.dirs[i], direction)
 
     def test_moving_frames_give_one_ray_per_pulse(self):
         frames = dataset("moving_path.csv", 2)
         rays = pipeline.build_rays(frames)
         ref = [pair for frame in frames for pair in reference_rays(frame)]
-        assert [r.ray_id for r in rays] == list(range(len(ref)))
+        np.testing.assert_array_equal(rays.ids, np.arange(len(ref)))
         returned = np.concatenate([f.returned.reshape(-1) for f in frames])
         ranges = np.concatenate([f.ranges.reshape(-1) for f in frames])
-        for ray, (origin, direction), ok, r in zip(rays, ref, returned, ranges):
-            assert ray.drop_flag == int(ok)
-            np.testing.assert_array_equal(ray.measurements, [r] if ok else [])
-            np.testing.assert_array_equal(ray.origin, origin)
-            np.testing.assert_allclose(ray.direction, direction, rtol=0.0, atol=DIRECTION_TOL)
+        assert rays.ranges.shape == (len(ref), 1)
+        for i, ((origin, direction), ok, r) in enumerate(zip(ref, returned, ranges)):
+            np.testing.assert_array_equal(rays.ranges[i], [r] if ok else [np.inf])
+            np.testing.assert_array_equal(rays.origins[i], origin)
+            np.testing.assert_allclose(rays.dirs[i], direction, rtol=0.0, atol=DIRECTION_TOL)
+
+    def test_each_row_traces_to_its_recorded_ranges(self):
+        # rays[i] is row i's Ray: its exact cdf jumps at every range the row recorded.
+        scene = simscene.load_scene(simscene.builtin_scene_path("panel_room.txt"))
+        rays = pipeline.build_rays(dataset("static_path.csv", 3))
+        for i, ray in enumerate(rays):
+            trace = simscene.trace_true_cdf(scene, rays[i])
+            assert isinstance(ray, Ray) and np.array_equal(ray.direction, rays.dirs[i])
+            recorded = rays.ranges[i][rays.ranges[i] < np.inf]
+            assert np.all(np.isin(recorded, trace.grid.gammas))
 
 
 def oracle_first_outside(frames, scale):
@@ -193,12 +210,12 @@ def oracle_render_ray(render, mode, *, draws=3, level=0.5, peak_threshold=0.05, 
         out = []
         for _ in range(draws):
             sample = inverse_transform_sample(trace, float(rng.uniform(1e-12, 1.0)))
-            if not is_drop(sample):
+            if sample is not None:
                 out.append(sample)
         return out
     if mode == "confidence":
         sample = render_confidence(trace, level)
-        return [] if is_drop(sample) else [sample]
+        return [] if sample is None else [sample]
     masses = bin_masses(trace.cdf)
     if mode == "strongest-return":
         if masses.size == 0 or masses.max() < peak_threshold:
@@ -230,7 +247,7 @@ def oracle_frame_cloud(state, frame, scale, config, mode, baseline=False):
     points = []
     for ray_id, (origin, direction) in enumerate(zip(origins.reshape(-1, 3),
                                                      dirs.reshape(-1, 3))):
-        ray = Ray(origin, direction, frame.intrinsics.s_max, ray_id=ray_id)
+        ray = Ray(origin, direction, frame.intrinsics.s_max)
         render = oracle_evaluate_ray(state, ray, scale, config.n_bins, n_fine)
         if baseline:
             ranges = oracle_baseline_ray(render)

@@ -13,16 +13,22 @@ import pytest
 from plink import autodiff as ad
 from plink import net as nets
 from plink import sampler
+from plink.config import RunConfig
 from plink.errors import InvalidInputError
-from plink.field import Ray
+from plink.field import RaySet
 from plink.sensor import UnitCubeScale
 
 
-def make_ray(direction=(1.0, 0.0, 0.0), s_max=10.0, measurements=(), ray_id=0):
-    measurements = np.asarray(measurements, dtype=float)
-    return Ray(np.zeros(3), np.asarray(direction, dtype=float), s_max,
-               measurements=measurements,
-               drop_flag=1 if measurements.size else 0, ray_id=ray_id)
+def make_rays(rows, ids=None, s_max=10.0):
+    """Rays from the origin, one per (direction, measurements) row; each
+    row's measurements sorted and inf-padded to the widest."""
+    width = max(len(m) for _, m in rows)
+    ranges = np.full((len(rows), width), np.inf)
+    for i, (_, measurements) in enumerate(rows):
+        ranges[i, :len(measurements)] = np.sort(measurements)
+    dirs = np.array([d for d, _ in rows], dtype=float)
+    return RaySet(np.zeros_like(dirs), dirs / np.linalg.norm(dirs, axis=1, keepdims=True),
+                  ranges, s_max, ids)
 
 
 SCALE = UnitCubeScale(center=np.zeros(3), scale=1.0 / 12.0)
@@ -305,12 +311,10 @@ class TestMarch:
 class TestTrainStep:
     def setup_method(self):
         self.scale = UnitCubeScale(center=np.zeros(3), scale=1.0 / 12.0)
-        self.config = sampler.StepConfig(n_bins=8, n_fine=16, lr=1e-3, seed=3)
-        self.rays = [
-            make_ray(measurements=[5.0, 5.1, 9.8], ray_id=0),
-            make_ray(direction=(0.0, 1.0, 0.0), measurements=[4.0], ray_id=1),
-            make_ray(direction=(0.0, 0.0, 1.0), ray_id=2),  # drop-only
-        ]
+        self.config = RunConfig(n_bins=8, n_fine=16, lr=1e-3, seed=3)
+        self.rays = make_rays([((1.0, 0.0, 0.0), [5.0, 5.1, 9.8]),
+                               ((0.0, 1.0, 0.0), [4.0]),
+                               ((0.0, 0.0, 1.0), [])])    # drop-only
 
     def test_step_updates_both_models_and_reports_losses(self):
         state = tiny_state()
@@ -334,7 +338,7 @@ class TestTrainStep:
         assert np.array_equal(results[0][0], results[1][0])
         assert np.array_equal(results[0][1], results[1][1])
 
-    def tape_nodes(self, monkeypatch, state, config):
+    def tape_nodes(self, monkeypatch, state, depth_l2):
         """Tape nodes built during one train step, counted at Tensor.__init__."""
         count = [0]
         init = ad.Tensor.__init__
@@ -345,24 +349,24 @@ class TestTrainStep:
 
         with monkeypatch.context() as patch:
             patch.setattr(ad.Tensor, "__init__", counting_init)
-            sampler.train_step(state, self.rays, config, self.scale)
+            sampler.train_step(state, self.rays, self.config, self.scale, depth_l2=depth_l2)
         return count[0]
 
     @pytest.mark.parametrize("depth_l2", [False, True])
     def test_tape_size_does_not_grow_with_depth(self, monkeypatch, depth_l2):
         # The MLPs have a hand-written backward: only the loss head is on the tape.
-        config = sampler.StepConfig(n_bins=8, n_fine=16, lr=1e-3, seed=3, depth_l2=depth_l2)
-        shallow = self.tape_nodes(monkeypatch, tiny_state(hidden_layers=2), config)
-        deep = self.tape_nodes(monkeypatch, tiny_state(hidden_layers=4), config)
+        shallow = self.tape_nodes(monkeypatch, tiny_state(hidden_layers=2), depth_l2)
+        deep = self.tape_nodes(monkeypatch, tiny_state(hidden_layers=4), depth_l2)
         assert shallow == deep > 0
 
     def test_empty_batch_rejected(self):
         with pytest.raises(InvalidInputError):
-            sampler.train_step(tiny_state(), [], self.config, self.scale)
+            sampler.train_step(tiny_state(), self.rays[np.array([], dtype=int)], self.config,
+                               self.scale)
 
     def test_loss_decreases_over_steps(self):
         state = tiny_state(seed=2)
-        config = sampler.StepConfig(n_bins=8, n_fine=16, lr=5e-3, seed=5)
+        config = RunConfig(n_bins=8, n_fine=16, lr=5e-3, seed=5)
         first = sampler.train_step(state, self.rays, config, self.scale, epoch=0)
         last = None
         for epoch in range(1, 60):
@@ -372,37 +376,33 @@ class TestTrainStep:
 
     @pytest.mark.parametrize("depth_l2", [False, True])
     def test_distribution_term_matches_per_ray_brute_force(self, depth_l2):
-        # Unsorted and uneven measurement lists, inf-padded inside the step.
-        rays = [make_ray(measurements=[9.8, 5.0, 5.1], ray_id=4),
-                make_ray(direction=(0.0, 0.0, 1.0), ray_id=2),
-                make_ray(direction=(0.0, 1.0, 0.0), measurements=[4.0], ray_id=7),
-                make_ray(direction=(0.6, 0.8, 0.0), measurements=[2.0, 8.5, 3.0, 3.0, 1.5],
-                         ray_id=1)]
-        config = sampler.StepConfig(n_bins=8, n_fine=16, lr=1e-3, seed=3, depth_l2=depth_l2)
+        # Uneven measurement lists, inf-padded; the ids key the streams.
+        rows = [((1.0, 0.0, 0.0), [9.8, 5.0, 5.1]), ((0.0, 0.0, 1.0), []),
+                ((0.0, 1.0, 0.0), [4.0]), ((0.6, 0.8, 0.0), [2.0, 8.5, 3.0, 3.0, 1.5])]
+        rays = make_rays(rows, ids=[4, 2, 7, 1])
         state = tiny_state(seed=5)
-        draws = sampler.ray_draws(3, [r.ray_id for r in rays], 2, 32)
+        draws = sampler.ray_draws(3, [4, 2, 7, 1], 2, 32)
         _, grid, deltas, _, _, cdf = sampler.march(
-            state, np.stack([r.origin for r in rays]), np.stack([r.direction for r in rays]),
-            10.0, 8, self.scale, nets.forward,
+            state, rays.origins, rays.dirs, 10.0, 8, self.scale, nets.forward,
             lambda masses, edges: sampler.importance_sample(masses, edges, draws))
         per_ray = []
-        for ray, g, d, c in zip(rays, grid, deltas, cdf):
-            if not ray.measurements.size:
+        for (_, measurements), g, d, c in zip(rows, grid, deltas, cdf):
+            if not measurements:
                 continue
             if depth_l2:
                 masses = np.diff(c, prepend=0.0)
                 depth = np.dot(masses, g) / (masses.sum() + 1e-12)
-                per_ray.append(np.mean((ray.measurements - depth) ** 2))
+                per_ray.append(np.mean((np.array(measurements) - depth) ** 2))
             else:
-                per_ray.append(sum(np.sum(((g >= m) - c) ** 2 * d) for m in ray.measurements))
-        losses = sampler.train_step(state, rays, config, self.scale, epoch=2)
+                per_ray.append(sum(np.sum(((g >= m) - c) ** 2 * d) for m in measurements))
+        losses = sampler.train_step(state, rays, self.config, self.scale, epoch=2,
+                                    depth_l2=depth_l2)
         assert losses.l_c == pytest.approx(np.mean(per_ray), rel=1e-9)
 
     def test_baseline_objective_runs(self):
         state = tiny_state(seed=4)
-        config = sampler.StepConfig(n_bins=8, n_fine=16, lr=1e-3, seed=6,
-                                    depth_l2=True)
-        losses = sampler.train_step(state, self.rays, config, self.scale)
+        config = RunConfig(n_bins=8, n_fine=16, lr=1e-3, seed=6)
+        losses = sampler.train_step(state, self.rays, config, self.scale, depth_l2=True)
         assert np.isfinite(losses.l_fine)
 
     def test_coarse_hinge_ignores_fine_gradient(self):
@@ -413,6 +413,6 @@ class TestTrainStep:
         # while fine gradient came only from the fine loss terms.
         state = tiny_state(seed=7)
         fine_before = state.fine.params.copy()
-        config = sampler.StepConfig(n_bins=8, n_fine=16, lr=0.0, seed=8)
+        config = RunConfig(n_bins=8, n_fine=16, lr=0.0, seed=8)
         sampler.train_step(state, self.rays, config, self.scale)
         np.testing.assert_array_equal(state.fine.params, fine_before)

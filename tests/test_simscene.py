@@ -9,7 +9,7 @@ import pytest
 
 from plink import sensor, simscene
 from plink.errors import InvalidInputError
-from plink.field import Ray, is_drop
+from plink.field import Ray
 from plink.pipeline import resample_path
 
 SCENE = "panel_room.txt"
@@ -217,7 +217,7 @@ class TestExactCdf:
             trace = simscene.trace_true_cdf(scene, ray)
             rng = np.random.default_rng(k)
             outcomes = [simscene.sample_return(scene, ray, rng) for _ in range(draws)]
-            ranges = np.array([o for o in outcomes if not is_drop(o)])
+            ranges = np.array([o for o in outcomes if o is not None])
             assert np.all(np.isin(ranges, trace.grid.gammas))
             jumps = np.diff(trace.cdf, prepend=0.0)
             freq = np.array([(ranges == g).sum() for g in trace.grid.gammas]) / draws
@@ -255,7 +255,7 @@ class TestGenerateDataset:
             b, a = divmod(i, n_az)
             rng = np.random.default_rng(np.random.SeedSequence((seed, 0, b, a)))
             want = simscene.sample_return(scene, ray, rng)
-            if is_drop(want):
+            if want is None:
                 assert not frame.returned[b, a]
             else:
                 assert frame.returned[b, a] and frame.ranges[b, a] == want
