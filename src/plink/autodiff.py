@@ -1,21 +1,19 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
-A deliberately small tape that serves the loss head of training: the cdf,
-the step mismatch, the drop BCE and the proposal hinge, on `(B, J)` arrays
-that start from the networks' `(sigma, phi)` leaves. The MLPs below those
-leaves have a hand-written backward in `net`. The ops are elementwise
-arithmetic, reductions, cumulative sums, basic slicing, reshape,
-concatenation and a few nonlinearities, plus `matmul` and a `softplus`
-node, which serve as a reference for the hand-written MLP pass in tests.
-Everything is float64. The module-level helpers (`exp`, `sigmoid`,
-`cumsum`, ...) dispatch on type, so numerical kernels can be written once
-and evaluated either on plain arrays (no graph) or on `Tensor`s (graph
-recorded).
+A deliberately small float64 tape that the tests use as a reference: the
+MLP recorded op by op checks `net`'s hand-written backward, and the loss
+head recorded as `Tensor` ops checks the adjoints in `losses`, `field` and
+`sampler` bit for bit. The training path does not use it. The ops are
+elementwise arithmetic, reductions, cumulative sums, slicing, reshape,
+concatenation, ``matmul`` and a few nonlinearities; the module-level
+helpers (`exp`, `sigmoid`, `concatenate`, ...) take and return `Tensor`s.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from . import net
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -245,113 +243,58 @@ def _binary_vjp(left, right, v_left, v_right, unbroadcast=True):
     return vjp
 
 
-# -- dual array/Tensor helpers ------------------------------------------------
+# -- Tensor helpers -------------------------------------------------------------
 
 
-def exp(x):
-    if isinstance(x, Tensor):
-        value = np.exp(x.value)
-        out = Tensor(value, _parents=(x,))
-        out._vjp = lambda g: (g * value,)
-        return out
-    return np.exp(x)
-
-
-def log(x):
-    if isinstance(x, Tensor):
-        a = x.value
-        out = Tensor(np.log(a), _parents=(x,))
-        out._vjp = lambda g: (g / a,)
-        return out
-    return np.log(x)
-
-
-def maximum0(x):
-    """Elementwise max(0, x); gradient is zero on the inactive side."""
-    if isinstance(x, Tensor):
-        a = x.value
-        mask = (a > 0).astype(np.float64)
-        out = Tensor(a * mask, _parents=(x,))
-        out._vjp = lambda g: (g * mask,)
-        return out
-    return np.maximum(0.0, x)
-
-
-def clip(x, lo, hi):
-    """Clamp to [lo, hi]; gradient passes only inside the interval."""
-    if isinstance(x, Tensor):
-        a = x.value
-        mask = ((a >= lo) & (a <= hi)).astype(np.float64)
-        out = Tensor(np.clip(a, lo, hi), _parents=(x,))
-        out._vjp = lambda g: (g * mask,)
-        return out
-    return np.clip(x, lo, hi)
-
-
-def _sigmoid_np(a):
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    e = np.exp(a[~pos])
-    out[~pos] = e / (1.0 + e)
+def _unary(x: Tensor, value, vjp) -> Tensor:
+    out = Tensor(value, _parents=(x,))
+    out._vjp = lambda g: (vjp(g),)
     return out
 
 
-def sigmoid(x):
-    if isinstance(x, Tensor):
-        value = _sigmoid_np(x.value)
-        out = Tensor(value, _parents=(x,))
-        out._vjp = lambda g: (g * value * (1.0 - value),)
-        return out
-    return _sigmoid_np(np.asarray(x, dtype=np.float64))
+def exp(x: Tensor) -> Tensor:
+    value = np.exp(x.value)
+    return _unary(x, value, lambda g: g * value)
 
 
-def _softplus_np(a):
-    return np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a)))
+def log(x: Tensor) -> Tensor:
+    return _unary(x, np.log(x.value), lambda g: g / x.value)
 
 
-def softplus(x):
-    if isinstance(x, Tensor):
-        a = x.value
-        out = Tensor(_softplus_np(a), _parents=(x,))
-        out._vjp = lambda g: (g * _sigmoid_np(a),)
-        return out
-    return _softplus_np(np.asarray(x, dtype=np.float64))
+def maximum0(x: Tensor) -> Tensor:
+    """Elementwise max(0, x); gradient is zero on the inactive side."""
+    mask = (x.value > 0).astype(np.float64)
+    return _unary(x, x.value * mask, lambda g: g * mask)
 
 
-def cumsum(x, axis=-1):
-    if isinstance(x, Tensor):
-        return x.cumsum(axis=axis)
-    return np.cumsum(x, axis=axis)
+def clip(x: Tensor, lo, hi) -> Tensor:
+    """Clamp to [lo, hi]; gradient passes only inside the interval."""
+    mask = ((x.value >= lo) & (x.value <= hi)).astype(np.float64)
+    return _unary(x, np.clip(x.value, lo, hi), lambda g: g * mask)
 
 
-def reduce_sum(x, axis=None, keepdims=False):
-    if isinstance(x, Tensor):
-        return x.sum(axis=axis, keepdims=keepdims)
-    return np.sum(x, axis=axis, keepdims=keepdims)
+def sigmoid(x: Tensor) -> Tensor:
+    value = net.sigmoid(x.value)
+    return _unary(x, value, lambda g: g * value * (1.0 - value))
 
 
-def concatenate(parts, axis=0):
-    if any(isinstance(p, Tensor) for p in parts):
-        values = [_val(p) for p in parts]
-        out = Tensor(np.concatenate(values, axis=axis),
-                     _parents=_tensor_parents(*parts))
-        sizes = [v.shape[axis] for v in values]
-        offsets = np.cumsum([0] + sizes)
-
-        def vjp(g):
-            grads = []
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                if isinstance(p, Tensor):
-                    index = [slice(None)] * g.ndim
-                    index[axis] = slice(lo, hi)
-                    grads.append(g[tuple(index)])
-            return tuple(grads)
-
-        out._vjp = vjp
-        return out
-    return np.concatenate(parts, axis=axis)
+def softplus(x: Tensor) -> Tensor:
+    return _unary(x, net.softplus(x.value), lambda g: g * net.sigmoid(x.value))
 
 
-def value_of(x) -> np.ndarray:
-    return _val(x)
+def concatenate(parts, axis=0) -> Tensor:
+    values = [_val(p) for p in parts]
+    out = Tensor(np.concatenate(values, axis=axis), _parents=_tensor_parents(*parts))
+    offsets = np.cumsum([0] + [v.shape[axis] for v in values])
+
+    def vjp(g):
+        grads = []
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            if isinstance(p, Tensor):
+                index = [slice(None)] * g.ndim
+                index[axis] = slice(lo, hi)
+                grads.append(g[tuple(index)])
+        return tuple(grads)
+
+    out._vjp = vjp
+    return out

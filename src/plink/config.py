@@ -63,6 +63,9 @@ class RunConfig:
             raise ConfigError("encoding_levels and dir_levels must be at least 0")
         if self.hidden_width < 1 or self.hidden_layers < 1:
             raise ConfigError("hidden_width and hidden_layers must be at least 1")
+        if self.checkpoint_every < 1 or self.render_draws < 1 or self.render_fine < 0:
+            raise ConfigError("checkpoint_every and render_draws must be at least 1, "
+                              "render_fine at least 0")
         if np.any(np.diff(np.asarray(self.elevations)) <= 0.0):
             raise ConfigError("elevations must be strictly increasing")
         if not (0.0 < self.confidence_level < 1.0):
@@ -83,12 +86,11 @@ def _coerce(name: str, kind, raw: str):
             return _BOOL_STRINGS[raw.strip().lower()]
         except KeyError:
             raise ConfigError(f"{name}: expected a boolean, got {raw!r}") from None
-    if kind is list:
-        return [float(v) for v in raw.split()]
     try:
-        return kind(raw)
+        return [float(v) for v in raw.split()] if kind is list else kind(raw)
     except ValueError:
-        raise ConfigError(f"{name}: expected {kind.__name__}, got {raw!r}") from None
+        expected = "numbers" if kind is list else kind.__name__
+        raise ConfigError(f"{name}: expected {expected}, got {raw!r}") from None
 
 
 def parse_config(text: str) -> RunConfig:

@@ -7,12 +7,13 @@ return is generated at or before path distance s:
     C(s) = 1 - exp(-integral_0^s sigma)
 
 Survival P(s) = 1 - C(s) is the probability the pulse is transmitted past s.
-The kernels take a batch of rays at once: (B, J) rows of samples, plain
-arrays or autodiff Tensors. Training and rendering both call them on the
-rows of `sampler.march`. The dataclasses describe rays: one emitted pulse
-(`Ray`), the training rays with their recorded ranges as columns
-(`RaySet`), and the exact jump-list distribution that
-`simscene.trace_true_cdf` returns (`SampleGrid`, `CdfTrace`).
+The kernels take a batch of rays at once, (B, J) rows of samples, and
+training and rendering both call them on the rows of `sampler.march`;
+training's gradients go back through the adjoints (``*_vjp``) beside them.
+The dataclasses describe rays: one emitted pulse (`Ray`), the training
+rays with their recorded ranges as columns (`RaySet`), and the exact
+jump-list distribution that `simscene.trace_true_cdf` returns
+(`SampleGrid`, `CdfTrace`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import InvalidInputError
 
 UNIT_NORM_TOL = 1e-9
@@ -167,26 +167,36 @@ class CdfTrace:
         return float(self.cdf[-1]) if self.cdf.size else 0.0
 
 
-# -- kernels shared by the numpy ops and the differentiable training path -----
+# -- kernels and their adjoints -------------------------------------------------
 
 
 def cdf_from_sigma_values(sigmas, deltas):
-    """(cdf, survival) from sigma samples; accumulates in log space.
+    """(cdf, survival) from (..., J) sigma samples; accumulates in log space.
 
-    Accepts ndarray or autodiff Tensor with shape (..., J). The running
-    survival product is a single exponential of a cumulative sum, so long
-    rays with many bins cannot underflow term by term.
+    The running survival product is a single exponential of a cumulative
+    sum, so long rays with many bins cannot underflow term by term.
     """
-    integral = ad.cumsum(sigmas * deltas, axis=-1)
-    survival = ad.exp(-integral)
-    cdf = 1.0 - survival
-    return cdf, survival
+    survival = np.exp(-np.cumsum(sigmas * deltas, axis=-1))
+    return 1.0 - survival, survival
+
+
+def cdf_vjp(g_cdf, survival, deltas):
+    """Gradient at the sigma samples from the gradient at the cdf."""
+    return np.cumsum((g_cdf * survival)[..., ::-1], axis=-1)[..., ::-1] * deltas
 
 
 def bin_masses(cdf):
     """Per-bin probability mass from a cumulative trace; mass[0] = cdf[0]."""
-    if isinstance(cdf, ad.Tensor):
-        first = cdf[..., :1]
-        rest = cdf[..., 1:] - cdf[..., :-1]
-        return ad.concatenate([first, rest], axis=-1)
     return np.concatenate([cdf[..., :1], np.diff(cdf, axis=-1)], axis=-1)
+
+
+def bin_masses_vjp(g_masses, g_cdf):
+    """Add the gradient at the cdf from the one at the masses into ``g_cdf``.
+
+    Element j adds mass[j]'s gradient, then subtracts mass[j + 1]'s: the
+    order in which a reverse-mode tape accumulates them.
+    """
+    g_cdf[..., :1] += g_masses[..., :1]
+    g_cdf[..., 1:] += g_masses[..., 1:]
+    g_cdf[..., :-1] -= g_masses[..., 1:]
+    return g_cdf

@@ -10,10 +10,13 @@ Four terms drive the two networks:
 * the weighted combination of the first and third, alpha defaulting to 0.999.
 
 Each term has one definition, a kernel over a batch of B rays: (B, J)
-rows on the fine grid or (B, n_bins) rows of proposal masses, as plain
-arrays or autodiff Tensors. `sampler.train_step` calls them on the rows of
-its march, and rendering pools the drop channel with `pooled_drop_values`.
-The kernels do not validate; their callers build well-formed rows.
+rows on the fine grid or (B, n_bins) rows of proposal masses. Beside each
+is its adjoint (``*_vjp``): the gradient at the kernel's inputs from the
+gradient at its output, written as a reverse-mode tape would run it, op by
+op, so training's gradients round as the tape's would. `sampler.train_step`
+calls them on the rows of its march, and rendering pools the drop channel
+with `pooled_drop_values`. The kernels do not validate; their callers build
+well-formed rows.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import InvalidInputError
+from .net import sigmoid
 
 BCE_EPS = 1e-7
 DEFAULT_ALPHA = 0.999
@@ -59,33 +62,76 @@ def step_mismatch_values(cdf, deltas, counts, n_measurements):
         sum_j [ counts_j * (1 - C_j)^2 + (K - counts_j) * C_j^2 ] * delta_j
 
     which is exactly the K-term sum without materializing K step rows.
-    Works on (..., J) arrays or Tensors; returns per-ray values (...,).
+    Works on (..., J) rows; returns per-ray values (...,).
     """
-    counts = np.asarray(counts, dtype=float)
-    misses = n_measurements - counts if np.isscalar(n_measurements) \
-        else np.asarray(n_measurements, dtype=float)[..., None] - counts
-    above = (1.0 - cdf) ** 2 * counts
-    below = cdf ** 2 * misses
-    return ad.reduce_sum((above + below) * deltas, axis=-1)
+    misses = np.asarray(n_measurements, dtype=float)[..., None] - counts
+    return np.sum(((1.0 - cdf) ** 2 * counts + cdf ** 2 * misses) * deltas, axis=-1)
+
+
+def step_mismatch_vjp(g, cdf, deltas, counts, n_measurements):
+    """Gradient at the cdf from the per-ray gradient ``g`` (...,)."""
+    g = g[..., None] * deltas
+    misses = np.asarray(n_measurements, dtype=float)[..., None] - counts
+    return g * misses * 2 * cdf - g * counts * 2 * (1.0 - cdf)
 
 
 def pooled_drop_values(phi, masses):
     """Sigmoid of the mass-weighted sum of the drop channel, per ray."""
-    return ad.sigmoid(ad.reduce_sum(masses * phi, axis=-1))
+    return sigmoid(np.sum(masses * phi, axis=-1))
+
+
+def pooled_drop_vjp(g, q, phi, masses):
+    """(gradient at phi, gradient at masses) from the gradient at ``q``."""
+    g = (g * q * (1.0 - q))[..., None]
+    return g * masses, g * phi
 
 
 def bce_values(q_true, q_hat):
     """Mean binary cross-entropy with the estimate clamped away from {0, 1}."""
     q_true = np.asarray(q_true, dtype=float)
-    q = ad.clip(q_hat, BCE_EPS, 1.0 - BCE_EPS)
-    per = q_true * ad.log(q) + (1.0 - q_true) * ad.log(1.0 - q)
-    return -1.0 * ad.reduce_sum(per) * (1.0 / q_true.size)
+    q = np.clip(q_hat, BCE_EPS, 1.0 - BCE_EPS)
+    per = q_true * np.log(q) + (1.0 - q_true) * np.log(1.0 - q)
+    return -1.0 * np.sum(per) * (1.0 / q_true.size)
+
+
+def bce_vjp(g, q_true, q_hat):
+    """Gradient at ``q_hat`` from the gradient at the mean; 0 where clamped."""
+    q_true = np.asarray(q_true, dtype=float)
+    q = np.clip(q_hat, BCE_EPS, 1.0 - BCE_EPS)
+    g = g * (1.0 / q_true.size) * -1.0
+    return (g * q_true / q - g * (1.0 - q_true) / (1.0 - q)) * (q == q_hat)
 
 
 def hinge_values(fine_bin_masses, histogram_masses):
     """Underestimation-only hinge between normalized per-bin masses."""
-    gap = -1.0 * histogram_masses + fine_bin_masses
-    return ad.reduce_sum(ad.maximum0(gap), axis=-1)
+    gap = fine_bin_masses - histogram_masses
+    return np.sum(gap * (gap > 0), axis=-1)
+
+
+def hinge_vjp(g, fine_bin_masses, histogram_masses):
+    """Gradient at the histogram masses from the per-ray gradient ``g``."""
+    return g[..., None] * (fine_bin_masses - histogram_masses > 0) * -1.0
+
+
+def depth_l2_values(masses, grid, d_mean, d_var):
+    """Deterministic baseline: squared error of the composited expected depth.
+
+    Weights follow the standard opacity-compositing rule (per-bin
+    ``masses`` of the cumulative trace), normalized per ray before the
+    depth dot product. The target is each ray's mean measured range and
+    the variance of its ranges: mean_k (d_k - D)^2 = (D - dbar)^2 + var(d).
+    """
+    depth = np.sum(masses * grid, axis=-1) * (1.0 / (np.sum(masses, axis=-1) + 1e-12))
+    return (depth - d_mean) ** 2 + d_var
+
+
+def depth_l2_vjp(g, masses, grid, d_mean):
+    """Gradient at the masses from the per-ray gradient ``g``."""
+    totals = np.sum(masses, axis=-1) + 1e-12
+    weighted = np.sum(masses * grid, axis=-1)
+    g_depth = g * 2 * (weighted * (1.0 / totals) - d_mean)
+    g_totals = -(g_depth * weighted) / (totals * totals)
+    return (g_depth * (1.0 / totals))[..., None] * grid + g_totals[..., None]
 
 
 def measurement_counts(ranges: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -7,15 +7,15 @@ adaptive-moment update with bias correction.
 
 The MLP has one definition, a layer loop on plain arrays that serves both
 inference and training. For training, `ModelGraph` keeps each hidden
-layer's input and returns `(sigma, phi)` as leaf tensors: the autodiff tape
-starts there and records only the loss head. `backward` runs the tape down
-to those leaves, then a hand-written backward through the heads and hidden
-layers turns their gradients into a flat vector in `layer_shapes` order.
-Each elementwise step is one in-place pass over the activations: bias add,
-relu as ``np.maximum``, the relu mask on the gradient, and the rank-1 head
-products as broadcast multiplies. Each rounds as the op a tape-recorded MLP
-would run, so the gradient is bit-identical to one (up to the sign of a
-zero: relu gives +0.0 where the tape's ``z * (z > 0)`` gives -0.0).
+layer's input and returns `(sigma, phi)`. The loss head's own adjoints
+(`losses`, `field`) give the gradients at those outputs, and `backward`
+takes them through the heads and hidden layers by hand into a flat vector
+in `layer_shapes` order. Each elementwise step is one in-place pass over
+the activations: bias add, relu as ``np.maximum``, the relu mask on the
+gradient, and the rank-1 head products as broadcast multiplies. Each
+rounds as the op a tape-recorded MLP would run, so the gradient is
+bit-identical to one (up to the sign of a zero: relu gives +0.0 where the
+tape's ``z * (z > 0)`` gives -0.0).
 
 Checkpoint layout (single model record, little-endian):
 
@@ -35,13 +35,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import (CorruptedModelError, DivergenceError, InvalidInputError,
                      OutOfBoundsError)
 
 MODEL_MAGIC = b"PLNKFLD1"
 CHECKPOINT_MAGIC = b"PLNKCKPT"
 POSITION_BOUND = 1.001
+
+
+def sigmoid(a: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow: exp of a nonpositive argument only."""
+    e = np.exp(-np.abs(a))
+    return np.where(np.asarray(a) >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def softplus(a: np.ndarray) -> np.ndarray:
+    a = np.asarray(a, dtype=np.float64)
+    return np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a)))
 
 
 def encode(positions, directions=None, levels: int = 8, dir_levels: int = 2) -> np.ndarray:
@@ -208,26 +218,21 @@ class ModelGraph:
     """One training pass of a model: what its hand-written backward needs.
 
     ``forward`` keeps each hidden layer's input and the last hidden
-    activation (``acts``) and the sigma head's pre-activation; a relu mask
-    is recomputed from the layer's output as ``h > 0``.
+    activation (``acts``), the sigma head's pre-activation and ``sigma``;
+    a relu mask is recomputed from the layer's output as ``h > 0``.
     """
 
     def __init__(self, model: FieldModel):
         self.model = model
         self.views = model.param_views()
         self.acts = []
-        self.pre_sigma = None
-        self.sigma = self.phi = None
+        self.pre_sigma = self.sigma = None
 
     def forward(self, feats: np.ndarray):
-        """(sigma, phi) leaf Tensors of shape (N,); phi is None without the head.
-
-        The tape starts at these leaves: nothing of the MLP is recorded.
-        """
+        """(sigma, phi) of shape (N,), as `forward` gives; phi is None without the head."""
         self.pre_sigma, phi = _layers(self.model, self.views, feats, self.acts)
-        self.sigma = ad.Tensor(ad.softplus(self.pre_sigma))
-        self.phi = None if phi is None else ad.Tensor(phi)
-        return self.sigma, self.phi
+        self.sigma = softplus(self.pre_sigma)
+        return self.sigma, phi
 
 
 def _layers(model: FieldModel, views: list, feats, acts=None):
@@ -263,7 +268,7 @@ def forward(model: FieldModel, feats: np.ndarray):
     if np.isnan(model.params).any():
         raise CorruptedModelError("model parameters contain NaN")
     pre_sigma, phi = _layers(model, model.param_views(), feats)
-    return ad.softplus(pre_sigma), phi
+    return softplus(pre_sigma), phi
 
 
 @dataclass
@@ -288,19 +293,15 @@ class GradientTape:
             raise DivergenceError(f"gradient contains non-finite entries{where}")
 
 
-def backward(graph: ModelGraph, loss: ad.Tensor) -> GradientTape:
-    """Gradient of a scalar loss for one model's parameters.
+def backward(graph: ModelGraph, loss, g_sigma: np.ndarray, g_phi=None) -> GradientTape:
+    """The scalar ``loss`` with its flat parameter gradient for one model.
 
-    The tape runs from ``loss`` down to the graph's ``(sigma, phi)``
-    leaves; the hand-written MLP backward takes it from there.
+    ``g_sigma`` and ``g_phi`` (N,) are the loss's gradients at the graph's
+    outputs; a phi head without ``g_phi`` gets a zero gradient.
     """
-    loss.backward()
-    n = graph.pre_sigma.shape[0]
-    g_sigma = graph.sigma.grad if graph.sigma.grad is not None else np.zeros(n)
-    g_phi = None
-    if graph.phi is not None:
-        g_phi = graph.phi.grad if graph.phi.grad is not None else np.zeros(n)
-    return GradientTape(loss.item(), _mlp_backward(graph, g_sigma, g_phi), graph.model)
+    if g_phi is None and graph.model.has_phi_head:
+        g_phi = np.zeros_like(g_sigma)
+    return GradientTape(float(loss), _mlp_backward(graph, g_sigma, g_phi), graph.model)
 
 
 def _mlp_backward(graph: ModelGraph, g_sigma: np.ndarray, g_phi) -> np.ndarray:
@@ -317,7 +318,7 @@ def _mlp_backward(graph: ModelGraph, g_sigma: np.ndarray, g_phi) -> np.ndarray:
     grad = np.empty(model.param_count())
     grad_views = _layout_views(model.layer_shapes(), grad)
     n_hidden = len(model.layer_widths)
-    heads = [g_sigma * ad.sigmoid(graph.pre_sigma)]
+    heads = [g_sigma * sigmoid(graph.pre_sigma)]
     if g_phi is not None:
         heads.append(g_phi)
     h = acts[n_hidden]

@@ -187,7 +187,7 @@ def evaluate_ray(state: sampler.TrainState, origins: np.ndarray, dirs: np.ndarra
     result is deterministic. The name is singular because
     perfbench/layers.py probes it under this name.
     """
-    _, grid, _, _, phi, cdf = sampler.march(
+    _, grid, _, _, phi, cdf, _ = sampler.march(
         state, origins, dirs, s_max, n_bins, scale, nets.forward,
         lambda masses, edges: sampler.quantile_points(masses, edges, n_fine))
     return grid, cdf, pooled_drop_values(phi, bin_masses(cdf))

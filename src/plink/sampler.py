@@ -6,14 +6,14 @@ one (B, n_bins) array of masses, and one placement kernel,
 `importance_sample`, inverts every row's mass cdf at once to put the fine
 test points. The fine network is evaluated on the union of those points
 and the bin edges. The callers differ only in what they pass in: training
-runs each network through a `net.ModelGraph`, whose `(sigma, phi)` leaves
-start the autodiff tape, and draws stratified offsets from per-ray streams
+runs each network through a `net.ModelGraph`, which keeps what its
+backward needs, and draws stratified offsets from per-ray streams
 (`ray_draws`); rendering runs the plain forward and places at the
-mass quantiles (`quantile_points`, every draw 0.5). The tape records only
-the loss head; the MLPs have a hand-written backward in `net`. The fine
-network is trained on the distribution and drop objectives, the proposal
-on the underestimation hinge against the (detached) fine field, one
-optimizer step each per batch.
+mass quantiles (`quantile_points`, every draw 0.5). The fine network is
+trained on the distribution and drop objectives, the proposal on the
+underestimation hinge against the (detached) fine field, one optimizer
+step each per batch. Each gradient runs back through the loss kernels'
+adjoints to the networks' outputs, then through `net.backward`.
 """
 
 from __future__ import annotations
@@ -23,14 +23,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import autodiff as ad
 from . import net as nets
 from .errors import DivergenceError, InvalidInputError
 from .config import RunConfig
-from .field import RaySet, cdf_from_sigma_values, bin_masses, trapezoid_deltas
-from .losses import (LossBreakdown, bce_values, bin_accumulate, hinge_values,
-                     measurement_counts, pooled_drop_values, range_moments,
-                     step_mismatch_values)
+from .field import (RaySet, bin_masses, bin_masses_vjp, cdf_from_sigma_values, cdf_vjp,
+                    trapezoid_deltas)
+from .losses import (LossBreakdown, bce_values, bce_vjp, bin_accumulate, depth_l2_values,
+                     depth_l2_vjp, hinge_values, hinge_vjp, measurement_counts,
+                     pooled_drop_values, pooled_drop_vjp, range_moments,
+                     step_mismatch_values, step_mismatch_vjp)
 
 MIN_GAP = 1e-9
 
@@ -48,17 +49,29 @@ def histogram_from_coarse(model, origins, dirs, s_max: float, n_bins: int, scale
                           forward):
     """Normalized proposal masses (B, n_bins) from the coarse field at the bin centers.
 
-    ``forward(model, feats)`` is the network pass; the result is a Tensor
-    when sigma is a tape leaf, a plain array otherwise.
+    ``forward(model, feats) -> (sigma, phi)`` is the network pass.
     """
     if n_bins < 2:
         raise InvalidInputError("need at least two coarse bins")
     centers = uniform_bin_centers(s_max, n_bins)
-    widths = np.diff(uniform_bin_edges(s_max, n_bins))
     points = origins[:, None, :] + centers[None, :, None] * dirs[:, None, :]
     sigma, _ = forward(model, _encode_batch(model, points, dirs, scale))
-    masses = sigma.reshape(len(origins), n_bins) * widths
-    return masses / (masses.sum(axis=-1, keepdims=True) + 1e-12)
+    widths = np.diff(uniform_bin_edges(s_max, n_bins))
+    return unit_masses(sigma.reshape(len(origins), n_bins), widths)
+
+
+def unit_masses(sigma, widths):
+    """Bin masses ``sigma * widths`` (..., n_bins), scaled to unit row sums."""
+    masses = sigma * widths
+    return masses * (1.0 / (masses.sum(axis=-1, keepdims=True) + 1e-12))
+
+
+def unit_masses_vjp(g, sigma, widths):
+    """Gradient at ``sigma`` from the gradient at the unit masses."""
+    masses = sigma * widths
+    total = masses.sum(axis=-1, keepdims=True) + 1e-12
+    g_total = -np.sum(g * masses, axis=-1, keepdims=True) / (total * total)
+    return (g * (1.0 / total) + g_total) * widths
 
 
 class Proposal(NamedTuple):
@@ -166,25 +179,24 @@ def march(state: TrainState, origins: np.ndarray, dirs: np.ndarray, s_max: float
           n_bins: int, scale, forward, place) -> tuple:
     """Coarse -> proposal -> fine evaluation of a batch of B rays.
 
-    ``forward(model, feats) -> (sigma, phi)`` runs a network (tape leaves
-    or plain arrays). The proposal is one (B, n_bins) array of normalized
-    masses, and ``place(masses, edges) -> (B, n_fine)`` puts every ray's
-    fine points from it at once. Returns ``(hist_masses, grid, deltas,
-    sigma, phi, cdf)``, each with B rows.
+    ``forward(model, feats) -> (sigma, phi)`` runs a network. The proposal
+    is one (B, n_bins) array of normalized masses, and ``place(masses,
+    edges) -> (B, n_fine)`` puts every ray's fine points from it at once.
+    Returns ``(hist_masses, grid, deltas, sigma, phi, cdf, survival)``,
+    each with B rows.
     """
     hist_masses = histogram_from_coarse(state.coarse, origins, dirs, s_max, n_bins,
                                         scale, forward)
-    # Placement happens outside any graph: sample positions are constants
-    # with respect to both parameter vectors.
+    # Sample positions are constants with respect to both parameter vectors.
     edges = uniform_bin_edges(s_max, n_bins)
-    proposal = histogram_from_heights(edges, ad.value_of(hist_masses) / np.diff(edges))
+    proposal = histogram_from_heights(edges, hist_masses / np.diff(edges))
     grid = fine_grid_rows(place(proposal.masses, edges), edges)     # (B, J)
     deltas = trapezoid_deltas(grid)
     points = origins[:, None, :] + grid[:, :, None] * dirs[:, None, :]
     sigma, phi = forward(state.fine, _encode_batch(state.fine, points, dirs, scale))
     sigma, phi = sigma.reshape(grid.shape), phi.reshape(grid.shape)
-    cdf, _ = cdf_from_sigma_values(sigma, deltas)
-    return hist_masses, grid, deltas, sigma, phi, cdf
+    cdf, survival = cdf_from_sigma_values(sigma, deltas)
+    return hist_masses, grid, deltas, sigma, phi, cdf, survival
 
 
 def train_step(state: TrainState, rays: RaySet, config: RunConfig, scale,
@@ -194,19 +206,21 @@ def train_step(state: TrainState, rays: RaySet, config: RunConfig, scale,
     The batch's columns go in whole: the drop target is whether a ray
     recorded any range, and the (B, K) inf-padded ranges feed the step
     mismatch (or, with ``depth_l2``, the deterministic weighted-depth
-    baseline). The march runs both networks through a `net.ModelGraph`,
-    whose ``(sigma, phi)`` leaves start the tape, and places the fine points
-    by stratified draws on each ray's (seed, id, epoch) stream. Then the
-    fine loss on the cumulative trace, and the proposal hinge against the
-    detached fine field; `net.backward` takes each loss through the tape to
-    the leaves and on through the hand-written MLP backward. Fine and coarse
-    parameters each receive one optimizer step, fine first.
+    baseline), averaged over the rays that recorded one. The march runs
+    both networks through a `net.ModelGraph` and places the fine points by
+    stratified draws on each ray's (seed, id, epoch) stream. Then the fine
+    loss on the cumulative trace, and the proposal hinge against the
+    detached fine field. Each loss's gradient runs back through the
+    kernels' adjoints to the network outputs, adding the terms that meet at
+    the cdf in a fixed order, and `net.backward` takes it on through the
+    MLP. Fine and coarse parameters each receive one optimizer step, fine
+    first.
     """
     if not len(rays):
         raise InvalidInputError("ray batch must be nonempty")
     if not state.fine.has_phi_head:
         raise InvalidInputError("the fine model must carry the drop channel head")
-    ranges, s_max = rays.ranges, rays.s_max
+    ranges, s_max, alpha = rays.ranges, rays.s_max, config.alpha
     k = np.count_nonzero(ranges < np.inf, axis=1).astype(float)
     draws = ray_draws(config.seed, rays.ids, epoch, 2 * config.n_fine)
     graphs = []
@@ -215,46 +229,53 @@ def train_step(state: TrainState, rays: RaySet, config: RunConfig, scale,
         graphs.append(nets.ModelGraph(model))
         return graphs[-1].forward(feats)
 
-    hist_masses, grid, deltas, sigma_f, phi_f, cdf = march(
+    hist_masses, grid, deltas, sigma_f, phi_f, cdf, survival = march(
         state, rays.origins, rays.dirs, s_max, config.n_bins, scale, record,
         lambda masses, edges: importance_sample(masses, edges, draws))
     coarse_graph, fine_graph = graphs
 
+    # l_c is the batch mean over the rays with measurements (k > 0).
+    weights = (k > 0) / max(np.count_nonzero(k), 1)
+    masses = bin_masses(cdf)
     if depth_l2:
-        l_c = _depth_l2_term(cdf, grid, ranges, k)
+        d_mean, d_sq = range_moments(ranges, k)
+        per_ray = depth_l2_values(masses, grid, d_mean, np.maximum(0.0, d_sq - d_mean ** 2))
+        g_cdf = bin_masses_vjp(depth_l2_vjp(alpha * weights, masses, grid, d_mean),
+                               np.zeros_like(cdf))
     else:
         counts = measurement_counts(ranges, grid)
-        l_c = _measured_mean(step_mismatch_values(cdf, deltas, counts, k), k)
-
-    q_hat = pooled_drop_values(phi_f, bin_masses(cdf))
+        per_ray = step_mismatch_values(cdf, deltas, counts, k)
+        g_cdf = step_mismatch_vjp(alpha * weights, cdf, deltas, counts, k)
+    l_c = np.sum(per_ray * weights)
+    q_hat = pooled_drop_values(phi_f, masses)
     l_drop = bce_values(k > 0, q_hat)
-    l_fine = config.alpha * l_c + (1.0 - config.alpha) * l_drop
-
-    fine_tape = nets.backward(fine_graph, l_fine)
+    g_phi, g_masses = pooled_drop_vjp(bce_vjp(1.0 - alpha, k > 0, q_hat), q_hat, phi_f, masses)
+    g_sigma = cdf_vjp(bin_masses_vjp(g_masses, g_cdf), survival, deltas)
+    fine_tape = nets.backward(fine_graph, alpha * l_c + (1.0 - alpha) * l_drop,
+                              g_sigma.ravel(), g_phi.ravel())
     if not np.isfinite(fine_tape.loss):
         raise DivergenceError("fine loss is non-finite")
 
     # Proposal hinge: fine masses are detached constants (stop gradient).
     edges = uniform_bin_edges(s_max, config.n_bins)
-    fine_bin_mass = bin_accumulate(ad.value_of(sigma_f) * deltas, grid, edges)
+    fine_bin_mass = bin_accumulate(sigma_f * deltas, grid, edges)
     totals = fine_bin_mass.sum(axis=-1, keepdims=True)
     fine_bin_mass = np.where(totals > 1e-12, fine_bin_mass / np.maximum(totals, 1e-300),
                              1.0 / config.n_bins)
-    l_coarse = hinge_values(fine_bin_mass, hist_masses).mean()
-    coarse_tape = nets.backward(coarse_graph, l_coarse)
+    hinge = hinge_values(fine_bin_mass, hist_masses)
+    g_hist = hinge_vjp(np.full(len(hinge), 1.0 / len(hinge)), fine_bin_mass, hist_masses)
+    g_coarse = unit_masses_vjp(g_hist, coarse_graph.sigma.reshape(hist_masses.shape),
+                               np.diff(edges))
+    coarse_tape = nets.backward(coarse_graph, np.sum(hinge) * (1.0 / len(hinge)),
+                                g_coarse.ravel())
     if not np.isfinite(coarse_tape.loss):
         raise DivergenceError("coarse loss is non-finite")
 
     nets.opt_step(state.fine, fine_tape, config.lr, state.opt_fine)
     nets.opt_step(state.coarse, coarse_tape, config.lr, state.opt_coarse)
 
-    return LossBreakdown(
-        l_c=float(ad.value_of(l_c)),
-        l_drop=float(ad.value_of(l_drop)),
-        l_coarse=coarse_tape.loss,
-        l_fine=fine_tape.loss,
-        alpha=config.alpha,
-    )
+    return LossBreakdown(l_c=float(l_c), l_drop=float(l_drop), l_coarse=coarse_tape.loss,
+                         l_fine=fine_tape.loss, alpha=alpha)
 
 
 def _encode_batch(model, points_world, dirs, scale) -> np.ndarray:
@@ -265,27 +286,3 @@ def _encode_batch(model, points_world, dirs, scale) -> np.ndarray:
     flat = scale.apply(points_world.reshape(-1, 3))
     return nets.encode(flat, dirs if model.use_direction else None,
                        model.encoding_levels, model.dir_levels)
-
-
-def _depth_l2_term(cdf, grid, ranges, k):
-    """Deterministic baseline: squared error of the composited expected depth.
-
-    Weights follow the standard opacity-compositing rule (per-bin mass of
-    the cumulative trace), normalized per ray before the depth dot product.
-    The target is each ray's mean measured range and mean squared range.
-    """
-    masses = bin_masses(cdf)
-    totals = ad.reduce_sum(masses, axis=-1, keepdims=True) + 1e-12
-    depth = ad.reduce_sum(masses * grid, axis=-1) / totals.reshape(len(k))
-    d_mean, d_sq = range_moments(ranges, k)
-    d_var = np.maximum(0.0, d_sq - d_mean ** 2)
-    # mean_k (d_k - D)^2 expands to (D - dbar)^2 + var(d).
-    return _measured_mean((depth - d_mean) ** 2 + d_var, k)
-
-
-def _measured_mean(per_ray, k):
-    """Batch mean of a per-ray term over the rays with measurements (k > 0)."""
-    contributing = float(np.count_nonzero(k))
-    if contributing == 0.0:
-        return per_ray.sum() * 0.0
-    return ad.reduce_sum(per_ray * ((k > 0).astype(float) / contributing))

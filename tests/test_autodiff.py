@@ -1,4 +1,7 @@
-"""Finite-difference checks for the reverse-mode tape."""
+"""Finite-difference checks for the reverse-mode tape, which only tests use."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ def check(fn, x, rtol=1e-6, atol=1e-8):
     t = ad.Tensor(np.asarray(x, dtype=float).copy())
     out = fn(t)
     out.backward()
-    expected = numerical_grad(lambda arr: float(ad.value_of(fn(ad.Tensor(arr)))), x)
+    expected = numerical_grad(lambda arr: fn(ad.Tensor(arr)).item(), x)
     np.testing.assert_allclose(t.grad, expected, rtol=rtol, atol=atol)
 
 
@@ -64,7 +67,7 @@ def test_matmul_grads():
     b0 = RNG.normal(size=(3, 2))
 
     def fn_a(arr):
-        return float(ad.value_of((ad.Tensor(arr) @ b0).sum()))
+        return (ad.Tensor(arr) @ b0).sum().item()
 
     t = ad.Tensor(a0.copy())
     out = (t @ b0).sum()
@@ -72,7 +75,7 @@ def test_matmul_grads():
     np.testing.assert_allclose(t.grad, numerical_grad(fn_a, a0), rtol=1e-6)
 
     def fn_b(arr):
-        return float(ad.value_of((ad.Tensor(a0) @ ad.Tensor(arr)).sum()))
+        return (ad.Tensor(a0) @ ad.Tensor(arr)).sum().item()
 
     t = ad.Tensor(b0.copy())
     out = (ad.Tensor(a0) @ t).sum()
@@ -123,7 +126,7 @@ def test_mlp_composite_gradient():
     loss = (y ** 2).sum()
     loss.backward()
     analytic = np.concatenate([t1.grad.ravel(), t2.grad.ravel()])
-    numeric = numerical_grad(lambda p: float(ad.value_of(loss_fn(p))), params)
+    numeric = numerical_grad(lambda p: loss_fn(p).item(), params)
     np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
 
 
@@ -151,3 +154,19 @@ def test_a_gradient_passed_to_two_parents_is_not_shared(add_first):
     loss.backward()
     np.testing.assert_array_equal(a.grad, [3.0, 3.0])
     np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
+
+def test_no_package_module_imports_the_tape():
+    package = Path(ad.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "autodiff.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+                names.append(node.module or "")
+            else:
+                continue
+            assert not any("autodiff" in name.split(".") for name in names), path.name

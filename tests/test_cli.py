@@ -144,6 +144,10 @@ def test_eval_with_an_empty_synthetic_cloud_prints_nan(tmp_path, capsys):
     ("render_mode = brightest\n", "unknown render mode"),
     ("confidence_level = 1.0\n", "confidence_level must lie in (0, 1)"),
     ("confidence_level = 0\n", "confidence_level must lie in (0, 1)"),
+    ("checkpoint_every = 0\n", "checkpoint_every and render_draws must be at least 1"),
+    ("render_draws = 0\n", "checkpoint_every and render_draws must be at least 1"),
+    ("render_fine = -1\n", "render_fine at least 0"),
+    ("elevations = 0.0 x\n", "elevations: expected numbers, got '0.0 x'"),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, text, message):
     cfg = write_config(tmp_path, text)
@@ -231,6 +235,7 @@ def test_malformed_cloud_file_exits_2(tmp_path, capsys, name, text, message):
     ("dir_levels = -1\n", "encoding_levels and dir_levels must be at least 0"),
     ("hidden_width = 0\n", "hidden_width and hidden_layers must be at least 1"),
     ("hidden_layers = 0\n", "hidden_width and hidden_layers must be at least 1"),
+    ("checkpoint_every = 0\n", "checkpoint_every and render_draws must be at least 1"),
 ])
 def test_bad_network_config_exits_2_before_training(tmp_path, capsys, text, message):
     data = tmp_path / "data"

@@ -9,12 +9,15 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from plink import autodiff as ad
+import tests.tape_head as tape
 from plink.errors import InvalidInputError
-from plink.field import CdfTrace, SampleGrid, bin_masses, trapezoid_deltas
-from plink.losses import (BCE_EPS, DEFAULT_ALPHA, bce_values, bin_accumulate,
-                          hinge_values, measurement_counts, pooled_drop_values,
-                          range_moments, step_mismatch_values)
+from plink.field import (CdfTrace, SampleGrid, bin_masses, bin_masses_vjp, cdf_from_sigma_values,
+                         cdf_vjp, trapezoid_deltas)
+from plink.losses import (BCE_EPS, DEFAULT_ALPHA, bce_values, bce_vjp, bin_accumulate,
+                          depth_l2_values, depth_l2_vjp, hinge_values, hinge_vjp,
+                          measurement_counts, pooled_drop_values, pooled_drop_vjp,
+                          range_moments, step_mismatch_values, step_mismatch_vjp)
+from plink.sampler import unit_masses, unit_masses_vjp
 from tests.test_field import SigmaTrace, cumulative_from_sigma, near_step_trace, uniform_grid
 from tests.test_sampler import ProposalHistogram
 
@@ -329,7 +332,7 @@ class TestFineLoss:
 
 
 class TestLossGradients:
-    """Analytic gradients of each loss kernel vs central finite differences."""
+    """Each kernel's adjoint vs central finite differences of the kernel."""
 
     def fd(self, fn, x, eps=1e-6):
         grad = np.zeros_like(x)
@@ -357,38 +360,28 @@ class TestLossGradients:
         cdf0 = np.sort(rng.uniform(0.0, 1.0, size=n))
 
         def value(c):
-            return float(ad.value_of(step_mismatch_values(c, deltas, counts, k)))
+            return float(step_mismatch_values(c, deltas, counts, k))
 
-        t = ad.Tensor(cdf0.copy())
-        out = step_mismatch_values(t, deltas, counts, k)
-        out.backward()
-        self.assert_close(t.grad, self.fd(value, cdf0.copy()))
+        analytic = step_mismatch_vjp(np.array(1.0), cdf0, deltas, counts, k)
+        self.assert_close(analytic, self.fd(value, cdf0.copy()))
 
     def test_bce_gradient(self):
         rng = np.random.default_rng(4)
         q_true = rng.integers(0, 2, size=8).astype(float)
         q0 = rng.uniform(0.05, 0.95, size=8)
-
-        def value(q):
-            return float(ad.value_of(bce_values(q_true, q)))
-
-        t = ad.Tensor(q0.copy())
-        out = bce_values(q_true, t)
-        out.backward()
-        self.assert_close(t.grad, self.fd(value, q0.copy()))
+        analytic = bce_vjp(1.0, q_true, q0)
+        self.assert_close(analytic, self.fd(lambda q: float(bce_values(q_true, q)), q0.copy()))
 
     def test_pooled_drop_gradient(self):
         rng = np.random.default_rng(6)
-        masses = rng.dirichlet(np.ones(10))
+        masses0 = rng.dirichlet(np.ones(10))
         phi0 = rng.normal(size=10)
-
-        def value(phi):
-            return float(ad.value_of(pooled_drop_values(phi, masses)))
-
-        t = ad.Tensor(phi0.copy())
-        out = pooled_drop_values(t, masses)
-        out.backward()
-        self.assert_close(t.grad, self.fd(value, phi0.copy()))
+        q = pooled_drop_values(phi0, masses0)
+        g_phi, g_masses = pooled_drop_vjp(np.array(1.0), q, phi0, masses0)
+        self.assert_close(g_phi, self.fd(lambda phi: float(pooled_drop_values(phi, masses0)),
+                                         phi0.copy()))
+        self.assert_close(g_masses, self.fd(lambda m: float(pooled_drop_values(phi0, m)),
+                                            masses0.copy()))
 
     def test_hinge_gradient_off_kink(self):
         rng = np.random.default_rng(8)
@@ -396,14 +389,138 @@ class TestLossGradients:
         hist0 = rng.dirichlet(np.ones(12))
         # keep probes away from the hinge kink
         assert np.min(np.abs(fine - hist0)) > 1e-5
+        analytic = hinge_vjp(np.array(1.0), fine, hist0)
+        self.assert_close(analytic, self.fd(lambda h: float(hinge_values(fine, h)), hist0.copy()))
 
-        def value(h):
-            return float(ad.value_of(hinge_values(fine, h)))
+    def test_cdf_and_bin_mass_gradients(self):
+        rng = np.random.default_rng(9)
+        grid = np.sort(rng.uniform(0.1, 8.0, size=15))
+        deltas = trapezoid_deltas(grid)
+        sigma0 = rng.exponential(0.4, size=15)
+        weights = rng.normal(size=15)
 
-        t = ad.Tensor(hist0.copy())
-        out = hinge_values(fine, t)
+        def value(sigma):
+            return float(np.dot(weights, bin_masses(cdf_from_sigma_values(sigma, deltas)[0])))
+
+        _, survival = cdf_from_sigma_values(sigma0, deltas)
+        analytic = cdf_vjp(bin_masses_vjp(weights, np.zeros(15)), survival, deltas)
+        self.assert_close(analytic, self.fd(value, sigma0.copy()))
+
+    def test_depth_l2_gradient(self):
+        rng = np.random.default_rng(10)
+        grid = np.sort(rng.uniform(0.1, 8.0, size=(3, 12)), axis=1)
+        masses0 = rng.dirichlet(np.ones(12), size=3) * 0.7
+        d_mean, d_var = np.array([2.0, 5.0, 7.5]), np.array([0.0, 0.3, 1.0])
+        g = np.array([0.5, 1.0, 2.0])
+
+        def value(m):
+            return float(np.dot(g, depth_l2_values(m, grid, d_mean, d_var)))
+
+        analytic = depth_l2_vjp(g, masses0, grid, d_mean)
+        self.assert_close(analytic, self.fd(value, masses0.copy()))
+
+    def test_unit_mass_gradient(self):
+        rng = np.random.default_rng(11)
+        sigma0 = rng.exponential(0.5, size=(2, 6))
+        widths = np.diff(np.linspace(0.0, 9.0, 7))
+        g = rng.normal(size=(2, 6))
+
+        def value(sigma):
+            return float(np.sum(g * unit_masses(sigma, widths)))
+
+        self.assert_close(unit_masses_vjp(g, sigma0, widths), self.fd(value, sigma0.copy()))
+
+
+class TestAdjointsMatchTheTape:
+    """Each kernel and its adjoint equal the tape-recorded head bit for bit."""
+
+    def grad_of(self, fn, *inputs):
+        """(value, gradient at each input) of a scalar tape loss."""
+        leaves = [tape.Tensor(x) for x in inputs]
+        out = fn(*leaves)
         out.backward()
-        self.assert_close(t.grad, self.fd(value, hist0.copy()))
+        return out.value, [leaf.grad for leaf in leaves]
+
+    def test_cdf_step_mismatch_and_drop(self):
+        # The cdf gathers the (1-C)^2 term, the C^2 term, then the drop's
+        # bin-mass slices; ray 1 has no ranges, ray 2 a zero field.
+        rng = np.random.default_rng(40)
+        grid, deltas, sigma, _ = random_rows(rng)
+        sigma[2] = 0.0
+        phi = rng.normal(scale=2.0, size=grid.shape)
+        ranges = np.sort(rng.uniform(0.1, 12.0, size=(7, 4)), axis=1)
+        ranges[1], ranges[3, 2:] = np.inf, np.inf
+        k = np.count_nonzero(ranges < np.inf, axis=1).astype(float)
+        counts = measurement_counts(ranges, grid)
+        g_ray = rng.uniform(0.1, 1.0, size=7)
+
+        def loss(s, p):
+            cdf = tape.cdf_from_sigma(s, deltas)
+            q = tape.pooled_drop(p, tape.bin_masses(cdf))
+            return (tape.step_mismatch(cdf, deltas, counts, k) * g_ray).sum() + tape.bce(k > 0, q)
+
+        want, (g_sigma, g_phi) = self.grad_of(loss, sigma, phi)
+        cdf, survival = cdf_from_sigma_values(sigma, deltas)
+        masses = bin_masses(cdf)
+        q = pooled_drop_values(phi, masses)
+        g_p, g_m = pooled_drop_vjp(bce_vjp(1.0, k > 0, q), q, phi, masses)
+        g_cdf = bin_masses_vjp(g_m, step_mismatch_vjp(g_ray, cdf, deltas, counts, k))
+        assert np.sum(step_mismatch_values(cdf, deltas, counts, k) * g_ray) \
+            + bce_values(k > 0, q) == want
+        assert np.array_equal(cdf_vjp(g_cdf, survival, deltas), g_sigma)
+        assert np.array_equal(g_p, g_phi)
+
+    def test_depth_l2_then_drop(self):
+        # The baseline's own bin-mass slices reach the cdf before the drop's.
+        rng = np.random.default_rng(41)
+        grid, deltas, sigma, _ = random_rows(rng)
+        phi = rng.normal(scale=2.0, size=grid.shape)
+        d_mean, d_var = rng.uniform(1.0, 10.0, size=7), rng.uniform(0.0, 2.0, size=7)
+        g_ray = rng.uniform(0.1, 1.0, size=7)
+
+        def loss(s, p):
+            cdf = tape.cdf_from_sigma(s, deltas)
+            per_ray = tape.depth_l2(tape.bin_masses(cdf), grid, d_mean, d_var)
+            return (per_ray * g_ray).sum() + tape.bce(np.arange(7) % 2,
+                                                       tape.pooled_drop(p, tape.bin_masses(cdf)))
+
+        _, (g_sigma, g_phi) = self.grad_of(loss, sigma, phi)
+        cdf, survival = cdf_from_sigma_values(sigma, deltas)
+        masses = bin_masses(cdf)
+        q = pooled_drop_values(phi, masses)
+        g_p, g_m = pooled_drop_vjp(bce_vjp(1.0, np.arange(7) % 2, q), q, phi, masses)
+        g_cdf = bin_masses_vjp(depth_l2_vjp(g_ray, masses, grid, d_mean), np.zeros_like(cdf))
+        g_cdf = bin_masses_vjp(g_m, g_cdf)
+        assert np.array_equal(cdf_vjp(g_cdf, survival, deltas), g_sigma)
+        assert np.array_equal(g_p, g_phi)
+
+    def test_bce_clamped_at_both_bounds(self):
+        q_true = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
+        q_hat = np.array([0.0, 1.0, 1.0 - BCE_EPS, BCE_EPS, 0.3])
+        want, (g,) = self.grad_of(lambda q: tape.bce(q_true, q), q_hat)
+        assert bce_values(q_true, q_hat) == want
+        got = bce_vjp(1.0, q_true, q_hat)
+        assert np.array_equal(got, g) and np.all(got[:2] == 0.0) and np.all(got[2:] != 0.0)
+
+    @pytest.mark.parametrize("shift", [0.0, 1.0, -1.0])
+    def test_hinge_and_unit_masses(self, shift):
+        # shift 1 puts every gap below 0, so no gradient reaches sigma; -1, above.
+        rng = np.random.default_rng(42)
+        sigma = rng.exponential(0.5, size=(4, 6))
+        widths = np.diff(np.linspace(0.0, 9.0, 7))
+        fine = rng.dirichlet(np.ones(6), size=4) - shift
+
+        def loss(s):
+            return tape.hinge(fine, tape.unit_masses(s, widths)).mean()
+
+        want, (g_sigma,) = self.grad_of(loss, sigma)
+        hist = unit_masses(sigma, widths)
+        hinge = hinge_values(fine, hist)
+        assert np.sum(hinge) * (1.0 / 4) == want
+        got = unit_masses_vjp(hinge_vjp(np.full(4, 0.25), fine, hist), sigma, widths)
+        assert np.array_equal(got, g_sigma)
+        assert np.any(got != 0.0) or shift > 0.0
+        assert np.all(got == 0.0) or shift <= 0.0
 
 
 def random_rows(rng, n_rays=7, n_points=25, s_max=12.0):

@@ -9,6 +9,7 @@ from plink import autodiff as ad
 from plink import net as nets
 from plink.errors import (CorruptedModelError, DivergenceError,
                           InvalidInputError, OutOfBoundsError)
+from tests.tape_head import tape_backward
 
 
 def probe_model(seed=0, has_phi=True):
@@ -174,17 +175,23 @@ class TestModel:
                             model.encoding_levels, model.dir_levels)
         sigma_np, phi_np = nets.forward(model, feats)
         graph = nets.ModelGraph(model)
-        sigma_t, phi_t = graph.forward(feats)
-        np.testing.assert_allclose(ad.value_of(sigma_t), sigma_np, rtol=1e-12)
-        np.testing.assert_allclose(ad.value_of(phi_t), phi_np, rtol=1e-12)
+        sigma_g, phi_g = graph.forward(feats)
+        np.testing.assert_allclose(sigma_g, sigma_np, rtol=1e-12)
+        np.testing.assert_allclose(phi_g, phi_np, rtol=1e-12)
 
 
 def mixed_loss(sigma, phi):
-    """A scalar loss on one or both heads, through the tape."""
+    """A scalar loss on one or both heads' Tensor leaves, through the tape."""
     loss = (sigma.reshape(3, -1) ** 2).sum() * 0.5
     if phi is not None:
         loss = loss + ad.sigmoid(phi * ad.log(sigma + 1.0)).mean()
     return loss
+
+
+def leaf_loss(sigma, phi):
+    """(mixed loss, sigma leaf, phi leaf): the arguments after the graph of `tape_backward`."""
+    leaves = ad.Tensor(sigma), None if phi is None else ad.Tensor(phi)
+    return (mixed_loss(*leaves),) + leaves
 
 
 class TestHandWrittenBackward:
@@ -204,12 +211,12 @@ class TestHandWrittenBackward:
 
         graph = nets.ModelGraph(model)
         sigma, phi = graph.forward(feats)
-        np.testing.assert_array_equal(sigma.value, sigma_ref.value)
+        np.testing.assert_array_equal(sigma, sigma_ref.value)
         if has_phi:
-            np.testing.assert_array_equal(phi.value, phi_ref.value)
+            np.testing.assert_array_equal(phi, phi_ref.value)
         else:
             assert phi is None
-        tape = nets.backward(graph, mixed_loss(sigma, phi))
+        tape = tape_backward(graph, *leaf_loss(sigma, phi))
         assert tape.loss == loss_ref.item()
         assert np.array_equal(tape.gradient, gradient())
         assert np.any(tape.gradient[:model.input_width() * widths[0]] != 0.0)
@@ -233,9 +240,9 @@ class TestHandWrittenBackward:
         graph = nets.ModelGraph(model)
         sigma, phi = graph.forward(feats)
         assert not np.any(np.signbit(graph.acts[1]))
-        np.testing.assert_array_equal(sigma.value, sigma_ref.value)
-        np.testing.assert_array_equal(phi.value, phi_ref.value)
-        tape = nets.backward(graph, mixed_loss(sigma, phi))
+        np.testing.assert_array_equal(sigma, sigma_ref.value)
+        np.testing.assert_array_equal(phi, phi_ref.value)
+        tape = tape_backward(graph, *leaf_loss(sigma, phi))
         assert tape.loss == loss_ref.item()
         assert np.array_equal(tape.gradient, gradient())
         assert np.all(tape.gradient[:w0.size].reshape(w0.shape)[:, :3] == 0.0)
@@ -249,7 +256,8 @@ class TestHandWrittenBackward:
         sigma_ref.sum().backward()
         graph = nets.ModelGraph(model)
         sigma, _ = graph.forward(feats)
-        assert np.array_equal(nets.backward(graph, sigma.sum()).gradient, gradient())
+        tape = nets.backward(graph, sigma.sum(), np.ones_like(sigma))
+        assert np.array_equal(tape.gradient, gradient())
 
     def test_graph_keeps_one_input_per_layer(self):
         model = probe_model(seed=23)
@@ -258,7 +266,7 @@ class TestHandWrittenBackward:
         graph = nets.ModelGraph(model)
         sigma, phi = graph.forward(feats)
         assert [a.shape for a in graph.acts] == [(5, model.input_width()), (5, 8), (5, 8)]
-        assert sigma._parents == () and phi._parents == ()
+        assert sigma.shape == phi.shape == (5,)
 
 
 class TestDivergenceReport:
@@ -295,7 +303,7 @@ class TestDivergenceReport:
         sigma, phi = graph.forward(feats)
         with np.errstate(invalid="ignore"), \
                 pytest.raises(DivergenceError, match=re.escape("fine layer 0 W[0, 0]")):
-            nets.backward(graph, (sigma * np.inf).sum() + phi.sum())
+            nets.backward(graph, np.inf, np.full_like(sigma, np.inf), np.ones_like(phi))
 
     def test_every_index_maps_to_its_own_position(self):
         model = probe_model(seed=27)
@@ -317,9 +325,8 @@ class TestBackward:
                             model.encoding_levels, model.dir_levels)
         graph = nets.ModelGraph(model)
         sigma, phi = graph.forward(feats)
-        tanh = lambda t: 1.0 - 2.0 * ad.sigmoid(-2.0 * t) if isinstance(t, ad.Tensor) else np.tanh(t)
-        loss = (sigma ** 2).sum() + tanh(phi).sum()
-        tape = nets.backward(graph, loss)
+        loss = np.sum(sigma ** 2) + np.sum(np.tanh(phi))
+        tape = nets.backward(graph, loss, 2.0 * sigma, 1.0 - np.tanh(phi) ** 2)
 
         eps = 1e-5
         numeric = np.zeros_like(model.params)
@@ -341,7 +348,7 @@ class TestBackward:
                             model.encoding_levels, model.dir_levels)
         graph = nets.ModelGraph(model)
         sigma, _ = graph.forward(feats)
-        tape = nets.backward(graph, sigma.sum())
+        tape = nets.backward(graph, sigma.sum(), np.ones_like(sigma))
         shapes = model.layer_shapes()
         phi_size = int(np.prod(shapes[-1][0])) + int(np.prod(shapes[-1][1]))
         np.testing.assert_array_equal(tape.gradient[-phi_size:], 0.0)
@@ -352,10 +359,10 @@ class TestBackward:
                             model.encoding_levels, model.dir_levels)
         graph1 = nets.ModelGraph(model)
         s1, _ = graph1.forward(feats)
-        tape1 = nets.backward(graph1, s1.sum())
+        tape1 = nets.backward(graph1, s1.sum(), np.ones_like(s1))
         graph2 = nets.ModelGraph(model)
         s2, _ = graph2.forward(feats)
-        tape2 = nets.backward(graph2, s2.sum() * 2.0)
+        tape2 = nets.backward(graph2, s2.sum() * 2.0, np.full_like(s2, 2.0))
         np.testing.assert_allclose(tape2.gradient, 2.0 * tape1.gradient, rtol=1e-12)
 
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import tests.tape_head as tape_head
 from plink import autodiff as ad
 from plink import net as nets
 from plink import sampler
@@ -286,11 +287,12 @@ class TestMarch:
 
     def test_shapes_and_cdf(self):
         dirs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        hist_masses, grid, deltas, sigma, phi, cdf = self.march(tiny_state(), np.zeros((3, 3)),
-                                                                dirs)
+        hist_masses, grid, deltas, sigma, phi, cdf, survival = self.march(
+            tiny_state(), np.zeros((3, 3)), dirs)
         assert hist_masses.shape == (3, 8)
-        for rows in (grid, deltas, sigma, phi, cdf):
+        for rows in (grid, deltas, sigma, phi, cdf, survival):
             assert rows.shape == (3, 8 + 1 + 5)
+        np.testing.assert_array_equal(cdf, 1.0 - survival)
         assert np.all(np.diff(grid, axis=1) > 0.0) and np.all(deltas > 0.0)
         np.testing.assert_allclose(deltas.sum(axis=1), grid[:, -1])
         assert np.all(np.diff(cdf, axis=1) >= 0.0) and np.all((cdf >= 0.0) & (cdf < 1.0))
@@ -338,26 +340,14 @@ class TestTrainStep:
         assert np.array_equal(results[0][0], results[1][0])
         assert np.array_equal(results[0][1], results[1][1])
 
-    def tape_nodes(self, monkeypatch, state, depth_l2):
-        """Tape nodes built during one train step, counted at Tensor.__init__."""
-        count = [0]
-        init = ad.Tensor.__init__
-
-        def counting_init(tensor, *args, **kwargs):
-            count[0] += 1
-            init(tensor, *args, **kwargs)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(ad.Tensor, "__init__", counting_init)
-            sampler.train_step(state, self.rays, self.config, self.scale, depth_l2=depth_l2)
-        return count[0]
-
     @pytest.mark.parametrize("depth_l2", [False, True])
-    def test_tape_size_does_not_grow_with_depth(self, monkeypatch, depth_l2):
-        # The MLPs have a hand-written backward: only the loss head is on the tape.
-        shallow = self.tape_nodes(monkeypatch, tiny_state(hidden_layers=2), depth_l2)
-        deep = self.tape_nodes(monkeypatch, tiny_state(hidden_layers=4), depth_l2)
-        assert shallow == deep > 0
+    def test_train_step_builds_no_tape_node(self, monkeypatch, depth_l2):
+        # The loss head's backward is written out, like the MLPs'.
+        def no_tensor(*args, **kwargs):
+            raise AssertionError("train_step built an autodiff Tensor")
+
+        monkeypatch.setattr(ad.Tensor, "__init__", no_tensor)
+        sampler.train_step(tiny_state(), self.rays, self.config, self.scale, depth_l2=depth_l2)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -382,7 +372,7 @@ class TestTrainStep:
         rays = make_rays(rows, ids=[4, 2, 7, 1])
         state = tiny_state(seed=5)
         draws = sampler.ray_draws(3, [4, 2, 7, 1], 2, 32)
-        _, grid, deltas, _, _, cdf = sampler.march(
+        _, grid, deltas, _, _, cdf, _ = sampler.march(
             state, rays.origins, rays.dirs, 10.0, 8, self.scale, nets.forward,
             lambda masses, edges: sampler.importance_sample(masses, edges, draws))
         per_ray = []
@@ -416,3 +406,37 @@ class TestTrainStep:
         config = RunConfig(n_bins=8, n_fine=16, lr=0.0, seed=8)
         sampler.train_step(state, self.rays, config, self.scale)
         np.testing.assert_array_equal(state.fine.params, fine_before)
+
+
+class TestTrainStepMatchesTheTape:
+    """`train_step`'s gradients and losses equal the tape-recorded head's, bit for bit."""
+
+    def rays(self):
+        rng = np.random.default_rng(12)
+        rows = []
+        for i in range(16):      # rows 0-3 are one batch with no returns; row 5 has none
+            n = 0 if i < 4 or i == 5 else int(rng.integers(1, 6))
+            rows.append((rng.normal(size=3), list(rng.uniform(0.5, 9.5, size=n))))
+        return make_rays(rows)
+
+    @pytest.mark.parametrize("depth_l2", [False, True])
+    @pytest.mark.parametrize("phi_bias", [0.0, 1e3, -1e3])    # +-1e3 clamps q_hat in the BCE
+    def test_gradients_and_losses_are_bit_identical(self, monkeypatch, depth_l2, phi_bias):
+        state = tiny_state(seed=3)
+        state.fine.param_views()[-1][1][...] = phi_bias
+        config = RunConfig(n_bins=8, n_fine=16, lr=1e-2, seed=4)
+        rays, tapes, opt_step = self.rays(), [], nets.opt_step
+        monkeypatch.setattr(nets, "opt_step",
+                            lambda model, tape, *args: (tapes.append(tape),
+                                                        opt_step(model, tape, *args)))
+        for epoch in range(3):
+            for start in range(0, len(rays), 4):
+                batch = rays[np.arange(start, start + 4)]
+                fine, coarse, l_c, l_drop = tape_head.train_step_tapes(
+                    state, batch, config, SCALE, epoch, depth_l2)
+                losses = sampler.train_step(state, batch, config, SCALE, epoch, depth_l2)
+                assert np.array_equal(tapes[-2].gradient, fine.gradient)
+                assert np.array_equal(tapes[-1].gradient, coarse.gradient)
+                assert (losses.l_c, losses.l_drop, losses.l_fine, losses.l_coarse) == \
+                    (l_c, l_drop, fine.loss, coarse.loss)
+        assert len(tapes) == 24
