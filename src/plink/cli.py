@@ -2,7 +2,9 @@
 
 Subcommands: gen, train, render, baseline, eval, compare. Flags override
 config-file values; the PLINK_SEED environment variable overrides the seed
-last. Exit codes: 0 success, 2 invalid configuration, 3 training
+last. Exit codes: 0 success; 2 invalid configuration or a malformed input
+file (config, scene, intrinsics, scan, pose, cloud or checkpoint), with a
+message naming the file and, in a line-based file, the line; 3 training
 divergence. All outputs are deterministic given the seed.
 """
 
@@ -12,6 +14,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -33,33 +36,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help_text):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", dest="out_dir")
+        return p
 
-    p = sub.add_parser("gen", help="simulate a scan dataset from a scene")
-    common(p)
+    p = command("gen", "simulate a scan dataset from a scene")
     p.add_argument("--scene", help="scene description file")
     p.add_argument("--path", help="pose path file")
     p.add_argument("--frames", dest="n_frames", type=int)
 
-    p = sub.add_parser("train", help="train the probabilistic model")
-    common(p)
-    p.add_argument("--data", dest="data_dir")
-    p.add_argument("--scene")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
+    for name, help_text in (("train", "train the probabilistic model"),
+                            ("baseline", "train the deterministic-depth baseline")):
+        p = command(name, help_text)
+        p.add_argument("--data", dest="data_dir")
+        p.add_argument("--scene")
+        p.add_argument("--epochs", type=int)
+        p.add_argument("--lr", type=float)
 
-    p = sub.add_parser("baseline", help="train the deterministic-depth baseline")
-    common(p)
-    p.add_argument("--data", dest="data_dir")
-    p.add_argument("--scene")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-
-    p = sub.add_parser("render", help="render point clouds from a checkpoint")
-    common(p)
+    p = command("render", "render point clouds from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--poses", required=True, help="pose file, one cloud per frame")
     p.add_argument("--scene")
@@ -69,14 +66,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline-depth", action="store_true",
                    help="composited weighted depth instead of distribution modes")
 
-    p = sub.add_parser("eval", help="compare a synthetic cloud against ground truth")
-    common(p)
+    p = command("eval", "compare a synthetic cloud against ground truth")
     p.add_argument("--gt", required=True)
     p.add_argument("--synth", required=True)
     p.add_argument("--threshold", dest="threshold_cm", type=float)
 
-    p = sub.add_parser("compare", help="train + baseline + render + eval, side by side")
-    common(p)
+    p = command("compare", "train + baseline + render + eval, side by side")
     p.add_argument("--scene")
     p.add_argument("--path")
     p.add_argument("--epochs", type=int)
@@ -141,14 +136,6 @@ def _run_training(args, depth_l2: bool, stem: str) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    return _run_training(args, depth_l2=False, stem="model")
-
-
-def cmd_baseline(args) -> int:
-    return _run_training(args, depth_l2=True, stem="baseline")
-
-
 def cmd_render(args) -> int:
     config = resolve_config(args)
     scene = load_scene(_require(config.scene, "scene"))
@@ -158,7 +145,7 @@ def cmd_render(args) -> int:
     if len(poses) < 2:
         raise ConfigError("pose file needs at least two poses (frame boundaries)")
     intr = pipeline.intrinsics_from_config(config)
-    _, scale = pipeline.to_unit_cube(np.zeros((1, 3)), scene.bounds)
+    scale = pipeline.to_unit_cube(scene.bounds)
     grid_shape = (intr.n_beams, intr.azimuth_count)
     frames = [ScanFrame(intr, start, end, np.zeros(grid_shape), np.zeros(grid_shape, dtype=bool))
               for start, end in zip(poses, poses[1:])]
@@ -221,50 +208,38 @@ def cmd_compare(args) -> int:
     frames = pipeline.read_dataset(train_dir)
     train_set = pipeline.train_set_from_frames(frames, scene)
 
-    try:
-        prob_state, prob_history = pipeline.train(train_set, config, depth_l2=False)
-        base_state, base_history = pipeline.train(train_set, config, depth_l2=True)
-    except DivergenceError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+    states = {}
+    for name, depth_l2 in (("model", False), ("baseline", True)):
+        state, history = pipeline.train(train_set, config, depth_l2=depth_l2)
+        _write_history(os.path.join(out, f"{name}_loss_curve.csv"), history)
+        nets.save_checkpoint(os.path.join(out, f"{name}.ckpt"), state.coarse, state.fine)
+        states[name] = state
 
-    _write_history(os.path.join(out, "model_loss_curve.csv"), prob_history)
-    _write_history(os.path.join(out, "baseline_loss_curve.csv"), base_history)
-    nets.save_checkpoint(os.path.join(out, "model.ckpt"),
-                         prob_state.coarse, prob_state.fine)
-    nets.save_checkpoint(os.path.join(out, "baseline.ckpt"),
-                         base_state.coarse, base_state.fine)
-
-    test_frames = pipeline.read_dataset(test_dir)
-    gt_clouds, prob_clouds, base_clouds = [], [], []
-    for i, frame in enumerate(test_frames):
-        gt = pipeline.ground_truth_cloud(frame)
-        prob = pipeline.render_frame_cloud(prob_state, frame, train_set.scale,
-                                           config, "stochastic", frame_index=i)
-        base = pipeline.render_frame_cloud(base_state, frame, train_set.scale,
-                                           config, "stochastic", baseline=True,
-                                           frame_index=i)
-        gt_clouds.append(gt)
-        prob_clouds.append(prob)
-        base_clouds.append(base)
-        metrics.write_ply(os.path.join(out, f"gt_{i:04d}.ply"), gt)
-        metrics.write_ply(os.path.join(out, f"model_{i:04d}.ply"), prob)
-        metrics.write_ply(os.path.join(out, f"baseline_{i:04d}.ply"), base)
+    clouds = {"gt": [], "model": [], "baseline": []}
+    for i, frame in enumerate(pipeline.read_dataset(test_dir)):
+        clouds["gt"].append(pipeline.ground_truth_cloud(frame))
+        for name in ("model", "baseline"):
+            clouds[name].append(pipeline.render_frame_cloud(
+                states[name], frame, train_set.scale, config, "stochastic",
+                baseline=name == "baseline", frame_index=i))
+        for name, frame_clouds in clouds.items():
+            metrics.write_ply(os.path.join(out, f"{name}_{i:04d}.ply"), frame_clouds[-1])
 
     rows = []
     named = []
+    gt_clouds = clouds["gt"]
     gt_merged = metrics.PointCloud(np.concatenate([c.points for c in gt_clouds]))
     no_metrics = _no_metrics(config)
-    for name, clouds in (("model", prob_clouds), ("baseline", base_clouds)):
-        if not any(len(c) for c in clouds):
+    for name in ("model", "baseline"):
+        if not any(len(c) for c in clouds[name]):
             # An under-trained model can render nothing; that is a result, not an error.
             print(f"warning: {name} rendered no points; its metrics are NaN", file=sys.stderr)
             aggregate_row = mean_row = no_metrics
         else:
-            merged = metrics.PointCloud(np.concatenate([c.points for c in clouds]))
+            merged = metrics.PointCloud(np.concatenate([c.points for c in clouds[name]]))
             aggregate_row = metrics.evaluate(gt_merged, merged, config.threshold_cm).as_row()
             per_scan = [metrics.evaluate(g, c, config.threshold_cm).as_row()
-                        for g, c in zip(gt_clouds, clouds) if len(g) and len(c)]
+                        for g, c in zip(gt_clouds, clouds[name]) if len(g) and len(c)]
             mean_row = np.mean(per_scan, axis=0) if per_scan else no_metrics
         rows.append([name, "aggregate"] + [repr(float(v)) for v in aggregate_row])
         rows.append([name, "per_scan_mean"] + [repr(float(v)) for v in mean_row])
@@ -289,8 +264,8 @@ def _write_history(path, history) -> None:
 
 COMMANDS = {
     "gen": cmd_gen,
-    "train": cmd_train,
-    "baseline": cmd_baseline,
+    "train": partial(_run_training, depth_l2=False, stem="model"),
+    "baseline": partial(_run_training, depth_l2=True, stem="baseline"),
     "render": cmd_render,
     "eval": cmd_eval,
     "compare": cmd_compare,
@@ -298,8 +273,7 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
     except ConfigError as exc:
@@ -308,10 +282,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except PlinkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (PlinkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,18 +1,27 @@
-"""Run configuration: a flat key=value file with CLI-flag overrides.
+"""The key = value file format, and the run configuration kept in it.
 
-Every hyperparameter has a default; unknown keys are rejected so typos
-fail loudly (exit code 2 at the CLI). The PLINK_SEED environment variable,
-when set, overrides the seed from both the file and the flags.
+Run configs, a dataset's ``intrinsics.txt`` and scene files share one
+format: ``key = value`` lines, ``#`` comments, and ``[name]`` lines that
+open sections. ``fill`` types each value by its dataclass field's default:
+bool, int, float, str, a list of numbers, or a tuple of as many numbers as
+the default. Numbers must be finite. An unknown section or key, a mistyped
+value and a missing required key are errors naming the file, the line and
+the key (exit 2 at the CLI). A key given twice keeps its last value.
+
+Every run hyperparameter has a default; CLI flags override the file, and
+the PLINK_SEED environment variable, when set, overrides the seed last.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError
+from .sensor import SensorIntrinsics
 
 
 @dataclass
@@ -53,10 +62,13 @@ class RunConfig:
     threshold_cm: float = 20.0
 
     def validate(self) -> "RunConfig":
+        """Reject bad values before any work; every comparison fails on NaN."""
         if not (0.0 <= self.alpha <= 1.0):
             raise ConfigError("alpha must lie in [0, 1]")
-        if self.s_max <= 0.0 or self.n_bins < 2 or self.n_fine < 1:
-            raise ConfigError("s_max, n_bins, n_fine must be positive (n_bins >= 2)")
+        if not (0.0 < self.lr < np.inf):
+            raise ConfigError("lr must be positive and finite")
+        if self.n_bins < 2 or self.n_fine < 1:
+            raise ConfigError("n_bins must be at least 2, n_fine at least 1")
         if self.epochs < 1 or self.batch_rays < 1 or self.n_frames < 1:
             raise ConfigError("epochs, batch_rays, n_frames must be at least 1")
         if self.encoding_levels < 0 or self.dir_levels < 0:
@@ -66,57 +78,109 @@ class RunConfig:
         if self.checkpoint_every < 1 or self.render_draws < 1 or self.render_fine < 0:
             raise ConfigError("checkpoint_every and render_draws must be at least 1, "
                               "render_fine at least 0")
-        if np.any(np.diff(np.asarray(self.elevations)) <= 0.0):
-            raise ConfigError("elevations must be strictly increasing")
         if not (0.0 < self.confidence_level < 1.0):
             raise ConfigError("confidence_level must lie in (0, 1)")
         if self.render_mode not in ("stochastic", "confidence", "first-return",
                                     "strongest-return"):
             raise ConfigError(f"unknown render mode {self.render_mode!r}")
+        try:
+            intrinsics_from_config(self)
+        except InvalidInputError as exc:
+            raise ConfigError(str(exc)) from None
         return self
+
+
+def intrinsics_from_config(config: RunConfig) -> SensorIntrinsics:
+    return SensorIntrinsics(
+        elevation_angles=np.asarray(config.elevations, dtype=float),
+        azimuth_count=config.azimuth_count,
+        s_max=config.s_max,
+        scan_period=config.scan_period,
+    )
+
+
+# -- the key = value format -------------------------------------------------------
+
+
+@dataclass
+class Section:
+    """The rows under one ``[name]`` header line; line 0 holds the rows above any."""
+
+    source: str
+    line: int
+    error: type                               # the class of ``fail``'s errors
+    rows: dict = field(default_factory=dict)  # key -> (line, raw value)
+
+    def fail(self, message: str, line: int = 0) -> Exception:
+        """An error naming the file and ``line``, or else the header's line."""
+        line = line or self.line
+        return self.error(f"{self.source}{f' line {line}' if line else ''}: {message}")
+
+
+def read_sections(path, names=(), error=ConfigError) -> list:
+    """The file's top section, then one per header; ``names`` are the headers allowed."""
+    top = Section(str(path), 0, error)
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise top.fail(f"cannot read: {exc}") from exc
+    sections = [top]
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("[") and line.endswith("]"):
+            if line[1:-1].strip() not in names:
+                raise top.fail(f"unknown section {line}", lineno)
+            sections.append(Section(top.source, lineno, error))
+        elif "=" in line:
+            key, value = (part.strip() for part in line.split("=", 1))
+            sections[-1].rows[key] = (lineno, value)
+        elif line:
+            raise top.fail(f"expected key = value, got {line!r}", lineno)
+    return sections
+
+
+def fill(target, section: Section, keys=None, required=()):
+    """Set dataclass ``target``'s fields from ``section`` and return it; ``keys``
+    may appear (by default every field) and ``required`` must."""
+    allowed = keys or [f.name for f in fields(target)]
+    for key, (line, raw) in section.rows.items():
+        if key not in allowed:
+            raise section.fail(f"unknown key {key!r}", line)
+        setattr(target, key, _typed(section, line, key, getattr(target, key), raw))
+    for key in required:
+        if key not in section.rows:
+            raise section.fail(f"no {key} line")
+    return target
 
 
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True,
                  "false": False, "0": False, "no": False}
 
 
-def _coerce(name: str, kind, raw: str):
-    if kind is bool:
-        try:
-            return _BOOL_STRINGS[raw.strip().lower()]
-        except KeyError:
-            raise ConfigError(f"{name}: expected a boolean, got {raw!r}") from None
+def _typed(section: Section, line: int, key: str, default, raw: str):
+    """``raw`` as a value of ``default``'s type (see the module docstring)."""
+    kind = type(default)
+    if kind is str:
+        return raw
     try:
-        return [float(v) for v in raw.split()] if kind is list else kind(raw)
-    except ValueError:
-        expected = "numbers" if kind is list else kind.__name__
-        raise ConfigError(f"{name}: expected {expected}, got {raw!r}") from None
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse the flat key=value format ('#' starts a comment)."""
-    defaults = RunConfig()
-    types = {f.name: type(getattr(defaults, f.name)) for f in fields(RunConfig)}
-    config = RunConfig()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in types:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        setattr(config, key, _coerce(key, types[key], value))
-    return config
+        if kind is bool:
+            return _BOOL_STRINGS[raw.lower()]
+        value = [float(v) for v in raw.split()] if kind in (list, tuple) else kind(raw)
+        if kind is tuple and len(value) != len(default):
+            raise ValueError
+    except (KeyError, ValueError):
+        expected = (f"{len(default)} numbers" if kind is tuple else
+                    {bool: "a boolean", list: "numbers"}.get(kind, kind.__name__))
+        raise section.fail(f"{key}: expected {expected}, got {raw!r}", line) from None
+    if kind is not int and not all(map(math.isfinite, [value] if kind is float else value)):
+        raise section.fail(f"{key}: {raw!r} is not finite", line)
+    return tuple(value) if kind is tuple else value
 
 
 def load_config(path) -> RunConfig:
-    try:
-        with open(path) as fh:
-            return parse_config(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    """The run config in the file at ``path``: one top section of RunConfig keys."""
+    return fill(RunConfig(), read_sections(path)[0])
 
 
 def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:

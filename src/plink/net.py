@@ -175,11 +175,6 @@ class FieldModel:
             offset += w_size + b_size
         raise InvalidInputError(f"parameter index {index} is out of range")
 
-    def copy(self) -> "FieldModel":
-        return FieldModel(self.encoding_levels, self.dir_levels, self.use_direction,
-                          list(self.layer_widths), self.has_phi_head,
-                          self.params.copy())
-
 
 def init_model(encoding_levels: int = 8, dir_levels: int = 2, use_direction: bool = True,
                layer_widths=None, has_phi_head: bool = False, rng=None,

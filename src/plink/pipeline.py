@@ -17,6 +17,7 @@ weighted depth.
 
 from __future__ import annotations
 
+import itertools
 import os
 # ThreadPoolExecutor is not used here; perfbench/layers.py replaces this name.
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import net as nets
 from . import sampler
-from .config import RunConfig
+from .config import RunConfig, fill, intrinsics_from_config, read_sections
 from .errors import InvalidInputError, OutOfBoundsError
 # cdf_from_sigma_values is not called here; perfbench/layers.py probes this name.
 from .field import RaySet, bin_masses, cdf_from_sigma_values
@@ -80,7 +81,7 @@ def build_rays(frames: list) -> RaySet:
 
 def train_set_from_frames(frames: list, scene: SceneSpec) -> TrainSet:
     """The grouped rays in the scene's unit cube; a ray that leaves it is an error."""
-    _, scale = to_unit_cube(np.zeros((1, 3)), scene.bounds)
+    scale = to_unit_cube(scene.bounds)
     rays = build_rays(frames)
     # A static dataset's rays are frame 0's; a moving one's run frame by frame.
     _check_in_bounds(rays.origins, rays.dirs, rays.s_max, scale, frames[0].intrinsics)
@@ -117,26 +118,13 @@ def _check_in_bounds(origins: np.ndarray, dirs: np.ndarray, s_max: float,
             f"largest extent)")
 
 
-def intrinsics_from_config(config: RunConfig) -> SensorIntrinsics:
-    return SensorIntrinsics(
-        elevation_angles=np.asarray(config.elevations, dtype=float),
-        azimuth_count=config.azimuth_count,
-        s_max=config.s_max,
-        scan_period=config.scan_period,
-    )
-
-
 def models_from_config(config: RunConfig):
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0xC0A23E)))
-    coarse = nets.init_model(
+    # The coarse model draws from ``rng`` first, then the fine one.
+    return sampler.TrainState.fresh(*(nets.init_model(
         config.encoding_levels, config.dir_levels, config.use_direction,
-        [config.hidden_width] * config.hidden_layers, has_phi_head=False,
-        rng=rng, sigma_bias=config.sigma_bias)
-    fine = nets.init_model(
-        config.encoding_levels, config.dir_levels, config.use_direction,
-        [config.hidden_width] * config.hidden_layers, has_phi_head=True,
-        rng=rng, sigma_bias=config.sigma_bias)
-    return sampler.TrainState.fresh(coarse, fine)
+        [config.hidden_width] * config.hidden_layers, has_phi_head=phi_head,
+        rng=rng, sigma_bias=config.sigma_bias) for phi_head in (False, True)))
 
 
 def train(train_set: TrainSet, config: RunConfig, depth_l2: bool = False,
@@ -308,44 +296,29 @@ def write_dataset(out_dir, frames: list, path_poses: list) -> None:
         write_scan(os.path.join(out_dir, f"scan_{i:04d}.csv"), frame)
 
 
+# The keys of a dataset's intrinsics.txt: exactly these RunConfig keys.
+SENSOR_KEYS = ("elevations", "azimuth_count", "s_max", "scan_period")
+
+
 def read_dataset(data_dir) -> list:
-    intr = _read_intrinsics(os.path.join(data_dir, "intrinsics.txt"))
+    top = read_sections(os.path.join(data_dir, "intrinsics.txt"), error=InvalidInputError)[0]
+    config = fill(RunConfig(), top, SENSOR_KEYS, SENSOR_KEYS)
+    try:
+        intr = intrinsics_from_config(config)
+    except InvalidInputError as exc:
+        raise top.fail(str(exc)) from None
     poses = read_poses(os.path.join(data_dir, "poses.csv"))
     frames = []
-    i = 0
-    while True:
+    for i in itertools.count():
         path = os.path.join(data_dir, f"scan_{i:04d}.csv")
         if not os.path.exists(path):
             break
         if i + 1 >= len(poses):
             raise InvalidInputError("pose sidecar is shorter than the scan list")
         frames.append(read_scan(path, intr, poses[i], poses[i + 1]))
-        i += 1
     if not frames:
         raise InvalidInputError(f"no scan files found in {data_dir}")
     return frames
-
-
-def _read_intrinsics(path) -> SensorIntrinsics:
-    lines = {}
-    with open(path) as fh:
-        for n, line in enumerate(fh, start=1):
-            key, _, raw = line.split("#", 1)[0].partition("=")
-            lines[key.strip()] = (n, raw.strip())
-    values = []
-    for key, parse in (("elevations", lambda raw: np.array([float(v) for v in raw.split()])),
-                       ("azimuth_count", int), ("s_max", float), ("scan_period", float)):
-        if key not in lines:
-            raise InvalidInputError(f"{path}: no {key} line")
-        n, raw = lines[key]
-        try:
-            values.append(parse(raw))
-        except ValueError:
-            raise InvalidInputError(f"{path} line {n}: bad {key} value {raw!r}") from None
-    try:
-        return SensorIntrinsics(*values)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from None
 
 
 def resample_path(poses: list, n_frames: int) -> list:

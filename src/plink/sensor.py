@@ -24,7 +24,7 @@ ORTHONORMAL_TOL = 1e-9
 
 @dataclass
 class SensorIntrinsics:
-    """Beam layout and timing of one spinning LiDAR unit."""
+    """Beam layout and timing of one spinning LiDAR unit; each check fails NaN."""
 
     elevation_angles: np.ndarray
     azimuth_count: int
@@ -35,12 +35,14 @@ class SensorIntrinsics:
         self.elevation_angles = np.asarray(self.elevation_angles, dtype=float)
         if self.elevation_angles.ndim != 1 or self.elevation_angles.size == 0:
             raise InvalidInputError("need at least one beam elevation")
-        if np.any(np.diff(self.elevation_angles) <= 0.0):
+        if not np.all(np.diff(self.elevation_angles) > 0.0):
             raise InvalidInputError("elevation angles must be strictly increasing")
-        if np.any(np.abs(self.elevation_angles) >= np.pi / 2):
+        if not np.all(np.abs(self.elevation_angles) < np.pi / 2):
             raise InvalidInputError("elevations must lie inside (-pi/2, pi/2)")
         if self.azimuth_count < 1:
             raise InvalidInputError("azimuth_count must be at least 1")
+        if not (0.0 < self.s_max < np.inf and 0.0 < self.scan_period < np.inf):
+            raise InvalidInputError("s_max and scan_period must be positive and finite")
 
     @property
     def n_beams(self) -> int:
@@ -151,19 +153,18 @@ class UnitCubeScale:
         return (np.asarray(points, dtype=float) - self.center) * self.scale
 
 
-def to_unit_cube(points, bounds):
-    """Scale points into the unit cube defined by axis-aligned world bounds.
+def to_unit_cube(bounds) -> UnitCubeScale:
+    """The transform taking axis-aligned world bounds into the unit cube.
 
-    Returns (scaled_points, UnitCubeScale); the scale is uniform (largest
-    bound extent wins) so geometry is preserved.
+    The scale is uniform (largest bound extent wins), so geometry is
+    preserved.
     """
     lo, hi = (np.asarray(b, dtype=float) for b in bounds)
     extent = hi - lo
     if np.any(extent <= 0.0):
         raise InvalidInputError("bounds must have positive extent")
     scale = 2.0 / float(extent.max())
-    transform = UnitCubeScale(center=0.5 * (lo + hi), scale=scale)
-    return transform.apply(points), transform
+    return UnitCubeScale(center=0.5 * (lo + hi), scale=scale)
 
 
 # -- quaternion helpers (w, x, y, z convention, scalar first) -------------------

@@ -24,15 +24,17 @@ for axis-aligned normals two of the three products are zero, so distances
 are bit-identical to any other evaluation order (``np.dot`` included), and
 they agree with such evaluations within 1e-12 m otherwise.
 
-Scene file grammar (flat key-value, '#' comments, one [surface] section per
-surface; vectors are whitespace-separated):
+A scene file is a key = value file (``plink.config``): a ``bounds`` line,
+then one ``[surface]`` section per surface. Unknown keys are rejected, a
+vector must have the length shown, and a box takes no ``normal``;
+``return_prob`` defaults to 1 and ``oblique_drop_deg`` to 90.
 
     bounds = xmin ymin zmin xmax ymax zmax
     [surface]
-    kind = rect | box
+    kind = rect | box       # rect by default
     origin = x y z          # rect center, or box min corner
     normal = x y z          # rect only
-    extent = hu hv          # rect half-widths, or box full sizes (3 values)
+    extent = hu hv          # rect half-widths, or box full sizes sx sy sz
     return_prob = 0.5
     oblique_drop_deg = 90
 """
@@ -44,6 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import fill, read_sections
 from .errors import InvalidInputError
 from .field import CdfTrace, Ray, SampleGrid
 # motion_compensate is not called here; perfbench/layers.py probes this name.
@@ -105,8 +108,8 @@ class SceneSurface:
         self.normal = np.asarray(self.normal, dtype=float)
         self.extent = np.asarray(self.extent, dtype=float)
         norm = np.linalg.norm(self.normal)
-        if norm == 0.0:
-            raise InvalidInputError("surface normal must be nonzero")
+        if not (0.0 < norm < np.inf):
+            raise InvalidInputError("surface normal must be nonzero and finite")
         self.normal = self.normal / norm
         if not (0.0 < self.return_prob <= 1.0):
             raise InvalidInputError("return probability must lie in (0, 1]")
@@ -336,65 +339,58 @@ def generate_dataset(scene: SceneSpec, sensor_path: list, intrinsics: SensorIntr
 # -- scene file IO ---------------------------------------------------------------
 
 
-def parse_scene(text: str) -> SceneSpec:
-    bounds = None
-    surfaces = []
-    current = None
-
-    def flush(section):
-        if section is None:
-            return
-        kind = section.get("kind", "rect")
-        prob = float(section.get("return_prob", 1.0))
-        oblique = np.deg2rad(float(section.get("oblique_drop_deg", 90.0)))
-        origin = _vector(section, "origin", 3)
-        if kind == "rect":
-            surfaces.append(SceneSurface(origin, _vector(section, "normal", 3),
-                                         _vector(section, "extent", 2), prob, oblique))
-        elif kind == "box":
-            surfaces.extend(box_faces(origin, _vector(section, "extent", 3),
-                                      prob, oblique))
-        else:
-            raise InvalidInputError(f"unknown surface kind {kind!r}")
-
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line == "[surface]":
-            flush(current)
-            current = {}
-            continue
-        if "=" not in line:
-            raise InvalidInputError(f"expected key = value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if current is None:
-            if key != "bounds":
-                raise InvalidInputError(f"unexpected top-level key {key!r}")
-            numbers = [float(v) for v in value.split()]
-            if len(numbers) != 6:
-                raise InvalidInputError("bounds needs six numbers")
-            bounds = (numbers[:3], numbers[3:])
-        else:
-            current[key] = value
-    flush(current)
-    if bounds is None:
-        raise InvalidInputError("scene file must declare bounds")
-    return SceneSpec(surfaces, bounds)
+# The keys of the top section and of each kind of [surface] besides
+# ``kind``; a vector's default fixes its length.
+@dataclass
+class _Bounds:
+    bounds: tuple = (0.0,) * 6
 
 
-def _vector(section: dict, key: str, length: int) -> np.ndarray:
-    if key not in section:
-        raise InvalidInputError(f"surface is missing {key!r}")
-    values = np.array([float(v) for v in section[key].split()])
-    if values.size != length:
-        raise InvalidInputError(f"{key!r} needs {length} numbers")
-    return values
+@dataclass
+class _Rect:
+    origin: tuple = (0.0,) * 3
+    normal: tuple = (0.0,) * 3
+    extent: tuple = (0.0,) * 2
+    return_prob: float = 1.0
+    oblique_drop_deg: float = 90.0
+
+
+@dataclass
+class _Box:
+    origin: tuple = (0.0,) * 3
+    extent: tuple = (0.0,) * 3
+    return_prob: float = 1.0
+    oblique_drop_deg: float = 90.0
+
+
+# Each kind's keys, and those of them that a section must hold.
+_KINDS = {"rect": (_Rect, ("origin", "normal", "extent")), "box": (_Box, ("origin", "extent"))}
 
 
 def load_scene(path) -> SceneSpec:
-    with open(path) as fh:
-        return parse_scene(fh.read())
+    """The scene in a scene file (module docstring); errors name the file and line."""
+    top, *sections = read_sections(path, ("surface",), InvalidInputError)
+    bounds = fill(_Bounds(), top, required=("bounds",)).bounds
+    surfaces = []
+    for section in sections:
+        line, kind = section.rows.pop("kind", (section.line, "rect"))
+        if kind not in _KINDS:
+            raise section.fail(f"unknown surface kind {kind!r}", line)
+        keys, required = _KINDS[kind]
+        spec = fill(keys(), section, required=required)
+        oblique = np.deg2rad(spec.oblique_drop_deg)
+        try:
+            if kind == "rect":
+                surfaces.append(SceneSurface(spec.origin, spec.normal, spec.extent,
+                                             spec.return_prob, oblique))
+            else:
+                surfaces.extend(box_faces(spec.origin, spec.extent, spec.return_prob, oblique))
+        except InvalidInputError as exc:
+            raise section.fail(str(exc)) from None
+    try:
+        return SceneSpec(surfaces, (bounds[:3], bounds[3:]))
+    except InvalidInputError as exc:
+        raise top.fail(str(exc), top.rows["bounds"][0]) from None
 
 
 def builtin_scene_path(name: str):

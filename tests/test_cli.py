@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from plink import cli, metrics, net as nets, pipeline, simscene
-from plink.config import load_config
+from plink.config import RunConfig, load_config
+from plink.errors import ConfigError
 
 SCENE = simscene.builtin_scene_path("panel_room.txt")
 PATH = simscene.builtin_scene_path("moving_path.csv")
@@ -148,6 +149,15 @@ def test_eval_with_an_empty_synthetic_cloud_prints_nan(tmp_path, capsys):
     ("render_draws = 0\n", "checkpoint_every and render_draws must be at least 1"),
     ("render_fine = -1\n", "render_fine at least 0"),
     ("elevations = 0.0 x\n", "elevations: expected numbers, got '0.0 x'"),
+    ("elevations = 0.1 0.0\n", "elevation angles must be strictly increasing"),
+    ("s_max = nan\n", "run.cfg line 1: s_max: 'nan' is not finite"),
+    ("s_max = 0\n", "s_max and scan_period must be positive and finite"),
+    ("lr = nan\n", "run.cfg line 1: lr: 'nan' is not finite"),
+    ("lr = -1\n", "lr must be positive and finite"),
+    ("scan_period = 0\n", "s_max and scan_period must be positive and finite"),
+    ("scan_period = -1\n", "s_max and scan_period must be positive and finite"),
+    ("seed = 1\n[run]\n", "run.cfg line 2: unknown section [run]"),
+    ("seed 1\n", "run.cfg line 1: expected key = value, got 'seed 1'"),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, text, message):
     cfg = write_config(tmp_path, text)
@@ -156,6 +166,26 @@ def test_bad_config_exits_2(tmp_path, capsys, text, message):
     assert code == cli.EXIT_CONFIG
     assert err.startswith("invalid config:") and message in err
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("s_max", np.nan), ("s_max", -1.0), ("lr", np.nan), ("lr", 0.0), ("lr", np.inf),
+    ("scan_period", np.nan), ("scan_period", 0.0), ("alpha", np.nan),
+    ("confidence_level", np.nan),
+])
+def test_validate_rejects_nan_and_non_positive_values(key, value):
+    # CLI flags reach validate without the file reader's finiteness check.
+    with pytest.raises(ConfigError):
+        RunConfig(**{key: value}).validate()
+
+
+def test_bad_flag_exits_2_before_work(tmp_path, capsys):
+    cfg = write_config(tmp_path, UNDER_TRAINED)
+    code, _, err = run(capsys, "train", "--config", cfg, "--scene", SCENE, "--lr", "nan",
+                       "--data", tmp_path / "no_data", "--out", tmp_path / "train")
+    assert code == cli.EXIT_CONFIG
+    assert err == "invalid config: lr must be positive and finite\n"
+    assert not (tmp_path / "train").exists()
 
 
 def test_plink_seed_beats_config_file_and_flag(tmp_path, capsys, monkeypatch):
@@ -179,7 +209,12 @@ def test_plink_seed_beats_config_file_and_flag(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("name, line, bad, message", [
     ("intrinsics.txt", 3, None, "intrinsics.txt: no s_max line"),
-    ("intrinsics.txt", 2, "azimuth_count = many", "intrinsics.txt line 2: bad azimuth_count"),
+    ("intrinsics.txt", 2, "azimuth_count = many",
+     "intrinsics.txt line 2: azimuth_count: expected int, got 'many'"),
+    ("intrinsics.txt", 2, "n_bins = 4", "intrinsics.txt line 2: unknown key 'n_bins'"),
+    ("intrinsics.txt", 3, "s_max = nan", "intrinsics.txt line 3: s_max: 'nan' is not finite"),
+    ("intrinsics.txt", 4, "scan_period = 0",
+     "intrinsics.txt: s_max and scan_period must be positive and finite"),
     ("scan_0000.csv", 2, "0,1,abc,1,0.0", "scan_0000.csv row 2: could not convert"),
     ("scan_0000.csv", 3, "9,0,5.0,1,0.0", "scan_0000.csv row 3: beam 9, azimuth 0 is outside"),
     ("scan_0000.csv", 2, "-1,0,5.0,1,0.0", "scan_0000.csv row 2: beam -1, azimuth 0 is outside"),
@@ -205,6 +240,37 @@ def test_malformed_dataset_file_exits_2(tmp_path, capsys, name, line, bad, messa
                            "--data", data, "--out", tmp_path / "train")
     assert code == cli.EXIT_CONFIG
     assert err.startswith("error: ") and str(data) in err and message in err
+
+
+@pytest.mark.parametrize("line, bad, message", [
+    (21, "retrun_prob = 0.5", "scene.txt line 21: unknown key 'retrun_prob'"),
+    (38, "normal = 1 0 0", "scene.txt line 38: unknown key 'normal'"),
+    (21, "return_prob = half", "scene.txt line 21: return_prob: expected float, got 'half'"),
+    (21, "return_prob = nan", "scene.txt line 21: return_prob: 'nan' is not finite"),
+    (21, "return_prob = 1.5", "scene.txt line 16: return probability must lie in (0, 1]"),
+    (20, "extent = 1.5 one", "scene.txt line 20: extent: expected 2 numbers, got '1.5 one'"),
+    (28, "extent = 19 20", "scene.txt line 28: extent: expected 3 numbers, got '19 20'"),
+    (18, None, "scene.txt line 16: no origin line"),
+    (17, "kind = disc", "scene.txt line 17: unknown surface kind 'disc'"),
+    (25, "[surfaces]", "scene.txt line 25: unknown section [surfaces]"),
+    (12, "bounds = -22 -22 -3 22 22 three",
+     "scene.txt line 12: bounds: expected 6 numbers, got '-22 -22 -3 22 22 three'"),
+    (12, None, "scene.txt: no bounds line"),
+    (12, "bounds = -2 -22 -3 22 22 3",
+     "scene.txt line 12: all surface corners must lie inside the bounds"),
+], ids=["misspelt-key", "key-of-another-kind", "not-a-number", "nan", "physics",
+        "vector-not-a-number", "vector-length", "missing-origin", "unknown-kind",
+        "unknown-section", "bounds-not-numbers", "missing-bounds", "bounds-too-small"])
+def test_malformed_scene_file_exits_2(tmp_path, capsys, line, bad, message):
+    lines = SCENE.read_text().splitlines()
+    lines[line - 1:line] = [] if bad is None else [bad]
+    scene = tmp_path / "scene.txt"
+    scene.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "gen", "--config", write_config(tmp_path, UNDER_TRAINED),
+                       "--scene", scene, "--path", PATH, "--out", tmp_path / "data")
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("error: ") and str(tmp_path) in err and message in err
+    assert not (tmp_path / "data").exists()
 
 
 @pytest.mark.parametrize("name, text, message", [

@@ -119,7 +119,7 @@ class TestBoundsCheck:
     def test_train_set_names_the_first_ray_outside(self):
         frames = dataset("moving_path.csv", 2)
         scene = self.scene(self.CUT)
-        _, scale = sensor.to_unit_cube(np.zeros((1, 3)), scene.bounds)
+        scale = sensor.to_unit_cube(scene.bounds)
         frame, beam, azimuth = oracle_first_outside(frames, scale)
         assert frame == 1
         with pytest.raises(OutOfBoundsError, match=re.escape(
@@ -266,7 +266,7 @@ def render_setup(seed, batch_rays):
                        hidden_layers=1, encoding_levels=2, dir_levels=1, sigma_bias=0.0,
                        batch_rays=batch_rays, seed=seed).validate()
     state = pipeline.models_from_config(config)
-    _, scale = sensor.to_unit_cube(np.zeros((1, 3)), ([-5.0] * 3, [5.0] * 3))
+    scale = sensor.to_unit_cube(([-5.0] * 3, [5.0] * 3))
     intr = pipeline.intrinsics_from_config(config)
     shape = (intr.n_beams, intr.azimuth_count)
     frame = sensor.ScanFrame(intr, sensor.Pose(np.eye(3), np.zeros(3), 0.0),

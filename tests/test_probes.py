@@ -34,7 +34,7 @@ def tiny_run(monkeypatch):
                        n_fine=4, hidden_width=8, hidden_layers=1, encoding_levels=2,
                        dir_levels=1, sigma_bias=0.0, batch_rays=5, epochs=1).validate()
     state = pipeline.models_from_config(config)
-    _, scale = sensor.to_unit_cube(np.zeros((1, 3)), ([-5.0] * 3, [5.0] * 3))
+    scale = sensor.to_unit_cube(([-5.0] * 3, [5.0] * 3))
     dirs = np.random.default_rng(0).normal(size=(7, 3))
     ranges = np.full((7, 2), np.inf)
     ranges[:4, 0], ranges[1, 1] = [2.0, 1.0, 3.5, 0.5], 3.0

@@ -3,6 +3,7 @@ exact cdfs, pulse draws, dataset generation and the shipped scene."""
 
 import hashlib
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,11 +165,12 @@ class TestBounds:
         rect = simscene.SceneSurface([0.0, 4.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.5])
         simscene.SceneSpec([rect], ([-5.0] * 3, [5.0] * 3))
 
-    def test_scene_file_with_protruding_rect_is_rejected(self):
-        text = ("bounds = -5 -5 -5 5 5 5\n[surface]\nkind = rect\n"
-                "origin = 4.5 0 0\nnormal = 0 0 1\nextent = 1 1\n")
-        with pytest.raises(InvalidInputError):
-            simscene.parse_scene(text)
+    def test_scene_file_with_protruding_rect_is_rejected(self, tmp_path):
+        path = tmp_path / "scene.txt"
+        path.write_text("bounds = -5 -5 -5 5 5 5\n[surface]\nkind = rect\n"
+                        "origin = 4.5 0 0\nnormal = 0 0 1\nextent = 1 1\n")
+        with pytest.raises(InvalidInputError, match="scene.txt line 1: all surface corners"):
+            simscene.load_scene(path)
 
 
 def frame_rays(frame):
@@ -278,6 +280,12 @@ class TestShippedScene:
         assert len(scene.surfaces) == 1 + 6 + 6
         np.testing.assert_array_equal(scene.return_probs[:2], [0.5, 1.0])
         assert np.min(scene.oblique_limits) == pytest.approx(np.deg2rad(60.0))
+
+    def test_benchmark_scene_parses(self):
+        # perfbench keeps its own scene file: one the strict parser rejects
+        # should fail here, not in a benchmark run.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "scene" / "scene.txt"
+        assert simscene.load_scene(path).surfaces
 
     @pytest.mark.parametrize("name", PATHS)
     def test_paths_parse(self, name):
