@@ -2,10 +2,18 @@
 
 Subcommands: gen, train, render, baseline, eval, compare. Flags override
 config-file values; the PLINK_SEED environment variable overrides the seed
-last. Exit codes: 0 success; 2 invalid configuration or a malformed input
-file (config, scene, intrinsics, scan, pose, cloud or checkpoint), with a
-message naming the file and, in a line-based file, the line; 3 training
-divergence. All outputs are deterministic given the seed.
+last. All outputs are deterministic given the seed.
+
+Exit codes:
+
+* 0: success.
+* 2: invalid configuration or a malformed input file (config, scene,
+  intrinsics, scan, pose, cloud or checkpoint), with a message naming the
+  file and, in a line-based file, the line; also any other `PlinkError`
+  and an OS error on a file.
+* 3: training divergence.
+* 1, with a traceback: an internal error. `main` catches only the errors
+  above, so any other exception propagates out of it.
 """
 
 from __future__ import annotations
@@ -152,9 +160,8 @@ def cmd_render(args) -> int:
     pipeline.check_frames_in_bounds(frames, scale)  # before any cloud is written
     os.makedirs(config.out_dir, exist_ok=True)
     for i, frame in enumerate(frames):
-        cloud = pipeline.render_frame_cloud(
-            state, frame, scale, config, config.render_mode,
-            baseline=args.baseline_depth, frame_index=i)
+        mode = pipeline.WEIGHTED_DEPTH if args.baseline_depth else config.render_mode
+        cloud = pipeline.render_frame_cloud(state, frame, scale, config, mode, frame_index=i)
         out = os.path.join(config.out_dir, f"cloud_{i:04d}.ply")
         metrics.write_ply(out, cloud)
         print(f"{out}: {len(cloud)} points")
@@ -219,9 +226,9 @@ def cmd_compare(args) -> int:
     for i, frame in enumerate(pipeline.read_dataset(test_dir)):
         clouds["gt"].append(pipeline.ground_truth_cloud(frame))
         for name in ("model", "baseline"):
+            mode = pipeline.WEIGHTED_DEPTH if name == "baseline" else "stochastic"
             clouds[name].append(pipeline.render_frame_cloud(
-                states[name], frame, train_set.scale, config, "stochastic",
-                baseline=name == "baseline", frame_index=i))
+                states[name], frame, train_set.scale, config, mode, frame_index=i))
         for name, frame_clouds in clouds.items():
             metrics.write_ply(os.path.join(out, f"{name}_{i:04d}.ply"), frame_clouds[-1])
 

@@ -23,6 +23,11 @@ import numpy as np
 from .errors import ConfigError, InvalidInputError
 from .sensor import SensorIntrinsics
 
+# Keys that size arrays, at most the checkpoint header's int32.
+SIZE_KEYS = ("azimuth_count", "n_frames", "n_bins", "n_fine", "batch_rays", "encoding_levels",
+             "dir_levels", "hidden_width", "hidden_layers", "render_draws", "render_fine")
+INT32_MAX = 2 ** 31 - 1
+
 
 @dataclass
 class RunConfig:
@@ -63,6 +68,9 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         """Reject bad values before any work; every comparison fails on NaN."""
+        for key in SIZE_KEYS:
+            if getattr(self, key) > INT32_MAX:
+                raise ConfigError(f"{key} must be at most {INT32_MAX}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ConfigError("alpha must lie in [0, 1]")
         if not (0.0 < self.lr < np.inf):

@@ -7,7 +7,7 @@ Four terms drive the two networks:
 * an asymmetric hinge that punishes proposal-histogram bins whose mass
   underestimates the (normalized) fine-field integral over the bin;
 * binary cross-entropy on a pooled per-ray drop estimate;
-* the weighted combination of the first and third, alpha defaulting to 0.999.
+* the weighted combination of the first and third, by the run's alpha.
 
 Each term has one definition, a kernel over a batch of B rays: (B, J)
 rows on the fine grid or (B, n_bins) rows of proposal masses. Beside each
@@ -29,25 +29,24 @@ from .errors import InvalidInputError
 from .net import sigmoid
 
 BCE_EPS = 1e-7
-DEFAULT_ALPHA = 0.999
 
 
 @dataclass
 class LossBreakdown:
-    """All scalar loss terms for one training step."""
+    """All scalar loss terms for one training step; the fine loss is their alpha mix."""
 
     l_c: float
     l_drop: float
     l_coarse: float
-    l_fine: float
-    alpha: float = DEFAULT_ALPHA
+    alpha: float
 
     def __post_init__(self):
-        if min(self.l_c, self.l_drop, self.l_coarse, self.l_fine) < 0.0:
+        if min(self.l_c, self.l_drop, self.l_coarse) < 0.0:
             raise InvalidInputError("loss terms must be nonnegative")
-        expected = self.alpha * self.l_c + (1.0 - self.alpha) * self.l_drop
-        if abs(self.l_fine - expected) > 1e-9:
-            raise InvalidInputError("fine loss must equal the alpha combination")
+
+    @property
+    def l_fine(self) -> float:
+        return self.alpha * self.l_c + (1.0 - self.alpha) * self.l_drop
 
 
 # -- kernels -------------------------------------------------------------------

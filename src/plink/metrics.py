@@ -68,7 +68,7 @@ def _nn_distances(queries: PointCloud, targets: PointCloud) -> np.ndarray:
     return np.asarray(distances)
 
 
-def evaluate(gt: PointCloud, synth: PointCloud, threshold_cm: float = 20.0) -> MetricsReport:
+def evaluate(gt: PointCloud, synth: PointCloud, threshold_cm: float) -> MetricsReport:
     """The metric suite, from one nearest-neighbor query in each direction."""
     to_synth = _nn_distances(gt, synth)     # completion, recall
     to_gt = _nn_distances(synth, gt)        # accuracy, precision

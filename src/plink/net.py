@@ -17,11 +17,16 @@ rounds as the op a tape-recorded MLP would run, so the gradient is
 bit-identical to one (up to the sign of a zero: relu gives +0.0 where the
 tape's ``z * (z > 0)`` gives -0.0).
 
-Checkpoint layout (single model record, little-endian):
+`backward` returns the flat gradient as a plain array, after checking it
+is finite; `opt_step` takes that array.
+
+`FieldModel`'s shape fields are the run config's network keys, and the
+checkpoint header holds them in field order (single model record,
+little-endian):
 
     magic   8 bytes   b"PLNKFLD1"
     header  7 int32   [encoding_levels, dir_levels, use_direction,
-                       n_hidden, hidden_width, has_phi_head, param_count]
+                       hidden_layers, hidden_width, has_phi_head, param_count]
     params  param_count float32
 
 A checkpoint file written by the trainer holds b"PLNKCKPT" + int32 record
@@ -31,7 +36,7 @@ count, then that many model records (coarse first, fine second).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,13 +59,14 @@ def softplus(a: np.ndarray) -> np.ndarray:
     return np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a)))
 
 
-def encode(positions, directions=None, levels: int = 8, dir_levels: int = 2) -> np.ndarray:
+def encode(positions, directions, levels: int, dir_levels: int) -> np.ndarray:
     """Fourier-feature encoding of unit-cube positions (and optional directions).
 
     Raw coordinates are kept alongside sin/cos pairs at frequencies
     2^0 pi ... 2^(levels-1) pi, built by angle doubling from one sin and
     cos of pi * coords (see `_fourier_into` for its round-off). Output
-    width is 3 + 6*levels, plus 3 + 6*dir_levels when directions are given.
+    width is 3 + 6*levels, plus 3 + 6*dir_levels when ``directions`` is
+    not None.
 
     Directions come one per position, or one per ray: B rows for N = B*J
     positions, where row i serves positions i*J ... (i+1)*J - 1. Per-ray
@@ -121,14 +127,18 @@ def encoded_width(levels: int, dir_levels: int, use_direction: bool) -> int:
 
 @dataclass
 class FieldModel:
-    """Architecture description plus the flat parameter vector."""
+    """The network's shape, as the run config's keys name it, and its flat parameters.
 
-    encoding_levels: int = 8
-    dir_levels: int = 2
-    use_direction: bool = True
-    layer_widths: list = field(default_factory=lambda: [128, 128, 128, 128])
-    has_phi_head: bool = False
-    params: np.ndarray = None
+    ``params=None`` gives a zero vector of the shape's length.
+    """
+
+    encoding_levels: int
+    dir_levels: int
+    use_direction: bool
+    hidden_layers: int
+    hidden_width: int
+    has_phi_head: bool
+    params: np.ndarray | None
 
     def __post_init__(self):
         if self.params is None:
@@ -144,13 +154,9 @@ class FieldModel:
 
     def layer_shapes(self) -> list:
         """(weight_shape, bias_shape) per linear layer, heads last."""
-        widths = [self.input_width()] + list(self.layer_widths)
-        shapes = [((widths[i], widths[i + 1]), (widths[i + 1],))
-                  for i in range(len(self.layer_widths))]
-        shapes.append(((widths[-1], 1), (1,)))  # sigma head
-        if self.has_phi_head:
-            shapes.append(((widths[-1], 1), (1,)))  # phi head
-        return shapes
+        widths = [self.input_width()] + [self.hidden_width] * self.hidden_layers
+        shapes = [((a, b), (b,)) for a, b in zip(widths, widths[1:])]
+        return shapes + [((widths[-1], 1), (1,))] * (1 + self.has_phi_head)  # sigma, phi
 
     def param_count(self) -> int:
         return sum(int(np.prod(w)) + int(np.prod(b)) for w, b in self.layer_shapes())
@@ -162,7 +168,7 @@ class FieldModel:
     def describe_parameter(self, index: int) -> str:
         """Where flat parameter ``index`` lives: network, layer, W/b and position."""
         network = "fine" if self.has_phi_head else "coarse"
-        n_hidden = len(self.layer_widths)
+        n_hidden = self.hidden_layers
         offset = 0
         for i, (w_shape, b_shape) in enumerate(self.layer_shapes()):
             layer = f"layer {i}" if i < n_hidden else ("sigma head", "phi head")[i - n_hidden]
@@ -176,22 +182,17 @@ class FieldModel:
         raise InvalidInputError(f"parameter index {index} is out of range")
 
 
-def init_model(encoding_levels: int = 8, dir_levels: int = 2, use_direction: bool = True,
-               layer_widths=None, has_phi_head: bool = False, rng=None,
-               sigma_bias: float = -4.0) -> FieldModel:
-    """He-initialized model; the sigma head bias starts negative so the
-    initial field carries little return mass and the cdf is far from 1."""
+def init_model(model: FieldModel, rng, sigma_bias: float) -> FieldModel:
+    """He-initialize ``model``'s parameters in place and return it.
+
+    Every bias starts at 0 but the sigma head's, at ``sigma_bias``: a
+    negative one makes the initial field carry little return mass, so the
+    cdf starts far from 1.
+    """
     rng = np.random.default_rng(rng)
-    model = FieldModel(encoding_levels, dir_levels, use_direction,
-                       list(layer_widths or [128, 128, 128, 128]), has_phi_head)
-    views = model.param_views()
-    n_hidden = len(model.layer_widths)
-    for i, (w, b) in enumerate(views):
-        fan_in = w.shape[0]
-        w[...] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=w.shape)
-        b[...] = 0.0
-        if i == n_hidden:  # sigma head
-            b[...] = sigma_bias
+    for i, (w, b) in enumerate(model.param_views()):
+        w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
+        b[...] = sigma_bias if i == model.hidden_layers else 0.0
     return model
 
 
@@ -239,7 +240,7 @@ def _layers(model: FieldModel, views: list, feats, acts=None):
     tape-recorded MLP computes, with +0.0 where its ``z * (z > 0)`` gives
     -0.0.
     """
-    n_hidden = len(model.layer_widths)
+    n_hidden = model.hidden_layers
     h = np.asarray(feats, dtype=float)
     for w, b in views[:n_hidden]:
         if acts is not None:
@@ -266,37 +267,23 @@ def forward(model: FieldModel, feats: np.ndarray):
     return softplus(pre_sigma), phi
 
 
-@dataclass
-class GradientTape:
-    """A scalar loss value and its flat parameter gradient.
-
-    With the model given, a non-finite gradient is reported by the layer
-    and position of its first bad entry.
-    """
-
-    loss: float
-    gradient: np.ndarray
-    model: FieldModel = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.gradient = np.asarray(self.gradient, dtype=np.float64)
-        if not np.all(np.isfinite(self.gradient)):
-            where = ""
-            if self.model is not None:
-                bad = int(np.flatnonzero(~np.isfinite(self.gradient))[0])
-                where = f", first at {self.model.describe_parameter(bad)} (parameter {bad})"
-            raise DivergenceError(f"gradient contains non-finite entries{where}")
-
-
-def backward(graph: ModelGraph, loss, g_sigma: np.ndarray, g_phi=None) -> GradientTape:
-    """The scalar ``loss`` with its flat parameter gradient for one model.
+def backward(graph: ModelGraph, g_sigma: np.ndarray, g_phi=None) -> np.ndarray:
+    """The flat parameter gradient of one model, checked finite.
 
     ``g_sigma`` and ``g_phi`` (N,) are the loss's gradients at the graph's
-    outputs; a phi head without ``g_phi`` gets a zero gradient.
+    outputs; a phi head without ``g_phi`` gets a zero gradient. A non-finite
+    gradient is a divergence, reported by the layer and position of its
+    first bad entry.
     """
-    if g_phi is None and graph.model.has_phi_head:
+    model = graph.model
+    if g_phi is None and model.has_phi_head:
         g_phi = np.zeros_like(g_sigma)
-    return GradientTape(float(loss), _mlp_backward(graph, g_sigma, g_phi), graph.model)
+    gradient = _mlp_backward(graph, g_sigma, g_phi)
+    if not np.all(np.isfinite(gradient)):
+        bad = int(np.flatnonzero(~np.isfinite(gradient))[0])
+        raise DivergenceError(f"gradient contains non-finite entries, first at "
+                              f"{model.describe_parameter(bad)} (parameter {bad})")
+    return gradient
 
 
 def _mlp_backward(graph: ModelGraph, g_sigma: np.ndarray, g_phi) -> np.ndarray:
@@ -312,7 +299,7 @@ def _mlp_backward(graph: ModelGraph, g_sigma: np.ndarray, g_phi) -> np.ndarray:
     model, views, acts = graph.model, graph.views, graph.acts
     grad = np.empty(model.param_count())
     grad_views = _layout_views(model.layer_shapes(), grad)
-    n_hidden = len(model.layer_widths)
+    n_hidden = model.hidden_layers
     heads = [g_sigma * sigmoid(graph.pre_sigma)]
     if g_phi is not None:
         heads.append(g_phi)
@@ -352,7 +339,7 @@ class AdamState:
         return cls(np.zeros(n), np.zeros(n), 0)
 
 
-def opt_step(model: FieldModel, tape: GradientTape, lr: float, state: AdamState,
+def opt_step(model: FieldModel, g: np.ndarray, lr: float, state: AdamState,
              betas=(0.9, 0.999), eps: float = 1e-8) -> None:
     """One bias-corrected adaptive-moment update, in place.
 
@@ -361,11 +348,10 @@ def opt_step(model: FieldModel, tape: GradientTape, lr: float, state: AdamState,
     A non-finite moment is a divergence, like a non-finite update: a finite
     gradient above about 1e154 overflows ``v``, which would freeze the entry.
     """
-    if tape.gradient.shape != model.params.shape:
+    if g.shape != model.params.shape:
         raise InvalidInputError("gradient length must match the parameter vector")
     b1, b2 = betas
     state.t += 1
-    g = tape.gradient
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         state.m *= b1
         state.m += (1.0 - b1) * g
@@ -395,15 +381,9 @@ def opt_step(model: FieldModel, tape: GradientTape, lr: float, state: AdamState,
 
 
 def _write_model(fh, model: FieldModel) -> None:
-    if len(set(model.layer_widths)) != 1:
-        raise InvalidInputError("checkpoint layout requires uniform hidden widths")
     fh.write(MODEL_MAGIC)
-    header = struct.pack(
-        "<7i", model.encoding_levels, model.dir_levels, int(model.use_direction),
-        len(model.layer_widths), model.layer_widths[0], int(model.has_phi_head),
-        model.params.size,
-    )
-    fh.write(header)
+    shape = [getattr(model, f.name) for f in fields(model)[:-1]]
+    fh.write(struct.pack("<7i", *shape, model.params.size))
     fh.write(model.params.astype("<f4").tobytes())
 
 
@@ -418,11 +398,10 @@ def _read_model(fh) -> FieldModel:
     magic = fh.read(len(MODEL_MAGIC))
     if magic != MODEL_MAGIC:
         raise InvalidInputError("not a field-model record")
-    levels, dir_levels, use_dir, n_hidden, width, has_phi, count = struct.unpack(
+    levels, dir_levels, use_dir, layers, width, has_phi, count = struct.unpack(
         "<7i", _read_exact(fh, 28))
     params = np.frombuffer(_read_exact(fh, 4 * count), dtype="<f4").astype(np.float64)
-    return FieldModel(levels, dir_levels, bool(use_dir), [width] * n_hidden,
-                      bool(has_phi), params)
+    return FieldModel(levels, dir_levels, bool(use_dir), layers, width, bool(has_phi), params)
 
 
 def save_checkpoint(path, coarse: FieldModel, fine: FieldModel) -> None:

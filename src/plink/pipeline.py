@@ -120,11 +120,12 @@ def _check_in_bounds(origins: np.ndarray, dirs: np.ndarray, s_max: float,
 
 def models_from_config(config: RunConfig):
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0xC0A23E)))
+    shape = (config.encoding_levels, config.dir_levels, config.use_direction,
+             config.hidden_layers, config.hidden_width)
     # The coarse model draws from ``rng`` first, then the fine one.
-    return sampler.TrainState.fresh(*(nets.init_model(
-        config.encoding_levels, config.dir_levels, config.use_direction,
-        [config.hidden_width] * config.hidden_layers, has_phi_head=phi_head,
-        rng=rng, sigma_bias=config.sigma_bias) for phi_head in (False, True)))
+    return sampler.TrainState.fresh(*(
+        nets.init_model(nets.FieldModel(*shape, phi_head, None), rng, config.sigma_bias)
+        for phi_head in (False, True)))
 
 
 def train(train_set: TrainSet, config: RunConfig, depth_l2: bool = False,
@@ -182,17 +183,17 @@ def evaluate_ray(state: sampler.TrainState, origins: np.ndarray, dirs: np.ndarra
 
 
 def render_ray(grid: np.ndarray, cdf: np.ndarray, q_hat: np.ndarray, mode: str, *,
-               uniforms: np.ndarray | None = None, level: float = 0.5,
-               peak_threshold: float = 0.05, drop_gate: bool = True) -> np.ndarray:
+               uniforms: np.ndarray | None = None, level: float,
+               peak_threshold: float) -> np.ndarray:
     """Ranges picked from each ray's cdf: (B, K), NaN where a ray gives none.
 
     ``stochastic`` inverts each cdf at its row of ``uniforms`` (B, K) and
     ``confidence`` at ``level``; ``first-return`` and ``strongest-return``
     take the first and the largest per-bin mass of at least
     ``peak_threshold``; ``WEIGHTED_DEPTH`` takes the mass-weighted mean
-    depth of a ray with more than 1e-6 mass. With ``drop_gate``, rays with
-    ``q_hat < 0.5`` give none. The name is singular because
-    perfbench/layers.py probes it under this name.
+    depth of a ray with more than 1e-6 mass. Rays with ``q_hat < 0.5``
+    give none. The name is singular because perfbench/layers.py probes it
+    under this name.
     """
     masses = bin_masses(cdf)
     if mode in ("stochastic", "confidence"):
@@ -212,8 +213,7 @@ def render_ray(grid: np.ndarray, cdf: np.ndarray, q_hat: np.ndarray, mode: str, 
         ranges = np.where(mass, depth, np.nan)[:, None]
     else:
         raise InvalidInputError(f"unknown render mode {mode!r}")
-    if drop_gate:
-        ranges[q_hat < 0.5] = np.nan
+    ranges[q_hat < 0.5] = np.nan
     return ranges
 
 
@@ -238,7 +238,7 @@ def _invert_cdf(grid: np.ndarray, cdf: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def render_frame_cloud(state: sampler.TrainState, frame: ScanFrame,
                        scale: UnitCubeScale, config: RunConfig, mode: str,
-                       baseline: bool = False, frame_index: int = 0) -> PointCloud:
+                       frame_index: int = 0) -> PointCloud:
     """Point cloud for one sensor pose, all beams and azimuth steps.
 
     A ray that leaves the scene bounds is rejected before any is marched;
@@ -247,11 +247,10 @@ def render_frame_cloud(state: sampler.TrainState, frame: ScanFrame,
     Rays are marched in chunks of ``config.batch_rays``, so rendering holds
     no more activations than a training step. Stochastic draws come from
     per-ray streams keyed on the config seed and the ray's index in the
-    frame, so output bytes do not depend on the chunk size. The baseline
-    renders its weighted depth whatever ``mode`` says.
+    frame, so output bytes do not depend on the chunk size. ``mode`` is a
+    render mode or `WEIGHTED_DEPTH`, the depth-L2 baseline's.
     """
     n_fine = config.render_fine or config.n_fine
-    mode = WEIGHTED_DEPTH if baseline else mode
     origins, dirs = _frame_rays([frame])
     _check_in_bounds(origins, dirs, frame.intrinsics.s_max, scale, frame.intrinsics,
                      frame_index)
@@ -307,18 +306,17 @@ def read_dataset(data_dir) -> list:
         intr = intrinsics_from_config(config)
     except InvalidInputError as exc:
         raise top.fail(str(exc)) from None
-    poses = read_poses(os.path.join(data_dir, "poses.csv"))
-    frames = []
-    for i in itertools.count():
-        path = os.path.join(data_dir, f"scan_{i:04d}.csv")
-        if not os.path.exists(path):
-            break
-        if i + 1 >= len(poses):
-            raise InvalidInputError("pose sidecar is shorter than the scan list")
-        frames.append(read_scan(path, intr, poses[i], poses[i + 1]))
-    if not frames:
+    poses_path = os.path.join(data_dir, "poses.csv")
+    poses = read_poses(poses_path)
+    scans = list(itertools.takewhile(os.path.exists, (
+        os.path.join(data_dir, f"scan_{i:04d}.csv") for i in itertools.count())))
+    if not scans:
         raise InvalidInputError(f"no scan files found in {data_dir}")
-    return frames
+    if len(poses) <= len(scans):
+        raise InvalidInputError(
+            f"{poses_path}: the pose sidecar is shorter than the scan list: {len(poses)} "
+            f"poses for {len(scans)} scans, which need {len(scans) + 1}")
+    return [read_scan(path, intr, poses[i], poses[i + 1]) for i, path in enumerate(scans)]
 
 
 def resample_path(poses: list, n_frames: int) -> list:

@@ -14,6 +14,13 @@ trained on the distribution and drop objectives, the proposal on the
 underestimation hinge against the (detached) fine field, one optimizer
 step each per batch. Each gradient runs back through the loss kernels'
 adjoints to the networks' outputs, then through `net.backward`.
+
+A fine grid row is the sorted union of its fine points and the bin edges,
+and it may repeat a knot: quantile placement puts every point it draws in
+one bin at that bin's midpoint, and a stratified point can land on an
+edge. Nothing downstream needs distinct knots: a repeat adds a zero-width
+side to the trapezoid deltas, and the cdf, the measurement counts, the
+hinge bins and the render pickers read the row as it is.
 """
 
 from __future__ import annotations
@@ -32,8 +39,6 @@ from .losses import (LossBreakdown, bce_values, bce_vjp, bin_accumulate, depth_l
                      depth_l2_vjp, hinge_values, hinge_vjp, measurement_counts,
                      pooled_drop_values, pooled_drop_vjp, range_moments,
                      step_mismatch_values, step_mismatch_vjp)
-
-MIN_GAP = 1e-9
 
 
 def uniform_bin_centers(s_max: float, n_bins: int) -> np.ndarray:
@@ -119,35 +124,16 @@ def quantile_points(masses: np.ndarray, edges: np.ndarray, n_fine: int) -> np.nd
     return importance_sample(masses, edges, np.full(masses.shape[:-1] + (2 * n_fine,), 0.5))
 
 
-def strictify(gammas: np.ndarray, min_gap: float = MIN_GAP) -> np.ndarray:
-    """Force strictly increasing rows by nudging duplicate values forward.
-
-    Left to right, a value not above its (already nudged) left neighbour
-    becomes that neighbour plus ``min_gap``: one pass over the columns, on
-    every row that stalls anywhere at once.
-    """
-    gammas = np.array(gammas, dtype=float, copy=True)
-    flat = np.atleast_2d(gammas)
-    rows = np.flatnonzero((np.diff(flat, axis=1) <= 0.0).any(axis=1))
-    if rows.size:
-        stalled = flat[rows]
-        for j in range(1, flat.shape[1]):
-            left = stalled[:, j - 1]
-            stalled[:, j] = np.where(stalled[:, j] <= left, left + min_gap, stalled[:, j])
-        flat[rows] = stalled
-    return gammas
-
-
 def fine_grid_rows(fine_points: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Sorted union of sampled points and bin edges, per ray row.
 
     Including the edges guarantees every proposal bin has integration
-    support, so the per-bin hinge integral is never empty.
+    support, so the per-bin hinge integral is never empty. A row may repeat
+    a knot (see the module docstring).
     """
     fine_points = np.atleast_2d(fine_points)
     tiled = np.broadcast_to(edges, (fine_points.shape[0], edges.size))
-    merged = np.sort(np.concatenate([fine_points, tiled], axis=1), axis=1)
-    return strictify(merged)
+    return np.sort(np.concatenate([fine_points, tiled], axis=1), axis=1)
 
 
 def ray_rng(seed: int, ray_id: int, epoch: int) -> np.random.Generator:
@@ -251,10 +237,7 @@ def train_step(state: TrainState, rays: RaySet, config: RunConfig, scale,
     l_drop = bce_values(k > 0, q_hat)
     g_phi, g_masses = pooled_drop_vjp(bce_vjp(1.0 - alpha, k > 0, q_hat), q_hat, phi_f, masses)
     g_sigma = cdf_vjp(bin_masses_vjp(g_masses, g_cdf), survival, deltas)
-    fine_tape = nets.backward(fine_graph, alpha * l_c + (1.0 - alpha) * l_drop,
-                              g_sigma.ravel(), g_phi.ravel())
-    if not np.isfinite(fine_tape.loss):
-        raise DivergenceError("fine loss is non-finite")
+    g_fine = nets.backward(fine_graph, g_sigma.ravel(), g_phi.ravel())
 
     # Proposal hinge: fine masses are detached constants (stop gradient).
     edges = uniform_bin_edges(s_max, config.n_bins)
@@ -264,18 +247,17 @@ def train_step(state: TrainState, rays: RaySet, config: RunConfig, scale,
                              1.0 / config.n_bins)
     hinge = hinge_values(fine_bin_mass, hist_masses)
     g_hist = hinge_vjp(np.full(len(hinge), 1.0 / len(hinge)), fine_bin_mass, hist_masses)
-    g_coarse = unit_masses_vjp(g_hist, coarse_graph.sigma.reshape(hist_masses.shape),
-                               np.diff(edges))
-    coarse_tape = nets.backward(coarse_graph, np.sum(hinge) * (1.0 / len(hinge)),
-                                g_coarse.ravel())
-    if not np.isfinite(coarse_tape.loss):
-        raise DivergenceError("coarse loss is non-finite")
+    g_coarse = nets.backward(coarse_graph, unit_masses_vjp(
+        g_hist, coarse_graph.sigma.reshape(hist_masses.shape), np.diff(edges)).ravel())
 
-    nets.opt_step(state.fine, fine_tape, config.lr, state.opt_fine)
-    nets.opt_step(state.coarse, coarse_tape, config.lr, state.opt_coarse)
-
-    return LossBreakdown(l_c=float(l_c), l_drop=float(l_drop), l_coarse=coarse_tape.loss,
-                         l_fine=fine_tape.loss, alpha=alpha)
+    losses = LossBreakdown(float(l_c), float(l_drop), float(np.sum(hinge) * (1.0 / len(hinge))),
+                           alpha)
+    for name, value in (("fine", losses.l_fine), ("coarse", losses.l_coarse)):
+        if not np.isfinite(value):
+            raise DivergenceError(f"{name} loss is non-finite")
+    nets.opt_step(state.fine, g_fine, config.lr, state.opt_fine)
+    nets.opt_step(state.coarse, g_coarse, config.lr, state.opt_coarse)
+    return losses
 
 
 def _encode_batch(model, points_world, dirs, scale) -> np.ndarray:

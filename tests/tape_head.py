@@ -5,9 +5,9 @@ beside each kernel (`losses`, `field`, `sampler.unit_masses_vjp`). This
 module is the same head written once more as `Tensor` ops: the cdf, the
 bin masses, the step mismatch or depth-L2 baseline, the pooled drop, its
 BCE and the proposal hinge. `train_step_tapes` runs one training step's
-march with the networks' outputs as tape leaves and returns the
-`net.GradientTape` of each network, for exact comparison with the
-gradients `sampler.train_step` hands to the optimizer.
+march with the networks' outputs as tape leaves and returns each
+network's gradient and the step's losses, for exact comparison with what
+`sampler.train_step` hands to the optimizer and returns.
 """
 
 import numpy as np
@@ -72,7 +72,8 @@ def measured_mean(per_ray, k):
 
 
 def tape_backward(graph, loss, sigma, phi=None):
-    """``net.backward`` of a tape-recorded ``loss`` of the graph's output leaves.
+    """The flat gradient, by ``net.backward``, of a tape-recorded ``loss`` of the
+    graph's output leaves.
 
     ``sigma`` and ``phi`` are the `Tensor` leaves the loss was built on; a
     leaf the loss does not reach gets a zero gradient.
@@ -80,12 +81,12 @@ def tape_backward(graph, loss, sigma, phi=None):
     loss.backward()
     zeros = np.zeros(len(graph.pre_sigma))
     g_phi = None if phi is None else (zeros if phi.grad is None else phi.grad)
-    return nets.backward(graph, loss.item(), zeros if sigma.grad is None else sigma.grad,
-                         g_phi)
+    return nets.backward(graph, zeros if sigma.grad is None else sigma.grad, g_phi)
 
 
 def train_step_tapes(state, rays, config, scale, epoch=0, depth_l2_baseline=False):
-    """(fine tape, coarse tape, l_c, l_drop) of one step, the head on the tape."""
+    """(fine gradient, coarse gradient, (l_c, l_drop, l_fine, l_coarse)) of one
+    step, the head on the tape."""
     ranges, s_max, n_bins = rays.ranges, rays.s_max, config.n_bins
     k = np.count_nonzero(ranges < np.inf, axis=1).astype(float)
     draws = sampler.ray_draws(config.seed, rays.ids, epoch, 2 * config.n_fine)
@@ -115,12 +116,13 @@ def train_step_tapes(state, rays, config, scale, epoch=0, depth_l2_baseline=Fals
         per_ray = step_mismatch(cdf, deltas, measurement_counts(ranges, grid), k)
     l_c = measured_mean(per_ray, k)
     l_drop = bce(k > 0, pooled_drop(phi, bin_masses(cdf)))
-    fine = tape_backward(fine_graph, config.alpha * l_c + (1.0 - config.alpha) * l_drop,
-                 sigma_leaf, phi_leaf)
+    l_fine = config.alpha * l_c + (1.0 - config.alpha) * l_drop
+    fine = tape_backward(fine_graph, l_fine, sigma_leaf, phi_leaf)
 
     fine_bin_mass = bin_accumulate(sigma.value * deltas, grid, edges)
     totals = fine_bin_mass.sum(axis=-1, keepdims=True)
     fine_bin_mass = np.where(totals > 1e-12, fine_bin_mass / np.maximum(totals, 1e-300),
                              1.0 / n_bins)
-    coarse = tape_backward(coarse_graph, hinge(fine_bin_mass, hist).mean(), sigma_c)
-    return fine, coarse, float(l_c.value), float(l_drop.value)
+    l_coarse = hinge(fine_bin_mass, hist).mean()
+    coarse = tape_backward(coarse_graph, l_coarse, sigma_c)
+    return fine, coarse, tuple(loss.item() for loss in (l_c, l_drop, l_fine, l_coarse))

@@ -158,6 +158,8 @@ def test_eval_with_an_empty_synthetic_cloud_prints_nan(tmp_path, capsys):
     ("scan_period = -1\n", "s_max and scan_period must be positive and finite"),
     ("seed = 1\n[run]\n", "run.cfg line 2: unknown section [run]"),
     ("seed 1\n", "run.cfg line 1: expected key = value, got 'seed 1'"),
+    ("azimuth_count = 100000000000000000000000\n", "azimuth_count must be at most 2147483647"),
+    ("hidden_width = 2147483648\n", "hidden_width must be at most 2147483647"),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, text, message):
     cfg = write_config(tmp_path, text)
@@ -226,6 +228,8 @@ def test_plink_seed_beats_config_file_and_flag(tmp_path, capsys, monkeypatch):
     ("scan_0001.csv", 5, "0,3,-3.0,1,0.0", "scan_0001.csv row 5: range -3.0 is outside (0, 20.0]"),
     ("poses.csv", 2, "0.0,0,0,0,1,0,0,x", "poses.csv row 2: could not convert"),
     ("poses.csv", 3, "0.1,0,0,0,0,0,0,0", "poses.csv row 3: rotation must be orthonormal"),
+    ("poses.csv", 4, None, "poses.csv: the pose sidecar is shorter than the scan list: "
+     "2 poses for 2 scans, which need 3"),
 ])
 def test_malformed_dataset_file_exits_2(tmp_path, capsys, name, line, bad, message):
     cfg = write_config(tmp_path, UNDER_TRAINED)
@@ -379,3 +383,13 @@ def test_truncated_checkpoint_exits_2(tmp_path, capsys, cut):
                        "--checkpoint", short, "--poses", PATH, "--out", tmp_path / "render")
     assert code == cli.EXIT_CONFIG
     assert err.startswith(f"error: {short}: the file ends ") and "bytes early" in err
+
+
+def test_an_internal_error_propagates_out_of_main(monkeypatch):
+    # Exit 1 with a traceback: main turns only PlinkError and OSError into codes.
+    def broken(args):
+        raise RuntimeError("internal")
+
+    monkeypatch.setitem(cli.COMMANDS, "gen", broken)
+    with pytest.raises(RuntimeError, match="internal"):
+        cli.main(["gen"])

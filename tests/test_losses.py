@@ -10,10 +10,11 @@ import pytest
 from scipy.special import expit
 
 import tests.tape_head as tape
+from plink.config import RunConfig
 from plink.errors import InvalidInputError
 from plink.field import (CdfTrace, SampleGrid, bin_masses, bin_masses_vjp, cdf_from_sigma_values,
                          cdf_vjp, trapezoid_deltas)
-from plink.losses import (BCE_EPS, DEFAULT_ALPHA, bce_values, bce_vjp, bin_accumulate,
+from plink.losses import (BCE_EPS, LossBreakdown, bce_values, bce_vjp, bin_accumulate,
                           depth_l2_values, depth_l2_vjp, hinge_values, hinge_vjp,
                           measurement_counts, pooled_drop_values, pooled_drop_vjp,
                           range_moments, step_mismatch_values, step_mismatch_vjp)
@@ -103,7 +104,7 @@ def drop_bce(q_true, q_hat) -> float:
     return float(-np.mean(q_true * np.log(q) + (1.0 - q_true) * np.log(1.0 - q)))
 
 
-def fine_loss(l_c: float, l_drop: float, alpha: float = DEFAULT_ALPHA) -> float:
+def fine_loss(l_c: float, l_drop: float, alpha: float) -> float:
     """Weighted combination of the distribution and drop objectives."""
     if not (0.0 <= alpha <= 1.0):
         raise InvalidInputError("alpha must lie in [0, 1]")
@@ -324,7 +325,9 @@ class TestFineLoss:
         assert fine_loss(2.0, 1.0, alpha=0.0) == 1.0
 
     def test_default_combination(self):
-        assert fine_loss(2.0, 1.0) == pytest.approx(1.999, abs=1e-12)
+        alpha = RunConfig().alpha
+        assert fine_loss(2.0, 1.0, alpha) == pytest.approx(1.999, abs=1e-12)
+        assert LossBreakdown(2.0, 1.0, 0.5, alpha).l_fine == fine_loss(2.0, 1.0, alpha)
 
     def test_alpha_out_of_range_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -48,4 +48,4 @@ def test_identical_clouds_score_perfectly():
 def test_empty_cloud_rejected():
     with pytest.raises(InvalidInputError):
         metrics.evaluate(metrics.PointCloud(np.empty((0, 3))),
-                         metrics.PointCloud(np.ones((2, 3))))
+                         metrics.PointCloud(np.ones((2, 3))), 20.0)

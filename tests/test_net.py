@@ -1,22 +1,31 @@
 """Network stack: encoding, forward/backward, optimizer, checkpoints."""
 
 import re
+import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from plink import autodiff as ad
 from plink import net as nets
+from plink.config import RunConfig
 from plink.errors import (CorruptedModelError, DivergenceError,
                           InvalidInputError, OutOfBoundsError)
 from tests.tape_head import tape_backward
 
 
+def make_model(encoding_levels, dir_levels, hidden_layers, hidden_width, has_phi_head,
+               rng, sigma_bias=-4.0, use_direction=True):
+    """A He-initialized model of the given shape."""
+    return nets.init_model(nets.FieldModel(encoding_levels, dir_levels, use_direction,
+                                           hidden_layers, hidden_width, has_phi_head, None),
+                           rng, sigma_bias)
+
+
 def probe_model(seed=0, has_phi=True):
     """~300-parameter model used for the finite-difference checks."""
-    return nets.init_model(encoding_levels=2, dir_levels=1, use_direction=True,
-                           layer_widths=[8, 8], has_phi_head=has_phi,
-                           rng=seed, sigma_bias=-1.0)
+    return make_model(2, 1, 2, 8, has_phi, seed, sigma_bias=-1.0)
 
 
 def tape_mlp(model, feats):
@@ -26,7 +35,7 @@ def tape_mlp(model, feats):
     flat parameter gradient from the leaves after a backward pass.
     """
     leaves = [(ad.Tensor(w), ad.Tensor(b)) for w, b in model.param_views()]
-    n_hidden = len(model.layer_widths)
+    n_hidden = model.hidden_layers
     h = ad.Tensor(feats)
     for w, b in leaves[:n_hidden]:
         h = ad.maximum0(h @ w + b)
@@ -75,7 +84,7 @@ def encode_tolerance(*levels):
 
 class TestEncode:
     def test_origin_level_one(self):
-        out = nets.encode(np.zeros((1, 3)), None, levels=1)
+        out = nets.encode(np.zeros((1, 3)), None, levels=1, dir_levels=0)
         np.testing.assert_allclose(out, [[0, 0, 0, 0, 0, 0, 1, 1, 1]])
 
     def test_deterministic(self):
@@ -87,7 +96,7 @@ class TestEncode:
         np.testing.assert_array_equal(a, b)
 
     def test_position_only_width_formula(self):
-        out = nets.encode(np.zeros((2, 3)), None, levels=2)
+        out = nets.encode(np.zeros((2, 3)), None, levels=2, dir_levels=0)
         assert out.shape == (2, 3 + 12)
 
     def test_with_direction_width(self):
@@ -97,7 +106,7 @@ class TestEncode:
 
     def test_out_of_cube_rejected(self):
         with pytest.raises(OutOfBoundsError):
-            nets.encode(np.array([[1.2, 0.0, 0.0]]), None, levels=2)
+            nets.encode(np.array([[1.2, 0.0, 0.0]]), None, levels=2, dir_levels=0)
 
     def test_matches_concatenated_blocks(self):
         rng = np.random.default_rng(3)
@@ -106,7 +115,7 @@ class TestEncode:
         for out, ref, tol in (
                 (nets.encode(p, d, levels=4, dir_levels=2), reference_encode(p, d, 4, 2),
                  encode_tolerance(4, 2)),
-                (nets.encode(p, None, levels=3), reference_encode(p, None, 3, 0),
+                (nets.encode(p, None, 3, 0), reference_encode(p, None, 3, 0),
                  encode_tolerance(3))):
             assert out.shape == ref.shape
             assert np.all(np.abs(out - ref) <= tol)
@@ -117,7 +126,7 @@ class TestEncode:
         bound = nets.POSITION_BOUND
         p = rng.uniform(-bound, bound, size=(5000, 3))
         p[:3] = [[bound, -bound, 0.0], [-bound, bound, 1.0], [0.5, -0.25, 1e-300]]
-        out = nets.encode(p, None, levels=levels)
+        out = nets.encode(p, None, levels, 0)
         assert out.shape == (5000, 3 + 6 * levels)
         np.testing.assert_array_equal(out[:, :3], p)   # levels = 0: the coordinates only
         assert np.all(np.abs(out - reference_encode(p, None, levels, 0))
@@ -136,7 +145,7 @@ class TestEncode:
 
     def test_frequencies_are_powers_of_two_pi(self):
         p = np.array([[0.25, 0.0, 0.0]])
-        out = nets.encode(p, None, levels=2)[0]
+        out = nets.encode(p, None, 2, 0)[0]
         assert out[3] == pytest.approx(np.sin(0.25 * np.pi))
         assert out[9] == pytest.approx(np.sin(0.25 * 2 * np.pi))
 
@@ -150,7 +159,7 @@ class TestModel:
         assert model.params.size == expected
 
     def test_sigma_nonnegative_everywhere(self):
-        model = nets.init_model(rng=3, layer_widths=[32, 32], has_phi_head=True)
+        model = make_model(8, 2, 2, 32, True, rng=3)
         rng = np.random.default_rng(1)
         pts = rng.uniform(-1, 1, size=(100_000, 3))
         dirs = rng.normal(size=(100_000, 3))
@@ -200,8 +209,7 @@ class TestHandWrittenBackward:
     @pytest.mark.parametrize("has_phi, widths", [(True, [16, 16, 16]), (False, [16, 16]),
                                                  (True, [12])])
     def test_gradient_is_bit_identical_to_the_tape(self, has_phi, widths):
-        model = nets.init_model(encoding_levels=3, dir_levels=2, layer_widths=widths,
-                                has_phi_head=has_phi, rng=21, sigma_bias=-0.5)
+        model = make_model(3, 2, len(widths), widths[0], has_phi, rng=21, sigma_bias=-0.5)
         rng = np.random.default_rng(21)
         feats = nets.encode(rng.uniform(-1, 1, (60, 3)), rng.normal(size=(60, 3)),
                             model.encoding_levels, model.dir_levels)
@@ -216,16 +224,16 @@ class TestHandWrittenBackward:
             np.testing.assert_array_equal(phi, phi_ref.value)
         else:
             assert phi is None
-        tape = tape_backward(graph, *leaf_loss(sigma, phi))
-        assert tape.loss == loss_ref.item()
-        assert np.array_equal(tape.gradient, gradient())
-        assert np.any(tape.gradient[:model.input_width() * widths[0]] != 0.0)
+        loss, *leaves = leaf_loss(sigma, phi)
+        grad = tape_backward(graph, loss, *leaves)
+        assert loss.item() == loss_ref.item()
+        assert np.array_equal(grad, gradient())
+        assert np.any(grad[:model.input_width() * widths[0]] != 0.0)
 
     def test_exact_zero_pre_activations_match_the_tape(self):
         # Relu is np.maximum(z, 0): +0.0 where the tape's z * (z > 0) gives
         # -0.0, and 0 at z == 0 exactly, whose mask the backward must drop.
-        model = nets.init_model(encoding_levels=1, dir_levels=1, layer_widths=[10, 10],
-                                has_phi_head=True, rng=28, sigma_bias=-0.5)
+        model = make_model(1, 1, 2, 10, True, rng=28, sigma_bias=-0.5)
         rng = np.random.default_rng(28)
         feats = rng.normal(size=(48, model.input_width()))
         feats[::4] = 0.0                              # every unit of these rows is at 0
@@ -242,10 +250,11 @@ class TestHandWrittenBackward:
         assert not np.any(np.signbit(graph.acts[1]))
         np.testing.assert_array_equal(sigma, sigma_ref.value)
         np.testing.assert_array_equal(phi, phi_ref.value)
-        tape = tape_backward(graph, *leaf_loss(sigma, phi))
-        assert tape.loss == loss_ref.item()
-        assert np.array_equal(tape.gradient, gradient())
-        assert np.all(tape.gradient[:w0.size].reshape(w0.shape)[:, :3] == 0.0)
+        loss, *leaves = leaf_loss(sigma, phi)
+        grad = tape_backward(graph, loss, *leaves)
+        assert loss.item() == loss_ref.item()
+        assert np.array_equal(grad, gradient())
+        assert np.all(grad[:w0.size].reshape(w0.shape)[:, :3] == 0.0)
 
     def test_unused_head_matches_the_tape(self):
         model = probe_model(seed=22)
@@ -256,8 +265,7 @@ class TestHandWrittenBackward:
         sigma_ref.sum().backward()
         graph = nets.ModelGraph(model)
         sigma, _ = graph.forward(feats)
-        tape = nets.backward(graph, sigma.sum(), np.ones_like(sigma))
-        assert np.array_equal(tape.gradient, gradient())
+        assert np.array_equal(nets.backward(graph, np.ones_like(sigma)), gradient())
 
     def test_graph_keeps_one_input_per_layer(self):
         model = probe_model(seed=23)
@@ -277,23 +285,24 @@ class TestDivergenceReport:
     ])
     def test_opt_step_names_the_layer(self, layer, part, index, expected):
         model = probe_model(seed=24)
-        tape = nets.GradientTape(1.0, np.zeros(model.params.size))
-        # Planted after construction, which would reject it already.
-        planted = nets.FieldModel(model.encoding_levels, model.dir_levels,
-                                  model.use_direction, model.layer_widths,
-                                  model.has_phi_head, tape.gradient)
-        planted.param_views()[layer][part][index] = np.nan
-        with pytest.raises(DivergenceError, match=re.escape(f"at {expected} (parameter")):
-            nets.opt_step(model, tape, 1e-3, nets.AdamState.for_model(model))
-
-    def test_gradient_tape_names_the_layer(self):
-        model = probe_model(seed=25, has_phi=False)
         grad = np.zeros(model.params.size)
-        bad = model.param_count() - 1  # the sigma head bias
-        grad[bad] = np.inf
-        with pytest.raises(DivergenceError,
-                           match=re.escape(f"first at coarse sigma head b[0] (parameter {bad})")):
-            nets.GradientTape(1.0, grad, model)
+        nets._layout_views(model.layer_shapes(), grad)[layer][part][index] = np.nan
+        with pytest.raises(DivergenceError, match=re.escape(f"at {expected} (parameter")):
+            nets.opt_step(model, grad, 1e-3, nets.AdamState.for_model(model))
+
+    def test_backward_names_a_planted_head_gradient(self):
+        # A dead last hidden layer leaves the sigma head's bias the only
+        # parameter its gradient reaches; four rows of 5e307 overflow its sum.
+        model = probe_model(seed=25, has_phi=False)
+        w, b = model.param_views()[model.hidden_layers - 1]
+        w[...], b[...] = 0.0, 0.0
+        model.param_views()[model.hidden_layers][1][...] = 0.0    # sigmoid(pre) = 0.5
+        graph = nets.ModelGraph(model)
+        sigma, _ = graph.forward(np.ones((4, model.input_width())))
+        bad = model.param_count() - 1
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError, match=re.escape(
+                f"first at coarse sigma head b[0] (parameter {bad})")):
+            nets.backward(graph, np.full_like(sigma, 1e308))
 
     def test_backward_names_the_layer(self):
         model = probe_model(seed=26)
@@ -303,7 +312,7 @@ class TestDivergenceReport:
         sigma, phi = graph.forward(feats)
         with np.errstate(invalid="ignore"), \
                 pytest.raises(DivergenceError, match=re.escape("fine layer 0 W[0, 0]")):
-            nets.backward(graph, np.inf, np.full_like(sigma, np.inf), np.ones_like(phi))
+            nets.backward(graph, np.full_like(sigma, np.inf), np.ones_like(phi))
 
     def test_every_index_maps_to_its_own_position(self):
         model = probe_model(seed=27)
@@ -325,8 +334,7 @@ class TestBackward:
                             model.encoding_levels, model.dir_levels)
         graph = nets.ModelGraph(model)
         sigma, phi = graph.forward(feats)
-        loss = np.sum(sigma ** 2) + np.sum(np.tanh(phi))
-        tape = nets.backward(graph, loss, 2.0 * sigma, 1.0 - np.tanh(phi) ** 2)
+        grad = nets.backward(graph, 2.0 * sigma, 1.0 - np.tanh(phi) ** 2)
 
         eps = 1e-5
         numeric = np.zeros_like(model.params)
@@ -339,7 +347,7 @@ class TestBackward:
             model.params[i] = orig
             numeric[i] = (hi - lo) / (2 * eps)
         scale = np.maximum(np.abs(numeric), 1e-5)
-        assert np.max(np.abs(tape.gradient - numeric) / scale) < 1e-4
+        assert np.max(np.abs(grad - numeric) / scale) < 1e-4
 
     def test_unused_parameter_has_zero_gradient(self):
         # loss built from sigma only: the phi head receives no gradient
@@ -348,10 +356,10 @@ class TestBackward:
                             model.encoding_levels, model.dir_levels)
         graph = nets.ModelGraph(model)
         sigma, _ = graph.forward(feats)
-        tape = nets.backward(graph, sigma.sum(), np.ones_like(sigma))
+        grad = nets.backward(graph, np.ones_like(sigma))
         shapes = model.layer_shapes()
         phi_size = int(np.prod(shapes[-1][0])) + int(np.prod(shapes[-1][1]))
-        np.testing.assert_array_equal(tape.gradient[-phi_size:], 0.0)
+        np.testing.assert_array_equal(grad[-phi_size:], 0.0)
 
     def test_doubling_loss_doubles_gradient(self):
         model = probe_model(seed=6)
@@ -359,11 +367,11 @@ class TestBackward:
                             model.encoding_levels, model.dir_levels)
         graph1 = nets.ModelGraph(model)
         s1, _ = graph1.forward(feats)
-        tape1 = nets.backward(graph1, s1.sum(), np.ones_like(s1))
+        grad1 = nets.backward(graph1, np.ones_like(s1))
         graph2 = nets.ModelGraph(model)
         s2, _ = graph2.forward(feats)
-        tape2 = nets.backward(graph2, s2.sum() * 2.0, np.full_like(s2, 2.0))
-        np.testing.assert_allclose(tape2.gradient, 2.0 * tape1.gradient, rtol=1e-12)
+        grad2 = nets.backward(graph2, np.full_like(s2, 2.0))
+        np.testing.assert_allclose(grad2, 2.0 * grad1, rtol=1e-12)
 
 
 class TestOptStep:
@@ -371,8 +379,7 @@ class TestOptStep:
         model = probe_model(seed=7)
         before = model.params.copy()
         state = nets.AdamState.for_model(model)
-        tape = nets.GradientTape(0.0, np.zeros_like(model.params))
-        nets.opt_step(model, tape, lr=1e-3, state=state)
+        nets.opt_step(model, np.zeros_like(model.params), lr=1e-3, state=state)
         np.testing.assert_array_equal(model.params, before)
 
     def test_first_step_closed_form(self):
@@ -382,7 +389,7 @@ class TestOptStep:
         rng = np.random.default_rng(8)
         g = rng.normal(size=model.params.size)
         lr, b1, b2, eps = 2e-3, 0.9, 0.999, 1e-8
-        nets.opt_step(model, nets.GradientTape(1.0, g), lr, state, (b1, b2), eps)
+        nets.opt_step(model, g, lr, state, (b1, b2), eps)
         # bias-corrected first step: lr * g / (|g| + eps)
         expected = before - lr * g / (np.abs(g) + eps)
         np.testing.assert_allclose(model.params, expected, rtol=1e-9)
@@ -395,7 +402,7 @@ class TestOptStep:
             rng = np.random.default_rng(12)
             for _ in range(5):
                 g = rng.normal(size=model.params.size)
-                nets.opt_step(model, nets.GradientTape(1.0, g), 1e-3, state)
+                nets.opt_step(model, g, 1e-3, state)
             runs.append(model.params.copy())
         assert np.array_equal(runs[0], runs[1])
 
@@ -405,13 +412,12 @@ class TestOptStep:
         g = np.zeros(model.params.size)
         g[0] = np.inf
         with pytest.raises(DivergenceError):
-            nets.opt_step(model, nets.GradientTape(1.0, g), 1e-3, state)
-        # A finite gradient passes GradientTape; an infinite lr makes only
-        # the update non-finite, so opt_step's own check has to fire.
+            nets.opt_step(model, g, 1e-3, state)
+        # With a finite gradient, an infinite lr makes only the update
+        # non-finite, and opt_step's check fires on that too.
         before = model.params.copy()
         with pytest.raises(DivergenceError, match=re.escape("(parameter 0, gradient=1.0")):
-            nets.opt_step(model, nets.GradientTape(1.0, np.eye(1, g.size)[0]), np.inf,
-                          nets.AdamState.for_model(model))
+            nets.opt_step(model, np.eye(1, g.size)[0], np.inf, nets.AdamState.for_model(model))
         np.testing.assert_array_equal(model.params, before)
 
     def test_overflowing_gradient_raises_instead_of_freezing(self):
@@ -421,41 +427,52 @@ class TestOptStep:
         huge[0] = 1e200             # finite, but its square overflows
         name = model.describe_parameter(0)
         with pytest.raises(DivergenceError, match=re.escape(f"at {name} (parameter 0,")):
-            nets.opt_step(model, nets.GradientTape(1.0, huge), 1e-3, state)
+            nets.opt_step(model, huge, 1e-3, state)
         # The same step followed by ordinary ones used to leave v[0] = inf and
         # params[0] unmoved, with no error; every step now reports it.
         with pytest.raises(DivergenceError):
-            nets.opt_step(model, nets.GradientTape(1.0, np.eye(1, huge.size)[0]), 1e-3, state)
+            nets.opt_step(model, np.eye(1, huge.size)[0], 1e-3, state)
 
     def test_gradient_length_mismatch_rejected(self):
         model = probe_model(seed=14)
         state = nets.AdamState.for_model(model)
         with pytest.raises(InvalidInputError):
-            nets.opt_step(model, nets.GradientTape(0.0, np.zeros(3)), 1e-3, state)
+            nets.opt_step(model, np.zeros(3), 1e-3, state)
 
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        coarse = nets.init_model(rng=1, layer_widths=[16, 16], has_phi_head=False)
-        fine = nets.init_model(rng=2, layer_widths=[16, 16], has_phi_head=True)
+        coarse = make_model(8, 2, 2, 16, False, rng=1)
+        fine = make_model(8, 2, 2, 16, True, rng=2)
         path = tmp_path / "model.ckpt"
         nets.save_checkpoint(path, coarse, fine)
         loaded_coarse, loaded_fine = nets.load_checkpoint(path)
         assert loaded_fine.has_phi_head and not loaded_coarse.has_phi_head
-        assert loaded_coarse.layer_widths == coarse.layer_widths
+        assert (loaded_coarse.hidden_layers, loaded_coarse.hidden_width) == (2, 16)
         # parameters survive the float32 round trip
         np.testing.assert_allclose(loaded_fine.params, fine.params, atol=1e-6)
 
+    def test_round_trip_keeps_a_non_default_shape(self, tmp_path):
+        shape = dict(encoding_levels=0, dir_levels=2, use_direction=False, hidden_layers=3,
+                     hidden_width=5)
+        coarse, fine = (make_model(**shape, has_phi_head=phi, rng=seed)
+                        for phi, seed in ((False, 1), (True, 2)))
+        path = tmp_path / "model.ckpt"
+        nets.save_checkpoint(path, coarse, fine)
+        blob = path.read_bytes()
+        assert blob[20:48] == struct.pack("<7i", 0, 2, 0, 3, 5, 0, coarse.params.size)
+        for saved, loaded in zip((coarse, fine), nets.load_checkpoint(path)):
+            assert [getattr(loaded, f.name) for f in fields(loaded)[:-1]] == \
+                [getattr(saved, f.name) for f in fields(saved)[:-1]]
+            np.testing.assert_array_equal(loaded.params, saved.params.astype(np.float32))
+
     def test_layout_is_little_endian_float32(self, tmp_path):
-        coarse = nets.init_model(rng=1, layer_widths=[4], encoding_levels=1,
-                                 dir_levels=1, has_phi_head=False)
-        fine = nets.init_model(rng=2, layer_widths=[4], encoding_levels=1,
-                               dir_levels=1, has_phi_head=True)
+        coarse = make_model(1, 1, 1, 4, False, rng=1)
+        fine = make_model(1, 1, 1, 4, True, rng=2)
         path = tmp_path / "model.ckpt"
         nets.save_checkpoint(path, coarse, fine)
         blob = path.read_bytes()
         assert blob.startswith(b"PLNKCKPT")
-        import struct
         (count,) = struct.unpack("<i", blob[8:12])
         assert count == 2
         assert blob[12:20] == b"PLNKFLD1"
@@ -469,3 +486,13 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(InvalidInputError):
             nets.load_checkpoint(path)
+
+
+def test_field_model_shape_fields_are_run_config_keys():
+    # One name per network size: the config key, the model field and the
+    # checkpoint header field are the same.
+    names = [f.name for f in fields(nets.FieldModel)]
+    assert names[-2:] == ["has_phi_head", "params"]
+    config_keys = {f.name: f.type for f in fields(RunConfig)}
+    for f in fields(nets.FieldModel)[:-2]:
+        assert config_keys.get(f.name) == f.type, f.name

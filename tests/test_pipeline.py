@@ -17,8 +17,7 @@ from plink import net as nets
 from plink import pipeline, sampler, sensor, simscene
 from plink.config import RunConfig
 from plink.errors import InvalidInputError, OutOfBoundsError
-from plink.field import (CdfTrace, Ray, SampleGrid, bin_masses, cdf_from_sigma_values,
-                         trapezoid_deltas)
+from plink.field import Ray, bin_masses, cdf_from_sigma_values, trapezoid_deltas
 from tests.test_field import inverse_transform_sample, render_confidence
 from tests.test_sensor import frame_fractions, oracle_poses
 
@@ -169,10 +168,32 @@ class TestGroundTruthCloud:
 
 
 @dataclass
+class RowTrace:
+    """One march row as the per-ray references read it: knots, which may
+    repeat, and the cdf on them.
+
+    It reads as a `field.CdfTrace` does (``grid.gammas``, ``cdf``,
+    ``total_mass``); that one's `SampleGrid` takes strictly increasing knots
+    only, as an exact trace has them.
+    """
+
+    gammas: np.ndarray
+    cdf: np.ndarray
+
+    @property
+    def grid(self):
+        return self
+
+    @property
+    def total_mass(self) -> float:
+        return float(self.cdf[-1])
+
+
+@dataclass
 class RayRender:
     """Field evaluations along one render ray."""
 
-    trace: CdfTrace
+    trace: RowTrace
     phi: np.ndarray
     q_hat: float
 
@@ -192,18 +213,15 @@ def oracle_evaluate_ray(state, ray, scale, n_bins, n_fine):
     cdf[-1] = max(cdf[-1], 1.0)
     bins = np.searchsorted(cdf, (np.arange(n_fine) + 0.5) / n_fine, side="left")
     points = np.sort(edges[bins] + 0.5 * np.diff(edges)[bins])
-    gammas = sampler.strictify(np.sort(np.concatenate([points, edges])))
-    deltas = trapezoid_deltas(gammas)
+    gammas = np.sort(np.concatenate([points, edges]))
     sigma, phi = field(state.fine, gammas)
-    cdf, survival = cdf_from_sigma_values(sigma, deltas)
-    trace = CdfTrace(SampleGrid(gammas, deltas), cdf, survival)
-    return RayRender(trace, phi, float(expit(np.dot(bin_masses(cdf), phi))))
+    cdf, _ = cdf_from_sigma_values(sigma, trapezoid_deltas(gammas))
+    return RayRender(RowTrace(gammas, cdf), phi, float(expit(np.dot(bin_masses(cdf), phi))))
 
 
-def oracle_render_ray(render, mode, *, draws=3, level=0.5, peak_threshold=0.05, rng=None,
-                      drop_gate=True):
+def oracle_render_ray(render, mode, *, draws, level, peak_threshold, rng=None):
     """Ranges (possibly several, possibly none) for one evaluated ray."""
-    if drop_gate and render.q_hat < 0.5:
+    if render.q_hat < 0.5:
         return []
     trace = render.trace
     if mode == "stochastic":
@@ -229,9 +247,9 @@ def oracle_render_ray(render, mode, *, draws=3, level=0.5, peak_threshold=0.05, 
     raise InvalidInputError(f"unknown render mode {mode!r}")
 
 
-def oracle_baseline_ray(render, drop_gate=True):
+def oracle_baseline_ray(render):
     """Deterministic weighted-depth rendering of one ray, for the baseline."""
-    if drop_gate and render.q_hat < 0.5:
+    if render.q_hat < 0.5:
         return []
     masses = bin_masses(render.trace.cdf)
     total = masses.sum()
@@ -240,7 +258,7 @@ def oracle_baseline_ray(render, drop_gate=True):
     return [float(np.dot(masses / total, render.trace.grid.gammas))]
 
 
-def oracle_frame_cloud(state, frame, scale, config, mode, baseline=False):
+def oracle_frame_cloud(state, frame, scale, config, mode):
     """One ray at a time, each on its own render stream."""
     n_fine = config.render_fine or config.n_fine
     origins, dirs = sensor.ray_directions(frame.intrinsics, frame)
@@ -249,7 +267,7 @@ def oracle_frame_cloud(state, frame, scale, config, mode, baseline=False):
                                                      dirs.reshape(-1, 3))):
         ray = Ray(origin, direction, frame.intrinsics.s_max)
         render = oracle_evaluate_ray(state, ray, scale, config.n_bins, n_fine)
-        if baseline:
+        if mode == pipeline.WEIGHTED_DEPTH:
             ranges = oracle_baseline_ray(render)
         else:
             rng = sampler.ray_rng(config.seed, ray_id, epoch=pipeline.RENDER_STREAM)
@@ -293,9 +311,9 @@ class TestRender:
     def test_batched_frame_matches_per_ray_oracle(self, mode, baseline, seed):
         # 24 rays in chunks of 7: the last chunk is ragged.
         state, frame, scale, config = render_setup(seed, batch_rays=7)
-        want = oracle_frame_cloud(state, frame, scale, config, mode, baseline)
-        got = pipeline.render_frame_cloud(state, frame, scale, config, mode,
-                                          baseline=baseline).points
+        mode = pipeline.WEIGHTED_DEPTH if baseline else mode
+        want = oracle_frame_cloud(state, frame, scale, config, mode)
+        got = pipeline.render_frame_cloud(state, frame, scale, config, mode).points
         assert len(want) > 0
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
@@ -317,9 +335,12 @@ class TestRender:
 
 
 def picker_rows(seed, n_rays=40, n_points=30):
-    """Random (grid, cdf, q_hat, uniforms) rows with plateaus and an empty ray."""
+    """Random (grid, cdf, q_hat, uniforms) rows with plateaus, repeated knots
+    and an empty ray."""
     rng = np.random.default_rng(seed)
-    grid = sampler.strictify(np.sort(rng.uniform(0.1, 20.0, size=(n_rays, n_points)), axis=1))
+    grid = np.sort(rng.uniform(0.1, 20.0, size=(n_rays, n_points)), axis=1)
+    grid[3:, 11] = grid[3:, 10]                         # a knot twice
+    grid[1:20, 14:18] = grid[1:20, 13:14]               # five times
     sigma = rng.exponential(0.2, size=grid.shape) * (rng.random(grid.shape) < 0.4)
     sigma[0] = 0.0                          # no mass at all
     sigma[1, 5] = 50.0                      # nearly all mass in one bin
@@ -336,22 +357,24 @@ class TestRenderPicker:
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("mode", ["stochastic", "confidence", "first-return",
                                       "strongest-return", pipeline.WEIGHTED_DEPTH])
-    @pytest.mark.parametrize("drop_gate", [True, False])
-    def test_matches_per_ray_picks(self, seed, mode, drop_gate):
+    @pytest.mark.parametrize("gated", [True, False])
+    def test_matches_per_ray_picks(self, seed, mode, gated):
+        # Ungated, every ray passes the drop gate, so every ray's pick is compared.
         grid, cdf, q_hat, uniforms = picker_rows(seed)
+        if not gated:
+            q_hat[:] = 1.0
         got = pipeline.render_ray(grid, cdf, q_hat, mode, uniforms=uniforms, level=0.3,
-                                  peak_threshold=0.04, drop_gate=drop_gate)
+                                  peak_threshold=0.04)
         assert got.shape == (len(grid), 4 if mode == "stochastic" else 1)
         for i in range(len(grid)):
-            trace = CdfTrace(SampleGrid(grid[i], trapezoid_deltas(grid[i])), cdf[i], 1.0 - cdf[i])
-            render = RayRender(trace, np.zeros_like(cdf[i]), float(q_hat[i]))
+            render = RayRender(RowTrace(grid[i], cdf[i]), np.zeros_like(cdf[i]), float(q_hat[i]))
             if mode == pipeline.WEIGHTED_DEPTH:
-                want = oracle_baseline_ray(render, drop_gate=drop_gate)
+                want = oracle_baseline_ray(render)
             else:
                 draws = iter(uniforms[i])
                 fixed = type("Draws", (), {"uniform": lambda self, lo, hi: next(draws)})()
                 want = oracle_render_ray(render, mode, draws=4, level=0.3, peak_threshold=0.04,
-                                         rng=fixed, drop_gate=drop_gate)
+                                         rng=fixed)
             row = got[i][~np.isnan(got[i])]
             assert row.tolist() == want, i
 
@@ -364,4 +387,4 @@ class TestRenderPicker:
     def test_unknown_mode_rejected(self):
         grid, cdf, q_hat, _ = picker_rows(3)
         with pytest.raises(InvalidInputError):
-            pipeline.render_ray(grid, cdf, q_hat, "brightest")
+            pipeline.render_ray(grid, cdf, q_hat, "brightest", level=0.5, peak_threshold=0.05)

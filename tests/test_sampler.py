@@ -18,6 +18,7 @@ from plink.config import RunConfig
 from plink.errors import InvalidInputError
 from plink.field import RaySet
 from plink.sensor import UnitCubeScale
+from tests.test_net import make_model
 
 
 def make_rays(rows, ids=None, s_max=10.0):
@@ -36,8 +37,7 @@ SCALE = UnitCubeScale(center=np.zeros(3), scale=1.0 / 12.0)
 
 
 def coarse_model():
-    return nets.init_model(encoding_levels=2, dir_levels=1, layer_widths=[8], rng=0,
-                           sigma_bias=0.0)
+    return make_model(2, 1, 1, 8, False, rng=0, sigma_bias=0.0)
 
 
 class TestCoarseBins:
@@ -228,55 +228,21 @@ class TestImportanceSample:
             assert np.all(np.diff(row) >= 0.0)
 
 
-def strictify_per_element(gammas, min_gap=sampler.MIN_GAP):
-    """Reference: the left-to-right nudge, one element at a time."""
-    out = np.array(gammas, dtype=float, copy=True)
-    for row in np.atleast_2d(out):
-        for j in range(1, row.size):
-            if row[j] <= row[j - 1]:
-                row[j] = row[j - 1] + min_gap
-    return out
-
-
-class TestStrictify:
-    def test_matches_per_element_loop(self):
-        rng = np.random.default_rng(17)
-        # Values on a coarse lattice, so sorted rows hold runs of duplicates,
-        # some longer than one step of min_gap can clear.
-        rows = np.sort(rng.integers(0, 12, size=(40, 33)) * 0.5, axis=1)
-        rows[3] = 2.0                                   # one run over the whole row
-        rows[5] = np.arange(33.0)                       # clean
-        rows[7, 10:14] = rows[7, 9] + np.array([0.0, 5e-10, 1e-9, 1e-9])  # near-ties
-        got = sampler.strictify(rows)
-        np.testing.assert_array_equal(got, strictify_per_element(rows))
-        assert np.all(np.diff(got, axis=1) > 0.0)
-        np.testing.assert_array_equal(sampler.strictify(rows[2]), strictify_per_element(rows[2]))
-
-    def test_breaks_ties_forward(self):
-        out = sampler.strictify(np.array([1.0, 1.0, 1.0, 2.0]))
-        assert np.all(np.diff(out) > 0.0)
-
-    def test_no_op_on_clean_rows(self):
-        rows = np.array([[0.0, 1.0, 2.0], [0.5, 0.7, 0.9]])
-        np.testing.assert_array_equal(sampler.strictify(rows), rows)
-
-
 class TestFineGrid:
     def test_union_includes_every_edge(self):
         edges = np.linspace(0.0, 10.0, 5)
-        pts = np.array([[3.3, 7.7, 1.1]])
+        pts = np.array([[3.3, 7.7, 1.1, 5.0, 3.3]])      # a point on an edge, one twice
         grid = sampler.fine_grid_rows(pts, edges)
-        assert grid.shape == (1, 8)
+        assert grid.shape == (1, 10)
         for e in edges:
             assert np.any(np.isclose(grid[0], e))
-        assert np.all(np.diff(grid[0]) > 0.0)
+        assert np.all(np.diff(grid[0]) >= 0.0)
+        np.testing.assert_array_equal(grid[0], np.sort(np.concatenate([pts[0], edges])))
 
 
 def tiny_state(seed=0, hidden_layers=2):
-    kwargs = dict(encoding_levels=2, dir_levels=1, use_direction=True,
-                  layer_widths=[16] * hidden_layers, rng=seed, sigma_bias=-1.0)
-    coarse = nets.init_model(has_phi_head=False, **kwargs)
-    fine = nets.init_model(has_phi_head=True, **kwargs)
+    coarse, fine = (make_model(2, 1, hidden_layers, 16, phi, rng=seed, sigma_bias=-1.0)
+                    for phi in (False, True))
     return sampler.TrainState.fresh(coarse, fine)
 
 
@@ -425,18 +391,17 @@ class TestTrainStepMatchesTheTape:
         state = tiny_state(seed=3)
         state.fine.param_views()[-1][1][...] = phi_bias
         config = RunConfig(n_bins=8, n_fine=16, lr=1e-2, seed=4)
-        rays, tapes, opt_step = self.rays(), [], nets.opt_step
+        rays, grads, opt_step = self.rays(), [], nets.opt_step
         monkeypatch.setattr(nets, "opt_step",
-                            lambda model, tape, *args: (tapes.append(tape),
-                                                        opt_step(model, tape, *args)))
+                            lambda model, grad, *args: (grads.append(grad),
+                                                        opt_step(model, grad, *args)))
         for epoch in range(3):
             for start in range(0, len(rays), 4):
                 batch = rays[np.arange(start, start + 4)]
-                fine, coarse, l_c, l_drop = tape_head.train_step_tapes(
+                fine, coarse, want = tape_head.train_step_tapes(
                     state, batch, config, SCALE, epoch, depth_l2)
                 losses = sampler.train_step(state, batch, config, SCALE, epoch, depth_l2)
-                assert np.array_equal(tapes[-2].gradient, fine.gradient)
-                assert np.array_equal(tapes[-1].gradient, coarse.gradient)
-                assert (losses.l_c, losses.l_drop, losses.l_fine, losses.l_coarse) == \
-                    (l_c, l_drop, fine.loss, coarse.loss)
-        assert len(tapes) == 24
+                assert np.array_equal(grads[-2], fine)
+                assert np.array_equal(grads[-1], coarse)
+                assert (losses.l_c, losses.l_drop, losses.l_fine, losses.l_coarse) == want
+        assert len(grads) == 24
