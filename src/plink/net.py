@@ -2,8 +2,11 @@
 
 A positionally encoded fully-connected network with two output heads: a
 nonnegative reflection density (softplus) and an unbounded drop channel.
-Parameters live in one flat float64 vector, and the optimizer is a standard
-adaptive-moment update with bias correction.
+Parameters live in one flat vector, float32 in every model the program
+makes (float64 ones serve exact checks), and the MLP computes in their
+dtype. sigma and phi leave it as float64 and their gradients come back as
+float64, so the cumulative trace and the losses never see float32. The
+optimizer is an adaptive-moment update with bias correction and float64 moments.
 
 The MLP has one definition, a layer loop on plain arrays that serves both
 inference and training. For training, `ModelGraph` keeps each hidden
@@ -13,9 +16,9 @@ takes them through the heads and hidden layers by hand into a flat vector
 in `layer_shapes` order. Each elementwise step is one in-place pass over
 the activations: bias add, relu as ``np.maximum``, the relu mask on the
 gradient, and the rank-1 head products as broadcast multiplies. Each
-rounds as the op a tape-recorded MLP would run, so the gradient is
-bit-identical to one (up to the sign of a zero: relu gives +0.0 where the
-tape's ``z * (z > 0)`` gives -0.0).
+rounds as the op a tape-recorded MLP would run, so for a float64 model the
+gradient is bit-identical to one (up to the sign of a zero: relu gives
++0.0 where the tape's ``z * (z > 0)`` gives -0.0).
 
 `backward` returns the flat gradient as a plain array, after checking it
 is finite; `opt_step` takes that array.
@@ -27,7 +30,7 @@ little-endian):
     magic   8 bytes   b"PLNKFLD1"
     header  7 int32   [encoding_levels, dir_levels, use_direction,
                        hidden_layers, hidden_width, has_phi_head, param_count]
-    params  param_count float32
+    params  param_count float32 (a float64 model's are rounded to it)
 
 A checkpoint file written by the trainer holds b"PLNKCKPT" + int32 record
 count, then that many model records (coarse first, fine second).
@@ -129,7 +132,8 @@ def encoded_width(levels: int, dir_levels: int, use_direction: bool) -> int:
 class FieldModel:
     """The network's shape, as the run config's keys name it, and its flat parameters.
 
-    ``params=None`` gives a zero vector of the shape's length.
+    ``params`` is a float32 or float64 vector, kept in its dtype; ``None``
+    gives a float32 zero vector of the shape's length.
     """
 
     encoding_levels: int
@@ -142,12 +146,13 @@ class FieldModel:
 
     def __post_init__(self):
         if self.params is None:
-            self.params = np.zeros(self.param_count())
-        self.params = np.asarray(self.params, dtype=np.float64)
-        if self.params.shape != (self.param_count(),):
-            raise InvalidInputError(
-                f"parameter vector must have length {self.param_count()}"
-            )
+            self.params = np.zeros(self.param_count(), dtype=np.float32)
+        self.params = np.asarray(self.params)
+        if (self.params.dtype not in (np.float32, np.float64)
+                or self.params.shape != (self.param_count(),)):
+            raise InvalidInputError(f"parameter vector must be float32 or float64 of length "
+                                    f"{self.param_count()}, not {self.params.dtype} "
+                                    f"{self.params.shape}")
 
     def input_width(self) -> int:
         return encoded_width(self.encoding_levels, self.dir_levels, self.use_direction)
@@ -232,16 +237,17 @@ class ModelGraph:
 
 
 def _layers(model: FieldModel, views: list, feats, acts=None):
-    """The MLP on plain arrays: (sigma head pre-activation, phi-or-None).
+    """The MLP on plain arrays: (sigma head pre-activation, float64 phi-or-None).
 
+    It computes in the parameters' dtype, to which the features are cast.
     A list ``acts`` receives each hidden layer's input, then the last
     hidden activation. Each layer is one matmul, then the bias add and
-    relu, ``np.maximum(z, 0.0)``, in place on its result: the values a
-    tape-recorded MLP computes, with +0.0 where its ``z * (z > 0)`` gives
-    -0.0.
+    relu, ``np.maximum(z, 0.0)``, in place on its result: for a float64
+    model, the values a tape-recorded MLP computes, with +0.0 where its
+    ``z * (z > 0)`` gives -0.0.
     """
     n_hidden = model.hidden_layers
-    h = np.asarray(feats, dtype=float)
+    h = np.asarray(feats, dtype=model.params.dtype)
     for w, b in views[:n_hidden]:
         if acts is not None:
             acts.append(h)
@@ -255,7 +261,7 @@ def _layers(model: FieldModel, views: list, feats, acts=None):
     phi = None
     if model.has_phi_head:
         w_p, b_p = views[n_hidden + 1]
-        phi = (h @ w_p + b_p)[:, 0]
+        phi = np.asarray((h @ w_p + b_p)[:, 0], dtype=np.float64)
     return pre_sigma, phi
 
 
@@ -268,17 +274,26 @@ def forward(model: FieldModel, feats: np.ndarray):
 
 
 def backward(graph: ModelGraph, g_sigma: np.ndarray, g_phi=None) -> np.ndarray:
-    """The flat parameter gradient of one model, checked finite.
+    """The flat parameter gradient of one model, in its dtype, checked finite.
 
-    ``g_sigma`` and ``g_phi`` (N,) are the loss's gradients at the graph's
-    outputs; a phi head without ``g_phi`` gets a zero gradient. A non-finite
-    gradient is a divergence, reported by the layer and position of its
-    first bad entry.
+    ``g_sigma`` and ``g_phi`` (N,) are the loss's float64 gradients at the
+    graph's outputs; a phi head without ``g_phi`` gets a zero gradient.
+    Each head's gradient (sigma's through softplus') is cast once to the
+    parameters' dtype, and a finite one that overflows it is a divergence
+    named by its head. A non-finite gradient is a divergence, reported by
+    the layer and position of its first bad entry.
     """
-    model = graph.model
-    if g_phi is None and model.has_phi_head:
-        g_phi = np.zeros_like(g_sigma)
-    gradient = _mlp_backward(graph, g_sigma, g_phi)
+    model, dtype = graph.model, graph.model.params.dtype
+    heads = {"sigma": g_sigma * sigmoid(graph.pre_sigma)}
+    if model.has_phi_head:
+        heads["phi"] = np.zeros_like(g_sigma) if g_phi is None else g_phi
+    with np.errstate(over="ignore"):
+        columns = [np.asarray(g, dtype=dtype) for g in heads.values()]
+    for (name, g), column in zip(heads.items(), columns):
+        if np.any(np.isinf(column) & np.isfinite(g)):
+            network = "fine" if model.has_phi_head else "coarse"
+            raise DivergenceError(f"the {network} {name} head's gradient overflows {dtype}")
+    gradient = _mlp_backward(graph, columns)
     if not np.all(np.isfinite(gradient)):
         bad = int(np.flatnonzero(~np.isfinite(gradient))[0])
         raise DivergenceError(f"gradient contains non-finite entries, first at "
@@ -286,23 +301,21 @@ def backward(graph: ModelGraph, g_sigma: np.ndarray, g_phi=None) -> np.ndarray:
     return gradient
 
 
-def _mlp_backward(graph: ModelGraph, g_sigma: np.ndarray, g_phi) -> np.ndarray:
-    """Flat parameter gradient from the (N,) gradients at sigma and phi.
+def _mlp_backward(graph: ModelGraph, heads: list) -> np.ndarray:
+    """Flat parameter gradient from the heads' (N,) pre-activation gradients, sigma first.
 
-    Each step rounds as the vjp a tape-recorded MLP would run, so the
-    result is bit-identical to it: softplus' as ``g * sigmoid(pre)``; each
-    head's part of the last hidden gradient as the broadcast product
-    ``column * w.T``, which equals the tape's K=1 matmul, summed in place;
-    the relu mask multiplied in place; bias gradients as sums over rows
-    and weight gradients as ``input.T @ g``. The input features get none.
+    Each step rounds as the vjp a tape-recorded MLP would run, so for a
+    float64 model the result is bit-identical to it: softplus' as
+    ``g * sigmoid(pre)`` (in `backward`); each head's part of the last
+    hidden gradient as the broadcast product ``column * w.T``, which equals
+    the tape's K=1 matmul, summed in place; the relu mask multiplied in
+    place; bias gradients as sums over rows and weight gradients as
+    ``input.T @ g``. The input features get none.
     """
     model, views, acts = graph.model, graph.views, graph.acts
-    grad = np.empty(model.param_count())
+    grad = np.empty(model.param_count(), dtype=model.params.dtype)
     grad_views = _layout_views(model.layer_shapes(), grad)
     n_hidden = model.hidden_layers
-    heads = [g_sigma * sigmoid(graph.pre_sigma)]
-    if g_phi is not None:
-        heads.append(g_phi)
     h = acts[n_hidden]
     g_h = None
     for i, g in enumerate(heads, start=n_hidden):
@@ -343,13 +356,15 @@ def opt_step(model: FieldModel, g: np.ndarray, lr: float, state: AdamState,
              betas=(0.9, 0.999), eps: float = 1e-8) -> None:
     """One bias-corrected adaptive-moment update, in place.
 
-    The moments are updated in their arrays, with the operation order of
+    The float64 moments are updated in their arrays, with the operation order of
     ``m = b1 * m + (1 - b1) * g`` and ``v = b2 * v + (1 - b2) * g ** 2``.
-    A non-finite moment is a divergence, like a non-finite update: a finite
-    gradient above about 1e154 overflows ``v``, which would freeze the entry.
+    A non-finite moment is a divergence, like a non-finite update or a parameter it
+    would overflow: a finite gradient above about 1e154 overflows ``v``, which would
+    freeze the entry. A divergence leaves the parameters as they were.
     """
     if g.shape != model.params.shape:
         raise InvalidInputError("gradient length must match the parameter vector")
+    g = np.asarray(g, dtype=np.float64)
     b1, b2 = betas
     state.t += 1
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
@@ -365,16 +380,17 @@ def opt_step(model: FieldModel, g: np.ndarray, lr: float, state: AdamState,
         np.sqrt(denom, out=denom)
         denom += eps
         update /= denom
+        stepped = np.asarray(model.params - update, dtype=model.params.dtype)
     # A non-finite m_hat makes lr * m_hat non-finite; a non-finite v_hat, its root.
-    finite = np.isfinite(update) & np.isfinite(denom)
+    finite = np.isfinite(stepped) & np.isfinite(denom)
     if not np.all(finite):
         bad = int(np.flatnonzero(~finite)[0])
         raise DivergenceError(
-            f"non-finite moment or update at {model.describe_parameter(bad)} (parameter "
-            f"{bad}, gradient={float(g[bad])!r}, m={float(state.m[bad])!r}, "
-            f"v={float(state.v[bad])!r}, step {state.t})"
+            f"non-finite moment, update or parameter at {model.describe_parameter(bad)} "
+            f"(parameter {bad}, gradient={float(g[bad])!r}, update={float(update[bad])!r}, "
+            f"m={float(state.m[bad])!r}, v={float(state.v[bad])!r}, step {state.t})"
         )
-    model.params -= update
+    model.params[...] = stepped
 
 
 # -- checkpoint serialization ----------------------------------------------------
@@ -400,7 +416,7 @@ def _read_model(fh) -> FieldModel:
         raise InvalidInputError("not a field-model record")
     levels, dir_levels, use_dir, layers, width, has_phi, count = struct.unpack(
         "<7i", _read_exact(fh, 28))
-    params = np.frombuffer(_read_exact(fh, 4 * count), dtype="<f4").astype(np.float64)
+    params = np.frombuffer(_read_exact(fh, 4 * count), dtype="<f4").astype(np.float32)
     return FieldModel(levels, dir_levels, bool(use_dir), layers, width, bool(has_phi), params)
 
 

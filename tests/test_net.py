@@ -2,7 +2,7 @@
 
 import re
 import struct
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,16 +16,21 @@ from tests.tape_head import tape_backward
 
 
 def make_model(encoding_levels, dir_levels, hidden_layers, hidden_width, has_phi_head,
-               rng, sigma_bias=-4.0, use_direction=True):
-    """A He-initialized model of the given shape."""
-    return nets.init_model(nets.FieldModel(encoding_levels, dir_levels, use_direction,
-                                           hidden_layers, hidden_width, has_phi_head, None),
-                           rng, sigma_bias)
+               rng, sigma_bias=-4.0, use_direction=True, dtype=np.float32):
+    """A He-initialized model of the given shape, float32 as the program makes them."""
+    model = nets.FieldModel(encoding_levels, dir_levels, use_direction, hidden_layers,
+                            hidden_width, has_phi_head, None)
+    return nets.init_model(replace(model, params=model.params.astype(dtype)), rng, sigma_bias)
 
 
-def probe_model(seed=0, has_phi=True):
+def probe_model(seed=0, has_phi=True, dtype=np.float32):
     """~300-parameter model used for the finite-difference checks."""
-    return make_model(2, 1, 2, 8, has_phi, seed, sigma_bias=-1.0)
+    return make_model(2, 1, 2, 8, has_phi, seed, sigma_bias=-1.0, dtype=dtype)
+
+
+def widened(model):
+    """The same model with its parameters as float64, values unchanged."""
+    return replace(model, params=model.params.astype(np.float64))
 
 
 def tape_mlp(model, feats):
@@ -158,6 +163,28 @@ class TestModel:
         assert model.param_count() == expected
         assert model.params.size == expected
 
+    def test_parameters_keep_a_float32_or_float64_dtype(self):
+        shape = (2, 1, True, 2, 8, True)
+        assert nets.FieldModel(*shape, None).params.dtype == np.float32
+        count = probe_model().param_count()
+        for dtype in (np.float32, np.float64):
+            params = np.arange(count, dtype=dtype)
+            assert nets.FieldModel(*shape, params).params is params
+        for bad in (np.arange(count), np.zeros(count, np.float16)):
+            with pytest.raises(InvalidInputError, match="float32 or float64"):
+                nets.FieldModel(*shape, bad)
+
+    def test_float32_model_computes_in_float32_and_returns_float64(self):
+        model = probe_model(seed=3)
+        feats = nets.encode(np.full((5, 3), 0.1), np.full((5, 3), 0.3),
+                            model.encoding_levels, model.dir_levels)
+        graph = nets.ModelGraph(model)
+        sigma, phi = graph.forward(feats)
+        assert sigma.dtype == phi.dtype == np.float64
+        assert {a.dtype for a in graph.acts} == {np.dtype(np.float32)}
+        assert nets.backward(graph, np.ones(5), np.ones(5)).dtype == np.float32
+        assert all(a.dtype == np.float64 for a in nets.forward(model, feats))
+
     def test_sigma_nonnegative_everywhere(self):
         model = make_model(8, 2, 2, 32, True, rng=3)
         rng = np.random.default_rng(1)
@@ -204,12 +231,13 @@ def leaf_loss(sigma, phi):
 
 
 class TestHandWrittenBackward:
-    """The hand-written MLP backward against the tape-recorded MLP."""
+    """The hand-written MLP backward of a float64 model against the tape-recorded MLP."""
 
     @pytest.mark.parametrize("has_phi, widths", [(True, [16, 16, 16]), (False, [16, 16]),
                                                  (True, [12])])
     def test_gradient_is_bit_identical_to_the_tape(self, has_phi, widths):
-        model = make_model(3, 2, len(widths), widths[0], has_phi, rng=21, sigma_bias=-0.5)
+        model = make_model(3, 2, len(widths), widths[0], has_phi, rng=21, sigma_bias=-0.5,
+                           dtype=np.float64)
         rng = np.random.default_rng(21)
         feats = nets.encode(rng.uniform(-1, 1, (60, 3)), rng.normal(size=(60, 3)),
                             model.encoding_levels, model.dir_levels)
@@ -233,7 +261,7 @@ class TestHandWrittenBackward:
     def test_exact_zero_pre_activations_match_the_tape(self):
         # Relu is np.maximum(z, 0): +0.0 where the tape's z * (z > 0) gives
         # -0.0, and 0 at z == 0 exactly, whose mask the backward must drop.
-        model = make_model(1, 1, 2, 10, True, rng=28, sigma_bias=-0.5)
+        model = make_model(1, 1, 2, 10, True, rng=28, sigma_bias=-0.5, dtype=np.float64)
         rng = np.random.default_rng(28)
         feats = rng.normal(size=(48, model.input_width()))
         feats[::4] = 0.0                              # every unit of these rows is at 0
@@ -257,7 +285,7 @@ class TestHandWrittenBackward:
         assert np.all(grad[:w0.size].reshape(w0.shape)[:, :3] == 0.0)
 
     def test_unused_head_matches_the_tape(self):
-        model = probe_model(seed=22)
+        model = probe_model(seed=22, dtype=np.float64)
         rng = np.random.default_rng(22)
         feats = nets.encode(rng.uniform(-1, 1, (6, 3)), rng.normal(size=(6, 3)),
                             model.encoding_levels, model.dir_levels)
@@ -293,7 +321,7 @@ class TestDivergenceReport:
     def test_backward_names_a_planted_head_gradient(self):
         # A dead last hidden layer leaves the sigma head's bias the only
         # parameter its gradient reaches; four rows of 5e307 overflow its sum.
-        model = probe_model(seed=25, has_phi=False)
+        model = probe_model(seed=25, has_phi=False, dtype=np.float64)
         w, b = model.param_views()[model.hidden_layers - 1]
         w[...], b[...] = 0.0, 0.0
         model.param_views()[model.hidden_layers][1][...] = 0.0    # sigmoid(pre) = 0.5
@@ -303,6 +331,23 @@ class TestDivergenceReport:
         with np.errstate(over="ignore"), pytest.raises(DivergenceError, match=re.escape(
                 f"first at coarse sigma head b[0] (parameter {bad})")):
             nets.backward(graph, np.full_like(sigma, 1e308))
+
+    @pytest.mark.parametrize("has_phi, g_sigma, g_phi, expected", [
+        (False, 1e308, None, "the coarse sigma head's gradient overflows float32"),
+        (True, 1e39, 0.0, "the fine sigma head's gradient overflows float32"),
+        (True, 1.0, -1e39, "the fine phi head's gradient overflows float32"),
+    ])
+    def test_backward_names_a_head_gradient_that_overflows_float32(self, has_phi, g_sigma,
+                                                                   g_phi, expected):
+        # The float32 twin of the planted gradient above: a finite float64
+        # head gradient that float32 cannot hold is reported at its head,
+        # not at the first parameter its infinity would reach.
+        model = probe_model(seed=25, has_phi=has_phi)
+        graph = nets.ModelGraph(model)
+        sigma, phi = graph.forward(np.ones((4, model.input_width())))
+        g_phi = None if g_phi is None else np.full_like(phi, g_phi)
+        with pytest.raises(DivergenceError, match=re.escape(expected)):
+            nets.backward(graph, np.full_like(sigma, g_sigma), g_phi)
 
     def test_backward_names_the_layer(self):
         model = probe_model(seed=26)
@@ -328,7 +373,7 @@ class TestBackward:
         return float(np.sum(sigma ** 2) + np.sum(np.tanh(phi)))
 
     def test_matches_central_differences(self):
-        model = probe_model(seed=4)
+        model = probe_model(seed=4, dtype=np.float64)
         rng = np.random.default_rng(4)
         feats = nets.encode(rng.uniform(-1, 1, (9, 3)), rng.normal(size=(9, 3)),
                             model.encoding_levels, model.dir_levels)
@@ -383,7 +428,7 @@ class TestOptStep:
         np.testing.assert_array_equal(model.params, before)
 
     def test_first_step_closed_form(self):
-        model = probe_model(seed=8)
+        model = probe_model(seed=8, dtype=np.float64)
         before = model.params.copy()
         state = nets.AdamState.for_model(model)
         rng = np.random.default_rng(8)
@@ -433,6 +478,19 @@ class TestOptStep:
         with pytest.raises(DivergenceError):
             nets.opt_step(model, np.eye(1, huge.size)[0], 1e-3, state)
 
+    def test_update_that_overflows_float32_parameters_raises(self):
+        # lr = 1e39 passes RunConfig.validate. Only parameter 3 has a
+        # gradient, and its update, about 1e39, is finite in float64 but
+        # beyond float32's range.
+        model = probe_model(seed=16)
+        before = model.params.copy()
+        g = np.eye(1, model.params.size, 3)[0]
+        with pytest.raises(DivergenceError, match=re.escape(
+                f"at {model.describe_parameter(3)} (parameter 3, gradient=1.0, update=9.9")):
+            nets.opt_step(model, g, 1e39, nets.AdamState.for_model(model))
+        assert model.params.dtype == np.float32
+        np.testing.assert_array_equal(model.params, before)
+
     def test_gradient_length_mismatch_rejected(self):
         model = probe_model(seed=14)
         state = nets.AdamState.for_model(model)
@@ -465,6 +523,16 @@ class TestCheckpoint:
             assert [getattr(loaded, f.name) for f in fields(loaded)[:-1]] == \
                 [getattr(saved, f.name) for f in fields(saved)[:-1]]
             np.testing.assert_array_equal(loaded.params, saved.params.astype(np.float32))
+
+    def test_float32_round_trip_is_bit_identical(self, tmp_path):
+        coarse = make_model(8, 2, 2, 16, False, rng=1)
+        fine = make_model(8, 2, 2, 16, True, rng=2)
+        path = tmp_path / "model.ckpt"
+        nets.save_checkpoint(path, coarse, fine)
+        for saved, loaded in zip((coarse, fine), nets.load_checkpoint(path)):
+            assert loaded.params.dtype == np.float32
+            np.testing.assert_array_equal(loaded.params, saved.params)
+            loaded.params[0] += 1.0          # a loaded model is trained in place
 
     def test_layout_is_little_endian_float32(self, tmp_path):
         coarse = make_model(1, 1, 1, 4, False, rng=1)

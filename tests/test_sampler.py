@@ -13,12 +13,12 @@ import pytest
 import tests.tape_head as tape_head
 from plink import autodiff as ad
 from plink import net as nets
-from plink import sampler
+from plink import pipeline, sampler
 from plink.config import RunConfig
 from plink.errors import InvalidInputError
 from plink.field import RaySet
 from plink.sensor import UnitCubeScale
-from tests.test_net import make_model
+from tests.test_net import make_model, widened
 
 
 def make_rays(rows, ids=None, s_max=10.0):
@@ -240,8 +240,9 @@ class TestFineGrid:
         np.testing.assert_array_equal(grid[0], np.sort(np.concatenate([pts[0], edges])))
 
 
-def tiny_state(seed=0, hidden_layers=2):
-    coarse, fine = (make_model(2, 1, hidden_layers, 16, phi, rng=seed, sigma_bias=-1.0)
+def tiny_state(seed=0, hidden_layers=2, dtype=np.float32):
+    coarse, fine = (make_model(2, 1, hidden_layers, 16, phi, rng=seed, sigma_bias=-1.0,
+                               dtype=dtype)
                     for phi in (False, True))
     return sampler.TrainState.fresh(coarse, fine)
 
@@ -263,17 +264,26 @@ class TestMarch:
         np.testing.assert_allclose(deltas.sum(axis=1), grid[:, -1])
         assert np.all(np.diff(cdf, axis=1) >= 0.0) and np.all((cdf >= 0.0) & (cdf < 1.0))
 
-    def test_rows_do_not_depend_on_the_batch(self):
+    def check_rows_do_not_depend_on_the_batch(self, dtype, rtol, atol):
         rng = np.random.default_rng(9)
         dirs = rng.normal(size=(4, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         origins = rng.uniform(-1.0, 1.0, size=(4, 3))
-        state = tiny_state(seed=2)
+        state = tiny_state(seed=2, dtype=dtype)
         batch = self.march(state, origins, dirs)
         for i in range(4):
             single = self.march(state, origins[i:i + 1], dirs[i:i + 1])
             for whole, row in zip(batch, single):
-                np.testing.assert_allclose(whole[i], row[0], rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(whole[i], row[0], rtol=rtol, atol=atol)
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        self.check_rows_do_not_depend_on_the_batch(np.float64, rtol=1e-12, atol=1e-15)
+
+    def test_float32_rows_do_not_depend_on_the_batch(self):
+        # A float32 matmul may round a row differently in a batch of one than
+        # in a batch of four: up to 2 float32 ulps (2.4e-7 on a phi of 1.25)
+        # were seen. The bound is about 40 ulps.
+        self.check_rows_do_not_depend_on_the_batch(np.float32, rtol=1e-5, atol=1e-7)
 
 
 class TestTrainStep:
@@ -385,10 +395,8 @@ class TestTrainStepMatchesTheTape:
             rows.append((rng.normal(size=3), list(rng.uniform(0.5, 9.5, size=n))))
         return make_rays(rows)
 
-    @pytest.mark.parametrize("depth_l2", [False, True])
-    @pytest.mark.parametrize("phi_bias", [0.0, 1e3, -1e3])    # +-1e3 clamps q_hat in the BCE
-    def test_gradients_and_losses_are_bit_identical(self, monkeypatch, depth_l2, phi_bias):
-        state = tiny_state(seed=3)
+    def check_against_the_tape(self, monkeypatch, depth_l2, phi_bias, dtype):
+        state = tiny_state(seed=3, dtype=dtype)
         state.fine.param_views()[-1][1][...] = phi_bias
         config = RunConfig(n_bins=8, n_fine=16, lr=1e-2, seed=4)
         rays, grads, opt_step = self.rays(), [], nets.opt_step
@@ -401,7 +409,55 @@ class TestTrainStepMatchesTheTape:
                 fine, coarse, want = tape_head.train_step_tapes(
                     state, batch, config, SCALE, epoch, depth_l2)
                 losses = sampler.train_step(state, batch, config, SCALE, epoch, depth_l2)
+                assert grads[-1].dtype == grads[-2].dtype == dtype
                 assert np.array_equal(grads[-2], fine)
                 assert np.array_equal(grads[-1], coarse)
                 assert (losses.l_c, losses.l_drop, losses.l_fine, losses.l_coarse) == want
         assert len(grads) == 24
+
+    # The head is float64 whatever the networks' dtype, and both sides cast
+    # its gradients to the parameters' dtype in the same `net.backward`. The
+    # float32 models are the program's; the float64 ones are exact twins.
+    @pytest.mark.parametrize("depth_l2", [False, True])
+    @pytest.mark.parametrize("phi_bias", [0.0, 1e3, -1e3])    # +-1e3 clamps q_hat in the BCE
+    def test_gradients_and_losses_are_bit_identical(self, monkeypatch, depth_l2, phi_bias):
+        self.check_against_the_tape(monkeypatch, depth_l2, phi_bias, np.float32)
+
+    @pytest.mark.parametrize("depth_l2", [False, True])
+    @pytest.mark.parametrize("phi_bias", [0.0, 1e3, -1e3])
+    def test_float64_gradients_and_losses_are_bit_identical(self, monkeypatch, depth_l2,
+                                                            phi_bias):
+        self.check_against_the_tape(monkeypatch, depth_l2, phi_bias, np.float64)
+
+
+class TestFloat32MatchesFloat64:
+    """One training step of the program's float32 networks against float64 twins."""
+
+    def test_gradients_and_losses_agree_at_the_default_shape(self, monkeypatch):
+        # The default config: 4 x 128 MLPs, 64 rays of 64 bins and 64 fine
+        # points. The float64 twins hold the same float32-representable values.
+        config = RunConfig()
+        state32 = pipeline.models_from_config(config)
+        state64 = sampler.TrainState.fresh(widened(state32.coarse), widened(state32.fine))
+        rng = np.random.default_rng(config.seed)
+        rays = make_rays([(rng.normal(size=3), list(rng.uniform(0.5, 9.5, rng.integers(0, 6))))
+                          for _ in range(config.batch_rays)], ids=np.arange(config.batch_rays))
+        grads = []
+        monkeypatch.setattr(nets, "opt_step", lambda model, grad, *args: grads.append(grad))
+        losses32 = sampler.train_step(state32, rays, config, SCALE)
+        losses64 = sampler.train_step(state64, rays, config, SCALE)
+        assert [g.dtype for g in grads] == [np.float32] * 2 + [np.float64] * 2
+        # Measured relative differences: on the benchmark's first step (seeds
+        # 1-3), 2.7e-7 to 3.6e-7 for the fine gradient and at most 2.2e-8 for
+        # a loss; here 7.9e-7 (fine), 2.2e-7 (coarse) and 4.3e-9. A relu unit
+        # or hinge bin within float32 round-off of its kink can flip between
+        # the precisions and move a gradient further: one coarse relu flip gave
+        # 3.1e-4 on the benchmark's seed 1, and 2 of 20 batches built as here
+        # (seeds 1-20) read 9.8e-5 and 1.9e-4. This batch has no flip. The
+        # gradient bound is about 100 times the flip-free readings (all under
+        # 1.3e-6); the loss bound is 3 times the largest loss difference seen.
+        for g32, g64 in zip(grads[:2], grads[2:]):
+            assert np.linalg.norm(g32 - g64) <= 1e-4 * np.linalg.norm(g64)
+        for name in ("l_c", "l_drop", "l_fine", "l_coarse"):
+            want = getattr(losses64, name)
+            assert abs(getattr(losses32, name) - want) <= 1e-7 * abs(want), name
