@@ -122,22 +122,27 @@ def _run_training(args, depth_l2: bool, stem: str) -> int:
 
     state = pipeline.models_from_config(config)
 
-    def on_epoch(epoch, row):
-        if (epoch + 1) % config.checkpoint_every == 0:
-            nets.save_checkpoint(
-                os.path.join(config.out_dir, f"{stem}_epoch_{epoch + 1:04d}.ckpt"),
-                state.coarse, state.fine)
+    # The curve gains a row per finished epoch, so a diverged or killed run keeps them.
+    with open(curve_path, "w") as curve:
+        curve.write(HISTORY_HEADER)
+        curve.flush()
 
-    try:
-        state, history = pipeline.train(train_set, config, depth_l2,
-                                        on_epoch, state=state)
-    except DivergenceError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        nets.save_checkpoint(os.path.join(config.out_dir, f"{stem}_diverged.ckpt"),
-                             state.coarse, state.fine)
-        return EXIT_DIVERGED
+        def on_epoch(epoch, row):
+            curve.write(_history_line(epoch, row))
+            curve.flush()
+            if (epoch + 1) % config.checkpoint_every == 0:
+                nets.save_checkpoint(
+                    os.path.join(config.out_dir, f"{stem}_epoch_{epoch + 1:04d}.ckpt"),
+                    state.coarse, state.fine)
 
-    _write_history(curve_path, history)
+        try:
+            state, _ = pipeline.train(train_set, config, depth_l2, on_epoch, state=state)
+        except DivergenceError as exc:
+            print(f"training diverged: {exc}", file=sys.stderr)
+            nets.save_checkpoint(os.path.join(config.out_dir, f"{stem}_diverged.ckpt"),
+                                 state.coarse, state.fine)
+            return EXIT_DIVERGED
+
     nets.save_checkpoint(ckpt_path, state.coarse, state.fine)
     print(f"checkpoint: {ckpt_path}")
     print(f"loss curve: {curve_path}")
@@ -262,11 +267,19 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+HISTORY_HEADER = "epoch,l_c,l_drop,l_coarse,l_fine\n"
+
+
+def _history_line(epoch, losses) -> str:
+    """One loss-curve row: the epoch and its four mean loss terms."""
+    return ",".join([str(int(epoch))] + [repr(float(v)) for v in losses]) + "\n"
+
+
 def _write_history(path, history) -> None:
     with open(path, "w") as fh:
-        fh.write("epoch,l_c,l_drop,l_coarse,l_fine\n")
+        fh.write(HISTORY_HEADER)
         for row in history:
-            fh.write(",".join([str(int(row[0]))] + [repr(float(v)) for v in row[1:]]) + "\n")
+            fh.write(_history_line(row[0], row[1:]))
 
 
 COMMANDS = {

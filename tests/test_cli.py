@@ -8,9 +8,9 @@ import os
 import numpy as np
 import pytest
 
-from plink import cli, metrics, net as nets, pipeline, simscene
+from plink import cli, metrics, net as nets, pipeline, sampler, simscene
 from plink.config import RunConfig, load_config
-from plink.errors import ConfigError
+from plink.errors import ConfigError, DivergenceError
 
 SCENE = simscene.builtin_scene_path("panel_room.txt")
 PATH = simscene.builtin_scene_path("moving_path.csv")
@@ -347,6 +347,41 @@ def test_ray_leaving_the_scene_bounds_exits_2_before_work(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     assert err.startswith("error: ") and message in err
     assert not render.exists()
+
+
+def test_a_diverged_run_keeps_its_finished_epochs(tmp_path, capsys, monkeypatch):
+    # Exit 3 with a loadable diverged checkpoint, and the loss curve holds
+    # the epochs finished before the divergence, as an uninterrupted run
+    # writes them. The divergence strikes before epoch 2 changes anything,
+    # so the diverged checkpoint is the one written after epoch 2.
+    cfg = write_config(tmp_path, UNDER_TRAINED.replace("epochs = 2",
+                                                       "epochs = 3\ncheckpoint_every = 2"))
+    data = tmp_path / "data"
+    assert run(capsys, "gen", "--config", cfg, "--scene", SCENE, "--path", PATH,
+               "--out", data)[0] == cli.EXIT_OK
+    train = ["train", "--config", cfg, "--scene", SCENE, "--data", data, "--out"]
+    assert run(capsys, *train, tmp_path / "whole")[0] == cli.EXIT_OK
+    whole = (tmp_path / "whole" / "model_loss_curve.csv").read_text().splitlines()
+    assert len(whole) == 4
+
+    step = sampler.train_step
+
+    def diverging(state, rays, config, scale, epoch=0, depth_l2=False):
+        if epoch == 2:
+            raise DivergenceError("planted in epoch 2")
+        return step(state, rays, config, scale, epoch, depth_l2)
+
+    monkeypatch.setattr(sampler, "train_step", diverging)
+    out = tmp_path / "diverged"
+    code, _, err = run(capsys, *train, out)
+    assert code == cli.EXIT_DIVERGED
+    assert err == "training diverged: planted in epoch 2\n"
+    coarse, fine = nets.load_checkpoint(out / "model_diverged.ckpt")
+    assert fine.has_phi_head and not coarse.has_phi_head
+    assert ((out / "model_diverged.ckpt").read_bytes()
+            == (out / "model_epoch_0002.ckpt").read_bytes())
+    assert not (out / "model.ckpt").exists()
+    assert (out / "model_loss_curve.csv").read_text().splitlines() == whole[:3]
 
 
 def checkpoint_and_config(root):
