@@ -4,6 +4,19 @@ Subcommands: gen, train, render, baseline, eval, compare. Flags override
 config-file values; the PLINK_SEED environment variable overrides the seed
 last. All outputs are deterministic given the seed.
 
+Outputs, in ``--out``:
+
+* train: ``model.ckpt`` and ``model_loss_curve.csv`` (a header, then one
+  row per finished epoch: ``epoch,l_c,l_drop,l_coarse,l_fine``);
+  ``model_epoch_NNNN.ckpt`` every ``checkpoint_every`` epochs; on a
+  divergence, ``model_diverged.ckpt`` and the rows of the finished epochs.
+* baseline: the same files with the stem ``baseline``.
+* compare: ``data/`` and ``testdata/`` (the training and ground-truth
+  datasets), the files of train and of baseline, written the same way by
+  the same code, then ``gt_NNNN.ply``, ``model_NNNN.ply`` and
+  ``baseline_NNNN.ply`` per test frame and ``report.csv``. A divergence
+  stops it before any cloud or the report.
+
 Exit codes:
 
 * 0: success.
@@ -115,38 +128,41 @@ def _run_training(args, depth_l2: bool, stem: str) -> int:
     config = resolve_config(args)
     scene = load_scene(_require(config.scene, "scene"))
     frames = pipeline.read_dataset(_require(config.data_dir, "data_dir"))
-    train_set = pipeline.train_set_from_frames(frames, scene)
+    _train_into(config, pipeline.train_set_from_frames(frames, scene), stem, depth_l2)
+    print(f"checkpoint: {os.path.join(config.out_dir, stem + '.ckpt')}")
+    print(f"loss curve: {os.path.join(config.out_dir, stem + '_loss_curve.csv')}")
+    return EXIT_OK
+
+
+def _train_into(config: RunConfig, train_set, stem: str, depth_l2: bool):
+    """Train one model into ``config.out_dir`` and return its state.
+
+    The loss curve gains a flushed row per finished epoch, so a diverged or
+    killed run keeps them. A divergence leaves ``<stem>_diverged.ckpt`` and
+    goes on to ``main``.
+    """
+    def out(suffix):
+        return os.path.join(config.out_dir, stem + suffix)
+
     os.makedirs(config.out_dir, exist_ok=True)
-    curve_path = os.path.join(config.out_dir, f"{stem}_loss_curve.csv")
-    ckpt_path = os.path.join(config.out_dir, f"{stem}.ckpt")
-
     state = pipeline.models_from_config(config)
-
-    # The curve gains a row per finished epoch, so a diverged or killed run keeps them.
-    with open(curve_path, "w") as curve:
-        curve.write(HISTORY_HEADER)
+    with open(out("_loss_curve.csv"), "w") as curve:
+        curve.write("epoch,l_c,l_drop,l_coarse,l_fine\n")
         curve.flush()
 
-        def on_epoch(epoch, row):
-            curve.write(_history_line(epoch, row))
+        def on_epoch(epoch, losses):
+            curve.write(",".join([str(epoch)] + [repr(float(v)) for v in losses]) + "\n")
             curve.flush()
             if (epoch + 1) % config.checkpoint_every == 0:
-                nets.save_checkpoint(
-                    os.path.join(config.out_dir, f"{stem}_epoch_{epoch + 1:04d}.ckpt"),
-                    state.coarse, state.fine)
+                nets.save_checkpoint(out(f"_epoch_{epoch + 1:04d}.ckpt"), state.coarse, state.fine)
 
         try:
-            state, _ = pipeline.train(train_set, config, depth_l2, on_epoch, state=state)
-        except DivergenceError as exc:
-            print(f"training diverged: {exc}", file=sys.stderr)
-            nets.save_checkpoint(os.path.join(config.out_dir, f"{stem}_diverged.ckpt"),
-                                 state.coarse, state.fine)
-            return EXIT_DIVERGED
-
-    nets.save_checkpoint(ckpt_path, state.coarse, state.fine)
-    print(f"checkpoint: {ckpt_path}")
-    print(f"loss curve: {curve_path}")
-    return EXIT_OK
+            pipeline.train(train_set, config, depth_l2, on_epoch, state=state)
+        except DivergenceError:
+            nets.save_checkpoint(out("_diverged.ckpt"), state.coarse, state.fine)
+            raise
+    nets.save_checkpoint(out(".ckpt"), state.coarse, state.fine)
+    return state
 
 
 def cmd_render(args) -> int:
@@ -208,24 +224,19 @@ def cmd_compare(args) -> int:
     path_path = _require(config.path, "path")
     scene = load_scene(scene_path)
     out = config.out_dir
-    os.makedirs(out, exist_ok=True)
 
     # Training data, then a fresh stochastic realization as ground truth.
     train_dir = os.path.join(out, "data")
     pipeline.generate_to_disk(scene_path, path_path, train_dir, config)
-    test_config = replace(config, seed=config.seed + 1000, out_dir=out)
+    test_config = replace(config, seed=config.seed + 1000)
     test_dir = os.path.join(out, "testdata")
     pipeline.generate_to_disk(scene_path, path_path, test_dir, test_config)
 
     frames = pipeline.read_dataset(train_dir)
     train_set = pipeline.train_set_from_frames(frames, scene)
 
-    states = {}
-    for name, depth_l2 in (("model", False), ("baseline", True)):
-        state, history = pipeline.train(train_set, config, depth_l2=depth_l2)
-        _write_history(os.path.join(out, f"{name}_loss_curve.csv"), history)
-        nets.save_checkpoint(os.path.join(out, f"{name}.ckpt"), state.coarse, state.fine)
-        states[name] = state
+    states = {name: _train_into(config, train_set, name, depth_l2)
+              for name, depth_l2 in (("model", False), ("baseline", True))}
 
     clouds = {"gt": [], "model": [], "baseline": []}
     for i, frame in enumerate(pipeline.read_dataset(test_dir)):
@@ -265,21 +276,6 @@ def cmd_compare(args) -> int:
     _print_reports(named)
     print(f"report: {report_path}")
     return EXIT_OK
-
-
-HISTORY_HEADER = "epoch,l_c,l_drop,l_coarse,l_fine\n"
-
-
-def _history_line(epoch, losses) -> str:
-    """One loss-curve row: the epoch and its four mean loss terms."""
-    return ",".join([str(int(epoch))] + [repr(float(v)) for v in losses]) + "\n"
-
-
-def _write_history(path, history) -> None:
-    with open(path, "w") as fh:
-        fh.write(HISTORY_HEADER)
-        for row in history:
-            fh.write(_history_line(row[0], row[1:]))
 
 
 COMMANDS = {

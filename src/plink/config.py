@@ -88,6 +88,10 @@ class RunConfig:
                               "render_fine at least 0")
         if not (0.0 < self.confidence_level < 1.0):
             raise ConfigError("confidence_level must lie in (0, 1)")
+        if not (0.0 < self.peak_threshold <= 1.0):
+            raise ConfigError("peak_threshold must lie in (0, 1]")
+        if not (0.0 < self.threshold_cm < np.inf):
+            raise ConfigError("threshold_cm must be positive and finite")
         if self.render_mode not in ("stochastic", "confidence", "first-return",
                                     "strongest-return"):
             raise ConfigError(f"unknown render mode {self.render_mode!r}")

@@ -13,6 +13,7 @@ read from PLY or plain ``x y z`` text.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +115,10 @@ def _read_points(path, numbered_lines) -> PointCloud:
         try:
             if len(fields) < 3:
                 raise ValueError(f"expected x y z, got {len(fields)} values")
-            rows.append([float(v) for v in fields[:3]])
+            row = [float(v) for v in fields[:3]]
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"point {' '.join(fields[:3])} is not finite")
+            rows.append(row)
         except ValueError as exc:
             raise InvalidInputError(f"{path} line {n}: {exc}") from None
     return PointCloud(np.asarray(rows) if rows else np.empty((0, 3)))

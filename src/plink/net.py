@@ -56,6 +56,9 @@ little-endian):
                        hidden_layers, hidden_width, has_phi_head, param_count]
     params  param_count float32 (a float64 model's are rounded to it)
 
+A header with a negative count, a negative level or layer count, a width
+below 1 or a flag other than 0 or 1 is an error naming the file.
+
 A checkpoint file written by the trainer holds b"PLNKCKPT" + int32 record
 count, then that many model records (coarse first, fine second).
 """
@@ -305,6 +308,14 @@ class FieldModel:
     params: np.ndarray | None
 
     def __post_init__(self):
+        shape = (self.encoding_levels, self.dir_levels, self.hidden_layers, self.hidden_width)
+        if min(shape[:3]) < 0 or self.hidden_width < 1:
+            raise InvalidInputError(f"encoding_levels, dir_levels and hidden_layers must be at "
+                                    f"least 0, hidden_width at least 1, not {shape}")
+        if self.use_direction not in (0, 1) or self.has_phi_head not in (0, 1):
+            raise InvalidInputError(f"use_direction and has_phi_head must be 0 or 1, not "
+                                    f"{self.use_direction} and {self.has_phi_head}")
+        self.use_direction, self.has_phi_head = bool(self.use_direction), bool(self.has_phi_head)
         if self.params is None:
             self.params = np.zeros(self.param_count(), dtype=np.float32)
         self.params = np.asarray(self.params)
@@ -618,7 +629,7 @@ def _write_model(fh, model: FieldModel) -> None:
 
 
 def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n) if n >= 0 else b""
+    data = fh.read(n)
     if len(data) != n:
         raise InvalidInputError(f"the file ends {n - len(data)} bytes early")
     return data
@@ -630,8 +641,10 @@ def _read_model(fh) -> FieldModel:
         raise InvalidInputError("not a field-model record")
     levels, dir_levels, use_dir, layers, width, has_phi, count = struct.unpack(
         "<7i", _read_exact(fh, 28))
+    if count < 0:
+        raise InvalidInputError(f"parameter count {count} is negative")
     params = np.frombuffer(_read_exact(fh, 4 * count), dtype="<f4").astype(np.float32)
-    return FieldModel(levels, dir_levels, bool(use_dir), layers, width, bool(has_phi), params)
+    return FieldModel(levels, dir_levels, use_dir, layers, width, has_phi, params)
 
 
 def save_checkpoint(path, coarse: FieldModel, fine: FieldModel) -> None:

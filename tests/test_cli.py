@@ -1,9 +1,12 @@
 """The command line end to end on the shipped scene: gen -> train -> render
--> eval and compare, each byte-identical across two runs; eval on an empty
-cloud, bad config files, malformed dataset files, rays that leave the scene
-bounds, truncated checkpoints and the PLINK_SEED override."""
+-> eval and compare, each byte-identical across two runs, and compare's
+training byte-identical to train's and baseline's; eval on an empty cloud,
+bad config files and flags, malformed dataset and cloud files, rays that
+leave the scene bounds, truncated checkpoints and bad checkpoint headers,
+diverged runs and the PLINK_SEED override."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -145,6 +148,10 @@ def test_eval_with_an_empty_synthetic_cloud_prints_nan(tmp_path, capsys):
     ("render_mode = brightest\n", "unknown render mode"),
     ("confidence_level = 1.0\n", "confidence_level must lie in (0, 1)"),
     ("confidence_level = 0\n", "confidence_level must lie in (0, 1)"),
+    ("peak_threshold = -1\n", "peak_threshold must lie in (0, 1]"),
+    ("peak_threshold = 2\n", "peak_threshold must lie in (0, 1]"),
+    ("threshold_cm = -3\n", "threshold_cm must be positive and finite"),
+    ("threshold_cm = 0\n", "threshold_cm must be positive and finite"),
     ("checkpoint_every = 0\n", "checkpoint_every and render_draws must be at least 1"),
     ("render_draws = 0\n", "checkpoint_every and render_draws must be at least 1"),
     ("render_fine = -1\n", "render_fine at least 0"),
@@ -173,7 +180,9 @@ def test_bad_config_exits_2(tmp_path, capsys, text, message):
 @pytest.mark.parametrize("key, value", [
     ("s_max", np.nan), ("s_max", -1.0), ("lr", np.nan), ("lr", 0.0), ("lr", np.inf),
     ("scan_period", np.nan), ("scan_period", 0.0), ("alpha", np.nan),
-    ("confidence_level", np.nan),
+    ("confidence_level", np.nan), ("threshold_cm", np.nan), ("threshold_cm", -3.0),
+    ("threshold_cm", np.inf), ("peak_threshold", np.nan), ("peak_threshold", 0.0),
+    ("peak_threshold", 1.5),
 ])
 def test_validate_rejects_nan_and_non_positive_values(key, value):
     # CLI flags reach validate without the file reader's finiteness check.
@@ -188,6 +197,16 @@ def test_bad_flag_exits_2_before_work(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     assert err == "invalid config: lr must be positive and finite\n"
     assert not (tmp_path / "train").exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-3"])
+def test_bad_eval_threshold_exits_2(tmp_path, capsys, threshold):
+    cloud = tmp_path / "cloud.xyz"
+    cloud.write_text("0 0 0\n1 1 1\n")
+    code, out, err = run(capsys, "eval", "--gt", cloud, "--synth", cloud,
+                         "--threshold", threshold)
+    assert code == cli.EXIT_CONFIG and out == ""
+    assert err == "invalid config: threshold_cm must be positive and finite\n"
 
 
 def test_plink_seed_beats_config_file_and_flag(tmp_path, capsys, monkeypatch):
@@ -287,8 +306,11 @@ def test_malformed_scene_file_exits_2(tmp_path, capsys, line, bad, message):
      "bad.ply: header declares 3 vertices, found 1"),
     ("bad.xyz", "1 2 3\n\n1 2\n", "bad.xyz line 3: expected x y z, got 2 values"),
     ("bad.xyz", "1 2 q\n", "bad.xyz line 1: could not convert"),
+    ("bad.xyz", "1 2 3\nnan 0 0\n", "bad.xyz line 2: point nan 0 0 is not finite"),
+    ("bad.ply", "ply\nformat ascii 1.0\nelement vertex 2\nend_header\n1 2 3\n4 inf 6\n",
+     "bad.ply line 6: point 4 inf 6 is not finite"),
 ], ids=["ply-vertex-not-a-number", "ply-vertex-count", "ply-short", "xyz-two-values",
-        "xyz-not-a-number"])
+        "xyz-not-a-number", "xyz-nan", "ply-inf"])
 def test_malformed_cloud_file_exits_2(tmp_path, capsys, name, text, message):
     cfg = write_config(tmp_path, UNDER_TRAINED)
     good, bad = tmp_path / "good.xyz", tmp_path / name
@@ -384,6 +406,53 @@ def test_a_diverged_run_keeps_its_finished_epochs(tmp_path, capsys, monkeypatch)
     assert (out / "model_loss_curve.csv").read_text().splitlines() == whole[:3]
 
 
+def test_a_diverged_compare_keeps_its_finished_epochs(tmp_path, capsys, monkeypatch):
+    # compare trains through the writer of train, so the model's divergence
+    # in epoch 2 leaves its curve rows and diverged checkpoint, and no cloud
+    # or report.
+    cfg = write_config(tmp_path, UNDER_TRAINED.replace("epochs = 2",
+                                                       "epochs = 3\ncheckpoint_every = 2"))
+    step = sampler.train_step
+
+    def diverging(state, rays, config, scale, epoch=0, depth_l2=False):
+        if epoch == 2:
+            raise DivergenceError("planted in epoch 2")
+        return step(state, rays, config, scale, epoch, depth_l2)
+
+    monkeypatch.setattr(sampler, "train_step", diverging)
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "compare", "--config", cfg, "--scene", SCENE, "--path", PATH,
+                       "--out", out)
+    assert code == cli.EXIT_DIVERGED
+    assert err == "training diverged: planted in epoch 2\n"
+    coarse, fine = nets.load_checkpoint(out / "model_diverged.ckpt")
+    assert fine.has_phi_head and not coarse.has_phi_head
+    assert ((out / "model_diverged.ckpt").read_bytes()
+            == (out / "model_epoch_0002.ckpt").read_bytes())
+    curve = (out / "model_loss_curve.csv").read_text().splitlines()
+    assert curve[0] == "epoch,l_c,l_drop,l_coarse,l_fine"
+    assert [row.split(",")[0] for row in curve[1:]] == ["0", "1"]
+    assert sorted(os.listdir(out)) == ["data", "model_diverged.ckpt", "model_epoch_0002.ckpt",
+                                       "model_loss_curve.csv", "testdata"]
+
+
+def test_compare_trains_as_train_and_baseline_do(tmp_path, capsys):
+    # On compare's own training data, train and baseline write the same bytes.
+    cfg = write_config(tmp_path, TRAINED + "checkpoint_every = 4\n")
+    out = tmp_path / "compare"
+    assert run(capsys, "compare", "--config", cfg, "--scene", SCENE, "--path", PATH,
+               "--out", out)[0] == cli.EXIT_OK
+    for command, stem in (("train", "model"), ("baseline", "baseline")):
+        alone = tmp_path / command
+        assert run(capsys, command, "--config", cfg, "--scene", SCENE, "--data", out / "data",
+                   "--out", alone)[0] == cli.EXIT_OK
+        names = [f"{stem}.ckpt", f"{stem}_loss_curve.csv", f"{stem}_epoch_0004.ckpt",
+                 f"{stem}_epoch_0008.ckpt"]
+        assert sorted(os.listdir(alone)) == sorted(names)
+        for name in names:
+            assert (alone / name).read_bytes() == (out / name).read_bytes(), name
+
+
 def checkpoint_and_config(root):
     """An untrained model's checkpoint and the config that built it."""
     cfg = write_config(root, UNDER_TRAINED)
@@ -418,6 +487,36 @@ def test_truncated_checkpoint_exits_2(tmp_path, capsys, cut):
                        "--checkpoint", short, "--poses", PATH, "--out", tmp_path / "render")
     assert code == cli.EXIT_CONFIG
     assert err.startswith(f"error: {short}: the file ends ") and "bytes early" in err
+
+
+# The coarse record's header: levels, dir levels, use_direction, hidden
+# layers, hidden width, has_phi_head and the parameter count. Each would
+# load or misreport without the header checks; hidden_layers = -1 names as
+# many parameters as that shape has, so the length check passes it.
+@pytest.mark.parametrize("header, message", [
+    ((8, 2, 1, 2, 16, 0, -12), "parameter count -12 is negative"),
+    ((8, 2, 1, -1, 16, 0, nets.encoded_width(8, 2, True) + 1),
+     "hidden_layers must be at least 0, hidden_width at least 1, not (8, 2, -1, 16)"),
+    ((-1, 2, 1, 2, 16, 0, 0), "must be at least 0, hidden_width at least 1, not (-1, 2, 2, 16)"),
+    ((8, 2, 1, 2, 0, 0, 0), "must be at least 0, hidden_width at least 1, not (8, 2, 2, 0)"),
+    ((8, 2, 2, 2, 16, 0, 0), "use_direction and has_phi_head must be 0 or 1, not 2 and 0"),
+    ((8, 2, 1, 2, 16, 2, 0), "use_direction and has_phi_head must be 0 or 1, not 1 and 2"),
+], ids=["negative-count", "negative-layers", "negative-levels", "zero-width",
+        "use-direction-flag", "phi-head-flag"])
+def test_bad_checkpoint_header_exits_2(tmp_path, capsys, header, message):
+    ckpt, cfg = checkpoint_and_config(tmp_path)
+    blob = ckpt.read_bytes()
+    # 12 bytes of file magic and record count, then the coarse record: 8 of
+    # magic, 28 of header (the count last) and its parameters.
+    (coarse_count,) = struct.unpack("<i", blob[44:48])
+    coarse = nets.MODEL_MAGIC + struct.pack("<7i", *header) + bytes(4 * max(header[-1], 0))
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob[:12] + coarse + blob[48 + 4 * coarse_count:])
+    code, _, err = run(capsys, "render", "--config", cfg, "--scene", SCENE,
+                       "--checkpoint", bad, "--poses", PATH, "--out", tmp_path / "render")
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith(f"error: {bad}: ") and message in err
+    assert not (tmp_path / "render").exists()
 
 
 def test_an_internal_error_propagates_out_of_main(monkeypatch):
