@@ -11,11 +11,15 @@ Outputs, in ``--out``:
   ``model_epoch_NNNN.ckpt`` every ``checkpoint_every`` epochs; on a
   divergence, ``model_diverged.ckpt`` and the rows of the finished epochs.
 * baseline: the same files with the stem ``baseline``.
+* render: ``cloud_NNNN.ply`` per pose pair in ``render_mode``; ``--mode
+  weighted-depth`` renders a baseline checkpoint.
 * compare: ``data/`` and ``testdata/`` (the training and ground-truth
-  datasets), the files of train and of baseline, written the same way by
-  the same code, then ``gt_NNNN.ply``, ``model_NNNN.ply`` and
-  ``baseline_NNNN.ply`` per test frame and ``report.csv``. A divergence
-  stops it before any cloud or the report.
+  datasets), the files of train and of baseline, written by the same code,
+  then ``gt_NNNN.ply`` per test frame, render's clouds of the model in
+  ``render_mode`` and of the baseline in ``weighted-depth`` (stems
+  ``model`` and ``baseline``), and ``report.csv``. A divergence stops it
+  before any cloud or the report. eval and compare score alike: each empty
+  cloud gets a warning, and a pair with one gets NaN metrics.
 
 Exit codes:
 
@@ -84,8 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", dest="render_mode")
     p.add_argument("--level", dest="confidence_level", type=float)
     p.add_argument("--draws", dest="render_draws", type=int)
-    p.add_argument("--baseline-depth", action="store_true",
-                   help="composited weighted depth instead of distribution modes")
 
     p = command("eval", "compare a synthetic cloud against ground truth")
     p.add_argument("--gt", required=True)
@@ -103,8 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
     overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("command", "config", "checkpoint", "poses", "gt",
-                              "synth", "baseline_depth")}
+                 if k not in ("command", "config", "checkpoint", "poses", "gt", "synth")}
     return apply_overrides(config, overrides).validate()
 
 
@@ -169,7 +170,6 @@ def cmd_render(args) -> int:
     config = resolve_config(args)
     scene = load_scene(_require(config.scene, "scene"))
     coarse, fine = nets.load_checkpoint(args.checkpoint)
-    state = sampler.TrainState.fresh(coarse, fine)
     poses = read_poses(args.poses)
     if len(poses) < 2:
         raise ConfigError("pose file needs at least two poses (frame boundaries)")
@@ -179,35 +179,44 @@ def cmd_render(args) -> int:
     frames = [ScanFrame(intr, start, end, np.zeros(grid_shape), np.zeros(grid_shape, dtype=bool))
               for start, end in zip(poses, poses[1:])]
     pipeline.check_frames_in_bounds(frames, scale)  # before any cloud is written
-    os.makedirs(config.out_dir, exist_ok=True)
-    for i, frame in enumerate(frames):
-        mode = pipeline.WEIGHTED_DEPTH if args.baseline_depth else config.render_mode
-        cloud = pipeline.render_frame_cloud(state, frame, scale, config, mode, frame_index=i)
-        out = os.path.join(config.out_dir, f"cloud_{i:04d}.ply")
-        metrics.write_ply(out, cloud)
-        print(f"{out}: {len(cloud)} points")
+    _render_into(sampler.TrainState.fresh(coarse, fine), frames, scale, config,
+                 config.render_mode, "cloud")
     return EXIT_OK
+
+
+def _render_into(state, frames, scale, config: RunConfig, mode: str, stem: str) -> list:
+    """Render each frame in ``mode`` to ``<stem>_NNNN.ply`` in ``config.out_dir``,
+    print its point count and return the clouds."""
+    os.makedirs(config.out_dir, exist_ok=True)
+    clouds = []
+    for i, frame in enumerate(frames):
+        cloud = pipeline.render_frame_cloud(state, frame, scale, config, mode, frame_index=i)
+        path = os.path.join(config.out_dir, f"{stem}_{i:04d}.ply")
+        metrics.write_ply(path, cloud)
+        print(f"{path}: {len(cloud)} points")
+        clouds.append(cloud)
+    return clouds
 
 
 def cmd_eval(args) -> int:
     config = resolve_config(args)
-    gt = metrics.read_cloud(args.gt)
-    synth = metrics.read_cloud(args.synth)
-    empty = [path for path, cloud in ((args.gt, gt), (args.synth, synth)) if not len(cloud)]
-    if empty:
-        # An under-trained model can render nothing; that is a result, not an error.
-        for path in empty:
-            print(f"warning: {path} has no points; the metrics are NaN", file=sys.stderr)
-        row = _no_metrics(config)
-    else:
-        row = metrics.evaluate(gt, synth, config.threshold_cm).as_row()
+    gt, synth = metrics.read_cloud(args.gt), metrics.read_cloud(args.synth)
+    (row,) = _metrics_rows(config, (args.gt, gt), [(args.synth, synth)])
     _print_reports([("synth", row)])
     return EXIT_OK
 
 
-def _no_metrics(config: RunConfig) -> list:
-    """The metric row of a pair with an empty cloud: NaN at the configured threshold."""
-    return [np.nan] * 4 + [config.threshold_cm]
+def _metrics_rows(config: RunConfig, named_gt, named_synths) -> list:
+    """The metric row of each ``(name, cloud)`` in ``named_synths`` against
+    ``named_gt``'s cloud. An under-trained model can render nothing; that is
+    a result, not an error: each empty cloud gets one warning, and a pair
+    with one gets NaN metrics at ``threshold_cm``."""
+    gt = named_gt[1]
+    for name, cloud in [named_gt] + named_synths:
+        if not len(cloud):
+            print(f"warning: {name} has no points; the metrics are NaN", file=sys.stderr)
+    return [metrics.evaluate(gt, synth, config.threshold_cm).as_row() if len(gt) and len(synth)
+            else [np.nan] * 4 + [config.threshold_cm] for _, synth in named_synths]
 
 
 def _print_reports(named_rows) -> None:
@@ -238,42 +247,31 @@ def cmd_compare(args) -> int:
     states = {name: _train_into(config, train_set, name, depth_l2)
               for name, depth_l2 in (("model", False), ("baseline", True))}
 
-    clouds = {"gt": [], "model": [], "baseline": []}
-    for i, frame in enumerate(pipeline.read_dataset(test_dir)):
-        clouds["gt"].append(pipeline.ground_truth_cloud(frame))
-        for name in ("model", "baseline"):
-            mode = pipeline.WEIGHTED_DEPTH if name == "baseline" else "stochastic"
-            clouds[name].append(pipeline.render_frame_cloud(
-                states[name], frame, train_set.scale, config, mode, frame_index=i))
-        for name, frame_clouds in clouds.items():
-            metrics.write_ply(os.path.join(out, f"{name}_{i:04d}.ply"), frame_clouds[-1])
+    test_frames = pipeline.read_dataset(test_dir)
+    gt = [pipeline.ground_truth_cloud(frame) for frame in test_frames]
+    for i, cloud in enumerate(gt):
+        metrics.write_ply(os.path.join(out, f"gt_{i:04d}.ply"), cloud)
+    clouds = {name: _render_into(states[name], test_frames, train_set.scale, config, mode, name)
+              for name, mode in (("model", config.render_mode),
+                                 ("baseline", pipeline.WEIGHTED_DEPTH))}
 
-    rows = []
-    named = []
-    gt_clouds = clouds["gt"]
-    gt_merged = metrics.PointCloud(np.concatenate([c.points for c in gt_clouds]))
-    no_metrics = _no_metrics(config)
-    for name in ("model", "baseline"):
-        if not any(len(c) for c in clouds[name]):
-            # An under-trained model can render nothing; that is a result, not an error.
-            print(f"warning: {name} rendered no points; its metrics are NaN", file=sys.stderr)
-            aggregate_row = mean_row = no_metrics
-        else:
-            merged = metrics.PointCloud(np.concatenate([c.points for c in clouds[name]]))
-            aggregate_row = metrics.evaluate(gt_merged, merged, config.threshold_cm).as_row()
-            per_scan = [metrics.evaluate(g, c, config.threshold_cm).as_row()
-                        for g, c in zip(gt_clouds, clouds[name]) if len(g) and len(c)]
-            mean_row = np.mean(per_scan, axis=0) if per_scan else no_metrics
-        rows.append([name, "aggregate"] + [repr(float(v)) for v in aggregate_row])
-        rows.append([name, "per_scan_mean"] + [repr(float(v)) for v in mean_row])
-        named.append((name, aggregate_row))
+    def merged(frame_clouds):
+        return metrics.PointCloud(np.concatenate([c.points for c in frame_clouds]))
 
+    aggregate = _metrics_rows(config, ("gt", merged(gt)),
+                              [(name, merged(c)) for name, c in clouds.items()])
     report_path = os.path.join(out, "report.csv")
     with open(report_path, "w") as fh:
         fh.write("method,scope,completion_cm,accuracy_cm,chamfer_l1_cm,f_score_pct,threshold_cm\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-    _print_reports(named)
+        for (name, frame_clouds), aggregate_row in zip(clouds.items(), aggregate):
+            # The mean over the frames whose two clouds both have points.
+            per_scan = [metrics.evaluate(g, c, config.threshold_cm).as_row()
+                        for g, c in zip(gt, frame_clouds) if len(g) and len(c)]
+            mean_row = (np.mean(per_scan, axis=0) if per_scan
+                        else [np.nan] * 4 + [config.threshold_cm])
+            for scope, row in (("aggregate", aggregate_row), ("per_scan_mean", mean_row)):
+                fh.write(",".join([name, scope] + [repr(float(v)) for v in row]) + "\n")
+    _print_reports(zip(clouds, aggregate))
     print(f"report: {report_path}")
     return EXIT_OK
 

@@ -93,7 +93,7 @@ class RunConfig:
         if not (0.0 < self.threshold_cm < np.inf):
             raise ConfigError("threshold_cm must be positive and finite")
         if self.render_mode not in ("stochastic", "confidence", "first-return",
-                                    "strongest-return"):
+                                    "strongest-return", "weighted-depth"):
             raise ConfigError(f"unknown render mode {self.render_mode!r}")
         try:
             intrinsics_from_config(self)

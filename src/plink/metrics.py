@@ -125,6 +125,7 @@ def _read_points(path, numbered_lines) -> PointCloud:
 
 
 def read_ply(path) -> PointCloud:
+    """An ASCII 1.0 PLY file's vertices."""
     with open(path) as fh:
         if fh.readline().strip() != "ply":
             raise InvalidInputError(f"{path} is not a PLY file")
@@ -132,9 +133,14 @@ def read_ply(path) -> PointCloud:
         n_vertices = None
         for n, line in lines:
             line = line.strip()
+            if line.startswith("format") and line.split()[1:] != ["ascii", "1.0"]:
+                raise InvalidInputError(f"{path} line {n}: unsupported {line!r}; "
+                                        "only 'format ascii 1.0' is read")
             if line.startswith("element vertex"):
                 try:
                     n_vertices = int(line.split()[-1])
+                    if n_vertices < 0:
+                        raise ValueError
                 except ValueError:
                     raise InvalidInputError(f"{path} line {n}: bad vertex count") from None
             if line == "end_header":
@@ -156,7 +162,8 @@ def read_xyz(path) -> PointCloud:
 
 
 def read_cloud(path) -> PointCloud:
-    """Dispatch on extension: .ply or plain x-y-z text."""
-    if str(path).endswith(".ply"):
-        return read_ply(path)
-    return read_xyz(path)
+    """Dispatch on extension: .ply or plain x-y-z text, which must be UTF-8."""
+    try:
+        return read_ply(path) if str(path).endswith(".ply") else read_xyz(path)
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: cannot read: {exc}") from None

@@ -62,6 +62,8 @@ class Pose:
         self.translation = np.asarray(self.translation, dtype=float)
         if self.rotation.shape != (3, 3) or self.translation.shape != (3,):
             raise InvalidInputError("pose needs a 3x3 rotation and a 3-vector")
+        if not (np.all(np.isfinite(self.translation)) and np.isfinite(self.timestamp)):
+            raise InvalidInputError("pose translation and timestamp must be finite")
         if not np.all(np.abs(self.rotation.T @ self.rotation - np.eye(3)) <= ORTHONORMAL_TOL):
             raise InvalidInputError("rotation must be orthonormal")
         if np.linalg.det(self.rotation) < 0.0:
@@ -255,19 +257,23 @@ def write_scan(path, frame: ScanFrame) -> None:
 
 
 def _csv_rows(path, header: list, parse):
-    """``parse(fields)`` of each data row; a row with the wrong column count, or
-    that ``parse`` rejects with ValueError, raises InvalidInputError naming it."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if [h.strip() for h in next(reader, [])] != header:
-            raise InvalidInputError(f"unexpected header in {path}")
-        for n, row in enumerate(reader, start=2):
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} columns, got {len(row)}")
-                yield parse(row)
-            except ValueError as exc:
-                raise InvalidInputError(f"{path} row {n}: {exc}") from None
+    """``parse(fields)`` of each data row; text that is not UTF-8 or not CSV, a
+    row with the wrong column count, or one that ``parse`` rejects with
+    ValueError raises InvalidInputError naming the file."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InvalidInputError(f"{path}: cannot read: {exc}") from None
+    if not rows or [h.strip() for h in rows[0]] != header:
+        raise InvalidInputError(f"unexpected header in {path}")
+    for n, row in enumerate(rows[1:], start=2):
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} columns, got {len(row)}")
+            yield parse(row)
+        except ValueError as exc:
+            raise InvalidInputError(f"{path} row {n}: {exc}") from None
 
 
 def read_scan(path, intrinsics: SensorIntrinsics, start_pose: Pose, end_pose: Pose) -> ScanFrame:

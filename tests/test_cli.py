@@ -1,12 +1,15 @@
 """The command line end to end on the shipped scene: gen -> train -> render
 -> eval and compare, each byte-identical across two runs, and compare's
-training byte-identical to train's and baseline's; eval on an empty cloud,
-bad config files and flags, malformed dataset and cloud files, rays that
-leave the scene bounds, truncated checkpoints and bad checkpoint headers,
-diverged runs and the PLINK_SEED override."""
+training and clouds byte-identical to those of train, baseline and render;
+eval and compare on empty clouds, bad config files and flags, malformed or
+undecodable dataset, path and cloud files, rays that leave the scene
+bounds, truncated checkpoints and bad checkpoint headers, diverged runs,
+the PLINK_SEED override and the ``python -m plink.cli`` entry point."""
 
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -113,11 +116,56 @@ def test_compare_is_reproducible(tmp_path, capsys):
 def test_compare_with_empty_renders_writes_nan_rows(tmp_path, capsys):
     code, err, rows, _ = compare(tmp_path, UNDER_TRAINED, capsys)
     assert code == cli.EXIT_OK
-    assert "warning: model rendered no points" in err
-    assert "warning: baseline rendered no points" in err
+    assert "warning: model has no points" in err
+    assert "warning: baseline has no points" in err
     for row in rows:
         values = np.array(row[2:], dtype=float)
         assert np.all(np.isnan(values[:4])) and values[4] == 20.0
+
+
+def test_compare_with_an_empty_ground_truth_writes_nan_rows(tmp_path, capsys):
+    # A room that returns 2% of its pulses: with --seed 3, the ground-truth
+    # realization of its one frame of 32 rays returns none. Each empty
+    # cloud warns once, and every row is NaN.
+    scene = tmp_path / "faint_room.txt"
+    scene.write_text("bounds = -22 -22 -3 22 22 3\n[surface]\nkind = box\n"
+                     "origin = -10 -10 -2.5\nextent = 19 20 5\nreturn_prob = 0.02\n")
+    cfg = write_config(tmp_path, UNDER_TRAINED.replace("n_frames = 2", "n_frames = 1"))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "compare", "--config", cfg, "--scene", scene, "--path", PATH,
+                       "--seed", 3, "--out", out)
+    assert code == cli.EXIT_OK
+    empty = [name for name in ("gt", "model", "baseline")
+             if not any(len(metrics.read_cloud(p)) for p in out.glob(f"{name}_*.ply"))]
+    assert empty[0] == "gt"
+    assert err.splitlines() == [f"warning: {name} has no points; the metrics are NaN"
+                                for name in empty]
+    with open(out / "report.csv") as fh:
+        rows = [line.strip().split(",") for line in fh][1:]
+    assert len(rows) == 4
+    for row in rows:
+        values = np.array(row[2:], dtype=float)
+        assert np.all(np.isnan(values[:4])) and values[4] == 20.0
+
+
+@pytest.mark.parametrize("mode_line", ["", "render_mode = first-return\n"],
+                         ids=["default-mode", "first-return"])
+def test_compare_renders_as_render_does(tmp_path, capsys, mode_line):
+    # render of compare's checkpoints on its test poses writes compare's
+    # clouds: the model in render_mode, the baseline in weighted-depth.
+    cfg = write_config(tmp_path, TRAINED + mode_line)
+    out = tmp_path / "compare"
+    assert run(capsys, "compare", "--config", cfg, "--scene", SCENE, "--path", PATH,
+               "--out", out)[0] == cli.EXIT_OK
+    for stem, flags in (("model", []), ("baseline", ["--mode", "weighted-depth"])):
+        alone = tmp_path / stem
+        assert run(capsys, "render", "--config", cfg, "--scene", SCENE,
+                   "--checkpoint", out / f"{stem}.ckpt", "--poses", out / "testdata" / "poses.csv",
+                   "--out", alone, *flags)[0] == cli.EXIT_OK
+        assert sorted(os.listdir(alone)) == ["cloud_0000.ply", "cloud_0001.ply"]
+        for i in range(2):
+            assert ((alone / f"cloud_{i:04d}.ply").read_bytes()
+                    == (out / f"{stem}_{i:04d}.ply").read_bytes()), (stem, i)
 
 
 def test_eval_with_an_empty_synthetic_cloud_prints_nan(tmp_path, capsys):
@@ -249,6 +297,12 @@ def test_plink_seed_beats_config_file_and_flag(tmp_path, capsys, monkeypatch):
     ("poses.csv", 3, "0.1,0,0,0,0,0,0,0", "poses.csv row 3: rotation must be orthonormal"),
     ("poses.csv", 4, None, "poses.csv: the pose sidecar is shorter than the scan list: "
      "2 poses for 2 scans, which need 3"),
+    ("poses.csv", 2, "0.0,nan,0,0,1,0,0,0",
+     "poses.csv row 2: pose translation and timestamp must be finite"),
+    ("poses.csv", 3, "nan,0,0,0,1,0,0,0",
+     "poses.csv row 3: pose translation and timestamp must be finite"),
+    ("poses.csv", 4, "inf,0,0,0,1,0,0,0",
+     "poses.csv row 4: pose translation and timestamp must be finite"),
 ])
 def test_malformed_dataset_file_exits_2(tmp_path, capsys, name, line, bad, message):
     cfg = write_config(tmp_path, UNDER_TRAINED)
@@ -263,6 +317,43 @@ def test_malformed_dataset_file_exits_2(tmp_path, capsys, name, line, bad, messa
                            "--data", data, "--out", tmp_path / "train")
     assert code == cli.EXIT_CONFIG
     assert err.startswith("error: ") and str(data) in err and message in err
+
+
+@pytest.mark.parametrize("name", ["poses.csv", "scan_0000.csv"])
+def test_undecodable_dataset_file_exits_2(tmp_path, capsys, name):
+    cfg = write_config(tmp_path, UNDER_TRAINED)
+    data = tmp_path / "data"
+    assert run(capsys, "gen", "--config", cfg, "--scene", SCENE, "--path", PATH,
+               "--out", data)[0] == cli.EXIT_OK
+    text = (data / name).read_bytes()
+    (data / name).write_bytes(b"\xff" + text)     # not UTF-8 in the header line
+    code, _, err = run(capsys, "train", "--config", cfg, "--scene", SCENE,
+                       "--data", data, "--out", tmp_path / "train")
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith(f"error: {data / name}: cannot read: ")
+    assert not (tmp_path / "train").exists()
+
+
+@pytest.mark.parametrize("body, message", [
+    (b"t_s,tx,ty,tz,qw,qx,qy,qz\n0.0,nan,0,0,1,0,0,0\n2.0,1,0,0,1,0,0,0\n",
+     "path.csv row 2: pose translation and timestamp must be finite"),
+    (b"t_s,tx,ty,tz,qw,qx,qy,qz\n0.0,0,0,0,1,0,0,0\ninf,1,0,0,1,0,0,0\n",
+     "path.csv row 3: pose translation and timestamp must be finite"),
+    (b"t_s,tx,ty,tz,qw,qx,qy,qz\n-nan,0,0,0,1,0,0,0\n2.0,1,0,0,1,0,0,0\n",
+     "path.csv row 2: pose translation and timestamp must be finite"),
+    (b"t_s,tx,ty,tz,qw,qx,qy,qz\xe9\n0.0,0,0,0,1,0,0,0\n2.0,1,0,0,1,0,0,0\n",
+     "path.csv: cannot read: "),
+    (b"t_s,tx,ty,tz,qw,qx,qy,qz\n0.0," + b"1" * 200_000 + b",0,0,1,0,0,0\n",
+     "path.csv: cannot read: field larger than field limit"),
+], ids=["nan-translation", "inf-timestamp", "nan-timestamp", "not-utf-8", "field-too-long"])
+def test_bad_path_file_exits_2(tmp_path, capsys, body, message):
+    path = tmp_path / "path.csv"
+    path.write_bytes(body)
+    code, _, err = run(capsys, "gen", "--config", write_config(tmp_path, UNDER_TRAINED),
+                       "--scene", SCENE, "--path", path, "--out", tmp_path / "data")
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith(f"error: {tmp_path}") and message in err
+    assert not (tmp_path / "data").exists()
 
 
 @pytest.mark.parametrize("line, bad, message", [
@@ -296,6 +387,11 @@ def test_malformed_scene_file_exits_2(tmp_path, capsys, line, bad, message):
     assert not (tmp_path / "data").exists()
 
 
+BINARY_PLY = (b"ply\nformat binary_little_endian 1.0\nelement vertex 1\nproperty float x\n"
+              b"property float y\nproperty float z\nend_header\n"
+              + struct.pack("<3f", 1.5, -2.0, 3.25))
+
+
 @pytest.mark.parametrize("name, text, message", [
     ("bad.ply", "ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
      "property float y\nproperty float z\nend_header\n1 2 3\n4 5 abc\n",
@@ -309,13 +405,21 @@ def test_malformed_scene_file_exits_2(tmp_path, capsys, line, bad, message):
     ("bad.xyz", "1 2 3\nnan 0 0\n", "bad.xyz line 2: point nan 0 0 is not finite"),
     ("bad.ply", "ply\nformat ascii 1.0\nelement vertex 2\nend_header\n1 2 3\n4 inf 6\n",
      "bad.ply line 6: point 4 inf 6 is not finite"),
+    ("bad.ply", "ply\nformat ascii 1.0\nelement vertex -1\nend_header\n",
+     "bad.ply line 3: bad vertex count"),
+    ("bad.ply", "ply\nformat binary_little_endian 1.0\nelement vertex 0\nend_header\n",
+     "bad.ply line 2: unsupported 'format binary_little_endian 1.0'; only 'format ascii 1.0'"),
+    ("bad.ply", BINARY_PLY, "bad.ply: cannot read: 'utf-8' codec can't decode"),
+    ("bad.xyz", "1 2 3\n4 5 6 # caf\xe9\n".encode("latin-1"),
+     "bad.xyz: cannot read: 'utf-8' codec can't decode"),
 ], ids=["ply-vertex-not-a-number", "ply-vertex-count", "ply-short", "xyz-two-values",
-        "xyz-not-a-number", "xyz-nan", "ply-inf"])
+        "xyz-not-a-number", "xyz-nan", "ply-inf", "ply-negative-count", "ply-binary-format",
+        "ply-binary", "xyz-latin-1"])
 def test_malformed_cloud_file_exits_2(tmp_path, capsys, name, text, message):
     cfg = write_config(tmp_path, UNDER_TRAINED)
     good, bad = tmp_path / "good.xyz", tmp_path / name
     good.write_text("0 0 0\n1 1 1\n")
-    bad.write_text(text)
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
     for gt, synth in ((good, bad), (bad, good)):
         code, _, err = run(capsys, "eval", "--config", cfg, "--gt", gt, "--synth", synth)
         assert code == cli.EXIT_CONFIG
@@ -527,3 +631,21 @@ def test_an_internal_error_propagates_out_of_main(monkeypatch):
     monkeypatch.setitem(cli.COMMANDS, "gen", broken)
     with pytest.raises(RuntimeError, match="internal"):
         cli.main(["gen"])
+
+
+def test_the_module_entry_point_exits_2_with_one_error_line(tmp_path):
+    # ``python -m plink.cli``: a malformed cloud is one error line, not a traceback.
+    good, bad = tmp_path / "good.xyz", tmp_path / "bad.ply"
+    good.write_text("0 0 0\n")
+    bad.write_bytes(BINARY_PLY)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("PLINK_SEED", None)
+    proc = subprocess.run([sys.executable, "-m", "plink.cli", "eval", "--gt", str(good),
+                           "--synth", str(bad)], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {bad}: cannot read: ")
+    assert len(proc.stderr.splitlines()) == 1
