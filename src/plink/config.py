@@ -71,6 +71,8 @@ class RunConfig:
         for key in SIZE_KEYS:
             if getattr(self, key) > INT32_MAX:
                 raise ConfigError(f"{key} must be at most {INT32_MAX}")
+        if self.seed < 0:   # numpy's SeedSequence takes no negative entropy
+            raise ConfigError("seed must be at least 0")
         if not (0.0 <= self.alpha <= 1.0):
             raise ConfigError("alpha must lie in [0, 1]")
         if not (0.0 < self.lr < np.inf):

@@ -656,7 +656,9 @@ def save_checkpoint(path, coarse: FieldModel, fine: FieldModel) -> None:
 
 
 def load_checkpoint(path):
-    """(coarse, fine) models; a malformed or short file raises naming it."""
+    """(coarse, fine) models; a malformed or short file, or one whose records
+    are not a coarse model without the drop head and then a fine model with
+    it, raises naming the file."""
     with open(path, "rb") as fh:
         try:
             if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
@@ -664,6 +666,11 @@ def load_checkpoint(path):
             (count,) = struct.unpack("<i", _read_exact(fh, 4))
             if count != 2:
                 raise InvalidInputError("checkpoint must hold coarse and fine models")
-            return _read_model(fh), _read_model(fh)
+            coarse, fine = _read_model(fh), _read_model(fh)
+            if coarse.has_phi_head or not fine.has_phi_head:
+                raise InvalidInputError("the first model record must be the coarse one, "
+                                        "without a phi head, and the second the fine one, "
+                                        "with a phi head")
+            return coarse, fine
         except InvalidInputError as exc:
             raise InvalidInputError(f"{path}: {exc}") from None

@@ -246,9 +246,10 @@ def render_frame_cloud(state: sampler.TrainState, frame: ScanFrame,
 
     Rays are marched in chunks of ``config.batch_rays``, so rendering holds
     no more activations than a training step. Stochastic draws come from
-    per-ray streams keyed on the config seed and the ray's index in the
-    frame, so output bytes do not depend on the chunk size. ``mode`` is a
-    render mode or `WEIGHTED_DEPTH`, the depth-L2 baseline's.
+    per-ray streams keyed on the config seed and the ray id ``frame_index *
+    n_rays + i`` of the frame's ray i, so output bytes do not depend on the
+    chunk size, and two frames at one pose draw apart. ``mode`` is a render
+    mode or `WEIGHTED_DEPTH`, the depth-L2 baseline's.
     """
     n_fine = config.render_fine or config.n_fine
     origins, dirs = _frame_rays([frame])
@@ -261,7 +262,8 @@ def render_frame_cloud(state: sampler.TrainState, frame: ScanFrame,
                                         frame.intrinsics.s_max, scale, config.n_bins, n_fine)
         uniforms = None
         if mode == "stochastic":
-            draws = sampler.ray_draws(config.seed, range(start, start + len(grid)),
+            first = frame_index * len(origins) + start
+            draws = sampler.ray_draws(config.seed, range(first, first + len(grid)),
                                       RENDER_STREAM, config.render_draws)
             uniforms = 1e-12 + (1.0 - 1e-12) * draws    # uniform on [1e-12, 1)
         ranges[chunk] = render_ray(grid, cdf, q_hat, mode, uniforms=uniforms,
@@ -329,9 +331,9 @@ def resample_path(poses: list, n_frames: int) -> list:
         return poses
     start, end = poses
     fractions = np.arange(n_frames + 1) / n_frames
-    rotations, translations = motion_compensate(start, end, fractions)
-    return [Pose(rot, trans, float((1.0 - f) * start.timestamp + f * end.timestamp))
-            for rot, trans, f in zip(rotations, translations, fractions)]
+    quaternions, translations = motion_compensate(start, end, fractions)
+    return [Pose(q, trans, float((1.0 - f) * start.timestamp + f * end.timestamp))
+            for q, trans, f in zip(quaternions, translations, fractions)]
 
 
 def generate_to_disk(scene_path, pose_path, out_dir, config: RunConfig) -> list:

@@ -175,6 +175,10 @@ def march(state: TrainState, origins: np.ndarray, dirs: np.ndarray, s_max: float
                                         scale, forward)
     # Sample positions are constants with respect to both parameter vectors.
     edges = uniform_bin_edges(s_max, n_bins)
+    # Not a no-op: `unit_masses`' 1e-12 guard leaves a near-empty row (sigma
+    # about 1e-8 per bin) up to 1.4e-5 short of unit mass. Placing from the
+    # short rows moved fine points by up to one bin on 78 of 4,096 such rows;
+    # at sigma scales 1 and 1e-3 no row moved.
     proposal = histogram_from_heights(edges, hist_masses / np.diff(edges))
     grid = fine_grid_rows(place(proposal.masses, edges), edges)     # (B, J)
     deltas = trapezoid_deltas(grid)

@@ -7,19 +7,21 @@ model is natively spherical; no planar reprojection is ever performed.
 On-disk formats:
   scan file   CSV with columns beam_idx, azimuth_idx, range_m, drop_flag,
               t_offset_s (range_m is meaningless where drop_flag == 0)
-  pose file   CSV with columns t_s, tx, ty, tz, qw, qx, qy, qz
+  pose file   CSV with columns t_s, tx, ty, tz, qw, qx, qy, qz: a pose writes
+              back the quaternion it was read with, not one rebuilt from a matrix
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidFrameError, InvalidInputError
 
-ORTHONORMAL_TOL = 1e-9
+# 2**-511: below it the squared norm is subnormal, and normalising loses precision.
+MIN_QUAT_NORM = float(np.sqrt(np.finfo(float).tiny))
 
 
 @dataclass
@@ -51,23 +53,28 @@ class SensorIntrinsics:
 
 @dataclass
 class Pose:
-    """Rigid transform (sensor to world) at a timestamp."""
+    """Rigid transform (sensor to world) at a timestamp: ``rotation`` is the
+    matrix of ``quaternion`` (w, x, y, z), which is kept as given; any
+    finite norm of at least `MIN_QUAT_NORM` makes a proper rotation."""
 
-    rotation: np.ndarray
+    quaternion: np.ndarray
     translation: np.ndarray
     timestamp: float
+    rotation: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.rotation = np.asarray(self.rotation, dtype=float)
+        self.quaternion = np.asarray(self.quaternion, dtype=float)
         self.translation = np.asarray(self.translation, dtype=float)
-        if self.rotation.shape != (3, 3) or self.translation.shape != (3,):
-            raise InvalidInputError("pose needs a 3x3 rotation and a 3-vector")
+        if self.quaternion.shape != (4,) or self.translation.shape != (3,):
+            raise InvalidInputError("pose needs a 4-vector quaternion and a 3-vector")
         if not (np.all(np.isfinite(self.translation)) and np.isfinite(self.timestamp)):
             raise InvalidInputError("pose translation and timestamp must be finite")
-        if not np.all(np.abs(self.rotation.T @ self.rotation - np.eye(3)) <= ORTHONORMAL_TOL):
-            raise InvalidInputError("rotation must be orthonormal")
-        if np.linalg.det(self.rotation) < 0.0:
-            raise InvalidInputError("rotation must be proper (det +1)")
+        with np.errstate(over="ignore"):    # an overflowing norm is inf, and rejected
+            norm = float(_norms(self.quaternion)[0])
+        if not MIN_QUAT_NORM <= norm < np.inf:
+            raise InvalidInputError(
+                f"quaternion norm {norm!r} is outside [{MIN_QUAT_NORM:.3g}, inf)")
+        self.rotation = matrix_from_quat(self.quaternion)
 
 
 @dataclass
@@ -108,18 +115,17 @@ def sensor_frame_directions(intrinsics: SensorIntrinsics) -> np.ndarray:
 def motion_compensate(start: Pose, end: Pose, fractions) -> tuple:
     """Poses at fractions of the way from ``start`` to ``end``, stacked.
 
-    Returns ``(rotations (A, 3, 3), translations (A, 3))`` for A fractions:
-    linear translation, spherical-linear rotation. Identical boundary poses
-    come back bitwise, without a quaternion round trip.
+    Returns ``(quaternions (A, 4), translations (A, 3))`` for A fractions:
+    linear translation, spherical-linear rotation. Boundary poses with
+    equal rotations and translations give the start pose at every fraction.
     """
     fractions = np.asarray(fractions, dtype=float)
     if (np.array_equal(start.rotation, end.rotation)
             and np.array_equal(start.translation, end.translation)):
-        return (np.broadcast_to(start.rotation, fractions.shape + (3, 3)),
+        return (np.broadcast_to(start.quaternion, fractions.shape + (4,)),
                 np.broadcast_to(start.translation, fractions.shape + (3,)))
-    q0, q1 = quat_from_matrix(start.rotation), quat_from_matrix(end.rotation)
     f = fractions[..., None]
-    return (matrix_from_quat(quat_slerp(q0, q1, fractions)),
+    return (quat_slerp(start.quaternion, end.quaternion, fractions),
             (1.0 - f) * start.translation + f * end.translation)
 
 
@@ -133,10 +139,11 @@ def ray_directions(intrinsics: SensorIntrinsics, frame: ScanFrame):
     if end.timestamp <= start.timestamp:
         raise InvalidFrameError("end pose must be later than the start pose")
     fractions = (frame.sample_times() - start.timestamp) / (end.timestamp - start.timestamp)
-    rotations, translations = motion_compensate(start, end, fractions)
+    quaternions, translations = motion_compensate(start, end, fractions)
     local = sensor_frame_directions(intrinsics)
     # One (n_beams, 3) @ (3, 3) product per azimuth step, as a stacked matmul.
-    directions = np.matmul(local.transpose(1, 0, 2), rotations.transpose(0, 2, 1))
+    directions = np.matmul(local.transpose(1, 0, 2),
+                           matrix_from_quat(quaternions).transpose(0, 2, 1))
     origins = np.broadcast_to(translations, local.shape)
     return origins.copy(), np.ascontiguousarray(directions.transpose(1, 0, 2))
 
@@ -172,37 +179,6 @@ def to_unit_cube(bounds) -> UnitCubeScale:
 # -- quaternion helpers (w, x, y, z convention, scalar first) -------------------
 
 
-def quat_from_matrix(rot: np.ndarray) -> np.ndarray:
-    m = np.asarray(rot, dtype=float)
-    trace = np.trace(m)
-    if trace > 0.0:
-        s = 0.5 / np.sqrt(trace + 1.0)
-        w = 0.25 / s
-        x = (m[2, 1] - m[1, 2]) * s
-        y = (m[0, 2] - m[2, 0]) * s
-        z = (m[1, 0] - m[0, 1]) * s
-    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-        s = 2.0 * np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2])
-        w = (m[2, 1] - m[1, 2]) / s
-        x = 0.25 * s
-        y = (m[0, 1] + m[1, 0]) / s
-        z = (m[0, 2] + m[2, 0]) / s
-    elif m[1, 1] > m[2, 2]:
-        s = 2.0 * np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2])
-        w = (m[0, 2] - m[2, 0]) / s
-        x = (m[0, 1] + m[1, 0]) / s
-        y = 0.25 * s
-        z = (m[1, 2] + m[2, 1]) / s
-    else:
-        s = 2.0 * np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1])
-        w = (m[1, 0] - m[0, 1]) / s
-        x = (m[0, 2] + m[2, 0]) / s
-        y = (m[1, 2] + m[2, 1]) / s
-        z = 0.25 * s
-    q = np.array([w, x, y, z])
-    return q / np.linalg.norm(q)
-
-
 def _norms(q: np.ndarray) -> np.ndarray:
     """Norm (..., 1) of each row of q, as one dot product like ``np.linalg.norm``."""
     return np.sqrt(np.matmul(q[..., None, :], q[..., :, None]))[..., 0]
@@ -213,10 +189,10 @@ def matrix_from_quat(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     w, x, y, z = np.moveaxis(q / _norms(q), -1, 0)
     return np.stack([
-        np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)], -1),
-        np.stack([2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)], -1),
-        np.stack([2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)], -1),
-    ], -2)
+        1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w),
+        2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w),
+        2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y),
+    ], -1).reshape(q.shape[:-1] + (3, 3))
 
 
 def quat_slerp(q0: np.ndarray, q1: np.ndarray, fractions) -> np.ndarray:
@@ -311,15 +287,14 @@ def write_poses(path, poses: list) -> None:
         writer = csv.writer(fh)
         writer.writerow(POSE_HEADER)
         for pose in poses:
-            q = quat_from_matrix(pose.rotation)
             writer.writerow([repr(float(pose.timestamp))]
                             + [repr(float(v)) for v in pose.translation]
-                            + [repr(float(v)) for v in q])
+                            + [repr(float(v)) for v in pose.quaternion])
 
 
 def read_poses(path) -> list:
     def parse(row):  # a bad number, or a pose that Pose rejects, is a ValueError
         t, *values = (float(v) for v in row)
-        return Pose(matrix_from_quat(np.array(values[3:])), np.array(values[:3]), t)
+        return Pose(np.array(values[3:]), np.array(values[:3]), t)
 
     return list(_csv_rows(path, POSE_HEADER, parse))

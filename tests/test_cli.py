@@ -215,6 +215,7 @@ def test_eval_with_an_empty_synthetic_cloud_prints_nan(tmp_path, capsys):
     ("seed 1\n", "run.cfg line 1: expected key = value, got 'seed 1'"),
     ("azimuth_count = 100000000000000000000000\n", "azimuth_count must be at most 2147483647"),
     ("hidden_width = 2147483648\n", "hidden_width must be at most 2147483647"),
+    ("seed = -1\n", "seed must be at least 0"),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, text, message):
     cfg = write_config(tmp_path, text)
@@ -223,6 +224,23 @@ def test_bad_config_exits_2(tmp_path, capsys, text, message):
     assert code == cli.EXIT_CONFIG
     assert err.startswith("invalid config:") and message in err
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["gen", "--path", PATH, "--seed", "-1"], None),
+    (["train", "--data", "no_data", "--seed", "-3"], None),
+    (["gen", "--path", PATH], "-1"),
+])
+def test_negative_seed_exits_2(tmp_path, capsys, monkeypatch, argv, env):
+    # A flag or PLINK_SEED reaches validate past the file reader.
+    if env is not None:
+        monkeypatch.setenv("PLINK_SEED", env)
+    cfg = write_config(tmp_path, UNDER_TRAINED)
+    code, _, err = run(capsys, *argv, "--config", cfg, "--scene", SCENE,
+                       "--out", tmp_path / "out")
+    assert code == cli.EXIT_CONFIG
+    assert err == "invalid config: seed must be at least 0\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -294,7 +312,13 @@ def test_plink_seed_beats_config_file_and_flag(tmp_path, capsys, monkeypatch):
     ("scan_0000.csv", 2, "0,0,25.0,1,0.0", "scan_0000.csv row 2: range 25.0 is outside (0, 20.0]"),
     ("scan_0001.csv", 5, "0,3,-3.0,1,0.0", "scan_0001.csv row 5: range -3.0 is outside (0, 20.0]"),
     ("poses.csv", 2, "0.0,0,0,0,1,0,0,x", "poses.csv row 2: could not convert"),
-    ("poses.csv", 3, "0.1,0,0,0,0,0,0,0", "poses.csv row 3: rotation must be orthonormal"),
+    ("poses.csv", 3, "0.1,0,0,0,0,0,0,0",
+     "poses.csv row 3: quaternion norm 0.0 is outside [1.49e-154, inf)"),
+    # A quarter turn about x whose norm overflows, and one whose norm underflows.
+    ("poses.csv", 3, "0.1,0,0,0,1e200,1e200,0,0",
+     "poses.csv row 3: quaternion norm inf is outside [1.49e-154, inf)"),
+    ("poses.csv", 3, "0.1,0,0,0,1e-200,1e-200,0,0",
+     "poses.csv row 3: quaternion norm 0.0 is outside [1.49e-154, inf)"),
     ("poses.csv", 4, None, "poses.csv: the pose sidecar is shorter than the scan list: "
      "2 poses for 2 scans, which need 3"),
     ("poses.csv", 2, "0.0,nan,0,0,1,0,0,0",
@@ -312,9 +336,8 @@ def test_malformed_dataset_file_exits_2(tmp_path, capsys, name, line, bad, messa
     lines = (data / name).read_text().splitlines()
     lines[line - 1:line] = [] if bad is None else [bad]
     (data / name).write_text("\n".join(lines) + "\n")
-    with np.errstate(invalid="ignore"):     # the all-zero quaternion
-        code, _, err = run(capsys, "train", "--config", cfg, "--scene", SCENE,
-                           "--data", data, "--out", tmp_path / "train")
+    code, _, err = run(capsys, "train", "--config", cfg, "--scene", SCENE,
+                       "--data", data, "--out", tmp_path / "train")
     assert code == cli.EXIT_CONFIG
     assert err.startswith("error: ") and str(data) in err and message in err
 
@@ -620,6 +643,20 @@ def test_bad_checkpoint_header_exits_2(tmp_path, capsys, header, message):
                        "--checkpoint", bad, "--poses", PATH, "--out", tmp_path / "render")
     assert code == cli.EXIT_CONFIG
     assert err.startswith(f"error: {bad}: ") and message in err
+    assert not (tmp_path / "render").exists()
+
+
+@pytest.mark.parametrize("roles", [("fine", "coarse"), ("coarse", "coarse")])
+def test_checkpoint_with_models_in_the_wrong_roles_exits_2(tmp_path, capsys, roles):
+    cfg = write_config(tmp_path, UNDER_TRAINED)
+    state = pipeline.models_from_config(load_config(cfg))
+    bad = tmp_path / "bad.ckpt"
+    nets.save_checkpoint(bad, *(getattr(state, role) for role in roles))
+    code, _, err = run(capsys, "render", "--config", cfg, "--scene", SCENE,
+                       "--checkpoint", bad, "--poses", PATH, "--out", tmp_path / "render")
+    assert code == cli.EXIT_CONFIG
+    assert err == (f"error: {bad}: the first model record must be the coarse one, without a "
+                   "phi head, and the second the fine one, with a phi head\n")
     assert not (tmp_path / "render").exists()
 
 

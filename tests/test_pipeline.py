@@ -19,7 +19,7 @@ from plink.config import RunConfig
 from plink.errors import InvalidInputError, OutOfBoundsError
 from plink.field import Ray, bin_masses, cdf_from_sigma_values, trapezoid_deltas
 from tests.test_field import inverse_transform_sample, render_confidence
-from tests.test_sensor import frame_fractions, oracle_poses
+from tests.test_sensor import IDENTITY, frame_fractions, oracle_poses
 
 # A direction from the per-ray `local[b, a] @ R.T` product and one from the
 # per-azimuth (beams, 3) @ (3, 3) product can round differently: by about
@@ -146,6 +146,25 @@ class TestBoundsCheck:
                                         "stochastic", frame_index=5)
 
 
+class TestDatasetFiles:
+    def test_read_back_frames_cast_the_simulated_rays(self, tmp_path):
+        # The poses file holds each pose's own quaternion, so a dataset read
+        # back casts, bit for bit, the rays the simulator cast.
+        config = RunConfig(elevations=[-0.09, 0.0, 0.09], azimuth_count=32,
+                           n_frames=3).validate()
+        simulated = pipeline.generate_to_disk(simscene.builtin_scene_path("panel_room.txt"),
+                                              simscene.builtin_scene_path("moving_path.csv"),
+                                              tmp_path, config)
+        read = pipeline.read_dataset(tmp_path)
+        assert len(read) == len(simulated) == 3
+        for got, want in zip(read, simulated):
+            for got_rays, want_rays in zip(sensor.ray_directions(got.intrinsics, got),
+                                           sensor.ray_directions(want.intrinsics, want)):
+                np.testing.assert_array_equal(got_rays, want_rays)
+            np.testing.assert_array_equal(got.returned, want.returned)
+            np.testing.assert_array_equal(got.ranges[got.returned], want.ranges[want.returned])
+
+
 class TestGroundTruthCloud:
     @pytest.mark.parametrize("path_name", ["static_path.csv", "moving_path.csv"])
     def test_matches_per_ray_reconstruction(self, path_name):
@@ -258,13 +277,15 @@ def oracle_baseline_ray(render):
     return [float(np.dot(masses / total, render.trace.grid.gammas))]
 
 
-def oracle_frame_cloud(state, frame, scale, config, mode):
-    """One ray at a time, each on its own render stream."""
+def oracle_frame_cloud(state, frame, scale, config, mode, frame_index=0):
+    """One ray at a time, each on its own render stream: frame ``frame_index``'s
+    ray i draws on ray id ``frame_index * n_rays + i``."""
     n_fine = config.render_fine or config.n_fine
     origins, dirs = sensor.ray_directions(frame.intrinsics, frame)
+    first_id = frame_index * frame.ranges.size
     points = []
     for ray_id, (origin, direction) in enumerate(zip(origins.reshape(-1, 3),
-                                                     dirs.reshape(-1, 3))):
+                                                     dirs.reshape(-1, 3)), start=first_id):
         ray = Ray(origin, direction, frame.intrinsics.s_max)
         render = oracle_evaluate_ray(state, ray, scale, config.n_bins, n_fine)
         if mode == pipeline.WEIGHTED_DEPTH:
@@ -287,8 +308,8 @@ def render_setup(seed, batch_rays):
     scale = sensor.to_unit_cube(([-5.0] * 3, [5.0] * 3))
     intr = pipeline.intrinsics_from_config(config)
     shape = (intr.n_beams, intr.azimuth_count)
-    frame = sensor.ScanFrame(intr, sensor.Pose(np.eye(3), np.zeros(3), 0.0),
-                             sensor.Pose(np.eye(3), np.array([0.5, 0.0, 0.0]), 0.1),
+    frame = sensor.ScanFrame(intr, sensor.Pose(IDENTITY, np.zeros(3), 0.0),
+                             sensor.Pose(IDENTITY, np.array([0.5, 0.0, 0.0]), 0.1),
                              np.zeros(shape), np.zeros(shape, dtype=bool))
     return state, frame, scale, config
 
@@ -317,6 +338,20 @@ class TestRender:
         assert len(want) > 0
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
+    def test_stochastic_draws_are_keyed_on_the_frame(self):
+        # Three frames at one pose: frame 0 keeps the streams keyed on the ray
+        # index alone, and the others draw on their own.
+        state, frame, scale, config = render_setup(seed=1, batch_rays=7)
+        clouds = [pipeline.render_frame_cloud(state, frame, scale, config, "stochastic",
+                                              frame_index=k).points for k in range(3)]
+        assert len({cloud.tobytes() for cloud in clouds}) == 3
+        assert clouds[0].tobytes() == pipeline.render_frame_cloud(
+            state, frame, scale, config, "stochastic").points.tobytes()
+        for k in (0, 2):
+            want = oracle_frame_cloud(state, frame, scale, config, "stochastic", frame_index=k)
+            assert clouds[k].shape == want.shape
+            np.testing.assert_allclose(clouds[k], want, rtol=0.0, atol=1e-9)
 
     def test_evaluates_one_render_per_ray(self):
         state, frame, scale, config = render_setup(seed=1, batch_rays=7)

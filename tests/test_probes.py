@@ -50,8 +50,8 @@ def tiny_run(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(sampler, "train_step", counted)
         pipeline.train(pipeline.TrainSet(rays, scale), config, state=state)
-    turn = sensor.matrix_from_quat(np.array([np.cos(0.2), 0.0, 0.0, np.sin(0.2)]))
-    path = pipeline.resample_path([sensor.Pose(np.eye(3), np.zeros(3), 0.0),
+    turn = np.array([np.cos(0.2), 0.0, 0.0, np.sin(0.2)])
+    path = pipeline.resample_path([sensor.Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3), 0.0),
                                    sensor.Pose(turn, np.array([0.5, 0.0, 0.0]), 0.2)], 2)
     intr = pipeline.intrinsics_from_config(config)
     shape = (intr.n_beams, intr.azimuth_count)

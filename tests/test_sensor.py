@@ -1,15 +1,21 @@
-"""Sensor geometry: quaternions, slerp and the vectorized ray generator.
+"""Sensor geometry: quaternions, poses, slerp and the vectorized ray generator.
 
-`oracle_poses` is the per-azimuth reference: one scalar slerp, one rotation
-matrix and one validated `Pose` per azimuth step. The package computes the
-poses only stacked, and must match it bit for bit.
+`oracle_poses` is the per-azimuth reference: one scalar slerp of the
+boundary poses' quaternions and one validated `Pose` per azimuth step, and
+`scalar_matrix` turns a quaternion into a rotation one entry at a time.
+The package computes the poses only stacked, and must match both bit for
+bit.
 """
+
+import re
 
 import numpy as np
 import pytest
 
-from plink import pipeline, sensor
-from plink.errors import InvalidFrameError
+from plink import pipeline, sensor, simscene
+from plink.errors import InvalidFrameError, InvalidInputError
+
+IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def scalar_matrix(q):
@@ -39,10 +45,8 @@ def oracle_poses(start, end, fractions):
     """One validated Pose per fraction, each from its own scalar slerp."""
     if (np.array_equal(start.rotation, end.rotation)
             and np.array_equal(start.translation, end.translation)):
-        return [sensor.Pose(start.rotation, start.translation, 0.0) for _ in fractions]
-    q0 = sensor.quat_from_matrix(start.rotation)
-    q1 = sensor.quat_from_matrix(end.rotation)
-    return [sensor.Pose(scalar_matrix(scalar_slerp(q0, q1, float(f))),
+        return [sensor.Pose(start.quaternion, start.translation, 0.0) for _ in fractions]
+    return [sensor.Pose(scalar_slerp(start.quaternion, end.quaternion, float(f)),
                         (1.0 - f) * start.translation + f * end.translation, 0.0)
             for f in fractions]
 
@@ -57,29 +61,52 @@ def random_quats(n, seed=0):
     return q / np.linalg.norm(q, axis=1, keepdims=True)
 
 
-def half_turns():
-    """Rotations by pi about x, y and z: each makes a different diagonal
-    entry the largest, so every branch of quat_from_matrix runs."""
-    return [np.diag(d) for d in ([1.0, -1, -1], [-1.0, 1, -1], [-1.0, -1, 1])]
-
-
 class TestQuaternions:
-    def test_matrix_round_trip(self):
-        rotations = [sensor.matrix_from_quat(q) for q in random_quats(50)] + half_turns()
-        for rot in rotations:
-            back = sensor.matrix_from_quat(sensor.quat_from_matrix(rot))
-            np.testing.assert_allclose(back, rot, rtol=0.0, atol=1e-12)
-
-    def test_quat_round_trip_up_to_sign(self):
-        for q in random_quats(50, seed=1):
-            back = sensor.quat_from_matrix(sensor.matrix_from_quat(q))
-            np.testing.assert_allclose(back * np.sign(back @ q), q, rtol=0.0, atol=1e-12)
-
     def test_matrices_are_proper_rotations(self):
         for q in random_quats(20, seed=2):
             rot = sensor.matrix_from_quat(q)
             np.testing.assert_allclose(rot.T @ rot, np.eye(3), rtol=0.0, atol=1e-12)
             assert np.linalg.det(rot) == pytest.approx(1.0)
+
+
+class TestPose:
+    def test_keeps_the_quaternion_it_was_given(self):
+        q = np.array([2.0, 0.0, 0.0, 2.0])     # a quarter turn about z, norm 2√2
+        pose = sensor.Pose(q, np.zeros(3), 0.0)
+        np.testing.assert_array_equal(pose.quaternion, q)
+        np.testing.assert_array_equal(pose.rotation, sensor.matrix_from_quat(q))
+        np.testing.assert_allclose(pose.rotation @ [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                   atol=1e-15)
+
+    @pytest.mark.parametrize("q", [[0.0, 0.0, 0.0, 0.0], [1e200, 1e200, 0.0, 0.0],
+                                   [1e-200, 1e-200, 0.0, 0.0], [1e-160, 1e-160, 0.0, 0.0],
+                                   [np.nan, 1.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]])
+    def test_norm_must_be_finite_and_not_tiny(self, q):
+        with pytest.raises(InvalidInputError, match=re.escape("is outside [1.49e-154, inf)")):
+            sensor.Pose(np.array(q), np.zeros(3), 0.0)
+
+    def test_smallest_norm_gives_a_proper_rotation(self):
+        q = np.array([1.0, 1.0, 0.0, 0.0]) * sensor.MIN_QUAT_NORM / np.sqrt(2.0)
+        rot = sensor.Pose(q * (1 + 1e-15), np.zeros(3), 0.0).rotation
+        np.testing.assert_allclose(rot.T @ rot, np.eye(3), rtol=0.0, atol=1e-12)
+        assert np.linalg.det(rot) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("q, t", [(np.ones(3), np.zeros(3)), (IDENTITY, np.zeros(4)),
+                                      (np.eye(3), np.zeros(3))])
+    def test_shapes(self, q, t):
+        with pytest.raises(InvalidInputError, match="4-vector quaternion and a 3-vector"):
+            sensor.Pose(q, t, 0.0)
+
+
+@pytest.mark.parametrize("name", ["static_path.csv", "moving_path.csv"])
+def test_pose_file_round_trip_keeps_every_line(tmp_path, name):
+    # The csv writer ends lines with CRLF and the shipped files with LF, so
+    # the files are compared line by line, each line character for character.
+    path = simscene.builtin_scene_path(name)
+    sensor.write_poses(tmp_path / name, sensor.read_poses(path))
+    with open(path, newline="") as shipped:
+        assert (tmp_path / name).read_bytes().decode().splitlines() == \
+            shipped.read().splitlines()
 
 
 class TestSlerp:
@@ -102,8 +129,8 @@ class TestSlerp:
 def moving_frame():
     intr = sensor.SensorIntrinsics([-0.1, 0.0, 0.07], 16, 20.0, 0.1)
     q1 = np.array([np.cos(0.3), 0.1, 0.2, np.sin(0.3)])
-    start = sensor.Pose(np.eye(3), np.array([0.0, 0.0, 0.0]), 0.0)
-    end = sensor.Pose(sensor.matrix_from_quat(q1), np.array([1.0, -0.5, 0.2]), 0.5)
+    start = sensor.Pose(IDENTITY, np.array([0.0, 0.0, 0.0]), 0.0)
+    end = sensor.Pose(q1, np.array([1.0, -0.5, 0.2]), 0.5)
     shape = (intr.n_beams, intr.azimuth_count)
     return sensor.ScanFrame(intr, start, end, np.zeros(shape), np.zeros(shape, dtype=bool))
 
@@ -111,7 +138,7 @@ def moving_frame():
 def random_frame(seed, n_beams=4, n_az=64):
     rng = np.random.default_rng(seed)
     intr = sensor.SensorIntrinsics(np.linspace(-0.1, 0.1, n_beams), n_az, 20.0, 0.1)
-    start, end = (sensor.Pose(sensor.matrix_from_quat(q), rng.normal(size=3), t)
+    start, end = (sensor.Pose(q, rng.normal(size=3), t)
                   for q, t in zip(random_quats(2, seed), (0.0, 0.1)))
     shape = (n_beams, n_az)
     return sensor.ScanFrame(intr, start, end, np.zeros(shape), np.zeros(shape, dtype=bool))
@@ -121,28 +148,27 @@ class TestMotionCompensate:
     @pytest.mark.parametrize("frame", [moving_frame(), random_frame(3), random_frame(4)])
     def test_stacked_poses_match_per_azimuth_oracle(self, frame):
         fractions = frame_fractions(frame)
-        rotations, translations = sensor.motion_compensate(frame.start_pose, frame.end_pose,
-                                                           fractions)
-        assert rotations.shape == (fractions.size, 3, 3)
+        quaternions, translations = sensor.motion_compensate(frame.start_pose, frame.end_pose,
+                                                             fractions)
+        assert quaternions.shape == (fractions.size, 4)
         assert translations.shape == (fractions.size, 3)
-        for rot, trans, pose in zip(rotations, translations,
-                                    oracle_poses(frame.start_pose, frame.end_pose, fractions)):
-            np.testing.assert_array_equal(rot, pose.rotation)
+        for q, trans, pose in zip(quaternions, translations,
+                                  oracle_poses(frame.start_pose, frame.end_pose, fractions)):
+            np.testing.assert_array_equal(q, pose.quaternion)
             np.testing.assert_array_equal(trans, pose.translation)
 
     def test_near_identical_rotations_take_the_linear_branch(self):
-        start = sensor.Pose(np.eye(3), np.zeros(3), 0.0)
-        q = np.array([1.0, 1e-7, 0.0, 0.0])
-        end = sensor.Pose(sensor.matrix_from_quat(q), np.ones(3), 1.0)
+        start = sensor.Pose(IDENTITY, np.zeros(3), 0.0)
+        end = sensor.Pose(np.array([1.0, 1e-7, 0.0, 0.0]), np.ones(3), 1.0)
         fractions = np.linspace(0.0, 1.0, 9)
-        rotations, _ = sensor.motion_compensate(start, end, fractions)
-        for rot, pose in zip(rotations, oracle_poses(start, end, fractions)):
-            np.testing.assert_array_equal(rot, pose.rotation)
+        quaternions, _ = sensor.motion_compensate(start, end, fractions)
+        for q, pose in zip(quaternions, oracle_poses(start, end, fractions)):
+            np.testing.assert_array_equal(q, pose.quaternion)
 
     def test_static_frame_repeats_the_start_pose(self):
-        pose = sensor.Pose(sensor.matrix_from_quat(random_quats(1, 5)[0]), np.ones(3), 0.0)
-        rotations, translations = sensor.motion_compensate(pose, pose, np.linspace(0, 1, 5))
-        assert np.all(rotations == pose.rotation) and np.all(translations == pose.translation)
+        pose = sensor.Pose(random_quats(1, 5)[0], np.ones(3), 0.0)
+        quaternions, translations = sensor.motion_compensate(pose, pose, np.linspace(0, 1, 5))
+        assert np.all(quaternions == pose.quaternion) and np.all(translations == pose.translation)
 
     def test_resample_path_matches_per_frame_oracle(self):
         frame = random_frame(6)
@@ -150,7 +176,7 @@ class TestMotionCompensate:
         fractions = np.arange(8) / 7
         assert [p.timestamp for p in path] == [0.1 * f for f in fractions]
         for got, want in zip(path, oracle_poses(frame.start_pose, frame.end_pose, fractions)):
-            np.testing.assert_array_equal(got.rotation, want.rotation)
+            np.testing.assert_array_equal(got.quaternion, want.quaternion)
             np.testing.assert_array_equal(got.translation, want.translation)
 
 
@@ -162,7 +188,8 @@ class TestRayDirections:
             poses = oracle_poses(frame.start_pose, frame.end_pose, frame_fractions(frame))
             n_beams = frame.intrinsics.n_beams
             for a, pose in enumerate(poses):
-                np.testing.assert_array_equal(dirs[:, a, :], local[:, a, :] @ pose.rotation.T)
+                np.testing.assert_array_equal(dirs[:, a, :],
+                                              local[:, a, :] @ scalar_matrix(pose.quaternion).T)
                 np.testing.assert_array_equal(origins[:, a, :],
                                               np.broadcast_to(pose.translation, (n_beams, 3)))
 
