@@ -25,7 +25,7 @@ from .sensor import SensorIntrinsics
 
 # Keys that size arrays, at most the checkpoint header's int32.
 SIZE_KEYS = ("azimuth_count", "n_frames", "n_bins", "n_fine", "batch_rays", "encoding_levels",
-             "dir_levels", "hidden_width", "hidden_layers", "render_draws", "render_fine")
+             "dir_levels", "hidden_width", "hidden_layers", "render_draws")
 INT32_MAX = 2 ** 31 - 1
 
 
@@ -62,7 +62,6 @@ class RunConfig:
     render_draws: int = 3
     confidence_level: float = 0.5
     peak_threshold: float = 0.05
-    render_fine: int = 0  # 0 = reuse n_fine
     # evaluation
     threshold_cm: float = 20.0
 
@@ -85,9 +84,8 @@ class RunConfig:
             raise ConfigError("encoding_levels and dir_levels must be at least 0")
         if self.hidden_width < 1 or self.hidden_layers < 1:
             raise ConfigError("hidden_width and hidden_layers must be at least 1")
-        if self.checkpoint_every < 1 or self.render_draws < 1 or self.render_fine < 0:
-            raise ConfigError("checkpoint_every and render_draws must be at least 1, "
-                              "render_fine at least 0")
+        if self.checkpoint_every < 1 or self.render_draws < 1:
+            raise ConfigError("checkpoint_every and render_draws must be at least 1")
         if not (0.0 < self.confidence_level < 1.0):
             raise ConfigError("confidence_level must lie in (0, 1)")
         if not (0.0 < self.peak_threshold <= 1.0):

@@ -656,9 +656,9 @@ def save_checkpoint(path, coarse: FieldModel, fine: FieldModel) -> None:
 
 
 def load_checkpoint(path):
-    """(coarse, fine) models; a malformed or short file, or one whose records
+    """(coarse, fine) models; a malformed or short file, one whose records
     are not a coarse model without the drop head and then a fine model with
-    it, raises naming the file."""
+    it, or one with bytes after them, raises naming the file."""
     with open(path, "rb") as fh:
         try:
             if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
@@ -671,6 +671,8 @@ def load_checkpoint(path):
                 raise InvalidInputError("the first model record must be the coarse one, "
                                         "without a phi head, and the second the fine one, "
                                         "with a phi head")
+            if fh.read(1):
+                raise InvalidInputError("unexpected bytes after the fine model record")
             return coarse, fine
         except InvalidInputError as exc:
             raise InvalidInputError(f"{path}: {exc}") from None

@@ -251,7 +251,6 @@ def render_frame_cloud(state: sampler.TrainState, frame: ScanFrame,
     chunk size, and two frames at one pose draw apart. ``mode`` is a render
     mode or `WEIGHTED_DEPTH`, the depth-L2 baseline's.
     """
-    n_fine = config.render_fine or config.n_fine
     origins, dirs = _frame_rays([frame])
     _check_in_bounds(origins, dirs, frame.intrinsics.s_max, scale, frame.intrinsics,
                      frame_index)
@@ -259,7 +258,8 @@ def render_frame_cloud(state: sampler.TrainState, frame: ScanFrame,
     for start in range(0, len(origins), config.batch_rays):
         chunk = slice(start, start + config.batch_rays)
         grid, cdf, q_hat = evaluate_ray(state, origins[chunk], dirs[chunk],
-                                        frame.intrinsics.s_max, scale, config.n_bins, n_fine)
+                                        frame.intrinsics.s_max, scale, config.n_bins,
+                                        config.n_fine)
         uniforms = None
         if mode == "stochastic":
             first = frame_index * len(origins) + start

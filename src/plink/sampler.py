@@ -1,8 +1,10 @@
 """Coarse-to-fine ray marching and the joint training step.
 
 One batched march serves training and rendering. A proposal network is
-evaluated on uniform bin centers along each ray; its normalized output is
-one (B, n_bins) array of masses, and one placement kernel,
+evaluated on uniform bin centers along each ray; its densities there are
+the heights of one (B, n_bins) histogram, normalized once by
+`histogram_from_heights` (a row without mass becomes uniform). The hinge
+and the placement read the same masses: one placement kernel,
 `importance_sample`, inverts every row's mass cdf at once to put the fine
 test points. The fine network is evaluated on the union of those points
 and the bin edges. The callers differ only in what they pass in: training
@@ -51,8 +53,8 @@ def uniform_bin_edges(s_max: float, n_bins: int) -> np.ndarray:
 
 
 def histogram_from_coarse(model, origins, dirs, s_max: float, n_bins: int, scale,
-                          forward):
-    """Normalized proposal masses (B, n_bins) from the coarse field at the bin centers.
+                          forward) -> Proposal:
+    """The proposal (B, n_bins) with the coarse densities at the bin centers as heights.
 
     ``forward(model, feats) -> (sigma, phi)`` is the network pass.
     """
@@ -61,22 +63,8 @@ def histogram_from_coarse(model, origins, dirs, s_max: float, n_bins: int, scale
     centers = uniform_bin_centers(s_max, n_bins)
     points = origins[:, None, :] + centers[None, :, None] * dirs[:, None, :]
     sigma, _ = forward(model, _encode_batch(model, points, dirs, scale))
-    widths = np.diff(uniform_bin_edges(s_max, n_bins))
-    return unit_masses(sigma.reshape(len(origins), n_bins), widths)
-
-
-def unit_masses(sigma, widths):
-    """Bin masses ``sigma * widths`` (..., n_bins), scaled to unit row sums."""
-    masses = sigma * widths
-    return masses * (1.0 / (masses.sum(axis=-1, keepdims=True) + 1e-12))
-
-
-def unit_masses_vjp(g, sigma, widths):
-    """Gradient at ``sigma`` from the gradient at the unit masses."""
-    masses = sigma * widths
-    total = masses.sum(axis=-1, keepdims=True) + 1e-12
-    g_total = -np.sum(g * masses, axis=-1, keepdims=True) / (total * total)
-    return (g * (1.0 / total) + g_total) * widths
+    return histogram_from_heights(uniform_bin_edges(s_max, n_bins),
+                                  sigma.reshape(len(origins), n_bins))
 
 
 class Proposal(NamedTuple):
@@ -96,12 +84,22 @@ def histogram_from_heights(edges: np.ndarray, raw_heights: np.ndarray) -> Propos
     total = np.sum(raw_heights * widths, axis=-1, keepdims=True)
     flat = total <= 0.0
     heights = np.where(flat, 1.0 / (edges[-1] - edges[0]),
-                       raw_heights / np.where(flat, 1.0, total))
+                       raw_heights * (1.0 / np.where(flat, 1.0, total)))
     return Proposal(heights * widths, int(np.count_nonzero(flat)))
 
 
+def histogram_vjp(g, raw_heights, edges):
+    """Gradient at the heights from ``g`` at the masses, in the tape's order; 0 on flat rows."""
+    widths = np.diff(edges)
+    total = np.sum(raw_heights * widths, axis=-1, keepdims=True)
+    safe = np.where(total <= 0.0, 1.0, total)
+    g_heights = g * widths
+    g_total = -np.sum(g_heights * raw_heights, axis=-1, keepdims=True) / (safe * safe)
+    return np.where(total <= 0.0, 0.0, g_heights * (1.0 / safe) + g_total * widths)
+
+
 def importance_sample(masses: np.ndarray, edges: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Stratified placement of n_fine points per row of ``masses``, sorted ascending.
+    """Stratified placement of n_fine points per row of ``masses``, unsorted.
 
     ``draws`` (B, 2 n_fine) holds uniforms in [0, 1): the first half offsets
     each stratum, and bin selection inverts the mass cdf at those levels;
@@ -115,8 +113,7 @@ def importance_sample(masses: np.ndarray, edges: np.ndarray, draws: np.ndarray) 
     u = (np.arange(n_fine) + draws[..., :n_fine]) / n_fine
     # Per row, the count of cdf values below u is searchsorted(cdf, u, "left").
     bins = np.count_nonzero(cdf[..., None, :] < u[..., None], axis=-1)
-    points = edges[bins] + draws[..., n_fine:] * np.diff(edges)[bins]
-    return np.sort(points, axis=-1, kind="stable")
+    return edges[bins] + draws[..., n_fine:] * np.diff(edges)[bins]
 
 
 def quantile_points(masses: np.ndarray, edges: np.ndarray, n_fine: int) -> np.ndarray:
@@ -125,7 +122,7 @@ def quantile_points(masses: np.ndarray, edges: np.ndarray, n_fine: int) -> np.nd
 
 
 def fine_grid_rows(fine_points: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Sorted union of sampled points and bin edges, per ray row.
+    """Sorted union of sampled points, in any order, and bin edges, per ray row.
 
     Including the edges guarantees every proposal bin has integration
     support, so the per-bin hinge integral is never empty. A row may repeat
@@ -166,27 +163,22 @@ def march(state: TrainState, origins: np.ndarray, dirs: np.ndarray, s_max: float
     """Coarse -> proposal -> fine evaluation of a batch of B rays.
 
     ``forward(model, feats) -> (sigma, phi)`` runs a network. The proposal
-    is one (B, n_bins) array of normalized masses, and ``place(masses,
+    holds one (B, n_bins) array of normalized masses, and ``place(masses,
     edges) -> (B, n_fine)`` puts every ray's fine points from it at once.
-    Returns ``(hist_masses, grid, deltas, sigma, phi, cdf, survival)``,
-    each with B rows.
+    Returns ``(proposal, grid, deltas, sigma, phi, cdf, survival)``, the
+    `Proposal` and then arrays with B rows.
     """
-    hist_masses = histogram_from_coarse(state.coarse, origins, dirs, s_max, n_bins,
-                                        scale, forward)
+    proposal = histogram_from_coarse(state.coarse, origins, dirs, s_max, n_bins, scale,
+                                     forward)
     # Sample positions are constants with respect to both parameter vectors.
     edges = uniform_bin_edges(s_max, n_bins)
-    # Not a no-op: `unit_masses`' 1e-12 guard leaves a near-empty row (sigma
-    # about 1e-8 per bin) up to 1.4e-5 short of unit mass. Placing from the
-    # short rows moved fine points by up to one bin on 78 of 4,096 such rows;
-    # at sigma scales 1 and 1e-3 no row moved.
-    proposal = histogram_from_heights(edges, hist_masses / np.diff(edges))
     grid = fine_grid_rows(place(proposal.masses, edges), edges)     # (B, J)
     deltas = trapezoid_deltas(grid)
     points = origins[:, None, :] + grid[:, :, None] * dirs[:, None, :]
     sigma, phi = forward(state.fine, _encode_batch(state.fine, points, dirs, scale))
     sigma, phi = sigma.reshape(grid.shape), phi.reshape(grid.shape)
     cdf, survival = cdf_from_sigma_values(sigma, deltas)
-    return hist_masses, grid, deltas, sigma, phi, cdf, survival
+    return proposal, grid, deltas, sigma, phi, cdf, survival
 
 
 def train_step(state: TrainState, rays: RaySet, config: RunConfig, scale,
@@ -219,7 +211,7 @@ def train_step(state: TrainState, rays: RaySet, config: RunConfig, scale,
         graphs.append(nets.ModelGraph(model))
         return graphs[-1].forward(feats)
 
-    hist_masses, grid, deltas, sigma_f, phi_f, cdf, survival = march(
+    proposal, grid, deltas, sigma_f, phi_f, cdf, survival = march(
         state, rays.origins, rays.dirs, s_max, config.n_bins, scale, record,
         lambda masses, edges: importance_sample(masses, edges, draws))
     coarse_graph, fine_graph = graphs
@@ -249,10 +241,10 @@ def train_step(state: TrainState, rays: RaySet, config: RunConfig, scale,
     totals = fine_bin_mass.sum(axis=-1, keepdims=True)
     fine_bin_mass = np.where(totals > 1e-12, fine_bin_mass / np.maximum(totals, 1e-300),
                              1.0 / config.n_bins)
-    hinge = hinge_values(fine_bin_mass, hist_masses)
-    g_hist = hinge_vjp(np.full(len(hinge), 1.0 / len(hinge)), fine_bin_mass, hist_masses)
-    g_coarse = nets.backward(coarse_graph, unit_masses_vjp(
-        g_hist, coarse_graph.sigma.reshape(hist_masses.shape), np.diff(edges)).ravel())
+    hinge = hinge_values(fine_bin_mass, proposal.masses)
+    g_hist = hinge_vjp(np.full(len(hinge), 1.0 / len(hinge)), fine_bin_mass, proposal.masses)
+    g_coarse = nets.backward(coarse_graph, histogram_vjp(
+        g_hist, coarse_graph.sigma.reshape(proposal.masses.shape), edges).ravel())
 
     losses = LossBreakdown(float(l_c), float(l_drop), float(np.sum(hinge) * (1.0 / len(hinge))),
                            alpha)

@@ -1,13 +1,15 @@
 """Reference: the loss head of a training step recorded on the autodiff tape.
 
 The package differentiates the loss head by hand, through the adjoint
-beside each kernel (`losses`, `field`, `sampler.unit_masses_vjp`). This
-module is the same head written once more as `Tensor` ops: the cdf, the
-bin masses, the step mismatch or depth-L2 baseline, the pooled drop, its
-BCE and the proposal hinge. `train_step_tapes` runs one training step's
-march with the networks' outputs as tape leaves and returns each
-network's gradient and the step's losses, for exact comparison with what
-`sampler.train_step` hands to the optimizer and returns.
+beside each kernel (`losses`, `field`, `sampler.histogram_vjp`). This
+module is the same head written once more as `Tensor` ops: the proposal's
+normalization, the cdf, the bin masses, the step mismatch or depth-L2
+baseline, the pooled drop, its BCE and the proposal hinge.
+`train_step_tapes` runs one training step's march with the networks'
+outputs as tape leaves, places the fine points from the tape's proposal
+masses, and returns each network's gradient and the step's losses, for
+exact comparison with what `sampler.train_step` hands to the optimizer
+and returns.
 """
 
 import numpy as np
@@ -54,8 +56,7 @@ def hinge(fine_bin_masses, histogram_masses):
 
 
 def unit_masses(sigma, widths):
-    masses = sigma * widths
-    return masses / (masses.sum(axis=-1, keepdims=True) + 1e-12)
+    return sigma / (sigma * widths).sum(axis=-1, keepdims=True) * widths
 
 
 def depth_l2(masses, grid, d_mean, d_var):
@@ -101,9 +102,7 @@ def train_step_tapes(state, rays, config, scale, epoch=0, depth_l2_baseline=Fals
     centers = np.broadcast_to(sampler.uniform_bin_centers(s_max, n_bins), (len(k), n_bins))
     coarse_graph, sigma_c, _ = run(state.coarse, centers)
     hist = unit_masses(sigma_c.reshape(len(k), n_bins), np.diff(edges))
-    proposal = sampler.histogram_from_heights(edges, hist.value / np.diff(edges))
-    grid = sampler.fine_grid_rows(sampler.importance_sample(proposal.masses, edges, draws),
-                                  edges)
+    grid = sampler.fine_grid_rows(sampler.importance_sample(hist.value, edges, draws), edges)
     deltas = sampler.trapezoid_deltas(grid)
     fine_graph, sigma_leaf, phi_leaf = run(state.fine, grid)
     sigma, phi = sigma_leaf.reshape(grid.shape), phi_leaf.reshape(grid.shape)

@@ -202,7 +202,6 @@ def test_eval_with_an_empty_synthetic_cloud_prints_nan(tmp_path, capsys):
     ("threshold_cm = 0\n", "threshold_cm must be positive and finite"),
     ("checkpoint_every = 0\n", "checkpoint_every and render_draws must be at least 1"),
     ("render_draws = 0\n", "checkpoint_every and render_draws must be at least 1"),
-    ("render_fine = -1\n", "render_fine at least 0"),
     ("elevations = 0.0 x\n", "elevations: expected numbers, got '0.0 x'"),
     ("elevations = 0.1 0.0\n", "elevation angles must be strictly increasing"),
     ("s_max = nan\n", "run.cfg line 1: s_max: 'nan' is not finite"),
@@ -657,6 +656,20 @@ def test_checkpoint_with_models_in_the_wrong_roles_exits_2(tmp_path, capsys, rol
     assert code == cli.EXIT_CONFIG
     assert err == (f"error: {bad}: the first model record must be the coarse one, without a "
                    "phi head, and the second the fine one, with a phi head\n")
+    assert not (tmp_path / "render").exists()
+
+
+@pytest.mark.parametrize("tail", ["twice", "one byte"])
+def test_checkpoint_with_bytes_after_its_records_exits_2(tmp_path, capsys, tail):
+    # One checkpoint written twice into a file used to load its first copy.
+    ckpt, cfg = checkpoint_and_config(tmp_path)
+    blob = ckpt.read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob + (blob if tail == "twice" else b"\0"))
+    code, _, err = run(capsys, "render", "--config", cfg, "--scene", SCENE,
+                       "--checkpoint", bad, "--poses", PATH, "--out", tmp_path / "render")
+    assert code == cli.EXIT_CONFIG
+    assert err == f"error: {bad}: unexpected bytes after the fine model record\n"
     assert not (tmp_path / "render").exists()
 
 

@@ -18,7 +18,7 @@ from plink.losses import (BCE_EPS, LossBreakdown, bce_values, bce_vjp, bin_accum
                           depth_l2_values, depth_l2_vjp, hinge_values, hinge_vjp,
                           measurement_counts, pooled_drop_values, pooled_drop_vjp,
                           range_moments, step_mismatch_values, step_mismatch_vjp)
-from plink.sampler import unit_masses, unit_masses_vjp
+from plink.sampler import histogram_from_heights, histogram_vjp
 from tests.test_field import SigmaTrace, cumulative_from_sigma, near_step_trace, uniform_grid
 from tests.test_sampler import ProposalHistogram
 
@@ -425,13 +425,13 @@ class TestLossGradients:
     def test_unit_mass_gradient(self):
         rng = np.random.default_rng(11)
         sigma0 = rng.exponential(0.5, size=(2, 6))
-        widths = np.diff(np.linspace(0.0, 9.0, 7))
+        edges = np.linspace(0.0, 9.0, 7)
         g = rng.normal(size=(2, 6))
 
         def value(sigma):
-            return float(np.sum(g * unit_masses(sigma, widths)))
+            return float(np.sum(g * histogram_from_heights(edges, sigma).masses))
 
-        self.assert_close(unit_masses_vjp(g, sigma0, widths), self.fd(value, sigma0.copy()))
+        self.assert_close(histogram_vjp(g, sigma0, edges), self.fd(value, sigma0.copy()))
 
 
 class TestAdjointsMatchTheTape:
@@ -510,17 +510,17 @@ class TestAdjointsMatchTheTape:
         # shift 1 puts every gap below 0, so no gradient reaches sigma; -1, above.
         rng = np.random.default_rng(42)
         sigma = rng.exponential(0.5, size=(4, 6))
-        widths = np.diff(np.linspace(0.0, 9.0, 7))
+        edges = np.linspace(0.0, 9.0, 7)
         fine = rng.dirichlet(np.ones(6), size=4) - shift
 
         def loss(s):
-            return tape.hinge(fine, tape.unit_masses(s, widths)).mean()
+            return tape.hinge(fine, tape.unit_masses(s, np.diff(edges))).mean()
 
         want, (g_sigma,) = self.grad_of(loss, sigma)
-        hist = unit_masses(sigma, widths)
+        hist = histogram_from_heights(edges, sigma).masses
         hinge = hinge_values(fine, hist)
         assert np.sum(hinge) * (1.0 / 4) == want
-        got = unit_masses_vjp(hinge_vjp(np.full(4, 0.25), fine, hist), sigma, widths)
+        got = histogram_vjp(hinge_vjp(np.full(4, 0.25), fine, hist), sigma, edges)
         assert np.array_equal(got, g_sigma)
         assert np.any(got != 0.0) or shift > 0.0
         assert np.all(got == 0.0) or shift <= 0.0

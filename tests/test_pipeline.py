@@ -280,14 +280,13 @@ def oracle_baseline_ray(render):
 def oracle_frame_cloud(state, frame, scale, config, mode, frame_index=0):
     """One ray at a time, each on its own render stream: frame ``frame_index``'s
     ray i draws on ray id ``frame_index * n_rays + i``."""
-    n_fine = config.render_fine or config.n_fine
     origins, dirs = sensor.ray_directions(frame.intrinsics, frame)
     first_id = frame_index * frame.ranges.size
     points = []
     for ray_id, (origin, direction) in enumerate(zip(origins.reshape(-1, 3),
                                                      dirs.reshape(-1, 3)), start=first_id):
         ray = Ray(origin, direction, frame.intrinsics.s_max)
-        render = oracle_evaluate_ray(state, ray, scale, config.n_bins, n_fine)
+        render = oracle_evaluate_ray(state, ray, scale, config.n_bins, config.n_fine)
         if mode == pipeline.WEIGHTED_DEPTH:
             ranges = oracle_baseline_ray(render)
         else:
@@ -301,7 +300,7 @@ def oracle_frame_cloud(state, frame, scale, config, mode, frame_index=0):
 
 def render_setup(seed, batch_rays):
     config = RunConfig(elevations=[-0.05, 0.0, 0.05], azimuth_count=8, s_max=4.0,
-                       n_bins=8, n_fine=8, render_fine=11, hidden_width=8,
+                       n_bins=8, n_fine=11, hidden_width=8,
                        hidden_layers=1, encoding_levels=2, dir_levels=1, sigma_bias=0.0,
                        batch_rays=batch_rays, seed=seed).validate()
     state = pipeline.models_from_config(config)

@@ -5,6 +5,7 @@ The per-ray proposal (`ProposalHistogram`, `oracle_histogram`,
 batched placement kernel.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +92,7 @@ def oracle_histogram(edges, raw_heights) -> ProposalHistogram:
     if total <= 0.0:
         uniform = np.full(widths.size, 1.0 / (edges[-1] - edges[0]))
         return ProposalHistogram(edges, uniform, degenerate=True)
-    return ProposalHistogram(edges, raw_heights / total)
+    return ProposalHistogram(edges, raw_heights * (1.0 / total))
 
 
 def oracle_importance_sample(histogram: ProposalHistogram, n_fine: int, rng) -> np.ndarray:
@@ -132,13 +133,12 @@ class TestHistogram:
 
     def test_from_coarse_model(self):
         dirs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        masses = sampler.histogram_from_coarse(coarse_model(), np.zeros((3, 3)), dirs,
-                                               10.0, 8, SCALE, nets.forward)
-        assert masses.shape == (3, 8)
-        assert np.all(masses > 0.0)
-        np.testing.assert_allclose(masses.sum(axis=-1), 1.0)
-        edges = sampler.uniform_bin_edges(10.0, 8)
-        assert sampler.histogram_from_heights(edges, masses / np.diff(edges)).degenerate == 0
+        proposal = sampler.histogram_from_coarse(coarse_model(), np.zeros((3, 3)), dirs,
+                                                 10.0, 8, SCALE, nets.forward)
+        assert proposal.masses.shape == (3, 8)
+        assert np.all(proposal.masses > 0.0)
+        np.testing.assert_allclose(proposal.masses.sum(axis=-1), 1.0)
+        assert proposal.degenerate == 0
 
 
 class TestImportanceSample:
@@ -155,8 +155,7 @@ class TestImportanceSample:
         edges = np.linspace(0.0, 10.0, 9)
         masses = sampler.histogram_from_heights(edges, rng.uniform(0.1, 2.0, (3, 8))).masses
         draws = rng.random((3, 400))
-        points = sampler.importance_sample(masses, edges, draws)
-        assert np.all(np.diff(points, axis=1) >= 0.0)
+        points = np.sort(sampler.importance_sample(masses, edges, draws), axis=-1)
         cdf = np.cumsum(masses, axis=1)
         u = (np.arange(200) + draws[:, :200]) / 200
         for row, c, levels in zip(points, cdf, u):
@@ -193,7 +192,7 @@ class TestImportanceSample:
         proposal = sampler.histogram_from_heights(edges, raw)
         ray_ids = rng.permutation(1000)[:n_rays]
         draws = sampler.ray_draws(9, ray_ids, 4, 2 * n_fine)
-        points = sampler.importance_sample(proposal.masses, edges, draws)
+        points = np.sort(sampler.importance_sample(proposal.masses, edges, draws), axis=-1)
         assert proposal.degenerate == 1 and points.shape == (n_rays, n_fine)
         for i, ray_id in enumerate(ray_ids):
             hist = oracle_histogram(edges, raw[i])
@@ -247,6 +246,18 @@ def tiny_state(seed=0, hidden_layers=2, dtype=np.float32):
     return sampler.TrainState.fresh(coarse, fine)
 
 
+def biased_coarse_state(sigma_bias):
+    """``tiny_state`` with a coarse model whose densities sit near softplus(sigma_bias)."""
+    coarse = make_model(2, 1, 2, 16, False, rng=0, sigma_bias=sigma_bias)
+    return sampler.TrainState.fresh(coarse, tiny_state().fine)
+
+
+def random_rays(n=64):
+    rng = np.random.default_rng(21)
+    return make_rays([(rng.normal(size=3), list(rng.uniform(0.5, 9.5, rng.integers(0, 4))))
+                      for _ in range(n)], ids=np.arange(n))
+
+
 class TestMarch:
     def march(self, state, origins, dirs):
         return sampler.march(state, origins, dirs, 10.0, 8, SCALE, nets.forward,
@@ -254,9 +265,9 @@ class TestMarch:
 
     def test_shapes_and_cdf(self):
         dirs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        hist_masses, grid, deltas, sigma, phi, cdf, survival = self.march(
+        proposal, grid, deltas, sigma, phi, cdf, survival = self.march(
             tiny_state(), np.zeros((3, 3)), dirs)
-        assert hist_masses.shape == (3, 8)
+        assert proposal.masses.shape == (3, 8) and proposal.degenerate == 0
         for rows in (grid, deltas, sigma, phi, cdf, survival):
             assert rows.shape == (3, 8 + 1 + 5)
         np.testing.assert_array_equal(cdf, 1.0 - survival)
@@ -270,11 +281,36 @@ class TestMarch:
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         origins = rng.uniform(-1.0, 1.0, size=(4, 3))
         state = tiny_state(seed=2, dtype=dtype)
-        batch = self.march(state, origins, dirs)
+        proposal, *batch = self.march(state, origins, dirs)
         for i in range(4):
-            single = self.march(state, origins[i:i + 1], dirs[i:i + 1])
-            for whole, row in zip(batch, single):
+            one, *single = self.march(state, origins[i:i + 1], dirs[i:i + 1])
+            for whole, row in zip([proposal.masses] + batch, [one.masses] + single):
                 np.testing.assert_allclose(whole[i], row[0], rtol=rtol, atol=atol)
+
+    def test_near_empty_rows_reach_unit_mass(self):
+        # Coarse sigma about 1e-8 per bin: a 1e-12 guard on the row total
+        # left these rows up to 6.8e-5 short of 1.
+        rays = random_rays()
+        proposal = self.march(biased_coarse_state(-18.4), rays.origins, rays.dirs)[0]
+        assert proposal.degenerate == 0 and np.all(proposal.masses > 0.0)
+        np.testing.assert_allclose(proposal.masses.sum(axis=-1), 1.0, rtol=0.0, atol=1e-15)
+
+    def test_massless_rows_fall_back_to_uniform(self):
+        # softplus(-800) underflows to 0: no row has mass.
+        rays = random_rays()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            proposal = self.march(biased_coarse_state(-800.0), rays.origins, rays.dirs)[0]
+            assert proposal.degenerate == 64
+            np.testing.assert_array_equal(proposal.masses, 1.0 / 8)
+            raw = np.random.default_rng(3).exponential(1.0, size=(5, 8))
+            raw[[1, 3]] = 0.0
+            g = np.random.default_rng(4).normal(size=(5, 8))
+            edges = sampler.uniform_bin_edges(10.0, 8)
+            got = sampler.histogram_vjp(g, raw, edges)
+        assert np.all(got[[1, 3]] == 0.0) and np.all(got[[0, 2, 4]] != 0.0)
+        np.testing.assert_array_equal(got[[0, 2, 4]],
+                                      sampler.histogram_vjp(g[[0, 2, 4]], raw[[0, 2, 4]], edges))
 
     def test_rows_do_not_depend_on_the_batch(self):
         self.check_rows_do_not_depend_on_the_batch(np.float64, rtol=1e-12, atol=1e-15)
@@ -304,6 +340,22 @@ class TestTrainStep:
             self.config.alpha * losses.l_c + (1 - self.config.alpha) * losses.l_drop)
         assert not np.array_equal(state.coarse.params, coarse_before)
         assert not np.array_equal(state.fine.params, fine_before)
+
+    @pytest.mark.parametrize("sigma_bias", [-18.4, -800.0])
+    def test_hinge_and_placement_read_one_proposal(self, monkeypatch, sigma_bias):
+        # One normalization per step, where perfbench probes its degenerate count.
+        seen = {}
+        for name in ("histogram_from_heights", "importance_sample", "hinge_values"):
+            def spy(*args, _name=name, _kernel=getattr(sampler, name)):
+                seen.setdefault(_name, []).append((args, _kernel(*args)))
+                return seen[_name][-1][1]
+            monkeypatch.setattr(sampler, name, spy)
+        sampler.train_step(biased_coarse_state(sigma_bias), random_rays(), self.config, SCALE)
+        [(_, proposal)] = seen["histogram_from_heights"]
+        [((placed, _, _), _)] = seen["importance_sample"]
+        [((_, hinged), _)] = seen["hinge_values"]
+        assert placed is proposal.masses and hinged is proposal.masses
+        assert proposal.degenerate == (64 if sigma_bias == -800.0 else 0)
 
     def test_determinism_across_runs(self):
         results = []
