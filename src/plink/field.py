@@ -13,11 +13,15 @@ training's gradients go back through the adjoints (``*_vjp``) beside them.
 The dataclasses describe rays: one emitted pulse (`Ray`), the training
 rays with their recorded ranges as columns (`RaySet`), and the exact
 jump-list distribution that `simscene.trace_true_cdf` returns
-(`SampleGrid`, `CdfTrace`).
+(`SampleGrid`, `CdfTrace`). Each check states what must hold, so that NaN
+fails it. The per-ray ones run on arrays of a few elements, where numpy's
+fixed per-call cost outweighs the arithmetic: they use array methods and
+slices, not numpy's Python-level wrappers such as ``np.any`` or ``np.diff``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +45,8 @@ class Ray:
         self.direction = np.asarray(self.direction, dtype=float)
         if self.origin.shape != (3,) or self.direction.shape != (3,):
             raise InvalidInputError("origin and direction must be 3-vectors")
-        if abs(np.linalg.norm(self.direction) - 1.0) > UNIT_NORM_TOL:
+        d = self.direction
+        if not abs(math.sqrt(d.dot(d)) - 1.0) <= UNIT_NORM_TOL:
             raise InvalidInputError("direction must be unit-norm")
 
 
@@ -71,7 +76,7 @@ class RaySet:
         if (self.origins.shape != (n, 3) or self.dirs.shape != (n, 3)
                 or self.ranges.ndim != 2 or len(self.ranges) != n or self.ids.shape != (n,)):
             raise InvalidInputError("origins and dirs must be (R, 3), ranges (R, K), ids (R,)")
-        if np.any(np.abs(np.linalg.norm(self.dirs, axis=1) - 1.0) > UNIT_NORM_TOL):
+        if not (np.abs(np.linalg.norm(self.dirs, axis=1) - 1.0) <= UNIT_NORM_TOL).all():
             raise InvalidInputError("directions must be unit-norm")
         padded = self.ranges == np.inf
         if not np.all((self.ranges > 0.0) & (self.ranges <= self.s_max) | padded):
@@ -107,12 +112,13 @@ class SampleGrid:
         self.deltas = np.asarray(self.deltas, dtype=float)
         if self.gammas.shape != self.deltas.shape or self.gammas.ndim != 1:
             raise InvalidInputError("gammas and deltas must be 1-d and congruent")
-        if self.gammas.size:
-            if np.any(np.diff(self.gammas) <= 0.0):
+        g = self.gammas
+        if g.size:
+            if not (g[1:] > g[:-1]).all():
                 raise InvalidInputError("gammas must be strictly increasing")
-            if self.gammas[0] < 0.0:
+            if not g[0] >= 0.0:
                 raise InvalidInputError("gammas must be nonnegative")
-            if np.any(self.deltas <= 0.0):
+            if not (self.deltas > 0.0).all():
                 raise InvalidInputError("deltas must be positive")
 
     @classmethod
@@ -154,12 +160,13 @@ class CdfTrace:
         self.survival = np.asarray(self.survival, dtype=float)
         if self.cdf.shape != self.grid.gammas.shape or self.survival.shape != self.cdf.shape:
             raise InvalidInputError("cdf and survival must match the grid")
-        if self.cdf.size:
-            if np.any(self.cdf < -1e-12) or np.any(self.cdf > 1.0 + 1e-12):
+        c = self.cdf
+        if c.size:
+            if not ((c >= -1e-12) & (c <= 1.0 + 1e-12)).all():
                 raise InvalidInputError("cdf values must lie in [0, 1]")
-            if np.any(np.diff(self.cdf) < -1e-12):
+            if not (c[1:] - c[:-1] >= -1e-12).all():
                 raise InvalidInputError("cdf must be nondecreasing")
-            if np.any(np.abs(self.cdf + self.survival - 1.0) > COMPLEMENT_TOL):
+            if not (np.abs(c + self.survival - 1.0) <= COMPLEMENT_TOL).all():
                 raise InvalidInputError("cdf and survival must be complementary")
 
     @property

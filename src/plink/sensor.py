@@ -120,13 +120,18 @@ def motion_compensate(start: Pose, end: Pose, fractions) -> tuple:
     equal rotations and translations give the start pose at every fraction.
     """
     fractions = np.asarray(fractions, dtype=float)
-    if (np.array_equal(start.rotation, end.rotation)
-            and np.array_equal(start.translation, end.translation)):
+    if _at_rest(start, end):
         return (np.broadcast_to(start.quaternion, fractions.shape + (4,)),
                 np.broadcast_to(start.translation, fractions.shape + (3,)))
     f = fractions[..., None]
     return (quat_slerp(start.quaternion, end.quaternion, fractions),
             (1.0 - f) * start.translation + f * end.translation)
+
+
+def _at_rest(start: Pose, end: Pose) -> bool:
+    """Whether two poses have equal rotations and translations."""
+    return (np.array_equal(start.rotation, end.rotation)
+            and np.array_equal(start.translation, end.translation))
 
 
 def ray_directions(intrinsics: SensorIntrinsics, frame: ScanFrame):
@@ -140,10 +145,12 @@ def ray_directions(intrinsics: SensorIntrinsics, frame: ScanFrame):
         raise InvalidFrameError("end pose must be later than the start pose")
     fractions = (frame.sample_times() - start.timestamp) / (end.timestamp - start.timestamp)
     quaternions, translations = motion_compensate(start, end, fractions)
+    # At rest every step has the start pose, whose matrix is already built.
+    rotations = (np.broadcast_to(start.rotation, quaternions.shape[:-1] + (3, 3))
+                 if _at_rest(start, end) else matrix_from_quat(quaternions))
     local = sensor_frame_directions(intrinsics)
     # One (n_beams, 3) @ (3, 3) product per azimuth step, as a stacked matmul.
-    directions = np.matmul(local.transpose(1, 0, 2),
-                           matrix_from_quat(quaternions).transpose(0, 2, 1))
+    directions = np.matmul(local.transpose(1, 0, 2), rotations.transpose(0, 2, 1))
     origins = np.broadcast_to(translations, local.shape)
     return origins.copy(), np.ascontiguousarray(directions.transpose(1, 0, 2))
 

@@ -9,20 +9,24 @@ surface also carries an incidence-angle limit beyond which a reflection is
 recorded as a ray drop instead of a return.
 
 Intersection is batched over rays and surfaces. A ``SceneSpec`` packs its
-surfaces into arrays when it is built: origins and unit normals (S, 3),
-tangent axes ``u`` and ``v`` stacked as (S, 2, 3), half-extents along them
-(S, 2), return probabilities and oblique limits (S,). Tangent frames are
-computed once per surface, at construction. ``ray_distances`` tests N rays against all S surfaces
-at once and returns an (N, S) array of path distances in surface order,
-``inf`` where a ray misses a surface: it runs parallel to it, meets its
-plane at or behind the origin, or passes outside its extent.
+surfaces into arrays when it is built, components first: origins and unit
+normals (3, S), tangent axes ``u`` and ``v`` (3, 2, S) and half-extents
+along them, widened by the 1e-12 m edge tolerance (2, S), plus return
+probabilities and oblique limits (S,). Tangent frames are computed once
+per surface, at construction. ``ray_distances`` tests N rays against all
+S surfaces at once and returns an (N, S) array of path distances in
+surface order, ``inf`` where a ray misses a surface: it runs parallel to
+it, meets its plane at or behind the origin, or passes outside its extent.
 ``ray_hits`` orders one ray's hits by a stable sort on distance, so
 surfaces at equal distance keep scene order. Generation, exact cdfs,
 single-pulse draws and ``SceneSurface.intersect`` all go through that one
-kernel. Its dot products are explicit products summed in component order:
-for axis-aligned normals two of the three products are zero, so distances
-are bit-identical to any other evaluation order (``np.dot`` included), and
-they agree with such evaluations within 1e-12 m otherwise.
+kernel, whether for one ray or a frame of them. Its dot products are
+explicit products summed in component order, each term one contiguous
+(N, S) block: for axis-aligned normals two of the three products are zero,
+so distances are bit-identical to any other evaluation order (``np.dot``
+included), and they agree with such evaluations within 1e-12 m otherwise.
+A single ray costs numpy's fixed per-call overhead on (1, S) arrays, not
+arithmetic, so the kernel keeps its array operations few and contiguous.
 
 A scene file is a key = value file (``plink.config``): a ``bounds`` line,
 then one ``[surface]`` section per surface. Unknown keys are rejected, a
@@ -70,25 +74,43 @@ def _tangent_frame(normal) -> tuple:
     return u, v
 
 
-def _distances(o, d, origin, normal, axes, extent) -> tuple:
+def _kernel_layout(origins, normals, axes, extents) -> tuple:
+    """S rectangles in the layout ``_distances`` reads, components first.
+
+    From (S, 3) origins and normals, (S, 2, 3) tangent axes u and v and
+    (S, 2) half-extents along them, returns contiguous copies shaped
+    (3, 1, S), (3, 1, S), (3, 2, 1, S) and (2, 1, S); the last holds the
+    half-extents plus the 1e-12 m edge tolerance.
+    """
+    def first(a, order):
+        return np.ascontiguousarray(np.transpose(a, order))
+
+    return (first(origins, (1, 0))[:, None], first(normals, (1, 0))[:, None],
+            first(axes, (2, 1, 0))[:, :, None], first(extents + 1e-12, (1, 0))[:, None])
+
+
+def _distances(o, d, rects) -> tuple:
     """Path distances from N rays to S rectangles, inf on a miss, and d . n.
 
-    ``o`` and ``d`` are (N, 3). The rectangles are given by (S, 3) origins
-    and normals, (S, 2, 3) tangent axes u and v, and (S, 2) half-extents
-    along them. Returns two (N, S) arrays. Every dot product sums its
-    products in x, y, z order; degenerate divisions are masked out, so
-    nothing warns.
+    ``o`` and ``d`` are (N, 3); ``rects`` is ``_kernel_layout``'s tuple.
+    Returns two (N, S) arrays. Every dot product sums its products in
+    x, y, z order, and each x, y or z term is one contiguous (N, S) block.
+    A ray parallel to a plane divides by inf instead of ~0, which gives a
+    distance of 0 and so a miss: nothing warns.
     """
-    o, d = o[:, None, :], d[:, None, :]
+    origin, normal, axes, reach = rects
+    o = np.ascontiguousarray(o.T)[:, :, None]   # (3, N, 1)
+    d = np.ascontiguousarray(d.T)[:, :, None]
     dn = d * normal
-    denom = dn[..., 0] + dn[..., 1] + dn[..., 2]
-    facing = np.abs(denom) >= 1e-12
+    denom = dn[0] + dn[1] + dn[2]
     rn = (origin - o) * normal
-    s = np.divide(rn[..., 0] + rn[..., 1] + rn[..., 2], denom,
-                  out=np.zeros_like(denom), where=facing)
-    local = (o + s[..., None] * d - origin)[:, :, None, :] * axes
-    inside = np.abs(local[..., 0] + local[..., 1] + local[..., 2]) <= extent + 1e-12
-    hit = facing & (s > 1e-9) & inside[..., 0] & inside[..., 1]
+    s = (rn[0] + rn[1] + rn[2]) / np.where(np.abs(denom) >= 1e-12, denom, np.inf)
+    point = s * d
+    point += o
+    point -= origin
+    local = point[:, None] * axes   # (3, 2, N, S)
+    inside = np.abs(local[0] + local[1] + local[2]) <= reach
+    hit = (s > 1e-9) & inside[0] & inside[1]
     return np.where(hit, s, np.inf), denom
 
 
@@ -119,10 +141,10 @@ class SceneSurface:
 
     def intersect(self, origin: np.ndarray, direction: np.ndarray):
         """Path distance to the rectangle, or None when the ray misses it."""
+        rect = _kernel_layout(self.origin[None], self.normal[None], self.axes[None],
+                              self.extent[None])
         s = _distances(np.asarray(origin, dtype=float).reshape(1, 3),
-                       np.asarray(direction, dtype=float).reshape(1, 3),
-                       self.origin[None], self.normal[None], self.axes[None],
-                       self.extent[None])[0][0, 0]
+                       np.asarray(direction, dtype=float).reshape(1, 3), rect)[0][0, 0]
         return None if s == np.inf else float(s)
 
     def incidence_angle(self, direction: np.ndarray) -> float:
@@ -161,17 +183,14 @@ def box_faces(min_corner, size, return_prob=1.0, oblique_drop_angle=np.pi / 2) -
 class SceneSpec:
     """Surface list plus the axis-aligned bounds of the sensing volume.
 
-    The surfaces are packed into arrays, one row per surface in list order,
-    when the spec is built; build a new spec instead of editing
+    The surfaces are packed into arrays, one entry per surface in list
+    order, when the spec is built; build a new spec instead of editing
     ``surfaces`` in place.
     """
 
     surfaces: list
     bounds: tuple
-    origins: np.ndarray = field(init=False, repr=False)       # (S, 3)
-    normals: np.ndarray = field(init=False, repr=False)       # (S, 3)
-    axes: np.ndarray = field(init=False, repr=False)          # (S, 2, 3): u, v
-    extents: np.ndarray = field(init=False, repr=False)       # (S, 2)
+    rects: tuple = field(init=False, repr=False)              # _kernel_layout's arrays
     return_probs: np.ndarray = field(init=False, repr=False)  # (S,)
     oblique_limits: np.ndarray = field(init=False, repr=False)  # (S,)
 
@@ -185,13 +204,13 @@ class SceneSpec:
             return np.array([getattr(s, name) for s in self.surfaces],
                             dtype=float).reshape(-1, width)
 
-        self.origins, self.normals = pack("origin", 3), pack("normal", 3)
-        self.axes = pack("axes", 6).reshape(-1, 2, 3)
-        self.extents = pack("extent", 2)
+        origins, axes = pack("origin", 3), pack("axes", 6).reshape(-1, 2, 3)
+        extents = pack("extent", 2)
+        self.rects = _kernel_layout(origins, pack("normal", 3), axes, extents)
         self.return_probs = pack("return_prob", 1)[:, 0]
         self.oblique_limits = pack("oblique_drop_angle", 1)[:, 0]
-        half_u, half_v = (self.extents[..., None] * self.axes).transpose(1, 0, 2)
-        corners = np.concatenate([self.origins + su * half_u + sv * half_v
+        half_u, half_v = (extents[..., None] * axes).transpose(1, 0, 2)
+        corners = np.concatenate([origins + su * half_u + sv * half_v
                                   for su in (-1.0, 1.0) for sv in (-1.0, 1.0)])
         if np.any(corners < lo - 1e-9) or np.any(corners > hi + 1e-9):
             raise InvalidInputError("all surface corners must lie inside the bounds")
@@ -208,7 +227,7 @@ def ray_distances(scene: SceneSpec, origins, dirs) -> np.ndarray:
     """
     o = np.asarray(origins, dtype=float).reshape(-1, 3)
     d = np.asarray(dirs, dtype=float).reshape(-1, 3)
-    return _distances(o, d, scene.origins, scene.normals, scene.axes, scene.extents)[0]
+    return _distances(o, d, scene.rects)[0]
 
 
 def _sorted_hits(scene: SceneSpec, origins, dirs, s_max: float) -> tuple:
@@ -221,10 +240,10 @@ def _sorted_hits(scene: SceneSpec, origins, dirs, s_max: float) -> tuple:
     """
     o = np.asarray(origins, dtype=float).reshape(-1, 3)
     d = np.asarray(dirs, dtype=float).reshape(-1, 3)
-    dist, denom = _distances(o, d, scene.origins, scene.normals, scene.axes, scene.extents)
-    dist = np.where(dist <= s_max, dist, np.inf)
-    order = np.argsort(dist, axis=1, kind="stable")
-    drops = np.arccos(np.clip(np.abs(denom), 0.0, 1.0)) > scene.oblique_limits
+    dist, denom = _distances(o, d, scene.rects)
+    dist[~(dist <= s_max)] = np.inf   # a NaN s_max keeps no hit
+    order = dist.argsort(axis=1, kind="stable")
+    drops = np.arccos(np.minimum(np.abs(denom), 1.0)) > scene.oblique_limits
     rows = np.arange(len(order))[:, None]
     return dist[rows, order], order, drops[rows, order]
 
@@ -248,11 +267,15 @@ def trace_true_cdf(scene: SceneSpec, ray: Ray) -> CdfTrace:
     way. The returned trace holds the jump locations and post-jump values;
     total mass plus drop probability is exactly 1.
     """
+    dist, order, drops = _sorted_hits(scene, ray.origin, ray.direction, ray.s_max)
     distances, values = [], []
     reach = 1.0
     total = 0.0
-    for s, prob, drops in _hit_list(scene, ray):
-        if not drops:
+    for s, prob, dropped in zip(dist[0].tolist(), scene.return_probs[order[0]].tolist(),
+                                drops[0].tolist()):
+        if s == math.inf:
+            break  # past the last hit
+        if not dropped:
             total += reach * prob
             if distances and s - distances[-1] <= 1e-9:
                 values[-1] = total  # coincident surfaces merge into one jump
@@ -260,25 +283,11 @@ def trace_true_cdf(scene: SceneSpec, ray: Ray) -> CdfTrace:
                 distances.append(s)
                 values.append(total)
         reach *= 1.0 - prob
-    if not distances:
-        empty = np.empty(0)
-        grid = SampleGrid(empty, empty)
-        return CdfTrace(grid, empty.copy(), empty.copy())
-    gammas = np.asarray(distances)
-    if gammas.size == 1:
-        grid = SampleGrid(gammas, np.array([gammas[0]]))
-    else:
-        grid = SampleGrid.from_gammas(gammas)
-    cdf = np.asarray(values)
+    gammas, cdf = np.array(distances), np.array(values)
+    # A lone knot's element covers the path from the sensor to it.
+    grid = (SampleGrid.from_gammas(gammas) if len(distances) > 1
+            else SampleGrid(gammas, gammas.copy()))
     return CdfTrace(grid, cdf, 1.0 - cdf)
-
-
-def _hit_list(scene: SceneSpec, ray: Ray) -> list:
-    """(distance, return_prob, drops) of the ray's hits, nearest first."""
-    dist, order, drops = _sorted_hits(scene, ray.origin, ray.direction, ray.s_max)
-    k = np.count_nonzero(dist[0] < np.inf)
-    return list(zip(dist[0, :k].tolist(), scene.return_probs[order[0, :k]].tolist(),
-                    drops[0, :k].tolist()))
 
 
 def _first_reflection(hits, rng):
@@ -293,7 +302,10 @@ def _first_reflection(hits, rng):
 
 def sample_return(scene: SceneSpec, ray: Ray, rng):
     """One stochastic pulse outcome: a range in meters, or None for a drop."""
-    return _first_reflection(_hit_list(scene, ray), rng)
+    dist, order, drops = _sorted_hits(scene, ray.origin, ray.direction, ray.s_max)
+    k = np.count_nonzero(dist[0] < np.inf)
+    return _first_reflection(zip(dist[0, :k], scene.return_probs[order[0, :k]], drops[0, :k]),
+                             rng)
 
 
 def generate_dataset(scene: SceneSpec, sensor_path: list, intrinsics: SensorIntrinsics,

@@ -120,11 +120,34 @@ class TestSampleGrid:
         with pytest.raises(InvalidInputError):
             SampleGrid(np.array([1.0, 2.0]), np.array([1.0, -0.5]))
 
+    @pytest.mark.parametrize("gammas, deltas, message", [
+        ([1.0, np.nan], [1.0, 1.0], "strictly increasing"),
+        ([np.nan, 2.0], [1.0, 1.0], "strictly increasing"),
+        ([np.nan], [1.0], "nonnegative"),
+        ([1.0, 2.0], [np.nan, 1.0], "deltas must be positive")])
+    def test_rejects_nan(self, gammas, deltas, message):
+        with pytest.raises(InvalidInputError, match=message):
+            SampleGrid(gammas, deltas)
+
+
+class TestCdfTrace:
+    @pytest.mark.parametrize("cdf, survival, message", [
+        ([np.nan, 0.5], [0.5, 0.5], r"lie in \[0, 1\]"),
+        ([0.5, 0.5], [0.5, np.nan], "complementary")])
+    def test_rejects_nan(self, cdf, survival, message):
+        grid = SampleGrid.from_gammas([1.0, 2.0])
+        with pytest.raises(InvalidInputError, match=message):
+            CdfTrace(grid, cdf, survival)
+
 
 class TestRay:
     def test_rejects_non_unit_direction(self):
         with pytest.raises(InvalidInputError):
             Ray(np.zeros(3), np.array([1.0, 1.0, 0.0]), 10.0)
+
+    def test_rejects_nan_direction(self):
+        with pytest.raises(InvalidInputError, match="unit-norm"):
+            Ray(np.zeros(3), [np.nan, 0.0, 0.0], 1.0)
 
     def test_holds_only_origin_direction_and_range_limit(self):
         assert [f.name for f in fields(Ray)] == ["origin", "direction", "s_max"]
@@ -141,6 +164,10 @@ class TestRaySet:
     def test_rejects_non_unit_direction(self):
         with pytest.raises(InvalidInputError, match="unit-norm"):
             ray_set(dirs=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+
+    def test_rejects_nan_direction(self):
+        with pytest.raises(InvalidInputError, match="unit-norm"):
+            ray_set(dirs=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, np.nan, 1.0]])
 
     def test_rejects_range_above_s_max(self):
         with pytest.raises(InvalidInputError, match="s_max"):

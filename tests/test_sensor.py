@@ -144,6 +144,13 @@ def random_frame(seed, n_beams=4, n_az=64):
     return sensor.ScanFrame(intr, start, end, np.zeros(shape), np.zeros(shape, dtype=bool))
 
 
+def static_frame(seed):
+    frame = random_frame(seed)
+    start = frame.start_pose
+    frame.end_pose = sensor.Pose(start.quaternion, start.translation, 0.1)
+    return frame
+
+
 class TestMotionCompensate:
     @pytest.mark.parametrize("frame", [moving_frame(), random_frame(3), random_frame(4)])
     def test_stacked_poses_match_per_azimuth_oracle(self, frame):
@@ -182,7 +189,7 @@ class TestMotionCompensate:
 
 class TestRayDirections:
     def test_bit_identical_to_per_azimuth_loop(self):
-        for frame in (moving_frame(), random_frame(7)):
+        for frame in (moving_frame(), random_frame(7), static_frame(8)):
             origins, dirs = sensor.ray_directions(frame.intrinsics, frame)
             local = sensor.sensor_frame_directions(frame.intrinsics)
             poses = oracle_poses(frame.start_pose, frame.end_pose, frame_fractions(frame))

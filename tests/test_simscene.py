@@ -66,7 +66,8 @@ def random_scene(rng, normals):
 def random_rays(rng, scene, n):
     """Rays aimed near surface centres (mostly hits) and in random directions."""
     origins = rng.uniform(-6.0, 6.0, (n, 3))
-    targets = scene.origins[rng.integers(len(scene.surfaces), size=n)]
+    centres = np.array([s.origin for s in scene.surfaces])
+    targets = centres[rng.integers(len(scene.surfaces), size=n)]
     aimed = unit(targets + rng.normal(0.0, 1.5, (n, 3)) - origins)
     dirs = np.where(rng.random((n, 1)) < 0.8, aimed, unit(rng.normal(size=(n, 3))))
     return origins, dirs
@@ -189,6 +190,27 @@ def drop_probability(scene, ray):
     return drop + reach
 
 
+def tilted_scene_and_rays(rng, n):
+    """Randomly tilted rects with random return probabilities and oblique
+    limits, the first one doubled in place (its jumps merge), and n rays."""
+    surfaces = [simscene.SceneSurface(rng.uniform(-4.0, 4.0, 3), normal,
+                                      rng.uniform(0.5, 3.0, 2), rng.uniform(0.2, 1.0),
+                                      rng.uniform(0.5, np.pi / 2))
+                for normal in unit(rng.normal(size=(12, 3)))]
+    first = surfaces[0]
+    surfaces.append(simscene.SceneSurface(first.origin, first.normal, first.extent, 0.5))
+    scene = simscene.SceneSpec(surfaces, ([-10.0] * 3, [10.0] * 3))
+    return (scene, *random_rays(rng, scene, n))
+
+
+def trace_digest(traces) -> str:
+    h = hashlib.sha256()
+    for t in traces:
+        for values in (t.grid.gammas, t.grid.deltas, t.cdf, t.survival):
+            h.update(np.int64(values.size).tobytes() + values.tobytes())
+    return h.hexdigest()
+
+
 class TestExactCdf:
     def test_mass_plus_drop_is_one(self):
         scene = shipped_scene()
@@ -201,6 +223,37 @@ class TestExactCdf:
         np.testing.assert_allclose(np.add(masses, drops), 1.0, rtol=0.0, atol=1e-12)
         assert 0 < sum(d == 1.0 for d in drops) < len(rays)   # some rays always drop
         assert any(len(t.grid) == 2 for t in traces)          # through the p = 0.5 panel
+
+    def test_golden_digest(self):
+        # Recorded before the kernel took its component-first layout and the
+        # trace checks were rewritten: the traces of every ray of a
+        # moving-path frame and of a tilted scene with drops and a merged
+        # jump must keep their bytes.
+        scene, rays = shipped_scene(), []
+        frame = simscene.generate_dataset(scene, shipped_path("moving_path.csv", 4)[:2],
+                                          intrinsics(), seed=3)[0]
+        tilted, origins, dirs = tilted_scene_and_rays(np.random.default_rng(21), 400)
+        traces = ([simscene.trace_true_cdf(scene, r) for r in frame_rays(frame)]
+                  + [simscene.trace_true_cdf(tilted, Ray(o, d, 20.0))
+                     for o, d in zip(origins, dirs)])
+        assert sum(len(t.grid) > 1 for t in traces) > 50
+        assert trace_digest(traces) == (
+            "b67b48bd2f3f37df8d3b46c5d182abdd649324d66bcdf9316b6cc5a4d8a750b1")
+
+    def test_one_row_sorted_hits_equal_the_batched_rows(self):
+        scene = shipped_scene()
+        frame = simscene.generate_dataset(scene, shipped_path("moving_path.csv", 4)[:2],
+                                          intrinsics(), seed=3)[0]
+        frame_origins, frame_dirs = sensor.ray_directions(frame.intrinsics, frame)
+        cases = [(scene, frame_origins.reshape(-1, 3), frame_dirs.reshape(-1, 3)),
+                 tilted_scene_and_rays(np.random.default_rng(22), 300)]
+        for scene, origins, dirs in cases:
+            batched = simscene._sorted_hits(scene, origins, dirs, 20.0)
+            for i, (o, d) in enumerate(zip(origins, dirs)):
+                row = simscene._sorted_hits(scene, o, d, 20.0)
+                for one, many in zip(row, batched):
+                    assert one.shape == (1, len(scene.surfaces))
+                    assert one[0].tobytes() == many[i].tobytes()
 
     def test_bimodal_ray_behind_the_panel(self):
         trace = simscene.trace_true_cdf(shipped_scene(), Ray(np.zeros(3), [1.0, 0, 0], 20.0))
