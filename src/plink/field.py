@@ -34,7 +34,7 @@ COMPLEMENT_TOL = 1e-9
 
 @dataclass
 class Ray:
-    """One emitted pulse: origin, unit direction and range limit."""
+    """One emitted pulse: finite origin, unit direction and range limit in (0, inf)."""
 
     origin: np.ndarray
     direction: np.ndarray
@@ -45,9 +45,13 @@ class Ray:
         self.direction = np.asarray(self.direction, dtype=float)
         if self.origin.shape != (3,) or self.direction.shape != (3,):
             raise InvalidInputError("origin and direction must be 3-vectors")
+        if not all(map(math.isfinite, self.origin.tolist())):
+            raise InvalidInputError("origin must be finite")
         d = self.direction
         if not abs(math.sqrt(d.dot(d)) - 1.0) <= UNIT_NORM_TOL:
             raise InvalidInputError("direction must be unit-norm")
+        if not 0.0 < self.s_max < math.inf:
+            raise InvalidInputError(f"s_max must lie in (0, inf), not {self.s_max!r}")
 
 
 @dataclass
@@ -55,7 +59,8 @@ class RaySet:
     """R training rays as columns, checked all at once.
 
     ``ranges`` (R, K) holds each ray's recorded ranges in ascending order,
-    padded with ``inf``; a row of ``inf`` is a pure ray drop. ``ids`` (R,)
+    padded with ``inf``; a row of ``inf`` is a pure ray drop. Origins are
+    finite and ``s_max`` lies in (0, inf). ``ids`` (R,)
     key each ray's sample streams and default to the row numbers. Indexing
     with an array or slice gives a ``RaySet`` of those rows with their ids;
     with an integer, that row's ``Ray``.
@@ -76,6 +81,10 @@ class RaySet:
         if (self.origins.shape != (n, 3) or self.dirs.shape != (n, 3)
                 or self.ranges.ndim != 2 or len(self.ranges) != n or self.ids.shape != (n,)):
             raise InvalidInputError("origins and dirs must be (R, 3), ranges (R, K), ids (R,)")
+        if not np.isfinite(self.origins).all():
+            raise InvalidInputError("origins must be finite")
+        if not 0.0 < self.s_max < math.inf:
+            raise InvalidInputError(f"s_max must lie in (0, inf), not {self.s_max!r}")
         if not (np.abs(np.linalg.norm(self.dirs, axis=1) - 1.0) <= UNIT_NORM_TOL).all():
             raise InvalidInputError("directions must be unit-norm")
         padded = self.ranges == np.inf

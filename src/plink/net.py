@@ -41,11 +41,11 @@ rows rounded differently). So a pass gives what it gives unsplit at one
 BLAS thread. Unsplit at two BLAS threads, two products round differently
 at most row counts: OpenBLAS's threaded GEMM blocks the weight gradient's
 row sum otherwise in its tail, and its threaded GEMV the heads' products.
-At the benchmark's 4,096 and 8,256 rows the two agree. Both halves run
-on the caller, in order, when the process may use fewer than two CPUs, or
-when the thread count cannot be set (and the passes then run at the
-process's count). Passes from several threads run
-one at a time. Measured on 2 CPUs only: more CPUs still get one worker.
+At the benchmark's 4,096 and 8,256 rows the two agree. A pass that cannot
+use the worker runs whole, on the caller: when the process may use fewer
+than two CPUs, or when the thread count cannot be set (and the passes
+then run at the process's count). Passes from several threads run one at
+a time. Measured on 2 CPUs only: more CPUs still get one worker.
 
 `FieldModel`'s shape fields are the run config's network keys, and the
 checkpoint header holds them in field order (single model record,
@@ -156,8 +156,8 @@ def _blas_threads():
 def _two_core_pass():
     """One pass at a time, with OpenBLAS at one thread inside and its count restored after.
 
-    Yields whether the pass's splits may put a half on the worker: not when
-    the process may use fewer than two CPUs or the count cannot be set.
+    Yields whether the pass may put a half on the worker: not when the process
+    may use fewer than two CPUs or the count cannot be set; the pass then runs whole.
     """
     with _WORKER.lock:
         blas = _blas_threads()
@@ -180,23 +180,19 @@ def _halves(n: int):
 
 
 def _split_run(work, parallel: bool, *axes) -> None:
-    """Run ``work`` over both halves of each axis, one half on the worker if ``parallel``.
+    """Run ``work`` whole, or over both halves of each axis with one half on the worker.
 
     Each axis is a pair of slices from `_halves`, or None when it does not
-    split, and then ``work`` runs once, on the caller, over whole axes.
-    Otherwise ``work(*firsts)`` runs on the worker, under the caller's
-    numpy error settings, while the caller runs ``work(*seconds)``; without
-    ``parallel`` both run on the caller, in order. The caller waits for
-    the worker's half before it returns or raises, its own error first.
+    split. Without ``parallel``, or when an axis does not split, ``work``
+    runs once, on the caller, over whole axes. Otherwise
+    ``work(*firsts)`` runs on the worker, under the caller's numpy error
+    settings, while the caller runs ``work(*seconds)``. The caller waits
+    for the worker's half before it returns or raises, its own error first.
     """
-    if None in axes:
+    if not parallel or None in axes:
         work(*[slice(None)] * len(axes))
         return
     firsts, seconds = zip(*axes)
-    if not parallel:
-        work(*firsts)
-        work(*seconds)
-        return
     errors = np.geterr()
 
     def first():
@@ -577,8 +573,7 @@ class AdamState:
         return cls(np.zeros(n), np.zeros(n), 0)
 
 
-def opt_step(model: FieldModel, g: np.ndarray, lr: float, state: AdamState,
-             betas=(0.9, 0.999), eps: float = 1e-8) -> None:
+def opt_step(model: FieldModel, g: np.ndarray, lr: float, state: AdamState) -> None:
     """One bias-corrected adaptive-moment update, in place.
 
     The float64 moments are updated in their arrays, with the operation order of
@@ -590,7 +585,7 @@ def opt_step(model: FieldModel, g: np.ndarray, lr: float, state: AdamState,
     if g.shape != model.params.shape:
         raise InvalidInputError("gradient length must match the parameter vector")
     g = np.asarray(g, dtype=np.float64)
-    b1, b2 = betas
+    b1, b2, eps = 0.9, 0.999, 1e-8     # decay rates and denominator floor
     state.t += 1
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         state.m *= b1

@@ -2,10 +2,11 @@
 
 Ray grouping rule: measurements aggregate per exact emitted-ray identity,
 into one `field.RaySet`: a row per ray, its recorded ranges ascending and
-padded with inf. For a static-path dataset every frame repeats the same
-rays, so samples pool across frames per (beam, azimuth); for a moving path
-each (frame, beam, azimuth) is its own row with one column. Row numbers
-key the rays' sample streams, and each training step takes a set of rows.
+padded with inf. When every frame's boundary poses agree with frame 0's
+(`sensor.same_pose`), every frame repeats the same rays, so samples pool
+across frames per (beam, azimuth); otherwise each (frame, beam, azimuth)
+is its own row with one column. Row numbers key the rays' sample
+streams, and each training step takes a set of rows.
 
 Rendering runs the march that training runs (``sampler.march``), on plain
 arrays: a frame's rays go through it in chunks of ``batch_rays``. Each
@@ -35,7 +36,7 @@ from .losses import pooled_drop_values
 from .metrics import PointCloud
 from .sensor import (Pose, ScanFrame, SensorIntrinsics, UnitCubeScale,
                      motion_compensate, ray_directions, read_poses, read_scan,
-                     to_unit_cube, write_poses, write_scan)
+                     same_pose, to_unit_cube, write_poses, write_scan)
 from .simscene import SceneSpec, generate_dataset, load_scene
 
 
@@ -45,17 +46,6 @@ class TrainSet:
 
     rays: RaySet
     scale: UnitCubeScale
-
-
-def frames_static(frames: list) -> bool:
-    first = frames[0]
-    return all(
-        np.array_equal(f.start_pose.rotation, first.start_pose.rotation)
-        and np.array_equal(f.start_pose.translation, first.start_pose.translation)
-        and np.array_equal(f.end_pose.rotation, first.end_pose.rotation)
-        and np.array_equal(f.end_pose.translation, first.end_pose.translation)
-        for f in frames
-    )
 
 
 def _frame_rays(frames: list) -> tuple:
@@ -70,13 +60,15 @@ def build_rays(frames: list) -> RaySet:
     if not frames:
         raise InvalidInputError("need at least one frame")
     recorded = np.stack([np.where(f.returned, f.ranges, np.inf).reshape(-1) for f in frames])
-    if frames_static(frames):
+    first = frames[0]
+    if all(same_pose(f.start_pose, first.start_pose) and same_pose(f.end_pose, first.end_pose)
+           for f in frames):
         ranges = np.sort(recorded.T, axis=1)
         ranges = ranges[:, :np.count_nonzero(ranges < np.inf, axis=1).max()]
         frames = frames[:1]     # every frame repeats frame 0's rays
     else:
         ranges = recorded.reshape(-1, 1)
-    return RaySet(*_frame_rays(frames), ranges, frames[0].intrinsics.s_max)
+    return RaySet(*_frame_rays(frames), ranges, first.intrinsics.s_max)
 
 
 def train_set_from_frames(frames: list, scene: SceneSpec) -> TrainSet:
@@ -129,14 +121,13 @@ def models_from_config(config: RunConfig):
 
 
 def train(train_set: TrainSet, config: RunConfig, depth_l2: bool = False,
-          on_epoch=None, state: sampler.TrainState | None = None) -> tuple:
-    """Run the epoch loop; returns (state, per-epoch loss rows).
+          on_epoch=None, *, state: sampler.TrainState) -> tuple:
+    """Run the epoch loop on ``state`` in place; returns (state, per-epoch loss rows).
 
-    Pass a pre-built state to keep a handle on it across a divergence
-    abort (the caller can then dump a diagnostic checkpoint).
+    The caller builds the state (`models_from_config` gives a fresh one)
+    and keeps its handle across a divergence abort, so it can then dump a
+    diagnostic checkpoint.
     """
-    if state is None:
-        state = models_from_config(config)
     order_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x0BDE4)))
     history = []
     rays = train_set.rays

@@ -9,6 +9,10 @@ On-disk formats:
               t_offset_s (range_m is meaningless where drop_flag == 0)
   pose file   CSV with columns t_s, tx, ty, tz, qw, qx, qy, qz: a pose writes
               back the quaternion it was read with, not one rebuilt from a matrix
+
+Two poses agree (`same_pose`) when their rotation matrices and translations
+are equal: a frame whose boundary poses agree holds its start pose, and
+training pools the frames whose boundary poses agree with frame 0's.
 """
 
 from __future__ import annotations
@@ -116,11 +120,11 @@ def motion_compensate(start: Pose, end: Pose, fractions) -> tuple:
     """Poses at fractions of the way from ``start`` to ``end``, stacked.
 
     Returns ``(quaternions (A, 4), translations (A, 3))`` for A fractions:
-    linear translation, spherical-linear rotation. Boundary poses with
-    equal rotations and translations give the start pose at every fraction.
+    linear translation, spherical-linear rotation. Boundary poses that
+    agree (`same_pose`) give the start pose at every fraction.
     """
     fractions = np.asarray(fractions, dtype=float)
-    if _at_rest(start, end):
+    if same_pose(start, end):
         return (np.broadcast_to(start.quaternion, fractions.shape + (4,)),
                 np.broadcast_to(start.translation, fractions.shape + (3,)))
     f = fractions[..., None]
@@ -128,10 +132,9 @@ def motion_compensate(start: Pose, end: Pose, fractions) -> tuple:
             (1.0 - f) * start.translation + f * end.translation)
 
 
-def _at_rest(start: Pose, end: Pose) -> bool:
-    """Whether two poses have equal rotations and translations."""
-    return (np.array_equal(start.rotation, end.rotation)
-            and np.array_equal(start.translation, end.translation))
+def same_pose(a: Pose, b: Pose) -> bool:
+    """Whether two poses agree: equal rotation matrices and equal translations."""
+    return np.array_equal(a.rotation, b.rotation) and np.array_equal(a.translation, b.translation)
 
 
 def ray_directions(intrinsics: SensorIntrinsics, frame: ScanFrame):
@@ -147,7 +150,7 @@ def ray_directions(intrinsics: SensorIntrinsics, frame: ScanFrame):
     quaternions, translations = motion_compensate(start, end, fractions)
     # At rest every step has the start pose, whose matrix is already built.
     rotations = (np.broadcast_to(start.rotation, quaternions.shape[:-1] + (3, 3))
-                 if _at_rest(start, end) else matrix_from_quat(quaternions))
+                 if same_pose(start, end) else matrix_from_quat(quaternions))
     local = sensor_frame_directions(intrinsics)
     # One (n_beams, 3) @ (3, 3) product per azimuth step, as a stacked matmul.
     directions = np.matmul(local.transpose(1, 0, 2), rotations.transpose(0, 2, 1))

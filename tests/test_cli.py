@@ -699,3 +699,15 @@ def test_the_module_entry_point_exits_2_with_one_error_line(tmp_path):
     assert proc.stdout == "" and "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"error: {bad}: cannot read: ")
     assert len(proc.stderr.splitlines()) == 1
+
+
+def test_readme_quickstart_is_what_ci_runs():
+    # CI's packaging step runs the README's install line and quickstart, in order.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        shown = [line.strip() for line in fh if line.startswith("    ")]
+    with open(os.path.join(root, ".github", "workflows", "tier1.yml")) as fh:
+        step = fh.read().split("README quickstart", 1)[1]
+    ran = [line.strip() for line in step.splitlines()
+           if line.strip().startswith(("python -m pip", "SCENES=", "plink "))]
+    assert shown and shown == ran

@@ -149,6 +149,20 @@ class TestRay:
         with pytest.raises(InvalidInputError, match="unit-norm"):
             Ray(np.zeros(3), [np.nan, 0.0, 0.0], 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_origin(self, bad):
+        with pytest.raises(InvalidInputError, match="origin must be finite"):
+            Ray([bad, 0.0, 0.0], [1.0, 0.0, 0.0], 1.0)
+
+    def test_takes_a_large_finite_origin(self):
+        # Its squared norm overflows; the check must not.
+        assert Ray([1e200, 0.0, 0.0], [1.0, 0.0, 0.0], 1.0).origin[0] == 1e200
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, 0.0, np.inf], ids=["nan", "-1", "0", "inf"])
+    def test_rejects_s_max_outside_the_positive_reals(self, bad):
+        with pytest.raises(InvalidInputError, match=r"s_max must lie in \(0, inf\)"):
+            Ray(np.zeros(3), [1.0, 0.0, 0.0], bad)
+
     def test_holds_only_origin_direction_and_range_limit(self):
         assert [f.name for f in fields(Ray)] == ["origin", "direction", "s_max"]
 
@@ -168,6 +182,16 @@ class TestRaySet:
     def test_rejects_nan_direction(self):
         with pytest.raises(InvalidInputError, match="unit-norm"):
             ray_set(dirs=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, np.nan, 1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_origin(self, bad):
+        with pytest.raises(InvalidInputError, match="origins must be finite"):
+            ray_set(origins=[[0.0, 0.0, 0.0], [0.0, bad, 0.0], [0.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf], ids=["nan", "0", "-1", "inf"])
+    def test_drops_only_rows_reject_s_max_outside_the_positive_reals(self, bad):
+        with pytest.raises(InvalidInputError, match=r"s_max must lie in \(0, inf\)"):
+            ray_set(ranges=np.full((3, 1), np.inf), s_max=bad)
 
     def test_rejects_range_above_s_max(self):
         with pytest.raises(InvalidInputError, match="s_max"):

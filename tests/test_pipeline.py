@@ -7,7 +7,7 @@ reference for the batched march and picker.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -80,6 +80,24 @@ class TestBuildRays:
             np.testing.assert_array_equal(rays.ranges[i], [r] if ok else [np.inf])
             np.testing.assert_array_equal(rays.origins[i], origin)
             np.testing.assert_allclose(rays.dirs[i], direction, rtol=0.0, atol=DIRECTION_TOL)
+
+    @pytest.mark.parametrize("moved", ["translation", "rotation"])
+    def test_one_differing_end_pose_does_not_pool(self, moved):
+        # Frame 1 keeps frame 0's start pose; only its end pose moves, by 1 mm
+        # or a small turn about z, so each pulse is its own row.
+        frames = dataset("static_path.csv", 3)
+        end = frames[1].end_pose
+        nudge = np.array([0.0, 0.0, 0.0, 1e-3]) if moved == "rotation" else 0.0
+        shift = np.array([1e-3, 0.0, 0.0]) if moved == "translation" else 0.0
+        frames[1] = replace(frames[1], end_pose=sensor.Pose(
+            end.quaternion + nudge, end.translation + shift, end.timestamp))
+        assert sensor.same_pose(frames[1].start_pose, frames[0].start_pose)
+        assert not sensor.same_pose(frames[1].end_pose, frames[0].end_pose)
+        rays = pipeline.build_rays(frames)
+        returned = np.concatenate([f.returned.reshape(-1) for f in frames])
+        ranges = np.concatenate([f.ranges.reshape(-1) for f in frames])
+        assert rays.ranges.shape == (len(returned), 1)
+        np.testing.assert_array_equal(rays.ranges[:, 0], np.where(returned, ranges, np.inf))
 
     def test_each_row_traces_to_its_recorded_ranges(self):
         # rays[i] is row i's Ray: its exact cdf jumps at every range the row recorded.

@@ -1,9 +1,9 @@
 """The two-core split of the encoding and the MLP passes.
 
-Every output of a split pass must equal, byte for byte, the caller-only
-path's (both halves in order on the calling thread) and the unsplit
-pass's. Errors in either half reach the caller, and the OpenBLAS thread
-count is restored after every pass.
+Every output of a split pass must equal, byte for byte, the unsplit
+pass's, which is what a pass that cannot use the worker runs. Errors in
+either half reach the caller, and the OpenBLAS thread count is restored
+after every pass.
 """
 
 import multiprocessing
@@ -89,9 +89,18 @@ def test_split_caller_only_and_unsplit_passes_are_byte_identical(monkeypatch, dt
     with monkeypatch.context() as patch:
         patch.setattr(nets, "_halves", lambda count: None)
         unsplit = outputs(model, n, rays, seed=n)
-    assert halves[0] == worker_halves
+    # Without a settable OpenBLAS the passes run at the process's thread
+    # count, where they may round unlike ``split``; they must equal the
+    # unsplit passes at that count.
+    with monkeypatch.context() as patch:
+        patch.setattr(nets, "_blas_threads", lambda: None)
+        fixed_threads = outputs(model, n, rays, seed=n)
+        patch.setattr(nets, "_halves", lambda count: None)
+        fixed_threads_unsplit = outputs(model, n, rays, seed=n)
+    assert halves[0] == worker_halves       # neither fallback used the worker
     assert_all_equal(split, caller_only)
     assert_all_equal(split, unsplit)
+    assert_all_equal(fixed_threads, fixed_threads_unsplit)
 
 
 @pytest.mark.parametrize("n", [4096, 8256])
@@ -101,8 +110,7 @@ def test_benchmark_passes_match_unsplit_ones_at_the_process_thread_count(monkeyp
     # heads' products round alike at one and two threads at these rows.
     model = model_of(4, 128, np.float32, seed=n)
     split = outputs(model, n, 64, seed=n)
-    monkeypatch.setattr(nets, "_halves", lambda count: None)
-    monkeypatch.setattr(nets, "_blas_threads", lambda: None)
+    monkeypatch.setattr(nets, "_blas_threads", lambda: None)    # the pass runs whole
     assert_all_equal(split, outputs(model, n, 64, seed=n))
 
 
