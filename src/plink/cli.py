@@ -6,6 +6,10 @@ last. All outputs are deterministic given the seed.
 
 Outputs, in ``--out``:
 
+* gen: ``intrinsics.txt`` (the sensor keys of the config), ``poses.csv``
+  (the path's poses, one more than frames) and ``scan_NNNN.csv`` per frame.
+  Scan files left from an earlier gen into the same directory and
+  numbered past the last frame are removed.
 * train: ``model.ckpt`` and ``model_loss_curve.csv`` (a header, then one
   row per finished epoch: ``epoch,l_c,l_drop,l_coarse,l_fine``);
   ``model_epoch_NNNN.ckpt`` every ``checkpoint_every`` epochs; on a

@@ -275,7 +275,20 @@ def ground_truth_cloud(frame: ScanFrame) -> PointCloud:
 # -- dataset directory layout -------------------------------------------------------
 
 
+def _scan_path(data_dir, i: int) -> str:
+    return os.path.join(data_dir, f"scan_{i:04d}.csv")
+
+
+def _scan_paths(data_dir, first: int = 0):
+    """A dataset directory's scan files numbered on from ``first``, up to
+    the first number without one."""
+    return itertools.takewhile(os.path.exists, (
+        _scan_path(data_dir, i) for i in itertools.count(first)))
+
+
 def write_dataset(out_dir, frames: list, path_poses: list) -> None:
+    """A dataset directory that `read_dataset` reads back as ``frames``: an
+    earlier dataset's scans numbered past the last frame are removed."""
     os.makedirs(out_dir, exist_ok=True)
     write_poses(os.path.join(out_dir, "poses.csv"), path_poses)
     intr = frames[0].intrinsics
@@ -285,7 +298,9 @@ def write_dataset(out_dir, frames: list, path_poses: list) -> None:
         fh.write(f"s_max = {intr.s_max!r}\n")
         fh.write(f"scan_period = {intr.scan_period!r}\n")
     for i, frame in enumerate(frames):
-        write_scan(os.path.join(out_dir, f"scan_{i:04d}.csv"), frame)
+        write_scan(_scan_path(out_dir, i), frame)
+    for stale in list(_scan_paths(out_dir, len(frames))):
+        os.remove(stale)
 
 
 # The keys of a dataset's intrinsics.txt: exactly these RunConfig keys.
@@ -301,8 +316,7 @@ def read_dataset(data_dir) -> list:
         raise top.fail(str(exc)) from None
     poses_path = os.path.join(data_dir, "poses.csv")
     poses = read_poses(poses_path)
-    scans = list(itertools.takewhile(os.path.exists, (
-        os.path.join(data_dir, f"scan_{i:04d}.csv") for i in itertools.count())))
+    scans = list(_scan_paths(data_dir))
     if not scans:
         raise InvalidInputError(f"no scan files found in {data_dir}")
     if len(poses) <= len(scans):

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import net as nets
 from .errors import DivergenceError, InvalidInputError
-from .config import RunConfig
+from .config import RunConfig, entropy_words
 from .field import (RaySet, bin_masses, bin_masses_vjp, cdf_from_sigma_values, cdf_vjp,
                     trapezoid_deltas)
 from .losses import (LossBreakdown, bce_values, bce_vjp, bin_accumulate, depth_l2_values,
@@ -135,7 +135,7 @@ def fine_grid_rows(fine_points: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 def ray_rng(seed: int, ray_id: int, epoch: int) -> np.random.Generator:
     """Dedicated stream per (seed, ray, epoch); reproducible batch order free."""
-    return np.random.default_rng(np.random.SeedSequence((seed, ray_id, epoch)))
+    return np.random.default_rng(np.random.SeedSequence(entropy_words((seed, ray_id, epoch))))
 
 
 def ray_draws(seed: int, ray_ids, stream: int, n: int) -> np.ndarray:

@@ -10,6 +10,12 @@ On-disk formats:
   pose file   CSV with columns t_s, tx, ty, tz, qw, qx, qy, qz: a pose writes
               back the quaternion it was read with, not one rebuilt from a matrix
 
+The writers give these exact bytes: the header row (the column names
+above), then one row per beam and azimuth (beam-major) or per pose, fields
+joined by commas with no quoting and every line ended by CRLF. A float is
+written as its shortest round-trip ``repr`` (``1e-05``, ``-0.0``), an index
+or flag as a decimal integer, and the range of a dropped pulse as ``0.0``.
+
 Two poses agree (`same_pose`) when their rotation matrices and translations
 are equal: a frame whose boundary poses agree holds its start pose, and
 training pools the frames whose boundary poses agree with frame 0's.
@@ -18,6 +24,7 @@ training pools the frames whose boundary poses agree with frame 0's.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,22 +231,28 @@ def quat_slerp(q0: np.ndarray, q1: np.ndarray, fractions) -> np.ndarray:
 
 SCAN_HEADER = ["beam_idx", "azimuth_idx", "range_m", "drop_flag", "t_offset_s"]
 POSE_HEADER = ["t_s", "tx", "ty", "tz", "qw", "qx", "qy", "qz"]
+LINE_END = "\r\n"
+
+
+def _header_line(header: list) -> str:
+    return ",".join(header) + LINE_END
+
+
+def _write_text(path, text: str) -> None:
+    with open(path, "w", newline="") as fh:   # newline="": the text's CRLFs stay as they are
+        fh.write(text)
 
 
 def write_scan(path, frame: ScanFrame) -> None:
-    times = frame.sample_times() - frame.start_pose.timestamp
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCAN_HEADER)
-        for b in range(frame.intrinsics.n_beams):
-            for a in range(frame.intrinsics.azimuth_count):
-                returned = bool(frame.returned[b, a])
-                writer.writerow([
-                    b, a,
-                    repr(float(frame.ranges[b, a])) if returned else "0.0",
-                    int(returned),
-                    repr(float(times[a])),
-                ])
+    """The scan file of ``frame`` (module docstring), written as one string."""
+    n_beams, n_az = frame.ranges.shape
+    offsets = (frame.sample_times() - frame.start_pose.timestamp).tolist()
+    tails = [f",{t!r}{LINE_END}" for t in offsets]   # one per azimuth
+    cells = zip(itertools.product(range(n_beams), range(n_az)),
+                np.where(frame.returned, frame.ranges, 0.0).reshape(-1).tolist(),
+                frame.returned.reshape(-1).tolist())
+    _write_text(path, _header_line(SCAN_HEADER)
+                + "".join([f"{b},{a},{r!r},{ok:d}{tails[a]}" for (b, a), r, ok in cells]))
 
 
 def _csv_rows(path, header: list, parse):
@@ -293,13 +306,10 @@ def read_scan(path, intrinsics: SensorIntrinsics, start_pose: Pose, end_pose: Po
 
 
 def write_poses(path, poses: list) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(POSE_HEADER)
-        for pose in poses:
-            writer.writerow([repr(float(pose.timestamp))]
-                            + [repr(float(v)) for v in pose.translation]
-                            + [repr(float(v)) for v in pose.quaternion])
+    """The pose file of ``poses`` (module docstring), written as one string."""
+    rows = [[float(p.timestamp), *p.translation.tolist(), *p.quaternion.tolist()] for p in poses]
+    _write_text(path, _header_line(POSE_HEADER)
+                + "".join([",".join(map(repr, row)) + LINE_END for row in rows]))
 
 
 def read_poses(path) -> list:

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import fill, read_sections
+from .config import entropy_words, fill, read_sections
 from .errors import InvalidInputError
 from .field import CdfTrace, Ray, SampleGrid
 # motion_compensate is not called here; perfbench/layers.py probes this name.
@@ -317,29 +317,34 @@ def generate_dataset(scene: SceneSpec, sensor_path: list, intrinsics: SensorIntr
     substream, one uniform per surface it reaches in distance order (as
     ``sample_return`` does), so frame order never changes the outcome. A
     pulse whose first surface is opaque (p = 1) reflects there whatever it
-    would draw, so its outcome is set without a draw.
+    would draw, so its outcome is set without a draw. A frame that casts the
+    rays of the frame before it (``np.array_equal``), as every frame of a
+    static path does, reuses that frame's sorted hits instead of tracing.
     """
     if len(sensor_path) < 2:
         raise InvalidInputError("need at least two path poses")
     shape = (intrinsics.n_beams, intrinsics.azimuth_count)
     frames = []
+    last_rays = None
     for f in range(len(sensor_path) - 1):
         frame = ScanFrame(intrinsics, sensor_path[f], sensor_path[f + 1],
                           np.zeros(shape), np.zeros(shape, dtype=bool))
         frames.append(frame)
+        rays = ray_directions(intrinsics, frame)   # checks the frame's poses
         if not scene.surfaces:
             continue  # every pulse drops
-        dist, order, drops = _sorted_hits(scene, *ray_directions(intrinsics, frame),
-                                          intrinsics.s_max)
-        probs = scene.return_probs[order]
-        n_hits = np.count_nonzero(dist < np.inf, axis=1)
+        if last_rays is None or not all(map(np.array_equal, rays, last_rays)):
+            dist, order, drops = _sorted_hits(scene, *rays, intrinsics.s_max)
+            probs = scene.return_probs[order]
+            n_hits = np.count_nonzero(dist < np.inf, axis=1)
+            certain = (n_hits > 0) & (probs[:, 0] == 1.0)
+        last_rays = rays
         ranges, returned = frame.ranges.reshape(-1), frame.returned.reshape(-1)  # views
-        certain = (n_hits > 0) & (probs[:, 0] == 1.0)
         returned[certain] = ~drops[certain, 0]
         ranges[returned] = dist[returned, 0]
         for i in np.flatnonzero((n_hits > 0) & ~certain):
             b, a = divmod(int(i), intrinsics.azimuth_count)
-            rng = np.random.default_rng(np.random.SeedSequence((seed, f, b, a)))
+            rng = np.random.default_rng(np.random.SeedSequence(entropy_words((seed, f, b, a))))
             k = n_hits[i]
             outcome = _first_reflection(zip(dist[i, :k], probs[i, :k], drops[i, :k]), rng)
             if outcome is not None:

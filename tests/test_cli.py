@@ -341,6 +341,24 @@ def test_malformed_dataset_file_exits_2(tmp_path, capsys, name, line, bad, messa
     assert err.startswith("error: ") and str(data) in err and message in err
 
 
+def test_train_reads_only_the_latest_gen(tmp_path, capsys, monkeypatch):
+    # A gen of 4 frames, then one of 2 into the same directory: the scans of
+    # frames 2 and 3 go, so train reads 2 frames and the pose sidecar fits.
+    cfg = write_config(tmp_path, UNDER_TRAINED)
+    data = tmp_path / "data"
+    for frames in (4, 2):
+        assert run(capsys, "gen", "--config", cfg, "--scene", SCENE, "--path", PATH,
+                   "--frames", frames, "--out", data)[0] == cli.EXIT_OK
+    assert sorted(p.name for p in data.glob("scan_*.csv")) == ["scan_0000.csv", "scan_0001.csv"]
+    read = []
+    real_read = pipeline.read_dataset
+    monkeypatch.setattr(pipeline, "read_dataset", lambda d: read.append(real_read(d)) or read[-1])
+    code, _, err = run(capsys, "train", "--config", cfg, "--scene", SCENE, "--data", data,
+                       "--out", tmp_path / "train")
+    assert code == cli.EXIT_OK, err
+    assert [len(frames) for frames in read] == [2]
+
+
 @pytest.mark.parametrize("name", ["poses.csv", "scan_0000.csv"])
 def test_undecodable_dataset_file_exits_2(tmp_path, capsys, name):
     cfg = write_config(tmp_path, UNDER_TRAINED)

@@ -6,6 +6,7 @@ The per-ray render path (`oracle_evaluate_ray`, `RayRender`,
 reference for the batched march and picker.
 """
 
+import hashlib
 import re
 from dataclasses import dataclass, replace
 
@@ -164,7 +165,41 @@ class TestBoundsCheck:
                                         "stochastic", frame_index=5)
 
 
+def tree_digest(root) -> str:
+    """sha256 over a directory's files in name order: each name, a NUL, its bytes."""
+    h = hashlib.sha256()
+    for path in sorted(root.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
 class TestDatasetFiles:
+    @pytest.mark.parametrize("path_name, digest", [
+        ("moving_path.csv", "b2567c556c9a8fea034701cc7b9ab947a5843e8fe5f23a4e8dedd5703169fddd"),
+        ("static_path.csv", "d8a085db0480f66ec0fc3dce97dd0a76a86cfee2232e898062175060a7153658"),
+    ])
+    def test_golden_bytes(self, tmp_path, path_name, digest):
+        # Recorded from the csv.writer writers that the one-string writers
+        # replaced: intrinsics.txt, poses.csv and three scans.
+        config = RunConfig(elevations=[-0.09, 0.0, 0.09], azimuth_count=32,
+                           n_frames=3).validate()
+        pipeline.generate_to_disk(simscene.builtin_scene_path("panel_room.txt"),
+                                  simscene.builtin_scene_path(path_name), tmp_path, config)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "intrinsics.txt", "poses.csv", "scan_0000.csv", "scan_0001.csv", "scan_0002.csv"]
+        assert tree_digest(tmp_path) == digest
+
+    def test_stale_scans_past_the_last_frame_are_removed(self, tmp_path):
+        frames = dataset("moving_path.csv", 4)
+        path = [frames[0].start_pose] + [frame.end_pose for frame in frames]
+        pipeline.write_dataset(tmp_path, frames, path)
+        (tmp_path / "scan_0009.csv").write_bytes((tmp_path / "scan_0003.csv").read_bytes())
+        pipeline.write_dataset(tmp_path, frames[:2], path[:3])
+        # scan_0009 follows a gap, so reading the dataset never reaches it.
+        assert sorted(p.name for p in tmp_path.glob("scan_*.csv")) == [
+            "scan_0000.csv", "scan_0001.csv", "scan_0009.csv"]
+        assert len(pipeline.read_dataset(tmp_path)) == 2
+
     def test_read_back_frames_cast_the_simulated_rays(self, tmp_path):
         # The poses file holds each pose's own quaternion, so a dataset read
         # back casts, bit for bit, the rays the simulator cast.

@@ -15,7 +15,7 @@ import tests.tape_head as tape_head
 from plink import autodiff as ad
 from plink import net as nets
 from plink import pipeline, sampler
-from plink.config import RunConfig
+from plink.config import RunConfig, entropy_words
 from plink.errors import InvalidInputError
 from plink.field import RaySet
 from plink.sensor import UnitCubeScale
@@ -225,6 +225,30 @@ class TestImportanceSample:
             bins = np.searchsorted(cdf, u, side="left")
             np.testing.assert_array_equal(row, edges[bins] + 0.5 * np.diff(edges)[bins])
             assert np.all(np.diff(row) >= 0.0)
+
+
+class TestStreamKeys:
+    @pytest.mark.parametrize("key, words", [
+        ((0, 0, 0), [0, 0, 0]),
+        ((2**32 - 1, 7, 2**32 - 1), [2**32 - 1, 7, 2**32 - 1]),
+        ((2**32, 0, 5), [0, 1, 0, 5]),
+        ((2**70 + 3, 1, 2), [3, 0, 64, 1, 2]),
+        ((1, 0x4E4DE2, 2**64 - 1), [1, 0x4E4DE2, 2**32 - 1, 2**32 - 1]),
+    ])
+    def test_words_give_the_tuple_keyed_stream(self, key, words):
+        got = entropy_words(key)
+        assert got.dtype == np.uint32 and got.tolist() == words
+        want = np.random.default_rng(np.random.SeedSequence(key)).random(8)
+        np.testing.assert_array_equal(sampler.ray_rng(*key).random(8), want)
+
+    @pytest.mark.parametrize("key", [(1, -1, 0), (-(2**40), 0, 0)])
+    def test_a_negative_entry_raises_as_numpy_does(self, key):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(key)
+        with pytest.raises(ValueError):
+            entropy_words(key)
+        with pytest.raises(ValueError):
+            sampler.ray_rng(*key)
 
 
 class TestFineGrid:

@@ -1,4 +1,5 @@
-"""Sensor geometry: quaternions, poses, slerp and the vectorized ray generator.
+"""Sensor geometry: quaternions, poses, slerp and the vectorized ray generator,
+and the scan and pose writers against a ``csv.writer`` oracle.
 
 `oracle_poses` is the per-azimuth reference: one scalar slerp of the
 boundary poses' quaternions and one validated `Pose` per azimuth step, and
@@ -7,6 +8,7 @@ The package computes the poses only stacked, and must match both bit for
 bit.
 """
 
+import csv
 import re
 
 import numpy as np
@@ -210,3 +212,59 @@ class TestRayDirections:
         frame = moving_frame()
         _, dirs = sensor.ray_directions(frame.intrinsics, frame)
         np.testing.assert_allclose(np.linalg.norm(dirs, axis=-1), 1.0, atol=1e-12)
+
+
+# -- file writers ------------------------------------------------------------------
+
+
+def oracle_write_scan(path, frame):
+    """One ``csv.writer`` row per cell: the writer whose bytes ``write_scan`` keeps."""
+    times = frame.sample_times() - frame.start_pose.timestamp
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(sensor.SCAN_HEADER)
+        for b in range(frame.intrinsics.n_beams):
+            for a in range(frame.intrinsics.azimuth_count):
+                returned = bool(frame.returned[b, a])
+                writer.writerow([b, a, repr(float(frame.ranges[b, a])) if returned else "0.0",
+                                 int(returned), repr(float(times[a]))])
+
+
+def oracle_write_poses(path, poses):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(sensor.POSE_HEADER)
+        for pose in poses:
+            writer.writerow([repr(float(pose.timestamp))]
+                            + [repr(float(v)) for v in pose.translation]
+                            + [repr(float(v)) for v in pose.quaternion])
+
+
+# Floats whose shortest repr takes an exponent, the smallest subnormal, a
+# negative zero, and a range equal to s_max.
+EDGE_FLOATS = [1e-05, 1e+16, 5e-324, -0.0, 20.0, 0.1 + 0.2]
+
+
+class TestWriters:
+    def test_scan_bytes_match_the_csv_writer(self, tmp_path):
+        intr = sensor.SensorIntrinsics([-0.1, 0.1], 6, 20.0, 0.1)
+        start, end = (sensor.Pose(IDENTITY, np.zeros(3), t) for t in (0.0, 0.1))
+        ranges = np.array([EDGE_FLOATS, [np.nan, 7.5, 20.0, 1e-05, 3.0, 5e-324]])
+        returned = np.array([[True] * 6, [False, True, True, True, False, True]])
+        frame = sensor.ScanFrame(intr, start, end, ranges, returned)
+        # Time offsets the sensor's own clock never gives: -0.0 first.
+        frame.sample_times = lambda: np.array([-0.0, 1e-05, 5e-324, 1e+16, 0.05, 0.1 + 0.2])
+        sensor.write_scan(tmp_path / "new.csv", frame)
+        oracle_write_scan(tmp_path / "oracle.csv", frame)
+        written = (tmp_path / "new.csv").read_bytes()
+        assert written == (tmp_path / "oracle.csv").read_bytes()
+        assert written.startswith(b"beam_idx,azimuth_idx,range_m,drop_flag,t_offset_s\r\n")
+        assert b"0,0,1e-05,1,-0.0\r\n" in written and b"1,0,0.0,0,-0.0\r\n" in written
+
+    def test_pose_bytes_match_the_csv_writer(self, tmp_path):
+        poses = [sensor.Pose([1e-05, 0.0, -0.0, 5e-324], [1e+16, -0.0, 5e-324], -0.0),
+                 sensor.Pose(IDENTITY, EDGE_FLOATS[3:], 1e+16),
+                 sensor.Pose(random_quats(1, 2)[0], [0.1 + 0.2, 1e-05, 20.0], 5e-324)]
+        sensor.write_poses(tmp_path / "new.csv", poses)
+        oracle_write_poses(tmp_path / "oracle.csv", poses)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from plink import sensor, simscene
-from plink.errors import InvalidInputError
+from plink.errors import InvalidFrameError, InvalidInputError
 from plink.field import Ray
 from plink.pipeline import resample_path
 
@@ -318,11 +318,48 @@ class TestGenerateDataset:
                 assert frame.returned[b, a] and frame.ranges[b, a] == want
         assert 0 < frame.returned.sum() < frame.returned.size
 
+    @pytest.fixture
+    def traces(self, monkeypatch):
+        """The number of `_sorted_hits` calls made since the test began."""
+        calls = []
+        real = simscene._sorted_hits
+        monkeypatch.setattr(simscene, "_sorted_hits",
+                            lambda *args: calls.append(1) or real(*args))
+        return calls
+
+    @pytest.mark.parametrize("name, n_frames, n_traces", [
+        ("static_path.csv", 20, 1), ("moving_path.csv", 5, 5)])
+    def test_a_frame_is_traced_when_its_rays_change(self, traces, name, n_frames, n_traces):
+        frames = simscene.generate_dataset(shipped_scene(), shipped_path(name, n_frames),
+                                           intrinsics(), seed=3)
+        assert len(frames) == n_frames and len(traces) == n_traces
+
+    def test_a_return_to_an_earlier_pose_is_traced_again(self, traces):
+        here, there = (sensor.read_poses(simscene.builtin_scene_path(name))[-1]
+                       for name in PATHS)
+        path = [sensor.Pose(pose.quaternion, pose.translation, 0.1 * t)
+                for t, pose in enumerate([here, here, here, there, there, here, here])]
+        frames = simscene.generate_dataset(shipped_scene(), path, intrinsics(), seed=3)
+        # Rest, rest, move, rest, move back, rest: only the second frame
+        # casts its predecessor's rays.
+        assert len(frames) == 6 and len(traces) == 5
+        # The first and last frames cast the same rays, on different streams.
+        rays = [sensor.ray_directions(frame.intrinsics, frame) for frame in (frames[0], frames[-1])]
+        for first, last in zip(*rays):
+            np.testing.assert_array_equal(first, last)
+        assert not np.array_equal(frames[0].ranges, frames[-1].ranges)
+
     def test_empty_scene_drops_every_pulse(self):
         scene = simscene.SceneSpec([], ([-1.0] * 3, [1.0] * 3))
         frames = simscene.generate_dataset(scene, shipped_path("static_path.csv", 2),
                                            intrinsics(), seed=1)
         assert len(frames) == 2 and not any(f.returned.any() for f in frames)
+
+    def test_empty_scene_still_rejects_a_path_that_runs_backwards(self):
+        scene = simscene.SceneSpec([], ([-1.0] * 3, [1.0] * 3))
+        path = shipped_path("static_path.csv", 2)[::-1]
+        with pytest.raises(InvalidFrameError, match="end pose must be later"):
+            simscene.generate_dataset(scene, path, intrinsics(), seed=1)
 
 
 class TestShippedScene:
