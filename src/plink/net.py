@@ -4,18 +4,24 @@ A positionally encoded fully-connected network with two output heads: a
 nonnegative reflection density (softplus) and an unbounded drop channel.
 Parameters live in one flat vector, float32 in every model the program
 makes (float64 ones serve exact checks), and the MLP computes in their
-dtype. sigma and phi leave it as float64 and their gradients come back as
-float64, so the cumulative trace and the losses never see float32. The
-optimizer is an adaptive-moment update with bias correction and float64 moments.
+dtype. Its features come in that dtype too: `encode` takes an output
+dtype, the march asks for the model's, and the first layer reads them
+without a cast copy. sigma and phi leave it as float64 and their
+gradients come back as float64, so the cumulative trace and the losses
+never see float32. The optimizer is an adaptive-moment update with bias
+correction and float64 moments.
 
 The MLP has one definition, a layer loop on plain arrays that serves both
 inference and training. For training, `ModelGraph` keeps each hidden
 layer's input and returns `(sigma, phi)`. The loss head's own adjoints
 (`losses`, `field`) give the gradients at those outputs, and `backward`
 takes them through the heads and hidden layers by hand into a flat vector
-in `layer_shapes` order. Each elementwise step is one in-place pass over
-the activations: bias add, relu as ``np.maximum``, the relu mask on the
-gradient, and the rank-1 head products as broadcast multiplies. Each
+in `layer_shapes` order. It reuses the activation storage it has finished
+with: the last hidden gradient overwrites the last hidden activation, so
+it allocates one spare (N, width) buffer, and a graph takes one backward.
+Each elementwise step is one in-place pass over the activations: bias
+add, relu as ``np.maximum``, the relu mask on the gradient, and the
+rank-1 head products as broadcast multiplies. Each
 rounds as the op a tape-recorded MLP would run, so for a float64 model the
 gradient is bit-identical to one (up to the sign of a zero: relu gives
 +0.0 where the tape's ``z * (z > 0)`` gives -0.0).
@@ -207,14 +213,17 @@ def _split_run(work, parallel: bool, *axes) -> None:
     future.result()
 
 
-def encode(positions, directions, levels: int, dir_levels: int) -> np.ndarray:
+def encode(positions, directions, levels: int, dir_levels: int,
+           dtype=np.float64) -> np.ndarray:
     """Fourier-feature encoding of unit-cube positions (and optional directions).
 
     Raw coordinates are kept alongside sin/cos pairs at frequencies
     2^0 pi ... 2^(levels-1) pi, built by angle doubling from one sin and
     cos of pi * coords (see `_fourier_into` for its round-off). Output
     width is 3 + 6*levels, plus 3 + 6*dir_levels when ``directions`` is
-    not None.
+    not None. The output has ``dtype``: the values are computed in float64
+    and rounded once on store, so a float32 encoding equals the float64 one
+    cast to float32, bit for bit.
 
     Directions come one per position, or one per ray: B rows for N = B*J
     positions, where row i serves positions i*J ... (i+1)*J - 1. Per-ray
@@ -226,7 +235,7 @@ def encode(positions, directions, levels: int, dir_levels: int) -> np.ndarray:
         raise OutOfBoundsError("encoded positions must lie inside the unit cube")
     n = positions.shape[0]
     pos_width = encoded_width(levels, 0, False)
-    out = np.empty((n, encoded_width(levels, dir_levels, directions is not None)))
+    out = np.empty((n, encoded_width(levels, dir_levels, directions is not None)), dtype)
     waves = np.empty((2, levels, n, 3))
     rays = n
     if directions is not None:
@@ -234,7 +243,7 @@ def encode(positions, directions, levels: int, dir_levels: int) -> np.ndarray:
         rays = directions.shape[0]
         if rays == 0 or n % rays:
             raise InvalidInputError("directions must come per position or per ray")
-        per_ray = np.empty((rays, out.shape[1] - pos_width))
+        per_ray = np.empty((rays, out.shape[1] - pos_width), dtype)
         dir_waves = np.empty((2, dir_levels, rays, 3))
     span = n // max(rays, 1)
 
@@ -387,7 +396,9 @@ class ModelGraph:
 
     ``forward`` keeps each hidden layer's input and the last hidden
     activation (``acts``), the sigma head's pre-activation and ``sigma``;
-    a relu mask is recomputed from the layer's output as ``h > 0``.
+    a relu mask is recomputed from the layer's output as ``h > 0``. A graph
+    takes one `backward`, which overwrites the last hidden activation with
+    a gradient; ``spent`` records that it ran, and a second raises.
     """
 
     def __init__(self, model: FieldModel):
@@ -395,6 +406,7 @@ class ModelGraph:
         self.views = model.param_views()
         self.acts = []
         self.pre_sigma = self.sigma = None
+        self.spent = False
 
     def forward(self, feats: np.ndarray):
         """(sigma, phi) of shape (N,), as `forward` gives; phi is None without the head."""
@@ -417,7 +429,8 @@ def _mlp_rows(model: FieldModel, n: int):
 def _layers(model: FieldModel, views: list, feats, acts=None):
     """The MLP on plain arrays: (sigma head pre-activation, float64 phi-or-None).
 
-    It computes in the parameters' dtype, to which the features are cast.
+    It computes in the parameters' dtype: features in it are the first
+    layer's input as they are, others are cast to it in a copy.
     A list ``acts`` receives each hidden layer's input, then the last
     hidden activation. Each layer is one matmul, then the bias add and
     relu, ``np.maximum(z, 0.0)``, in place on its result: for a float64
@@ -477,7 +490,15 @@ def backward(graph: ModelGraph, g_sigma: np.ndarray, g_phi=None) -> np.ndarray:
     parameters' dtype, and a finite one that overflows it is a divergence
     named by its head. A non-finite gradient is a divergence, reported by
     the layer and position of its first bad entry.
+
+    It spends the graph: the last hidden activation becomes gradient
+    storage, so a second backward of the same graph raises
+    `InvalidInputError`.
     """
+    if graph.spent:
+        raise InvalidInputError("this graph's backward already ran; run forward on a new "
+                                "ModelGraph")
+    graph.spent = True
     model, dtype = graph.model, graph.model.params.dtype
     heads = {"sigma": g_sigma * sigmoid(graph.pre_sigma)}
     if model.has_phi_head:
@@ -512,7 +533,10 @@ def _mlp_backward(graph: ModelGraph, heads: list, parallel: bool) -> np.ndarray:
     part of the last hidden gradient and its mask by rows, and one per
     hidden layer, last first, its weight and bias gradients by output
     columns beside the next hidden gradient, ``g @ w.T`` and its mask, by
-    rows. The hidden gradients alternate between two caller-owned buffers.
+    rows. The last hidden gradient is written over the last hidden
+    activation, once the heads' weight gradients have read it and each
+    row's relu mask is taken: layer i's output gradient lives there when
+    ``n_hidden - 1 - i`` is even and in one spare buffer when it is odd.
     ``parallel`` is the pass's, as `_split_run` takes it.
     """
     model, views, acts = graph.model, graph.views, graph.acts
@@ -527,7 +551,7 @@ def _mlp_backward(graph: ModelGraph, heads: list, parallel: bool) -> np.ndarray:
         g_b[...] = column.sum(axis=0)
     if not n_hidden:
         return grad
-    buffers = np.empty((2,) + h.shape, dtype=h.dtype)     # layer i's in buffers[i % 2]
+    buffers = h, np.empty_like(h)           # layer i's in buffers[(n_hidden - 1 - i) % 2]
     mask = np.empty(h.shape, dtype=bool)
     axes = _mlp_rows(model, len(h)), _halves(model.hidden_width)
 
@@ -537,19 +561,20 @@ def _mlp_backward(graph: ModelGraph, heads: list, parallel: bool) -> np.ndarray:
         np.multiply(g[rows], mask[rows], out=g[rows])
 
     def heads_part(rows):
-        g, part = buffers[(n_hidden - 1) % 2], buffers[n_hidden % 2]
+        g, part = buffers
+        np.greater(h[rows], 0.0, out=mask[rows])     # before g overwrites h
         np.multiply(columns[0][rows], views[n_hidden][0].T, out=g[rows])
         for j in range(1, len(columns)):
             np.multiply(columns[j][rows], views[n_hidden + j][0].T, out=part[rows])
             np.add(g[rows], part[rows], out=g[rows])
-        masked(g, n_hidden - 1, rows)
+        np.multiply(g[rows], mask[rows], out=g[rows])
 
     def layer(i, rows, cols):
-        g, g_w, g_b = buffers[i % 2], *grad_views[i]
+        g, g_w, g_b = buffers[(n_hidden - 1 - i) % 2], *grad_views[i]
         np.matmul(acts[i].T, g[:, cols], out=g_w[:, cols])
         np.sum(g[:, cols], axis=0, out=g_b[cols])
         if i:
-            g_in = buffers[(i - 1) % 2]
+            g_in = buffers[(n_hidden - i) % 2]
             np.matmul(g[rows], views[i][0].T, out=g_in[rows])
             masked(g_in, i - 1, rows)
 

@@ -190,13 +190,19 @@ def train_step(state: TrainState, rays: RaySet, config: RunConfig, scale,
     mismatch (or, with ``depth_l2``, the deterministic weighted-depth
     baseline), averaged over the rays that recorded one. The march runs
     both networks through a `net.ModelGraph` and places the fine points by
-    stratified draws on each ray's (seed, id, epoch) stream. Then the fine
-    loss on the cumulative trace, and the proposal hinge against the
-    detached fine field. Each loss's gradient runs back through the
-    kernels' adjoints to the network outputs, adding the terms that meet at
-    the cdf in a fixed order, and `net.backward` takes it on through the
-    MLP. Fine and coarse parameters each receive one optimizer step, fine
-    first.
+    stratified draws on each ray's (seed, id, epoch) stream. Each loss's
+    gradient runs back through the kernels' adjoints to the network
+    outputs, adding the terms that meet at the cdf in a fixed order, and
+    `net.backward` takes it on through the MLP.
+
+    The proposal goes first: its hinge against the detached fine field and
+    its backward run right after the march, and the step then drops the
+    coarse graph, so the fine loss and the fine backward run with one graph
+    alive instead of two. Neither part reads the other's results, so the
+    order changes no value. A divergence in the proposal's backward is held
+    until the fine backward has run: when both diverge the report names the
+    fine network, whose non-finite field would also poison the hinge. Fine
+    and coarse parameters each receive one optimizer step, fine first.
     """
     if not len(rays):
         raise InvalidInputError("ray batch must be nonempty")
@@ -215,6 +221,23 @@ def train_step(state: TrainState, rays: RaySet, config: RunConfig, scale,
         state, rays.origins, rays.dirs, s_max, config.n_bins, scale, record,
         lambda masses, edges: importance_sample(masses, edges, draws))
     coarse_graph, fine_graph = graphs
+    graphs.clear()
+
+    # Proposal hinge: fine masses are detached constants (stop gradient).
+    edges = uniform_bin_edges(s_max, config.n_bins)
+    fine_bin_mass = bin_accumulate(sigma_f * deltas, grid, edges)
+    totals = fine_bin_mass.sum(axis=-1, keepdims=True)
+    fine_bin_mass = np.where(totals > 1e-12, fine_bin_mass / np.maximum(totals, 1e-300),
+                             1.0 / config.n_bins)
+    hinge = hinge_values(fine_bin_mass, proposal.masses)
+    g_hist = hinge_vjp(np.full(len(hinge), 1.0 / len(hinge)), fine_bin_mass, proposal.masses)
+    coarse_error = None
+    try:
+        g_coarse = nets.backward(coarse_graph, histogram_vjp(
+            g_hist, coarse_graph.sigma.reshape(proposal.masses.shape), edges).ravel())
+    except DivergenceError as exc:
+        coarse_error = exc
+    del coarse_graph        # its last reference: the fine part runs with one graph alive
 
     # l_c is the batch mean over the rays with measurements (k > 0).
     weights = (k > 0) / max(np.count_nonzero(k), 1)
@@ -234,17 +257,8 @@ def train_step(state: TrainState, rays: RaySet, config: RunConfig, scale,
     g_phi, g_masses = pooled_drop_vjp(bce_vjp(1.0 - alpha, k > 0, q_hat), q_hat, phi_f, masses)
     g_sigma = cdf_vjp(bin_masses_vjp(g_masses, g_cdf), survival, deltas)
     g_fine = nets.backward(fine_graph, g_sigma.ravel(), g_phi.ravel())
-
-    # Proposal hinge: fine masses are detached constants (stop gradient).
-    edges = uniform_bin_edges(s_max, config.n_bins)
-    fine_bin_mass = bin_accumulate(sigma_f * deltas, grid, edges)
-    totals = fine_bin_mass.sum(axis=-1, keepdims=True)
-    fine_bin_mass = np.where(totals > 1e-12, fine_bin_mass / np.maximum(totals, 1e-300),
-                             1.0 / config.n_bins)
-    hinge = hinge_values(fine_bin_mass, proposal.masses)
-    g_hist = hinge_vjp(np.full(len(hinge), 1.0 / len(hinge)), fine_bin_mass, proposal.masses)
-    g_coarse = nets.backward(coarse_graph, histogram_vjp(
-        g_hist, coarse_graph.sigma.reshape(proposal.masses.shape), edges).ravel())
+    if coarse_error is not None:
+        raise coarse_error
 
     losses = LossBreakdown(float(l_c), float(l_drop), float(np.sum(hinge) * (1.0 / len(hinge))),
                            alpha)
@@ -257,10 +271,10 @@ def train_step(state: TrainState, rays: RaySet, config: RunConfig, scale,
 
 
 def _encode_batch(model, points_world, dirs, scale) -> np.ndarray:
-    """Flatten (B, J, 3) world points into encoded features (B*J, D).
+    """Flatten (B, J, 3) world points into encoded features (B*J, D), in the model's dtype.
 
     The B ray directions are encoded once per ray, not once per point.
     """
     flat = scale.apply(points_world.reshape(-1, 3))
     return nets.encode(flat, dirs if model.use_direction else None,
-                       model.encoding_levels, model.dir_levels)
+                       model.encoding_levels, model.dir_levels, model.params.dtype)

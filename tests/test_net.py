@@ -144,6 +144,20 @@ class TestEncode:
         per_point = nets.encode(p, np.repeat(d, 7, axis=0), levels=3, dir_levels=2)
         np.testing.assert_array_equal(nets.encode(p, d, levels=3, dir_levels=2), per_point)
 
+    @pytest.mark.parametrize("levels, dir_levels, directions", [
+        (8, 2, "per ray"), (3, 1, "per position"), (0, 2, "per ray"), (0, 0, "per position"),
+        (5, 0, None), (0, 0, None)])
+    def test_float32_encoding_is_the_float64_one_rounded_once(self, levels, dir_levels,
+                                                               directions):
+        rng = np.random.default_rng(31 + levels)
+        p = rng.uniform(-1, 1, size=(64 * 9, 3))
+        d = {"per ray": rng.normal(size=(64, 3)), "per position": rng.normal(size=(64 * 9, 3)),
+             None: None}[directions]
+        got = nets.encode(p, d, levels, dir_levels, np.float32)
+        want = nets.encode(p, d, levels, dir_levels).astype(np.float32)
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_directions_must_divide_positions(self):
         with pytest.raises(InvalidInputError):
             nets.encode(np.zeros((5, 3)), np.ones((2, 3)), levels=1, dir_levels=1)
@@ -184,6 +198,24 @@ class TestModel:
         assert {a.dtype for a in graph.acts} == {np.dtype(np.float32)}
         assert nets.backward(graph, np.ones(5), np.ones(5)).dtype == np.float32
         assert all(a.dtype == np.float64 for a in nets.forward(model, feats))
+
+    def test_float32_model_gives_the_same_bytes_from_float32_and_float64_features(self):
+        # The program's shape and the benchmark's coarse row count: the
+        # passes split, and float32 features are the first layer's input as
+        # they are, where float64 ones are cast in a copy.
+        model = make_model(8, 2, 4, 128, True, rng=13)
+        rng = np.random.default_rng(13)
+        feats64 = nets.encode(rng.uniform(-1, 1, (4096, 3)), rng.normal(size=(64, 3)),
+                              model.encoding_levels, model.dir_levels)
+        feats32 = feats64.astype(np.float32)
+        graph32, graph64 = nets.ModelGraph(model), nets.ModelGraph(model)
+        pairs = [(nets.forward(model, feats32), nets.forward(model, feats64)),
+                 (graph32.forward(feats32), graph64.forward(feats64))]
+        for got, want in pairs:
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+        assert graph32.acts[0] is feats32
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(graph32.acts, graph64.acts))
 
     def test_sigma_nonnegative_everywhere(self):
         model = make_model(8, 2, 2, 32, True, rng=3)
@@ -405,6 +437,19 @@ class TestBackward:
         shapes = model.layer_shapes()
         phi_size = int(np.prod(shapes[-1][0])) + int(np.prod(shapes[-1][1]))
         np.testing.assert_array_equal(grad[-phi_size:], 0.0)
+
+    def test_a_spent_graph_refuses_a_second_backward(self):
+        # backward writes a gradient over the last hidden activation.
+        model = probe_model(seed=8)
+        feats = nets.encode(np.full((4, 3), 0.3), np.full((4, 3), -0.2),
+                            model.encoding_levels, model.dir_levels)
+        graph = nets.ModelGraph(model)
+        sigma, phi = graph.forward(feats)
+        assert not graph.spent
+        nets.backward(graph, np.ones_like(sigma), np.ones_like(phi))
+        assert graph.spent
+        with pytest.raises(InvalidInputError, match="backward already ran"):
+            nets.backward(graph, np.ones_like(sigma), np.ones_like(phi))
 
     def test_doubling_loss_doubles_gradient(self):
         model = probe_model(seed=6)

@@ -5,6 +5,7 @@ The per-ray proposal (`ProposalHistogram`, `oracle_histogram`,
 batched placement kernel.
 """
 
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ from plink import autodiff as ad
 from plink import net as nets
 from plink import pipeline, sampler
 from plink.config import RunConfig, entropy_words
-from plink.errors import InvalidInputError
+from plink.errors import DivergenceError, InvalidInputError
 from plink.field import RaySet
 from plink.sensor import UnitCubeScale
 from tests.test_net import make_model, widened
@@ -401,6 +402,29 @@ class TestTrainStep:
         monkeypatch.setattr(ad.Tensor, "__init__", no_tensor)
         sampler.train_step(tiny_state(), self.rays, self.config, self.scale, depth_l2=depth_l2)
 
+    @pytest.mark.parametrize("diverging, named", [
+        ({"coarse", "fine"}, "fine"), ({"coarse"}, "coarse"), ({"fine"}, "fine")])
+    def test_a_divergence_names_the_fine_network_first(self, monkeypatch, diverging, named):
+        # The proposal's backward runs first, but its divergence waits for
+        # the fine backward: a non-finite fine field also poisons the hinge.
+        calls, backward = [], nets.backward
+
+        def diverging_backward(graph, *grads):
+            network = "fine" if graph.model.has_phi_head else "coarse"
+            calls.append(network)
+            if network in diverging:
+                raise DivergenceError(f"{network} planted")
+            return backward(graph, *grads)
+
+        monkeypatch.setattr(nets, "backward", diverging_backward)
+        state = tiny_state()
+        before = state.coarse.params.copy(), state.fine.params.copy()
+        with pytest.raises(DivergenceError, match=f"^{named} planted$"):
+            sampler.train_step(state, self.rays, self.config, self.scale)
+        assert calls == ["coarse", "fine"]
+        assert np.array_equal(state.coarse.params, before[0])
+        assert np.array_equal(state.fine.params, before[1])
+
     def test_empty_batch_rejected(self):
         with pytest.raises(InvalidInputError):
             sampler.train_step(tiny_state(), self.rays[np.array([], dtype=int)], self.config,
@@ -506,6 +530,41 @@ class TestTrainStepMatchesTheTape:
         self.check_against_the_tape(monkeypatch, depth_l2, phi_bias, np.float64)
 
 
+def default_batch(config):
+    """``config.batch_rays`` rays from the origin with 0-5 returns each."""
+    rng = np.random.default_rng(config.seed)
+    return make_rays([(rng.normal(size=3), list(rng.uniform(0.5, 9.5, rng.integers(0, 6))))
+                      for _ in range(config.batch_rays)], ids=np.arange(config.batch_rays))
+
+
+def test_a_default_step_holds_two_graphs_and_one_gradient_buffer():
+    # The step's traced peak is at the proposal's backward: both graphs'
+    # stored arrays (features and hidden outputs) plus that backward's one
+    # hidden gradient buffer and the relu masks. A float64 copy of the fine
+    # features, a second gradient buffer, or a fine backward while both
+    # graphs live each goes over the bound. Measured: 30.8 MiB against a
+    # bound of 31.7; with all three, 37.7.
+    config = RunConfig()
+    state = pipeline.models_from_config(config)
+    rays = default_batch(config)
+    sampler.train_step(state, rays, config, SCALE)          # starts the worker thread
+    itemsize = state.fine.params.itemsize
+    coarse_rows = config.batch_rays * config.n_bins
+    fine_rows = config.batch_rays * (config.n_bins + 1 + config.n_fine)
+    width, layers = config.hidden_width, config.hidden_layers
+    stored = sum(n * (model.input_width() + layers * width) * itemsize
+                 for model, n in ((state.coarse, coarse_rows), (state.fine, fine_rows)))
+    buffer = coarse_rows * width * itemsize
+    masks = (coarse_rows + fine_rows) * width
+    tracemalloc.start()
+    try:
+        sampler.train_step(state, rays, config, SCALE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stored + buffer + masks + 2 ** 20, (peak, stored + buffer + masks)
+
+
 class TestFloat32MatchesFloat64:
     """One training step of the program's float32 networks against float64 twins."""
 
@@ -515,9 +574,7 @@ class TestFloat32MatchesFloat64:
         config = RunConfig()
         state32 = pipeline.models_from_config(config)
         state64 = sampler.TrainState.fresh(widened(state32.coarse), widened(state32.fine))
-        rng = np.random.default_rng(config.seed)
-        rays = make_rays([(rng.normal(size=3), list(rng.uniform(0.5, 9.5, rng.integers(0, 6))))
-                          for _ in range(config.batch_rays)], ids=np.arange(config.batch_rays))
+        rays = default_batch(config)
         grads = []
         monkeypatch.setattr(nets, "opt_step", lambda model, grad, *args: grads.append(grad))
         losses32 = sampler.train_step(state32, rays, config, SCALE)

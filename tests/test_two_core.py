@@ -210,6 +210,8 @@ sys.exit(1)
     assert read_blas_threads() == threads
     nets.backward(graph, np.ones_like(sigma))
     assert read_blas_threads() == threads
+    graph = nets.ModelGraph(model)          # a graph takes one backward
+    graph.forward(feats)
     with pytest.raises(DivergenceError):
         nets.backward(graph, np.full_like(sigma, np.nan))
     assert read_blas_threads() == threads
