@@ -10,8 +10,10 @@ the key (exit 2 at the CLI). A key given twice keeps its last value.
 
 Every run hyperparameter has a default; CLI flags override the file, and
 the PLINK_SEED environment variable, when set, overrides the seed last.
-The seed keys every random stream: `entropy_words` turns a stream's key,
-the seed and its indices, into the words that seed it.
+The seed keys every random stream that `stream` builds: weight init
+``(seed, 0xC0A23E)``, coarse first; batch order ``(seed, 0x0BDE4)``;
+training draws ``(seed, ray id, epoch)``; render draws ``(seed, ray id,
+RENDER_STREAM)``; simulated pulses ``(seed, frame, beam, azimuth)``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
+from .net import check_shape
 from .sensor import SensorIntrinsics
 
 # Keys that size arrays, at most the checkpoint header's int32.
@@ -50,6 +53,11 @@ def entropy_words(key) -> np.ndarray:
             n >>= 32
             words.append(n & 0xFFFFFFFF)
     return np.array(words, dtype=np.uint32)
+
+
+def stream(*key) -> np.random.Generator:
+    """The stream keyed on ``key``: the one place a ``SeedSequence`` is built."""
+    return np.random.default_rng(np.random.SeedSequence(entropy_words(key)))
 
 
 @dataclass
@@ -93,7 +101,7 @@ class RunConfig:
         for key in SIZE_KEYS:
             if getattr(self, key) > INT32_MAX:
                 raise ConfigError(f"{key} must be at most {INT32_MAX}")
-        if self.seed < 0:   # numpy's SeedSequence takes no negative entropy
+        if self.seed < 0:   # a stream key takes no negative entry
             raise ConfigError("seed must be at least 0")
         if not (0.0 <= self.alpha <= 1.0):
             raise ConfigError("alpha must lie in [0, 1]")
@@ -103,10 +111,6 @@ class RunConfig:
             raise ConfigError("n_bins must be at least 2, n_fine at least 1")
         if self.epochs < 1 or self.batch_rays < 1 or self.n_frames < 1:
             raise ConfigError("epochs, batch_rays, n_frames must be at least 1")
-        if self.encoding_levels < 0 or self.dir_levels < 0:
-            raise ConfigError("encoding_levels and dir_levels must be at least 0")
-        if self.hidden_width < 1 or self.hidden_layers < 1:
-            raise ConfigError("hidden_width and hidden_layers must be at least 1")
         if self.checkpoint_every < 1 or self.render_draws < 1:
             raise ConfigError("checkpoint_every and render_draws must be at least 1")
         if not (0.0 < self.confidence_level < 1.0):
@@ -119,6 +123,8 @@ class RunConfig:
                                     "strongest-return", "weighted-depth"):
             raise ConfigError(f"unknown render mode {self.render_mode!r}")
         try:
+            check_shape(self.encoding_levels, self.dir_levels, self.hidden_layers,
+                        self.hidden_width)
             intrinsics_from_config(self)
         except InvalidInputError as exc:
             raise ConfigError(str(exc)) from None

@@ -6,8 +6,8 @@ L1 Chamfer distance. The F-score is the harmonic mean of precision and
 recall at a threshold distance. Distances are reported in centimeters.
 
 Nearest neighbors run through a k-d tree with exact queries, so the values
-match an O(n^2) scan to round-off. Clouds are written as ASCII PLY and
-read from PLY or plain ``x y z`` text.
+match an O(n^2) scan to round-off. Clouds are written as ASCII PLY (one
+string, ``repr`` coordinates) and read from PLY or plain ``x y z`` text.
 """
 
 from __future__ import annotations
@@ -93,16 +93,10 @@ def evaluate(gt: PointCloud, synth: PointCloud, threshold_cm: float) -> MetricsR
 
 
 def write_ply(path, cloud: PointCloud) -> None:
+    header = (f"ply\nformat ascii 1.0\nelement vertex {len(cloud)}\n"
+              "property float x\nproperty float y\nproperty float z\nend_header\n")
     with open(path, "w") as fh:
-        fh.write("ply\n")
-        fh.write("format ascii 1.0\n")
-        fh.write(f"element vertex {len(cloud)}\n")
-        fh.write("property float x\n")
-        fh.write("property float y\n")
-        fh.write("property float z\n")
-        fh.write("end_header\n")
-        for x, y, z in cloud.points:
-            fh.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
+        fh.write(header + "".join([f"{x!r} {y!r} {z!r}\n" for x, y, z in cloud.points.tolist()]))
 
 
 def _read_points(path, numbered_lines) -> PointCloud:

@@ -62,8 +62,8 @@ little-endian):
                        hidden_layers, hidden_width, has_phi_head, param_count]
     params  param_count float32 (a float64 model's are rounded to it)
 
-A header with a negative count, a negative level or layer count, a width
-below 1 or a flag other than 0 or 1 is an error naming the file.
+A header with a negative count or level, a layer count or width below 1
+(`check_shape`) or a flag other than 0 or 1 is an error naming the file.
 
 A checkpoint file written by the trainer holds b"PLNKCKPT" + int32 record
 count, then that many model records (coarse first, fine second).
@@ -289,6 +289,15 @@ def _fourier_into(out: np.ndarray, coords: np.ndarray, levels: int, waves: np.nd
     out[:, 3:].reshape(n, levels, 2, 3)[...] = waves.transpose(2, 1, 0, 3)
 
 
+def check_shape(encoding_levels, dir_levels, hidden_layers, hidden_width) -> None:
+    """The network-shape rule, for a `FieldModel` and the run config's keys alike."""
+    shape = (encoding_levels, dir_levels, hidden_layers, hidden_width)
+    if min(encoding_levels, dir_levels) < 0:
+        raise InvalidInputError(f"encoding_levels and dir_levels must be at least 0, not {shape}")
+    if min(hidden_layers, hidden_width) < 1:
+        raise InvalidInputError(f"hidden_width and hidden_layers must be at least 1, not {shape}")
+
+
 def encoded_width(levels: int, dir_levels: int, use_direction: bool) -> int:
     width = 3 + 6 * levels
     if use_direction:
@@ -313,10 +322,7 @@ class FieldModel:
     params: np.ndarray | None
 
     def __post_init__(self):
-        shape = (self.encoding_levels, self.dir_levels, self.hidden_layers, self.hidden_width)
-        if min(shape[:3]) < 0 or self.hidden_width < 1:
-            raise InvalidInputError(f"encoding_levels, dir_levels and hidden_layers must be at "
-                                    f"least 0, hidden_width at least 1, not {shape}")
+        check_shape(self.encoding_levels, self.dir_levels, self.hidden_layers, self.hidden_width)
         if self.use_direction not in (0, 1) or self.has_phi_head not in (0, 1):
             raise InvalidInputError(f"use_direction and has_phi_head must be 0 or 1, not "
                                     f"{self.use_direction} and {self.has_phi_head}")
@@ -463,7 +469,7 @@ def _layers(model: FieldModel, views: list, feats, acts=None):
 
     with _two_core_pass() as parallel:
         _split_run(hidden, parallel, _mlp_rows(model, len(feats)))
-        h = outs[-1] if outs else x
+        h = outs[-1]
         w_s, b_s = views[n_hidden]
         pre_sigma = (h @ w_s + b_s)[:, 0]
         phi = None
@@ -549,8 +555,6 @@ def _mlp_backward(graph: ModelGraph, heads: list, parallel: bool) -> np.ndarray:
         g_w, g_b = grad_views[i]
         np.matmul(h.T, column, out=g_w)
         g_b[...] = column.sum(axis=0)
-    if not n_hidden:
-        return grad
     buffers = h, np.empty_like(h)           # layer i's in buffers[(n_hidden - 1 - i) % 2]
     mask = np.empty(h.shape, dtype=bool)
     axes = _mlp_rows(model, len(h)), _halves(model.hidden_width)

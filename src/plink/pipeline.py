@@ -28,7 +28,7 @@ import numpy as np
 
 from . import net as nets
 from . import sampler
-from .config import RunConfig, fill, intrinsics_from_config, read_sections
+from .config import RunConfig, fill, intrinsics_from_config, read_sections, stream
 from .errors import InvalidInputError, OutOfBoundsError
 # cdf_from_sigma_values is not called here; perfbench/layers.py probes this name.
 from .field import RaySet, bin_masses, cdf_from_sigma_values
@@ -76,19 +76,17 @@ def train_set_from_frames(frames: list, scene: SceneSpec) -> TrainSet:
     scale = to_unit_cube(scene.bounds)
     rays = build_rays(frames)
     # A static dataset's rays are frame 0's; a moving one's run frame by frame.
-    _check_in_bounds(rays.origins, rays.dirs, rays.s_max, scale, frames[0].intrinsics)
+    _check_in_bounds(rays.origins, rays.dirs, scale, frames[0].intrinsics)
     return TrainSet(rays, scale)
 
 
 def check_frames_in_bounds(frames: list, scale: UnitCubeScale) -> None:
     """`_check_in_bounds` over every ray of ``frames``, frame after frame."""
-    _check_in_bounds(*_frame_rays(frames), frames[0].intrinsics.s_max, scale,
-                     frames[0].intrinsics)
+    _check_in_bounds(*_frame_rays(frames), scale, frames[0].intrinsics)
 
 
-def _check_in_bounds(origins: np.ndarray, dirs: np.ndarray, s_max: float,
-                     scale: UnitCubeScale, intrinsics: SensorIntrinsics,
-                     first_frame: int = 0) -> None:
+def _check_in_bounds(origins: np.ndarray, dirs: np.ndarray, scale: UnitCubeScale,
+                     intrinsics: SensorIntrinsics, first_frame: int = 0) -> None:
     """Reject the first ray whose [0, s_max] segment leaves the scene bounds.
 
     ``origins`` and ``dirs`` are (R, 3) world rays, frame after frame and
@@ -96,9 +94,9 @@ def _check_in_bounds(origins: np.ndarray, dirs: np.ndarray, s_max: float,
     every sample point: ``POSITION_BOUND`` in the unit cube, which is the
     cube of the bounds' largest extent, scaled. A cube is convex, so a
     segment is inside when both its ends are. Raises `OutOfBoundsError`
-    naming the frame, beam and azimuth.
+    naming the frame, beam and azimuth. ``s_max`` is the intrinsics'.
     """
-    ends = scale.apply(np.stack([origins, origins + s_max * dirs]))
+    ends = scale.apply(np.stack([origins, origins + intrinsics.s_max * dirs]))
     outside = np.any(np.abs(ends) > nets.POSITION_BOUND, axis=(0, 2))
     if outside.any():
         ray = int(np.argmax(outside))
@@ -106,15 +104,14 @@ def _check_in_bounds(origins: np.ndarray, dirs: np.ndarray, s_max: float,
         beam, azimuth = divmod(cell, intrinsics.azimuth_count)
         raise OutOfBoundsError(
             f"frame {first_frame + frame}, beam {beam}, azimuth {azimuth}: the ray's "
-            f"[0, {s_max:g}] m segment leaves the scene bounds (the cube of their "
+            f"[0, {intrinsics.s_max:g}] m segment leaves the scene bounds (the cube of their "
             f"largest extent)")
 
 
 def models_from_config(config: RunConfig):
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0xC0A23E)))
+    rng = stream(config.seed, 0xC0A23E)
     shape = (config.encoding_levels, config.dir_levels, config.use_direction,
              config.hidden_layers, config.hidden_width)
-    # The coarse model draws from ``rng`` first, then the fine one.
     return sampler.TrainState.fresh(*(
         nets.init_model(nets.FieldModel(*shape, phi_head, None), rng, config.sigma_bias)
         for phi_head in (False, True)))
@@ -128,7 +125,7 @@ def train(train_set: TrainSet, config: RunConfig, depth_l2: bool = False,
     and keeps its handle across a divergence abort, so it can then dump a
     diagnostic checkpoint.
     """
-    order_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x0BDE4)))
+    order_rng = stream(config.seed, 0x0BDE4)
     history = []
     rays = train_set.rays
     for epoch in range(config.epochs):
@@ -149,8 +146,8 @@ def train(train_set: TrainSet, config: RunConfig, depth_l2: bool = False,
 
 # -- rendering --------------------------------------------------------------------
 
-# Stands in for the epoch in rendering's per-ray streams: SeedSequence takes
-# no negative entropy, and no training run reaches this many epochs.
+# Stands in for the epoch in rendering's per-ray streams: a stream key takes
+# no negative entry, and no training run reaches this many epochs.
 RENDER_STREAM = 0x4E4DE2
 
 
@@ -243,8 +240,7 @@ def render_frame_cloud(state: sampler.TrainState, frame: ScanFrame,
     mode or `WEIGHTED_DEPTH`, the depth-L2 baseline's.
     """
     origins, dirs = _frame_rays([frame])
-    _check_in_bounds(origins, dirs, frame.intrinsics.s_max, scale, frame.intrinsics,
-                     frame_index)
+    _check_in_bounds(origins, dirs, scale, frame.intrinsics, frame_index)
     ranges = np.empty((len(origins), config.render_draws if mode == "stochastic" else 1))
     for start in range(0, len(origins), config.batch_rays):
         chunk = slice(start, start + config.batch_rays)
@@ -286,11 +282,12 @@ def _scan_paths(data_dir, first: int = 0):
         _scan_path(data_dir, i) for i in itertools.count(first)))
 
 
-def write_dataset(out_dir, frames: list, path_poses: list) -> None:
-    """A dataset directory that `read_dataset` reads back as ``frames``: an
-    earlier dataset's scans numbered past the last frame are removed."""
+def write_dataset(out_dir, frames: list) -> None:
+    """A dataset directory that `read_dataset` reads back as ``frames``, their poses
+    included; an earlier dataset's scans numbered past the last frame are removed."""
     os.makedirs(out_dir, exist_ok=True)
-    write_poses(os.path.join(out_dir, "poses.csv"), path_poses)
+    write_poses(os.path.join(out_dir, "poses.csv"),
+                [f.start_pose for f in frames] + [frames[-1].end_pose])
     intr = frames[0].intrinsics
     with open(os.path.join(out_dir, "intrinsics.txt"), "w") as fh:
         fh.write("elevations = " + " ".join(repr(float(e)) for e in intr.elevation_angles) + "\n")
@@ -347,5 +344,5 @@ def generate_to_disk(scene_path, pose_path, out_dir, config: RunConfig) -> list:
     path_poses = resample_path(read_poses(pose_path), config.n_frames)
     intr = intrinsics_from_config(config)
     frames = generate_dataset(scene, path_poses, intr, config.seed)
-    write_dataset(out_dir, frames, path_poses)
+    write_dataset(out_dir, frames)
     return frames

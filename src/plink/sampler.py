@@ -34,7 +34,7 @@ import numpy as np
 
 from . import net as nets
 from .errors import DivergenceError, InvalidInputError
-from .config import RunConfig, entropy_words
+from .config import RunConfig, stream
 from .field import (RaySet, bin_masses, bin_masses_vjp, cdf_from_sigma_values, cdf_vjp,
                     trapezoid_deltas)
 from .losses import (LossBreakdown, bce_values, bce_vjp, bin_accumulate, depth_l2_values,
@@ -68,10 +68,11 @@ def histogram_from_coarse(model, origins, dirs, s_max: float, n_bins: int, scale
 
 
 class Proposal(NamedTuple):
-    """Normalized proposal masses (..., n_bins) and the count of uniform rows."""
+    """Masses (..., n_bins) normalized over the bin ``edges``; the count of uniform rows."""
 
     masses: np.ndarray
     degenerate: int
+    edges: np.ndarray
 
 
 def histogram_from_heights(edges: np.ndarray, raw_heights: np.ndarray) -> Proposal:
@@ -85,7 +86,7 @@ def histogram_from_heights(edges: np.ndarray, raw_heights: np.ndarray) -> Propos
     flat = total <= 0.0
     heights = np.where(flat, 1.0 / (edges[-1] - edges[0]),
                        raw_heights * (1.0 / np.where(flat, 1.0, total)))
-    return Proposal(heights * widths, int(np.count_nonzero(flat)))
+    return Proposal(heights * widths, int(np.count_nonzero(flat)), edges)
 
 
 def histogram_vjp(g, raw_heights, edges):
@@ -135,12 +136,12 @@ def fine_grid_rows(fine_points: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 def ray_rng(seed: int, ray_id: int, epoch: int) -> np.random.Generator:
     """Dedicated stream per (seed, ray, epoch); reproducible batch order free."""
-    return np.random.default_rng(np.random.SeedSequence(entropy_words((seed, ray_id, epoch))))
+    return stream(seed, ray_id, epoch)
 
 
-def ray_draws(seed: int, ray_ids, stream: int, n: int) -> np.ndarray:
+def ray_draws(seed: int, ray_ids, epoch: int, n: int) -> np.ndarray:
     """(B, n) uniforms in [0, 1), row i from ray ``ray_ids[i]``'s stream."""
-    return np.stack([ray_rng(seed, int(i), stream).random(n) for i in ray_ids])
+    return np.stack([ray_rng(seed, int(i), epoch).random(n) for i in ray_ids])
 
 
 @dataclass
@@ -163,16 +164,15 @@ def march(state: TrainState, origins: np.ndarray, dirs: np.ndarray, s_max: float
     """Coarse -> proposal -> fine evaluation of a batch of B rays.
 
     ``forward(model, feats) -> (sigma, phi)`` runs a network. The proposal
-    holds one (B, n_bins) array of normalized masses, and ``place(masses,
-    edges) -> (B, n_fine)`` puts every ray's fine points from it at once.
+    holds (B, n_bins) normalized masses and their edges, and ``place(masses,
+    edges) -> (B, n_fine)`` puts every ray's fine points from them at once.
     Returns ``(proposal, grid, deltas, sigma, phi, cdf, survival)``, the
     `Proposal` and then arrays with B rows.
     """
     proposal = histogram_from_coarse(state.coarse, origins, dirs, s_max, n_bins, scale,
                                      forward)
     # Sample positions are constants with respect to both parameter vectors.
-    edges = uniform_bin_edges(s_max, n_bins)
-    grid = fine_grid_rows(place(proposal.masses, edges), edges)     # (B, J)
+    grid = fine_grid_rows(place(proposal.masses, proposal.edges), proposal.edges)   # (B, J)
     deltas = trapezoid_deltas(grid)
     points = origins[:, None, :] + grid[:, :, None] * dirs[:, None, :]
     sigma, phi = forward(state.fine, _encode_batch(state.fine, points, dirs, scale))
@@ -224,8 +224,7 @@ def train_step(state: TrainState, rays: RaySet, config: RunConfig, scale,
     graphs.clear()
 
     # Proposal hinge: fine masses are detached constants (stop gradient).
-    edges = uniform_bin_edges(s_max, config.n_bins)
-    fine_bin_mass = bin_accumulate(sigma_f * deltas, grid, edges)
+    fine_bin_mass = bin_accumulate(sigma_f * deltas, grid, proposal.edges)
     totals = fine_bin_mass.sum(axis=-1, keepdims=True)
     fine_bin_mass = np.where(totals > 1e-12, fine_bin_mass / np.maximum(totals, 1e-300),
                              1.0 / config.n_bins)
@@ -234,7 +233,7 @@ def train_step(state: TrainState, rays: RaySet, config: RunConfig, scale,
     coarse_error = None
     try:
         g_coarse = nets.backward(coarse_graph, histogram_vjp(
-            g_hist, coarse_graph.sigma.reshape(proposal.masses.shape), edges).ravel())
+            g_hist, coarse_graph.sigma.reshape(proposal.masses.shape), proposal.edges).ravel())
     except DivergenceError as exc:
         coarse_error = exc
     del coarse_graph        # its last reference: the fine part runs with one graph alive

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import entropy_words, fill, read_sections
+from .config import fill, read_sections, stream
 from .errors import InvalidInputError
 from .field import CdfTrace, Ray, SampleGrid
 # motion_compensate is not called here; perfbench/layers.py probes this name.
@@ -344,9 +344,9 @@ def generate_dataset(scene: SceneSpec, sensor_path: list, intrinsics: SensorIntr
         ranges[returned] = dist[returned, 0]
         for i in np.flatnonzero((n_hits > 0) & ~certain):
             b, a = divmod(int(i), intrinsics.azimuth_count)
-            rng = np.random.default_rng(np.random.SeedSequence(entropy_words((seed, f, b, a))))
             k = n_hits[i]
-            outcome = _first_reflection(zip(dist[i, :k], probs[i, :k], drops[i, :k]), rng)
+            outcome = _first_reflection(zip(dist[i, :k], probs[i, :k], drops[i, :k]),
+                                        stream(seed, f, b, a))
             if outcome is not None:
                 ranges[i] = outcome
                 returned[i] = True

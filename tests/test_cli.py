@@ -635,17 +635,21 @@ def test_truncated_checkpoint_exits_2(tmp_path, capsys, cut):
 
 # The coarse record's header: levels, dir levels, use_direction, hidden
 # layers, hidden width, has_phi_head and the parameter count. Each would
-# load or misreport without the header checks; hidden_layers = -1 names as
-# many parameters as that shape has, so the length check passes it.
+# load or misreport without the header checks; hidden_layers = -1 and 0
+# name as many parameters as a linear sigma head has, so the length check
+# passes them.
 @pytest.mark.parametrize("header, message", [
     ((8, 2, 1, 2, 16, 0, -12), "parameter count -12 is negative"),
     ((8, 2, 1, -1, 16, 0, nets.encoded_width(8, 2, True) + 1),
-     "hidden_layers must be at least 0, hidden_width at least 1, not (8, 2, -1, 16)"),
-    ((-1, 2, 1, 2, 16, 0, 0), "must be at least 0, hidden_width at least 1, not (-1, 2, 2, 16)"),
-    ((8, 2, 1, 2, 0, 0, 0), "must be at least 0, hidden_width at least 1, not (8, 2, 2, 0)"),
+     "hidden_width and hidden_layers must be at least 1, not (8, 2, -1, 16)"),
+    ((8, 2, 1, 0, 16, 0, nets.encoded_width(8, 2, True) + 1),
+     "hidden_width and hidden_layers must be at least 1, not (8, 2, 0, 16)"),
+    ((-1, 2, 1, 2, 16, 0, 0),
+     "encoding_levels and dir_levels must be at least 0, not (-1, 2, 2, 16)"),
+    ((8, 2, 1, 2, 0, 0, 0), "hidden_width and hidden_layers must be at least 1, not (8, 2, 2, 0)"),
     ((8, 2, 2, 2, 16, 0, 0), "use_direction and has_phi_head must be 0 or 1, not 2 and 0"),
     ((8, 2, 1, 2, 16, 2, 0), "use_direction and has_phi_head must be 0 or 1, not 1 and 2"),
-], ids=["negative-count", "negative-layers", "negative-levels", "zero-width",
+], ids=["negative-count", "negative-layers", "zero-layers", "negative-levels", "zero-width",
         "use-direction-flag", "phi-head-flag"])
 def test_bad_checkpoint_header_exits_2(tmp_path, capsys, header, message):
     ckpt, cfg = checkpoint_and_config(tmp_path)

@@ -49,3 +49,27 @@ def test_empty_cloud_rejected():
     with pytest.raises(InvalidInputError):
         metrics.evaluate(metrics.PointCloud(np.empty((0, 3))),
                          metrics.PointCloud(np.ones((2, 3))), 20.0)
+
+
+def line_by_line_ply(path, points):
+    """The PLY writer as it was: one write per header line and per vertex."""
+    with open(path, "w") as fh:
+        fh.write("ply\n")
+        fh.write("format ascii 1.0\n")
+        fh.write(f"element vertex {len(points)}\n")
+        for axis in "xyz":
+            fh.write(f"property float {axis}\n")
+        fh.write("end_header\n")
+        for x, y, z in points:
+            fh.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
+
+
+@pytest.mark.parametrize("points", [
+    np.empty((0, 3)),
+    np.array([[5e-324, -0.0, 1e16], [-1e16, 0.0, -5e-324], [0.1, 1.0 / 3.0, 12.5]]),
+], ids=["empty", "extremes"])
+def test_write_ply_writes_the_line_by_line_bytes(tmp_path, points):
+    metrics.write_ply(tmp_path / "got.ply", metrics.PointCloud(points))
+    line_by_line_ply(tmp_path / "want.ply", points)
+    assert (tmp_path / "got.ply").read_bytes() == (tmp_path / "want.ply").read_bytes()
+    np.testing.assert_array_equal(metrics.read_ply(tmp_path / "got.ply").points, points)

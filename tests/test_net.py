@@ -10,7 +10,7 @@ import pytest
 from plink import autodiff as ad
 from plink import net as nets
 from plink.config import RunConfig
-from plink.errors import (CorruptedModelError, DivergenceError,
+from plink.errors import (ConfigError, CorruptedModelError, DivergenceError,
                           InvalidInputError, OutOfBoundsError)
 from tests.tape_head import tape_backward
 
@@ -176,6 +176,30 @@ class TestModel:
         expected = (d * 8 + 8) + (8 * 8 + 8) + (8 * 1 + 1) + (8 * 1 + 1)
         assert model.param_count() == expected
         assert model.params.size == expected
+
+    # (encoding_levels, dir_levels, hidden_layers, hidden_width), each at
+    # and just past its bound.
+    @pytest.mark.parametrize("shape, ok", [
+        ((2, 1, 1, 8), True), ((2, 1, 0, 8), False),
+        ((2, 1, 2, 1), True), ((2, 1, 2, 0), False),
+        ((0, 1, 2, 8), True), ((-1, 1, 2, 8), False),
+        ((2, 0, 2, 8), True), ((2, -1, 2, 8), False),
+    ])
+    def test_config_and_model_take_the_same_shapes(self, shape, ok):
+        levels, dir_levels, layers, width = shape
+        config = RunConfig(encoding_levels=levels, dir_levels=dir_levels, hidden_layers=layers,
+                           hidden_width=width)
+        verdicts = []
+        for build, error in ((config.validate, ConfigError),
+                             (lambda: nets.FieldModel(levels, dir_levels, True, layers, width,
+                                                      True, None), InvalidInputError)):
+            try:
+                build()
+                verdicts.append(True)
+            except error as exc:
+                assert re.search(r"must be at least [01], not \(", str(exc))
+                verdicts.append(False)
+        assert verdicts == [ok, ok]
 
     def test_parameters_keep_a_float32_or_float64_dtype(self):
         shape = (2, 1, True, 2, 8, True)

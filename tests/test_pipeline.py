@@ -7,6 +7,7 @@ reference for the batched march and picker.
 """
 
 import hashlib
+import pathlib
 import re
 from dataclasses import dataclass, replace
 
@@ -14,11 +15,13 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import plink
 from plink import net as nets
 from plink import pipeline, sampler, sensor, simscene
 from plink.config import RunConfig
 from plink.errors import InvalidInputError, OutOfBoundsError
-from plink.field import Ray, bin_masses, cdf_from_sigma_values, trapezoid_deltas
+from plink.field import Ray, RaySet, bin_masses, cdf_from_sigma_values, trapezoid_deltas
+from plink.losses import LossBreakdown
 from tests.test_field import inverse_transform_sample, render_confidence
 from tests.test_sensor import IDENTITY, frame_fractions, oracle_poses
 
@@ -191,10 +194,9 @@ class TestDatasetFiles:
 
     def test_stale_scans_past_the_last_frame_are_removed(self, tmp_path):
         frames = dataset("moving_path.csv", 4)
-        path = [frames[0].start_pose] + [frame.end_pose for frame in frames]
-        pipeline.write_dataset(tmp_path, frames, path)
+        pipeline.write_dataset(tmp_path, frames)
         (tmp_path / "scan_0009.csv").write_bytes((tmp_path / "scan_0003.csv").read_bytes())
-        pipeline.write_dataset(tmp_path, frames[:2], path[:3])
+        pipeline.write_dataset(tmp_path, frames[:2])
         # scan_0009 follows a gap, so reading the dataset never reaches it.
         assert sorted(p.name for p in tmp_path.glob("scan_*.csv")) == [
             "scan_0000.csv", "scan_0001.csv", "scan_0009.csv"]
@@ -475,3 +477,53 @@ class TestRenderPicker:
         grid, cdf, q_hat, _ = picker_rows(3)
         with pytest.raises(InvalidInputError):
             pipeline.render_ray(grid, cdf, q_hat, "brightest", level=0.5, peak_threshold=0.05)
+
+
+class TestStreams:
+    """Every random stream the pipeline draws from, pinned to its key."""
+
+    @staticmethod
+    def oracle_params(model, rng, sigma_bias):
+        """He init per layer in layout order: zero biases but the sigma head's."""
+        parts = []
+        for i, (w_shape, b_shape) in enumerate(model.layer_shapes()):
+            parts.append(rng.normal(0.0, np.sqrt(2.0 / w_shape[0]), size=w_shape).ravel())
+            parts.append(np.full(b_shape, sigma_bias if i == model.hidden_layers else 0.0))
+        return np.concatenate(parts).astype(np.float32)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 + 5])
+    def test_weights_come_from_the_init_stream_coarse_first(self, seed):
+        config = RunConfig(seed=seed, encoding_levels=2, dir_levels=1, hidden_layers=2,
+                           hidden_width=8, sigma_bias=-1.5).validate()
+        state = pipeline.models_from_config(config)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0A23E)))
+        for model in (state.coarse, state.fine):
+            want = self.oracle_params(model, rng, config.sigma_bias)
+            assert model.params.dtype == np.float32
+            np.testing.assert_array_equal(model.params, want)
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**40 + 1])
+    def test_batch_order_comes_from_the_order_stream(self, seed, monkeypatch):
+        n_rays, epochs = 11, 4
+        dirs = np.tile([1.0, 0.0, 0.0], (n_rays, 1))
+        rays = RaySet(np.zeros((n_rays, 3)), dirs, np.full((n_rays, 1), 2.0), 5.0)
+        seen = []
+
+        def step(state, batch, config, scale, epoch, depth_l2):
+            seen.append((epoch, batch.ids.tolist()))
+            return LossBreakdown(0.0, 0.0, 0.0, config.alpha)
+
+        monkeypatch.setattr(sampler, "train_step", step)
+        config = RunConfig(seed=seed, epochs=epochs, batch_rays=4).validate()
+        pipeline.train(pipeline.TrainSet(rays, None), config, state=None)
+        oracle = np.random.default_rng(np.random.SeedSequence((seed, 0x0BDE4)))
+        for epoch in range(epochs):
+            order = oracle.permutation(n_rays).tolist()
+            assert seen[3 * epoch:3 * epoch + 3] == [
+                (epoch, order[0:4]), (epoch, order[4:8]), (epoch, order[8:])]
+        assert len(seen) == 3 * epochs
+
+    def test_only_config_builds_a_seed_sequence(self):
+        package = pathlib.Path(plink.__file__).parent
+        holders = sorted(p.name for p in package.glob("*.py") if "SeedSequence" in p.read_text())
+        assert holders == ["config.py"]
