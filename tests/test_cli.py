@@ -4,8 +4,10 @@ training and clouds byte-identical to those of train, baseline and render;
 eval and compare on empty clouds, bad config files and flags, malformed or
 undecodable dataset, path and cloud files, rays that leave the scene
 bounds, truncated checkpoints and bad checkpoint headers, diverged runs,
-the PLINK_SEED override and the ``python -m plink.cli`` entry point."""
+the PLINK_SEED override, the ``python -m plink.cli`` entry point, and scipy
+loaded by a metric only."""
 
+import json
 import os
 import struct
 import subprocess
@@ -55,6 +57,13 @@ def run(capsys, *argv):
     code = cli.main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh_env():
+    """The environment for a fresh interpreter that imports plink from this tree."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 def write_config(root, text):
@@ -710,9 +719,7 @@ def test_the_module_entry_point_exits_2_with_one_error_line(tmp_path):
     good, bad = tmp_path / "good.xyz", tmp_path / "bad.ply"
     good.write_text("0 0 0\n")
     bad.write_bytes(BINARY_PLY)
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = fresh_env()
     env.pop("PLINK_SEED", None)
     proc = subprocess.run([sys.executable, "-m", "plink.cli", "eval", "--gt", str(good),
                            "--synth", str(bad)], capture_output=True, text=True, env=env,
@@ -721,6 +728,46 @@ def test_the_module_entry_point_exits_2_with_one_error_line(tmp_path):
     assert proc.stdout == "" and "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"error: {bad}: cannot read: ")
     assert len(proc.stderr.splitlines()) == 1
+
+
+FRESH_PROCESS = """
+import contextlib, io, json, sys
+import plink, plink.cli as cli
+
+cfg, scene, path, root = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["gen", "--path", path, "--out", root + "/data"],
+                 ["train", "--data", root + "/data", "--out", root + "/train"],
+                 ["render", "--checkpoint", root + "/train/model.ckpt",
+                  "--poses", root + "/data/poses.csv", "--out", root + "/render"]):
+        assert cli.main(argv + ["--config", cfg, "--scene", scene]) == 0, argv
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+table = io.StringIO()
+with contextlib.redirect_stdout(table):
+    code = cli.main(["eval", "--config", cfg, "--gt", root + "/render/cloud_0000.ply",
+                     "--synth", root + "/render/cloud_0001.ply"])
+print(json.dumps({"before": before, "code": code, "table": table.getvalue(),
+                  "spatial": "scipy.spatial" in sys.modules}))
+"""
+
+
+def test_only_a_metric_loads_scipy(tmp_path, capsys):
+    # A fresh interpreter runs gen, train and render without importing
+    # scipy; its first metric, in eval, imports the k-d tree and scores as
+    # an in-process eval does.
+    cfg = write_config(tmp_path, TRAINED)
+    proc = subprocess.run([sys.executable, "-c", FRESH_PROCESS, str(cfg), SCENE, PATH,
+                           str(tmp_path)], capture_output=True, text=True, env=fresh_env(),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    fresh = json.loads(proc.stdout)
+    assert fresh["before"] == []
+    assert fresh["code"] == cli.EXIT_OK and fresh["spatial"]
+    render = tmp_path / "render"
+    code, table, _ = run(capsys, "eval", "--config", cfg, "--gt", render / "cloud_0000.ply",
+                         "--synth", render / "cloud_0001.ply")
+    assert code == cli.EXIT_OK and "nan" not in table
+    assert fresh["table"] == table
 
 
 def test_readme_quickstart_is_what_ci_runs():
