@@ -34,8 +34,7 @@ Exit codes:
   and an OS error on a file.
 * 3: training divergence.
 * 1, with a traceback: an internal error. `main` catches only the errors
-  above, so any other exception propagates out of it. A missing scipy is
-  one, and only in eval and compare, which import it at their first metric.
+  above, so any other exception propagates out of it.
 """
 
 from __future__ import annotations

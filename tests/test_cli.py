@@ -4,8 +4,8 @@ training and clouds byte-identical to those of train, baseline and render;
 eval and compare on empty clouds, bad config files and flags, malformed or
 undecodable dataset, path and cloud files, rays that leave the scene
 bounds, truncated checkpoints and bad checkpoint headers, diverged runs,
-the PLINK_SEED override, the ``python -m plink.cli`` entry point, and scipy
-loaded by a metric only."""
+the PLINK_SEED override, the ``python -m plink.cli`` entry point, and gen,
+train, render and eval in an interpreter where scipy cannot be imported."""
 
 import json
 import os
@@ -447,13 +447,15 @@ BINARY_PLY = (b"ply\nformat binary_little_endian 1.0\nelement vertex 1\nproperty
      "bad.ply line 9: could not convert"),
     ("bad.ply", "ply\nformat ascii 1.0\nelement vertex x\nend_header\n",
      "bad.ply line 3: bad vertex count"),
-    ("bad.ply", "ply\nformat ascii 1.0\nelement vertex 3\nend_header\n1 2 3\n",
+    ("bad.ply", "ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
+     "property float y\nproperty float z\nend_header\n1 2 3\n",
      "bad.ply: header declares 3 vertices, found 1"),
     ("bad.xyz", "1 2 3\n\n1 2\n", "bad.xyz line 3: expected x y z, got 2 values"),
     ("bad.xyz", "1 2 q\n", "bad.xyz line 1: could not convert"),
     ("bad.xyz", "1 2 3\nnan 0 0\n", "bad.xyz line 2: point nan 0 0 is not finite"),
-    ("bad.ply", "ply\nformat ascii 1.0\nelement vertex 2\nend_header\n1 2 3\n4 inf 6\n",
-     "bad.ply line 6: point 4 inf 6 is not finite"),
+    ("bad.ply", "ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
+     "property float y\nproperty float z\nend_header\n1 2 3\n4 inf 6\n",
+     "bad.ply line 9: point 4 inf 6 is not finite"),
     ("bad.ply", "ply\nformat ascii 1.0\nelement vertex -1\nend_header\n",
      "bad.ply line 3: bad vertex count"),
     ("bad.ply", "ply\nformat binary_little_endian 1.0\nelement vertex 0\nend_header\n",
@@ -461,9 +463,15 @@ BINARY_PLY = (b"ply\nformat binary_little_endian 1.0\nelement vertex 1\nproperty
     ("bad.ply", BINARY_PLY, "bad.ply: cannot read: 'utf-8' codec can't decode"),
     ("bad.xyz", "1 2 3\n4 5 6 # caf\xe9\n".encode("latin-1"),
      "bad.xyz: cannot read: 'utf-8' codec can't decode"),
+    ("bad.ply", "ply\nformat ascii 1.0\nelement vertex 1\nproperty float intensity\n"
+     "property float x\nproperty float y\nproperty float z\nend_header\n0.5 1 2 3\n",
+     "bad.ply line 4: vertex properties must begin x y z, got intensity"),
+    ("bad.ply", "ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
+     "property float y\nend_header\n1 2 3\n",
+     "bad.ply line 6: vertex properties must begin x y z, got x y"),
 ], ids=["ply-vertex-not-a-number", "ply-vertex-count", "ply-short", "xyz-two-values",
         "xyz-not-a-number", "xyz-nan", "ply-inf", "ply-negative-count", "ply-binary-format",
-        "ply-binary", "xyz-latin-1"])
+        "ply-binary", "xyz-latin-1", "ply-intensity-first", "ply-only-x-y"])
 def test_malformed_cloud_file_exits_2(tmp_path, capsys, name, text, message):
     cfg = write_config(tmp_path, UNDER_TRAINED)
     good, bad = tmp_path / "good.xyz", tmp_path / name
@@ -730,9 +738,10 @@ def test_the_module_entry_point_exits_2_with_one_error_line(tmp_path):
     assert len(proc.stderr.splitlines()) == 1
 
 
-FRESH_PROCESS = """
-import contextlib, io, json, sys
-import plink, plink.cli as cli
+NO_SCIPY = """
+import contextlib, io, sys
+sys.modules["scipy"] = None     # any scipy import now raises ImportError
+import plink.cli as cli
 
 cfg, scene, path, root = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
@@ -741,33 +750,24 @@ with contextlib.redirect_stdout(io.StringIO()):
                  ["render", "--checkpoint", root + "/train/model.ckpt",
                   "--poses", root + "/data/poses.csv", "--out", root + "/render"]):
         assert cli.main(argv + ["--config", cfg, "--scene", scene]) == 0, argv
-before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-table = io.StringIO()
-with contextlib.redirect_stdout(table):
-    code = cli.main(["eval", "--config", cfg, "--gt", root + "/render/cloud_0000.ply",
-                     "--synth", root + "/render/cloud_0001.ply"])
-print(json.dumps({"before": before, "code": code, "table": table.getvalue(),
-                  "spatial": "scipy.spatial" in sys.modules}))
+sys.exit(cli.main(["eval", "--config", cfg, "--gt", root + "/render/cloud_0000.ply",
+                   "--synth", root + "/render/cloud_0001.ply"]))
 """
 
 
-def test_only_a_metric_loads_scipy(tmp_path, capsys):
-    # A fresh interpreter runs gen, train and render without importing
-    # scipy; its first metric, in eval, imports the k-d tree and scores as
-    # an in-process eval does.
+def test_no_command_loads_scipy(tmp_path, capsys):
+    # A fresh interpreter in which importing scipy fails runs gen, train,
+    # render and eval, and eval prints the in-process eval's table.
     cfg = write_config(tmp_path, TRAINED)
-    proc = subprocess.run([sys.executable, "-c", FRESH_PROCESS, str(cfg), SCENE, PATH,
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(cfg), SCENE, PATH,
                            str(tmp_path)], capture_output=True, text=True, env=fresh_env(),
                           timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    fresh = json.loads(proc.stdout)
-    assert fresh["before"] == []
-    assert fresh["code"] == cli.EXIT_OK and fresh["spatial"]
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
     render = tmp_path / "render"
     code, table, _ = run(capsys, "eval", "--config", cfg, "--gt", render / "cloud_0000.ply",
                          "--synth", render / "cloud_0001.ply")
     assert code == cli.EXIT_OK and "nan" not in table
-    assert fresh["table"] == table
+    assert proc.stdout == table
 
 
 def test_readme_quickstart_is_what_ci_runs():

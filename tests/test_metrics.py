@@ -1,41 +1,46 @@
-"""Cloud metrics: the k-d tree distances against a brute-force O(N*M) scan."""
+"""Cloud metrics: the exact nearest-neighbor scan against scipy's k-d tree,
+bit for bit, across block edges, coincident points, 1-point clouds and far
+offsets; PLY round trips and vertex property names."""
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from plink import metrics
 from plink.errors import InvalidInputError
 
 
-def brute_nn(queries, targets):
-    """Nearest-target distance of every query by the full distance matrix."""
-    diff = queries[:, None, :] - targets[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=-1)).min(axis=1)
-
-
-def brute_report(gt, synth, threshold_cm):
-    to_synth = brute_nn(gt, synth)
-    to_gt = brute_nn(synth, gt)
-    threshold_m = threshold_cm / 100.0
-    precision = np.mean(to_gt <= threshold_m) * 100.0
-    recall = np.mean(to_synth <= threshold_m) * 100.0
-    f = 0.0 if precision + recall == 0.0 else 2 * precision * recall / (precision + recall)
-    return to_synth.mean() * 100.0, to_gt.mean() * 100.0, f
+def tree_nn(queries, targets):
+    """Nearest-target distance of every query by scipy's k-d tree."""
+    return cKDTree(targets).query(queries, k=1)[0]
 
 
 @pytest.mark.parametrize("seed, n_gt, n_synth, threshold_cm", [
-    (0, 200, 150, 20.0), (1, 57, 300, 5.0), (2, 1, 40, 50.0), (3, 120, 1, 1.0)])
+    (0, 200, 150, 20.0), (1, 57, 300, 5.0), (2, 1, 40, 50.0), (3, 120, 1, 1.0),
+    pytest.param(4, 3, metrics.SCAN_PAIRS + 1, 2.0, id="one-row-blocks"),
+    pytest.param(5, 2 * (metrics.SCAN_PAIRS // 1000) + 5, 1000, 10.0, id="short-last-block"),
+    pytest.param(6, 1, 1, 1.0, id="one-point-each"),
+])
 def test_kd_tree_matches_brute_force(seed, n_gt, n_synth, threshold_cm):
     rng = np.random.default_rng(seed)
     gt = rng.uniform(-2.0, 2.0, size=(n_gt, 3))
-    synth = gt[rng.integers(0, n_gt, n_synth)] + rng.normal(0.0, 0.1, size=(n_synth, 3))
-    report = metrics.evaluate(metrics.PointCloud(gt), metrics.PointCloud(synth), threshold_cm)
-    completion, accuracy, f_score = brute_report(gt, synth, threshold_cm)
-    assert report.completion_cm == pytest.approx(completion, rel=1e-12)
-    assert report.accuracy_cm == pytest.approx(accuracy, rel=1e-12)
-    assert report.chamfer_l1_cm == pytest.approx(0.5 * (completion + accuracy), rel=1e-12)
-    assert report.f_score_pct == pytest.approx(f_score, rel=1e-12)
-    assert report.threshold_cm == threshold_cm
+    noise = rng.normal(0.0, 0.1, size=(n_synth, 3))
+    noise[::2] = 0.0                                # coincident points
+    synth = gt[rng.integers(0, n_gt, n_synth)] + noise
+    for offset_m in (0.0, 1e6):
+        g, s = gt + offset_m, synth + offset_m
+        to_synth, to_gt = metrics._nn_distances(metrics.PointCloud(g), metrics.PointCloud(s))
+        want_to_synth, want_to_gt = tree_nn(g, s), tree_nn(s, g)
+        assert np.array_equal(to_synth, want_to_synth)
+        assert np.array_equal(to_gt, want_to_gt)
+        assert to_gt[0] == 0.0
+        report = metrics.evaluate(metrics.PointCloud(g), metrics.PointCloud(s), threshold_cm)
+        assert report.completion_cm == float(np.mean(want_to_synth)) * 100.0
+        assert report.accuracy_cm == float(np.mean(want_to_gt)) * 100.0
+        precision = float(np.mean(want_to_gt <= threshold_cm / 100.0)) * 100.0
+        recall = float(np.mean(want_to_synth <= threshold_cm / 100.0)) * 100.0
+        assert report.f_score_pct == 2.0 * precision * recall / (precision + recall)
+        assert report.threshold_cm == threshold_cm
 
 
 def test_identical_clouds_score_perfectly():
@@ -73,3 +78,13 @@ def test_write_ply_writes_the_line_by_line_bytes(tmp_path, points):
     line_by_line_ply(tmp_path / "want.ply", points)
     assert (tmp_path / "got.ply").read_bytes() == (tmp_path / "want.ply").read_bytes()
     np.testing.assert_array_equal(metrics.read_ply(tmp_path / "got.ply").points, points)
+
+
+def test_read_ply_reads_only_the_vertex_element_properties(tmp_path):
+    path = tmp_path / "mesh.ply"
+    path.write_text("ply\nformat ascii 1.0\nelement face 0\n"
+                    "property list uchar int vertex_indices\nelement vertex 2\n"
+                    "property float x\nproperty float y\nproperty float z\n"
+                    "property float intensity\nelement edge 0\nproperty int vertex1\n"
+                    "end_header\n1 2 3 0.5\n4 5 6 0.25\n")
+    np.testing.assert_array_equal(metrics.read_ply(path).points, [[1, 2, 3], [4, 5, 6]])
