@@ -29,29 +29,14 @@ gradient is bit-identical to one (up to the sign of a zero: relu gives
 `backward` returns the flat gradient as a plain array, after checking it
 is finite; `opt_step` takes that array.
 
-Each encoding and each MLP pass (forward, for inference or training, and
-backward) holds numpy's OpenBLAS at one thread, restoring its count after,
-and splits its work in two halves: one runs on the calling thread and one
-on a single worker thread (`_split_run`). Every full-batch array is
-allocated on the caller and each half writes its slice of it. An op splits
-only along an axis that leaves each output element's arithmetic as it was:
-rows for row-wise work (the encoding, each layer's matmul, bias and relu,
-the relu mask, the heads' part of the last hidden gradient, and
-``g @ w.T``), output columns for the sums over rows (the weight gradient
-``input.T @ g[:, c]`` and the bias gradient). The heads' (N, 1) products
-stay whole on the caller: split, they round differently. An MLP pass
-splits only when each half's smallest GEMM has more than ``SMALL_GEMM``
-multiply-adds, since below that OpenBLAS may take its small-matrix kernel
-for a half and not for the whole (on SkylakeX, ``g @ w.T`` split at 4-37
-rows rounded differently). So a pass gives what it gives unsplit at one
-BLAS thread. Unsplit at two BLAS threads, two products round differently
-at most row counts: OpenBLAS's threaded GEMM blocks the weight gradient's
-row sum otherwise in its tail, and its threaded GEMV the heads' products.
-At the benchmark's 4,096 and 8,256 rows the two agree. A pass that cannot
-use the worker runs whole, on the caller: when the process may use fewer
-than two CPUs, or when the thread count cannot be set (and the passes
-then run at the process's count). Passes from several threads run one at
-a time. Measured on 2 CPUs only: more CPUs still get one worker.
+Every pass runs whole, at whatever thread count numpy's OpenBLAS has.
+Outputs are byte-deterministic for a given seed, numpy and OpenBLAS
+build, CPU kernel and OpenBLAS thread count: two runs in one process give
+equal bytes. Threaded OpenBLAS blocks two products otherwise than its
+one-thread kernels do: the weight gradient's sum over rows, in its GEMM
+tail, and the heads' products, in its GEMV. At the benchmark's 4,096 and
+8,256 rows one and two threads agree; at other row counts they can
+differ in the last bits.
 
 `FieldModel`'s shape fields are the run config's network keys, and the
 checkpoint header holds them in field order (single model record,
@@ -71,14 +56,7 @@ count, then that many model records (coarse first, fine second).
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
-import glob
-import os
 import struct
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -89,9 +67,6 @@ from .errors import (CorruptedModelError, DivergenceError, InvalidInputError,
 MODEL_MAGIC = b"PLNKFLD1"
 CHECKPOINT_MAGIC = b"PLNKCKPT"
 POSITION_BOUND = 1.001
-# Each half of a split GEMM has more multiply-adds than this: OpenBLAS takes
-# its small-matrix kernels at or below 100^3, and they round differently.
-SMALL_GEMM = 100 ** 3
 
 
 def sigmoid(a: np.ndarray) -> np.ndarray:
@@ -103,114 +78,6 @@ def sigmoid(a: np.ndarray) -> np.ndarray:
 def softplus(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     return np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a)))
-
-
-# -- two-core split ----------------------------------------------------------------
-
-
-class _Worker:
-    """The one worker thread of the split passes, started at its first use in a process."""
-
-    def __init__(self):
-        self.lock = threading.Lock()      # one pass runs at a time
-        self._pool = None
-        self._pid = None
-
-    def submit(self, fn):
-        if self._pid != os.getpid():      # a forked child has no worker thread
-            self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="plink-net")
-            self._pid = os.getpid()
-        return self._pool.submit(fn)
-
-
-_WORKER = _Worker()
-
-
-def _cpus() -> int:
-    """CPUs the process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-@functools.cache
-def _blas_threads():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
-
-    The same library lookup as perfbench's ``blas_threads``; None when no
-    library there exposes both functions.
-    """
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
-                               ("openblas_", "")):
-            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-@contextlib.contextmanager
-def _two_core_pass():
-    """One pass at a time, with OpenBLAS at one thread inside and its count restored after.
-
-    Yields whether the pass may put a half on the worker: not when the process
-    may use fewer than two CPUs or the count cannot be set; the pass then runs whole.
-    """
-    with _WORKER.lock:
-        blas = _blas_threads()
-        if blas is None:
-            yield False
-            return
-        get, put = blas
-        threads = get()
-        put(1)
-        try:
-            yield _cpus() >= 2
-        finally:
-            put(threads)
-
-
-def _halves(n: int):
-    """range(n) as two slices of at least 2 each, or None when it is too short."""
-    m = n // 2
-    return (slice(0, m), slice(m, n)) if m >= 2 else None
-
-
-def _split_run(work, parallel: bool, *axes) -> None:
-    """Run ``work`` whole, or over both halves of each axis with one half on the worker.
-
-    Each axis is a pair of slices from `_halves`, or None when it does not
-    split. Without ``parallel``, or when an axis does not split, ``work``
-    runs once, on the caller, over whole axes. Otherwise
-    ``work(*firsts)`` runs on the worker, under the caller's numpy error
-    settings, while the caller runs ``work(*seconds)``. The caller waits
-    for the worker's half before it returns or raises, its own error first.
-    """
-    if not parallel or None in axes:
-        work(*[slice(None)] * len(axes))
-        return
-    firsts, seconds = zip(*axes)
-    errors = np.geterr()
-
-    def first():
-        with np.errstate(**errors):
-            work(*firsts)
-
-    future = _WORKER.submit(first)
-    try:
-        work(*seconds)
-    finally:
-        future.exception()                # waits for the worker's half
-    future.result()
 
 
 def encode(positions, directions, levels: int, dir_levels: int,
@@ -227,8 +94,7 @@ def encode(positions, directions, levels: int, dir_levels: int,
 
     Directions come one per position, or one per ray: B rows for N = B*J
     positions, where row i serves positions i*J ... (i+1)*J - 1. Per-ray
-    directions are encoded once and repeated. The rays split in two halves
-    (`_split_run`); every value is elementwise, so the split changes none.
+    directions are encoded once and repeated.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     if np.any(np.abs(positions) > POSITION_BOUND):
@@ -236,45 +102,32 @@ def encode(positions, directions, levels: int, dir_levels: int,
     n = positions.shape[0]
     pos_width = encoded_width(levels, 0, False)
     out = np.empty((n, encoded_width(levels, dir_levels, directions is not None)), dtype)
-    waves = np.empty((2, levels, n, 3))
-    rays = n
+    _fourier_into(out[:, :pos_width], positions, levels)
     if directions is not None:
         directions = np.atleast_2d(np.asarray(directions, dtype=float))
         rays = directions.shape[0]
         if rays == 0 or n % rays:
             raise InvalidInputError("directions must come per position or per ray")
         per_ray = np.empty((rays, out.shape[1] - pos_width), dtype)
-        dir_waves = np.empty((2, dir_levels, rays, 3))
-    span = n // max(rays, 1)
-
-    def encode_rays(part):
-        lo, hi = part.indices(rays)[:2]
-        rows = slice(lo * span, hi * span)
-        _fourier_into(out[rows, :pos_width], positions[rows], levels, waves[:, :, rows])
-        if directions is not None:
-            _fourier_into(per_ray[lo:hi], directions[lo:hi], dir_levels,
-                          dir_waves[:, :, lo:hi])
-            out[rows, pos_width:].reshape(hi - lo, span, -1)[...] = per_ray[lo:hi, None, :]
-
-    with _two_core_pass() as parallel:
-        _split_run(encode_rays, parallel, _halves(rays))
+        _fourier_into(per_ray, directions, dir_levels)
+        out[:, pos_width:].reshape(rays, n // rays, -1)[...] = per_ray[:, None, :]
     return out
 
 
-def _fourier_into(out: np.ndarray, coords: np.ndarray, levels: int, waves: np.ndarray) -> None:
+def _fourier_into(out: np.ndarray, coords: np.ndarray, levels: int) -> None:
     """Write [coords, sin, cos at each level] into the (n, 3 + 6*levels) block.
 
     Level 0 is one sin and one cos of pi * coords. Each next level doubles
     the angle, sin 2a = 2 sin a cos a and cos 2a = (cos a - sin a)(cos a + sin a),
     so level k is within about 2^k * 2e-16 of np.sin and np.cos of
-    2^k pi coords. The levels are built in the caller's (2, levels, n, 3)
-    scratch ``waves``, whose (n, 3) blocks are contiguous, and written
-    through one (n, levels, 2, 3) view of the output.
+    2^k pi coords. The levels are built as contiguous (levels, n, 3) blocks
+    and written through one (n, levels, 2, 3) view of the output.
     """
     n = coords.shape[0]
     out[:, :3] = coords
     if not levels:
         return
+    waves = np.empty((2, levels, n, 3))
     sin, cos = waves
     np.multiply(coords, np.pi, out=cos[0])
     np.sin(cos[0], out=sin[0])
@@ -421,17 +274,6 @@ class ModelGraph:
         return self.sigma, phi
 
 
-def _mlp_rows(model: FieldModel, n: int):
-    """Row halves of an n-row pass of ``model``, or None when it runs whole.
-
-    It splits when each half's smallest GEMM, by rows or by output
-    columns, has more than ``SMALL_GEMM`` multiply-adds.
-    """
-    width = model.hidden_width
-    smallest = (n // 2) * (width // 2) * min(model.input_width(), width)
-    return _halves(n) if width >= 4 and smallest > SMALL_GEMM else None
-
-
 def _layers(model: FieldModel, views: list, feats, acts=None):
     """The MLP on plain arrays: (sigma head pre-activation, float64 phi-or-None).
 
@@ -441,41 +283,30 @@ def _layers(model: FieldModel, views: list, feats, acts=None):
     hidden activation. Each layer is one matmul, then the bias add and
     relu, ``np.maximum(z, 0.0)``, in place on its result: for a float64
     model, the values a tape-recorded MLP computes, with +0.0 where its
-    ``z * (z > 0)`` gives -0.0. The hidden layers run in row halves, the
-    heads whole.
+    ``z * (z > 0)`` gives -0.0.
     """
     n_hidden = model.hidden_layers
     dtype = model.params.dtype
-    feats = np.asarray(feats)
-    x = feats if feats.dtype == dtype else np.empty(feats.shape, dtype)
-    shape = (len(feats), model.hidden_width)
+    x = np.asarray(feats, dtype=dtype)
+    shape = (len(x), model.hidden_width)
     if acts is None:        # inference alternates between two buffers
         pair = [np.empty(shape, dtype) for _ in range(min(n_hidden, 2))]
         outs = [pair[i % 2] for i in range(n_hidden)]
     else:
         outs = [np.empty(shape, dtype) for _ in range(n_hidden)]
         acts[:] = [x] + outs
-
-    def hidden(rows):
-        if x is not feats:
-            x[rows] = feats[rows]
-        h = x
-        for (w, b), out in zip(views[:n_hidden], outs):
-            z = out[rows]
-            np.matmul(h[rows], w, out=z)
-            np.add(z, b, out=z)
-            np.maximum(z, 0.0, out=z)
-            h = out
-
-    with _two_core_pass() as parallel:
-        _split_run(hidden, parallel, _mlp_rows(model, len(feats)))
-        h = outs[-1]
-        w_s, b_s = views[n_hidden]
-        pre_sigma = (h @ w_s + b_s)[:, 0]
-        phi = None
-        if model.has_phi_head:
-            w_p, b_p = views[n_hidden + 1]
-            phi = np.asarray((h @ w_p + b_p)[:, 0], dtype=np.float64)
+    h = x
+    for (w, b), out in zip(views[:n_hidden], outs):
+        np.matmul(h, w, out=out)
+        np.add(out, b, out=out)
+        np.maximum(out, 0.0, out=out)
+        h = out
+    w_s, b_s = views[n_hidden]
+    pre_sigma = (h @ w_s + b_s)[:, 0]
+    phi = None
+    if model.has_phi_head:
+        w_p, b_p = views[n_hidden + 1]
+        phi = np.asarray((h @ w_p + b_p)[:, 0], dtype=np.float64)
     return pre_sigma, phi
 
 
@@ -515,8 +346,7 @@ def backward(graph: ModelGraph, g_sigma: np.ndarray, g_phi=None) -> np.ndarray:
         if np.any(np.isinf(column) & np.isfinite(g)):
             network = "fine" if model.has_phi_head else "coarse"
             raise DivergenceError(f"the {network} {name} head's gradient overflows {dtype}")
-    with _two_core_pass() as parallel:
-        gradient = _mlp_backward(graph, columns, parallel)
+    gradient = _mlp_backward(graph, columns)
     if not np.all(np.isfinite(gradient)):
         bad = int(np.flatnonzero(~np.isfinite(gradient))[0])
         raise DivergenceError(f"gradient contains non-finite entries, first at "
@@ -524,7 +354,7 @@ def backward(graph: ModelGraph, g_sigma: np.ndarray, g_phi=None) -> np.ndarray:
     return gradient
 
 
-def _mlp_backward(graph: ModelGraph, heads: list, parallel: bool) -> np.ndarray:
+def _mlp_backward(graph: ModelGraph, heads: list) -> np.ndarray:
     """Flat parameter gradient from the heads' (N,) pre-activation gradients, sigma first.
 
     Each step rounds as the vjp a tape-recorded MLP would run, so for a
@@ -535,15 +365,10 @@ def _mlp_backward(graph: ModelGraph, heads: list, parallel: bool) -> np.ndarray:
     place; bias gradients as sums over rows and weight gradients as
     ``input.T @ g``. The input features get none.
 
-    The heads' gradients are taken whole. Then one split runs the heads'
-    part of the last hidden gradient and its mask by rows, and one per
-    hidden layer, last first, its weight and bias gradients by output
-    columns beside the next hidden gradient, ``g @ w.T`` and its mask, by
-    rows. The last hidden gradient is written over the last hidden
-    activation, once the heads' weight gradients have read it and each
-    row's relu mask is taken: layer i's output gradient lives there when
-    ``n_hidden - 1 - i`` is even and in one spare buffer when it is odd.
-    ``parallel`` is the pass's, as `_split_run` takes it.
+    The last hidden gradient is written over the last hidden activation,
+    once the heads' weight gradients have read it and its relu mask is
+    taken: layer i's output gradient lives there when ``n_hidden - 1 - i``
+    is even and in one spare buffer when it is odd.
     """
     model, views, acts = graph.model, graph.views, graph.acts
     grad = np.empty(model.param_count(), dtype=model.params.dtype)
@@ -556,35 +381,22 @@ def _mlp_backward(graph: ModelGraph, heads: list, parallel: bool) -> np.ndarray:
         np.matmul(h.T, column, out=g_w)
         g_b[...] = column.sum(axis=0)
     buffers = h, np.empty_like(h)           # layer i's in buffers[(n_hidden - 1 - i) % 2]
-    mask = np.empty(h.shape, dtype=bool)
-    axes = _mlp_rows(model, len(h)), _halves(model.hidden_width)
-
-    def masked(g, i, rows):
-        """Layer i's output gradient on ``rows``, times its relu mask."""
-        np.greater(acts[i + 1][rows], 0.0, out=mask[rows])
-        np.multiply(g[rows], mask[rows], out=g[rows])
-
-    def heads_part(rows):
-        g, part = buffers
-        np.greater(h[rows], 0.0, out=mask[rows])     # before g overwrites h
-        np.multiply(columns[0][rows], views[n_hidden][0].T, out=g[rows])
-        for j in range(1, len(columns)):
-            np.multiply(columns[j][rows], views[n_hidden + j][0].T, out=part[rows])
-            np.add(g[rows], part[rows], out=g[rows])
-        np.multiply(g[rows], mask[rows], out=g[rows])
-
-    def layer(i, rows, cols):
-        g, g_w, g_b = buffers[(n_hidden - 1 - i) % 2], *grad_views[i]
-        np.matmul(acts[i].T, g[:, cols], out=g_w[:, cols])
-        np.sum(g[:, cols], axis=0, out=g_b[cols])
+    g, part = buffers
+    mask = np.greater(h, 0.0)               # before g overwrites h
+    np.multiply(columns[0], views[n_hidden][0].T, out=g)
+    for j in range(1, len(columns)):
+        np.multiply(columns[j], views[n_hidden + j][0].T, out=part)
+        np.add(g, part, out=g)
+    np.multiply(g, mask, out=g)
+    for i in reversed(range(n_hidden)):
+        g, (g_w, g_b) = buffers[(n_hidden - 1 - i) % 2], grad_views[i]
+        np.matmul(acts[i].T, g, out=g_w)
+        np.sum(g, axis=0, out=g_b)
         if i:
             g_in = buffers[(n_hidden - i) % 2]
-            np.matmul(g[rows], views[i][0].T, out=g_in[rows])
-            masked(g_in, i - 1, rows)
-
-    _split_run(heads_part, parallel, axes[0])
-    for i in reversed(range(n_hidden)):
-        _split_run(functools.partial(layer, i), parallel, *axes)
+            np.matmul(g, views[i][0].T, out=g_in)
+            np.greater(acts[i], 0.0, out=mask)
+            np.multiply(g_in, mask, out=g_in)
     return grad
 
 

@@ -469,9 +469,14 @@ BINARY_PLY = (b"ply\nformat binary_little_endian 1.0\nelement vertex 1\nproperty
     ("bad.ply", "ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
      "property float y\nend_header\n1 2 3\n",
      "bad.ply line 6: vertex properties must begin x y z, got x y"),
+    ("bad.ply", "ply\nformat ascii 1.0\nelement face many\n"
+     "property list uchar int vertex_indices\nelement vertex 1\nproperty float x\n"
+     "property float y\nproperty float z\nend_header\n3 0 1 2\n7 8 9\n",
+     "bad.ply line 3: bad element count"),
 ], ids=["ply-vertex-not-a-number", "ply-vertex-count", "ply-short", "xyz-two-values",
         "xyz-not-a-number", "xyz-nan", "ply-inf", "ply-negative-count", "ply-binary-format",
-        "ply-binary", "xyz-latin-1", "ply-intensity-first", "ply-only-x-y"])
+        "ply-binary", "xyz-latin-1", "ply-intensity-first", "ply-only-x-y",
+        "ply-earlier-element-count"])
 def test_malformed_cloud_file_exits_2(tmp_path, capsys, name, text, message):
     cfg = write_config(tmp_path, UNDER_TRAINED)
     good, bad = tmp_path / "good.xyz", tmp_path / name

@@ -2,6 +2,8 @@
 bit for bit, across block edges, coincident points, 1-point clouds and far
 offsets; PLY round trips and vertex property names."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -41,6 +43,16 @@ def test_kd_tree_matches_brute_force(seed, n_gt, n_synth, threshold_cm):
         recall = float(np.mean(want_to_synth <= threshold_cm / 100.0)) * 100.0
         assert report.f_score_pct == 2.0 * precision * recall / (precision + recall)
         assert report.threshold_cm == threshold_cm
+
+
+def test_clouds_too_far_apart_to_square_are_inf_apart_without_a_warning():
+    gt, synth = np.array([[1e200, 0.0, 0.0]]), np.zeros((1, 3))
+    assert np.array_equal(tree_nn(gt, synth), [np.inf])
+    assert np.array_equal(tree_nn(synth, gt), [np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        to_synth, to_gt = metrics._nn_distances(metrics.PointCloud(gt), metrics.PointCloud(synth))
+    assert np.array_equal(to_synth, [np.inf]) and np.array_equal(to_gt, [np.inf])
 
 
 def test_identical_clouds_score_perfectly():
@@ -88,3 +100,12 @@ def test_read_ply_reads_only_the_vertex_element_properties(tmp_path):
                     "property float intensity\nelement edge 0\nproperty int vertex1\n"
                     "end_header\n1 2 3 0.5\n4 5 6 0.25\n")
     np.testing.assert_array_equal(metrics.read_ply(path).points, [[1, 2, 3], [4, 5, 6]])
+
+
+def test_read_ply_skips_the_rows_of_elements_before_the_vertex_element(tmp_path):
+    path = tmp_path / "face_first.ply"
+    path.write_text("ply\nformat ascii 1.0\nelement face 1\n"
+                    "property list uchar int vertex_indices\nelement vertex 1\n"
+                    "property float x\nproperty float y\nproperty float z\n"
+                    "end_header\n3 0 1 2\n7 8 9\n")
+    np.testing.assert_array_equal(metrics.read_ply(path).points, [[7, 8, 9]])

@@ -2,6 +2,8 @@
 
 import re
 import struct
+import sys
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -224,9 +226,9 @@ class TestModel:
         assert all(a.dtype == np.float64 for a in nets.forward(model, feats))
 
     def test_float32_model_gives_the_same_bytes_from_float32_and_float64_features(self):
-        # The program's shape and the benchmark's coarse row count: the
-        # passes split, and float32 features are the first layer's input as
-        # they are, where float64 ones are cast in a copy.
+        # The program's shape and the benchmark's coarse row count: float32
+        # features are the first layer's input as they are, where float64
+        # ones are cast in a copy.
         model = make_model(8, 2, 4, 128, True, rng=13)
         rng = np.random.default_rng(13)
         feats64 = nets.encode(rng.uniform(-1, 1, (4096, 3)), rng.normal(size=(64, 3)),
@@ -633,3 +635,57 @@ def test_field_model_shape_fields_are_run_config_keys():
     config_keys = {f.name: f.type for f in fields(RunConfig)}
     for f in fields(nets.FieldModel)[:-2]:
         assert config_keys.get(f.name) == f.type, f.name
+
+
+def outputs(model, n, rays, seed):
+    """Every array an encoding and the MLP passes write, for n points on ``rays`` rays."""
+    rng = np.random.default_rng(seed)
+    feats = nets.encode(rng.uniform(-1.0, 1.0, (n, 3)), rng.normal(size=(rays, 3)),
+                        model.encoding_levels, model.dir_levels, model.params.dtype)
+    sigma_i, phi_i = nets.forward(model, feats)
+    graph = nets.ModelGraph(model)
+    sigma, phi = graph.forward(feats)
+    grad = nets.backward(graph, rng.normal(size=n) * 1e-2, rng.normal(size=n) * 1e-2)
+    return [feats, sigma_i, phi_i, sigma, phi, *graph.acts, grad]
+
+
+def assert_all_equal(got, expected):
+    assert len(got) == len(expected)
+    for i, (a, b) in enumerate(zip(got, expected)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), i
+
+
+@pytest.mark.parametrize("dtype, n, rays", [
+    (np.float32, 8256, 64),     # the benchmark's fine and coarse passes
+    (np.float32, 4096, 64),
+    (np.float64, 1001, 7),      # odd rows, float64
+], ids=["f32-8256", "f32-4096", "f64-1001"])
+def test_repeated_passes_in_one_process_are_byte_identical(dtype, n, rays):
+    # Bytes may depend on OpenBLAS's thread count, but not on the run.
+    model = make_model(8, 2, 4, 128, True, rng=n, sigma_bias=-1.0, dtype=dtype)
+    first = outputs(model, n, rays, seed=n)
+    assert_all_equal(outputs(model, n, rays, seed=n), first)
+
+
+def test_passes_from_four_threads_each_equal_a_lone_pass():
+    model = make_model(8, 2, 2, 64, True, rng=11, sigma_bias=-1.0)
+    expected = outputs(model, 1024, 16, seed=11)
+    results, interval = [], sys.getswitchinterval()
+
+    def passes():
+        for _ in range(25):
+            results.append(outputs(model, 1024, 16, seed=11))
+
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=passes) for _ in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(results) == 100
+    for got in results:
+        assert_all_equal(got, expected)

@@ -17,7 +17,7 @@ import numpy as np
 
 import plink
 import plink.autodiff  # noqa: F401  perfbench's replacements patch its Tensor
-from plink import net, pipeline, sampler, sensor
+from plink import pipeline, sampler, sensor
 from plink.config import RunConfig
 from plink.field import RaySet
 
@@ -68,17 +68,10 @@ def test_every_probe_resolves_and_the_layers_are_recorded(monkeypatch):
     replaced = layers.replacements(plink, tracer)
     for owner, attr, _ in replaced:
         assert hasattr(owner, attr), attr
-    # Split even the tiny network's passes, and count the worker's halves.
-    monkeypatch.setattr(net, "SMALL_GEMM", 0)
-    halves, submit = [], net._WORKER.submit
-    monkeypatch.setattr(net._WORKER, "submit", lambda job: halves.append(job) or submit(job))
     with spans.installed(tracer, table, replaced):
         _, sizes = tiny_run(monkeypatch)
     assert sizes == [5, 2]      # min(batch_rays, R) and the remainder
-    # The worker thread runs halves of passes and no probed function, so
-    # every span, and the time perfbench gives each layer, is the caller's.
-    if net._cpus() >= 2 and net._blas_threads() is not None:
-        assert halves
+    # Every span, and the time perfbench gives each layer, is the caller's.
     assert {span.thread for span in tracer.spans} == {threading.get_ident()}
     recorded = {span.name for span in tracer.spans}
     for name in ("sampler.train_step", "pipeline.evaluate_ray", "pipeline.render_ray",

@@ -547,7 +547,7 @@ def test_a_default_step_holds_two_graphs_and_one_gradient_buffer():
     config = RunConfig()
     state = pipeline.models_from_config(config)
     rays = default_batch(config)
-    sampler.train_step(state, rays, config, SCALE)          # starts the worker thread
+    sampler.train_step(state, rays, config, SCALE)          # warm-up, outside the trace
     itemsize = state.fine.params.itemsize
     coarse_rows = config.batch_rays * config.n_bins
     fine_rows = config.batch_rays * (config.n_bins + 1 + config.n_fine)
