@@ -1,8 +1,7 @@
 """Command-line pipeline driver.
 
 Subcommands: gen, train, render, baseline, eval, compare. Flags override
-config-file values; the PLINK_SEED environment variable overrides the seed
-last. All outputs are deterministic given the seed.
+config-file values. All outputs are deterministic given the seed.
 
 Outputs, in ``--out``:
 

@@ -8,8 +8,7 @@ the default. Numbers must be finite. An unknown section or key, a mistyped
 value and a missing required key are errors naming the file, the line and
 the key (exit 2 at the CLI). A key given twice keeps its last value.
 
-Every run hyperparameter has a default; CLI flags override the file, and
-the PLINK_SEED environment variable, when set, overrides the seed last.
+Every run hyperparameter has a default; CLI flags override the file.
 The seed keys every random stream that `stream` builds: weight init
 ``(seed, 0xC0A23E)``, coarse first; batch order ``(seed, 0x0BDE4)``;
 training draws ``(seed, ray id, epoch)``; render draws ``(seed, ray id,
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -232,10 +230,4 @@ def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:
         if not hasattr(config, key):
             raise ConfigError(f"unknown override {key!r}")
         setattr(config, key, value)
-    seed_env = os.environ.get("PLINK_SEED")
-    if seed_env is not None:
-        try:
-            config.seed = int(seed_env)
-        except ValueError:
-            raise ConfigError(f"PLINK_SEED must be an integer, got {seed_env!r}") from None
     return config

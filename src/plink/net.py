@@ -61,8 +61,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (CorruptedModelError, DivergenceError, InvalidInputError,
-                     OutOfBoundsError)
+from .errors import DivergenceError, InvalidInputError
 
 MODEL_MAGIC = b"PLNKFLD1"
 CHECKPOINT_MAGIC = b"PLNKCKPT"
@@ -98,7 +97,7 @@ def encode(positions, directions, levels: int, dir_levels: int,
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     if np.any(np.abs(positions) > POSITION_BOUND):
-        raise OutOfBoundsError("encoded positions must lie inside the unit cube")
+        raise InvalidInputError("encoded positions must lie inside the unit cube")
     n = positions.shape[0]
     pos_width = encoded_width(levels, 0, False)
     out = np.empty((n, encoded_width(levels, dir_levels, directions is not None)), dtype)
@@ -313,7 +312,7 @@ def _layers(model: FieldModel, views: list, feats, acts=None):
 def forward(model: FieldModel, feats: np.ndarray):
     """Inference pass on plain arrays; returns (sigma, phi-or-None)."""
     if np.isnan(model.params).any():
-        raise CorruptedModelError("model parameters contain NaN")
+        raise InvalidInputError("model parameters contain NaN")
     pre_sigma, phi = _layers(model, model.param_views(), feats)
     return softplus(pre_sigma), phi
 

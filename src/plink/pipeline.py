@@ -29,7 +29,7 @@ import numpy as np
 from . import net as nets
 from . import sampler
 from .config import RunConfig, fill, intrinsics_from_config, read_sections, stream
-from .errors import InvalidInputError, OutOfBoundsError
+from .errors import InvalidInputError
 # cdf_from_sigma_values is not called here; perfbench/layers.py probes this name.
 from .field import RaySet, bin_masses, cdf_from_sigma_values
 from .losses import pooled_drop_values
@@ -93,7 +93,7 @@ def _check_in_bounds(origins: np.ndarray, dirs: np.ndarray, scale: UnitCubeScale
     beam-major within a frame. The test is the one `net.encode` applies to
     every sample point: ``POSITION_BOUND`` in the unit cube, which is the
     cube of the bounds' largest extent, scaled. A cube is convex, so a
-    segment is inside when both its ends are. Raises `OutOfBoundsError`
+    segment is inside when both its ends are. Raises `InvalidInputError`
     naming the frame, beam and azimuth. ``s_max`` is the intrinsics'.
     """
     ends = scale.apply(np.stack([origins, origins + intrinsics.s_max * dirs]))
@@ -102,7 +102,7 @@ def _check_in_bounds(origins: np.ndarray, dirs: np.ndarray, scale: UnitCubeScale
         ray = int(np.argmax(outside))
         frame, cell = divmod(ray, intrinsics.n_beams * intrinsics.azimuth_count)
         beam, azimuth = divmod(cell, intrinsics.azimuth_count)
-        raise OutOfBoundsError(
+        raise InvalidInputError(
             f"frame {first_frame + frame}, beam {beam}, azimuth {azimuth}: the ray's "
             f"[0, {intrinsics.s_max:g}] m segment leaves the scene bounds (the cube of their "
             f"largest extent)")
@@ -320,6 +320,10 @@ def read_dataset(data_dir) -> list:
         raise InvalidInputError(
             f"{poses_path}: the pose sidecar is shorter than the scan list: {len(poses)} "
             f"poses for {len(scans)} scans, which need {len(scans) + 1}")
+    if len(poses) > len(scans) + 1:
+        raise InvalidInputError(
+            f"{poses_path}: {len(poses)} poses need {len(poses) - 1} scans, but "
+            f"{_scan_path(data_dir, len(scans))} is missing")
     return [read_scan(path, intr, poses[i], poses[i + 1]) for i, path in enumerate(scans)]
 
 

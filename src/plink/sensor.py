@@ -7,8 +7,9 @@ model is natively spherical; no planar reprojection is ever performed.
 On-disk formats:
   scan file   CSV with columns beam_idx, azimuth_idx, range_m, drop_flag,
               t_offset_s (range_m is meaningless where drop_flag == 0)
-  pose file   CSV with columns t_s, tx, ty, tz, qw, qx, qy, qz: a pose writes
-              back the quaternion it was read with, not one rebuilt from a matrix
+  pose file   CSV with columns t_s, tx, ty, tz, qw, qx, qy, qz, each t_s later
+              than the row before's: a pose writes back the quaternion it was
+              read with, not one rebuilt from a matrix
 
 The writers give these exact bytes: the header row (the column names
 above), then one row per beam and azimuth (beam-major) or per pose, fields
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidFrameError, InvalidInputError
+from .errors import InvalidInputError
 
 # 2**-511: below it the squared norm is subnormal, and normalising loses precision.
 MIN_QUAT_NORM = float(np.sqrt(np.finfo(float).tiny))
@@ -152,7 +153,7 @@ def ray_directions(intrinsics: SensorIntrinsics, frame: ScanFrame):
     """
     start, end = frame.start_pose, frame.end_pose
     if end.timestamp <= start.timestamp:
-        raise InvalidFrameError("end pose must be later than the start pose")
+        raise InvalidInputError("end pose must be later than the start pose")
     fractions = (frame.sample_times() - start.timestamp) / (end.timestamp - start.timestamp)
     quaternions, translations = motion_compensate(start, end, fractions)
     # At rest every step has the start pose, whose matrix is already built.
@@ -313,8 +314,17 @@ def write_poses(path, poses: list) -> None:
 
 
 def read_poses(path) -> list:
-    def parse(row):  # a bad number, or a pose that Pose rejects, is a ValueError
-        t, *values = (float(v) for v in row)
-        return Pose(np.array(values[3:]), np.array(values[:3]), t)
+    """A pose file's poses, each later than the row before."""
+    poses = []
 
-    return list(_csv_rows(path, POSE_HEADER, parse))
+    def parse(row):  # a bad number, a pose that Pose rejects or one out of time order
+        t, *values = (float(v) for v in row)
+        pose = Pose(np.array(values[3:]), np.array(values[:3]), t)
+        if poses and t <= poses[-1].timestamp:
+            raise ValueError(f"time {t!r} is not later than the previous row's "
+                             f"{poses[-1].timestamp!r}")
+        return pose
+
+    for pose in _csv_rows(path, POSE_HEADER, parse):
+        poses.append(pose)
+    return poses

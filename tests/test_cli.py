@@ -4,8 +4,9 @@ training and clouds byte-identical to those of train, baseline and render;
 eval and compare on empty clouds, bad config files and flags, malformed or
 undecodable dataset, path and cloud files, rays that leave the scene
 bounds, truncated checkpoints and bad checkpoint headers, diverged runs,
-the PLINK_SEED override, the ``python -m plink.cli`` entry point, and gen,
-train, render and eval in an interpreter where scipy cannot be imported."""
+the seed flag, the exit code of each error class, the ``python -m
+plink.cli`` entry point, and gen, train, render and eval in an interpreter
+where scipy cannot be imported."""
 
 import json
 import os
@@ -16,9 +17,9 @@ import sys
 import numpy as np
 import pytest
 
-from plink import cli, metrics, net as nets, pipeline, sampler, simscene
+from plink import cli, errors, metrics, net as nets, pipeline, sampler, simscene
 from plink.config import RunConfig, load_config
-from plink.errors import ConfigError, DivergenceError
+from plink.errors import ConfigError, DivergenceError, InvalidInputError
 
 SCENE = simscene.builtin_scene_path("panel_room.txt")
 PATH = simscene.builtin_scene_path("moving_path.csv")
@@ -34,11 +35,6 @@ epochs = 2
 """
 # Enough training for the drop gate to open, so the clouds have points.
 TRAINED = UNDER_TRAINED.replace("epochs = 2", "epochs = 10\nlr = 0.01")
-
-
-@pytest.fixture(autouse=True)
-def no_seed_override(monkeypatch):
-    monkeypatch.delenv("PLINK_SEED", raising=False)
 
 
 def tree_bytes(root):
@@ -234,15 +230,12 @@ def test_bad_config_exits_2(tmp_path, capsys, text, message):
     assert not (tmp_path / "data").exists()
 
 
-@pytest.mark.parametrize("argv, env", [
-    (["gen", "--path", PATH, "--seed", "-1"], None),
-    (["train", "--data", "no_data", "--seed", "-3"], None),
-    (["gen", "--path", PATH], "-1"),
+@pytest.mark.parametrize("argv", [
+    ["gen", "--path", PATH, "--seed", "-1"],
+    ["train", "--data", "no_data", "--seed", "-3"],
 ])
-def test_negative_seed_exits_2(tmp_path, capsys, monkeypatch, argv, env):
-    # A flag or PLINK_SEED reaches validate past the file reader.
-    if env is not None:
-        monkeypatch.setenv("PLINK_SEED", env)
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    # A flag reaches validate past the file reader.
     cfg = write_config(tmp_path, UNDER_TRAINED)
     code, _, err = run(capsys, *argv, "--config", cfg, "--scene", SCENE,
                        "--out", tmp_path / "out")
@@ -283,7 +276,7 @@ def test_bad_eval_threshold_exits_2(tmp_path, capsys, threshold):
     assert err == "invalid config: threshold_cm must be positive and finite\n"
 
 
-def test_plink_seed_beats_config_file_and_flag(tmp_path, capsys, monkeypatch):
+def test_seed_flag_beats_config_file(tmp_path, capsys):
     cfg = write_config(tmp_path, UNDER_TRAINED + "seed = 5\n")
 
     def gen(out, *flags):
@@ -293,13 +286,9 @@ def test_plink_seed_beats_config_file_and_flag(tmp_path, capsys, monkeypatch):
 
     args = cli.build_parser().parse_args(["gen", "--config", str(cfg), "--seed", "6"])
     assert cli.resolve_config(args).seed == 6
-    plain = gen(tmp_path / "seed7", "--seed", "7")
-    monkeypatch.setenv("PLINK_SEED", "7")
-    assert cli.resolve_config(args).seed == 7
-    overridden = gen(tmp_path / "env7", "--seed", "6")
-    monkeypatch.delenv("PLINK_SEED")
-    assert overridden == plain
-    assert gen(tmp_path / "seed6", "--seed", "6") != plain
+    from_file = gen(tmp_path / "file")
+    assert gen(tmp_path / "seed5", "--seed", "5") == from_file
+    assert gen(tmp_path / "seed6", "--seed", "6") != from_file
 
 
 @pytest.mark.parametrize("name, line, bad, message", [
@@ -335,6 +324,10 @@ def test_plink_seed_beats_config_file_and_flag(tmp_path, capsys, monkeypatch):
      "poses.csv row 3: pose translation and timestamp must be finite"),
     ("poses.csv", 4, "inf,0,0,0,1,0,0,0",
      "poses.csv row 4: pose translation and timestamp must be finite"),
+    ("poses.csv", 3, "0.0,0,0,0,1,0,0,0",
+     "poses.csv row 3: time 0.0 is not later than the previous row's 0.0"),
+    ("poses.csv", 4, "0.5,0,0,0,1,0,0,0",
+     "poses.csv row 4: time 0.5 is not later than the previous row's 1.0"),
 ])
 def test_malformed_dataset_file_exits_2(tmp_path, capsys, name, line, bad, message):
     cfg = write_config(tmp_path, UNDER_TRAINED)
@@ -368,6 +361,20 @@ def test_train_reads_only_the_latest_gen(tmp_path, capsys, monkeypatch):
     assert [len(frames) for frames in read] == [2]
 
 
+def test_missing_middle_scan_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, UNDER_TRAINED)
+    data = tmp_path / "data"
+    assert run(capsys, "gen", "--config", cfg, "--scene", SCENE, "--path", PATH,
+               "--frames", 4, "--out", data)[0] == cli.EXIT_OK
+    (data / "scan_0001.csv").unlink()
+    code, _, err = run(capsys, "train", "--config", cfg, "--scene", SCENE, "--data", data,
+                       "--out", tmp_path / "train")
+    assert code == cli.EXIT_CONFIG
+    assert err == (f"error: {data / 'poses.csv'}: 5 poses need 4 scans, but "
+                   f"{data / 'scan_0001.csv'} is missing\n")
+    assert not (tmp_path / "train").exists()
+
+
 @pytest.mark.parametrize("name", ["poses.csv", "scan_0000.csv"])
 def test_undecodable_dataset_file_exits_2(tmp_path, capsys, name):
     cfg = write_config(tmp_path, UNDER_TRAINED)
@@ -394,7 +401,10 @@ def test_undecodable_dataset_file_exits_2(tmp_path, capsys, name):
      "path.csv: cannot read: "),
     (b"t_s,tx,ty,tz,qw,qx,qy,qz\n0.0," + b"1" * 200_000 + b",0,0,1,0,0,0\n",
      "path.csv: cannot read: field larger than field limit"),
-], ids=["nan-translation", "inf-timestamp", "nan-timestamp", "not-utf-8", "field-too-long"])
+    (b"t_s,tx,ty,tz,qw,qx,qy,qz\n2.0,0,0,0,1,0,0,0\n0.0,1,0,0,1,0,0,0\n",
+     "path.csv row 3: time 0.0 is not later than the previous row's 2.0"),
+], ids=["nan-translation", "inf-timestamp", "nan-timestamp", "not-utf-8", "field-too-long",
+        "backwards"])
 def test_bad_path_file_exits_2(tmp_path, capsys, body, message):
     path = tmp_path / "path.csv"
     path.write_bytes(body)
@@ -727,16 +737,34 @@ def test_an_internal_error_propagates_out_of_main(monkeypatch):
         cli.main(["gen"])
 
 
+def test_main_maps_every_error_class():
+    subclasses = {value for value in vars(errors).values() if isinstance(value, type)
+                  and issubclass(value, errors.PlinkError) and value is not errors.PlinkError}
+    assert subclasses == {ConfigError, InvalidInputError, DivergenceError}
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (ConfigError, cli.EXIT_CONFIG, "invalid config: "),
+    (InvalidInputError, cli.EXIT_CONFIG, "error: "),
+    (DivergenceError, cli.EXIT_DIVERGED, "training diverged: "),
+    (OSError, cli.EXIT_CONFIG, "error: "),
+])
+def test_each_error_class_has_one_exit_code(monkeypatch, capsys, error, code, prefix):
+    def failing(args):
+        raise error("reason")
+
+    monkeypatch.setitem(cli.COMMANDS, "gen", failing)
+    assert run(capsys, "gen") == (code, "", f"{prefix}reason\n")
+
+
 def test_the_module_entry_point_exits_2_with_one_error_line(tmp_path):
     # ``python -m plink.cli``: a malformed cloud is one error line, not a traceback.
     good, bad = tmp_path / "good.xyz", tmp_path / "bad.ply"
     good.write_text("0 0 0\n")
     bad.write_bytes(BINARY_PLY)
-    env = fresh_env()
-    env.pop("PLINK_SEED", None)
     proc = subprocess.run([sys.executable, "-m", "plink.cli", "eval", "--gt", str(good),
-                           "--synth", str(bad)], capture_output=True, text=True, env=env,
-                          timeout=60)
+                           "--synth", str(bad)], capture_output=True, text=True,
+                          env=fresh_env(), timeout=60)
     assert proc.returncode == cli.EXIT_CONFIG
     assert proc.stdout == "" and "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"error: {bad}: cannot read: ")

@@ -12,8 +12,7 @@ import pytest
 from plink import autodiff as ad
 from plink import net as nets
 from plink.config import RunConfig
-from plink.errors import (ConfigError, CorruptedModelError, DivergenceError,
-                          InvalidInputError, OutOfBoundsError)
+from plink.errors import ConfigError, DivergenceError, InvalidInputError
 from tests.tape_head import tape_backward
 
 
@@ -112,7 +111,7 @@ class TestEncode:
         assert nets.encoded_width(8, 2, True) == 66
 
     def test_out_of_cube_rejected(self):
-        with pytest.raises(OutOfBoundsError):
+        with pytest.raises(InvalidInputError, match="inside the unit cube"):
             nets.encode(np.array([[1.2, 0.0, 0.0]]), None, levels=2, dir_levels=0)
 
     def test_matches_concatenated_blocks(self):
@@ -259,7 +258,7 @@ class TestModel:
         model.params[10] = np.nan
         feats = nets.encode(np.zeros((1, 3)), np.array([[1.0, 0, 0]]),
                             model.encoding_levels, model.dir_levels)
-        with pytest.raises(CorruptedModelError):
+        with pytest.raises(InvalidInputError, match="contain NaN"):
             nets.forward(model, feats)
 
     def test_graph_and_inference_agree(self):

@@ -19,7 +19,7 @@ import plink
 from plink import net as nets
 from plink import pipeline, sampler, sensor, simscene
 from plink.config import RunConfig
-from plink.errors import InvalidInputError, OutOfBoundsError
+from plink.errors import InvalidInputError
 from plink.field import Ray, RaySet, bin_masses, cdf_from_sigma_values, trapezoid_deltas
 from plink.losses import LossBreakdown
 from tests.test_field import inverse_transform_sample, render_confidence
@@ -143,7 +143,7 @@ class TestBoundsCheck:
         scale = sensor.to_unit_cube(scene.bounds)
         frame, beam, azimuth = oracle_first_outside(frames, scale)
         assert frame == 1
-        with pytest.raises(OutOfBoundsError, match=re.escape(
+        with pytest.raises(InvalidInputError, match=re.escape(
                 f"frame 1, beam {beam}, azimuth {azimuth}: the ray's [0, 20] m segment")):
             pipeline.train_set_from_frames(frames, scene)
 
@@ -162,7 +162,7 @@ class TestBoundsCheck:
         config = RunConfig(n_bins=4, n_fine=4, hidden_width=8, hidden_layers=1,
                            encoding_levels=2, dir_levels=1)
         state = pipeline.models_from_config(config)
-        with pytest.raises(OutOfBoundsError, match=re.escape(
+        with pytest.raises(InvalidInputError, match=re.escape(
                 f"frame 5, beam {beam}, azimuth {azimuth}:")):
             pipeline.render_frame_cloud(state, frames[1], train_set.scale, config,
                                         "stochastic", frame_index=5)

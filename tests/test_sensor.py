@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from plink import pipeline, sensor, simscene
-from plink.errors import InvalidFrameError, InvalidInputError
+from plink.errors import InvalidInputError
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -205,7 +205,7 @@ class TestRayDirections:
     def test_end_pose_must_be_later(self):
         frame = moving_frame()
         frame.end_pose.timestamp = frame.start_pose.timestamp
-        with pytest.raises(InvalidFrameError):
+        with pytest.raises(InvalidInputError, match="end pose must be later"):
             sensor.ray_directions(frame.intrinsics, frame)
 
     def test_directions_are_unit(self):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from plink import sensor, simscene
-from plink.errors import InvalidFrameError, InvalidInputError
+from plink.errors import InvalidInputError
 from plink.field import Ray
 from plink.pipeline import resample_path
 
@@ -358,7 +358,7 @@ class TestGenerateDataset:
     def test_empty_scene_still_rejects_a_path_that_runs_backwards(self):
         scene = simscene.SceneSpec([], ([-1.0] * 3, [1.0] * 3))
         path = shipped_path("static_path.csv", 2)[::-1]
-        with pytest.raises(InvalidFrameError, match="end pose must be later"):
+        with pytest.raises(InvalidInputError, match="end pose must be later"):
             simscene.generate_dataset(scene, path, intrinsics(), seed=1)
 
 
