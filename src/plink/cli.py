@@ -174,8 +174,6 @@ def cmd_render(args) -> int:
     scene = load_scene(_require(config.scene, "scene"))
     coarse, fine = nets.load_checkpoint(args.checkpoint)
     poses = read_poses(args.poses)
-    if len(poses) < 2:
-        raise ConfigError("pose file needs at least two poses (frame boundaries)")
     intr = pipeline.intrinsics_from_config(config)
     scale = pipeline.to_unit_cube(scene.bounds)
     grid_shape = (intr.n_beams, intr.azimuth_count)

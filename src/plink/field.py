@@ -15,8 +15,9 @@ rays with their recorded ranges as columns (`RaySet`), and the exact
 jump-list distribution that `simscene.trace_true_cdf` returns
 (`SampleGrid`, `CdfTrace`). Each check states what must hold, so that NaN
 fails it. The per-ray ones run on arrays of a few elements, where numpy's
-fixed per-call cost outweighs the arithmetic: they use array methods and
-slices, not numpy's Python-level wrappers such as ``np.any`` or ``np.diff``.
+fixed per-call cost outweighs the arithmetic: they compare Python floats
+from ``tolist`` (`Ray` takes its direction's norm with ``dot``), not
+numpy reductions.
 """
 
 from __future__ import annotations
@@ -121,13 +122,13 @@ class SampleGrid:
         self.deltas = np.asarray(self.deltas, dtype=float)
         if self.gammas.shape != self.deltas.shape or self.gammas.ndim != 1:
             raise InvalidInputError("gammas and deltas must be 1-d and congruent")
-        g = self.gammas
-        if g.size:
-            if not (g[1:] > g[:-1]).all():
+        g = self.gammas.tolist()
+        if g:
+            if not all(a < b for a, b in zip(g, g[1:])):
                 raise InvalidInputError("gammas must be strictly increasing")
             if not g[0] >= 0.0:
                 raise InvalidInputError("gammas must be nonnegative")
-            if not (self.deltas > 0.0).all():
+            if not all(d > 0.0 for d in self.deltas.tolist()):
                 raise InvalidInputError("deltas must be positive")
 
     @classmethod
@@ -169,13 +170,14 @@ class CdfTrace:
         self.survival = np.asarray(self.survival, dtype=float)
         if self.cdf.shape != self.grid.gammas.shape or self.survival.shape != self.cdf.shape:
             raise InvalidInputError("cdf and survival must match the grid")
-        c = self.cdf
-        if c.size:
-            if not ((c >= -1e-12) & (c <= 1.0 + 1e-12)).all():
+        c = self.cdf.tolist()
+        if c:
+            if not all(-1e-12 <= x <= 1.0 + 1e-12 for x in c):
                 raise InvalidInputError("cdf values must lie in [0, 1]")
-            if not (c[1:] - c[:-1] >= -1e-12).all():
+            if not all(b - a >= -1e-12 for a, b in zip(c, c[1:])):
                 raise InvalidInputError("cdf must be nondecreasing")
-            if not (np.abs(c + self.survival - 1.0) <= COMPLEMENT_TOL).all():
+            if not all(abs(x + y - 1.0) <= COMPLEMENT_TOL
+                       for x, y in zip(c, self.survival.tolist())):
                 raise InvalidInputError("cdf and survival must be complementary")
 
     @property

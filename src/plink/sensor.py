@@ -314,7 +314,7 @@ def write_poses(path, poses: list) -> None:
 
 
 def read_poses(path) -> list:
-    """A pose file's poses, each later than the row before."""
+    """A pose file's poses, at least two, each later than the row before."""
     poses = []
 
     def parse(row):  # a bad number, a pose that Pose rejects or one out of time order
@@ -327,4 +327,6 @@ def read_poses(path) -> list:
 
     for pose in _csv_rows(path, POSE_HEADER, parse):
         poses.append(pose)
+    if len(poses) < 2:
+        raise InvalidInputError(f"{path}: need at least two poses, found {len(poses)}")
     return poses

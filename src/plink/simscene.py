@@ -17,16 +17,17 @@ per surface, at construction. ``ray_distances`` tests N rays against all
 S surfaces at once and returns an (N, S) array of path distances in
 surface order, ``inf`` where a ray misses a surface: it runs parallel to
 it, meets its plane at or behind the origin, or passes outside its extent.
-``ray_hits`` orders one ray's hits by a stable sort on distance, so
-surfaces at equal distance keep scene order. Generation, exact cdfs,
-single-pulse draws and ``SceneSurface.intersect`` all go through that one
-kernel, whether for one ray or a frame of them. Its dot products are
-explicit products summed in component order, each term one contiguous
-(N, S) block: for axis-aligned normals two of the three products are zero,
-so distances are bit-identical to any other evaluation order (``np.dot``
-included), and they agree with such evaluations within 1e-12 m otherwise.
-A single ray costs numpy's fixed per-call overhead on (1, S) arrays, not
-arithmetic, so the kernel keeps its array operations few and contiguous.
+Frames go through that kernel (``_distances``), and ``_sorted_hits``
+orders each ray's hits by a stable sort on distance, so surfaces at equal
+distance keep scene order. The kernel's dot products are explicit products summed in component order,
+each term one contiguous (N, S) block: for axis-aligned normals two of the
+three products are zero, so distances are bit-identical to any other
+evaluation order (``np.dot`` included), and they agree with such
+evaluations within 1e-12 m otherwise. On one ray numpy's fixed per-call
+cost outweighs the arithmetic, so single-ray queries (``ray_hits``, exact
+cdfs, single-pulse draws and ``SceneSurface.intersect``) instead walk one
+row of Python floats per surface (``_walk``) with the kernel's operations
+in its order; tests pin the walk to the kernel's rows bit for bit.
 
 A scene file is a key = value file (``plink.config``): a ``bounds`` line,
 then one ``[surface]`` section per surface. Unknown keys are rejected, a
@@ -114,6 +115,57 @@ def _distances(o, d, rects) -> tuple:
     return np.where(hit, s, np.inf), denom
 
 
+def _walk_rows(origins, normals, axes, extents, return_probs, oblique_limits) -> list:
+    """S rectangles as the rows ``_walk`` reads, one list of 16 floats each.
+
+    From (S, 3) origins and normals, (S, 2, 3) tangent axes, (S, 2)
+    half-extents and (S,) return probabilities and oblique limits, each row
+    holds the origin, the normal, u, v, the two half-extents plus the 1e-12
+    m edge tolerance, the return probability and the oblique limit.
+    """
+    return np.concatenate([origins, normals, axes.reshape(-1, 6), extents + 1e-12,
+                           return_probs[:, None], oblique_limits[:, None]], axis=1).tolist()
+
+
+def _vector(v) -> list:
+    """One 3-vector (shape (3,) or (1, 3)) as three Python floats."""
+    return np.asarray(v, dtype=float).reshape(3).tolist()
+
+
+def _walk(rows, origin, direction, s_max: float) -> list:
+    """One ray's hits within ``s_max``, nearest first, as (distance, surface
+    index, return probability, drops) tuples.
+
+    ``rows`` is ``_walk_rows``'s list, and ``origin`` and ``direction`` are
+    three floats each. Each distance and in-plane test is ``_distances``'s
+    arithmetic in its operation order, on Python floats, so the hits equal a
+    row of ``_sorted_hits`` bit for bit without numpy's fixed per-call cost.
+    The sort is stable, so surfaces at equal distance keep scene order, and a
+    NaN ``s_max`` keeps no hit. The drop flags come from one ``np.arccos``
+    call, as ``math.acos`` may differ from numpy's in the last bit.
+    """
+    ox, oy, oz = origin
+    dx, dy, dz = direction
+    hits = []
+    for k, (cx, cy, cz, nx, ny, nz, ux, uy, uz, vx, vy, vz, reach_u, reach_v, prob,
+            limit) in enumerate(rows):
+        denom = (dx * nx + dy * ny) + dz * nz
+        s = (((cx - ox) * nx + (cy - oy) * ny) + (cz - oz) * nz) / (
+            denom if abs(denom) >= 1e-12 else math.inf)
+        if not 1e-9 < s <= s_max:
+            continue
+        px, py, pz = (s * dx + ox) - cx, (s * dy + oy) - cy, (s * dz + oz) - cz
+        if (abs((px * ux + py * uy) + pz * uz) <= reach_u
+                and abs((px * vx + py * vy) + pz * vz) <= reach_v):
+            hits.append((s, k, prob, denom, limit))
+    if not hits:
+        return hits
+    hits.sort(key=lambda hit: hit[0])
+    angles = np.arccos([min(abs(hit[3]), 1.0) for hit in hits]).tolist()
+    return [(s, k, prob, angle > limit)
+            for (s, k, prob, _, limit), angle in zip(hits, angles)]
+
+
 @dataclass
 class SceneSurface:
     """A thin rectangle with a reflection probability and an oblique limit."""
@@ -141,11 +193,11 @@ class SceneSurface:
 
     def intersect(self, origin: np.ndarray, direction: np.ndarray):
         """Path distance to the rectangle, or None when the ray misses it."""
-        rect = _kernel_layout(self.origin[None], self.normal[None], self.axes[None],
-                              self.extent[None])
-        s = _distances(np.asarray(origin, dtype=float).reshape(1, 3),
-                       np.asarray(direction, dtype=float).reshape(1, 3), rect)[0][0, 0]
-        return None if s == np.inf else float(s)
+        rows = _walk_rows(self.origin[None], self.normal[None], self.axes[None],
+                          self.extent[None], np.array([self.return_prob]),
+                          np.array([self.oblique_drop_angle]))
+        hits = _walk(rows, _vector(origin), _vector(direction), math.inf)
+        return hits[0][0] if hits else None
 
     def incidence_angle(self, direction: np.ndarray) -> float:
         """Angle from the surface normal, in [0, pi/2]."""
@@ -183,14 +235,16 @@ def box_faces(min_corner, size, return_prob=1.0, oblique_drop_angle=np.pi / 2) -
 class SceneSpec:
     """Surface list plus the axis-aligned bounds of the sensing volume.
 
-    The surfaces are packed into arrays, one entry per surface in list
-    order, when the spec is built; build a new spec instead of editing
-    ``surfaces`` in place.
+    The surfaces are packed when the spec is built, one entry per surface in
+    list order: into the arrays that frames are traced against, and into one
+    row of Python floats per surface (``_walk_rows``) that single rays walk.
+    Build a new spec instead of editing ``surfaces`` in place.
     """
 
     surfaces: list
     bounds: tuple
     rects: tuple = field(init=False, repr=False)              # _kernel_layout's arrays
+    rows: list = field(init=False, repr=False)                # _walk_rows's lists
     return_probs: np.ndarray = field(init=False, repr=False)  # (S,)
     oblique_limits: np.ndarray = field(init=False, repr=False)  # (S,)
 
@@ -204,11 +258,13 @@ class SceneSpec:
             return np.array([getattr(s, name) for s in self.surfaces],
                             dtype=float).reshape(-1, width)
 
-        origins, axes = pack("origin", 3), pack("axes", 6).reshape(-1, 2, 3)
-        extents = pack("extent", 2)
-        self.rects = _kernel_layout(origins, pack("normal", 3), axes, extents)
+        origins, normals = pack("origin", 3), pack("normal", 3)
+        axes, extents = pack("axes", 6).reshape(-1, 2, 3), pack("extent", 2)
+        self.rects = _kernel_layout(origins, normals, axes, extents)
         self.return_probs = pack("return_prob", 1)[:, 0]
         self.oblique_limits = pack("oblique_drop_angle", 1)[:, 0]
+        self.rows = _walk_rows(origins, normals, axes, extents, self.return_probs,
+                               self.oblique_limits)
         half_u, half_v = (extents[..., None] * axes).transpose(1, 0, 2)
         corners = np.concatenate([origins + su * half_u + sv * half_v
                                   for su in (-1.0, 1.0) for sv in (-1.0, 1.0)])
@@ -253,9 +309,8 @@ def ray_hits(scene: SceneSpec, origin, direction, s_max: float) -> list:
 
     The sort is stable: surfaces at equal distance keep scene order.
     """
-    dist, order, _ = _sorted_hits(scene, origin, direction, s_max)
-    k = np.count_nonzero(dist[0] < np.inf)
-    return [(s, scene.surfaces[i]) for s, i in zip(dist[0, :k].tolist(), order[0, :k])]
+    return [(s, scene.surfaces[k])
+            for s, k, _, _ in _walk(scene.rows, _vector(origin), _vector(direction), s_max)]
 
 
 def trace_true_cdf(scene: SceneSpec, ray: Ray) -> CdfTrace:
@@ -267,14 +322,11 @@ def trace_true_cdf(scene: SceneSpec, ray: Ray) -> CdfTrace:
     way. The returned trace holds the jump locations and post-jump values;
     total mass plus drop probability is exactly 1.
     """
-    dist, order, drops = _sorted_hits(scene, ray.origin, ray.direction, ray.s_max)
     distances, values = [], []
     reach = 1.0
     total = 0.0
-    for s, prob, dropped in zip(dist[0].tolist(), scene.return_probs[order[0]].tolist(),
-                                drops[0].tolist()):
-        if s == math.inf:
-            break  # past the last hit
+    for s, _, prob, dropped in _walk(scene.rows, ray.origin.tolist(),
+                                     ray.direction.tolist(), ray.s_max):
         if not dropped:
             total += reach * prob
             if distances and s - distances[-1] <= 1e-9:
@@ -302,10 +354,8 @@ def _first_reflection(hits, rng):
 
 def sample_return(scene: SceneSpec, ray: Ray, rng):
     """One stochastic pulse outcome: a range in meters, or None for a drop."""
-    dist, order, drops = _sorted_hits(scene, ray.origin, ray.direction, ray.s_max)
-    k = np.count_nonzero(dist[0] < np.inf)
-    return _first_reflection(zip(dist[0, :k], scene.return_probs[order[0, :k]], drops[0, :k]),
-                             rng)
+    hits = _walk(scene.rows, ray.origin.tolist(), ray.direction.tolist(), ray.s_max)
+    return _first_reflection([(s, prob, dropped) for s, _, prob, dropped in hits], rng)
 
 
 def generate_dataset(scene: SceneSpec, sensor_path: list, intrinsics: SensorIntrinsics,

@@ -415,6 +415,22 @@ def test_bad_path_file_exits_2(tmp_path, capsys, body, message):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("rows", ["", "0.0,0,0,0,1,0,0,0\n"], ids=["no-pose", "one-pose"])
+@pytest.mark.parametrize("command", ["gen", "render"])
+def test_a_pose_file_with_fewer_than_two_poses_exits_2(tmp_path, capsys, command, rows):
+    path = tmp_path / "one.csv"
+    path.write_text("t_s,tx,ty,tz,qw,qx,qy,qz\n" + rows)
+    if command == "gen":
+        argv = ["--config", write_config(tmp_path, UNDER_TRAINED), "--path", path]
+    else:
+        ckpt, cfg = checkpoint_and_config(tmp_path)
+        argv = ["--config", cfg, "--checkpoint", ckpt, "--poses", path]
+    code, _, err = run(capsys, command, *argv, "--scene", SCENE, "--out", tmp_path / "out")
+    assert code == cli.EXIT_CONFIG
+    assert err == f"error: {path}: need at least two poses, found {rows.count(chr(10))}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("line, bad, message", [
     (21, "retrun_prob = 0.5", "scene.txt line 21: unknown key 'retrun_prob'"),
     (38, "normal = 1 0 0", "scene.txt line 38: unknown key 'normal'"),

@@ -129,15 +129,55 @@ class TestSampleGrid:
         with pytest.raises(InvalidInputError, match=message):
             SampleGrid(gammas, deltas)
 
+    @pytest.mark.parametrize("gammas, deltas, message", [
+        ([1.0, 2.0, 2.0], [1.5, 0.5, 0.5], "strictly increasing"),
+        ([1.0, 2.0], [1.5, 0.0], "deltas must be positive"),
+        ([0.0, 2.0], [0.0, 1.0], "deltas must be positive"),
+        ([-1e-300, 2.0], [1.0, 1.0], "nonnegative")],
+        ids=["repeated-gamma", "zero-delta", "zero-first-delta", "negative-gamma"])
+    def test_rejects_the_boundary(self, gammas, deltas, message):
+        with pytest.raises(InvalidInputError, match=message):
+            SampleGrid(gammas, deltas)
+
+    def test_accepts_a_first_gamma_of_zero(self):
+        assert len(SampleGrid([0.0, 1e-300], [1e-300, 1e-300])) == 2
+
+
+def knots(cdf, survival=None):
+    """A two- or one-knot CdfTrace with survival 1 - cdf unless given."""
+    cdf = np.asarray(cdf, dtype=float)
+    grid = SampleGrid.from_gammas([1.0, 2.0]) if cdf.size == 2 else SampleGrid([1.0], [1.0])
+    return CdfTrace(grid, cdf, 1.0 - cdf if survival is None else survival)
+
 
 class TestCdfTrace:
     @pytest.mark.parametrize("cdf, survival, message", [
         ([np.nan, 0.5], [0.5, 0.5], r"lie in \[0, 1\]"),
-        ([0.5, 0.5], [0.5, np.nan], "complementary")])
+        ([0.5, 0.5], [0.5, np.nan], "complementary"),
+        ([0.5, np.nan], [0.5, 0.5], r"lie in \[0, 1\]"),
+        ([0.5, 0.5], [np.nan, 0.5], "complementary")])
     def test_rejects_nan(self, cdf, survival, message):
-        grid = SampleGrid.from_gammas([1.0, 2.0])
         with pytest.raises(InvalidInputError, match=message):
-            CdfTrace(grid, cdf, survival)
+            knots(cdf, survival)
+
+    @pytest.mark.parametrize("cdf, survival", [
+        ([0.5, 1.0 + 1e-12], None),
+        ([-1e-12], None),
+        ([0.5, 0.5 - 5e-13], None),
+        ([0.25, 0.5], [0.75 + 5e-10, 0.5 - 5e-10])],
+        ids=["cdf-1e-12-above-one", "cdf-1e-12-below-zero", "step-down-5e-13", "off-by-5e-10"])
+    def test_accepts_within_the_tolerances(self, cdf, survival):
+        knots(cdf, survival)
+
+    @pytest.mark.parametrize("cdf, survival, message", [
+        ([0.5, 1.0 + 1e-11], None, r"lie in \[0, 1\]"),
+        ([-1e-11], None, r"lie in \[0, 1\]"),
+        ([0.5, 0.5 - 1e-11], None, "nondecreasing"),
+        ([0.25, 0.5], [0.75, 0.5 + 1e-8], "complementary")],
+        ids=["cdf-1e-11-above-one", "cdf-1e-11-below-zero", "step-down-1e-11", "off-by-1e-8"])
+    def test_rejects_past_the_tolerances(self, cdf, survival, message):
+        with pytest.raises(InvalidInputError, match=message):
+            knots(cdf, survival)
 
 
 class TestRay:

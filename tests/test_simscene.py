@@ -1,5 +1,6 @@
 """Scene simulator: the batched ray x surface kernel against a scalar oracle,
-exact cdfs, pulse draws, dataset generation and the shipped scene."""
+the single-ray walk against the kernel, exact cdfs, pulse draws, dataset
+generation and the shipped scene."""
 
 import hashlib
 import warnings
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plink import sensor, simscene
 from plink.errors import InvalidInputError
@@ -154,6 +157,122 @@ class TestRayDistances:
         assert [d for d, _ in hits] == [4.0]
 
 
+def assert_walk_equals_batch(scene, origins, dirs, s_max):
+    """Each ray's ``_walk`` equals its ``_sorted_hits`` row: distances byte for
+    byte, surface order, return probabilities and drop flags. Returns the
+    walks as (distance, surface, drops) lists."""
+    dist, order, drops = simscene._sorted_hits(scene, origins, dirs, s_max)
+    walks = []
+    for i, (o, d) in enumerate(zip(origins.tolist(), dirs.tolist())):
+        hits = simscene._walk(scene.rows, o, d, s_max)
+        k = len(hits)
+        assert np.isinf(dist[i, k:]).all()
+        assert np.array([h[0] for h in hits], dtype=float).tobytes() == dist[i, :k].tobytes()
+        assert [h[1] for h in hits] == order[i, :k].tolist()
+        assert [h[2] for h in hits] == scene.return_probs[order[i, :k]].tolist()
+        assert [h[3] for h in hits] == drops[i, :k].tolist()
+        walks.append([(s, j, dropped) for s, j, _, dropped in hits])
+    return walks
+
+
+def mixed_scene(rng, n_rects, n_boxes):
+    """Tilted rects and axis-aligned boxes with random extents, return
+    probabilities and oblique limits; the first surface is doubled in place."""
+    surfaces = [simscene.SceneSurface(rng.uniform(-4.0, 4.0, 3), normal,
+                                      rng.uniform(0.3, 3.0, 2), rng.uniform(0.05, 1.0),
+                                      rng.uniform(0.3, np.pi / 2))
+                for normal in unit(rng.normal(size=(n_rects, 3)))]
+    for _ in range(n_boxes):
+        surfaces += simscene.box_faces(rng.uniform(-4.0, 1.0, 3), rng.uniform(0.5, 3.0, 3),
+                                       rng.uniform(0.05, 1.0), rng.uniform(0.3, np.pi / 2))
+    if surfaces:
+        first = surfaces[0]
+        surfaces.append(simscene.SceneSurface(first.origin, -first.normal, first.extent,
+                                              rng.uniform(0.05, 1.0)))
+    return simscene.SceneSpec(surfaces, ([-10.0] * 3, [10.0] * 3))
+
+
+def edge_seeking_rays(rng, scene, n):
+    """Random rays, rays aimed at surface points and at the edges of the
+    extent or of the 1e-12 m reach beyond it, rays with a zero direction
+    component (parallel to box faces), and origins on surfaces."""
+    origins = rng.uniform(-6.0, 6.0, (n, 3))
+    dirs = unit(rng.normal(size=(n, 3)))
+    for i in range(n):
+        surface = scene.surfaces[rng.integers(len(scene.surfaces))]
+        u, v = surface.axes
+        a, b = rng.choice([-1.0, 1.0, rng.uniform(-1.0, 1.0)], size=2)
+        half = surface.extent + rng.choice([0.0, 1e-12])
+        point = surface.origin + a * half[0] * u + b * half[1] * v
+        kind = rng.integers(4)
+        if kind == 0:      # aimed at a point of the surface, often at an edge
+            dirs[i] = unit(point - origins[i])
+        elif kind == 1:    # parallel to the axis planes of one component
+            dirs[i, rng.integers(3)] = 0.0
+            dirs[i] = unit(dirs[i])
+        elif kind == 2:    # starting on the surface, or 1e-10 m in front of it
+            origins[i] = point - rng.choice([0.0, 1e-10]) * surface.normal
+    return origins, dirs
+
+
+class TestWalk:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=0, max_value=6),
+           st.integers(min_value=0, max_value=2))
+    def test_walk_equals_the_batched_rows(self, seed, n_rects, n_boxes):
+        rng = np.random.default_rng(seed)
+        scene = mixed_scene(rng, n_rects, n_boxes)
+        if not scene.surfaces:
+            assert simscene._walk(scene.rows, [0.0] * 3, [1.0, 0.0, 0.0], 20.0) == []
+            return
+        origins, dirs = edge_seeking_rays(rng, scene, 48)
+        finite = simscene.ray_distances(scene, origins, dirs)
+        finite = finite[np.isfinite(finite)]
+        # A hit at exactly s_max is kept, and a NaN s_max keeps none.
+        for s_max in (20.0, rng.choice(finite) if finite.size else 1.0, np.nan):
+            walks = assert_walk_equals_batch(scene, origins, dirs, s_max)
+            if np.isnan(s_max):
+                assert not any(walks)
+            else:
+                assert sum(map(len, walks)) == np.count_nonzero(finite <= s_max)
+
+    # A p = 0.5 panel at x = 2 facing the origin, a coincident p = 0.25 panel
+    # facing away, and a wall at x = 5; the panel drops reflections past 60
+    # degrees. The panels' u axis is +y or -y, their v axis -z or +z.
+    @pytest.mark.parametrize("origin, direction, s_max, want", [
+        ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 20.0,
+         [(2.0, 0, False), (2.0, 1, False), (5.0, 2, False)]),
+        ((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), 20.0, []),
+        ((0.0, 1.0 + 1e-13, 0.0), (1.0, 0.0, 0.0), 20.0,
+         [(2.0, 0, False), (2.0, 1, False), (5.0, 2, False)]),
+        ((0.0, 1.0 + 1e-12, 0.0), (1.0, 0.0, 0.0), 20.0,
+         [(2.0, 0, False), (2.0, 1, False), (5.0, 2, False)]),
+        ((0.0, 0.0, -1.0 - 1e-12), (1.0, 0.0, 0.0), 20.0,
+         [(2.0, 0, False), (2.0, 1, False), (5.0, 2, False)]),
+        ((0.0, 1.0 + 1e-9, 0.0), (1.0, 0.0, 0.0), 20.0, [(2.0, 1, False), (5.0, 2, False)]),
+        ((2.0 - 2.5e-13, 0.0, 0.0), (5e-13, 1.0, 0.0), 20.0, []),
+        ((2.0, 0.0, 0.0), (1.0, 0.0, 0.0), 20.0, [(3.0, 2, False)]),
+        ((2.0 - 1e-10, 0.0, 0.0), (1.0, 0.0, 0.0), 20.0, [(5.0 - (2.0 - 1e-10), 2, False)]),
+        ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 5.0,
+         [(2.0, 0, False), (2.0, 1, False), (5.0, 2, False)]),
+        ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), np.nextafter(5.0, 0.0),
+         [(2.0, 0, False), (2.0, 1, False)]),
+        ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), np.nan, []),
+        ((1.5, 0.0, -1.2), (0.28, 0.0, 0.96), 20.0,
+         [(0.5 / 0.28, 0, True), (0.5 / 0.28, 1, False)]),
+    ], ids=["coincident", "parallel", "on-edge", "at-reach-u", "at-reach-v", "past-edge",
+            "nearly-parallel", "origin-on-surface",
+            "origin-1e-10-in-front", "at-s_max", "past-s_max", "nan-s_max", "oblique-drop"])
+    def test_edge_cases_equal_the_batched_rows(self, origin, direction, s_max, want):
+        panel = simscene.SceneSurface([2.0, 0, 0], [-1.0, 0, 0], [1.0, 1.0], 0.5,
+                                      np.deg2rad(60.0))
+        twin = simscene.SceneSurface([2.0, 0, 0], [1.0, 0, 0], [2.0, 2.0], 0.25)
+        wall = simscene.SceneSurface([5.0, 0, 0], [-1.0, 0, 0], [3.0, 3.0])
+        scene = simscene.SceneSpec([panel, twin, wall], ([-6.0] * 3, [6.0] * 3))
+        walks = assert_walk_equals_batch(scene, np.array([origin]), np.array([direction]), s_max)
+        assert walks == [want]
+
+
 class TestBounds:
     def test_rect_poking_out_of_bounds_is_rejected(self):
         # The centre is inside; the tangent axis of a +x normal is -y, so the
@@ -225,10 +344,11 @@ class TestExactCdf:
         assert any(len(t.grid) == 2 for t in traces)          # through the p = 0.5 panel
 
     def test_golden_digest(self):
-        # Recorded before the kernel took its component-first layout and the
-        # trace checks were rewritten: the traces of every ray of a
-        # moving-path frame and of a tilted scene with drops and a merged
-        # jump must keep their bytes.
+        # Recorded before the kernel took its component-first layout, before
+        # the trace checks were rewritten twice and before traces walked one
+        # ray on Python floats: the traces of every ray of a moving-path
+        # frame and of a tilted scene with drops and a merged jump must keep
+        # their bytes.
         scene, rays = shipped_scene(), []
         frame = simscene.generate_dataset(scene, shipped_path("moving_path.csv", 4)[:2],
                                           intrinsics(), seed=3)[0]
@@ -239,21 +359,6 @@ class TestExactCdf:
         assert sum(len(t.grid) > 1 for t in traces) > 50
         assert trace_digest(traces) == (
             "b67b48bd2f3f37df8d3b46c5d182abdd649324d66bcdf9316b6cc5a4d8a750b1")
-
-    def test_one_row_sorted_hits_equal_the_batched_rows(self):
-        scene = shipped_scene()
-        frame = simscene.generate_dataset(scene, shipped_path("moving_path.csv", 4)[:2],
-                                          intrinsics(), seed=3)[0]
-        frame_origins, frame_dirs = sensor.ray_directions(frame.intrinsics, frame)
-        cases = [(scene, frame_origins.reshape(-1, 3), frame_dirs.reshape(-1, 3)),
-                 tilted_scene_and_rays(np.random.default_rng(22), 300)]
-        for scene, origins, dirs in cases:
-            batched = simscene._sorted_hits(scene, origins, dirs, 20.0)
-            for i, (o, d) in enumerate(zip(origins, dirs)):
-                row = simscene._sorted_hits(scene, o, d, 20.0)
-                for one, many in zip(row, batched):
-                    assert one.shape == (1, len(scene.surfaces))
-                    assert one[0].tobytes() == many[i].tobytes()
 
     def test_bimodal_ray_behind_the_panel(self):
         trace = simscene.trace_true_cdf(shipped_scene(), Ray(np.zeros(3), [1.0, 0, 0], 20.0))
