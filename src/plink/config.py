@@ -70,7 +70,6 @@ class RunConfig:
     elevations: list = field(default_factory=lambda: [0.0])
     azimuth_count: int = 24
     s_max: float = 20.0
-    scan_period: float = 0.1
     n_frames: int = 100
     # training
     n_bins: int = 64
@@ -134,7 +133,6 @@ def intrinsics_from_config(config: RunConfig) -> SensorIntrinsics:
         elevation_angles=np.asarray(config.elevations, dtype=float),
         azimuth_count=config.azimuth_count,
         s_max=config.s_max,
-        scan_period=config.scan_period,
     )
 
 

@@ -48,7 +48,9 @@ little-endian):
     params  param_count float32 (a float64 model's are rounded to it)
 
 A header with a negative count or level, a layer count or width below 1
-(`check_shape`) or a flag other than 0 or 1 is an error naming the file.
+(`check_shape`) or a flag other than 0 or 1 is an error naming the file,
+as is a non-finite parameter: `init_model` and `opt_step` keep every model
+the program makes finite, so the inference pass takes that as given.
 
 A checkpoint file written by the trainer holds b"PLNKCKPT" + int32 record
 count, then that many model records (coarse first, fine second).
@@ -311,8 +313,6 @@ def _layers(model: FieldModel, views: list, feats, acts=None):
 
 def forward(model: FieldModel, feats: np.ndarray):
     """Inference pass on plain arrays; returns (sigma, phi-or-None)."""
-    if np.isnan(model.params).any():
-        raise InvalidInputError("model parameters contain NaN")
     pre_sigma, phi = _layers(model, model.param_views(), feats)
     return softplus(pre_sigma), phi
 
@@ -479,7 +479,13 @@ def _read_model(fh) -> FieldModel:
     if count < 0:
         raise InvalidInputError(f"parameter count {count} is negative")
     params = np.frombuffer(_read_exact(fh, 4 * count), dtype="<f4").astype(np.float32)
-    return FieldModel(levels, dir_levels, use_dir, layers, width, has_phi, params)
+    model = FieldModel(levels, dir_levels, use_dir, layers, width, has_phi, params)
+    bad = np.flatnonzero(~np.isfinite(params))
+    if bad.size:
+        i = int(bad[0])
+        raise InvalidInputError(f"non-finite parameter {float(params[i])!r} at "
+                                f"{model.describe_parameter(i)} (parameter {i})")
+    return model
 
 
 def save_checkpoint(path, coarse: FieldModel, fine: FieldModel) -> None:
@@ -493,7 +499,8 @@ def save_checkpoint(path, coarse: FieldModel, fine: FieldModel) -> None:
 def load_checkpoint(path):
     """(coarse, fine) models; a malformed or short file, one whose records
     are not a coarse model without the drop head and then a fine model with
-    it, or one with bytes after them, raises naming the file."""
+    it, one with a non-finite parameter, or one with bytes after them,
+    raises naming the file."""
     with open(path, "rb") as fh:
         try:
             if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:

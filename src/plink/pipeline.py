@@ -293,7 +293,6 @@ def write_dataset(out_dir, frames: list) -> None:
         fh.write("elevations = " + " ".join(repr(float(e)) for e in intr.elevation_angles) + "\n")
         fh.write(f"azimuth_count = {intr.azimuth_count}\n")
         fh.write(f"s_max = {intr.s_max!r}\n")
-        fh.write(f"scan_period = {intr.scan_period!r}\n")
     for i, frame in enumerate(frames):
         write_scan(_scan_path(out_dir, i), frame)
     for stale in list(_scan_paths(out_dir, len(frames))):
@@ -301,7 +300,7 @@ def write_dataset(out_dir, frames: list) -> None:
 
 
 # The keys of a dataset's intrinsics.txt: exactly these RunConfig keys.
-SENSOR_KEYS = ("elevations", "azimuth_count", "s_max", "scan_period")
+SENSOR_KEYS = ("elevations", "azimuth_count", "s_max")
 
 
 def read_dataset(data_dir) -> list:

@@ -4,6 +4,12 @@ A mechanically spinning sensor samples a spherical projection surface: one
 elevation angle per beam, azimuth advancing with the rotor. The projection
 model is natively spherical; no planar reprojection is ever performed.
 
+A frame is one revolution, and its two boundary poses are its only clock:
+the revolution starts at the start pose and ends at the end pose, and
+azimuth step a of A fires a/A of the way between them
+(`ScanFrame.sample_fractions`). A scan file's ``t_offset_s`` is that
+fraction of the frame's pose interval, ``end.timestamp - start.timestamp``.
+
 On-disk formats:
   scan file   CSV with columns beam_idx, azimuth_idx, range_m, drop_flag,
               t_offset_s (range_m is meaningless where drop_flag == 0)
@@ -38,12 +44,11 @@ MIN_QUAT_NORM = float(np.sqrt(np.finfo(float).tiny))
 
 @dataclass
 class SensorIntrinsics:
-    """Beam layout and timing of one spinning LiDAR unit; each check fails NaN."""
+    """Beam layout and range of one spinning LiDAR unit; each check fails NaN."""
 
     elevation_angles: np.ndarray
     azimuth_count: int
     s_max: float
-    scan_period: float
 
     def __post_init__(self):
         self.elevation_angles = np.asarray(self.elevation_angles, dtype=float)
@@ -55,8 +60,8 @@ class SensorIntrinsics:
             raise InvalidInputError("elevations must lie inside (-pi/2, pi/2)")
         if self.azimuth_count < 1:
             raise InvalidInputError("azimuth_count must be at least 1")
-        if not (0.0 < self.s_max < np.inf and 0.0 < self.scan_period < np.inf):
-            raise InvalidInputError("s_max and scan_period must be positive and finite")
+        if not 0.0 < self.s_max < np.inf:
+            raise InvalidInputError("s_max must be positive and finite")
 
     @property
     def n_beams(self) -> int:
@@ -91,7 +96,9 @@ class Pose:
 
 @dataclass
 class ScanFrame:
-    """One full revolution of measurements between two boundary poses."""
+    """One full revolution of measurements between two boundary poses: the
+    sweep starts at ``start_pose`` and ends at ``end_pose``, and they alone
+    time it (`sample_fractions`)."""
 
     intrinsics: SensorIntrinsics
     start_pose: Pose
@@ -106,11 +113,10 @@ class ScanFrame:
         if self.ranges.shape != shape or self.returned.shape != shape:
             raise InvalidInputError("measurement grid must match the intrinsics")
 
-    def sample_times(self) -> np.ndarray:
-        """Per-azimuth-step sample times, offset from the frame start."""
-        az = np.arange(self.intrinsics.azimuth_count)
-        return self.start_pose.timestamp + (az / self.intrinsics.azimuth_count) \
-            * self.intrinsics.scan_period
+    def sample_fractions(self) -> np.ndarray:
+        """Where each azimuth step a fires: a / azimuth_count of the way from
+        the start pose to the end pose."""
+        return np.arange(self.intrinsics.azimuth_count) / self.intrinsics.azimuth_count
 
 
 def sensor_frame_directions(intrinsics: SensorIntrinsics) -> np.ndarray:
@@ -149,13 +155,13 @@ def ray_directions(intrinsics: SensorIntrinsics, frame: ScanFrame):
     """World-frame origins and directions for every (beam, azimuth) sample.
 
     Returns (origins, directions), each (n_beams, azimuth_count, 3), with
-    the pose interpolated at each azimuth step's time.
+    the boundary poses interpolated at each azimuth step's fraction of the
+    revolution (`ScanFrame.sample_fractions`).
     """
     start, end = frame.start_pose, frame.end_pose
     if end.timestamp <= start.timestamp:
         raise InvalidInputError("end pose must be later than the start pose")
-    fractions = (frame.sample_times() - start.timestamp) / (end.timestamp - start.timestamp)
-    quaternions, translations = motion_compensate(start, end, fractions)
+    quaternions, translations = motion_compensate(start, end, frame.sample_fractions())
     # At rest every step has the start pose, whose matrix is already built.
     rotations = (np.broadcast_to(start.rotation, quaternions.shape[:-1] + (3, 3))
                  if same_pose(start, end) else matrix_from_quat(quaternions))
@@ -247,7 +253,8 @@ def _write_text(path, text: str) -> None:
 def write_scan(path, frame: ScanFrame) -> None:
     """The scan file of ``frame`` (module docstring), written as one string."""
     n_beams, n_az = frame.ranges.shape
-    offsets = (frame.sample_times() - frame.start_pose.timestamp).tolist()
+    interval = frame.end_pose.timestamp - frame.start_pose.timestamp
+    offsets = (frame.sample_fractions() * interval).tolist()
     tails = [f",{t!r}{LINE_END}" for t in offsets]   # one per azimuth
     cells = zip(itertools.product(range(n_beams), range(n_az)),
                 np.where(frame.returned, frame.ranges, 0.0).reshape(-1).tolist(),

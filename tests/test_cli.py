@@ -210,11 +210,12 @@ def test_eval_with_an_empty_synthetic_cloud_prints_nan(tmp_path, capsys):
     ("elevations = 0.0 x\n", "elevations: expected numbers, got '0.0 x'"),
     ("elevations = 0.1 0.0\n", "elevation angles must be strictly increasing"),
     ("s_max = nan\n", "run.cfg line 1: s_max: 'nan' is not finite"),
-    ("s_max = 0\n", "s_max and scan_period must be positive and finite"),
+    ("s_max = 0\n", "s_max must be positive and finite"),
     ("lr = nan\n", "run.cfg line 1: lr: 'nan' is not finite"),
     ("lr = -1\n", "lr must be positive and finite"),
-    ("scan_period = 0\n", "s_max and scan_period must be positive and finite"),
-    ("scan_period = -1\n", "s_max and scan_period must be positive and finite"),
+    # The boundary poses time a frame's revolution; a config that still
+    # sets a scan period is rejected, not read.
+    ("scan_period = 0.1\n", "run.cfg line 1: unknown key 'scan_period'"),
     ("seed = 1\n[run]\n", "run.cfg line 2: unknown section [run]"),
     ("seed 1\n", "run.cfg line 1: expected key = value, got 'seed 1'"),
     ("azimuth_count = 100000000000000000000000\n", "azimuth_count must be at most 2147483647"),
@@ -246,7 +247,7 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("key, value", [
     ("s_max", np.nan), ("s_max", -1.0), ("lr", np.nan), ("lr", 0.0), ("lr", np.inf),
-    ("scan_period", np.nan), ("scan_period", 0.0), ("alpha", np.nan),
+    ("alpha", np.nan),
     ("confidence_level", np.nan), ("threshold_cm", np.nan), ("threshold_cm", -3.0),
     ("threshold_cm", np.inf), ("peak_threshold", np.nan), ("peak_threshold", 0.0),
     ("peak_threshold", 1.5),
@@ -297,8 +298,9 @@ def test_seed_flag_beats_config_file(tmp_path, capsys):
      "intrinsics.txt line 2: azimuth_count: expected int, got 'many'"),
     ("intrinsics.txt", 2, "n_bins = 4", "intrinsics.txt line 2: unknown key 'n_bins'"),
     ("intrinsics.txt", 3, "s_max = nan", "intrinsics.txt line 3: s_max: 'nan' is not finite"),
-    ("intrinsics.txt", 4, "scan_period = 0",
-     "intrinsics.txt: s_max and scan_period must be positive and finite"),
+    # The scan period line that datasets once ended with, now an unknown key.
+    ("intrinsics.txt", 4, "scan_period = 0.1",
+     "intrinsics.txt line 4: unknown key 'scan_period'"),
     ("scan_0000.csv", 2, "0,1,abc,1,0.0", "scan_0000.csv row 2: could not convert"),
     ("scan_0000.csv", 3, "9,0,5.0,1,0.0", "scan_0000.csv row 3: beam 9, azimuth 0 is outside"),
     ("scan_0000.csv", 2, "-1,0,5.0,1,0.0", "scan_0000.csv row 2: beam -1, azimuth 0 is outside"),
@@ -534,13 +536,15 @@ def test_bad_network_config_exits_2_before_training(tmp_path, capsys, text, mess
 
 
 def test_ray_leaving_the_scene_bounds_exits_2_before_work(tmp_path, capsys):
-    # Bounds centred 4 m ahead: the unit cube reaches 18 m behind the sensor,
-    # so of 16 azimuths only the 20 m ray pointing straight back (azimuth 8)
-    # leaves it on frame 0.
+    # Bounds centred 2 m ahead: the unit cube reaches 20 m behind the origin.
+    # Frame 0 sweeps from 1 m behind the origin to it, so of its 16 azimuths
+    # only the 20 m ray pointing straight back (azimuth 8, cast halfway along,
+    # 0.5 m behind the origin) leaves the cube; azimuths 7 and 9 stay 0.5 m or
+    # more inside it.
     with open(SCENE) as fh:
         text = fh.read()
     cut = tmp_path / "cut_room.txt"
-    cut.write_text(text.replace("bounds = -22 -22 -3 22 22 3", "bounds = -17 -22 -3 25 22 3"))
+    cut.write_text(text.replace("bounds = -22 -22 -3 22 22 3", "bounds = -20 -22 -3 24 22 3"))
     cfg = write_config(tmp_path, UNDER_TRAINED)
     data, train = tmp_path / "data", tmp_path / "train"
     assert run(capsys, "gen", "--config", cfg, "--scene", cut, "--path", PATH,
@@ -740,6 +744,23 @@ def test_checkpoint_with_bytes_after_its_records_exits_2(tmp_path, capsys, tail)
                        "--checkpoint", bad, "--poses", PATH, "--out", tmp_path / "render")
     assert code == cli.EXIT_CONFIG
     assert err == f"error: {bad}: unexpected bytes after the fine model record\n"
+    assert not (tmp_path / "render").exists()
+
+
+@pytest.mark.parametrize("record", ["coarse", "fine"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_checkpoint_with_a_non_finite_parameter_exits_2(tmp_path, capsys, record, value):
+    # Rejected as the file is read, before render makes its output directory.
+    ckpt, cfg = checkpoint_and_config(tmp_path)
+    models = dict(zip(("coarse", "fine"), nets.load_checkpoint(ckpt)))
+    models[record].params[5] = value
+    bad = tmp_path / "bad.ckpt"
+    nets.save_checkpoint(bad, models["coarse"], models["fine"])
+    code, _, err = run(capsys, "render", "--config", cfg, "--scene", SCENE,
+                       "--checkpoint", bad, "--poses", PATH, "--out", tmp_path / "render")
+    assert code == cli.EXIT_CONFIG
+    assert err == (f"error: {bad}: non-finite parameter {value!r} at {record} layer 0 "
+                   "W[0, 5] (parameter 5)\n")
     assert not (tmp_path / "render").exists()
 
 

@@ -253,14 +253,6 @@ class TestModel:
         assert np.all(sigma >= 0.0)
         assert np.all(np.isfinite(sigma)) and np.all(np.isfinite(phi))
 
-    def test_nan_parameters_rejected(self):
-        model = probe_model()
-        model.params[10] = np.nan
-        feats = nets.encode(np.zeros((1, 3)), np.array([[1.0, 0, 0]]),
-                            model.encoding_levels, model.dir_levels)
-        with pytest.raises(InvalidInputError, match="contain NaN"):
-            nets.forward(model, feats)
-
     def test_graph_and_inference_agree(self):
         model = probe_model(seed=9)
         rng = np.random.default_rng(2)
@@ -618,6 +610,20 @@ class TestCheckpoint:
         assert header == (1, 1, 1, 1, 4, 0, coarse.params.size)
         first = struct.unpack("<f", blob[48:52])[0]
         assert first == pytest.approx(coarse.params[0], abs=1e-6)
+
+    @pytest.mark.parametrize("record", ["coarse", "fine"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameters_rejected(self, tmp_path, record, value):
+        # The error names the record's first bad entry.
+        models = {"coarse": make_model(2, 1, 2, 8, False, rng=1),
+                  "fine": make_model(2, 1, 2, 8, True, rng=2)}
+        models[record].params[[5, 40]] = value
+        path = tmp_path / "model.ckpt"
+        nets.save_checkpoint(path, models["coarse"], models["fine"])
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"{path}: non-finite parameter {value!r} at {record} layer 0 W[0, 5] "
+                "(parameter 5)")):
+            nets.load_checkpoint(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.ckpt"

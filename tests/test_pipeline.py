@@ -46,7 +46,7 @@ def dataset(path_name, n_frames, seed=4):
     scene = simscene.load_scene(simscene.builtin_scene_path("panel_room.txt"))
     path = pipeline.resample_path(
         sensor.read_poses(simscene.builtin_scene_path(path_name)), n_frames)
-    intr = sensor.SensorIntrinsics([-0.09, -0.03, 0.03, 0.09], 32, 20.0, 0.1)
+    intr = sensor.SensorIntrinsics([-0.09, -0.03, 0.03, 0.09], 32, 20.0)
     return simscene.generate_dataset(scene, path, intr, seed)
 
 
@@ -128,10 +128,12 @@ def oracle_first_outside(frames, scale):
 
 
 class TestBoundsCheck:
-    # Frame 0 of the moving path starts 1 m behind the origin and frame 1 at
-    # it; these bounds put the far side of the unit cube 19.5 m ahead of the
-    # origin, which only frame 1's forward rays pass.
-    CUT = ([-24.5, -22.0, -3.0], [19.5, 22.0, 3.0])
+    # Frame 0 of the moving path sweeps from 1 m behind the origin to it, and
+    # frame 1 from it to 1 m ahead. These bounds put the far side of the unit
+    # cube 20 m ahead of the origin: no 20 m segment cast from behind the
+    # origin reaches it (frame 0's reach 19.55 m), and frame 1's forward rays,
+    # cast from ahead of the origin, pass it (up to 20.96 m).
+    CUT = ([-24.0, -22.0, -3.0], [20.0, 22.0, 3.0])
 
     def scene(self, bounds):
         spec = simscene.load_scene(simscene.builtin_scene_path("panel_room.txt"))
@@ -178,12 +180,15 @@ def tree_digest(root) -> str:
 
 class TestDatasetFiles:
     @pytest.mark.parametrize("path_name, digest", [
-        ("moving_path.csv", "b2567c556c9a8fea034701cc7b9ab947a5843e8fe5f23a4e8dedd5703169fddd"),
-        ("static_path.csv", "d8a085db0480f66ec0fc3dce97dd0a76a86cfee2232e898062175060a7153658"),
+        ("moving_path.csv", "ab12a259bf2898f18f7b5883bd08a94e2226277c0350ca5441fc780b969da63b"),
+        ("static_path.csv", "ec8207afbf1a610a9250d8d0872c7272b0ff13ed66c9abc1b8104e3e47ecd897"),
     ])
     def test_golden_bytes(self, tmp_path, path_name, digest):
         # Recorded from the csv.writer writers that the one-string writers
-        # replaced: intrinsics.txt, poses.csv and three scans.
+        # replaced: intrinsics.txt, poses.csv and three scans. Recorded again
+        # once a frame's sweep spanned its two boundary poses: intrinsics.txt
+        # lost its scan period line, t_offset_s became a / A of the frame's
+        # 0.667 s pose interval, and the moving path's ranges moved with its rays.
         config = RunConfig(elevations=[-0.09, 0.0, 0.09], azimuth_count=32,
                            n_frames=3).validate()
         pipeline.generate_to_disk(simscene.builtin_scene_path("panel_room.txt"),

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from plink import pipeline, sensor, simscene
+from plink.config import RunConfig, intrinsics_from_config
 from plink.errors import InvalidInputError
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
@@ -54,8 +55,9 @@ def oracle_poses(start, end, fractions):
 
 
 def frame_fractions(frame):
-    start, end = frame.start_pose.timestamp, frame.end_pose.timestamp
-    return (frame.sample_times() - start) / (end - start)
+    """Azimuth step a of A fires a / A of the way from the start pose to the end pose."""
+    n_az = frame.intrinsics.azimuth_count
+    return np.array([a / n_az for a in range(n_az)])
 
 
 def random_quats(n, seed=0):
@@ -129,7 +131,7 @@ class TestSlerp:
 
 
 def moving_frame():
-    intr = sensor.SensorIntrinsics([-0.1, 0.0, 0.07], 16, 20.0, 0.1)
+    intr = sensor.SensorIntrinsics([-0.1, 0.0, 0.07], 16, 20.0)
     q1 = np.array([np.cos(0.3), 0.1, 0.2, np.sin(0.3)])
     start = sensor.Pose(IDENTITY, np.array([0.0, 0.0, 0.0]), 0.0)
     end = sensor.Pose(q1, np.array([1.0, -0.5, 0.2]), 0.5)
@@ -139,7 +141,7 @@ def moving_frame():
 
 def random_frame(seed, n_beams=4, n_az=64):
     rng = np.random.default_rng(seed)
-    intr = sensor.SensorIntrinsics(np.linspace(-0.1, 0.1, n_beams), n_az, 20.0, 0.1)
+    intr = sensor.SensorIntrinsics(np.linspace(-0.1, 0.1, n_beams), n_az, 20.0)
     start, end = (sensor.Pose(q, rng.normal(size=3), t)
                   for q, t in zip(random_quats(2, seed), (0.0, 0.1)))
     shape = (n_beams, n_az)
@@ -202,6 +204,25 @@ class TestRayDirections:
                 np.testing.assert_array_equal(origins[:, a, :],
                                               np.broadcast_to(pose.translation, (n_beams, 3)))
 
+    @pytest.mark.parametrize("n_frames", [3, 20, 100])
+    def test_sweep_spans_its_frame(self, n_frames):
+        # However long a frame's pose interval, its revolution runs from the
+        # start pose to the end pose: azimuth step a of A is cast from a / A
+        # of the way between the boundary translations.
+        path = pipeline.resample_path(
+            sensor.read_poses(simscene.builtin_scene_path("moving_path.csv")), n_frames)
+        intr = intrinsics_from_config(RunConfig())
+        n_az = intr.azimuth_count
+        shape = (intr.n_beams, n_az)
+        for start, end in zip(path, path[1:]):
+            frame = sensor.ScanFrame(intr, start, end, np.zeros(shape), np.zeros(shape, bool))
+            origins, _ = sensor.ray_directions(intr, frame)
+            for a in range(n_az):
+                f = a / n_az
+                np.testing.assert_array_equal(
+                    origins[:, a], np.broadcast_to(
+                        (1.0 - f) * start.translation + f * end.translation, (intr.n_beams, 3)))
+
     def test_end_pose_must_be_later(self):
         frame = moving_frame()
         frame.end_pose.timestamp = frame.start_pose.timestamp
@@ -219,7 +240,7 @@ class TestRayDirections:
 
 def oracle_write_scan(path, frame):
     """One ``csv.writer`` row per cell: the writer whose bytes ``write_scan`` keeps."""
-    times = frame.sample_times() - frame.start_pose.timestamp
+    times = frame.sample_fractions() * (frame.end_pose.timestamp - frame.start_pose.timestamp)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(sensor.SCAN_HEADER)
@@ -247,13 +268,14 @@ EDGE_FLOATS = [1e-05, 1e+16, 5e-324, -0.0, 20.0, 0.1 + 0.2]
 
 class TestWriters:
     def test_scan_bytes_match_the_csv_writer(self, tmp_path):
-        intr = sensor.SensorIntrinsics([-0.1, 0.1], 6, 20.0, 0.1)
-        start, end = (sensor.Pose(IDENTITY, np.zeros(3), t) for t in (0.0, 0.1))
+        intr = sensor.SensorIntrinsics([-0.1, 0.1], 6, 20.0)
+        start, end = (sensor.Pose(IDENTITY, np.zeros(3), t) for t in (0.0, 1.0))
         ranges = np.array([EDGE_FLOATS, [np.nan, 7.5, 20.0, 1e-05, 3.0, 5e-324]])
         returned = np.array([[True] * 6, [False, True, True, True, False, True]])
         frame = sensor.ScanFrame(intr, start, end, ranges, returned)
-        # Time offsets the sensor's own clock never gives: -0.0 first.
-        frame.sample_times = lambda: np.array([-0.0, 1e-05, 5e-324, 1e+16, 0.05, 0.1 + 0.2])
+        # Fractions the sweep never gives, -0.0 first; over a 1 s frame each
+        # is its own time offset.
+        frame.sample_fractions = lambda: np.array([-0.0, 1e-05, 5e-324, 1e+16, 0.05, 0.1 + 0.2])
         sensor.write_scan(tmp_path / "new.csv", frame)
         oracle_write_scan(tmp_path / "oracle.csv", frame)
         written = (tmp_path / "new.csv").read_bytes()

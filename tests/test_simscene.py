@@ -30,7 +30,7 @@ def shipped_path(name, n_frames):
 
 
 def intrinsics():
-    return sensor.SensorIntrinsics(ELEVATIONS, 64, 20.0, 0.1)
+    return sensor.SensorIntrinsics(ELEVATIONS, 64, 20.0)
 
 
 def oracle_intersect(surface, origin, direction):
@@ -348,7 +348,9 @@ class TestExactCdf:
         # the trace checks were rewritten twice and before traces walked one
         # ray on Python floats: the traces of every ray of a moving-path
         # frame and of a tilted scene with drops and a merged jump must keep
-        # their bytes.
+        # their bytes. Recorded again once a frame's sweep spanned its two
+        # boundary poses: the moving frame's rays now cover its whole 0.5 s
+        # pose interval, where a 0.1 s scan period covered its first fifth.
         scene, rays = shipped_scene(), []
         frame = simscene.generate_dataset(scene, shipped_path("moving_path.csv", 4)[:2],
                                           intrinsics(), seed=3)[0]
@@ -358,7 +360,7 @@ class TestExactCdf:
                      for o, d in zip(origins, dirs)])
         assert sum(len(t.grid) > 1 for t in traces) > 50
         assert trace_digest(traces) == (
-            "b67b48bd2f3f37df8d3b46c5d182abdd649324d66bcdf9316b6cc5a4d8a750b1")
+            "a05e578c208ec8232325e03618e150511d4dc25ecdbc8ffd427f4534fb992c92")
 
     def test_bimodal_ray_behind_the_panel(self):
         trace = simscene.trace_true_cdf(shipped_scene(), Ray(np.zeros(3), [1.0, 0, 0], 20.0))
@@ -398,15 +400,19 @@ def dataset_digest(frames) -> str:
 class TestGenerateDataset:
     def test_golden_digest(self):
         # Recorded from the per-surface scalar simulator this kernel replaced,
-        # and again once poses kept their quaternions: that moved the moving
-        # path's ranges by round-off (at most 3.6e-15 m), with the same masks.
+        # again once poses kept their quaternions: that moved the moving
+        # path's ranges by round-off (at most 3.6e-15 m), with the same masks,
+        # and again once a frame's sweep spanned its two boundary poses: the
+        # moving frames' rays cover their whole 0.667 s pose intervals, where a
+        # 0.1 s scan period covered their first 15%. The static frames' bytes
+        # did not move.
         scene = shipped_scene()
         frames = (simscene.generate_dataset(scene, shipped_path("moving_path.csv", 3),
                                             intrinsics(), seed=7)
                   + simscene.generate_dataset(scene, shipped_path("static_path.csv", 2),
                                               intrinsics(), seed=7))
         assert dataset_digest(frames) == (
-            "4584ead6f3597eee8a7054b51f94ad5525af8bcb77f1d57611c4f7334c06944a")
+            "fbe0a83b918c09eff40cbfca8e3cfd5ffebab9b336dd2741a2278da7308a8362")
 
     def test_each_pulse_matches_sample_return_on_its_stream(self):
         scene, seed = shipped_scene(), 5
