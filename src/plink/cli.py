@@ -30,7 +30,9 @@ Exit codes:
 * 2: invalid configuration or a malformed input file (config, scene,
   intrinsics, scan, pose, cloud or checkpoint), with a message naming the
   file and, in a line-based file, the line; also any other `PlinkError`
-  and an OS error on a file.
+  and an OS error on a file; also a `MemoryError`, as ``error: not enough
+  memory: <message>``, since input sizes past what the machine holds are
+  bad input too.
 * 3: training divergence.
 * 1, with a traceback: an internal error. `main` catches only the errors
   above, so any other exception propagates out of it.
@@ -299,6 +301,9 @@ def main(argv=None) -> int:
         return EXIT_DIVERGED
     except (PlinkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -17,8 +17,10 @@ layer's input and returns `(sigma, phi)`. The loss head's own adjoints
 (`losses`, `field`) give the gradients at those outputs, and `backward`
 takes them through the heads and hidden layers by hand into a flat vector
 in `layer_shapes` order. It reuses the activation storage it has finished
-with: the last hidden gradient overwrites the last hidden activation, so
-it allocates one spare (N, width) buffer, and a graph takes one backward.
+with: each hidden layer's gradient overwrites that layer's activation once
+nothing reads it, so it allocates no (N, width) buffer beside the graph's
+(a model with the phi head sums that head's product from one temporary),
+and a graph takes one backward.
 Each elementwise step is one in-place pass over the activations: bias
 add, relu as ``np.maximum``, the relu mask on the gradient, and the
 rank-1 head products as broadcast multiplies. Each
@@ -48,9 +50,12 @@ little-endian):
     params  param_count float32 (a float64 model's are rounded to it)
 
 A header with a negative count or level, a layer count or width below 1
-(`check_shape`) or a flag other than 0 or 1 is an error naming the file,
-as is a non-finite parameter: `init_model` and `opt_step` keep every model
-the program makes finite, so the inference pass takes that as given.
+(`check_shape`), a flag other than 0 or 1, or a count other than its
+shape's is an error naming the file, as is a record longer than the bytes
+left and a non-finite parameter. All but the last are found before
+anything sized by the count is allocated. `init_model` and `opt_step` keep
+every model the program makes finite, so the inference pass takes that as
+given.
 
 A checkpoint file written by the trainer holds b"PLNKCKPT" + int32 record
 count, then that many model records (coarse first, fine second).
@@ -58,6 +63,8 @@ count, then that many model records (coarse first, fine second).
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from dataclasses import dataclass, fields
 
@@ -184,11 +191,12 @@ class FieldModel:
         if self.params is None:
             self.params = np.zeros(self.param_count(), dtype=np.float32)
         self.params = np.asarray(self.params)
-        if (self.params.dtype not in (np.float32, np.float64)
-                or self.params.shape != (self.param_count(),)):
-            raise InvalidInputError(f"parameter vector must be float32 or float64 of length "
-                                    f"{self.param_count()}, not {self.params.dtype} "
-                                    f"{self.params.shape}")
+        if self.params.dtype not in (np.float32, np.float64) or self.params.ndim != 1:
+            raise InvalidInputError(f"parameter vector must be a float32 or float64 vector, not "
+                                    f"{self.params.dtype} {self.params.shape}")
+        if self.params.size != self.param_count():
+            raise InvalidInputError(f"parameter count {self.params.size} does not match the "
+                                    f"shape's {self.param_count()}")
 
     def input_width(self) -> int:
         return encoded_width(self.encoding_levels, self.dir_levels, self.use_direction)
@@ -200,7 +208,10 @@ class FieldModel:
         return shapes + [((widths[-1], 1), (1,))] * (1 + self.has_phi_head)  # sigma, phi
 
     def param_count(self) -> int:
-        return sum(int(np.prod(w)) + int(np.prod(b)) for w, b in self.layer_shapes())
+        """The length of `layer_shapes`' layout, in exact integer arithmetic."""
+        width = self.hidden_width
+        return ((self.input_width() + 1) * width + (self.hidden_layers - 1) * (width + 1) * width
+                + (1 + self.has_phi_head) * (width + 1))
 
     def param_views(self) -> list:
         """(weight, bias) ndarray views into the flat vector, layout order."""
@@ -257,8 +268,8 @@ class ModelGraph:
     ``forward`` keeps each hidden layer's input and the last hidden
     activation (``acts``), the sigma head's pre-activation and ``sigma``;
     a relu mask is recomputed from the layer's output as ``h > 0``. A graph
-    takes one `backward`, which overwrites the last hidden activation with
-    a gradient; ``spent`` records that it ran, and a second raises.
+    takes one `backward`, which overwrites every hidden activation with a
+    gradient; ``spent`` records that it ran, and a second raises.
     """
 
     def __init__(self, model: FieldModel):
@@ -327,7 +338,7 @@ def backward(graph: ModelGraph, g_sigma: np.ndarray, g_phi=None) -> np.ndarray:
     named by its head. A non-finite gradient is a divergence, reported by
     the layer and position of its first bad entry.
 
-    It spends the graph: the last hidden activation becomes gradient
+    It spends the graph: every hidden activation becomes gradient
     storage, so a second backward of the same graph raises
     `InvalidInputError`.
     """
@@ -364,10 +375,11 @@ def _mlp_backward(graph: ModelGraph, heads: list) -> np.ndarray:
     place; bias gradients as sums over rows and weight gradients as
     ``input.T @ g``. The input features get none.
 
-    The last hidden gradient is written over the last hidden activation,
-    once the heads' weight gradients have read it and its relu mask is
-    taken: layer i's output gradient lives there when ``n_hidden - 1 - i``
-    is even and in one spare buffer when it is odd.
+    Each hidden layer's one buffer serves both directions: layer i's
+    output gradient is written over its output activation ``acts[i + 1]``
+    once the weight gradients above have read that activation and its relu
+    mask is taken. Only the phi head's product takes an (N, width)
+    temporary, so a one-head model allocates no float buffer of that size.
     """
     model, views, acts = graph.model, graph.views, graph.acts
     grad = np.empty(model.param_count(), dtype=model.params.dtype)
@@ -379,23 +391,20 @@ def _mlp_backward(graph: ModelGraph, heads: list) -> np.ndarray:
         g_w, g_b = grad_views[i]
         np.matmul(h.T, column, out=g_w)
         g_b[...] = column.sum(axis=0)
-    buffers = h, np.empty_like(h)           # layer i's in buffers[(n_hidden - 1 - i) % 2]
-    g, part = buffers
+    g = h
     mask = np.greater(h, 0.0)               # before g overwrites h
     np.multiply(columns[0], views[n_hidden][0].T, out=g)
-    for j in range(1, len(columns)):
-        np.multiply(columns[j], views[n_hidden + j][0].T, out=part)
-        np.add(g, part, out=g)
+    for j in range(1, len(columns)):        # the phi head's product, in a temporary
+        np.add(g, columns[j] * views[n_hidden + j][0].T, out=g)
     np.multiply(g, mask, out=g)
     for i in reversed(range(n_hidden)):
-        g, (g_w, g_b) = buffers[(n_hidden - 1 - i) % 2], grad_views[i]
+        g, (g_w, g_b) = acts[i + 1], grad_views[i]
         np.matmul(acts[i].T, g, out=g_w)
         np.sum(g, axis=0, out=g_b)
-        if i:
-            g_in = buffers[(n_hidden - i) % 2]
-            np.matmul(g, views[i][0].T, out=g_in)
+        if i:                               # acts[i] is read: its gradient overwrites it
             np.greater(acts[i], 0.0, out=mask)
-            np.multiply(g_in, mask, out=g_in)
+            np.matmul(g, views[i][0].T, out=acts[i])
+            np.multiply(acts[i], mask, out=acts[i])
     return grad
 
 
@@ -464,7 +473,11 @@ def _write_model(fh, model: FieldModel) -> None:
 
 
 def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
+    """``n`` bytes of ``fh``. A regular file is measured first, so a short
+    one is refused without a read that allocates ``n`` bytes."""
+    info = os.fstat(fh.fileno())
+    short = stat.S_ISREG(info.st_mode) and n > info.st_size - fh.tell()
+    data = fh.read() if short else fh.read(n)
     if len(data) != n:
         raise InvalidInputError(f"the file ends {n - len(data)} bytes early")
     return data
@@ -474,12 +487,14 @@ def _read_model(fh) -> FieldModel:
     magic = fh.read(len(MODEL_MAGIC))
     if magic != MODEL_MAGIC:
         raise InvalidInputError("not a field-model record")
-    levels, dir_levels, use_dir, layers, width, has_phi, count = struct.unpack(
-        "<7i", _read_exact(fh, 28))
+    *shape, count = struct.unpack("<7i", _read_exact(fh, 28))
     if count < 0:
         raise InvalidInputError(f"parameter count {count} is negative")
+    # A zero-stride stand-in for the parameters: the model checks its shape,
+    # then the count against it, and nothing sized by the count is allocated.
+    model = FieldModel(*shape, np.broadcast_to(np.float32(0.0), count))
     params = np.frombuffer(_read_exact(fh, 4 * count), dtype="<f4").astype(np.float32)
-    model = FieldModel(levels, dir_levels, use_dir, layers, width, has_phi, params)
+    model.params = params
     bad = np.flatnonzero(~np.isfinite(params))
     if bad.size:
         i = int(bad[0])

@@ -285,32 +285,34 @@ def _csv_rows(path, header: list, parse):
 
 def read_scan(path, intrinsics: SensorIntrinsics, start_pose: Pose, end_pose: Pose) -> ScanFrame:
     """A scan file that names every (beam, azimuth) cell once, with drop flag
-    0 or 1 and, where the pulse returned, a range in (0, s_max]."""
+    0 or 1 and, where the pulse returned, a range in (0, s_max]. The cells
+    are counted before any array of the scan's shape is made, so a file
+    shorter than its intrinsics is reported by its first missing cell."""
     shape = (intrinsics.n_beams, intrinsics.azimuth_count)
-    ranges = np.zeros(shape)
-    returned = np.zeros(shape, dtype=bool)
-    seen = np.zeros(shape, dtype=bool)
+    seen = set()            # cells named so far, as flat indices b * azimuth_count + a
 
     def parse(row):
         b, a, flag, value = int(row[0]), int(row[1]), int(row[3]), float(row[2])
         if not (0 <= b < shape[0] and 0 <= a < shape[1]):
             raise ValueError(f"beam {b}, azimuth {a} is outside the {shape[0]} x {shape[1]} scan")
-        if seen[b, a]:
+        cell = b * shape[1] + a
+        if cell in seen:
             raise ValueError(f"beam {b}, azimuth {a} is named twice")
         if flag not in (0, 1):
             raise ValueError(f"drop flag {flag} is not 0 or 1")
         if flag and not 0.0 < value <= intrinsics.s_max:
             raise ValueError(f"range {value!r} is outside (0, {intrinsics.s_max!r}]")
-        seen[b, a] = True
-        return b, a, bool(flag), value
+        seen.add(cell)
+        return cell, bool(flag), value
 
-    for b, a, flag, value in _csv_rows(path, SCAN_HEADER, parse):
-        returned[b, a] = flag
-        ranges[b, a] = value
-    if not seen.all():
-        b, a = np.argwhere(~seen)[0]
+    rows = list(_csv_rows(path, SCAN_HEADER, parse))
+    if len(seen) < shape[0] * shape[1]:
+        b, a = divmod(next(cell for cell in itertools.count() if cell not in seen), shape[1])
         raise InvalidInputError(f"{path}: no row for beam {b}, azimuth {a}")
-    return ScanFrame(intrinsics, start_pose, end_pose, ranges, returned)
+    cells, returned, ranges = (np.array(column) for column in zip(*rows))
+    order = np.argsort(cells)
+    return ScanFrame(intrinsics, start_pose, end_pose, ranges[order].reshape(shape),
+                     returned[order].reshape(shape))
 
 
 def write_poses(path, poses: list) -> None:

@@ -306,6 +306,10 @@ def test_seed_flag_beats_config_file(tmp_path, capsys):
     ("scan_0000.csv", 2, "-1,0,5.0,1,0.0", "scan_0000.csv row 2: beam -1, azimuth 0 is outside"),
     ("scan_0001.csv", 4, "0,3,5.0", "scan_0001.csv row 4: expected 5 columns, got 3"),
     ("scan_0000.csv", 3, None, "scan_0000.csv: no row for beam 0, azimuth 1"),
+    # Rows are counted before the scan's arrays are made: 2e9 azimuths
+    # once asked for 14.9 GiB each.
+    ("intrinsics.txt", 2, "azimuth_count = 2000000000",
+     "scan_0000.csv: no row for beam 0, azimuth 16"),
     ("scan_0000.csv", 3, "0,0,5.0,1,0.0", "scan_0000.csv row 3: beam 0, azimuth 0 is named twice"),
     ("scan_0000.csv", 2, "0,0,5.0,7,0.0", "scan_0000.csv row 2: drop flag 7 is not 0 or 1"),
     ("scan_0000.csv", 2, "0,0,25.0,1,0.0", "scan_0000.csv row 2: range 25.0 is outside (0, 20.0]"),
@@ -719,6 +723,26 @@ def test_bad_checkpoint_header_exits_2(tmp_path, capsys, header, message):
     assert not (tmp_path / "render").exists()
 
 
+# The default shape's first record with a count of 2^31 - 1 used to be read
+# as 8 GiB and end in a MemoryError. A count that matches its shape but
+# needs more bytes than the file has is refused before the read as well.
+@pytest.mark.parametrize("header, message", [
+    ((8, 2, 1, 4, 128, 0, 2 ** 31 - 1),
+     "parameter count 2147483647 does not match the shape's 58241"),
+    ((0, 0, 0, 5, 20000, 0, 1600180001), "the file ends 6400719904 bytes early"),
+], ids=["count-past-the-shape", "count-past-the-file"])
+def test_checkpoint_with_a_huge_parameter_count_exits_2(tmp_path, capsys, header, message):
+    ckpt, cfg = checkpoint_and_config(tmp_path)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(nets.CHECKPOINT_MAGIC + struct.pack("<i", 2) + nets.MODEL_MAGIC
+                    + struct.pack("<7i", *header) + bytes(100))
+    code, _, err = run(capsys, "render", "--config", cfg, "--scene", SCENE,
+                       "--checkpoint", bad, "--poses", PATH, "--out", tmp_path / "render")
+    assert code == cli.EXIT_CONFIG
+    assert err == f"error: {bad}: {message}\n"
+    assert not (tmp_path / "render").exists()
+
+
 @pytest.mark.parametrize("roles", [("fine", "coarse"), ("coarse", "coarse")])
 def test_checkpoint_with_models_in_the_wrong_roles_exits_2(tmp_path, capsys, roles):
     cfg = write_config(tmp_path, UNDER_TRAINED)
@@ -765,7 +789,8 @@ def test_checkpoint_with_a_non_finite_parameter_exits_2(tmp_path, capsys, record
 
 
 def test_an_internal_error_propagates_out_of_main(monkeypatch):
-    # Exit 1 with a traceback: main turns only PlinkError and OSError into codes.
+    # Exit 1 with a traceback: main turns only PlinkError, OSError and
+    # MemoryError into codes.
     def broken(args):
         raise RuntimeError("internal")
 
@@ -785,6 +810,7 @@ def test_main_maps_every_error_class():
     (InvalidInputError, cli.EXIT_CONFIG, "error: "),
     (DivergenceError, cli.EXIT_DIVERGED, "training diverged: "),
     (OSError, cli.EXIT_CONFIG, "error: "),
+    (MemoryError, cli.EXIT_CONFIG, "error: not enough memory: "),
 ])
 def test_each_error_class_has_one_exit_code(monkeypatch, capsys, error, code, prefix):
     def failing(args):

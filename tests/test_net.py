@@ -4,6 +4,7 @@ import re
 import struct
 import sys
 import threading
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -456,7 +457,7 @@ class TestBackward:
         np.testing.assert_array_equal(grad[-phi_size:], 0.0)
 
     def test_a_spent_graph_refuses_a_second_backward(self):
-        # backward writes a gradient over the last hidden activation.
+        # backward writes a gradient over every hidden activation.
         model = probe_model(seed=8)
         feats = nets.encode(np.full((4, 3), 0.3), np.full((4, 3), -0.2),
                             model.encoding_levels, model.dir_levels)
@@ -467,6 +468,28 @@ class TestBackward:
         assert graph.spent
         with pytest.raises(InvalidInputError, match="backward already ran"):
             nets.backward(graph, np.ones_like(sigma), np.ones_like(phi))
+
+    def test_a_one_head_backward_allocates_no_activation_sized_buffer(self):
+        # Each layer's gradient overwrites the activation it replaces, so the
+        # relu mask, one byte per unit, is the largest array made beside the
+        # graph. A spare float32 (N, width) buffer goes over the bound.
+        # Measured: 0.82 MB against a bound of 2.10; with a spare buffer, 2.89.
+        model = make_model(2, 1, 3, 128, False, rng=9)
+        rng = np.random.default_rng(9)
+        n = 4096
+        feats = nets.encode(rng.uniform(-1, 1, (n, 3)), rng.normal(size=(n, 3)),
+                            model.encoding_levels, model.dir_levels, dtype=np.float32)
+        graph = nets.ModelGraph(model)
+        sigma, _ = graph.forward(feats)
+        g_sigma = np.ones_like(sigma)
+        tracemalloc.start()
+        try:
+            nets.backward(graph, g_sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffer = n * model.hidden_width * model.params.itemsize
+        assert peak < buffer, (peak, buffer)
 
     def test_doubling_loss_doubles_gradient(self):
         model = probe_model(seed=6)
