@@ -49,7 +49,7 @@ from functools import partial
 import numpy as np
 
 from . import metrics, net as nets, pipeline, sampler
-from .config import RunConfig, apply_overrides, load_config
+from .config import WEIGHTED_DEPTH, RunConfig, apply_overrides, load_config
 from .errors import ConfigError, DivergenceError, PlinkError
 from .sensor import ScanFrame, read_poses
 from .simscene import load_scene
@@ -256,7 +256,7 @@ def cmd_compare(args) -> int:
         metrics.write_ply(os.path.join(out, f"gt_{i:04d}.ply"), cloud)
     clouds = {name: _render_into(states[name], test_frames, train_set.scale, config, mode, name)
               for name, mode in (("model", config.render_mode),
-                                 ("baseline", pipeline.WEIGHTED_DEPTH))}
+                                 ("baseline", WEIGHTED_DEPTH))}
 
     def merged(frame_clouds):
         return metrics.PointCloud(np.concatenate([c.points for c in frame_clouds]))

@@ -32,6 +32,11 @@ SIZE_KEYS = ("azimuth_count", "n_frames", "n_bins", "n_fine", "batch_rays", "enc
              "dir_levels", "hidden_width", "hidden_layers", "render_draws")
 INT32_MAX = 2 ** 31 - 1
 
+# The render modes `pipeline.render_ray` picks ranges by; WEIGHTED_DEPTH, the
+# mass-weighted mean depth, is the depth-L2 baseline's.
+WEIGHTED_DEPTH = "weighted-depth"
+RENDER_MODES = ("stochastic", "confidence", "first-return", "strongest-return", WEIGHTED_DEPTH)
+
 
 def entropy_words(key) -> np.ndarray:
     """The uint32 words ``np.random.SeedSequence`` makes of a tuple of ints.
@@ -116,8 +121,7 @@ class RunConfig:
             raise ConfigError("peak_threshold must lie in (0, 1]")
         if not (0.0 < self.threshold_cm < np.inf):
             raise ConfigError("threshold_cm must be positive and finite")
-        if self.render_mode not in ("stochastic", "confidence", "first-return",
-                                    "strongest-return", "weighted-depth"):
+        if self.render_mode not in RENDER_MODES:
             raise ConfigError(f"unknown render mode {self.render_mode!r}")
         try:
             check_shape(self.encoding_levels, self.dir_levels, self.hidden_layers,

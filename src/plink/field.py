@@ -10,10 +10,14 @@ Survival P(s) = 1 - C(s) is the probability the pulse is transmitted past s.
 The kernels take a batch of rays at once, (B, J) rows of samples, and
 training and rendering both call them on the rows of `sampler.march`;
 training's gradients go back through the adjoints (``*_vjp``) beside them.
+Quadrature lives only in these kernels: `trapezoid_deltas` gives a row's
+elements of integration and `cdf_from_sigma_values` integrates on them.
 The dataclasses describe rays: one emitted pulse (`Ray`), the training
 rays with their recorded ranges as columns (`RaySet`), and the exact
-jump-list distribution that `simscene.trace_true_cdf` returns
-(`SampleGrid`, `CdfTrace`). Each check states what must hold, so that NaN
+distribution that `simscene.trace_true_cdf` returns. On an analytic scene
+returns arrive at specific distances, so that distribution is a jump list:
+the jump locations (`SampleGrid`) and the cdf after each jump (`CdfTrace`),
+with nothing to integrate. Each check states what must hold, so that NaN
 fails it. The per-ray ones run on arrays of a few elements, where numpy's
 fixed per-call cost outweighs the arithmetic: they compare Python floats
 from ``tolist`` (`Ray` takes its direction's norm with ``dot``), not
@@ -30,7 +34,6 @@ import numpy as np
 from .errors import InvalidInputError
 
 UNIT_NORM_TOL = 1e-9
-COMPLEMENT_TOL = 1e-9
 
 
 @dataclass
@@ -107,39 +110,49 @@ class RaySet:
 
 @dataclass
 class SampleGrid:
-    """Ascending path distances with their elements of integration.
-
-    Interior deltas follow the trapezoid rule, 0.5 * (g[j+1] - g[j-1]).
-    The first element additionally covers the gap from the sensor to the
-    first sample, so the summed deltas span [0, g[-1]] exactly.
-    """
+    """The knots of an exact trace: 1-d, strictly increasing, nonnegative."""
 
     gammas: np.ndarray
-    deltas: np.ndarray
 
     def __post_init__(self):
         self.gammas = np.asarray(self.gammas, dtype=float)
-        self.deltas = np.asarray(self.deltas, dtype=float)
-        if self.gammas.shape != self.deltas.shape or self.gammas.ndim != 1:
-            raise InvalidInputError("gammas and deltas must be 1-d and congruent")
+        if self.gammas.ndim != 1:
+            raise InvalidInputError("gammas must be 1-d")
         g = self.gammas.tolist()
         if g:
             if not all(a < b for a, b in zip(g, g[1:])):
                 raise InvalidInputError("gammas must be strictly increasing")
             if not g[0] >= 0.0:
                 raise InvalidInputError("gammas must be nonnegative")
-            if not all(d > 0.0 for d in self.deltas.tolist()):
-                raise InvalidInputError("deltas must be positive")
-
-    @classmethod
-    def from_gammas(cls, gammas) -> "SampleGrid":
-        gammas = np.asarray(gammas, dtype=float)
-        if gammas.size < 2:
-            raise InvalidInputError("need at least two samples to build a grid")
-        return cls(gammas, trapezoid_deltas(gammas))
 
     def __len__(self):
         return self.gammas.size
+
+
+@dataclass
+class CdfTrace:
+    """Cumulative return probability after each knot of a jump list."""
+
+    grid: SampleGrid
+    cdf: np.ndarray
+
+    def __post_init__(self):
+        self.cdf = np.asarray(self.cdf, dtype=float)
+        if self.cdf.shape != self.grid.gammas.shape:
+            raise InvalidInputError("cdf must match the grid")
+        c = self.cdf.tolist()
+        if c:
+            if not all(-1e-12 <= x <= 1.0 + 1e-12 for x in c):
+                raise InvalidInputError("cdf values must lie in [0, 1]")
+            if not all(b - a >= -1e-12 for a, b in zip(c, c[1:])):
+                raise InvalidInputError("cdf must be nondecreasing")
+
+    @property
+    def total_mass(self) -> float:
+        return float(self.cdf[-1]) if self.cdf.size else 0.0
+
+
+# -- kernels and their adjoints -------------------------------------------------
 
 
 def trapezoid_deltas(gammas: np.ndarray) -> np.ndarray:
@@ -155,37 +168,6 @@ def trapezoid_deltas(gammas: np.ndarray) -> np.ndarray:
     deltas[..., 0] = 0.5 * (gammas[..., 1] - gammas[..., 0]) + gammas[..., 0]
     deltas[..., -1] = 0.5 * (gammas[..., -1] - gammas[..., -2])
     return deltas
-
-
-@dataclass
-class CdfTrace:
-    """Cumulative return probability and its complement along a ray."""
-
-    grid: SampleGrid
-    cdf: np.ndarray
-    survival: np.ndarray
-
-    def __post_init__(self):
-        self.cdf = np.asarray(self.cdf, dtype=float)
-        self.survival = np.asarray(self.survival, dtype=float)
-        if self.cdf.shape != self.grid.gammas.shape or self.survival.shape != self.cdf.shape:
-            raise InvalidInputError("cdf and survival must match the grid")
-        c = self.cdf.tolist()
-        if c:
-            if not all(-1e-12 <= x <= 1.0 + 1e-12 for x in c):
-                raise InvalidInputError("cdf values must lie in [0, 1]")
-            if not all(b - a >= -1e-12 for a, b in zip(c, c[1:])):
-                raise InvalidInputError("cdf must be nondecreasing")
-            if not all(abs(x + y - 1.0) <= COMPLEMENT_TOL
-                       for x, y in zip(c, self.survival.tolist())):
-                raise InvalidInputError("cdf and survival must be complementary")
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.cdf[-1]) if self.cdf.size else 0.0
-
-
-# -- kernels and their adjoints -------------------------------------------------
 
 
 def cdf_from_sigma_values(sigmas, deltas):

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import net as nets
 from . import sampler
-from .config import RunConfig, fill, intrinsics_from_config, read_sections, stream
+from .config import (RENDER_MODES, WEIGHTED_DEPTH, RunConfig, fill, intrinsics_from_config,
+                     read_sections, stream)
 from .errors import InvalidInputError
 # cdf_from_sigma_values is not called here; perfbench/layers.py probes this name.
 from .field import RaySet, bin_masses, cdf_from_sigma_values
@@ -151,10 +152,6 @@ def train(train_set: TrainSet, config: RunConfig, depth_l2: bool = False,
 RENDER_STREAM = 0x4E4DE2
 
 
-# The render mode of the depth-L2 baseline: the mass-weighted mean depth.
-WEIGHTED_DEPTH = "weighted-depth"
-
-
 def evaluate_ray(state: sampler.TrainState, origins: np.ndarray, dirs: np.ndarray,
                  s_max: float, scale: UnitCubeScale, n_bins: int, n_fine: int) -> tuple:
     """Render-time march of one chunk of B rays: ``(grid, cdf, q_hat)``.
@@ -183,6 +180,8 @@ def render_ray(grid: np.ndarray, cdf: np.ndarray, q_hat: np.ndarray, mode: str, 
     give none. The name is singular because perfbench/layers.py probes it
     under this name.
     """
+    if mode not in RENDER_MODES:
+        raise InvalidInputError(f"unknown render mode {mode!r}")
     masses = bin_masses(cdf)
     if mode in ("stochastic", "confidence"):
         x = uniforms if mode == "stochastic" else np.full((len(grid), 1), level)
@@ -192,15 +191,13 @@ def render_ray(grid: np.ndarray, cdf: np.ndarray, q_hat: np.ndarray, mode: str, 
         pick = np.argmax(above if mode == "first-return" else masses, axis=1)[:, None]
         ranges = np.where(np.take_along_axis(above, pick, 1),
                           np.take_along_axis(grid, pick, 1), np.nan)
-    elif mode == WEIGHTED_DEPTH:
+    else:   # WEIGHTED_DEPTH
         total = masses.sum(axis=1)
         mass = total > 1e-6
         weights = masses / np.where(mass, total, 1.0)[:, None]
         # One dot product per ray, as np.dot takes it for a single pair of rows.
         depth = np.matmul(weights[:, None, :], grid[:, :, None])[:, 0, 0]
         ranges = np.where(mass, depth, np.nan)[:, None]
-    else:
-        raise InvalidInputError(f"unknown render mode {mode!r}")
     ranges[q_hat < 0.5] = np.nan
     return ranges
 
@@ -236,8 +233,8 @@ def render_frame_cloud(state: sampler.TrainState, frame: ScanFrame,
     no more activations than a training step. Stochastic draws come from
     per-ray streams keyed on the config seed and the ray id ``frame_index *
     n_rays + i`` of the frame's ray i, so output bytes do not depend on the
-    chunk size, and two frames at one pose draw apart. ``mode`` is a render
-    mode or `WEIGHTED_DEPTH`, the depth-L2 baseline's.
+    chunk size, and two frames at one pose draw apart. ``mode`` is one of
+    `RENDER_MODES`; `WEIGHTED_DEPTH` is the depth-L2 baseline's.
     """
     origins, dirs = _frame_rays([frame])
     _check_in_bounds(origins, dirs, scale, frame.intrinsics, frame_index)

@@ -4,9 +4,13 @@ Surfaces are infinitesimally thin rectangles (or axis-aligned boxes, which
 expand to their six faces). Each carries a return probability p: a pulse
 reaching the surface reflects with probability p and is transmitted
 otherwise, so the exact cumulative return distribution along any ray is a
-jump list - the discrete analogue of the exponential field integral. A
-surface also carries an incidence-angle limit beyond which a reflection is
-recorded as a ray drop instead of a return.
+jump list - the discrete analogue of the exponential field integral.
+``trace_true_cdf`` returns just the jump locations and the cdf after each
+jump, with no elements of integration: quadrature lives only in the batched
+kernels of `plink.field` (`trapezoid_deltas`, `cdf_from_sigma_values`) that
+learned fields run through. A surface also carries an incidence-angle
+limit in [0, pi/2] beyond which a reflection is recorded as a ray drop
+instead of a return.
 
 Intersection is batched over rays and surfaces. A ``SceneSpec`` packs its
 surfaces into arrays when it is built, components first: origins and unit
@@ -32,7 +36,8 @@ in its order; tests pin the walk to the kernel's rows bit for bit.
 A scene file is a key = value file (``plink.config``): a ``bounds`` line,
 then one ``[surface]`` section per surface. Unknown keys are rejected, a
 vector must have the length shown, and a box takes no ``normal``;
-``return_prob`` defaults to 1 and ``oblique_drop_deg`` to 90.
+``return_prob`` defaults to 1 and ``oblique_drop_deg``, which lies in
+[0, 90], to 90.
 
     bounds = xmin ymin zmin xmax ymax zmax
     [surface]
@@ -187,6 +192,8 @@ class SceneSurface:
         self.normal = self.normal / norm
         if not (0.0 < self.return_prob <= 1.0):
             raise InvalidInputError("return probability must lie in (0, 1]")
+        if not (0.0 <= self.oblique_drop_angle <= np.pi / 2):
+            raise InvalidInputError("oblique drop angle must lie in [0, pi/2]")
         if np.any(self.extent <= 0.0):
             raise InvalidInputError("extent must be positive")
         self.axes = np.stack(_tangent_frame(self.normal))
@@ -319,8 +326,8 @@ def trace_true_cdf(scene: SceneSpec, ray: Ray) -> CdfTrace:
     Walking the surfaces in distance order, surface m contributes a jump of
     height P_reach * p_m (zero when its incidence exceeds the oblique limit,
     since such reflections drop) and multiplies P_reach by (1 - p_m) either
-    way. The returned trace holds the jump locations and post-jump values;
-    total mass plus drop probability is exactly 1.
+    way. The returned trace holds the jump locations and post-jump values,
+    and nothing to integrate; total mass plus drop probability is exactly 1.
     """
     distances, values = [], []
     reach = 1.0
@@ -335,11 +342,7 @@ def trace_true_cdf(scene: SceneSpec, ray: Ray) -> CdfTrace:
                 distances.append(s)
                 values.append(total)
         reach *= 1.0 - prob
-    gammas, cdf = np.array(distances), np.array(values)
-    # A lone knot's element covers the path from the sensor to it.
-    grid = (SampleGrid.from_gammas(gammas) if len(distances) > 1
-            else SampleGrid(gammas, gammas.copy()))
-    return CdfTrace(grid, cdf, 1.0 - cdf)
+    return CdfTrace(SampleGrid(np.array(distances)), np.array(values))
 
 
 def _first_reflection(hits, rng):
@@ -459,12 +462,3 @@ def load_scene(path) -> SceneSpec:
     except InvalidInputError as exc:
         raise top.fail(str(exc), top.rows["bounds"][0]) from None
 
-
-def builtin_scene_path(name: str):
-    """Path of a scene (or pose path) file shipped with the package."""
-    from importlib.resources import files
-
-    resource = files("plink").joinpath("scenes", name)
-    if not resource.is_file():
-        raise InvalidInputError(f"no builtin scene file named {name!r}")
-    return resource

@@ -17,12 +17,13 @@ import sys
 import numpy as np
 import pytest
 
-from plink import cli, errors, metrics, net as nets, pipeline, sampler, simscene
+from plink import cli, errors, metrics, net as nets, pipeline, sampler
 from plink.config import RunConfig, load_config
 from plink.errors import ConfigError, DivergenceError, InvalidInputError
+from tests.test_simscene import shipped_file
 
-SCENE = simscene.builtin_scene_path("panel_room.txt")
-PATH = simscene.builtin_scene_path("moving_path.csv")
+SCENE = shipped_file("panel_room.txt")
+PATH = shipped_file("moving_path.csv")
 UNDER_TRAINED = """\
 elevations = -0.05 0.05
 azimuth_count = 16
@@ -443,6 +444,8 @@ def test_a_pose_file_with_fewer_than_two_poses_exits_2(tmp_path, capsys, command
     (21, "return_prob = half", "scene.txt line 21: return_prob: expected float, got 'half'"),
     (21, "return_prob = nan", "scene.txt line 21: return_prob: 'nan' is not finite"),
     (21, "return_prob = 1.5", "scene.txt line 16: return probability must lie in (0, 1]"),
+    (21, "oblique_drop_deg = -30", "scene.txt line 16: oblique drop angle must lie in [0, pi/2]"),
+    (38, "oblique_drop_deg = 90.5", "scene.txt line 33: oblique drop angle must lie in [0, pi/2]"),
     (20, "extent = 1.5 one", "scene.txt line 20: extent: expected 2 numbers, got '1.5 one'"),
     (28, "extent = 19 20", "scene.txt line 28: extent: expected 3 numbers, got '19 20'"),
     (18, None, "scene.txt line 16: no origin line"),
@@ -454,8 +457,9 @@ def test_a_pose_file_with_fewer_than_two_poses_exits_2(tmp_path, capsys, command
     (12, "bounds = -2 -22 -3 22 22 3",
      "scene.txt line 12: all surface corners must lie inside the bounds"),
 ], ids=["misspelt-key", "key-of-another-kind", "not-a-number", "nan", "physics",
-        "vector-not-a-number", "vector-length", "missing-origin", "unknown-kind",
-        "unknown-section", "bounds-not-numbers", "missing-bounds", "bounds-too-small"])
+        "negative-oblique-limit", "oblique-limit-past-90", "vector-not-a-number",
+        "vector-length", "missing-origin", "unknown-kind", "unknown-section",
+        "bounds-not-numbers", "missing-bounds", "bounds-too-small"])
 def test_malformed_scene_file_exits_2(tmp_path, capsys, line, bad, message):
     lines = SCENE.read_text().splitlines()
     lines[line - 1:line] = [] if bad is None else [bad]

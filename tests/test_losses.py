@@ -12,7 +12,7 @@ from scipy.special import expit
 import tests.tape_head as tape
 from plink.config import RunConfig
 from plink.errors import InvalidInputError
-from plink.field import (CdfTrace, SampleGrid, bin_masses, bin_masses_vjp, cdf_from_sigma_values,
+from plink.field import (CdfTrace, bin_masses, bin_masses_vjp, cdf_from_sigma_values,
                          cdf_vjp, trapezoid_deltas)
 from plink.losses import (BCE_EPS, LossBreakdown, bce_values, bce_vjp, bin_accumulate,
                           depth_l2_values, depth_l2_vjp, hinge_values, hinge_vjp,
@@ -22,9 +22,11 @@ from plink.net import softplus
 from plink.pipeline import build_rays, resample_path
 from plink.sampler import histogram_from_heights, histogram_vjp
 from plink.sensor import SensorIntrinsics, read_poses
-from plink.simscene import builtin_scene_path, generate_dataset, load_scene, trace_true_cdf
-from tests.test_field import SigmaTrace, cumulative_from_sigma, near_step_trace, uniform_grid
+from plink.simscene import generate_dataset, load_scene, trace_true_cdf
+from tests.test_field import (QuadGrid, SigmaTrace, cumulative_from_sigma, near_step_trace,
+                              uniform_grid)
 from tests.test_sampler import ProposalHistogram
+from tests.test_simscene import shipped_file
 
 NORMALIZATION_TOL = 1e-6
 
@@ -132,7 +134,7 @@ class TestCdfLoss:
     def test_zero_cdf_integrates_tail(self):
         n = 4000
         grid = uniform_grid(20.0, n)
-        trace = CdfTrace(grid, np.zeros(n), np.ones(n))
+        trace = CdfTrace(grid, np.zeros(n))
         # closed form: integral of 1 over [5, 20] = 15
         assert cdf_loss(trace, [5.0]) == pytest.approx(15.0, abs=0.02)
 
@@ -200,7 +202,7 @@ class TestCoarseLoss:
         hist = ProposalHistogram(edges, np.asarray(hist_masses) / widths)
         # one fine sample at each bin center carrying exactly that bin's mass
         centers = 0.5 * (edges[:-1] + edges[1:])
-        grid = SampleGrid.from_gammas(centers)
+        grid = QuadGrid(centers)
         sigmas = np.asarray(fine_masses) / grid.deltas
         return hist, SigmaTrace(grid, sigmas)
 
@@ -230,7 +232,7 @@ class TestCoarseLoss:
         raw_sigma = rng.uniform(0.1, 2.0, size=30)
         edges = np.linspace(0.0, 12.0, 7)
         gammas = np.sort(rng.uniform(0.1, 12.0, size=30))
-        grid = SampleGrid.from_gammas(gammas)
+        grid = QuadGrid(gammas)
         values = []
         for scale_h, scale_s in ((1.0, 1.0), (10.0, 1.0), (1.0, 250.0), (3.0, 0.01)):
             hist = ProposalHistogram(edges, raw_hist * scale_h)
@@ -245,7 +247,7 @@ class TestNormalizeForCoarse:
         edges = np.linspace(0.0, 4.0, 5)
         hist = ProposalHistogram(edges, np.full(4, 0.25))
         gammas = np.linspace(0.5, 3.5, 4)
-        grid = SampleGrid.from_gammas(gammas)
+        grid = QuadGrid(gammas)
         trace = SigmaTrace(grid, 1.0 / (grid.deltas * 4))
         n_hist, n_trace = normalize_for_coarse(hist, trace)
         np.testing.assert_allclose(n_hist.heights, hist.heights)
@@ -254,7 +256,7 @@ class TestNormalizeForCoarse:
     def test_example_masses(self):
         edges = np.array([0.0, 1.0, 2.0, 3.0])
         hist = ProposalHistogram(edges, np.array([2.0, 2.0, 4.0]))
-        grid = SampleGrid.from_gammas(np.array([0.5, 1.5, 2.5]))
+        grid = QuadGrid(np.array([0.5, 1.5, 2.5]))
         trace = SigmaTrace(grid, np.ones(3))
         n_hist, _ = normalize_for_coarse(hist, trace)
         np.testing.assert_allclose(n_hist.masses, [0.25, 0.25, 0.5])
@@ -262,7 +264,7 @@ class TestNormalizeForCoarse:
     def test_degenerate_raises_without_fallback(self):
         edges = np.array([0.0, 1.0, 2.0])
         hist = ProposalHistogram(edges, np.zeros(2))
-        grid = SampleGrid.from_gammas(np.array([0.5, 1.5]))
+        grid = QuadGrid(np.array([0.5, 1.5]))
         trace = SigmaTrace(grid, np.ones(2))
         with pytest.raises(InvalidInputError):
             normalize_for_coarse(hist, trace)
@@ -270,7 +272,7 @@ class TestNormalizeForCoarse:
     def test_degenerate_fallback_is_uniform(self):
         edges = np.array([0.0, 1.0, 2.0])
         hist = ProposalHistogram(edges, np.zeros(2))
-        grid = SampleGrid.from_gammas(np.array([0.5, 1.5]))
+        grid = QuadGrid(np.array([0.5, 1.5]))
         trace = SigmaTrace(grid, np.zeros(2))
         n_hist, n_trace = normalize_for_coarse(hist, trace, fallback_uniform=True)
         assert n_hist.masses.sum() == pytest.approx(1.0)
@@ -292,9 +294,9 @@ class TestPoolRayDrop:
     def test_concentrated_mass_dominates(self):
         # 0.999 of the mass in one bin: pooled output tracks that bin's phi
         gammas = np.array([2.0, 5.0, 8.0])
-        grid = SampleGrid.from_gammas(gammas)
+        grid = QuadGrid(gammas)
         cdf = np.array([0.0005, 0.9995, 1.0])
-        trace = CdfTrace(grid, cdf, 1.0 - cdf)
+        trace = CdfTrace(grid, cdf)
         phi = np.array([-0.8, 1.0, 0.9])
         got = pool_ray_drop(phi, trace)
         expected = 1.0 / (1.0 + np.exp(-phi[1]))
@@ -555,7 +557,7 @@ class TestBatchedAgainstPerRay:
         got = step_mismatch_values(cdf, deltas, counts, k)
         for i, r in enumerate(ranges):
             np.testing.assert_array_equal(counts[i], np.searchsorted(r, grid[i], side="right"))
-            trace = CdfTrace(SampleGrid(grid[i], deltas[i]), cdf[i], 1.0 - cdf[i])
+            trace = CdfTrace(QuadGrid(grid[i], deltas[i]), cdf[i])
             assert got[i] == pytest.approx(cdf_loss(trace, r), rel=1e-13, abs=0.0)
 
     def test_bin_accumulate_and_hinge_match_coarse_loss(self):
@@ -569,7 +571,7 @@ class TestBatchedAgainstPerRay:
         got = hinge_values(fine, hist_masses)
         for i in range(len(grid)):
             hist = ProposalHistogram(edges, hist_masses[i] / np.diff(edges))
-            trace = SigmaTrace(SampleGrid(grid[i], deltas[i]), sigma[i])
+            trace = SigmaTrace(QuadGrid(grid[i], deltas[i]), sigma[i])
             want = coarse_loss(*normalize_for_coarse(hist, trace))
             assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
@@ -579,7 +581,7 @@ class TestBatchedAgainstPerRay:
         phi = rng.normal(scale=3.0, size=grid.shape)
         got = pooled_drop_values(phi, bin_masses(cdf))
         for i in range(len(grid)):
-            trace = CdfTrace(SampleGrid(grid[i], deltas[i]), cdf[i], 1.0 - cdf[i])
+            trace = CdfTrace(QuadGrid(grid[i], deltas[i]), cdf[i])
             assert got[i] == pytest.approx(pool_ray_drop(phi[i], trace), rel=1e-14, abs=0.0)
 
     def test_bce_matches_drop_bce(self):
@@ -619,8 +621,8 @@ def panel_rays(seed):
     windows (R, 2)): a ray's window runs from 0.5 m past the panel's jump in
     its exact cdf to 0.5 m short of the wall's.
     """
-    scene = load_scene(builtin_scene_path("panel_room.txt"))
-    path = resample_path(read_poses(builtin_scene_path("static_path.csv")), 20)
+    scene = load_scene(shipped_file("panel_room.txt"))
+    path = resample_path(read_poses(shipped_file("static_path.csv")), 20)
     intrinsics = SensorIntrinsics(np.array([0.0]), 64, 20.0)
     rays = build_rays(generate_dataset(scene, path, intrinsics, seed))
     ranges, windows = [], []

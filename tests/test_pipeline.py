@@ -18,12 +18,13 @@ from scipy.special import expit
 import plink
 from plink import net as nets
 from plink import pipeline, sampler, sensor, simscene
-from plink.config import RunConfig
+from plink.config import RENDER_MODES, WEIGHTED_DEPTH, RunConfig
 from plink.errors import InvalidInputError
 from plink.field import Ray, RaySet, bin_masses, cdf_from_sigma_values, trapezoid_deltas
 from plink.losses import LossBreakdown
 from tests.test_field import inverse_transform_sample, render_confidence
 from tests.test_sensor import IDENTITY, frame_fractions, oracle_poses
+from tests.test_simscene import shipped_file
 
 # A direction from the per-ray `local[b, a] @ R.T` product and one from the
 # per-azimuth (beams, 3) @ (3, 3) product can round differently: by about
@@ -43,9 +44,9 @@ def reference_rays(frame):
 
 
 def dataset(path_name, n_frames, seed=4):
-    scene = simscene.load_scene(simscene.builtin_scene_path("panel_room.txt"))
+    scene = simscene.load_scene(shipped_file("panel_room.txt"))
     path = pipeline.resample_path(
-        sensor.read_poses(simscene.builtin_scene_path(path_name)), n_frames)
+        sensor.read_poses(shipped_file(path_name)), n_frames)
     intr = sensor.SensorIntrinsics([-0.09, -0.03, 0.03, 0.09], 32, 20.0)
     return simscene.generate_dataset(scene, path, intr, seed)
 
@@ -105,7 +106,7 @@ class TestBuildRays:
 
     def test_each_row_traces_to_its_recorded_ranges(self):
         # rays[i] is row i's Ray: its exact cdf jumps at every range the row recorded.
-        scene = simscene.load_scene(simscene.builtin_scene_path("panel_room.txt"))
+        scene = simscene.load_scene(shipped_file("panel_room.txt"))
         rays = pipeline.build_rays(dataset("static_path.csv", 3))
         for i, ray in enumerate(rays):
             trace = simscene.trace_true_cdf(scene, rays[i])
@@ -136,7 +137,7 @@ class TestBoundsCheck:
     CUT = ([-24.0, -22.0, -3.0], [20.0, 22.0, 3.0])
 
     def scene(self, bounds):
-        spec = simscene.load_scene(simscene.builtin_scene_path("panel_room.txt"))
+        spec = simscene.load_scene(shipped_file("panel_room.txt"))
         return simscene.SceneSpec(spec.surfaces, bounds)
 
     def test_train_set_names_the_first_ray_outside(self):
@@ -152,7 +153,7 @@ class TestBoundsCheck:
     def test_rays_inside_pass(self):
         frames = dataset("moving_path.csv", 2)
         scene = self.scene(simscene.load_scene(
-            simscene.builtin_scene_path("panel_room.txt")).bounds)
+            shipped_file("panel_room.txt")).bounds)
         assert oracle_first_outside(frames, pipeline.train_set_from_frames(
             frames, scene).scale) is None
 
@@ -191,8 +192,8 @@ class TestDatasetFiles:
         # 0.667 s pose interval, and the moving path's ranges moved with its rays.
         config = RunConfig(elevations=[-0.09, 0.0, 0.09], azimuth_count=32,
                            n_frames=3).validate()
-        pipeline.generate_to_disk(simscene.builtin_scene_path("panel_room.txt"),
-                                  simscene.builtin_scene_path(path_name), tmp_path, config)
+        pipeline.generate_to_disk(shipped_file("panel_room.txt"),
+                                  shipped_file(path_name), tmp_path, config)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "intrinsics.txt", "poses.csv", "scan_0000.csv", "scan_0001.csv", "scan_0002.csv"]
         assert tree_digest(tmp_path) == digest
@@ -212,8 +213,8 @@ class TestDatasetFiles:
         # back casts, bit for bit, the rays the simulator cast.
         config = RunConfig(elevations=[-0.09, 0.0, 0.09], azimuth_count=32,
                            n_frames=3).validate()
-        simulated = pipeline.generate_to_disk(simscene.builtin_scene_path("panel_room.txt"),
-                                              simscene.builtin_scene_path("moving_path.csv"),
+        simulated = pipeline.generate_to_disk(shipped_file("panel_room.txt"),
+                                              shipped_file("moving_path.csv"),
                                               tmp_path, config)
         read = pipeline.read_dataset(tmp_path)
         assert len(read) == len(simulated) == 3
@@ -347,7 +348,7 @@ def oracle_frame_cloud(state, frame, scale, config, mode, frame_index=0):
                                                      dirs.reshape(-1, 3)), start=first_id):
         ray = Ray(origin, direction, frame.intrinsics.s_max)
         render = oracle_evaluate_ray(state, ray, scale, config.n_bins, config.n_fine)
-        if mode == pipeline.WEIGHTED_DEPTH:
+        if mode == WEIGHTED_DEPTH:
             ranges = oracle_baseline_ray(render)
         else:
             rng = sampler.ray_rng(config.seed, ray_id, epoch=pipeline.RENDER_STREAM)
@@ -391,7 +392,7 @@ class TestRender:
     def test_batched_frame_matches_per_ray_oracle(self, mode, baseline, seed):
         # 24 rays in chunks of 7: the last chunk is ragged.
         state, frame, scale, config = render_setup(seed, batch_rays=7)
-        mode = pipeline.WEIGHTED_DEPTH if baseline else mode
+        mode = WEIGHTED_DEPTH if baseline else mode
         want = oracle_frame_cloud(state, frame, scale, config, mode)
         got = pipeline.render_frame_cloud(state, frame, scale, config, mode).points
         assert len(want) > 0
@@ -449,8 +450,7 @@ class TestRenderPicker:
     """The batched picker against the per-ray render path, ray by ray."""
 
     @pytest.mark.parametrize("seed", [1, 2])
-    @pytest.mark.parametrize("mode", ["stochastic", "confidence", "first-return",
-                                      "strongest-return", pipeline.WEIGHTED_DEPTH])
+    @pytest.mark.parametrize("mode", RENDER_MODES)
     @pytest.mark.parametrize("gated", [True, False])
     def test_matches_per_ray_picks(self, seed, mode, gated):
         # Ungated, every ray passes the drop gate, so every ray's pick is compared.
@@ -462,7 +462,7 @@ class TestRenderPicker:
         assert got.shape == (len(grid), 4 if mode == "stochastic" else 1)
         for i in range(len(grid)):
             render = RayRender(RowTrace(grid[i], cdf[i]), np.zeros_like(cdf[i]), float(q_hat[i]))
-            if mode == pipeline.WEIGHTED_DEPTH:
+            if mode == WEIGHTED_DEPTH:
                 want = oracle_baseline_ray(render)
             else:
                 draws = iter(uniforms[i])

@@ -14,9 +14,10 @@ import re
 import numpy as np
 import pytest
 
-from plink import pipeline, sensor, simscene
+from plink import pipeline, sensor
 from plink.config import RunConfig, intrinsics_from_config
 from plink.errors import InvalidInputError
+from tests.test_simscene import shipped_file
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -106,7 +107,7 @@ class TestPose:
 def test_pose_file_round_trip_keeps_every_line(tmp_path, name):
     # The csv writer ends lines with CRLF and the shipped files with LF, so
     # the files are compared line by line, each line character for character.
-    path = simscene.builtin_scene_path(name)
+    path = shipped_file(name)
     sensor.write_poses(tmp_path / name, sensor.read_poses(path))
     with open(path, newline="") as shipped:
         assert (tmp_path / name).read_bytes().decode().splitlines() == \
@@ -210,7 +211,7 @@ class TestRayDirections:
         # start pose to the end pose: azimuth step a of A is cast from a / A
         # of the way between the boundary translations.
         path = pipeline.resample_path(
-            sensor.read_poses(simscene.builtin_scene_path("moving_path.csv")), n_frames)
+            sensor.read_poses(shipped_file("moving_path.csv")), n_frames)
         intr = intrinsics_from_config(RunConfig())
         n_az = intr.azimuth_count
         shape = (intr.n_beams, n_az)

@@ -4,6 +4,7 @@ generation and the shipped scene."""
 
 import hashlib
 import warnings
+from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +22,17 @@ PATHS = ("static_path.csv", "moving_path.csv")
 ELEVATIONS = [-0.09, -0.03, 0.03, 0.09]
 
 
+def shipped_file(name):
+    """A scene or pose path file shipped in the package, where the CLI's users find it."""
+    return files("plink") / "scenes" / name
+
+
 def shipped_scene():
-    return simscene.load_scene(simscene.builtin_scene_path(SCENE))
+    return simscene.load_scene(shipped_file(SCENE))
 
 
 def shipped_path(name, n_frames):
-    return resample_path(sensor.read_poses(simscene.builtin_scene_path(name)), n_frames)
+    return resample_path(sensor.read_poses(shipped_file(name)), n_frames)
 
 
 def intrinsics():
@@ -273,6 +279,19 @@ class TestWalk:
         assert walks == [want]
 
 
+class TestSceneSurface:
+    @pytest.mark.parametrize("angle", [-0.5, np.nextafter(np.pi / 2, 2.0), np.nan],
+                             ids=["negative", "past-a-right-angle", "nan"])
+    def test_rejects_an_oblique_limit_outside_a_right_angle(self, angle):
+        with pytest.raises(InvalidInputError, match=r"oblique drop angle must lie in \[0, pi/2\]"):
+            simscene.SceneSurface(np.zeros(3), [1.0, 0, 0], [1.0, 1.0], 0.5, angle)
+
+    @pytest.mark.parametrize("angle", [0.0, np.pi / 2], ids=["zero", "right-angle"])
+    def test_accepts_either_end_of_the_oblique_range(self, angle):
+        surface = simscene.SceneSurface(np.zeros(3), [1.0, 0, 0], [1.0, 1.0], 0.5, angle)
+        assert surface.oblique_drop_angle == angle
+
+
 class TestBounds:
     def test_rect_poking_out_of_bounds_is_rejected(self):
         # The centre is inside; the tangent axis of a +x normal is -y, so the
@@ -325,7 +344,7 @@ def tilted_scene_and_rays(rng, n):
 def trace_digest(traces) -> str:
     h = hashlib.sha256()
     for t in traces:
-        for values in (t.grid.gammas, t.grid.deltas, t.cdf, t.survival):
+        for values in (t.grid.gammas, t.cdf):
             h.update(np.int64(values.size).tobytes() + values.tobytes())
     return h.hexdigest()
 
@@ -351,6 +370,9 @@ class TestExactCdf:
         # their bytes. Recorded again once a frame's sweep spanned its two
         # boundary poses: the moving frame's rays now cover its whole 0.5 s
         # pose interval, where a 0.1 s scan period covered its first fifth.
+        # Hashed again over the jump lists alone once traces dropped their
+        # trapezoid elements and survival column: this hash was taken of the
+        # traces before that change, so the jump lists kept their bytes.
         scene, rays = shipped_scene(), []
         frame = simscene.generate_dataset(scene, shipped_path("moving_path.csv", 4)[:2],
                                           intrinsics(), seed=3)[0]
@@ -360,12 +382,22 @@ class TestExactCdf:
                      for o, d in zip(origins, dirs)])
         assert sum(len(t.grid) > 1 for t in traces) > 50
         assert trace_digest(traces) == (
-            "a05e578c208ec8232325e03618e150511d4dc25ecdbc8ffd427f4534fb992c92")
+            "7691faeba95dc70d5f8b455d6184aa267a3949614f6d33bf06be7c92958896e4")
 
-    def test_bimodal_ray_behind_the_panel(self):
-        trace = simscene.trace_true_cdf(shipped_scene(), Ray(np.zeros(3), [1.0, 0, 0], 20.0))
-        np.testing.assert_array_equal(trace.grid.gammas, [4.0, 9.0])
-        np.testing.assert_array_equal(trace.cdf, [0.5, 1.0])
+    # Panel then wall: a bimodal ray; the opaque wall alone: one knot; the
+    # box's -x face past its oblique limit, the range ending before its far
+    # face: no knot.
+    @pytest.mark.parametrize("direction, s_max, gammas, cdf", [
+        ([1.0, 0.0, 0.0], 20.0, [4.0, 9.0], [0.5, 1.0]),
+        ([-1.0, 0.0, 0.0], 20.0, [10.0], [1.0]),
+        ([2.0, 5.0, 0.0], 6.0, [], []),
+    ], ids=["behind-the-panel", "opaque-wall-only", "past-the-oblique-limit"])
+    def test_jump_lists(self, direction, s_max, gammas, cdf):
+        ray = Ray(np.zeros(3), unit(np.array(direction)), s_max)
+        trace = simscene.trace_true_cdf(shipped_scene(), ray)
+        np.testing.assert_array_equal(trace.grid.gammas, gammas)
+        np.testing.assert_array_equal(trace.cdf, cdf)
+        assert trace.total_mass == (cdf[-1] if cdf else 0.0)
 
     def test_sample_return_frequencies_match_the_jumps(self):
         scene = shipped_scene()
@@ -446,7 +478,7 @@ class TestGenerateDataset:
         assert len(frames) == n_frames and len(traces) == n_traces
 
     def test_a_return_to_an_earlier_pose_is_traced_again(self, traces):
-        here, there = (sensor.read_poses(simscene.builtin_scene_path(name))[-1]
+        here, there = (sensor.read_poses(shipped_file(name))[-1]
                        for name in PATHS)
         path = [sensor.Pose(pose.quaternion, pose.translation, 0.1 * t)
                 for t, pose in enumerate([here, here, here, there, there, here, here])]
@@ -476,7 +508,7 @@ class TestGenerateDataset:
 class TestShippedScene:
     @pytest.mark.parametrize("name", (SCENE,) + PATHS)
     def test_builtin_files_resolve(self, name):
-        assert simscene.builtin_scene_path(name).is_file()
+        assert shipped_file(name).is_file()
 
     def test_scene_parses(self):
         scene = shipped_scene()
@@ -492,9 +524,5 @@ class TestShippedScene:
 
     @pytest.mark.parametrize("name", PATHS)
     def test_paths_parse(self, name):
-        poses = sensor.read_poses(simscene.builtin_scene_path(name))
+        poses = sensor.read_poses(shipped_file(name))
         assert len(poses) == 2 and poses[1].timestamp > poses[0].timestamp
-
-    def test_unknown_name_is_rejected(self):
-        with pytest.raises(InvalidInputError):
-            simscene.builtin_scene_path("no_such_scene.txt")
