@@ -17,11 +17,13 @@ rays with their recorded ranges as columns (`RaySet`), and the exact
 distribution that `simscene.trace_true_cdf` returns. On an analytic scene
 returns arrive at specific distances, so that distribution is a jump list:
 the jump locations (`SampleGrid`) and the cdf after each jump (`CdfTrace`),
-with nothing to integrate. Each check states what must hold, so that NaN
-fails it. The per-ray ones run on arrays of a few elements, where numpy's
-fixed per-call cost outweighs the arithmetic: they compare Python floats
-from ``tolist`` (`Ray` takes its direction's norm with ``dot``), not
-numpy reductions.
+with nothing to integrate. Each fact is checked once, where data enters:
+`RaySet` checks the training rays as columns (NaN fails each check), the
+readers check each row they parse, and `RunConfig.validate` the sizes and
+range limit. A `Ray` is a `RaySet` row, and `trace_true_cdf`, the one
+producer of `SampleGrid` and `CdfTrace`, builds knots strictly increasing in
+(1e-9, s_max] (merged within 1e-9 m) and a cdf that accumulates, so none of
+these records checks its data again.
 """
 
 from __future__ import annotations
@@ -47,15 +49,6 @@ class Ray:
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float)
         self.direction = np.asarray(self.direction, dtype=float)
-        if self.origin.shape != (3,) or self.direction.shape != (3,):
-            raise InvalidInputError("origin and direction must be 3-vectors")
-        if not all(map(math.isfinite, self.origin.tolist())):
-            raise InvalidInputError("origin must be finite")
-        d = self.direction
-        if not abs(math.sqrt(d.dot(d)) - 1.0) <= UNIT_NORM_TOL:
-            raise InvalidInputError("direction must be unit-norm")
-        if not 0.0 < self.s_max < math.inf:
-            raise InvalidInputError(f"s_max must lie in (0, inf), not {self.s_max!r}")
 
 
 @dataclass
@@ -116,14 +109,6 @@ class SampleGrid:
 
     def __post_init__(self):
         self.gammas = np.asarray(self.gammas, dtype=float)
-        if self.gammas.ndim != 1:
-            raise InvalidInputError("gammas must be 1-d")
-        g = self.gammas.tolist()
-        if g:
-            if not all(a < b for a, b in zip(g, g[1:])):
-                raise InvalidInputError("gammas must be strictly increasing")
-            if not g[0] >= 0.0:
-                raise InvalidInputError("gammas must be nonnegative")
 
     def __len__(self):
         return self.gammas.size
@@ -138,14 +123,6 @@ class CdfTrace:
 
     def __post_init__(self):
         self.cdf = np.asarray(self.cdf, dtype=float)
-        if self.cdf.shape != self.grid.gammas.shape:
-            raise InvalidInputError("cdf must match the grid")
-        c = self.cdf.tolist()
-        if c:
-            if not all(-1e-12 <= x <= 1.0 + 1e-12 for x in c):
-                raise InvalidInputError("cdf values must lie in [0, 1]")
-            if not all(b - a >= -1e-12 for a, b in zip(c, c[1:])):
-                raise InvalidInputError("cdf must be nondecreasing")
 
     @property
     def total_mass(self) -> float:

@@ -15,8 +15,8 @@ is its adjoint (``*_vjp``): the gradient at the kernel's inputs from the
 gradient at its output, written as a reverse-mode tape would run it, op by
 op, so training's gradients round as the tape's would. `sampler.train_step`
 calls them on the rows of its march, and rendering pools the drop channel
-with `pooled_drop_values`. The kernels do not validate; their callers build
-well-formed rows.
+with `pooled_drop_values`. The kernels and `LossBreakdown` do not validate;
+their callers build well-formed rows, and every term is nonnegative.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
 from .net import sigmoid
 
 BCE_EPS = 1e-7
@@ -39,10 +38,6 @@ class LossBreakdown:
     l_drop: float
     l_coarse: float
     alpha: float
-
-    def __post_init__(self):
-        if min(self.l_c, self.l_drop, self.l_coarse) < 0.0:
-            raise InvalidInputError("loss terms must be nonnegative")
 
     @property
     def l_fine(self) -> float:

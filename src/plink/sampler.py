@@ -58,8 +58,6 @@ def histogram_from_coarse(model, origins, dirs, s_max: float, n_bins: int, scale
 
     ``forward(model, feats) -> (sigma, phi)`` is the network pass.
     """
-    if n_bins < 2:
-        raise InvalidInputError("need at least two coarse bins")
     centers = uniform_bin_centers(s_max, n_bins)
     points = origins[:, None, :] + centers[None, :, None] * dirs[:, None, :]
     sigma, _ = forward(model, _encode_batch(model, points, dirs, scale))
@@ -107,8 +105,6 @@ def importance_sample(masses: np.ndarray, edges: np.ndarray, draws: np.ndarray) 
     the second half places each point inside its bin. Returns (B, n_fine).
     """
     n_fine = draws.shape[-1] // 2
-    if n_fine < 1:
-        raise InvalidInputError("need at least one fine point")
     cdf = np.cumsum(masses, axis=-1)
     cdf[..., -1] = np.maximum(cdf[..., -1], 1.0)  # round-off shortfall at the top
     u = (np.arange(n_fine) + draws[..., :n_fine]) / n_fine

@@ -25,7 +25,9 @@ or flag as a decimal integer, and the range of a dropped pulse as ``0.0``.
 
 Two poses agree (`same_pose`) when their rotation matrices and translations
 are equal: a frame whose boundary poses agree holds its start pose, and
-training pools the frames whose boundary poses agree with frame 0's.
+training pools the frames whose boundary poses agree with frame 0's. Every
+producer of a `ScanFrame` sizes its grid from the frame's intrinsics, so the
+frame does not check it again.
 """
 
 from __future__ import annotations
@@ -107,11 +109,8 @@ class ScanFrame:
     returned: np.ndarray    # bool mask, False marks ray drop
 
     def __post_init__(self):
-        shape = (self.intrinsics.n_beams, self.intrinsics.azimuth_count)
         self.ranges = np.asarray(self.ranges, dtype=float)
         self.returned = np.asarray(self.returned, dtype=bool)
-        if self.ranges.shape != shape or self.returned.shape != shape:
-            raise InvalidInputError("measurement grid must match the intrinsics")
 
     def sample_fractions(self) -> np.ndarray:
         """Where each azimuth step a fires: a / azimuth_count of the way from
@@ -190,12 +189,10 @@ def to_unit_cube(bounds) -> UnitCubeScale:
     """The transform taking axis-aligned world bounds into the unit cube.
 
     The scale is uniform (largest bound extent wins), so geometry is
-    preserved.
+    preserved; the bounds are a `simscene.SceneSpec`'s, checked positive there.
     """
     lo, hi = (np.asarray(b, dtype=float) for b in bounds)
     extent = hi - lo
-    if np.any(extent <= 0.0):
-        raise InvalidInputError("bounds must have positive extent")
     scale = 2.0 / float(extent.max())
     return UnitCubeScale(center=0.5 * (lo + hi), scale=scale)
 

@@ -128,26 +128,6 @@ class TestSampleGrid:
         np.testing.assert_allclose(deltas, [1.5, 1.5, 2.5, 1.5])
         assert deltas.sum() == pytest.approx(gammas[-1])
 
-    def test_rejects_non_ascending(self):
-        with pytest.raises(InvalidInputError):
-            SampleGrid(np.array([1.0, 1.0]))
-
-    @pytest.mark.parametrize("gammas, message", [
-        ([1.0, np.nan], "strictly increasing"),
-        ([np.nan, 2.0], "strictly increasing"),
-        ([np.nan], "nonnegative")], ids=["nan-last", "nan-first", "lone-nan"])
-    def test_rejects_nan(self, gammas, message):
-        with pytest.raises(InvalidInputError, match=message):
-            SampleGrid(gammas)
-
-    @pytest.mark.parametrize("gammas, message", [
-        ([1.0, 2.0, 2.0], "strictly increasing"),
-        ([-1e-300, 2.0], "nonnegative")],
-        ids=["repeated-gamma", "negative-gamma"])
-    def test_rejects_the_boundary(self, gammas, message):
-        with pytest.raises(InvalidInputError, match=message):
-            SampleGrid(gammas)
-
     def test_accepts_a_first_gamma_of_zero(self):
         assert len(SampleGrid([0.0, 1e-300])) == 2
 
@@ -158,49 +138,17 @@ def knots(cdf):
 
 
 class TestCdfTrace:
-    @pytest.mark.parametrize("cdf", [[np.nan, 0.5], [0.5, np.nan]], ids=["nan-first", "nan-last"])
-    def test_rejects_nan(self, cdf):
-        with pytest.raises(InvalidInputError, match=r"lie in \[0, 1\]"):
-            knots(cdf)
-
     @pytest.mark.parametrize("cdf", [[0.5, 1.0 + 1e-12], [-1e-12], [0.5, 0.5 - 5e-13]],
                              ids=["cdf-1e-12-above-one", "cdf-1e-12-below-zero",
                                   "step-down-5e-13"])
     def test_accepts_within_the_tolerances(self, cdf):
         knots(cdf)
 
-    @pytest.mark.parametrize("cdf, message", [
-        ([0.5, 1.0 + 1e-11], r"lie in \[0, 1\]"),
-        ([-1e-11], r"lie in \[0, 1\]"),
-        ([0.5, 0.5 - 1e-11], "nondecreasing")],
-        ids=["cdf-1e-11-above-one", "cdf-1e-11-below-zero", "step-down-1e-11"])
-    def test_rejects_past_the_tolerances(self, cdf, message):
-        with pytest.raises(InvalidInputError, match=message):
-            knots(cdf)
-
 
 class TestRay:
-    def test_rejects_non_unit_direction(self):
-        with pytest.raises(InvalidInputError):
-            Ray(np.zeros(3), np.array([1.0, 1.0, 0.0]), 10.0)
-
-    def test_rejects_nan_direction(self):
-        with pytest.raises(InvalidInputError, match="unit-norm"):
-            Ray(np.zeros(3), [np.nan, 0.0, 0.0], 1.0)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    def test_rejects_non_finite_origin(self, bad):
-        with pytest.raises(InvalidInputError, match="origin must be finite"):
-            Ray([bad, 0.0, 0.0], [1.0, 0.0, 0.0], 1.0)
-
     def test_takes_a_large_finite_origin(self):
-        # Its squared norm overflows; the check must not.
+        # Its squared norm overflows; a Ray keeps it as given.
         assert Ray([1e200, 0.0, 0.0], [1.0, 0.0, 0.0], 1.0).origin[0] == 1e200
-
-    @pytest.mark.parametrize("bad", [np.nan, -1.0, 0.0, np.inf], ids=["nan", "-1", "0", "inf"])
-    def test_rejects_s_max_outside_the_positive_reals(self, bad):
-        with pytest.raises(InvalidInputError, match=r"s_max must lie in \(0, inf\)"):
-            Ray(np.zeros(3), [1.0, 0.0, 0.0], bad)
 
     def test_holds_only_origin_direction_and_range_limit(self):
         assert [f.name for f in fields(Ray)] == ["origin", "direction", "s_max"]

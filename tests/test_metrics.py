@@ -42,6 +42,8 @@ def test_kd_tree_matches_brute_force(seed, n_gt, n_synth, threshold_cm):
         precision = float(np.mean(want_to_gt <= threshold_cm / 100.0)) * 100.0
         recall = float(np.mean(want_to_synth <= threshold_cm / 100.0)) * 100.0
         assert report.f_score_pct == 2.0 * precision * recall / (precision + recall)
+        assert 0.0 <= report.f_score_pct <= 100.0
+        assert report.chamfer_l1_cm == 0.5 * (report.completion_cm + report.accuracy_cm)
         assert report.threshold_cm == threshold_cm
 
 

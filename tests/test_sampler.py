@@ -17,7 +17,7 @@ from plink import autodiff as ad
 from plink import net as nets
 from plink import pipeline, sampler
 from plink.config import RunConfig, entropy_words
-from plink.errors import DivergenceError, InvalidInputError
+from plink.errors import ConfigError, DivergenceError, InvalidInputError
 from plink.field import RaySet
 from plink.sensor import UnitCubeScale
 from tests.test_net import make_model, widened
@@ -57,10 +57,9 @@ class TestCoarseBins:
         assert np.all(np.diff(centers) == pytest.approx(4.0))
 
     def test_rejects_single_bin(self):
-        with pytest.raises(InvalidInputError):
-            sampler.histogram_from_coarse(coarse_model(), np.zeros((1, 3)),
-                                          np.array([[1.0, 0.0, 0.0]]), 10.0, 1,
-                                          SCALE, nets.forward)
+        # The march takes its bin count from a validated config, checked there alone.
+        with pytest.raises(ConfigError, match="n_bins must be at least 2"):
+            RunConfig(n_bins=1).validate()
 
 
 @dataclass

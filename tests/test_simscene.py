@@ -341,6 +341,18 @@ def tilted_scene_and_rays(rng, n):
     return (scene, *random_rays(rng, scene, n))
 
 
+def traced_rays():
+    """(ray, exact trace) for every ray of a shipped moving-path frame, then
+    for 400 rays of a tilted scene with drops and a merged jump."""
+    scene = shipped_scene()
+    frame = simscene.generate_dataset(scene, shipped_path("moving_path.csv", 4)[:2],
+                                      intrinsics(), seed=3)[0]
+    tilted, origins, dirs = tilted_scene_and_rays(np.random.default_rng(21), 400)
+    rays = ([(scene, r) for r in frame_rays(frame)]
+            + [(tilted, Ray(o, d, 20.0)) for o, d in zip(origins, dirs)])
+    return [(ray, simscene.trace_true_cdf(s, ray)) for s, ray in rays]
+
+
 def trace_digest(traces) -> str:
     h = hashlib.sha256()
     for t in traces:
@@ -373,16 +385,24 @@ class TestExactCdf:
         # Hashed again over the jump lists alone once traces dropped their
         # trapezoid elements and survival column: this hash was taken of the
         # traces before that change, so the jump lists kept their bytes.
-        scene, rays = shipped_scene(), []
-        frame = simscene.generate_dataset(scene, shipped_path("moving_path.csv", 4)[:2],
-                                          intrinsics(), seed=3)[0]
-        tilted, origins, dirs = tilted_scene_and_rays(np.random.default_rng(21), 400)
-        traces = ([simscene.trace_true_cdf(scene, r) for r in frame_rays(frame)]
-                  + [simscene.trace_true_cdf(tilted, Ray(o, d, 20.0))
-                     for o, d in zip(origins, dirs)])
+        traces = [trace for _, trace in traced_rays()]
         assert sum(len(t.grid) > 1 for t in traces) > 50
         assert trace_digest(traces) == (
             "7691faeba95dc70d5f8b455d6184aa267a3949614f6d33bf06be7c92958896e4")
+
+    def test_traces_are_jump_lists(self):
+        # Knots more than 1e-9 m apart (coincident surfaces merge) in
+        # (1e-9, s_max]; after each, a cdf in [0, 1] that never steps down,
+        # to 1e-12; the total mass is the last value. `SampleGrid` and
+        # `CdfTrace` do not check this: their one producer guarantees it.
+        for ray, trace in traced_rays():
+            gammas, cdf = trace.grid.gammas, trace.cdf
+            assert gammas.ndim == 1 and cdf.shape == gammas.shape
+            assert np.all(np.diff(gammas) > 1e-9)
+            assert np.all((gammas > 1e-9) & (gammas <= ray.s_max))
+            assert np.all(np.diff(cdf) >= -1e-12)
+            assert np.all((cdf >= -1e-12) & (cdf <= 1.0 + 1e-12))
+            assert trace.total_mass == (cdf[-1] if cdf.size else 0.0)
 
     # Panel then wall: a bimodal ray; the opaque wall alone: one knot; the
     # box's -x face past its oblique limit, the range ending before its far
