@@ -32,7 +32,8 @@ Exit codes:
   file and, in a line-based file, the line; also any other `PlinkError`
   and an OS error on a file; also a `MemoryError`, as ``error: not enough
   memory: <message>``, since input sizes past what the machine holds are
-  bad input too.
+  bad input too. gen's message names the config file or flags and the
+  size keys behind the allocation.
 * 3: training divergence.
 * 1, with a traceback: an internal error. `main` catches only the errors
   above, so any other exception propagates out of it.
@@ -41,6 +42,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 from dataclasses import replace
@@ -124,7 +126,16 @@ def cmd_gen(args) -> int:
     config = resolve_config(args)
     scene = _require(config.scene, "scene")
     path = _require(config.path, "path")
-    frames = pipeline.generate_to_disk(scene, path, config.out_dir, config)
+    try:
+        frames = pipeline.generate_to_disk(scene, path, config.out_dir, config)
+    except MemoryError as exc:
+        sources = [args.config] if args.config else []
+        if args.n_frames is not None:
+            sources.append("--frames")
+        source = " and ".join(sources) or "the defaults"
+        raise MemoryError(f"{source}: the scan sizes elevations ({len(config.elevations)} "
+                          f"beams), azimuth_count = {config.azimuth_count} and n_frames = "
+                          f"{config.n_frames}: {exc}") from None
     n_rays = frames[0].intrinsics.n_beams * frames[0].intrinsics.azimuth_count
     print(f"wrote {len(frames)} frames x {n_rays} rays to {config.out_dir}")
     return EXIT_OK
@@ -289,8 +300,25 @@ COMMANDS = {
 }
 
 
+def _pin_allocator() -> None:
+    """Fix glibc's heap trim and mmap thresholds; without ``mallopt``, do nothing.
+
+    By default glibc trims the heap once a train step frees its graphs, and
+    the next step faults the same pages back in. Fixed thresholds keep
+    arrays up to 32 MiB on a heap that is trimmed only past 1 GiB free.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):    # no mallopt, or no C library handle
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-1, 1 << 30)        # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)       # M_MMAP_THRESHOLD
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _pin_allocator()
     try:
         return COMMANDS[args.command](args)
     except ConfigError as exc:

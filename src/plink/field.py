@@ -17,25 +17,21 @@ rays with their recorded ranges as columns (`RaySet`), and the exact
 distribution that `simscene.trace_true_cdf` returns. On an analytic scene
 returns arrive at specific distances, so that distribution is a jump list:
 the jump locations (`SampleGrid`) and the cdf after each jump (`CdfTrace`),
-with nothing to integrate. Each fact is checked once, where data enters:
-`RaySet` checks the training rays as columns (NaN fails each check), the
-readers check each row they parse, and `RunConfig.validate` the sizes and
-range limit. A `Ray` is a `RaySet` row, and `trace_true_cdf`, the one
-producer of `SampleGrid` and `CdfTrace`, builds knots strictly increasing in
-(1e-9, s_max] (merged within 1e-9 m) and a cdf that accumulates, so none of
-these records checks its data again.
+with nothing to integrate. Each fact is checked once, where data enters,
+and no record checks it again. A `RaySet` holds `pipeline.build_rays`'
+rows of frames whose ranges the scan reader checked (or the generator drew
+in (1e-9, s_max]), whose origins are `Pose`-checked and whose directions
+come from normalised quaternions; a `Ray` is one row, a batch a slice.
+`trace_true_cdf`, the one producer of `SampleGrid` and `CdfTrace`, builds
+knots strictly increasing in (1e-9, s_max] (merged within 1e-9 m) and a
+cdf that accumulates.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import InvalidInputError
-
-UNIT_NORM_TOL = 1e-9
 
 
 @dataclass
@@ -53,14 +49,13 @@ class Ray:
 
 @dataclass
 class RaySet:
-    """R training rays as columns, checked all at once.
+    """R training rays as columns: (R, 3) origins and unit directions.
 
-    ``ranges`` (R, K) holds each ray's recorded ranges in ascending order,
-    padded with ``inf``; a row of ``inf`` is a pure ray drop. Origins are
-    finite and ``s_max`` lies in (0, inf). ``ids`` (R,)
-    key each ray's sample streams and default to the row numbers. Indexing
-    with an array or slice gives a ``RaySet`` of those rows with their ids;
-    with an integer, that row's ``Ray``.
+    ``ranges`` (R, K) holds each ray's recorded ranges in (0, s_max],
+    ascending and padded with ``inf``; a row of ``inf`` is a pure ray drop.
+    ``ids`` (R,) key each ray's sample streams and default to the row
+    numbers. Indexing with an array or slice gives a ``RaySet`` of those
+    rows with their ids; with an integer, that row's ``Ray``.
     """
 
     origins: np.ndarray
@@ -73,20 +68,7 @@ class RaySet:
         self.origins = np.asarray(self.origins, dtype=float)
         self.dirs = np.asarray(self.dirs, dtype=float)
         self.ranges = np.asarray(self.ranges, dtype=float)
-        n = len(self.origins)
-        self.ids = np.arange(n) if self.ids is None else np.asarray(self.ids)
-        if (self.origins.shape != (n, 3) or self.dirs.shape != (n, 3)
-                or self.ranges.ndim != 2 or len(self.ranges) != n or self.ids.shape != (n,)):
-            raise InvalidInputError("origins and dirs must be (R, 3), ranges (R, K), ids (R,)")
-        if not np.isfinite(self.origins).all():
-            raise InvalidInputError("origins must be finite")
-        if not 0.0 < self.s_max < math.inf:
-            raise InvalidInputError(f"s_max must lie in (0, inf), not {self.s_max!r}")
-        if not (np.abs(np.linalg.norm(self.dirs, axis=1) - 1.0) <= UNIT_NORM_TOL).all():
-            raise InvalidInputError("directions must be unit-norm")
-        padded = self.ranges == np.inf
-        if not np.all((self.ranges > 0.0) & (self.ranges <= self.s_max) | padded):
-            raise InvalidInputError("ranges must lie in (0, s_max]")
+        self.ids = np.arange(len(self.origins)) if self.ids is None else np.asarray(self.ids)
 
     def __len__(self):
         return len(self.origins)

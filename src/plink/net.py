@@ -74,7 +74,6 @@ from .errors import DivergenceError, InvalidInputError
 
 MODEL_MAGIC = b"PLNKFLD1"
 CHECKPOINT_MAGIC = b"PLNKCKPT"
-POSITION_BOUND = 1.001
 
 
 def sigmoid(a: np.ndarray) -> np.ndarray:
@@ -102,11 +101,10 @@ def encode(positions, directions, levels: int, dir_levels: int,
 
     Directions come one per position, or one per ray: B rows for N = B*J
     positions, where row i serves positions i*J ... (i+1)*J - 1. Per-ray
-    directions are encoded once and repeated.
+    directions are encoded once and repeated. `pipeline` alone enforces
+    the unit cube, on every ray before any of its points is encoded.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    if np.any(np.abs(positions) > POSITION_BOUND):
-        raise InvalidInputError("encoded positions must lie inside the unit cube")
     n = positions.shape[0]
     pos_width = encoded_width(levels, 0, False)
     out = np.empty((n, encoded_width(levels, dir_levels, directions is not None)), dtype)
@@ -114,8 +112,6 @@ def encode(positions, directions, levels: int, dir_levels: int,
     if directions is not None:
         directions = np.atleast_2d(np.asarray(directions, dtype=float))
         rays = directions.shape[0]
-        if rays == 0 or n % rays:
-            raise InvalidInputError("directions must come per position or per ray")
         per_ray = np.empty((rays, out.shape[1] - pos_width), dtype)
         _fourier_into(per_ray, directions, dir_levels)
         out[:, pos_width:].reshape(rays, n // rays, -1)[...] = per_ray[:, None, :]
@@ -431,8 +427,6 @@ def opt_step(model: FieldModel, g: np.ndarray, lr: float, state: AdamState) -> N
     would overflow: a finite gradient above about 1e154 overflows ``v``, which would
     freeze the entry. A divergence leaves the parameters as they were.
     """
-    if g.shape != model.params.shape:
-        raise InvalidInputError("gradient length must match the parameter vector")
     g = np.asarray(g, dtype=np.float64)
     b1, b2, eps = 0.9, 0.999, 1e-8     # decay rates and denominator floor
     state.t += 1

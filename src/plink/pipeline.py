@@ -40,6 +40,9 @@ from .sensor import (Pose, ScanFrame, SensorIntrinsics, UnitCubeScale,
                      same_pose, to_unit_cube, write_poses, write_scan)
 from .simscene import SceneSpec, generate_dataset, load_scene
 
+# The unit-cube bound on every encoded point, enforced here alone (`_check_in_bounds`).
+POSITION_BOUND = 1.001
+
 
 @dataclass
 class TrainSet:
@@ -58,8 +61,6 @@ def _frame_rays(frames: list) -> tuple:
 
 def build_rays(frames: list) -> RaySet:
     """Group frame measurements into training rays (see module docstring)."""
-    if not frames:
-        raise InvalidInputError("need at least one frame")
     recorded = np.stack([np.where(f.returned, f.ranges, np.inf).reshape(-1) for f in frames])
     first = frames[0]
     if all(same_pose(f.start_pose, first.start_pose) and same_pose(f.end_pose, first.end_pose)
@@ -91,14 +92,14 @@ def _check_in_bounds(origins: np.ndarray, dirs: np.ndarray, scale: UnitCubeScale
     """Reject the first ray whose [0, s_max] segment leaves the scene bounds.
 
     ``origins`` and ``dirs`` are (R, 3) world rays, frame after frame and
-    beam-major within a frame. The test is the one `net.encode` applies to
-    every sample point: ``POSITION_BOUND`` in the unit cube, which is the
-    cube of the bounds' largest extent, scaled. A cube is convex, so a
-    segment is inside when both its ends are. Raises `InvalidInputError`
-    naming the frame, beam and azimuth. ``s_max`` is the intrinsics'.
+    beam-major within a frame. Only this module enforces the unit cube, for
+    every point a march encodes: ``POSITION_BOUND`` in the cube of the
+    bounds' largest extent, scaled. A cube is convex, so a segment is
+    inside when both its ends are. Raises `InvalidInputError` naming the
+    frame, beam and azimuth. ``s_max`` is the intrinsics'.
     """
     ends = scale.apply(np.stack([origins, origins + intrinsics.s_max * dirs]))
-    outside = np.any(np.abs(ends) > nets.POSITION_BOUND, axis=(0, 2))
+    outside = np.any(np.abs(ends) > POSITION_BOUND, axis=(0, 2))
     if outside.any():
         ray = int(np.argmax(outside))
         frame, cell = divmod(ray, intrinsics.n_beams * intrinsics.azimuth_count)

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import net as nets
-from .errors import DivergenceError, InvalidInputError
+from .errors import DivergenceError
 from .config import RunConfig, stream
 from .field import (RaySet, bin_masses, bin_masses_vjp, cdf_from_sigma_values, cdf_vjp,
                     trapezoid_deltas)
@@ -179,7 +179,7 @@ def march(state: TrainState, origins: np.ndarray, dirs: np.ndarray, s_max: float
 
 def train_step(state: TrainState, rays: RaySet, config: RunConfig, scale,
                epoch: int = 0, depth_l2: bool = False):
-    """One joint optimization step over a batch of rays.
+    """One joint optimization step over a nonempty batch of rays.
 
     The batch's columns go in whole: the drop target is whether a ray
     recorded any range, and the (B, K) inf-padded ranges feed the step
@@ -200,10 +200,6 @@ def train_step(state: TrainState, rays: RaySet, config: RunConfig, scale,
     fine network, whose non-finite field would also poison the hinge. Fine
     and coarse parameters each receive one optimizer step, fine first.
     """
-    if not len(rays):
-        raise InvalidInputError("ray batch must be nonempty")
-    if not state.fine.has_phi_head:
-        raise InvalidInputError("the fine model must carry the drop channel head")
     ranges, s_max, alpha = rays.ranges, rays.s_max, config.alpha
     k = np.count_nonzero(ranges < np.inf, axis=1).astype(float)
     draws = ray_draws(config.seed, rays.ids, epoch, 2 * config.n_fine)

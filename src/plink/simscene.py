@@ -365,7 +365,7 @@ def generate_dataset(scene: SceneSpec, sensor_path: list, intrinsics: SensorIntr
                      seed: int) -> list:
     """Simulated scan frames along a pose path, reproducible from the seed.
 
-    ``sensor_path`` needs n_frames + 1 timestamped poses; frame i spans
+    ``sensor_path`` holds n_frames + 1 >= 2 timestamped poses; frame i spans
     poses i and i + 1. Every (frame, beam, azimuth) pulse draws from its own
     substream, one uniform per surface it reaches in distance order (as
     ``sample_return`` does), so frame order never changes the outcome. A
@@ -374,8 +374,6 @@ def generate_dataset(scene: SceneSpec, sensor_path: list, intrinsics: SensorIntr
     rays of the frame before it (``np.array_equal``), as every frame of a
     static path does, reuses that frame's sorted hits instead of tracing.
     """
-    if len(sensor_path) < 2:
-        raise InvalidInputError("need at least two path poses")
     shape = (intrinsics.n_beams, intrinsics.azimuth_count)
     frames = []
     last_rays = None

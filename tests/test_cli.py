@@ -4,7 +4,8 @@ training and clouds byte-identical to those of train, baseline and render;
 eval and compare on empty clouds, bad config files and flags, malformed or
 undecodable dataset, path and cloud files, rays that leave the scene
 bounds, truncated checkpoints and bad checkpoint headers, diverged runs,
-the seed flag, the exit code of each error class, the ``python -m
+the seed flag, the exit code of each error class, gen's out-of-memory
+message, main where the C library has no mallopt, the ``python -m
 plink.cli`` entry point, and gen, train, render and eval in an interpreter
 where scipy cannot be imported."""
 
@@ -13,11 +14,12 @@ import os
 import struct
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from plink import cli, errors, metrics, net as nets, pipeline, sampler
+from plink import cli, errors, metrics, net as nets, pipeline, sampler, simscene
 from plink.config import RunConfig, load_config
 from plink.errors import ConfigError, DivergenceError, InvalidInputError
 from tests.test_simscene import shipped_file
@@ -315,6 +317,8 @@ def test_seed_flag_beats_config_file(tmp_path, capsys):
     ("scan_0000.csv", 2, "0,0,5.0,7,0.0", "scan_0000.csv row 2: drop flag 7 is not 0 or 1"),
     ("scan_0000.csv", 2, "0,0,25.0,1,0.0", "scan_0000.csv row 2: range 25.0 is outside (0, 20.0]"),
     ("scan_0001.csv", 5, "0,3,-3.0,1,0.0", "scan_0001.csv row 5: range -3.0 is outside (0, 20.0]"),
+    ("scan_0000.csv", 2, "0,0,0.0,1,0.0", "scan_0000.csv row 2: range 0.0 is outside (0, 20.0]"),
+    ("scan_0001.csv", 3, "0,1,nan,1,0.0", "scan_0001.csv row 3: range nan is outside (0, 20.0]"),
     ("poses.csv", 2, "0.0,0,0,0,1,0,0,x", "poses.csv row 2: could not convert"),
     ("poses.csv", 3, "0.1,0,0,0,0,0,0,0",
      "poses.csv row 3: quaternion norm 0.0 is outside [1.49e-154, inf)"),
@@ -824,6 +828,44 @@ def test_each_error_class_has_one_exit_code(monkeypatch, capsys, error, code, pr
     assert run(capsys, "gen") == (code, "", f"{prefix}reason\n")
 
 
+@pytest.mark.parametrize("flags, source", [((), "{cfg}"), (("--frames", "3"), "{cfg} and --frames")],
+                         ids=["config", "config-and-frames"])
+def test_gen_names_the_sizes_behind_a_memory_error(tmp_path, capsys, monkeypatch, flags, source):
+    # The allocation is stood in for: a test never asks for a large array,
+    # which np.zeros can hand out lazily on a large machine.
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 14.9 GiB")
+
+    monkeypatch.setattr(simscene, "ray_directions", out_of_memory)
+    cfg = write_config(tmp_path, UNDER_TRAINED)
+    code, _, err = run(capsys, "gen", "--config", cfg, "--scene", SCENE, "--path", PATH,
+                       *flags, "--out", tmp_path / "data")
+    assert code == cli.EXIT_CONFIG
+    n_frames = flags[1] if flags else 2
+    assert err == (f"error: not enough memory: {source.format(cfg=cfg)}: the scan sizes "
+                   f"elevations (2 beams), azimuth_count = 16 and n_frames = {n_frames}: "
+                   "Unable to allocate 14.9 GiB\n")
+
+
+def test_main_runs_where_the_allocator_has_no_mallopt(tmp_path, capsys, monkeypatch):
+    # A C library without mallopt (or none at all): main leaves the
+    # allocator as it is, says nothing, and writes the same bytes.
+    cfg = write_config(tmp_path, UNDER_TRAINED)
+    argv = ("gen", "--config", cfg, "--scene", SCENE, "--path", PATH, "--out")
+    assert run(capsys, *argv, tmp_path / "pinned")[0] == cli.EXIT_OK
+    looked_up = []
+
+    def libc_without_mallopt(name):
+        looked_up.append(name)
+        return object()
+
+    monkeypatch.setattr(cli, "ctypes", SimpleNamespace(CDLL=libc_without_mallopt))
+    code, out, err = run(capsys, *argv, tmp_path / "default")
+    assert (code, err, looked_up) == (cli.EXIT_OK, "", [None])
+    assert out.startswith("wrote 2 frames")
+    assert tree_bytes(tmp_path / "default") == tree_bytes(tmp_path / "pinned")
+
+
 def test_the_module_entry_point_exits_2_with_one_error_line(tmp_path):
     # ``python -m plink.cli``: a malformed cloud is one error line, not a traceback.
     good, bad = tmp_path / "good.xyz", tmp_path / "bad.ply"
@@ -878,5 +920,5 @@ def test_readme_quickstart_is_what_ci_runs():
     with open(os.path.join(root, ".github", "workflows", "tier1.yml")) as fh:
         step = fh.read().split("README quickstart", 1)[1]
     ran = [line.strip() for line in step.splitlines()
-           if line.strip().startswith(("python -m pip", "SCENES=", "plink "))]
+           if line.strip().startswith(("python -m pip", "SCENES=", "printf ", "plink "))]
     assert shown and shown == ran

@@ -128,28 +128,8 @@ class TestSampleGrid:
         np.testing.assert_allclose(deltas, [1.5, 1.5, 2.5, 1.5])
         assert deltas.sum() == pytest.approx(gammas[-1])
 
-    def test_accepts_a_first_gamma_of_zero(self):
-        assert len(SampleGrid([0.0, 1e-300])) == 2
-
-
-def knots(cdf):
-    """A CdfTrace on one or two knots."""
-    return CdfTrace(SampleGrid([1.0, 2.0][:len(cdf)]), cdf)
-
-
-class TestCdfTrace:
-    @pytest.mark.parametrize("cdf", [[0.5, 1.0 + 1e-12], [-1e-12], [0.5, 0.5 - 5e-13]],
-                             ids=["cdf-1e-12-above-one", "cdf-1e-12-below-zero",
-                                  "step-down-5e-13"])
-    def test_accepts_within_the_tolerances(self, cdf):
-        knots(cdf)
-
 
 class TestRay:
-    def test_takes_a_large_finite_origin(self):
-        # Its squared norm overflows; a Ray keeps it as given.
-        assert Ray([1e200, 0.0, 0.0], [1.0, 0.0, 0.0], 1.0).origin[0] == 1e200
-
     def test_holds_only_origin_direction_and_range_limit(self):
         assert [f.name for f in fields(Ray)] == ["origin", "direction", "s_max"]
 
@@ -162,40 +142,6 @@ def ray_set(**changes):
 
 
 class TestRaySet:
-    def test_rejects_non_unit_direction(self):
-        with pytest.raises(InvalidInputError, match="unit-norm"):
-            ray_set(dirs=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
-
-    def test_rejects_nan_direction(self):
-        with pytest.raises(InvalidInputError, match="unit-norm"):
-            ray_set(dirs=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, np.nan, 1.0]])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-    def test_rejects_non_finite_origin(self, bad):
-        with pytest.raises(InvalidInputError, match="origins must be finite"):
-            ray_set(origins=[[0.0, 0.0, 0.0], [0.0, bad, 0.0], [0.0, 0.0, 0.0]])
-
-    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf], ids=["nan", "0", "-1", "inf"])
-    def test_drops_only_rows_reject_s_max_outside_the_positive_reals(self, bad):
-        with pytest.raises(InvalidInputError, match=r"s_max must lie in \(0, inf\)"):
-            ray_set(ranges=np.full((3, 1), np.inf), s_max=bad)
-
-    def test_rejects_range_above_s_max(self):
-        with pytest.raises(InvalidInputError, match="s_max"):
-            ray_set(ranges=[[1.0, 12.0], [3.0, np.inf], [np.inf, np.inf]])
-
-    @pytest.mark.parametrize("bad", [0.0, -3.0, -np.inf, np.nan])
-    def test_rejects_nonpositive_range(self, bad):
-        with pytest.raises(InvalidInputError, match="s_max"):
-            ray_set(ranges=[[1.0, 2.0], [bad, np.inf], [np.inf, np.inf]])
-
-    @pytest.mark.parametrize("changes", [
-        dict(dirs=np.eye(3)[:2]), dict(origins=np.zeros((3, 2))),
-        dict(ranges=[[1.0], [2.0]]), dict(ranges=[1.0, 2.0, 3.0]), dict(ids=[0, 1])])
-    def test_rejects_mismatched_shapes(self, changes):
-        with pytest.raises(InvalidInputError, match=r"must be \(R, 3\)"):
-            ray_set(**changes)
-
     def test_rows_keep_their_ids(self):
         rays = ray_set()
         assert len(rays) == 3

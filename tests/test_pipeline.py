@@ -123,7 +123,7 @@ def oracle_first_outside(frames, scale):
     for f, frame in enumerate(frames):
         for i, (origin, direction) in enumerate(reference_rays(frame)):
             points = origin + np.linspace(0.0, s_max, 201)[:, None] * direction
-            if np.any(np.abs(scale.apply(points)) > nets.POSITION_BOUND):
+            if np.any(np.abs(scale.apply(points)) > pipeline.POSITION_BOUND):
                 return (f,) + divmod(i, frame.intrinsics.azimuth_count)
     return None
 

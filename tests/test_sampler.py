@@ -424,11 +424,6 @@ class TestTrainStep:
         assert np.array_equal(state.coarse.params, before[0])
         assert np.array_equal(state.fine.params, before[1])
 
-    def test_empty_batch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            sampler.train_step(tiny_state(), self.rays[np.array([], dtype=int)], self.config,
-                               self.scale)
-
     def test_loss_decreases_over_steps(self):
         state = tiny_state(seed=2)
         config = RunConfig(n_bins=8, n_fine=16, lr=5e-3, seed=5)
