@@ -54,8 +54,11 @@ class RaySet:
     ``ranges`` (R, K) holds each ray's recorded ranges in (0, s_max],
     ascending and padded with ``inf``; a row of ``inf`` is a pure ray drop.
     ``ids`` (R,) key each ray's sample streams and default to the row
-    numbers. Indexing with an array or slice gives a ``RaySet`` of those
-    rows with their ids; with an integer, that row's ``Ray``.
+    numbers. Every ray fired ``pulses`` pulses, whose returns are its
+    ranges, so none records more: the frame count for rays pooled across
+    frames, and the default 1 when each frame's ray is its own row.
+    Indexing with an array or slice gives a ``RaySet`` of those rows with
+    their ids; with an integer, that row's ``Ray``.
     """
 
     origins: np.ndarray
@@ -63,6 +66,7 @@ class RaySet:
     ranges: np.ndarray
     s_max: float
     ids: np.ndarray | None = None
+    pulses: int = 1
 
     def __post_init__(self):
         self.origins = np.asarray(self.origins, dtype=float)
@@ -77,10 +81,10 @@ class RaySet:
         if isinstance(index, (int, np.integer)):
             return Ray(self.origins[index], self.dirs[index], self.s_max)
         return RaySet(self.origins[index], self.dirs[index], self.ranges[index],
-                      self.s_max, self.ids[index])
+                      self.s_max, self.ids[index], self.pulses)
 
     def __iter__(self):
-        return (self[i] for i in range(len(self)))
+        return (Ray(o, d, self.s_max) for o, d in zip(self.origins, self.dirs))
 
 
 @dataclass

@@ -5,7 +5,9 @@ into one `field.RaySet`: a row per ray, its recorded ranges ascending and
 padded with inf. When every frame's boundary poses agree with frame 0's
 (`sensor.same_pose`), every frame repeats the same rays, so samples pool
 across frames per (beam, azimuth); otherwise each (frame, beam, azimuth)
-is its own row with one column. Row numbers key the rays' sample
+is its own row with one column. A pooled row fired one pulse per frame
+and a frame's own row one (``RaySet.pulses``): training's drop target is
+the share of them that returned. Row numbers key the rays' sample
 streams, and each training step takes a set of rows.
 
 Rendering runs the march that training runs (``sampler.march``), on plain
@@ -67,10 +69,11 @@ def build_rays(frames: list) -> RaySet:
            for f in frames):
         ranges = np.sort(recorded.T, axis=1)
         ranges = ranges[:, :np.count_nonzero(ranges < np.inf, axis=1).max()]
+        pulses = len(frames)    # each frame fires every ray once
         frames = frames[:1]     # every frame repeats frame 0's rays
     else:
-        ranges = recorded.reshape(-1, 1)
-    return RaySet(*_frame_rays(frames), ranges, first.intrinsics.s_max)
+        ranges, pulses = recorded.reshape(-1, 1), 1
+    return RaySet(*_frame_rays(frames), ranges, first.intrinsics.s_max, pulses=pulses)
 
 
 def train_set_from_frames(frames: list, scene: SceneSpec) -> TrainSet:

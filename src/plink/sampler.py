@@ -181,15 +181,15 @@ def train_step(state: TrainState, rays: RaySet, config: RunConfig, scale,
                epoch: int = 0, depth_l2: bool = False):
     """One joint optimization step over a nonempty batch of rays.
 
-    The batch's columns go in whole: the drop target is whether a ray
-    recorded any range, and the (B, K) inf-padded ranges feed the step
-    mismatch (or, with ``depth_l2``, the deterministic weighted-depth
-    baseline), averaged over the rays that recorded one. The march runs
-    both networks through a `net.ModelGraph` and places the fine points by
-    stratified draws on each ray's (seed, id, epoch) stream. Each loss's
-    gradient runs back through the kernels' adjoints to the network
-    outputs, adding the terms that meet at the cdf in a fixed order, and
-    `net.backward` takes it on through the MLP.
+    The batch's columns go in whole: the drop target is the share of a
+    ray's pulses that recorded a range (k of ``pulses``), and the (B, K)
+    inf-padded ranges feed the step mismatch (or, with ``depth_l2``, the
+    deterministic weighted-depth baseline), averaged over the rays that
+    recorded one. The march runs both networks through a `net.ModelGraph`
+    and places the fine points by stratified draws on each ray's (seed, id,
+    epoch) stream. Each loss's gradient runs back through the kernels'
+    adjoints to the network outputs, adding the terms that meet at the cdf
+    in a fixed order, and `net.backward` takes it on through the MLP.
 
     The proposal goes first: its hinge against the detached fine field and
     its backward run right after the march, and the step then drops the
@@ -244,8 +244,9 @@ def train_step(state: TrainState, rays: RaySet, config: RunConfig, scale,
         g_cdf = step_mismatch_vjp(alpha * weights, cdf, deltas, counts, k)
     l_c = np.sum(per_ray * weights)
     q_hat = pooled_drop_values(phi_f, masses)
-    l_drop = bce_values(k > 0, q_hat)
-    g_phi, g_masses = pooled_drop_vjp(bce_vjp(1.0 - alpha, k > 0, q_hat), q_hat, phi_f, masses)
+    returned = k / rays.pulses      # the share of the ray's pulses that returned
+    l_drop = bce_values(returned, q_hat)
+    g_phi, g_masses = pooled_drop_vjp(bce_vjp(1.0 - alpha, returned, q_hat), q_hat, phi_f, masses)
     g_sigma = cdf_vjp(bin_masses_vjp(g_masses, g_cdf), survival, deltas)
     g_fine = nets.backward(fine_graph, g_sigma.ravel(), g_phi.ravel())
     if coarse_error is not None:

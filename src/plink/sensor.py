@@ -28,12 +28,22 @@ are equal: a frame whose boundary poses agree holds its start pose, and
 training pools the frames whose boundary poses agree with frame 0's. Every
 producer of a `ScanFrame` sizes its grid from the frame's intrinsics, so the
 frame does not check it again.
+
+A `Pose` is a record of a few numbers, and numpy's fixed per-call cost
+outweighs their arithmetic: it checks its translation and timestamp on
+Python floats and builds its rotation from the quaternion's floats, each
+divided by the one norm `_norms` gives, through `_rotation_entries`, the
+formula `matrix_from_quat` applies to arrays.
+``TestPose.test_rotation_bytes_equal_matrix_from_quat`` pins the two byte
+for byte. Stacked poses (`motion_compensate`, `ray_directions`) stay on
+numpy.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,14 +96,16 @@ class Pose:
         self.translation = np.asarray(self.translation, dtype=float)
         if self.quaternion.shape != (4,) or self.translation.shape != (3,):
             raise InvalidInputError("pose needs a 4-vector quaternion and a 3-vector")
-        if not (np.all(np.isfinite(self.translation)) and np.isfinite(self.timestamp)):
+        if not (all(map(math.isfinite, self.translation.tolist()))
+                and math.isfinite(self.timestamp)):
             raise InvalidInputError("pose translation and timestamp must be finite")
         with np.errstate(over="ignore"):    # an overflowing norm is inf, and rejected
             norm = float(_norms(self.quaternion)[0])
-        if not MIN_QUAT_NORM <= norm < np.inf:
+        if not MIN_QUAT_NORM <= norm < math.inf:
             raise InvalidInputError(
                 f"quaternion norm {norm!r} is outside [{MIN_QUAT_NORM:.3g}, inf)")
-        self.rotation = matrix_from_quat(self.quaternion)
+        self.rotation = np.array(
+            _rotation_entries(*(c / norm for c in self.quaternion.tolist()))).reshape(3, 3)
 
 
 @dataclass
@@ -205,15 +217,19 @@ def _norms(q: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(q[..., None, :], q[..., :, None]))[..., 0]
 
 
+def _rotation_entries(w, x, y, z) -> tuple:
+    """The nine entries, row by row, of a unit quaternion's rotation matrix;
+    the same operations on Python floats (`Pose`) as on arrays."""
+    return (1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w),
+            2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w),
+            2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y))
+
+
 def matrix_from_quat(q: np.ndarray) -> np.ndarray:
     """Rotation matrices (..., 3, 3) from quaternions (..., 4)."""
     q = np.asarray(q, dtype=float)
-    w, x, y, z = np.moveaxis(q / _norms(q), -1, 0)
-    return np.stack([
-        1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w),
-        2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w),
-        2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y),
-    ], -1).reshape(q.shape[:-1] + (3, 3))
+    return np.stack(_rotation_entries(*np.moveaxis(q / _norms(q), -1, 0)),
+                    -1).reshape(q.shape[:-1] + (3, 3))
 
 
 def quat_slerp(q0: np.ndarray, q1: np.ndarray, fractions) -> np.ndarray:

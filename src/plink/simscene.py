@@ -27,11 +27,23 @@ distance keep scene order. The kernel's dot products are explicit products summe
 each term one contiguous (N, S) block: for axis-aligned normals two of the
 three products are zero, so distances are bit-identical to any other
 evaluation order (``np.dot`` included), and they agree with such
-evaluations within 1e-12 m otherwise. On one ray numpy's fixed per-call
-cost outweighs the arithmetic, so single-ray queries (``ray_hits``, exact
-cdfs, single-pulse draws and ``SceneSurface.intersect``) instead walk one
-row of Python floats per surface (``_walk``) with the kernel's operations
-in its order; tests pin the walk to the kernel's rows bit for bit.
+evaluations within 1e-12 m otherwise.
+
+Numpy's fixed per-call cost outweighs the arithmetic on one ray or one
+surface, so these run on Python floats, each with its numpy reference's
+operations in its order, and a test pins each to that reference byte for
+byte:
+
+- single-ray queries (``ray_hits``, exact cdfs, single-pulse draws and
+  ``SceneSurface.intersect``) walk one row of floats per surface
+  (``_walk``), pinned to ``_sorted_hits``' rows by ``TestWalk``. The walk
+  calls ``np.arccos`` only when some hit's oblique limit is below
+  `RIGHT_ANGLE`, an angle no incidence exceeds
+  (``test_no_incidence_angle_exceeds_a_right_angle``);
+- a ``SceneSurface`` divides its normal by ``np.linalg.norm``'s
+  ``sqrt(dot)`` and builds its tangent frame (``_tangent_frame``) from
+  the quotients, and ``box_faces`` builds each face's corner and extent;
+  ``TestSceneSurface`` pins them to the ``np.cross`` formulas.
 
 A scene file is a key = value file (``plink.config``): a ``bounds`` line,
 then one ``[surface]`` section per surface. Unknown keys are rejected, a
@@ -52,6 +64,7 @@ vector must have the length shown, and a box takes no ``normal``;
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,22 +75,24 @@ from .field import CdfTrace, Ray, SampleGrid
 # motion_compensate is not called here; perfbench/layers.py probes this name.
 from .sensor import ScanFrame, SensorIntrinsics, motion_compensate, ray_directions
 
+# The largest incidence angle np.arccos gives for |d . n| in [0, 1]: a hit on
+# a surface whose oblique limit is this angle never drops.
+RIGHT_ANGLE = float(np.arccos(0.0))
+_DISTANCE = operator.itemgetter(0)
 
-def _tangent_frame(normal) -> tuple:
-    """Deterministic in-plane axes (u, v) for a unit normal.
+
+def _tangent_frame(nx: float, ny: float, nz: float) -> tuple:
+    """Deterministic in-plane axes (u, v) of a unit normal, as two 3-tuples.
 
     u = normal x helper, normalized, and v = normal x u, where the helper is
     the z axis, or the x axis for a normal within about 25 degrees of z. The
     cross products are written out in ``np.cross``'s component order.
     """
-    nx, ny, nz = (float(c) for c in normal)
     hx, hy, hz = (1.0, 0.0, 0.0) if abs(nz) > 0.9 else (0.0, 0.0, 1.0)
     ux, uy, uz = ny * hz - nz * hy, nz * hx - nx * hz, nx * hy - ny * hx
     norm = math.sqrt(ux * ux + uy * uy + uz * uz)
     ux, uy, uz = ux / norm, uy / norm, uz / norm
-    u = np.array([ux, uy, uz])
-    v = np.array([ny * uz - nz * uy, nz * ux - nx * uz, nx * uy - ny * ux])
-    return u, v
+    return (ux, uy, uz), (ny * uz - nz * uy, nz * ux - nx * uz, nx * uy - ny * ux)
 
 
 def _kernel_layout(origins, normals, axes, extents) -> tuple:
@@ -147,7 +162,9 @@ def _walk(rows, origin, direction, s_max: float) -> list:
     row of ``_sorted_hits`` bit for bit without numpy's fixed per-call cost.
     The sort is stable, so surfaces at equal distance keep scene order, and a
     NaN ``s_max`` keeps no hit. The drop flags come from one ``np.arccos``
-    call, as ``math.acos`` may differ from numpy's in the last bit.
+    call, as ``math.acos`` may differ from numpy's in the last bit, and only
+    when some hit's oblique limit is below `RIGHT_ANGLE`; otherwise every
+    flag is False, as that call would give.
     """
     ox, oy, oz = origin
     dx, dy, dz = direction
@@ -163,9 +180,9 @@ def _walk(rows, origin, direction, s_max: float) -> list:
         if (abs((px * ux + py * uy) + pz * uz) <= reach_u
                 and abs((px * vx + py * vy) + pz * vz) <= reach_v):
             hits.append((s, k, prob, denom, limit))
-    if not hits:
-        return hits
-    hits.sort(key=lambda hit: hit[0])
+    hits.sort(key=_DISTANCE)
+    if all(hit[4] >= RIGHT_ANGLE for hit in hits):   # no hit can drop
+        return [(s, k, prob, False) for s, k, prob, _, _ in hits]
     angles = np.arccos([min(abs(hit[3]), 1.0) for hit in hits]).tolist()
     return [(s, k, prob, angle > limit)
             for (s, k, prob, _, limit), angle in zip(hits, angles)]
@@ -184,19 +201,20 @@ class SceneSurface:
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float)
-        self.normal = np.asarray(self.normal, dtype=float)
+        normal = np.asarray(self.normal, dtype=float)
         self.extent = np.asarray(self.extent, dtype=float)
-        norm = np.linalg.norm(self.normal)
-        if not (0.0 < norm < np.inf):
+        norm = math.sqrt(normal.dot(normal))     # np.linalg.norm's sqrt(dot)
+        if not (0.0 < norm < math.inf):
             raise InvalidInputError("surface normal must be nonzero and finite")
-        self.normal = self.normal / norm
+        unit = [c / norm for c in normal.tolist()]
+        self.normal = np.array(unit)
         if not (0.0 < self.return_prob <= 1.0):
             raise InvalidInputError("return probability must lie in (0, 1]")
-        if not (0.0 <= self.oblique_drop_angle <= np.pi / 2):
+        if not (0.0 <= self.oblique_drop_angle <= math.pi / 2):
             raise InvalidInputError("oblique drop angle must lie in [0, pi/2]")
-        if np.any(self.extent <= 0.0):
+        if any(e <= 0.0 for e in self.extent.tolist()):
             raise InvalidInputError("extent must be positive")
-        self.axes = np.stack(_tangent_frame(self.normal))
+        self.axes = np.array(_tangent_frame(*unit))
 
     def intersect(self, origin: np.ndarray, direction: np.ndarray):
         """Path distance to the rectangle, or None when the ray misses it."""
@@ -213,28 +231,23 @@ class SceneSurface:
 
 
 def box_faces(min_corner, size, return_prob=1.0, oblique_drop_angle=np.pi / 2) -> list:
-    """Six rectangle faces of an axis-aligned box."""
-    lo = np.asarray(min_corner, dtype=float)
-    size = np.asarray(size, dtype=float)
-    hi = lo + size
-    center = 0.5 * (lo + hi)
-    half = 0.5 * size
+    """Six rectangle faces of an axis-aligned box, -x, +x, -y, +y, -z, +z."""
+    lo = [float(c) for c in min_corner]
+    size = [float(c) for c in size]
+    hi = [a + b for a, b in zip(lo, size)]
+    center = [0.5 * (a + b) for a, b in zip(lo, hi)]
+    half = [0.5 * b for b in size]
     faces = []
     for axis in range(3):
+        others = [i for i in range(3) if i != axis]
         for sign in (-1.0, 1.0):
-            normal = np.zeros(3)
+            normal = [0.0, 0.0, 0.0]
             normal[axis] = sign
-            others = [i for i in range(3) if i != axis]
-            # extent order must match the deterministic tangent frame of `normal`
-            u, v = _tangent_frame(normal)
-            ext = np.array([
-                sum(abs(u[i]) * half[i] for i in others),
-                sum(abs(v[i]) * half[i] for i in others),
-            ])
-            origin = center.copy()
+            # the extent is ordered by the face's tangent frame
+            ext = [sum(abs(w[i]) * half[i] for i in others) for w in _tangent_frame(*normal)]
+            origin = list(center)
             origin[axis] = lo[axis] if sign < 0 else hi[axis]
-            faces.append(SceneSurface(origin, normal, ext,
-                                      return_prob, oblique_drop_angle))
+            faces.append(SceneSurface(origin, normal, ext, return_prob, oblique_drop_angle))
     return faces
 
 

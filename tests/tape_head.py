@@ -114,7 +114,7 @@ def train_step_tapes(state, rays, config, scale, epoch=0, depth_l2_baseline=Fals
     else:
         per_ray = step_mismatch(cdf, deltas, measurement_counts(ranges, grid), k)
     l_c = measured_mean(per_ray, k)
-    l_drop = bce(k > 0, pooled_drop(phi, bin_masses(cdf)))
+    l_drop = bce(k / rays.pulses, pooled_drop(phi, bin_masses(cdf)))
     l_fine = config.alpha * l_c + (1.0 - config.alpha) * l_drop
     fine = tape_backward(fine_graph, l_fine, sigma_leaf, phi_leaf)
 

@@ -135,9 +135,11 @@ class TestRay:
 
 
 def ray_set(**changes):
-    """Three rays along the axes: two and one recorded ranges, and a drop."""
+    """Three rays along the axes, two pulses each: two and one recorded
+    ranges, and a drop."""
     columns = dict(origins=np.zeros((3, 3)), dirs=np.eye(3),
-                   ranges=[[1.0, 2.0], [3.0, np.inf], [np.inf, np.inf]], s_max=10.0)
+                   ranges=[[1.0, 2.0], [3.0, np.inf], [np.inf, np.inf]], s_max=10.0,
+                   pulses=2)
     return RaySet(**dict(columns, **changes))
 
 
@@ -152,6 +154,12 @@ class TestRaySet:
         np.testing.assert_array_equal(picked.ranges, [[np.inf, np.inf], [1.0, 2.0]])
         np.testing.assert_array_equal(picked.dirs, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         np.testing.assert_array_equal(picked[np.array([1])].ids, [0])
+
+    def test_rows_keep_their_pulse_count(self):
+        rays = ray_set()
+        assert rays[np.array([2, 0])].pulses == rays[1:].pulses == 2
+        # Without a count each ray is one frame's, and fired one pulse.
+        assert RaySet(np.zeros((1, 3)), np.eye(3)[:1], [[1.0]], 10.0).pulses == 1
 
     def test_integer_index_and_iteration_give_rays(self):
         rays = ray_set()

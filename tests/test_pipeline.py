@@ -65,6 +65,7 @@ class TestBuildRays:
         np.testing.assert_array_equal(rays.ids, np.arange(len(ref)))
         counts = sum(f.returned.reshape(-1).astype(int) for f in frames)
         assert rays.ranges.shape == (len(ref), counts.max())
+        assert rays.pulses == 3
         assert counts.min() < counts.max()      # some rows are padded
         for i, (origin, direction) in enumerate(ref):
             b, a = divmod(i, frames[0].intrinsics.azimuth_count)
@@ -81,6 +82,7 @@ class TestBuildRays:
         returned = np.concatenate([f.returned.reshape(-1) for f in frames])
         ranges = np.concatenate([f.ranges.reshape(-1) for f in frames])
         assert rays.ranges.shape == (len(ref), 1)
+        assert rays.pulses == 1
         for i, ((origin, direction), ok, r) in enumerate(zip(ref, returned, ranges)):
             np.testing.assert_array_equal(rays.ranges[i], [r] if ok else [np.inf])
             np.testing.assert_array_equal(rays.origins[i], origin)
@@ -103,6 +105,23 @@ class TestBuildRays:
         ranges = np.concatenate([f.ranges.reshape(-1) for f in frames])
         assert rays.ranges.shape == (len(returned), 1)
         np.testing.assert_array_equal(rays.ranges[:, 0], np.where(returned, ranges, np.inf))
+
+    def test_a_pooled_ray_trains_on_its_share_of_returns(self, monkeypatch):
+        # Over 20 frames at one pose, ray 0 records a range on 5, ray 1 on
+        # all and ray 2 on none: the drop channel's targets are 5 / 20, 1, 0.
+        intr = sensor.SensorIntrinsics([0.0], 3, 10.0)
+        start, end = (sensor.Pose(IDENTITY, np.zeros(3), t) for t in (0.0, 0.1))
+        frames = [sensor.ScanFrame(intr, start, end, np.full((1, 3), 4.0),
+                                   np.array([[f < 5, True, False]])) for f in range(20)]
+        rays = pipeline.build_rays(frames)
+        targets, bce = [], sampler.bce_values
+        monkeypatch.setattr(sampler, "bce_values",
+                            lambda q_true, q_hat: (targets.append(q_true), bce(q_true, q_hat))[1])
+        config = RunConfig(n_bins=4, n_fine=4, hidden_width=8, hidden_layers=1,
+                           encoding_levels=2, dir_levels=1).validate()
+        sampler.train_step(pipeline.models_from_config(config), rays, config,
+                           sensor.to_unit_cube(([-5.0] * 3, [5.0] * 3)))
+        np.testing.assert_array_equal(targets, [[0.25, 1.0, 0.0]])
 
     def test_each_row_traces_to_its_recorded_ranges(self):
         # rays[i] is row i's Ray: its exact cdf jumps at every range the row recorded.

@@ -40,7 +40,7 @@ def tiny_run(monkeypatch):
     ranges = np.full((7, 2), np.inf)
     ranges[:4, 0], ranges[1, 1] = [2.0, 1.0, 3.5, 0.5], 3.0
     rays = RaySet(np.zeros((7, 3)), dirs / np.linalg.norm(dirs, axis=1, keepdims=True),
-                  ranges, 4.0)
+                  ranges, 4.0, pulses=2)
     sizes, step = [], sampler.train_step
 
     def counted(state_, batch, *args, **kwargs):

@@ -25,14 +25,15 @@ from tests.test_net import make_model, widened
 
 def make_rays(rows, ids=None, s_max=10.0):
     """Rays from the origin, one per (direction, measurements) row; each
-    row's measurements sorted and inf-padded to the widest."""
+    row's measurements sorted and inf-padded to the widest, and each ray
+    fired one pulse per column (one when no row measured anything)."""
     width = max(len(m) for _, m in rows)
     ranges = np.full((len(rows), width), np.inf)
     for i, (_, measurements) in enumerate(rows):
         ranges[i, :len(measurements)] = np.sort(measurements)
     dirs = np.array([d for d, _ in rows], dtype=float)
     return RaySet(np.zeros_like(dirs), dirs / np.linalg.norm(dirs, axis=1, keepdims=True),
-                  ranges, s_max, ids)
+                  ranges, s_max, ids, pulses=max(width, 1))
 
 
 SCALE = UnitCubeScale(center=np.zeros(3), scale=1.0 / 12.0)

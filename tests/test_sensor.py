@@ -13,6 +13,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from plink import pipeline, sensor
 from plink.config import RunConfig, intrinsics_from_config
@@ -95,6 +97,22 @@ class TestPose:
         rot = sensor.Pose(q * (1 + 1e-15), np.zeros(3), 0.0).rotation
         np.testing.assert_allclose(rot.T @ rot, np.eye(3), rtol=0.0, atol=1e-12)
         assert np.linalg.det(rot) == pytest.approx(1.0)
+
+    # Pose builds its matrix on Python floats, in matrix_from_quat's order and
+    # from the same norm; tobytes() tells -0.0 from 0.0, which
+    # assert_array_equal does not.
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0), min_size=4,
+                    max_size=4),
+           st.floats(np.log10(sensor.MIN_QUAT_NORM), 150.0))
+    def test_rotation_bytes_equal_matrix_from_quat(self, components, log_norm):
+        direction = np.array(components)
+        length = np.sqrt(np.sum(direction * direction))
+        assume(length > 0.0)
+        q = direction * (10.0 ** log_norm / length)
+        assume(sensor.MIN_QUAT_NORM <= np.sqrt(np.sum(q * q)) < 1e151)
+        pose = sensor.Pose(q, np.zeros(3), 0.0)
+        assert pose.rotation.tobytes() == sensor.matrix_from_quat(q).tobytes()
 
     @pytest.mark.parametrize("q, t", [(np.ones(3), np.zeros(3)), (IDENTITY, np.zeros(4)),
                                       (np.eye(3), np.zeros(3))])

@@ -181,16 +181,23 @@ def assert_walk_equals_batch(scene, origins, dirs, s_max):
     return walks
 
 
+def oblique_limit(rng):
+    """A right angle, which no hit exceeds, or a random angle below it."""
+    return np.pi / 2 if rng.random() < 0.5 else rng.uniform(0.3, np.pi / 2)
+
+
 def mixed_scene(rng, n_rects, n_boxes):
     """Tilted rects and axis-aligned boxes with random extents, return
-    probabilities and oblique limits; the first surface is doubled in place."""
+    probabilities and oblique limits, half of them right angles, so that a
+    ray's hits may all be on surfaces that never drop; the first surface is
+    doubled in place."""
     surfaces = [simscene.SceneSurface(rng.uniform(-4.0, 4.0, 3), normal,
                                       rng.uniform(0.3, 3.0, 2), rng.uniform(0.05, 1.0),
-                                      rng.uniform(0.3, np.pi / 2))
+                                      oblique_limit(rng))
                 for normal in unit(rng.normal(size=(n_rects, 3)))]
     for _ in range(n_boxes):
         surfaces += simscene.box_faces(rng.uniform(-4.0, 1.0, 3), rng.uniform(0.5, 3.0, 3),
-                                       rng.uniform(0.05, 1.0), rng.uniform(0.3, np.pi / 2))
+                                       rng.uniform(0.05, 1.0), oblique_limit(rng))
     if surfaces:
         first = surfaces[0]
         surfaces.append(simscene.SceneSurface(first.origin, -first.normal, first.extent,
@@ -244,7 +251,8 @@ class TestWalk:
 
     # A p = 0.5 panel at x = 2 facing the origin, a coincident p = 0.25 panel
     # facing away, and a wall at x = 5; the panel drops reflections past 60
-    # degrees. The panels' u axis is +y or -y, their v axis -z or +z.
+    # degrees, and the others, whose limit is a right angle, none. The
+    # panels' u axis is +y or -y, their v axis -z or +z.
     @pytest.mark.parametrize("origin, direction, s_max, want", [
         ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 20.0,
          [(2.0, 0, False), (2.0, 1, False), (5.0, 2, False)]),
@@ -266,9 +274,11 @@ class TestWalk:
         ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), np.nan, []),
         ((1.5, 0.0, -1.2), (0.28, 0.0, 0.96), 20.0,
          [(0.5 / 0.28, 0, True), (0.5 / 0.28, 1, False)]),
+        ((4.5, 0.0, -1.2), (0.28, 0.0, 0.96), 20.0, [(0.5 / 0.28, 2, False)]),
     ], ids=["coincident", "parallel", "on-edge", "at-reach-u", "at-reach-v", "past-edge",
             "nearly-parallel", "origin-on-surface",
-            "origin-1e-10-in-front", "at-s_max", "past-s_max", "nan-s_max", "oblique-drop"])
+            "origin-1e-10-in-front", "at-s_max", "past-s_max", "nan-s_max", "oblique-drop",
+            "oblique-on-a-right-angle-limit"])
     def test_edge_cases_equal_the_batched_rows(self, origin, direction, s_max, want):
         panel = simscene.SceneSurface([2.0, 0, 0], [-1.0, 0, 0], [1.0, 1.0], 0.5,
                                       np.deg2rad(60.0))
@@ -279,7 +289,66 @@ class TestWalk:
         assert walks == [want]
 
 
+def numpy_frame(normal):
+    """The unit normal and its tangent axes by numpy formulas: the normal
+    over ``np.linalg.norm``, and u and v by ``np.cross``, u over the square
+    root of its summed squares."""
+    normal = normal / np.linalg.norm(normal)
+    helper = np.array([1.0, 0.0, 0.0] if abs(normal[2]) > 0.9 else [0.0, 0.0, 1.0])
+    u = np.cross(normal, helper)
+    u = u / np.sqrt(np.sum(u * u))
+    return normal, np.stack([u, np.cross(normal, u)])
+
+
+def test_no_incidence_angle_exceeds_a_right_angle():
+    # _walk skips np.arccos when every hit's oblique limit is RIGHT_ANGLE,
+    # as no |d . n| in [0, 1] gives a larger angle: here on signed zeros,
+    # subnormals, the values next to 0 and 1 and a spread between.
+    rng = np.random.default_rng(8)
+    tiny = np.nextafter(0.0, 1.0)
+    cosines = np.concatenate([[0.0, -0.0, 1.0, np.nextafter(1.0, 0.0)],
+                              tiny * np.arange(1, 4096), np.logspace(-320.0, 0.0, 4096),
+                              rng.random(1 << 16)])
+    assert simscene.RIGHT_ANGLE == np.pi / 2
+    assert np.arccos(cosines).max() == simscene.RIGHT_ANGLE
+    sample = np.concatenate([cosines[:64], cosines[64::32]])
+    for width in (1, 2, 3, 5):      # the short lists _walk passes, one call each
+        assert all(np.arccos(sample[i:i + width].tolist()).max() <= simscene.RIGHT_ANGLE
+                   for i in range(0, len(sample), width))
+
+
 class TestSceneSurface:
+    # SceneSurface builds its normal and axes on Python floats; tobytes()
+    # tells -0.0 from 0.0, which assert_array_equal does not.
+    def test_normal_and_axes_bytes_equal_the_numpy_formulas(self):
+        rng = np.random.default_rng(5)
+        normals = np.concatenate([
+            rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (2000, 1)),
+            np.eye(3), -np.eye(3), [[-0.0, 0.0, 2.0], [0.0, -0.0, -3.0], [-0.0, 1.0, -0.0]],
+            [[0.0, 0.1, 0.9], [0.0, 0.1, -0.9]] + rng.normal(0.0, 1e-3, (2, 3))])
+        for n in normals:
+            surface = simscene.SceneSurface(np.zeros(3), n, [1.0, 1.0])
+            normal, axes = numpy_frame(n)
+            assert surface.normal.tobytes() == normal.tobytes()
+            assert surface.axes.tobytes() == axes.tobytes()
+
+    def test_box_faces_are_the_faces_of_the_box(self):
+        lo, size = np.array([-1.5, 0.25, 2.0]), np.array([3.0, 0.7, 1.1])
+        faces = simscene.box_faces(lo, size, 0.5, 1.0)
+        for k, face in enumerate(faces):
+            axis, sign = divmod(k, 2)
+            normal = np.zeros(3)
+            normal[axis] = 1.0 if sign else -1.0
+            normal, axes = numpy_frame(normal)
+            assert face.normal.tobytes() == normal.tobytes()
+            assert face.axes.tobytes() == axes.tobytes()
+            origin = lo + 0.5 * size
+            origin[axis] = (lo + size)[axis] if sign else lo[axis]
+            assert face.origin.tobytes() == origin.tobytes()
+            # each half-extent is half the box's size along that tangent axis
+            assert face.extent.tobytes() == (np.abs(axes) @ (0.5 * size)).tobytes()
+            assert (face.return_prob, face.oblique_drop_angle) == (0.5, 1.0)
+
     @pytest.mark.parametrize("angle", [-0.5, np.nextafter(np.pi / 2, 2.0), np.nan],
                              ids=["negative", "past-a-right-angle", "nan"])
     def test_rejects_an_oblique_limit_outside_a_right_angle(self, angle):
@@ -372,7 +441,7 @@ class TestExactCdf:
         masses = [t.total_mass for t in traces]
         np.testing.assert_allclose(np.add(masses, drops), 1.0, rtol=0.0, atol=1e-12)
         assert 0 < sum(d == 1.0 for d in drops) < len(rays)   # some rays always drop
-        assert any(len(t.grid) == 2 for t in traces)          # through the p = 0.5 panel
+        assert any(t.cdf.tolist() == [0.5, 1.0] for t in traces)   # panel, then wall
 
     def test_golden_digest(self):
         # Recorded before the kernel took its component-first layout, before
