@@ -6,7 +6,8 @@ config-file values. All outputs are deterministic given the seed.
 Outputs, in ``--out``:
 
 * gen: ``intrinsics.txt`` (the sensor keys of the config), ``poses.csv``
-  (the path's poses, one more than frames) and ``scan_NNNN.csv`` per frame.
+  (the path's poses, one more than frames) and ``scan_NNNN.bin`` per frame,
+  a binary record of the frame's ranges (`plink.sensor`).
   Scan files left from an earlier gen into the same directory and
   numbered past the last frame are removed.
 * train: ``model.ckpt`` and ``model_loss_curve.csv`` (a header, then one

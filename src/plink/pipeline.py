@@ -273,19 +273,21 @@ def ground_truth_cloud(frame: ScanFrame) -> PointCloud:
 
 
 def _scan_path(data_dir, i: int) -> str:
-    return os.path.join(data_dir, f"scan_{i:04d}.csv")
+    """Frame i's scan record (`sensor.write_scan`) in a dataset directory."""
+    return os.path.join(data_dir, f"scan_{i:04d}.bin")
 
 
 def _scan_paths(data_dir, first: int = 0):
-    """A dataset directory's scan files numbered on from ``first``, up to
-    the first number without one."""
+    """A dataset directory's ``scan_NNNN.bin`` files numbered on from
+    ``first``, up to the first number without one."""
     return itertools.takewhile(os.path.exists, (
         _scan_path(data_dir, i) for i in itertools.count(first)))
 
 
 def write_dataset(out_dir, frames: list) -> None:
     """A dataset directory that `read_dataset` reads back as ``frames``, their poses
-    included; an earlier dataset's scans numbered past the last frame are removed."""
+    included: ``intrinsics.txt``, ``poses.csv`` and one ``scan_NNNN.bin`` per
+    frame. An earlier dataset's scans numbered past the last frame are removed."""
     os.makedirs(out_dir, exist_ok=True)
     write_poses(os.path.join(out_dir, "poses.csv"),
                 [f.start_pose for f in frames] + [frames[-1].end_pose])
@@ -305,6 +307,9 @@ SENSOR_KEYS = ("elevations", "azimuth_count", "s_max")
 
 
 def read_dataset(data_dir) -> list:
+    """The frames of a `write_dataset` directory: scans ``scan_0000.bin``
+    onwards, up to the first number without one, each of the shape
+    ``intrinsics.txt`` gives and timed by its two poses in ``poses.csv``."""
     top = read_sections(os.path.join(data_dir, "intrinsics.txt"), error=InvalidInputError)[0]
     config = fill(RunConfig(), top, SENSOR_KEYS, SENSOR_KEYS)
     try:
@@ -315,7 +320,7 @@ def read_dataset(data_dir) -> list:
     poses = read_poses(poses_path)
     scans = list(_scan_paths(data_dir))
     if not scans:
-        raise InvalidInputError(f"no scan files found in {data_dir}")
+        raise InvalidInputError(f"no scans in {data_dir}: {_scan_path(data_dir, 0)} is missing")
     if len(poses) <= len(scans):
         raise InvalidInputError(
             f"{poses_path}: the pose sidecar is shorter than the scan list: {len(poses)} "

@@ -7,21 +7,25 @@ model is natively spherical; no planar reprojection is ever performed.
 A frame is one revolution, and its two boundary poses are its only clock:
 the revolution starts at the start pose and ends at the end pose, and
 azimuth step a of A fires a/A of the way between them
-(`ScanFrame.sample_fractions`). A scan file's ``t_offset_s`` is that
-fraction of the frame's pose interval, ``end.timestamp - start.timestamp``.
+(`ScanFrame.sample_fractions`). A scan file holds no times: the poses
+determine them.
 
 On-disk formats:
-  scan file   CSV with columns beam_idx, azimuth_idx, range_m, drop_flag,
-              t_offset_s (range_m is meaningless where drop_flag == 0)
+  scan file   one binary record: the 8-byte magic ``PLNKSCN1``, then
+              n_beams x azimuth_count little-endian float64 ranges,
+              beam-major, with 0.0 for a dropped pulse. The shape is the
+              intrinsics', so the file is exactly 8 + 8 * n_beams *
+              azimuth_count bytes; a range in (0, s_max] is a return, and
+              one of 0.0 (or -0.0) a drop
   pose file   CSV with columns t_s, tx, ty, tz, qw, qx, qy, qz, each t_s later
               than the row before's: a pose writes back the quaternion it was
               read with, not one rebuilt from a matrix
 
-The writers give these exact bytes: the header row (the column names
-above), then one row per beam and azimuth (beam-major) or per pose, fields
-joined by commas with no quoting and every line ended by CRLF. A float is
-written as its shortest round-trip ``repr`` (``1e-05``, ``-0.0``), an index
-or flag as a decimal integer, and the range of a dropped pulse as ``0.0``.
+The pose writer gives these exact bytes: the header row (the column names
+above), then one row per pose, fields joined by commas with no quoting and
+every line ended by CRLF, each float written as its shortest round-trip
+``repr`` (``1e-05``, ``-0.0``). Both formats store their floats exactly, so
+a dataset read back gives the frames that were written.
 
 Two poses agree (`same_pose`) when their rotation matrices and translations
 are equal: a frame whose boundary poses agree holds its start pose, and
@@ -42,8 +46,8 @@ numpy.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -249,31 +253,38 @@ def quat_slerp(q0: np.ndarray, q1: np.ndarray, fractions) -> np.ndarray:
 
 # -- file IO ---------------------------------------------------------------------
 
-SCAN_HEADER = ["beam_idx", "azimuth_idx", "range_m", "drop_flag", "t_offset_s"]
+SCAN_MAGIC = b"PLNKSCN1"
 POSE_HEADER = ["t_s", "tx", "ty", "tz", "qw", "qx", "qy", "qz"]
 LINE_END = "\r\n"
 
 
-def _header_line(header: list) -> str:
-    return ",".join(header) + LINE_END
-
-
-def _write_text(path, text: str) -> None:
-    with open(path, "w", newline="") as fh:   # newline="": the text's CRLFs stay as they are
-        fh.write(text)
-
-
 def write_scan(path, frame: ScanFrame) -> None:
-    """The scan file of ``frame`` (module docstring), written as one string."""
-    n_beams, n_az = frame.ranges.shape
-    interval = frame.end_pose.timestamp - frame.start_pose.timestamp
-    offsets = (frame.sample_fractions() * interval).tolist()
-    tails = [f",{t!r}{LINE_END}" for t in offsets]   # one per azimuth
-    cells = zip(itertools.product(range(n_beams), range(n_az)),
-                np.where(frame.returned, frame.ranges, 0.0).reshape(-1).tolist(),
-                frame.returned.reshape(-1).tolist())
-    _write_text(path, _header_line(SCAN_HEADER)
-                + "".join([f"{b},{a},{r!r},{ok:d}{tails[a]}" for (b, a), r, ok in cells]))
+    """The scan record of ``frame`` (module docstring)."""
+    ranges = np.where(frame.returned, frame.ranges, 0.0).astype("<f8", copy=False)
+    with open(path, "wb") as fh:
+        fh.write(SCAN_MAGIC + ranges.tobytes())
+
+
+def read_scan(path, intrinsics: SensorIntrinsics, start_pose: Pose, end_pose: Pose) -> ScanFrame:
+    """A scan record of the intrinsics' shape whose every range lies in
+    [0, s_max]; a range above 0 is a return. The file's size and magic are
+    checked before anything of the scan's shape is read or made."""
+    shape = (intrinsics.n_beams, intrinsics.azimuth_count)
+    size = len(SCAN_MAGIC) + 8 * shape[0] * shape[1]
+    with open(path, "rb") as fh:
+        found = os.fstat(fh.fileno()).st_size
+        if found != size:
+            raise InvalidInputError(f"{path}: {found} bytes, but a {shape[0]} x {shape[1]} "
+                                    f"scan record takes {size}")
+        if fh.read(len(SCAN_MAGIC)) != SCAN_MAGIC:
+            raise InvalidInputError(f"{path}: not a scan record")
+        ranges = np.fromfile(fh, dtype="<f8", count=shape[0] * shape[1]).reshape(shape)
+    bad = ~((ranges >= 0.0) & (ranges <= intrinsics.s_max))    # NaN too
+    if bad.any():
+        b, a = np.argwhere(bad)[0].tolist()
+        raise InvalidInputError(f"{path}: beam {b}, azimuth {a}: range {float(ranges[b, a])!r} "
+                                f"is outside [0, {intrinsics.s_max!r}]")
+    return ScanFrame(intrinsics, start_pose, end_pose, ranges, ranges > 0.0)
 
 
 def _csv_rows(path, header: list, parse):
@@ -296,43 +307,12 @@ def _csv_rows(path, header: list, parse):
             raise InvalidInputError(f"{path} row {n}: {exc}") from None
 
 
-def read_scan(path, intrinsics: SensorIntrinsics, start_pose: Pose, end_pose: Pose) -> ScanFrame:
-    """A scan file that names every (beam, azimuth) cell once, with drop flag
-    0 or 1 and, where the pulse returned, a range in (0, s_max]. The cells
-    are counted before any array of the scan's shape is made, so a file
-    shorter than its intrinsics is reported by its first missing cell."""
-    shape = (intrinsics.n_beams, intrinsics.azimuth_count)
-    seen = set()            # cells named so far, as flat indices b * azimuth_count + a
-
-    def parse(row):
-        b, a, flag, value = int(row[0]), int(row[1]), int(row[3]), float(row[2])
-        if not (0 <= b < shape[0] and 0 <= a < shape[1]):
-            raise ValueError(f"beam {b}, azimuth {a} is outside the {shape[0]} x {shape[1]} scan")
-        cell = b * shape[1] + a
-        if cell in seen:
-            raise ValueError(f"beam {b}, azimuth {a} is named twice")
-        if flag not in (0, 1):
-            raise ValueError(f"drop flag {flag} is not 0 or 1")
-        if flag and not 0.0 < value <= intrinsics.s_max:
-            raise ValueError(f"range {value!r} is outside (0, {intrinsics.s_max!r}]")
-        seen.add(cell)
-        return cell, bool(flag), value
-
-    rows = list(_csv_rows(path, SCAN_HEADER, parse))
-    if len(seen) < shape[0] * shape[1]:
-        b, a = divmod(next(cell for cell in itertools.count() if cell not in seen), shape[1])
-        raise InvalidInputError(f"{path}: no row for beam {b}, azimuth {a}")
-    cells, returned, ranges = (np.array(column) for column in zip(*rows))
-    order = np.argsort(cells)
-    return ScanFrame(intrinsics, start_pose, end_pose, ranges[order].reshape(shape),
-                     returned[order].reshape(shape))
-
-
 def write_poses(path, poses: list) -> None:
     """The pose file of ``poses`` (module docstring), written as one string."""
     rows = [[float(p.timestamp), *p.translation.tolist(), *p.quaternion.tolist()] for p in poses]
-    _write_text(path, _header_line(POSE_HEADER)
-                + "".join([",".join(map(repr, row)) + LINE_END for row in rows]))
+    with open(path, "w", newline="") as fh:   # newline="": the rows' CRLFs stay as they are
+        fh.write(",".join(POSE_HEADER) + LINE_END
+                 + "".join([",".join(map(repr, row)) + LINE_END for row in rows]))
 
 
 def read_poses(path) -> list:

@@ -304,21 +304,10 @@ def test_seed_flag_beats_config_file(tmp_path, capsys):
     # The scan period line that datasets once ended with, now an unknown key.
     ("intrinsics.txt", 4, "scan_period = 0.1",
      "intrinsics.txt line 4: unknown key 'scan_period'"),
-    ("scan_0000.csv", 2, "0,1,abc,1,0.0", "scan_0000.csv row 2: could not convert"),
-    ("scan_0000.csv", 3, "9,0,5.0,1,0.0", "scan_0000.csv row 3: beam 9, azimuth 0 is outside"),
-    ("scan_0000.csv", 2, "-1,0,5.0,1,0.0", "scan_0000.csv row 2: beam -1, azimuth 0 is outside"),
-    ("scan_0001.csv", 4, "0,3,5.0", "scan_0001.csv row 4: expected 5 columns, got 3"),
-    ("scan_0000.csv", 3, None, "scan_0000.csv: no row for beam 0, azimuth 1"),
-    # Rows are counted before the scan's arrays are made: 2e9 azimuths
-    # once asked for 14.9 GiB each.
+    # The record's size is checked before anything of the scan's shape is
+    # made: 2e9 azimuths once asked for 14.9 GiB each.
     ("intrinsics.txt", 2, "azimuth_count = 2000000000",
-     "scan_0000.csv: no row for beam 0, azimuth 16"),
-    ("scan_0000.csv", 3, "0,0,5.0,1,0.0", "scan_0000.csv row 3: beam 0, azimuth 0 is named twice"),
-    ("scan_0000.csv", 2, "0,0,5.0,7,0.0", "scan_0000.csv row 2: drop flag 7 is not 0 or 1"),
-    ("scan_0000.csv", 2, "0,0,25.0,1,0.0", "scan_0000.csv row 2: range 25.0 is outside (0, 20.0]"),
-    ("scan_0001.csv", 5, "0,3,-3.0,1,0.0", "scan_0001.csv row 5: range -3.0 is outside (0, 20.0]"),
-    ("scan_0000.csv", 2, "0,0,0.0,1,0.0", "scan_0000.csv row 2: range 0.0 is outside (0, 20.0]"),
-    ("scan_0001.csv", 3, "0,1,nan,1,0.0", "scan_0001.csv row 3: range nan is outside (0, 20.0]"),
+     "scan_0000.bin: 264 bytes, but a 2 x 2000000000 scan record takes 32000000008"),
     ("poses.csv", 2, "0.0,0,0,0,1,0,0,x", "poses.csv row 2: could not convert"),
     ("poses.csv", 3, "0.1,0,0,0,0,0,0,0",
      "poses.csv row 3: quaternion norm 0.0 is outside [1.49e-154, inf)"),
@@ -354,6 +343,42 @@ def test_malformed_dataset_file_exits_2(tmp_path, capsys, name, line, bad, messa
     assert err.startswith("error: ") and str(data) in err and message in err
 
 
+def with_range(beam, azimuth, value):
+    """An edit of a 2 x 16 scan record that sets one range."""
+    def edit(record):
+        at = 8 + 8 * (16 * beam + azimuth)
+        return record[:at] + struct.pack("<d", value) + record[at + 8:]
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("scan_0000.bin", lambda r: b"PLNKSCN0" + r[8:], "scan_0000.bin: not a scan record"),
+    ("scan_0000.bin", lambda r: r + bytes(8),
+     "scan_0000.bin: 272 bytes, but a 2 x 16 scan record takes 264"),
+    ("scan_0000.bin", lambda r: r[:-8],
+     "scan_0000.bin: 256 bytes, but a 2 x 16 scan record takes 264"),
+    ("scan_0000.bin", with_range(0, 0, 25.0),
+     "scan_0000.bin: beam 0, azimuth 0: range 25.0 is outside [0, 20.0]"),
+    ("scan_0001.bin", with_range(0, 3, -3.0),
+     "scan_0001.bin: beam 0, azimuth 3: range -3.0 is outside [0, 20.0]"),
+    ("scan_0000.bin", with_range(1, 5, np.inf),
+     "scan_0000.bin: beam 1, azimuth 5: range inf is outside [0, 20.0]"),
+    ("scan_0001.bin", with_range(0, 1, np.nan),
+     "scan_0001.bin: beam 0, azimuth 1: range nan is outside [0, 20.0]"),
+], ids=["magic", "long", "short", "above_s_max", "negative", "inf", "nan"])
+def test_malformed_scan_record_exits_2(tmp_path, capsys, name, edit, message):
+    cfg = write_config(tmp_path, UNDER_TRAINED)
+    data = tmp_path / "data"
+    assert run(capsys, "gen", "--config", cfg, "--scene", SCENE, "--path", PATH,
+               "--out", data)[0] == cli.EXIT_OK
+    (data / name).write_bytes(edit((data / name).read_bytes()))
+    code, _, err = run(capsys, "train", "--config", cfg, "--scene", SCENE,
+                       "--data", data, "--out", tmp_path / "train")
+    assert code == cli.EXIT_CONFIG
+    assert err == f"error: {data / message}\n"
+    assert not (tmp_path / "train").exists()
+
+
 def test_train_reads_only_the_latest_gen(tmp_path, capsys, monkeypatch):
     # A gen of 4 frames, then one of 2 into the same directory: the scans of
     # frames 2 and 3 go, so train reads 2 frames and the pose sidecar fits.
@@ -362,7 +387,7 @@ def test_train_reads_only_the_latest_gen(tmp_path, capsys, monkeypatch):
     for frames in (4, 2):
         assert run(capsys, "gen", "--config", cfg, "--scene", SCENE, "--path", PATH,
                    "--frames", frames, "--out", data)[0] == cli.EXIT_OK
-    assert sorted(p.name for p in data.glob("scan_*.csv")) == ["scan_0000.csv", "scan_0001.csv"]
+    assert sorted(p.name for p in data.glob("scan_*")) == ["scan_0000.bin", "scan_0001.bin"]
     read = []
     real_read = pipeline.read_dataset
     monkeypatch.setattr(pipeline, "read_dataset", lambda d: read.append(real_read(d)) or read[-1])
@@ -377,27 +402,28 @@ def test_missing_middle_scan_exits_2(tmp_path, capsys):
     data = tmp_path / "data"
     assert run(capsys, "gen", "--config", cfg, "--scene", SCENE, "--path", PATH,
                "--frames", 4, "--out", data)[0] == cli.EXIT_OK
-    (data / "scan_0001.csv").unlink()
+    (data / "scan_0001.bin").unlink()
     code, _, err = run(capsys, "train", "--config", cfg, "--scene", SCENE, "--data", data,
                        "--out", tmp_path / "train")
     assert code == cli.EXIT_CONFIG
     assert err == (f"error: {data / 'poses.csv'}: 5 poses need 4 scans, but "
-                   f"{data / 'scan_0001.csv'} is missing\n")
+                   f"{data / 'scan_0001.bin'} is missing\n")
     assert not (tmp_path / "train").exists()
 
 
-@pytest.mark.parametrize("name", ["poses.csv", "scan_0000.csv"])
+@pytest.mark.parametrize("name", ["poses.csv", "scan_0000.bin"])
 def test_undecodable_dataset_file_exits_2(tmp_path, capsys, name):
     cfg = write_config(tmp_path, UNDER_TRAINED)
     data = tmp_path / "data"
     assert run(capsys, "gen", "--config", cfg, "--scene", SCENE, "--path", PATH,
                "--out", data)[0] == cli.EXIT_OK
     text = (data / name).read_bytes()
-    (data / name).write_bytes(b"\xff" + text)     # not UTF-8 in the header line
+    (data / name).write_bytes(b"\xff" + text[1:])     # not UTF-8, and not the scan magic
     code, _, err = run(capsys, "train", "--config", cfg, "--scene", SCENE,
                        "--data", data, "--out", tmp_path / "train")
     assert code == cli.EXIT_CONFIG
-    assert err.startswith(f"error: {data / name}: cannot read: ")
+    reason = "cannot read: " if name == "poses.csv" else "not a scan record"
+    assert err.startswith(f"error: {data / name}: {reason}")
     assert not (tmp_path / "train").exists()
 
 

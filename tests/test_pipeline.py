@@ -200,8 +200,8 @@ def tree_digest(root) -> str:
 
 class TestDatasetFiles:
     @pytest.mark.parametrize("path_name, digest", [
-        ("moving_path.csv", "ab12a259bf2898f18f7b5883bd08a94e2226277c0350ca5441fc780b969da63b"),
-        ("static_path.csv", "ec8207afbf1a610a9250d8d0872c7272b0ff13ed66c9abc1b8104e3e47ecd897"),
+        ("moving_path.csv", "8106a40aec705d95c2f0f2c8ac1d551a7d3c9ee820ae4c9384f69c1200e6aef4"),
+        ("static_path.csv", "1b560f219b881ce7892f2ee8b1c16366579d25cb555a26f387fb035b452e7d4f"),
     ])
     def test_golden_bytes(self, tmp_path, path_name, digest):
         # Recorded from the csv.writer writers that the one-string writers
@@ -209,23 +209,33 @@ class TestDatasetFiles:
         # once a frame's sweep spanned its two boundary poses: intrinsics.txt
         # lost its scan period line, t_offset_s became a / A of the frame's
         # 0.667 s pose interval, and the moving path's ranges moved with its rays.
+        # Recorded again once each scan became one binary record of float64s.
         config = RunConfig(elevations=[-0.09, 0.0, 0.09], azimuth_count=32,
                            n_frames=3).validate()
         pipeline.generate_to_disk(shipped_file("panel_room.txt"),
                                   shipped_file(path_name), tmp_path, config)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "intrinsics.txt", "poses.csv", "scan_0000.csv", "scan_0001.csv", "scan_0002.csv"]
+            "intrinsics.txt", "poses.csv", "scan_0000.bin", "scan_0001.bin", "scan_0002.bin"]
         assert tree_digest(tmp_path) == digest
 
     def test_stale_scans_past_the_last_frame_are_removed(self, tmp_path):
         frames = dataset("moving_path.csv", 4)
         pipeline.write_dataset(tmp_path, frames)
-        (tmp_path / "scan_0009.csv").write_bytes((tmp_path / "scan_0003.csv").read_bytes())
+        (tmp_path / "scan_0009.bin").write_bytes((tmp_path / "scan_0003.bin").read_bytes())
         pipeline.write_dataset(tmp_path, frames[:2])
         # scan_0009 follows a gap, so reading the dataset never reaches it.
-        assert sorted(p.name for p in tmp_path.glob("scan_*.csv")) == [
-            "scan_0000.csv", "scan_0001.csv", "scan_0009.csv"]
+        assert sorted(p.name for p in tmp_path.glob("scan_*")) == [
+            "scan_0000.bin", "scan_0001.bin", "scan_0009.bin"]
         assert len(pipeline.read_dataset(tmp_path)) == 2
+
+    def test_a_directory_without_scan_0000_bin_names_it(self, tmp_path):
+        # A dataset of text scans, as written before the binary record.
+        pipeline.write_dataset(tmp_path, dataset("static_path.csv", 2))
+        for path in tmp_path.glob("scan_*.bin"):
+            path.rename(path.with_suffix(".csv"))
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"no scans in {tmp_path}: {tmp_path / 'scan_0000.bin'} is missing")):
+            pipeline.read_dataset(tmp_path)
 
     def test_read_back_frames_cast_the_simulated_rays(self, tmp_path):
         # The poses file holds each pose's own quaternion, so a dataset read

@@ -1,5 +1,6 @@
 """Sensor geometry: quaternions, poses, slerp and the vectorized ray generator,
-and the scan and pose writers against a ``csv.writer`` oracle.
+the pose writer against a ``csv.writer`` oracle, and the scan record: its
+bytes, its round trip and each input its reader refuses.
 
 `oracle_poses` is the per-azimuth reference: one scalar slerp of the
 boundary poses' quaternions and one validated `Pose` per azimuth step, and
@@ -10,6 +11,7 @@ bit.
 
 import csv
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -257,19 +259,6 @@ class TestRayDirections:
 # -- file writers ------------------------------------------------------------------
 
 
-def oracle_write_scan(path, frame):
-    """One ``csv.writer`` row per cell: the writer whose bytes ``write_scan`` keeps."""
-    times = frame.sample_fractions() * (frame.end_pose.timestamp - frame.start_pose.timestamp)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(sensor.SCAN_HEADER)
-        for b in range(frame.intrinsics.n_beams):
-            for a in range(frame.intrinsics.azimuth_count):
-                returned = bool(frame.returned[b, a])
-                writer.writerow([b, a, repr(float(frame.ranges[b, a])) if returned else "0.0",
-                                 int(returned), repr(float(times[a]))])
-
-
 def oracle_write_poses(path, poses):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -286,22 +275,6 @@ EDGE_FLOATS = [1e-05, 1e+16, 5e-324, -0.0, 20.0, 0.1 + 0.2]
 
 
 class TestWriters:
-    def test_scan_bytes_match_the_csv_writer(self, tmp_path):
-        intr = sensor.SensorIntrinsics([-0.1, 0.1], 6, 20.0)
-        start, end = (sensor.Pose(IDENTITY, np.zeros(3), t) for t in (0.0, 1.0))
-        ranges = np.array([EDGE_FLOATS, [np.nan, 7.5, 20.0, 1e-05, 3.0, 5e-324]])
-        returned = np.array([[True] * 6, [False, True, True, True, False, True]])
-        frame = sensor.ScanFrame(intr, start, end, ranges, returned)
-        # Fractions the sweep never gives, -0.0 first; over a 1 s frame each
-        # is its own time offset.
-        frame.sample_fractions = lambda: np.array([-0.0, 1e-05, 5e-324, 1e+16, 0.05, 0.1 + 0.2])
-        sensor.write_scan(tmp_path / "new.csv", frame)
-        oracle_write_scan(tmp_path / "oracle.csv", frame)
-        written = (tmp_path / "new.csv").read_bytes()
-        assert written == (tmp_path / "oracle.csv").read_bytes()
-        assert written.startswith(b"beam_idx,azimuth_idx,range_m,drop_flag,t_offset_s\r\n")
-        assert b"0,0,1e-05,1,-0.0\r\n" in written and b"1,0,0.0,0,-0.0\r\n" in written
-
     def test_pose_bytes_match_the_csv_writer(self, tmp_path):
         poses = [sensor.Pose([1e-05, 0.0, -0.0, 5e-324], [1e+16, -0.0, 5e-324], -0.0),
                  sensor.Pose(IDENTITY, EDGE_FLOATS[3:], 1e+16),
@@ -309,3 +282,90 @@ class TestWriters:
         sensor.write_poses(tmp_path / "new.csv", poses)
         oracle_write_poses(tmp_path / "oracle.csv", poses)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+# -- the scan record -----------------------------------------------------------------
+
+RECORD_INTR = sensor.SensorIntrinsics([-0.1, 0.1], 3, 20.0)
+STILL = [sensor.Pose(IDENTITY, np.zeros(3), t) for t in (0.0, 1.0)]
+
+
+def record(*ranges, magic=sensor.SCAN_MAGIC):
+    return magic + struct.pack(f"<{len(ranges)}d", *ranges)
+
+
+def read_record(tmp_path, data, intr=RECORD_INTR):
+    path = tmp_path / "scan_0000.bin"
+    path.write_bytes(data)
+    return sensor.read_scan(path, intr, *STILL)
+
+
+class TestScanRecord:
+    def test_bytes_pin_the_layout(self, tmp_path):
+        # Beam-major little-endian float64s after the magic, a drop as 0.0
+        # whatever range the frame holds there.
+        ranges = np.array([[1e-05, 20.0, np.nan], [5e-324, 7.5, 3.0]])
+        returned = np.array([[True, True, False], [True, True, False]])
+        sensor.write_scan(tmp_path / "scan.bin",
+                          sensor.ScanFrame(RECORD_INTR, *STILL, ranges, returned))
+        assert (tmp_path / "scan.bin").read_bytes() == bytes.fromhex(
+            "504c4e4b53434e31"      # PLNKSCN1
+            "f168e388b5f8e43e"      # 1e-05
+            "0000000000003440"      # 20.0
+            "0000000000000000"      # dropped
+            "0100000000000000"      # 5e-324
+            "0000000000001e40"      # 7.5
+            "0000000000000000")     # dropped
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_round_trip_is_bit_identical(self, tmp_path_factory, data):
+        n_beams = data.draw(st.integers(1, 3))
+        n_az = data.draw(st.integers(1, 6))
+        s_max = data.draw(st.sampled_from([1.0, 20.0, 1e6]))
+        intr = sensor.SensorIntrinsics(np.linspace(-0.5, 0.5, n_beams), n_az, s_max)
+        returns = st.one_of(st.sampled_from([s_max, 1e-9, 5e-324]),
+                            st.floats(1e-9, s_max))
+        cells = n_beams * n_az
+        ranges = np.array(data.draw(st.lists(returns, min_size=cells, max_size=cells)))
+        returned = np.array(data.draw(st.lists(st.booleans(), min_size=cells, max_size=cells)))
+        # What a dropped cell holds in memory is never written.
+        ranges[~returned] = data.draw(st.sampled_from([np.nan, -1.0, 0.0, 2.0 * s_max]))
+        frame = sensor.ScanFrame(intr, *STILL, ranges.reshape(n_beams, n_az),
+                                 returned.reshape(n_beams, n_az))
+        path = tmp_path_factory.mktemp("scan") / "scan_0000.bin"
+        sensor.write_scan(path, frame)
+        read = sensor.read_scan(path, intr, *STILL)
+        assert read.ranges.tobytes() == np.where(frame.returned, frame.ranges, 0.0).tobytes()
+        assert read.returned.tobytes() == frame.returned.tobytes()
+
+    def test_negative_zero_reads_as_a_drop(self, tmp_path):
+        read = read_record(tmp_path, record(-0.0, 0.0, 20.0, 1e-9, -0.0, 5.0))
+        np.testing.assert_array_equal(read.returned, [[False, False, True], [True, False, True]])
+
+    @pytest.mark.parametrize("data, message", [
+        (record(*[1.0] * 5), "48 bytes, but a 2 x 3 scan record takes 56"),
+        (record(*[1.0] * 7), "64 bytes, but a 2 x 3 scan record takes 56"),
+        (record(*[1.0] * 6, magic=b"PLNKSCN0"), "not a scan record"),
+        (record(1.0, 1.0, 1.0, 1.0, np.nan, 1.0),
+         "beam 1, azimuth 1: range nan is outside [0, 20.0]"),
+        (record(1.0, 1.0, np.inf, 1.0, 1.0, 1.0),
+         "beam 0, azimuth 2: range inf is outside [0, 20.0]"),
+        (record(1.0, 1.0, 1.0, -1.0, 1.0, 1.0),
+         "beam 1, azimuth 0: range -1.0 is outside [0, 20.0]"),
+        (record(1.0, np.nextafter(20.0, np.inf), 1.0, 1.0, 1.0, 1.0),
+         "beam 0, azimuth 1: range 20.000000000000004 is outside [0, 20.0]"),
+    ], ids=["short", "long", "magic", "nan", "inf", "negative", "above_s_max"])
+    def test_rejects_naming_the_file(self, tmp_path, data, message):
+        with pytest.raises(InvalidInputError) as info:
+            read_record(tmp_path, data)
+        assert str(info.value) == f"{tmp_path / 'scan_0000.bin'}: {message}"
+
+    def test_size_is_checked_before_anything_is_read(self, tmp_path, monkeypatch):
+        # 2e9 azimuths would take 32 GB: the six-range record is refused by
+        # its size alone, before a read of that many ranges.
+        monkeypatch.setattr(np, "fromfile", None)
+        intr = sensor.SensorIntrinsics([-0.1, 0.1], 2_000_000_000, 20.0)
+        with pytest.raises(InvalidInputError, match=re.escape(
+                "56 bytes, but a 2 x 2000000000 scan record takes 32000000008")):
+            read_record(tmp_path, record(*[1.0] * 6), intr)
