@@ -9,7 +9,8 @@ Outputs, in ``--out``:
   (the path's poses, one more than frames) and ``scan_NNNN.bin`` per frame,
   a binary record of the frame's ranges (`plink.sensor`).
   Scan files left from an earlier gen into the same directory and
-  numbered past the last frame are removed.
+  numbered past the last frame are removed, and so are text scans
+  (``scan_NNNN.csv``) of the format before the binary record.
 * train: ``model.ckpt`` and ``model_loss_curve.csv`` (a header, then one
   row per finished epoch: ``epoch,l_c,l_drop,l_coarse,l_fine``);
   ``model_epoch_NNNN.ckpt`` every ``checkpoint_every`` epochs; on a

@@ -9,14 +9,21 @@ value and a missing required key are errors naming the file, the line and
 the key (exit 2 at the CLI). A key given twice keeps its last value.
 
 Every run hyperparameter has a default; CLI flags override the file.
-The seed keys every random stream that `stream` builds: weight init
-``(seed, 0xC0A23E)``, coarse first; batch order ``(seed, 0x0BDE4)``;
-training draws ``(seed, ray id, epoch)``; render draws ``(seed, ray id,
-RENDER_STREAM)``; simulated pulses ``(seed, frame, beam, azimuth)``.
+The seed keys every random stream: weight init ``(seed, 0xC0A23E)``,
+coarse first; batch order ``(seed, 0x0BDE4)``; training draws ``(seed, ray
+id, epoch)``; render draws ``(seed, ray id, RENDER_STREAM)``; simulated
+pulses ``(seed, frame, beam, azimuth)``. A key's stream is numpy's
+``default_rng(SeedSequence(key))``. `stream` builds one, for init and batch
+order. The per-ray and per-pulse draws take a batch of keys at once:
+`stream_uniforms` gives each key's first n uniforms, bit for bit those of
+its stream, by running SeedSequence's hashing of every key as uint32
+array arithmetic and then numpy's own PCG64 and ``Generator.random`` from
+each key's hashed state, with no SeedSequence built per key.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field, fields
@@ -38,14 +45,8 @@ WEIGHTED_DEPTH = "weighted-depth"
 RENDER_MODES = ("stochastic", "confidence", "first-return", "strongest-return", WEIGHTED_DEPTH)
 
 
-def entropy_words(key) -> np.ndarray:
-    """The uint32 words ``np.random.SeedSequence`` makes of a tuple of ints.
-
-    Each entry becomes its 32-bit words, low first (one word for an entry
-    below 2**32, and for 0), as SeedSequence's own coercion does, so a
-    stream seeded with these words is the stream seeded with the tuple; it
-    is built about three times faster. A negative entry raises ValueError.
-    """
+def _key_words(key) -> list:
+    """`entropy_words` as a list of Python ints."""
     words = []
     for n in key:
         n = operator.index(n)
@@ -55,12 +56,132 @@ def entropy_words(key) -> np.ndarray:
         while n >> 32:
             n >>= 32
             words.append(n & 0xFFFFFFFF)
-    return np.array(words, dtype=np.uint32)
+    return words
+
+
+def entropy_words(key) -> np.ndarray:
+    """The uint32 words ``np.random.SeedSequence`` makes of a tuple of ints.
+
+    Each entry becomes its 32-bit words, low first (one word for an entry
+    below 2**32, and for 0), as SeedSequence's own coercion does, so a
+    stream seeded with these words is the stream seeded with the tuple; it
+    is built about three times faster. A negative entry raises ValueError.
+    """
+    return np.array(_key_words(key), dtype=np.uint32)
 
 
 def stream(*key) -> np.random.Generator:
     """The stream keyed on ``key``: the one place a ``SeedSequence`` is built."""
     return np.random.default_rng(np.random.SeedSequence(entropy_words(key)))
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) with its default pool
+# of four words: the two hash-constant sequences' seeds and multipliers, and
+# the mixer's multipliers.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+
+
+def _powers(init: int, mult: int, count: int) -> np.ndarray:
+    """``init * mult**j`` mod 2**32 for j < count, as a (count, 1) uint32 column."""
+    out = [init]
+    while len(out) < count:
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+# The pool's hash constant before and after each of its hashmix calls: four
+# to fill the pool, 4 * 3 to mix it, and four per entropy word past the pool.
+@functools.lru_cache(maxsize=None)
+def _pool_constants(n_words: int) -> np.ndarray:
+    return _powers(_INIT_A, _MULT_A, 1 + _POOL * _POOL + _POOL * max(n_words - _POOL, 0))
+
+
+# generate_state(4, uint64) takes eight uint32 words, cycling through the pool.
+_STATE_CONSTANTS = _powers(_INIT_B, _MULT_B, 9)
+_STATE_POOL_ROWS = np.arange(8) % _POOL
+
+
+def _hashmix(value, constants, j: int, count: int):
+    """SeedSequence's hashmix of ``value`` for its calls j to j + count - 1."""
+    value = (value ^ constants[j:j + count]) * constants[j + 1:j + 1 + count]
+    return value ^ (value >> _SHIFT)
+
+
+def _mix(x, y):
+    result = x * _MIX_L - y * _MIX_R
+    return result ^ (result >> _SHIFT)
+
+
+def _seed_states(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(w).generate_state(4, np.uint64)`` for every column w of
+    ``words`` (n_words, N) uint32, as an (N, 4) uint64 array.
+
+    SeedSequence's loops run in their order, each step on all N keys at once;
+    the mixing steps from one source word to the other three pool words
+    read nothing that step writes, so they run as one. The arithmetic is on
+    uint32 arrays, whose products wrap silently: no scalar overflow warns.
+    """
+    n_words, n = words.shape
+    constants = _pool_constants(n_words)
+    pool = np.zeros((_POOL, n), dtype=np.uint32)
+    pool[:min(n_words, _POOL)] = words[:_POOL]
+    pool = _hashmix(pool, constants, 0, _POOL)
+    j = _POOL
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants, j, _POOL - 1))
+        j += _POOL - 1
+    for src in range(_POOL, n_words):
+        pool = _mix(pool, _hashmix(words[src], constants, j, _POOL))
+        j += _POOL
+    state = _hashmix(pool[_STATE_POOL_ROWS], _STATE_CONSTANTS, 0, 8)
+    # Little-endian word pairs, as generate_state views them.
+    return np.ascontiguousarray(state.T).astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.lru_cache(maxsize=None)
+def _given_state():
+    """The seed sequence that hands numpy's PCG64 a state computed beforehand.
+
+    Built at the first draw, so that importing plink does not load
+    ``numpy.random``.
+    """
+    class GivenState(np.random.bit_generator.ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state   # PCG64 asks only for its four uint64 words
+
+    return GivenState
+
+
+def stream_uniforms(keys, n: int) -> np.ndarray:
+    """(N, n) uniforms in [0, 1): row i is ``stream(*keys[i]).random(n)``, bit for bit.
+
+    A batch of keys gives each key's stream in two steps. SeedSequence's
+    hashing of a key's words into the generator state runs as uint32 array
+    arithmetic, over all keys of one word count at once (`_seed_states`);
+    then numpy's own PCG64 starts from each row's state, and numpy's
+    ``Generator.random`` draws the row. A negative entry raises
+    `stream`'s ValueError.
+    """
+    rows = [_key_words(key) for key in keys]
+    out = np.empty((len(rows), n))
+    by_count = {}
+    for i, words in enumerate(rows):
+        by_count.setdefault(len(words), []).append(i)
+    given_state, pcg64, generator = _given_state(), np.random.PCG64, np.random.Generator
+    for count, index in by_count.items():
+        states = _seed_states(np.array([rows[i] for i in index], dtype=np.uint32)
+                              .reshape(len(index), count).T)
+        for i, state in zip(index, states):
+            generator(pcg64(given_state(state))).random(out=out[i])
+    return out
 
 
 @dataclass

@@ -272,22 +272,25 @@ def ground_truth_cloud(frame: ScanFrame) -> PointCloud:
 # -- dataset directory layout -------------------------------------------------------
 
 
-def _scan_path(data_dir, i: int) -> str:
-    """Frame i's scan record (`sensor.write_scan`) in a dataset directory."""
-    return os.path.join(data_dir, f"scan_{i:04d}.bin")
+def _scan_path(data_dir, i: int, extension: str = "bin") -> str:
+    """Frame i's scan record (`sensor.write_scan`) in a dataset directory; with
+    ``extension`` "csv", its text scan in the format before the record."""
+    return os.path.join(data_dir, f"scan_{i:04d}.{extension}")
 
 
-def _scan_paths(data_dir, first: int = 0):
-    """A dataset directory's ``scan_NNNN.bin`` files numbered on from
-    ``first``, up to the first number without one."""
+def _scan_paths(data_dir, first: int = 0, extension: str = "bin"):
+    """A dataset directory's ``scan_NNNN`` files numbered on from ``first``,
+    up to the first number without one."""
     return itertools.takewhile(os.path.exists, (
-        _scan_path(data_dir, i) for i in itertools.count(first)))
+        _scan_path(data_dir, i, extension) for i in itertools.count(first)))
 
 
 def write_dataset(out_dir, frames: list) -> None:
     """A dataset directory that `read_dataset` reads back as ``frames``, their poses
     included: ``intrinsics.txt``, ``poses.csv`` and one ``scan_NNNN.bin`` per
-    frame. An earlier dataset's scans numbered past the last frame are removed."""
+    frame. An earlier dataset's scans numbered past the last frame are removed,
+    and so are its text scans (``scan_NNNN.csv``, numbered from 0), which
+    datasets held before the binary record."""
     os.makedirs(out_dir, exist_ok=True)
     write_poses(os.path.join(out_dir, "poses.csv"),
                 [f.start_pose for f in frames] + [frames[-1].end_pose])
@@ -298,7 +301,7 @@ def write_dataset(out_dir, frames: list) -> None:
         fh.write(f"s_max = {intr.s_max!r}\n")
     for i, frame in enumerate(frames):
         write_scan(_scan_path(out_dir, i), frame)
-    for stale in list(_scan_paths(out_dir, len(frames))):
+    for stale in list(_scan_paths(out_dir, len(frames))) + list(_scan_paths(out_dir, 0, "csv")):
         os.remove(stale)
 
 

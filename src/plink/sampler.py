@@ -34,7 +34,7 @@ import numpy as np
 
 from . import net as nets
 from .errors import DivergenceError
-from .config import RunConfig, stream
+from .config import RunConfig, stream, stream_uniforms
 from .field import (RaySet, bin_masses, bin_masses_vjp, cdf_from_sigma_values, cdf_vjp,
                     trapezoid_deltas)
 from .losses import (LossBreakdown, bce_values, bce_vjp, bin_accumulate, depth_l2_values,
@@ -131,13 +131,19 @@ def fine_grid_rows(fine_points: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def ray_rng(seed: int, ray_id: int, epoch: int) -> np.random.Generator:
-    """Dedicated stream per (seed, ray, epoch); reproducible batch order free."""
+    """Dedicated stream per (seed, ray, epoch); reproducible batch order free.
+
+    `ray_draws` draws from these streams through `stream_uniforms`, which
+    builds no Generator per ray; this one stream is the tests' reference.
+    """
     return stream(seed, ray_id, epoch)
 
 
 def ray_draws(seed: int, ray_ids, epoch: int, n: int) -> np.ndarray:
-    """(B, n) uniforms in [0, 1), row i from ray ``ray_ids[i]``'s stream."""
-    return np.stack([ray_rng(seed, int(i), epoch).random(n) for i in ray_ids])
+    """(B, n) uniforms in [0, 1): row i is the first n draws of ray
+    ``ray_ids[i]``'s (seed, ray id, epoch) stream (`ray_rng`), all B rows
+    from one `stream_uniforms` call."""
+    return stream_uniforms([(seed, int(i), epoch) for i in ray_ids], n)
 
 
 @dataclass

@@ -166,6 +166,12 @@ def same_pose(a: Pose, b: Pose) -> bool:
     return np.array_equal(a.rotation, b.rotation) and np.array_equal(a.translation, b.translation)
 
 
+def check_pose_order(start: Pose, end: Pose) -> None:
+    """Reject a frame whose end pose is not later than its start pose."""
+    if end.timestamp <= start.timestamp:
+        raise InvalidInputError("end pose must be later than the start pose")
+
+
 def ray_directions(intrinsics: SensorIntrinsics, frame: ScanFrame):
     """World-frame origins and directions for every (beam, azimuth) sample.
 
@@ -174,8 +180,7 @@ def ray_directions(intrinsics: SensorIntrinsics, frame: ScanFrame):
     revolution (`ScanFrame.sample_fractions`).
     """
     start, end = frame.start_pose, frame.end_pose
-    if end.timestamp <= start.timestamp:
-        raise InvalidInputError("end pose must be later than the start pose")
+    check_pose_order(start, end)
     quaternions, translations = motion_compensate(start, end, frame.sample_fractions())
     # At rest every step has the start pose, whose matrix is already built.
     rotations = (np.broadcast_to(start.rotation, quaternions.shape[:-1] + (3, 3))

@@ -69,11 +69,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import fill, read_sections, stream
+from .config import fill, read_sections, stream_uniforms
 from .errors import InvalidInputError
 from .field import CdfTrace, Ray, SampleGrid
 # motion_compensate is not called here; perfbench/layers.py probes this name.
-from .sensor import ScanFrame, SensorIntrinsics, motion_compensate, ray_directions
+from .sensor import (ScanFrame, SensorIntrinsics, check_pose_order, motion_compensate,
+                     ray_directions, same_pose)
 
 # The largest incidence angle np.arccos gives for |d . n| in [0, 1]: a hit on
 # a surface whose oblique limit is this angle never drops.
@@ -374,46 +375,111 @@ def sample_return(scene: SceneSpec, ray: Ray, rng):
     return _first_reflection([(s, prob, dropped) for s, _, prob, dropped in hits], rng)
 
 
+def _trace_frame(scene: SceneSpec, rays, s_max: float) -> tuple:
+    """One frame's pulses traced: the outcomes that need no draw, and the hits
+    of the pulses whose outcome does.
+
+    Returns flat (ranges, returned) with 0.0 and False for every pulse but
+    those whose first surface is opaque (p = 1), which reflect there
+    whatever they would draw; and the uncertain pulses (a hit, not opaque
+    first) as (flat indices, then their rows of `_sorted_hits`' distances,
+    return probabilities and drop flags, and their hit counts).
+    """
+    dist, order, drops = _sorted_hits(scene, *rays, s_max)
+    probs = scene.return_probs[order]
+    n_hits = np.count_nonzero(dist < np.inf, axis=1)
+    certain = (n_hits > 0) & (probs[:, 0] == 1.0)
+    returned = np.zeros(len(dist), dtype=bool)
+    returned[certain] = ~drops[certain, 0]
+    ranges = np.where(returned, dist[:, 0], 0.0)
+    index = np.flatnonzero((n_hits > 0) & ~certain)
+    return ranges, returned, (index, dist[index], probs[index], drops[index], n_hits[index])
+
+
+# Uncertain pulses per `stream_uniforms` call in `generate_dataset`: the most
+# that it holds the hits and draws of at once.
+DRAW_CHUNK = 4096
+
+
+def _draw_first_reflections(frames: list, pending: list, seed: int) -> None:
+    """Draw the outcomes of ``pending``'s pulses into ``frames``.
+
+    ``pending`` holds (frame index, uncertain pulses) pairs, the pulses as
+    `_trace_frame` gives them. Pulse (f, b, a) draws the first uniforms of
+    its (seed, f, b, a) stream, one per surface it reaches in distance
+    order; it reflects at the first surface whose draw falls below its
+    return probability, as a range or, where that hit drops, a drop
+    (`_first_reflection`'s walk, on every pulse of a chunk at once).
+    """
+    if not pending:
+        return
+    azimuth_count = frames[0].intrinsics.azimuth_count
+    index, dist, probs, drops, n_hits = (np.concatenate([hits[k] for _, hits in pending])
+                                         for k in range(5))
+    beam, azimuth = np.divmod(index, azimuth_count)
+    frame = np.repeat([f for f, _ in pending], [len(hits[0]) for _, hits in pending])
+    keys = list(zip([seed] * len(index), frame.tolist(), beam.tolist(), azimuth.tolist()))
+    returned = np.zeros(len(index), dtype=bool)
+    ranges = np.zeros(len(index))
+    for start in range(0, len(index), DRAW_CHUNK):
+        chunk = slice(start, start + DRAW_CHUNK)
+        width = int(n_hits[chunk].max())
+        reflects = ((stream_uniforms(keys[chunk], width) < probs[chunk, :width])
+                    & (np.arange(width) < n_hits[chunk, None]))
+        first = reflects.argmax(axis=1)
+        rows = np.arange(len(first))
+        returned[chunk] = reflects[rows, first] & ~drops[chunk][rows, first]
+        ranges[chunk] = np.where(returned[chunk], dist[chunk][rows, first], 0.0)
+    start = 0
+    for f, hits in pending:
+        stop = start + len(hits[0])
+        frames[f].ranges.reshape(-1)[hits[0]] = ranges[start:stop]     # views
+        frames[f].returned.reshape(-1)[hits[0]] = returned[start:stop]
+        start = stop
+
+
 def generate_dataset(scene: SceneSpec, sensor_path: list, intrinsics: SensorIntrinsics,
                      seed: int) -> list:
     """Simulated scan frames along a pose path, reproducible from the seed.
 
     ``sensor_path`` holds n_frames + 1 >= 2 timestamped poses; frame i spans
     poses i and i + 1. Every (frame, beam, azimuth) pulse draws from its own
-    substream, one uniform per surface it reaches in distance order (as
-    ``sample_return`` does), so frame order never changes the outcome. A
-    pulse whose first surface is opaque (p = 1) reflects there whatever it
-    would draw, so its outcome is set without a draw. A frame that casts the
-    rays of the frame before it (``np.array_equal``), as every frame of a
-    static path does, reuses that frame's sorted hits instead of tracing.
+    (seed, frame, beam, azimuth) stream, one uniform per surface it reaches
+    in distance order (as ``sample_return`` does), so frame order never
+    changes the outcome. A pulse whose first surface is opaque (p = 1)
+    reflects there whatever it would draw, so its outcome is set without a
+    draw.
+
+    Tracing comes first and drawing after: the uncertain pulses are
+    gathered across frames, and `stream_uniforms` draws them together, in
+    calls of at most `DRAW_CHUNK` pulses, whenever that many are gathered
+    and once at the end. A frame whose two boundary
+    poses agree (`same_pose`) with the frame before's reuses that frame's
+    hits without computing its rays: both frames rest at one pose, and a
+    resting frame's rays depend only on that pose's rotation and
+    translation. Every frame's poses are checked for time order.
     """
     shape = (intrinsics.n_beams, intrinsics.azimuth_count)
-    frames = []
-    last_rays = None
-    for f in range(len(sensor_path) - 1):
-        frame = ScanFrame(intrinsics, sensor_path[f], sensor_path[f + 1],
-                          np.zeros(shape), np.zeros(shape, dtype=bool))
+    frames, pending, n_pending = [], [], 0
+    for f, (start, end) in enumerate(zip(sensor_path[:-1], sensor_path[1:])):
+        frame = ScanFrame(intrinsics, start, end, np.zeros(shape), np.zeros(shape, dtype=bool))
         frames.append(frame)
-        rays = ray_directions(intrinsics, frame)   # checks the frame's poses
-        if not scene.surfaces:
+        if f and same_pose(sensor_path[f - 1], start) and same_pose(start, end):
+            check_pose_order(start, end)   # reuses the hits of the frame before
+        else:
+            rays = ray_directions(intrinsics, frame)   # checks the frame's poses
+            traced = _trace_frame(scene, rays, intrinsics.s_max) if scene.surfaces else None
+        if traced is None:
             continue  # every pulse drops
-        if last_rays is None or not all(map(np.array_equal, rays, last_rays)):
-            dist, order, drops = _sorted_hits(scene, *rays, intrinsics.s_max)
-            probs = scene.return_probs[order]
-            n_hits = np.count_nonzero(dist < np.inf, axis=1)
-            certain = (n_hits > 0) & (probs[:, 0] == 1.0)
-        last_rays = rays
-        ranges, returned = frame.ranges.reshape(-1), frame.returned.reshape(-1)  # views
-        returned[certain] = ~drops[certain, 0]
-        ranges[returned] = dist[returned, 0]
-        for i in np.flatnonzero((n_hits > 0) & ~certain):
-            b, a = divmod(int(i), intrinsics.azimuth_count)
-            k = n_hits[i]
-            outcome = _first_reflection(zip(dist[i, :k], probs[i, :k], drops[i, :k]),
-                                        stream(seed, f, b, a))
-            if outcome is not None:
-                ranges[i] = outcome
-                returned[i] = True
+        ranges, returned, uncertain = traced
+        frame.ranges.reshape(-1)[:] = ranges    # views
+        frame.returned.reshape(-1)[:] = returned
+        pending.append((f, uncertain))
+        n_pending += len(uncertain[0])
+        if n_pending >= DRAW_CHUNK:
+            _draw_first_reflections(frames, pending, seed)
+            pending, n_pending = [], 0
+    _draw_first_reflections(frames, pending, seed)
     return frames
 
 

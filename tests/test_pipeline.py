@@ -228,6 +228,15 @@ class TestDatasetFiles:
             "scan_0000.bin", "scan_0001.bin", "scan_0009.bin"]
         assert len(pipeline.read_dataset(tmp_path)) == 2
 
+    def test_text_scans_of_an_earlier_format_are_removed(self, tmp_path):
+        # Datasets held scan_NNNN.csv before the binary record; a gen of fewer
+        # frames into such a directory leaves none of them beside its own.
+        for i in range(3):
+            (tmp_path / f"scan_{i:04d}.csv").write_text("beam,azimuth,range_m\r\n")
+        pipeline.write_dataset(tmp_path, dataset("static_path.csv", 2))
+        assert sorted(p.name for p in tmp_path.glob("scan_*")) == [
+            "scan_0000.bin", "scan_0001.bin"]
+
     def test_a_directory_without_scan_0000_bin_names_it(self, tmp_path):
         # A dataset of text scans, as written before the binary record.
         pipeline.write_dataset(tmp_path, dataset("static_path.csv", 2))
@@ -556,6 +565,24 @@ class TestStreams:
             assert seen[3 * epoch:3 * epoch + 3] == [
                 (epoch, order[0:4]), (epoch, order[4:8]), (epoch, order[8:])]
         assert len(seen) == 3 * epochs
+
+    def test_a_step_and_a_render_chunk_build_no_seed_sequence(self, monkeypatch):
+        # Per-ray draws come from one batched kernel, not a stream per ray.
+        built = []
+
+        class Counted(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        state, frame, scale, config = render_setup(seed=2, batch_rays=64)
+        rays = RaySet(np.zeros((3, 3)), np.eye(3), np.array([[1.0], [2.0], [np.inf]]), 4.0)
+        monkeypatch.setattr(np.random, "SeedSequence", Counted)
+        sampler.train_step(state, rays, config, scale, epoch=1)
+        cloud = pipeline.render_frame_cloud(state, frame, scale, config, "stochastic")
+        assert len(cloud.points) > 0 and not built
+        plink.config.stream(2, 0)      # the counter sees the streams that remain
+        assert len(built) == 1
 
     def test_only_config_builds_a_seed_sequence(self):
         package = pathlib.Path(plink.__file__).parent

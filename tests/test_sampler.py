@@ -11,12 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tests.tape_head as tape_head
 from plink import autodiff as ad
 from plink import net as nets
 from plink import pipeline, sampler
-from plink.config import RunConfig, entropy_words
+from plink.config import RunConfig, entropy_words, stream_uniforms
 from plink.errors import ConfigError, DivergenceError, InvalidInputError
 from plink.field import RaySet
 from plink.sensor import UnitCubeScale
@@ -250,6 +252,48 @@ class TestStreamKeys:
             entropy_words(key)
         with pytest.raises(ValueError):
             sampler.ray_rng(*key)
+
+
+def keyed_rows(keys, n):
+    """Each key's stream built by numpy itself, its first n draws a row."""
+    return np.array([np.random.default_rng(np.random.SeedSequence(key)).random(n)
+                     for key in keys]).reshape(len(keys), n)
+
+
+# Entries of one word and of several: 2**32 takes two, 2**64 + 3 three.
+ENTRIES = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 3]) | st.integers(0, 2**70)
+KEYS = st.lists(st.lists(ENTRIES, min_size=1, max_size=6).map(tuple), max_size=6)
+
+
+class TestStreamUniforms:
+    @settings(max_examples=150, deadline=None)
+    @given(KEYS, st.integers(1, 129))
+    def test_rows_are_the_keyed_streams(self, keys, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # uint32 arithmetic wraps silently
+            got = stream_uniforms(keys, n)
+        assert got.shape == (len(keys), n) and got.dtype == np.float64
+        np.testing.assert_array_equal(got, keyed_rows(keys, n))
+
+    def test_one_batch_mixes_word_counts(self):
+        # 1 to 9 words, in an order that interleaves the word counts.
+        keys = [(2**64 + 3,) * 3, (0,), (1, 2, 3, 4, 5, 6), (2**32 - 1, 2**32),
+                (7,), (2**32, 0, 5), (0, 0, 0, 0), (1, 0x4E4DE2, 2**64 - 1)]
+        for n in (1, 13, 129):
+            np.testing.assert_array_equal(stream_uniforms(keys, n), keyed_rows(keys, n))
+
+    def test_an_empty_batch_gives_no_rows(self):
+        assert stream_uniforms([], 5).shape == (0, 5)
+
+    @pytest.mark.parametrize("keys", [[(1, -1, 0)], [(0, 1, 2), (-(2**40), 0, 0)]])
+    def test_a_negative_entry_raises_as_stream_does(self, keys):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            stream_uniforms(keys, 3)
+
+    def test_ray_draws_are_the_ray_streams(self):
+        got = sampler.ray_draws(3, np.array([0, 5, 2**33]), 7, 32)
+        for row, ray_id in zip(got, (0, 5, 2**33)):
+            np.testing.assert_array_equal(row, sampler.ray_rng(3, ray_id, 7).random(32))
 
 
 class TestFineGrid:

@@ -518,6 +518,14 @@ def dataset_digest(frames) -> str:
     return h.hexdigest()
 
 
+def rest_move_rest_path():
+    """Eight poses 0.1 s apart: frames rest, rest, move, rest, move back,
+    rest and rest, between the last poses of the shipped paths."""
+    here, there = (sensor.read_poses(shipped_file(name))[-1] for name in PATHS)
+    return [sensor.Pose(pose.quaternion, pose.translation, 0.1 * t)
+            for t, pose in enumerate([here, here, here, there, there, here, here, here])]
+
+
 class TestGenerateDataset:
     def test_golden_digest(self):
         # Recorded from the per-surface scalar simulator this kernel replaced,
@@ -536,50 +544,72 @@ class TestGenerateDataset:
             "fbe0a83b918c09eff40cbfca8e3cfd5ffebab9b336dd2741a2278da7308a8362")
 
     def test_each_pulse_matches_sample_return_on_its_stream(self):
+        # Every pulse of every frame of a path that rests, moves and rests
+        # again: frames that reuse the hits of the frame before are checked,
+        # and so are the streams of frames past the first.
         scene, seed = shipped_scene(), 5
-        path = shipped_path("moving_path.csv", 4)
-        frame = simscene.generate_dataset(scene, path[1:3], intrinsics(), seed)[0]
-        n_az = frame.intrinsics.azimuth_count
-        for i, ray in enumerate(frame_rays(frame)):
-            b, a = divmod(i, n_az)
-            rng = np.random.default_rng(np.random.SeedSequence((seed, 0, b, a)))
-            want = simscene.sample_return(scene, ray, rng)
-            if want is None:
-                assert not frame.returned[b, a]
-            else:
-                assert frame.returned[b, a] and frame.ranges[b, a] == want
-        assert 0 < frame.returned.sum() < frame.returned.size
+        frames = simscene.generate_dataset(scene, rest_move_rest_path(), intrinsics(), seed)
+        n_az = intrinsics().azimuth_count
+        for f, frame in enumerate(frames):
+            for i, ray in enumerate(frame_rays(frame)):
+                b, a = divmod(i, n_az)
+                rng = np.random.default_rng(np.random.SeedSequence((seed, f, b, a)))
+                want = simscene.sample_return(scene, ray, rng)
+                if want is None:
+                    assert not frame.returned[b, a] and frame.ranges[b, a] == 0.0
+                else:
+                    assert frame.returned[b, a] and frame.ranges[b, a] == want
+            assert 0 < frame.returned.sum() < frame.returned.size
+
+    def test_draw_chunks_do_not_change_a_pulse(self, monkeypatch):
+        # Chunks of 7 pulses split frames and the pulses of one frame.
+        scene, path = shipped_scene(), rest_move_rest_path()
+        want = simscene.generate_dataset(scene, path, intrinsics(), seed=2)
+        monkeypatch.setattr(simscene, "DRAW_CHUNK", 7)
+        assert dataset_digest(simscene.generate_dataset(scene, path, intrinsics(), seed=2)) == (
+            dataset_digest(want))
 
     @pytest.fixture
-    def traces(self, monkeypatch):
-        """The number of `_sorted_hits` calls made since the test began."""
-        calls = []
-        real = simscene._sorted_hits
-        monkeypatch.setattr(simscene, "_sorted_hits",
-                            lambda *args: calls.append(1) or real(*args))
-        return calls
+    def calls(self, monkeypatch):
+        """The `_sorted_hits` (traces) and `ray_directions` calls made since
+        the test began."""
+        counts = {"_sorted_hits": 0, "ray_directions": 0}
+        for name in counts:
+            def counted(*args, _name=name, _real=getattr(simscene, name)):
+                counts[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(simscene, name, counted)
+        return counts
 
     @pytest.mark.parametrize("name, n_frames, n_traces", [
         ("static_path.csv", 20, 1), ("moving_path.csv", 5, 5)])
-    def test_a_frame_is_traced_when_its_rays_change(self, traces, name, n_frames, n_traces):
+    def test_a_frame_is_traced_when_its_rays_change(self, calls, name, n_frames, n_traces):
+        # A frame is traced, and its rays computed, unless its boundary poses
+        # agree with the frame before's: at rest at the same pose, it casts
+        # that frame's rays.
         frames = simscene.generate_dataset(shipped_scene(), shipped_path(name, n_frames),
                                            intrinsics(), seed=3)
-        assert len(frames) == n_frames and len(traces) == n_traces
+        assert len(frames) == n_frames
+        assert calls == {"_sorted_hits": n_traces, "ray_directions": n_traces}
 
-    def test_a_return_to_an_earlier_pose_is_traced_again(self, traces):
-        here, there = (sensor.read_poses(shipped_file(name))[-1]
-                       for name in PATHS)
-        path = [sensor.Pose(pose.quaternion, pose.translation, 0.1 * t)
-                for t, pose in enumerate([here, here, here, there, there, here, here])]
+    def test_a_return_to_an_earlier_pose_is_traced_again(self, calls):
+        path = rest_move_rest_path()
         frames = simscene.generate_dataset(shipped_scene(), path, intrinsics(), seed=3)
-        # Rest, rest, move, rest, move back, rest: only the second frame
-        # casts its predecessor's rays.
-        assert len(frames) == 6 and len(traces) == 5
-        # The first and last frames cast the same rays, on different streams.
-        rays = [sensor.ray_directions(frame.intrinsics, frame) for frame in (frames[0], frames[-1])]
+        # Rest, rest, move, rest, move back, rest, rest: only the second and
+        # the last frame rest where the frame before rested.
+        assert len(frames) == 7
+        assert calls == {"_sorted_hits": 5, "ray_directions": 5}
+        # Frames 0 and 5 cast the same rays, on different streams.
+        rays = [sensor.ray_directions(frame.intrinsics, frame) for frame in (frames[0], frames[5])]
         for first, last in zip(*rays):
             np.testing.assert_array_equal(first, last)
-        assert not np.array_equal(frames[0].ranges, frames[-1].ranges)
+        assert not np.array_equal(frames[0].ranges, frames[5].ranges)
+
+    def test_a_resting_frame_still_checks_its_time_order(self):
+        path = rest_move_rest_path()
+        path[2] = sensor.Pose(path[2].quaternion, path[2].translation, path[1].timestamp)
+        with pytest.raises(InvalidInputError, match="end pose must be later"):
+            simscene.generate_dataset(shipped_scene(), path, intrinsics(), seed=3)
 
     def test_empty_scene_drops_every_pulse(self):
         scene = simscene.SceneSpec([], ([-1.0] * 3, [1.0] * 3))
