@@ -5,12 +5,11 @@ config-file values. All outputs are deterministic given the seed.
 
 Outputs, in ``--out``:
 
-* gen: ``intrinsics.txt`` (the sensor keys of the config), ``poses.csv``
-  (the path's poses, one more than frames) and ``scan_NNNN.bin`` per frame,
-  a binary record of the frame's ranges (`plink.sensor`).
-  Scan files left from an earlier gen into the same directory and
-  numbered past the last frame are removed, and so are text scans
-  (``scan_NNNN.csv``) of the format before the binary record.
+* gen: ``poses.csv`` (the path's poses, one more than frames) and
+  ``scans.bin``, one binary record of the sensor and every frame's ranges
+  (`plink.sensor`). The files of the layout before it (``intrinsics.txt``
+  and per-frame ``scan_NNNN.bin`` or ``.csv``) are removed; train reads
+  no dataset written in that layout, which must be regenerated.
 * train: ``model.ckpt`` and ``model_loss_curve.csv`` (a header, then one
   row per finished epoch: ``epoch,l_c,l_drop,l_coarse,l_fine``);
   ``model_epoch_NNNN.ckpt`` every ``checkpoint_every`` epochs; on a
@@ -30,7 +29,7 @@ Exit codes:
 
 * 0: success.
 * 2: invalid configuration or a malformed input file (config, scene,
-  intrinsics, scan, pose, cloud or checkpoint), with a message naming the
+  scan record, pose, cloud or checkpoint), with a message naming the
   file and, in a line-based file, the line; also any other `PlinkError`
   and an OS error on a file; also a `MemoryError`, as ``error: not enough
   memory: <message>``, since input sizes past what the machine holds are

@@ -1,12 +1,12 @@
 """The key = value file format, and the run configuration kept in it.
 
-Run configs, a dataset's ``intrinsics.txt`` and scene files share one
-format: ``key = value`` lines, ``#`` comments, and ``[name]`` lines that
-open sections. ``fill`` types each value by its dataclass field's default:
-bool, int, float, str, a list of numbers, or a tuple of as many numbers as
-the default. Numbers must be finite. An unknown section or key, a mistyped
-value and a missing required key are errors naming the file, the line and
-the key (exit 2 at the CLI). A key given twice keeps its last value.
+Run configs and scene files share one format: ``key = value`` lines,
+``#`` comments, and ``[name]`` lines that open sections. ``fill`` types each
+value by its dataclass field's default: bool, int, float, str, a list of
+numbers, or a tuple of as many numbers as the default. Numbers must be
+finite. An unknown section or key, a mistyped value and a missing required
+key are errors naming the file, the line and the key (exit 2 at the CLI).
+A key given twice keeps its last value.
 
 Every run hyperparameter has a default; CLI flags override the file.
 The seed keys every random stream: weight init ``(seed, 0xC0A23E)``,
@@ -302,10 +302,10 @@ def read_sections(path, names=(), error=ConfigError) -> list:
     return sections
 
 
-def fill(target, section: Section, keys=None, required=()):
-    """Set dataclass ``target``'s fields from ``section`` and return it; ``keys``
-    may appear (by default every field) and ``required`` must."""
-    allowed = keys or [f.name for f in fields(target)]
+def fill(target, section: Section, required=()):
+    """Set dataclass ``target``'s fields from ``section`` and return it; any
+    field may appear, and ``required`` must."""
+    allowed = [f.name for f in fields(target)]
     for key, (line, raw) in section.rows.items():
         if key not in allowed:
             raise section.fail(f"unknown key {key!r}", line)

@@ -20,8 +20,8 @@ weighted depth.
 
 from __future__ import annotations
 
-import itertools
 import os
+import re
 # ThreadPoolExecutor is not used here; perfbench/layers.py replaces this name.
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -30,16 +30,15 @@ import numpy as np
 
 from . import net as nets
 from . import sampler
-from .config import (RENDER_MODES, WEIGHTED_DEPTH, RunConfig, fill, intrinsics_from_config,
-                     read_sections, stream)
+from .config import RENDER_MODES, WEIGHTED_DEPTH, RunConfig, intrinsics_from_config, stream
 from .errors import InvalidInputError
 # cdf_from_sigma_values is not called here; perfbench/layers.py probes this name.
 from .field import RaySet, bin_masses, cdf_from_sigma_values
 from .losses import pooled_drop_values
 from .metrics import PointCloud
 from .sensor import (Pose, ScanFrame, SensorIntrinsics, UnitCubeScale,
-                     motion_compensate, ray_directions, read_poses, read_scan,
-                     same_pose, to_unit_cube, write_poses, write_scan)
+                     motion_compensate, ray_directions, read_poses, read_scans,
+                     same_pose, to_unit_cube, write_poses, write_scans)
 from .simscene import SceneSpec, generate_dataset, load_scene
 
 # The unit-cube bound on every encoded point, enforced here alone (`_check_in_bounds`).
@@ -271,68 +270,31 @@ def ground_truth_cloud(frame: ScanFrame) -> PointCloud:
 
 # -- dataset directory layout -------------------------------------------------------
 
-
-def _scan_path(data_dir, i: int, extension: str = "bin") -> str:
-    """Frame i's scan record (`sensor.write_scan`) in a dataset directory; with
-    ``extension`` "csv", its text scan in the format before the record."""
-    return os.path.join(data_dir, f"scan_{i:04d}.{extension}")
-
-
-def _scan_paths(data_dir, first: int = 0, extension: str = "bin"):
-    """A dataset directory's ``scan_NNNN`` files numbered on from ``first``,
-    up to the first number without one."""
-    return itertools.takewhile(os.path.exists, (
-        _scan_path(data_dir, i, extension) for i in itertools.count(first)))
+# The files of the layout before ``scans.bin``, which `write_dataset` removes.
+EARLIER_LAYOUT = re.compile(r"intrinsics\.txt|scan_[0-9]{4}\.(bin|csv)")
 
 
 def write_dataset(out_dir, frames: list) -> None:
     """A dataset directory that `read_dataset` reads back as ``frames``, their poses
-    included: ``intrinsics.txt``, ``poses.csv`` and one ``scan_NNNN.bin`` per
-    frame. An earlier dataset's scans numbered past the last frame are removed,
-    and so are its text scans (``scan_NNNN.csv``, numbered from 0), which
-    datasets held before the binary record."""
+    included: ``poses.csv`` and the scan record ``scans.bin`` (`sensor.write_scans`).
+    An earlier layout's files (``intrinsics.txt`` and per-frame ``scan_NNNN.bin``
+    or ``.csv``) are removed."""
     os.makedirs(out_dir, exist_ok=True)
     write_poses(os.path.join(out_dir, "poses.csv"),
                 [f.start_pose for f in frames] + [frames[-1].end_pose])
-    intr = frames[0].intrinsics
-    with open(os.path.join(out_dir, "intrinsics.txt"), "w") as fh:
-        fh.write("elevations = " + " ".join(repr(float(e)) for e in intr.elevation_angles) + "\n")
-        fh.write(f"azimuth_count = {intr.azimuth_count}\n")
-        fh.write(f"s_max = {intr.s_max!r}\n")
-    for i, frame in enumerate(frames):
-        write_scan(_scan_path(out_dir, i), frame)
-    for stale in list(_scan_paths(out_dir, len(frames))) + list(_scan_paths(out_dir, 0, "csv")):
-        os.remove(stale)
-
-
-# The keys of a dataset's intrinsics.txt: exactly these RunConfig keys.
-SENSOR_KEYS = ("elevations", "azimuth_count", "s_max")
+    write_scans(os.path.join(out_dir, "scans.bin"), frames)
+    for entry in os.scandir(out_dir):
+        if EARLIER_LAYOUT.fullmatch(entry.name):
+            os.remove(entry.path)
 
 
 def read_dataset(data_dir) -> list:
-    """The frames of a `write_dataset` directory: scans ``scan_0000.bin``
-    onwards, up to the first number without one, each of the shape
-    ``intrinsics.txt`` gives and timed by its two poses in ``poses.csv``."""
-    top = read_sections(os.path.join(data_dir, "intrinsics.txt"), error=InvalidInputError)[0]
-    config = fill(RunConfig(), top, SENSOR_KEYS, SENSOR_KEYS)
-    try:
-        intr = intrinsics_from_config(config)
-    except InvalidInputError as exc:
-        raise top.fail(str(exc)) from None
-    poses_path = os.path.join(data_dir, "poses.csv")
-    poses = read_poses(poses_path)
-    scans = list(_scan_paths(data_dir))
-    if not scans:
-        raise InvalidInputError(f"no scans in {data_dir}: {_scan_path(data_dir, 0)} is missing")
-    if len(poses) <= len(scans):
-        raise InvalidInputError(
-            f"{poses_path}: the pose sidecar is shorter than the scan list: {len(poses)} "
-            f"poses for {len(scans)} scans, which need {len(scans) + 1}")
-    if len(poses) > len(scans) + 1:
-        raise InvalidInputError(
-            f"{poses_path}: {len(poses)} poses need {len(poses) - 1} scans, but "
-            f"{_scan_path(data_dir, len(scans))} is missing")
-    return [read_scan(path, intr, poses[i], poses[i + 1]) for i, path in enumerate(scans)]
+    """The frames of a `write_dataset` directory: ``scans.bin`` timed by
+    ``poses.csv``."""
+    scans = os.path.join(data_dir, "scans.bin")
+    if not os.path.exists(scans):
+        raise InvalidInputError(f"{scans} is missing: regenerate the dataset with plink gen")
+    return read_scans(scans, read_poses(os.path.join(data_dir, "poses.csv")))
 
 
 def resample_path(poses: list, n_frames: int) -> list:

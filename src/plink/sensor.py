@@ -7,19 +7,21 @@ model is natively spherical; no planar reprojection is ever performed.
 A frame is one revolution, and its two boundary poses are its only clock:
 the revolution starts at the start pose and ends at the end pose, and
 azimuth step a of A fires a/A of the way between them
-(`ScanFrame.sample_fractions`). A scan file holds no times: the poses
+(`ScanFrame.sample_fractions`). The scan record holds no times: the poses
 determine them.
 
 On-disk formats:
-  scan file   one binary record: the 8-byte magic ``PLNKSCN1``, then
-              n_beams x azimuth_count little-endian float64 ranges,
-              beam-major, with 0.0 for a dropped pulse. The shape is the
-              intrinsics', so the file is exactly 8 + 8 * n_beams *
-              azimuth_count bytes; a range in (0, s_max] is a return, and
-              one of 0.0 (or -0.0) a drop
+  scan record one binary file of every frame of a dataset: the 8-byte magic
+              ``PLNKSCN2``; uint32 frame, beam and azimuth counts; float64
+              ``s_max``; the beams' float64 elevations; then each frame's
+              beam x azimuth float64 ranges, beam-major, with 0.0 for a
+              dropped pulse. All numbers are little-endian, so the file is
+              exactly 28 + 8 * (beams + frames * beams * azimuths) bytes; a
+              range in (0, s_max] is a return, and one of 0.0 (or -0.0) a drop
   pose file   CSV with columns t_s, tx, ty, tz, qw, qx, qy, qz, each t_s later
               than the row before's: a pose writes back the quaternion it was
-              read with, not one rebuilt from a matrix
+              read with, not one rebuilt from a matrix. A dataset's pose file
+              holds one pose more than its scan record has frames
 
 The pose writer gives these exact bytes: the header row (the column names
 above), then one row per pose, fields joined by commas with no quoting and
@@ -48,6 +50,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +73,8 @@ class SensorIntrinsics:
         self.elevation_angles = np.asarray(self.elevation_angles, dtype=float)
         if self.elevation_angles.ndim != 1 or self.elevation_angles.size == 0:
             raise InvalidInputError("need at least one beam elevation")
-        if not np.all(np.diff(self.elevation_angles) > 0.0):
+        # Neighbours compared, not differenced: inf - inf would warn.
+        if not np.all(self.elevation_angles[1:] > self.elevation_angles[:-1]):
             raise InvalidInputError("elevation angles must be strictly increasing")
         if not np.all(np.abs(self.elevation_angles) < np.pi / 2):
             raise InvalidInputError("elevations must lie inside (-pi/2, pi/2)")
@@ -258,38 +262,66 @@ def quat_slerp(q0: np.ndarray, q1: np.ndarray, fractions) -> np.ndarray:
 
 # -- file IO ---------------------------------------------------------------------
 
-SCAN_MAGIC = b"PLNKSCN1"
+SCANS_MAGIC = b"PLNKSCN2"
+# The scan record's header: magic, frame, beam and azimuth counts, s_max.
+SCANS_HEADER = struct.Struct("<8s3Id")
 POSE_HEADER = ["t_s", "tx", "ty", "tz", "qw", "qx", "qy", "qz"]
 LINE_END = "\r\n"
 
 
-def write_scan(path, frame: ScanFrame) -> None:
-    """The scan record of ``frame`` (module docstring)."""
-    ranges = np.where(frame.returned, frame.ranges, 0.0).astype("<f8", copy=False)
+def write_scans(path, frames: list) -> None:
+    """The scan record of ``frames``, which share frame 0's intrinsics (module
+    docstring)."""
+    intr = frames[0].intrinsics
+    ranges = np.where(np.stack([f.returned for f in frames]),
+                      np.stack([f.ranges for f in frames]), 0.0)
     with open(path, "wb") as fh:
-        fh.write(SCAN_MAGIC + ranges.tobytes())
+        fh.write(SCANS_HEADER.pack(SCANS_MAGIC, len(frames), intr.n_beams,
+                                   intr.azimuth_count, intr.s_max)
+                 + intr.elevation_angles.astype("<f8").tobytes()
+                 + ranges.astype("<f8", copy=False).tobytes())
 
 
-def read_scan(path, intrinsics: SensorIntrinsics, start_pose: Pose, end_pose: Pose) -> ScanFrame:
-    """A scan record of the intrinsics' shape whose every range lies in
-    [0, s_max]; a range above 0 is a return. The file's size and magic are
-    checked before anything of the scan's shape is read or made."""
-    shape = (intrinsics.n_beams, intrinsics.azimuth_count)
-    size = len(SCAN_MAGIC) + 8 * shape[0] * shape[1]
+def read_scans(path, poses: list) -> list:
+    """The frames of a scan record, frame i timed by ``poses[i]`` and
+    ``poses[i + 1]``. The file's size, computed from its header, and its
+    magic are checked before anything of the frames' shape is read or made;
+    then the header's intrinsics, the pose count (one more than the frames)
+    and every range, which must lie in [0, s_max]. A range above 0 is a
+    return."""
     with open(path, "rb") as fh:
         found = os.fstat(fh.fileno()).st_size
-        if found != size:
-            raise InvalidInputError(f"{path}: {found} bytes, but a {shape[0]} x {shape[1]} "
-                                    f"scan record takes {size}")
-        if fh.read(len(SCAN_MAGIC)) != SCAN_MAGIC:
+        head = fh.read(SCANS_HEADER.size)
+        if head[:len(SCANS_MAGIC)] != SCANS_MAGIC:
             raise InvalidInputError(f"{path}: not a scan record")
-        ranges = np.fromfile(fh, dtype="<f8", count=shape[0] * shape[1]).reshape(shape)
-    bad = ~((ranges >= 0.0) & (ranges <= intrinsics.s_max))    # NaN too
+        if len(head) < SCANS_HEADER.size:
+            raise InvalidInputError(f"{path}: {found} bytes, shorter than the "
+                                    f"{SCANS_HEADER.size}-byte header")
+        _, n_frames, n_beams, n_az, s_max = SCANS_HEADER.unpack(head)
+        if not n_frames * n_beams * n_az:
+            raise InvalidInputError(f"{path}: frame, beam and azimuth counts {n_frames}, "
+                                    f"{n_beams}, {n_az}: each must be at least 1")
+        cells = n_beams * n_az
+        size = SCANS_HEADER.size + 8 * (n_beams + n_frames * cells)
+        if found != size:
+            raise InvalidInputError(f"{path}: {found} bytes, but a {n_frames} x {n_beams} x "
+                                    f"{n_az} scan record takes {size}")
+        try:
+            intr = SensorIntrinsics(np.fromfile(fh, "<f8", n_beams), n_az, s_max)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{path}: {exc}") from None
+        if len(poses) != n_frames + 1:
+            raise InvalidInputError(f"{path}: frame count {n_frames} needs {n_frames + 1} "
+                                    f"poses, but the pose file holds {len(poses)}")
+        ranges = np.fromfile(fh, "<f8", n_frames * cells).reshape(n_frames, n_beams, n_az)
+    bad = ~((ranges >= 0.0) & (ranges <= s_max))    # NaN too
     if bad.any():
-        b, a = np.argwhere(bad)[0].tolist()
-        raise InvalidInputError(f"{path}: beam {b}, azimuth {a}: range {float(ranges[b, a])!r} "
-                                f"is outside [0, {intrinsics.s_max!r}]")
-    return ScanFrame(intrinsics, start_pose, end_pose, ranges, ranges > 0.0)
+        f, b, a = np.argwhere(bad)[0].tolist()
+        raise InvalidInputError(f"{path}: frame {f}, beam {b}, azimuth {a}: range "
+                                f"{float(ranges[f, b, a])!r} is outside [0, {s_max!r}]")
+    returned = ranges > 0.0
+    return [ScanFrame(intr, poses[i], poses[i + 1], ranges[i], returned[i])
+            for i in range(n_frames)]
 
 
 def _csv_rows(path, header: list, parse):

@@ -296,18 +296,6 @@ def test_seed_flag_beats_config_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name, line, bad, message", [
-    ("intrinsics.txt", 3, None, "intrinsics.txt: no s_max line"),
-    ("intrinsics.txt", 2, "azimuth_count = many",
-     "intrinsics.txt line 2: azimuth_count: expected int, got 'many'"),
-    ("intrinsics.txt", 2, "n_bins = 4", "intrinsics.txt line 2: unknown key 'n_bins'"),
-    ("intrinsics.txt", 3, "s_max = nan", "intrinsics.txt line 3: s_max: 'nan' is not finite"),
-    # The scan period line that datasets once ended with, now an unknown key.
-    ("intrinsics.txt", 4, "scan_period = 0.1",
-     "intrinsics.txt line 4: unknown key 'scan_period'"),
-    # The record's size is checked before anything of the scan's shape is
-    # made: 2e9 azimuths once asked for 14.9 GiB each.
-    ("intrinsics.txt", 2, "azimuth_count = 2000000000",
-     "scan_0000.bin: 264 bytes, but a 2 x 2000000000 scan record takes 32000000008"),
     ("poses.csv", 2, "0.0,0,0,0,1,0,0,x", "poses.csv row 2: could not convert"),
     ("poses.csv", 3, "0.1,0,0,0,0,0,0,0",
      "poses.csv row 3: quaternion norm 0.0 is outside [1.49e-154, inf)"),
@@ -316,8 +304,10 @@ def test_seed_flag_beats_config_file(tmp_path, capsys):
      "poses.csv row 3: quaternion norm inf is outside [1.49e-154, inf)"),
     ("poses.csv", 3, "0.1,0,0,0,1e-200,1e-200,0,0",
      "poses.csv row 3: quaternion norm 0.0 is outside [1.49e-154, inf)"),
-    ("poses.csv", 4, None, "poses.csv: the pose sidecar is shorter than the scan list: "
-     "2 poses for 2 scans, which need 3"),
+    # The pose count is the frame count plus one: one pose too few, one too many.
+    ("poses.csv", 4, None, "scans.bin: frame count 2 needs 3 poses, but the pose file holds 2"),
+    ("poses.csv", 5, "3.0,0,0,0,1,0,0,0",
+     "scans.bin: frame count 2 needs 3 poses, but the pose file holds 4"),
     ("poses.csv", 2, "0.0,nan,0,0,1,0,0,0",
      "poses.csv row 2: pose translation and timestamp must be finite"),
     ("poses.csv", 3, "nan,0,0,0,1,0,0,0",
@@ -343,35 +333,63 @@ def test_malformed_dataset_file_exits_2(tmp_path, capsys, name, line, bad, messa
     assert err.startswith("error: ") and str(data) in err and message in err
 
 
-def with_range(beam, azimuth, value):
-    """An edit of a 2 x 16 scan record that sets one range."""
+# A gen of UNDER_TRAINED writes 2 frames of 2 x 16 ranges: a 28-byte header,
+# 2 elevations, then 64 ranges.
+RECORD_SIZE = 28 + 8 * (2 + 64)
+FAR = 2 ** 32 - 1
+
+
+def with_value(at, fmt, *values):
+    """An edit of a scan record that packs ``values`` by ``fmt`` at byte ``at``."""
     def edit(record):
-        at = 8 + 8 * (16 * beam + azimuth)
-        return record[:at] + struct.pack("<d", value) + record[at + 8:]
+        return record[:at] + struct.pack(fmt, *values) + record[at + struct.calcsize(fmt):]
     return edit
 
 
-@pytest.mark.parametrize("name, edit, message", [
-    ("scan_0000.bin", lambda r: b"PLNKSCN0" + r[8:], "scan_0000.bin: not a scan record"),
-    ("scan_0000.bin", lambda r: r + bytes(8),
-     "scan_0000.bin: 272 bytes, but a 2 x 16 scan record takes 264"),
-    ("scan_0000.bin", lambda r: r[:-8],
-     "scan_0000.bin: 256 bytes, but a 2 x 16 scan record takes 264"),
-    ("scan_0000.bin", with_range(0, 0, 25.0),
-     "scan_0000.bin: beam 0, azimuth 0: range 25.0 is outside [0, 20.0]"),
-    ("scan_0001.bin", with_range(0, 3, -3.0),
-     "scan_0001.bin: beam 0, azimuth 3: range -3.0 is outside [0, 20.0]"),
-    ("scan_0000.bin", with_range(1, 5, np.inf),
-     "scan_0000.bin: beam 1, azimuth 5: range inf is outside [0, 20.0]"),
-    ("scan_0001.bin", with_range(0, 1, np.nan),
-     "scan_0001.bin: beam 0, azimuth 1: range nan is outside [0, 20.0]"),
-], ids=["magic", "long", "short", "above_s_max", "negative", "inf", "nan"])
-def test_malformed_scan_record_exits_2(tmp_path, capsys, name, edit, message):
+def with_range(frame, beam, azimuth, value):
+    """An edit of UNDER_TRAINED's scan record that sets one range."""
+    return with_value(44 + 8 * (32 * frame + 16 * beam + azimuth), "<d", value)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda r: b"PLNKSCN0" + r[8:], "scans.bin: not a scan record"),
+    (lambda r: r[:20], "scans.bin: 20 bytes, shorter than the 28-byte header"),
+    (lambda r: r + bytes(8),
+     f"scans.bin: {RECORD_SIZE + 8} bytes, but a 2 x 2 x 16 scan record takes {RECORD_SIZE}"),
+    (lambda r: r[:-8],
+     f"scans.bin: {RECORD_SIZE - 8} bytes, but a 2 x 2 x 16 scan record takes {RECORD_SIZE}"),
+    (with_value(12, "<I", 0),
+     "scans.bin: frame, beam and azimuth counts 2, 0, 16: each must be at least 1"),
+    # The size is computed exactly and checked before anything of the
+    # frames' shape is made: these counts would take 2**99 bytes.
+    (with_value(8, "<3I", FAR, FAR, FAR),
+     f"scans.bin: {RECORD_SIZE} bytes, but a {FAR} x {FAR} x {FAR} scan record takes "
+     f"{28 + 8 * (FAR + FAR ** 3)}"),
+    (with_value(36, "<d", -0.05), "scans.bin: elevation angles must be strictly increasing"),
+    (with_value(36, "<d", np.pi / 2), "scans.bin: elevations must lie inside (-pi/2, pi/2)"),
+    (with_value(28, "<d", -np.pi / 2), "scans.bin: elevations must lie inside (-pi/2, pi/2)"),
+    (with_value(20, "<d", np.nan), "scans.bin: s_max must be positive and finite"),
+    (with_value(20, "<d", np.inf), "scans.bin: s_max must be positive and finite"),
+    (with_value(20, "<d", 0.0), "scans.bin: s_max must be positive and finite"),
+    (with_range(0, 0, 0, 25.0),
+     "scans.bin: frame 0, beam 0, azimuth 0: range 25.0 is outside [0, 20.0]"),
+    (with_range(1, 0, 3, -3.0),
+     "scans.bin: frame 1, beam 0, azimuth 3: range -3.0 is outside [0, 20.0]"),
+    (with_range(0, 1, 5, np.inf),
+     "scans.bin: frame 0, beam 1, azimuth 5: range inf is outside [0, 20.0]"),
+    (with_range(1, 0, 1, np.nan),
+     "scans.bin: frame 1, beam 0, azimuth 1: range nan is outside [0, 20.0]"),
+], ids=["magic", "header_short", "long", "short", "zero_count", "huge_counts",
+        "repeated_elevation", "elevation_up", "elevation_down", "s_max_nan", "s_max_inf",
+        "s_max_zero", "above_s_max", "negative", "inf", "nan"])
+def test_malformed_scan_record_exits_2(tmp_path, capsys, edit, message):
     cfg = write_config(tmp_path, UNDER_TRAINED)
     data = tmp_path / "data"
     assert run(capsys, "gen", "--config", cfg, "--scene", SCENE, "--path", PATH,
                "--out", data)[0] == cli.EXIT_OK
-    (data / name).write_bytes(edit((data / name).read_bytes()))
+    record = (data / "scans.bin").read_bytes()
+    assert len(record) == RECORD_SIZE
+    (data / "scans.bin").write_bytes(edit(record))
     code, _, err = run(capsys, "train", "--config", cfg, "--scene", SCENE,
                        "--data", data, "--out", tmp_path / "train")
     assert code == cli.EXIT_CONFIG
@@ -380,14 +398,14 @@ def test_malformed_scan_record_exits_2(tmp_path, capsys, name, edit, message):
 
 
 def test_train_reads_only_the_latest_gen(tmp_path, capsys, monkeypatch):
-    # A gen of 4 frames, then one of 2 into the same directory: the scans of
-    # frames 2 and 3 go, so train reads 2 frames and the pose sidecar fits.
+    # A gen of 4 frames, then one of 2 into the same directory: the scan
+    # record and the pose file are replaced, so train reads 2 frames.
     cfg = write_config(tmp_path, UNDER_TRAINED)
     data = tmp_path / "data"
     for frames in (4, 2):
         assert run(capsys, "gen", "--config", cfg, "--scene", SCENE, "--path", PATH,
                    "--frames", frames, "--out", data)[0] == cli.EXIT_OK
-    assert sorted(p.name for p in data.glob("scan_*")) == ["scan_0000.bin", "scan_0001.bin"]
+    assert sorted(p.name for p in data.iterdir()) == ["poses.csv", "scans.bin"]
     read = []
     real_read = pipeline.read_dataset
     monkeypatch.setattr(pipeline, "read_dataset", lambda d: read.append(real_read(d)) or read[-1])
@@ -397,21 +415,7 @@ def test_train_reads_only_the_latest_gen(tmp_path, capsys, monkeypatch):
     assert [len(frames) for frames in read] == [2]
 
 
-def test_missing_middle_scan_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, UNDER_TRAINED)
-    data = tmp_path / "data"
-    assert run(capsys, "gen", "--config", cfg, "--scene", SCENE, "--path", PATH,
-               "--frames", 4, "--out", data)[0] == cli.EXIT_OK
-    (data / "scan_0001.bin").unlink()
-    code, _, err = run(capsys, "train", "--config", cfg, "--scene", SCENE, "--data", data,
-                       "--out", tmp_path / "train")
-    assert code == cli.EXIT_CONFIG
-    assert err == (f"error: {data / 'poses.csv'}: 5 poses need 4 scans, but "
-                   f"{data / 'scan_0001.bin'} is missing\n")
-    assert not (tmp_path / "train").exists()
-
-
-@pytest.mark.parametrize("name", ["poses.csv", "scan_0000.bin"])
+@pytest.mark.parametrize("name", ["poses.csv", "scans.bin"])
 def test_undecodable_dataset_file_exits_2(tmp_path, capsys, name):
     cfg = write_config(tmp_path, UNDER_TRAINED)
     data = tmp_path / "data"

@@ -6,6 +6,7 @@ The per-ray render path (`oracle_evaluate_ray`, `RayRender`,
 reference for the batched march and picker.
 """
 
+import functools
 import hashlib
 import pathlib
 import re
@@ -13,6 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 import plink
@@ -49,6 +52,12 @@ def dataset(path_name, n_frames, seed=4):
         sensor.read_poses(shipped_file(path_name)), n_frames)
     intr = sensor.SensorIntrinsics([-0.09, -0.03, 0.03, 0.09], 32, 20.0)
     return simscene.generate_dataset(scene, path, intr, seed)
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_frames():
+    """Two frames of the moving path, simulated once for every fuzzed record."""
+    return dataset("moving_path.csv", 2)
 
 
 def padded(values, width):
@@ -200,8 +209,8 @@ def tree_digest(root) -> str:
 
 class TestDatasetFiles:
     @pytest.mark.parametrize("path_name, digest", [
-        ("moving_path.csv", "8106a40aec705d95c2f0f2c8ac1d551a7d3c9ee820ae4c9384f69c1200e6aef4"),
-        ("static_path.csv", "1b560f219b881ce7892f2ee8b1c16366579d25cb555a26f387fb035b452e7d4f"),
+        ("moving_path.csv", "1c67588267b8514ddd899d38c8891988c5715c4d5c9f90b38fcf02dee8b85ebe"),
+        ("static_path.csv", "d38c765b86d9b61166d2f600d9daa09828f1ec05331d99830432dbeb198b5c18"),
     ])
     def test_golden_bytes(self, tmp_path, path_name, digest):
         # Recorded from the csv.writer writers that the one-string writers
@@ -210,41 +219,61 @@ class TestDatasetFiles:
         # lost its scan period line, t_offset_s became a / A of the frame's
         # 0.667 s pose interval, and the moving path's ranges moved with its rays.
         # Recorded again once each scan became one binary record of float64s.
+        # Recorded again once one scans.bin held the sensor and every frame,
+        # in place of intrinsics.txt and a file per frame.
         config = RunConfig(elevations=[-0.09, 0.0, 0.09], azimuth_count=32,
                            n_frames=3).validate()
         pipeline.generate_to_disk(shipped_file("panel_room.txt"),
                                   shipped_file(path_name), tmp_path, config)
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "intrinsics.txt", "poses.csv", "scan_0000.bin", "scan_0001.bin", "scan_0002.bin"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["poses.csv", "scans.bin"]
         assert tree_digest(tmp_path) == digest
 
-    def test_stale_scans_past_the_last_frame_are_removed(self, tmp_path):
-        frames = dataset("moving_path.csv", 4)
-        pipeline.write_dataset(tmp_path, frames)
-        (tmp_path / "scan_0009.bin").write_bytes((tmp_path / "scan_0003.bin").read_bytes())
-        pipeline.write_dataset(tmp_path, frames[:2])
-        # scan_0009 follows a gap, so reading the dataset never reaches it.
-        assert sorted(p.name for p in tmp_path.glob("scan_*")) == [
-            "scan_0000.bin", "scan_0001.bin", "scan_0009.bin"]
+    def test_an_earlier_layouts_files_are_removed(self, tmp_path):
+        # Datasets held intrinsics.txt and a scan per frame before scans.bin,
+        # first as text and then as binary records; a gen into such a
+        # directory leaves none of them, and leaves every other file.
+        for name in ["intrinsics.txt", "scan_0000.csv", "notes.txt",
+                     *(f"scan_{i:04d}.bin" for i in range(4))]:
+            (tmp_path / name).write_text("x\n")
+        pipeline.write_dataset(tmp_path, dataset("static_path.csv", 2))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "notes.txt", "poses.csv", "scans.bin"]
+        assert (tmp_path / "notes.txt").read_text() == "x\n"
         assert len(pipeline.read_dataset(tmp_path)) == 2
 
-    def test_text_scans_of_an_earlier_format_are_removed(self, tmp_path):
-        # Datasets held scan_NNNN.csv before the binary record; a gen of fewer
-        # frames into such a directory leaves none of them beside its own.
-        for i in range(3):
-            (tmp_path / f"scan_{i:04d}.csv").write_text("beam,azimuth,range_m\r\n")
+    def test_a_directory_without_scans_bin_says_to_regenerate(self, tmp_path):
+        # A dataset of the layout before scans.bin, which nothing reads.
         pipeline.write_dataset(tmp_path, dataset("static_path.csv", 2))
-        assert sorted(p.name for p in tmp_path.glob("scan_*")) == [
-            "scan_0000.bin", "scan_0001.bin"]
-
-    def test_a_directory_without_scan_0000_bin_names_it(self, tmp_path):
-        # A dataset of text scans, as written before the binary record.
-        pipeline.write_dataset(tmp_path, dataset("static_path.csv", 2))
-        for path in tmp_path.glob("scan_*.bin"):
-            path.rename(path.with_suffix(".csv"))
-        with pytest.raises(InvalidInputError, match=re.escape(
-                f"no scans in {tmp_path}: {tmp_path / 'scan_0000.bin'} is missing")):
+        (tmp_path / "scans.bin").unlink()
+        for name in ["intrinsics.txt", "scan_0000.bin", "scan_0001.bin"]:
+            (tmp_path / name).write_bytes(b"PLNKSCN1")
+        with pytest.raises(InvalidInputError) as info:
             pipeline.read_dataset(tmp_path)
+        assert str(info.value) == (f"{tmp_path / 'scans.bin'} is missing: regenerate the "
+                                   f"dataset with plink gen")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_a_cut_or_flipped_record_reads_or_is_refused(self, tmp_path_factory, data):
+        # Whatever a truncation or a flipped byte does to scans.bin, the
+        # reader refuses it as bad input or gives frames: never another error.
+        out = tmp_path_factory.mktemp("fuzz")
+        pipeline.write_dataset(out, fuzz_frames())
+        record = (out / "scans.bin").read_bytes()
+        if data.draw(st.booleans(), label="cut"):
+            record = record[:data.draw(st.integers(0, len(record) - 1), label="length")]
+        else:
+            # Half the flips land in the header and the elevations.
+            at = data.draw(st.one_of(st.integers(0, 59), st.integers(0, len(record) - 1)),
+                           label="at")
+            flip = data.draw(st.integers(1, 255), label="mask")
+            record = record[:at] + bytes([record[at] ^ flip]) + record[at + 1:]
+        (out / "scans.bin").write_bytes(record)
+        try:
+            frames = pipeline.read_dataset(out)
+        except InvalidInputError:
+            return
+        assert frames and all(isinstance(f, sensor.ScanFrame) for f in frames)
 
     def test_read_back_frames_cast_the_simulated_rays(self, tmp_path):
         # The poses file holds each pose's own quaternion, so a dataset read

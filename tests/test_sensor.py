@@ -288,84 +288,144 @@ class TestWriters:
 
 RECORD_INTR = sensor.SensorIntrinsics([-0.1, 0.1], 3, 20.0)
 STILL = [sensor.Pose(IDENTITY, np.zeros(3), t) for t in (0.0, 1.0)]
+FAR = 2 ** 32 - 1     # the largest uint32 count
 
 
-def record(*ranges, magic=sensor.SCAN_MAGIC):
-    return magic + struct.pack(f"<{len(ranges)}d", *ranges)
+def record(*ranges, counts=(1, 2, 3), s_max=20.0, elevations=(-0.1, 0.1),
+           magic=sensor.SCANS_MAGIC):
+    """A scan record's bytes: the header, then ``elevations`` and ``ranges`` as given."""
+    values = (*elevations, *ranges)
+    return magic + struct.pack(f"<3Id{len(values)}d", *counts, s_max, *values)
 
 
-def read_record(tmp_path, data, intr=RECORD_INTR):
-    path = tmp_path / "scan_0000.bin"
+def read_record(tmp_path, data, poses=STILL):
+    path = tmp_path / "scans.bin"
     path.write_bytes(data)
-    return sensor.read_scan(path, intr, *STILL)
+    return sensor.read_scans(path, poses)
+
+
+def ticks(n):
+    """n resting poses, a second apart."""
+    return [sensor.Pose(IDENTITY, np.zeros(3), float(t)) for t in range(n)]
 
 
 class TestScanRecord:
     def test_bytes_pin_the_layout(self, tmp_path):
-        # Beam-major little-endian float64s after the magic, a drop as 0.0
-        # whatever range the frame holds there.
+        # The header, the elevations, then beam-major little-endian float64s,
+        # a drop as 0.0 whatever range the frame holds there.
         ranges = np.array([[1e-05, 20.0, np.nan], [5e-324, 7.5, 3.0]])
         returned = np.array([[True, True, False], [True, True, False]])
-        sensor.write_scan(tmp_path / "scan.bin",
-                          sensor.ScanFrame(RECORD_INTR, *STILL, ranges, returned))
-        assert (tmp_path / "scan.bin").read_bytes() == bytes.fromhex(
-            "504c4e4b53434e31"      # PLNKSCN1
+        frame = sensor.ScanFrame(RECORD_INTR, *STILL, ranges, returned)
+        sensor.write_scans(tmp_path / "one.bin", [frame])
+        one = (tmp_path / "one.bin").read_bytes()
+        assert one == bytes.fromhex(
+            "504c4e4b53434e32"      # PLNKSCN2
+            "01000000"              # 1 frame
+            "02000000"              # 2 beams
+            "03000000"              # 3 azimuths
+            "0000000000003440"      # s_max 20.0
+            "9a9999999999b9bf"      # elevation -0.1
+            "9a9999999999b93f"      # elevation 0.1
             "f168e388b5f8e43e"      # 1e-05
             "0000000000003440"      # 20.0
             "0000000000000000"      # dropped
             "0100000000000000"      # 5e-324
             "0000000000001e40"      # 7.5
             "0000000000000000")     # dropped
+        # A second frame's ranges follow the first's.
+        second = sensor.ScanFrame(RECORD_INTR, *STILL, ranges[::-1], returned)
+        sensor.write_scans(tmp_path / "two.bin", [frame, second])
+        body = np.where(returned, ranges[::-1], 0.0).astype("<f8").tobytes()
+        assert (tmp_path / "two.bin").read_bytes() == (
+            one[:8] + struct.pack("<I", 2) + one[12:] + body)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_round_trip_is_bit_identical(self, tmp_path_factory, data):
+        n_frames = data.draw(st.integers(1, 3))
         n_beams = data.draw(st.integers(1, 3))
         n_az = data.draw(st.integers(1, 6))
         s_max = data.draw(st.sampled_from([1.0, 20.0, 1e6]))
         intr = sensor.SensorIntrinsics(np.linspace(-0.5, 0.5, n_beams), n_az, s_max)
         returns = st.one_of(st.sampled_from([s_max, 1e-9, 5e-324]),
                             st.floats(1e-9, s_max))
-        cells = n_beams * n_az
+        cells = n_frames * n_beams * n_az
+        shape = (n_frames, n_beams, n_az)
         ranges = np.array(data.draw(st.lists(returns, min_size=cells, max_size=cells)))
         returned = np.array(data.draw(st.lists(st.booleans(), min_size=cells, max_size=cells)))
         # What a dropped cell holds in memory is never written.
         ranges[~returned] = data.draw(st.sampled_from([np.nan, -1.0, 0.0, 2.0 * s_max]))
-        frame = sensor.ScanFrame(intr, *STILL, ranges.reshape(n_beams, n_az),
-                                 returned.reshape(n_beams, n_az))
-        path = tmp_path_factory.mktemp("scan") / "scan_0000.bin"
-        sensor.write_scan(path, frame)
-        read = sensor.read_scan(path, intr, *STILL)
-        assert read.ranges.tobytes() == np.where(frame.returned, frame.ranges, 0.0).tobytes()
-        assert read.returned.tobytes() == frame.returned.tobytes()
+        ranges, returned = ranges.reshape(shape), returned.reshape(shape)
+        poses = ticks(n_frames + 1)
+        frames = [sensor.ScanFrame(intr, *poses[i:i + 2], ranges[i], returned[i])
+                  for i in range(n_frames)]
+        path = tmp_path_factory.mktemp("scan") / "scans.bin"
+        sensor.write_scans(path, frames)
+        read = sensor.read_scans(path, poses)
+        assert len(read) == n_frames
+        for i, got in enumerate(read):
+            assert got.intrinsics.elevation_angles.tobytes() == intr.elevation_angles.tobytes()
+            assert (got.intrinsics.azimuth_count, got.intrinsics.s_max) == (n_az, s_max)
+            assert (got.start_pose, got.end_pose) == (poses[i], poses[i + 1])
+            assert got.ranges.tobytes() == np.where(returned[i], ranges[i], 0.0).tobytes()
+            assert got.returned.tobytes() == returned[i].tobytes()
 
     def test_negative_zero_reads_as_a_drop(self, tmp_path):
-        read = read_record(tmp_path, record(-0.0, 0.0, 20.0, 1e-9, -0.0, 5.0))
+        [read] = read_record(tmp_path, record(-0.0, 0.0, 20.0, 1e-9, -0.0, 5.0))
         np.testing.assert_array_equal(read.returned, [[False, False, True], [True, False, True]])
 
     @pytest.mark.parametrize("data, message", [
-        (record(*[1.0] * 5), "48 bytes, but a 2 x 3 scan record takes 56"),
-        (record(*[1.0] * 7), "64 bytes, but a 2 x 3 scan record takes 56"),
-        (record(*[1.0] * 6, magic=b"PLNKSCN0"), "not a scan record"),
+        (record(*[1.0] * 5), "84 bytes, but a 1 x 2 x 3 scan record takes 92"),
+        (record(*[1.0] * 7), "100 bytes, but a 1 x 2 x 3 scan record takes 92"),
+        (record(*[1.0] * 6, magic=b"PLNKSCN1"), "not a scan record"),
+        (record(*[1.0] * 6)[:27], "27 bytes, shorter than the 28-byte header"),
+        (record(counts=(0, 2, 3)),
+         "frame, beam and azimuth counts 0, 2, 3: each must be at least 1"),
+        (record(counts=(1, 0, 3), elevations=()),
+         "frame, beam and azimuth counts 1, 0, 3: each must be at least 1"),
+        (record(counts=(1, 2, 0)),
+         "frame, beam and azimuth counts 1, 2, 0: each must be at least 1"),
+        (record(*[1.0] * 6, elevations=(0.1, 0.1)),
+         "elevation angles must be strictly increasing"),
+        (record(*[1.0] * 6, elevations=(np.inf, np.inf)),
+         "elevation angles must be strictly increasing"),
+        (record(*[1.0] * 6, elevations=(0.1, np.pi / 2)),
+         "elevations must lie inside (-pi/2, pi/2)"),
+        (record(*[1.0] * 6, elevations=(-np.pi / 2, 0.1)),
+         "elevations must lie inside (-pi/2, pi/2)"),
+        (record(*[1.0] * 6, s_max=np.nan), "s_max must be positive and finite"),
+        (record(*[1.0] * 6, s_max=np.inf), "s_max must be positive and finite"),
+        (record(*[1.0] * 6, s_max=0.0), "s_max must be positive and finite"),
         (record(1.0, 1.0, 1.0, 1.0, np.nan, 1.0),
-         "beam 1, azimuth 1: range nan is outside [0, 20.0]"),
+         "frame 0, beam 1, azimuth 1: range nan is outside [0, 20.0]"),
         (record(1.0, 1.0, np.inf, 1.0, 1.0, 1.0),
-         "beam 0, azimuth 2: range inf is outside [0, 20.0]"),
-        (record(1.0, 1.0, 1.0, -1.0, 1.0, 1.0),
-         "beam 1, azimuth 0: range -1.0 is outside [0, 20.0]"),
+         "frame 0, beam 0, azimuth 2: range inf is outside [0, 20.0]"),
+        (record(*[1.0] * 9, -1.0, 1.0, 1.0, counts=(2, 2, 3)),
+         "frame 1, beam 1, azimuth 0: range -1.0 is outside [0, 20.0]"),
         (record(1.0, np.nextafter(20.0, np.inf), 1.0, 1.0, 1.0, 1.0),
-         "beam 0, azimuth 1: range 20.000000000000004 is outside [0, 20.0]"),
-    ], ids=["short", "long", "magic", "nan", "inf", "negative", "above_s_max"])
+         "frame 0, beam 0, azimuth 1: range 20.000000000000004 is outside [0, 20.0]"),
+    ], ids=["short", "long", "magic", "header_short", "zero_frames", "zero_beams",
+            "zero_azimuths", "repeated_elevation", "infinite_elevations", "elevation_up",
+            "elevation_down", "s_max_nan", "s_max_inf", "s_max_zero", "nan", "inf", "negative",
+            "above_s_max"])
     def test_rejects_naming_the_file(self, tmp_path, data, message):
+        n_frames, = struct.unpack_from("<I", data, 8)
         with pytest.raises(InvalidInputError) as info:
-            read_record(tmp_path, data)
-        assert str(info.value) == f"{tmp_path / 'scan_0000.bin'}: {message}"
+            read_record(tmp_path, data, ticks(n_frames + 1))
+        assert str(info.value) == f"{tmp_path / 'scans.bin'}: {message}"
+
+    @pytest.mark.parametrize("n_poses", [1, 3])
+    def test_the_pose_count_is_the_frame_count_plus_one(self, tmp_path, n_poses):
+        with pytest.raises(InvalidInputError) as info:
+            read_record(tmp_path, record(*[1.0] * 6), ticks(n_poses))
+        assert str(info.value) == (f"{tmp_path / 'scans.bin'}: frame count 1 needs 2 poses, "
+                                   f"but the pose file holds {n_poses}")
 
     def test_size_is_checked_before_anything_is_read(self, tmp_path, monkeypatch):
-        # 2e9 azimuths would take 32 GB: the six-range record is refused by
-        # its size alone, before a read of that many ranges.
+        # Counts of 2**32 - 1 each would take 2**99 bytes: the six-range
+        # record is refused by its size alone, before a read of any range.
         monkeypatch.setattr(np, "fromfile", None)
-        intr = sensor.SensorIntrinsics([-0.1, 0.1], 2_000_000_000, 20.0)
+        size = 28 + 8 * (FAR + FAR ** 3)
         with pytest.raises(InvalidInputError, match=re.escape(
-                "56 bytes, but a 2 x 2000000000 scan record takes 32000000008")):
-            read_record(tmp_path, record(*[1.0] * 6), intr)
+                f"92 bytes, but a {FAR} x {FAR} x {FAR} scan record takes {size}")):
+            read_record(tmp_path, record(*[1.0] * 6, counts=(FAR,) * 3))
