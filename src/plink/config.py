@@ -12,13 +12,13 @@ Every run hyperparameter has a default; CLI flags override the file.
 The seed keys every random stream: weight init ``(seed, 0xC0A23E)``,
 coarse first; batch order ``(seed, 0x0BDE4)``; training draws ``(seed, ray
 id, epoch)``; render draws ``(seed, ray id, RENDER_STREAM)``; simulated
-pulses ``(seed, frame, beam, azimuth)``. A key's stream is numpy's
-``default_rng(SeedSequence(key))``. `stream` builds one, for init and batch
-order. The per-ray and per-pulse draws take a batch of keys at once:
-`stream_uniforms` gives each key's first n uniforms, bit for bit those of
-its stream, by running SeedSequence's hashing of every key as uint32
-array arithmetic and then numpy's own PCG64 and ``Generator.random`` from
-each key's hashed state, with no SeedSequence built per key.
+pulses ``(seed, frame, beam, azimuth)``. A key's stream is, bit for bit,
+numpy's ``default_rng(SeedSequence(key))``, built one way for every key
+(`_generators`): SeedSequence's hashing as uint32 array arithmetic over a
+batch of keys, then numpy's own PCG64 from each key's state. `stream`
+gives one key's Generator (init, batch order), `stream_uniforms` a batch's
+first n uniforms (per-ray and per-pulse draws). No SeedSequence is built:
+numpy's own is only the tests' reference.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ RENDER_MODES = ("stochastic", "confidence", "first-return", "strongest-return", 
 
 
 def _key_words(key) -> list:
-    """`entropy_words` as a list of Python ints."""
+    """SeedSequence's uint32 words of a tuple of ints: each entry's 32-bit
+    words, low first. A negative entry raises numpy's ValueError."""
     words = []
     for n in key:
         n = operator.index(n)
@@ -57,22 +58,6 @@ def _key_words(key) -> list:
             n >>= 32
             words.append(n & 0xFFFFFFFF)
     return words
-
-
-def entropy_words(key) -> np.ndarray:
-    """The uint32 words ``np.random.SeedSequence`` makes of a tuple of ints.
-
-    Each entry becomes its 32-bit words, low first (one word for an entry
-    below 2**32, and for 0), as SeedSequence's own coercion does, so a
-    stream seeded with these words is the stream seeded with the tuple; it
-    is built about three times faster. A negative entry raises ValueError.
-    """
-    return np.array(_key_words(key), dtype=np.uint32)
-
-
-def stream(*key) -> np.random.Generator:
-    """The stream keyed on ``key``: the one place a ``SeedSequence`` is built."""
-    return np.random.default_rng(np.random.SeedSequence(entropy_words(key)))
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx) with its default pool
@@ -160,27 +145,30 @@ def _given_state():
     return GivenState
 
 
-def stream_uniforms(keys, n: int) -> np.ndarray:
-    """(N, n) uniforms in [0, 1): row i is ``stream(*keys[i]).random(n)``, bit for bit.
-
-    A batch of keys gives each key's stream in two steps. SeedSequence's
-    hashing of a key's words into the generator state runs as uint32 array
-    arithmetic, over all keys of one word count at once (`_seed_states`);
-    then numpy's own PCG64 starts from each row's state, and numpy's
-    ``Generator.random`` draws the row. A negative entry raises
-    `stream`'s ValueError.
-    """
+def _generators(keys):
+    """Yield (i, the stream of ``keys[i]``) for every key: `_seed_states`
+    hashes the keys of each word count at once, and numpy's own PCG64
+    starts from each key's state."""
     rows = [_key_words(key) for key in keys]
-    out = np.empty((len(rows), n))
-    by_count = {}
-    for i, words in enumerate(rows):
-        by_count.setdefault(len(words), []).append(i)
     given_state, pcg64, generator = _given_state(), np.random.PCG64, np.random.Generator
-    for count, index in by_count.items():
-        states = _seed_states(np.array([rows[i] for i in index], dtype=np.uint32)
-                              .reshape(len(index), count).T)
+    for count in set(map(len, rows)):
+        index = [i for i, words in enumerate(rows) if len(words) == count]
+        states = _seed_states(np.array([rows[i] for i in index], dtype=np.uint32).T)
         for i, state in zip(index, states):
-            generator(pcg64(given_state(state))).random(out=out[i])
+            yield i, generator(pcg64(given_state(state)))
+
+
+def stream(*key) -> np.random.Generator:
+    """The stream keyed on ``key``; a negative entry raises ValueError."""
+    return next(_generators([key]))[1]
+
+
+def stream_uniforms(keys, n: int) -> np.ndarray:
+    """(N, n) uniforms in [0, 1): row i is ``stream(*keys[i]).random(n)``,
+    all N streams from one `_generators` pass."""
+    out = np.empty((len(keys), n))
+    for i, rng in _generators(keys):
+        rng.random(out=out[i])
     return out
 
 

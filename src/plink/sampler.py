@@ -131,18 +131,18 @@ def fine_grid_rows(fine_points: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def ray_rng(seed: int, ray_id: int, epoch: int) -> np.random.Generator:
-    """Dedicated stream per (seed, ray, epoch); reproducible batch order free.
+    """The (seed, ray, epoch) stream, so draws do not depend on batch order.
 
-    `ray_draws` draws from these streams through `stream_uniforms`, which
-    builds no Generator per ray; this one stream is the tests' reference.
+    `ray_draws` draws these streams' uniforms for a batch at once. Nothing
+    in the package calls this; it keeps the name perfbench probes.
     """
     return stream(seed, ray_id, epoch)
 
 
 def ray_draws(seed: int, ray_ids, epoch: int, n: int) -> np.ndarray:
     """(B, n) uniforms in [0, 1): row i is the first n draws of ray
-    ``ray_ids[i]``'s (seed, ray id, epoch) stream (`ray_rng`), all B rows
-    from one `stream_uniforms` call."""
+    ``ray_ids[i]``'s (seed, ray id, epoch) stream, the one `ray_rng` gives,
+    all B rows from one `stream_uniforms` call."""
     return stream_uniforms([(seed, int(i), epoch) for i in ray_ids], n)
 
 

@@ -396,8 +396,8 @@ def _trace_frame(scene: SceneSpec, rays, s_max: float) -> tuple:
     return ranges, returned, (index, dist[index], probs[index], drops[index], n_hits[index])
 
 
-# Uncertain pulses per `stream_uniforms` call in `generate_dataset`: the most
-# that it holds the hits and draws of at once.
+# `generate_dataset` draws its pending uncertain pulses once this many are
+# gathered: it holds fewer than this plus one frame's hits and draws at once.
 DRAW_CHUNK = 4096
 
 
@@ -409,9 +409,11 @@ def _draw_first_reflections(frames: list, pending: list, seed: int) -> None:
     its (seed, f, b, a) stream, one per surface it reaches in distance
     order; it reflects at the first surface whose draw falls below its
     return probability, as a range or, where that hit drops, a drop
-    (`_first_reflection`'s walk, on every pulse of a chunk at once).
+    (`_first_reflection`'s walk, on every pulse at once). One
+    `stream_uniforms` call draws all, as wide as the most hits: a prefix of
+    each pulse's stream, so the width changes no outcome.
     """
-    if not pending:
+    if not sum(len(hits[0]) for _, hits in pending):
         return
     azimuth_count = frames[0].intrinsics.azimuth_count
     index, dist, probs, drops, n_hits = (np.concatenate([hits[k] for _, hits in pending])
@@ -419,17 +421,13 @@ def _draw_first_reflections(frames: list, pending: list, seed: int) -> None:
     beam, azimuth = np.divmod(index, azimuth_count)
     frame = np.repeat([f for f, _ in pending], [len(hits[0]) for _, hits in pending])
     keys = list(zip([seed] * len(index), frame.tolist(), beam.tolist(), azimuth.tolist()))
-    returned = np.zeros(len(index), dtype=bool)
-    ranges = np.zeros(len(index))
-    for start in range(0, len(index), DRAW_CHUNK):
-        chunk = slice(start, start + DRAW_CHUNK)
-        width = int(n_hits[chunk].max())
-        reflects = ((stream_uniforms(keys[chunk], width) < probs[chunk, :width])
-                    & (np.arange(width) < n_hits[chunk, None]))
-        first = reflects.argmax(axis=1)
-        rows = np.arange(len(first))
-        returned[chunk] = reflects[rows, first] & ~drops[chunk][rows, first]
-        ranges[chunk] = np.where(returned[chunk], dist[chunk][rows, first], 0.0)
+    width = int(n_hits.max())
+    reflects = ((stream_uniforms(keys, width) < probs[:, :width])
+                & (np.arange(width) < n_hits[:, None]))
+    first = reflects.argmax(axis=1)
+    rows = np.arange(len(first))
+    returned = reflects[rows, first] & ~drops[rows, first]
+    ranges = np.where(returned, dist[rows, first], 0.0)
     start = 0
     for f, hits in pending:
         stop = start + len(hits[0])
@@ -451,12 +449,11 @@ def generate_dataset(scene: SceneSpec, sensor_path: list, intrinsics: SensorIntr
     draw.
 
     Tracing comes first and drawing after: the uncertain pulses are
-    gathered across frames, and `stream_uniforms` draws them together, in
-    calls of at most `DRAW_CHUNK` pulses, whenever that many are gathered
-    and once at the end. A frame whose two boundary
-    poses agree (`same_pose`) with the frame before's reuses that frame's
-    hits without computing its rays: both frames rest at one pose, and a
-    resting frame's rays depend only on that pose's rotation and
+    gathered across frames and drawn by one `stream_uniforms` call each
+    time `DRAW_CHUNK` are gathered, and at the end. A frame whose two
+    boundary poses agree (`same_pose`) with the frame before's reuses that
+    frame's hits without computing its rays: both frames rest at one pose,
+    and a resting frame's rays depend only on that pose's rotation and
     translation. Every frame's poses are checked for time order.
     """
     shape = (intrinsics.n_beams, intrinsics.azimuth_count)

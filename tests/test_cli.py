@@ -942,6 +942,28 @@ def test_no_command_loads_scipy(tmp_path, capsys):
     assert proc.stdout == table
 
 
+NO_NUMPY_RANDOM = """
+import sys
+import plink.cli as cli
+
+code = cli.main(["eval", "--gt", sys.argv[1], "--synth", sys.argv[2]])
+assert "numpy.random" not in sys.modules, "eval loaded numpy.random"
+sys.exit(code)
+"""
+
+
+def test_eval_does_not_load_numpy_random(tmp_path):
+    # Streams load numpy.random at their first draw, so a command that
+    # draws nothing never loads it.
+    gt, synth = tmp_path / "gt.ply", tmp_path / "synth.ply"
+    metrics.write_ply(gt, metrics.PointCloud([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]))
+    metrics.write_ply(synth, metrics.PointCloud([[1.1, 0.0, 0.0]]))
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_RANDOM, str(gt), str(synth)],
+                          capture_output=True, text=True, env=fresh_env(), timeout=60)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert "chamfer" in proc.stdout.lower()
+
+
 def test_readme_quickstart_is_what_ci_runs():
     # CI's packaging step runs the README's install line and quickstart, in order.
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -20,7 +20,8 @@ from plink.losses import (BCE_EPS, LossBreakdown, bce_values, bce_vjp, bin_accum
                           range_moments, step_mismatch_values, step_mismatch_vjp)
 from plink.net import softplus
 from plink.pipeline import build_rays, resample_path
-from plink.sampler import histogram_from_heights, histogram_vjp, uniform_bin_edges
+from plink.sampler import (fine_grid_rows, histogram_from_heights, histogram_vjp,
+                           quantile_points, uniform_bin_edges)
 from plink.sensor import SensorIntrinsics, read_poses
 from plink.simscene import generate_dataset, load_scene, trace_true_cdf
 from tests.test_field import (QuadGrid, SigmaTrace, cumulative_from_sigma, near_step_trace,
@@ -716,6 +717,12 @@ def hinge_proposal(target, edges):
     return histogram_from_heights(edges, softplus(eta)).masses
 
 
+def mass_target(cdf):
+    """The hinge's mass target on 32 bins from a cdf (R, 128) at knots
+    whose every fourth is a bin edge: C(e_{i+1}) - C(e_i) over C(s_max)."""
+    return np.diff(cdf[:, 3::4], prepend=0.0) / cdf[:, -1:]
+
+
 def test_the_mass_target_gives_the_panel_its_bin_where_todays_target_does_not():
     # The proposal's hinge target, on the phantom test's free field:
     # today's target sums sigma * delta into the bins, normalised, and so
@@ -734,8 +741,55 @@ def test_the_mass_target_gives_the_panel_its_bin_where_todays_target_does_not():
     today = bin_accumulate(sigma * deltas, np.broadcast_to(knots, sigma.shape), edges)
     cdf = cdf_from_sigma_values(sigma, deltas)[0]
     targets = {"today": today / today.sum(axis=1, keepdims=True),
-               "mass": np.diff(cdf[:, 3::4], prepend=0.0) / cdf[:, -1:]}
+               "mass": mass_target(cdf)}
     panel_bin = ((windows[:, 0] - 0.5) // (edges[1] - edges[0])).astype(int)[:, None]
     share = {name: np.median(np.take_along_axis(hinge_proposal(target, edges), panel_bin, 1))
              for name, target in targets.items()}
     assert share["mass"] >= 0.30 and share["today"] <= 0.15, share
+
+
+def inverted_points(masses, edges, n):
+    """n points per row at the proposal's mass quantiles (i + 0.5) / n,
+    linear inside each bin: NeRF's ``sample_pdf`` without its jitter."""
+    cdf = np.concatenate([np.zeros((len(masses), 1)), np.cumsum(masses, axis=1)], axis=1)
+    u = (np.arange(n) + 0.5) / n
+    # Each u's bin starts at the last cdf value at or below u; the next
+    # lies above u, so hi > lo.
+    i = np.count_nonzero(cdf[:, None, :] <= u[:, None], axis=2) - 1
+    lo, hi = np.take_along_axis(cdf, i, 1), np.take_along_axis(cdf, i + 1, 1)
+    return edges[i] + (u - lo) / (hi - lo) * np.diff(edges)[i]
+
+
+def render_w1(grid, cdf, knots, jumps):
+    """W1 between the render cdf, the fitted ``cdf`` read at the grid's knots
+    and taken linear between them, and the exact cdf (0.5 at each jump),
+    both over their total mass, on 4,000 cells over [0, 20] m."""
+    cells = (np.arange(4000) + 0.5) * 0.005
+    w1 = []
+    for row, c, jump in zip(grid, cdf, jumps):
+        render = np.interp(cells, row, np.interp(row, knots, c))
+        exact = 0.5 * np.searchsorted(jump, cells, side="right")
+        w1.append(np.sum(np.abs(render / render[-1] - exact)) * 0.005)
+    return np.array(w1)
+
+
+def test_continuous_inversion_resolves_the_panel_where_quantile_points_repeat_knots():
+    # Placement from the mass target's proposal on the phantom test's free
+    # field: `quantile_points` puts every point that lands in a bin on its
+    # midpoint, so the render grid repeats knots; continuous inversion of
+    # the proposal's cdf spreads them through the bin. The render grid is
+    # `fine_grid_rows` of the points and the 33 edges. Thresholds were fixed
+    # before any value was seen; CHANGES.md has seeds 1-5.
+    ranges, windows = panel_rays(seed=1)
+    knots = np.linspace(0.0, 20.0, 129)[1:]
+    edges = uniform_bin_edges(20.0, 32)
+    cdf = fit_free_field(ranges, knots, depth_l2=False)
+    masses = hinge_proposal(mass_target(cdf), edges)
+    jumps = windows + [-0.5, 0.5]       # the exact cdf's jumps, 0.5 each (`panel_rays`)
+    grids = {name: fine_grid_rows(place(masses, edges, 32), edges)
+             for name, place in (("quantile", quantile_points), ("inverted", inverted_points))}
+    repeats = {name: np.count_nonzero(np.diff(grid, axis=1) == 0.0, axis=1)
+               for name, grid in grids.items()}
+    assert np.all(repeats["quantile"] > 0) and not repeats["inverted"].any(), repeats
+    w1 = render_w1(grids["inverted"], cdf, knots, jumps)
+    assert np.median(w1) <= 0.75, w1

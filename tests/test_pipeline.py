@@ -26,6 +26,7 @@ from plink.errors import InvalidInputError
 from plink.field import Ray, RaySet, bin_masses, cdf_from_sigma_values, trapezoid_deltas
 from plink.losses import LossBreakdown
 from tests.test_field import inverse_transform_sample, render_confidence
+from tests.test_sampler import numpy_stream
 from tests.test_sensor import IDENTITY, frame_fractions, oracle_poses
 from tests.test_simscene import shipped_file
 
@@ -418,7 +419,7 @@ def oracle_frame_cloud(state, frame, scale, config, mode, frame_index=0):
         if mode == WEIGHTED_DEPTH:
             ranges = oracle_baseline_ray(render)
         else:
-            rng = sampler.ray_rng(config.seed, ray_id, epoch=pipeline.RENDER_STREAM)
+            rng = numpy_stream(config.seed, ray_id, pipeline.RENDER_STREAM)
             ranges = oracle_render_ray(render, mode, draws=config.render_draws,
                                        level=config.confidence_level,
                                        peak_threshold=config.peak_threshold, rng=rng)
@@ -540,7 +541,7 @@ class TestRenderPicker:
             assert row.tolist() == want, i
 
     def test_per_ray_draws_equal_one_vector_draw(self):
-        scalar = sampler.ray_rng(1, 17, epoch=pipeline.RENDER_STREAM)
+        scalar = numpy_stream(1, 17, pipeline.RENDER_STREAM)
         vector = sampler.ray_rng(1, 17, epoch=pipeline.RENDER_STREAM)
         want = [float(scalar.uniform(1e-12, 1.0)) for _ in range(5)]
         assert vector.uniform(1e-12, 1.0, 5).tolist() == want
@@ -568,7 +569,7 @@ class TestStreams:
         config = RunConfig(seed=seed, encoding_levels=2, dir_levels=1, hidden_layers=2,
                            hidden_width=8, sigma_bias=-1.5).validate()
         state = pipeline.models_from_config(config)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0A23E)))
+        rng = numpy_stream(seed, 0xC0A23E)
         for model in (state.coarse, state.fine):
             want = self.oracle_params(model, rng, config.sigma_bias)
             assert model.params.dtype == np.float32
@@ -588,7 +589,7 @@ class TestStreams:
         monkeypatch.setattr(sampler, "train_step", step)
         config = RunConfig(seed=seed, epochs=epochs, batch_rays=4).validate()
         pipeline.train(pipeline.TrainSet(rays, None), config, state=None)
-        oracle = np.random.default_rng(np.random.SeedSequence((seed, 0x0BDE4)))
+        oracle = numpy_stream(seed, 0x0BDE4)
         for epoch in range(epochs):
             order = oracle.permutation(n_rays).tolist()
             assert seen[3 * epoch:3 * epoch + 3] == [
@@ -596,7 +597,9 @@ class TestStreams:
         assert len(seen) == 3 * epochs
 
     def test_a_step_and_a_render_chunk_build_no_seed_sequence(self, monkeypatch):
-        # Per-ray draws come from one batched kernel, not a stream per ray.
+        # Every stream comes from `config`'s own construction: weight init,
+        # batch order, a train step's and a render chunk's per-ray draws and
+        # the simulator's per-pulse draws build no SeedSequence.
         built = []
 
         class Counted(np.random.SeedSequence):
@@ -609,8 +612,13 @@ class TestStreams:
         monkeypatch.setattr(np.random, "SeedSequence", Counted)
         sampler.train_step(state, rays, config, scale, epoch=1)
         cloud = pipeline.render_frame_cloud(state, frame, scale, config, "stochastic")
-        assert len(cloud.points) > 0 and not built
-        plink.config.stream(2, 0)      # the counter sees the streams that remain
+        fresh = pipeline.models_from_config(config)
+        _, history = pipeline.train(pipeline.TrainSet(rays, scale), replace(config, epochs=1),
+                                    state=fresh)
+        frames = dataset("moving_path.csv", 2, seed=2)
+        assert len(cloud.points) > 0 and len(history) == 1 and len(frames) == 2
+        assert frames[0].returned.any() and not built
+        numpy_stream(2, 0)      # the counter sees the tests' own reference
         assert len(built) == 1
 
     def test_only_config_builds_a_seed_sequence(self):

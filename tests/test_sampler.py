@@ -18,7 +18,7 @@ import tests.tape_head as tape_head
 from plink import autodiff as ad
 from plink import net as nets
 from plink import pipeline, sampler
-from plink.config import RunConfig, entropy_words, stream_uniforms
+from plink.config import RunConfig, _key_words, stream, stream_uniforms
 from plink.errors import ConfigError, DivergenceError, InvalidInputError
 from plink.field import RaySet
 from plink.sensor import UnitCubeScale
@@ -181,7 +181,7 @@ class TestImportanceSample:
         draws = sampler.ray_draws(42, [3, 0, 3], 5, 6)
         assert draws.shape == (3, 6)
         np.testing.assert_array_equal(draws[0], draws[2])
-        np.testing.assert_array_equal(draws[1], sampler.ray_rng(42, 0, 5).random(6))
+        np.testing.assert_array_equal(draws[1], numpy_stream(42, 0, 5).random(6))
         assert not np.array_equal(draws[0], draws[1])
 
     @pytest.mark.parametrize("n_bins, n_fine, n_rays", [
@@ -201,7 +201,7 @@ class TestImportanceSample:
             hist = oracle_histogram(edges, raw[i])
             assert hist.degenerate == (i == 1)
             np.testing.assert_array_equal(proposal.masses[i], hist.masses)
-            want = oracle_importance_sample(hist, n_fine, sampler.ray_rng(9, ray_id, 4))
+            want = oracle_importance_sample(hist, n_fine, numpy_stream(9, ray_id, 4))
             np.testing.assert_array_equal(points[i], want)
 
     def test_quantile_points_are_deterministic(self):
@@ -230,6 +230,22 @@ class TestImportanceSample:
             assert np.all(np.diff(row) >= 0.0)
 
 
+def numpy_stream(*key) -> np.random.Generator:
+    """The stream keyed on ``key`` as numpy itself builds it: the tests'
+    reference for every keyed draw."""
+    return np.random.default_rng(np.random.SeedSequence(key))
+
+
+def keyed_rows(keys, n):
+    """Each key's stream built by numpy itself, its first n draws a row."""
+    return np.array([numpy_stream(*key).random(n) for key in keys]).reshape(len(keys), n)
+
+
+# Entries of one word and of several: 2**32 takes two, 2**64 + 3 three.
+ENTRIES = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 3]) | st.integers(0, 2**70)
+KEYS = st.lists(st.lists(ENTRIES, min_size=1, max_size=6).map(tuple), max_size=6)
+
+
 class TestStreamKeys:
     @pytest.mark.parametrize("key, words", [
         ((0, 0, 0), [0, 0, 0]),
@@ -239,30 +255,33 @@ class TestStreamKeys:
         ((1, 0x4E4DE2, 2**64 - 1), [1, 0x4E4DE2, 2**32 - 1, 2**32 - 1]),
     ])
     def test_words_give_the_tuple_keyed_stream(self, key, words):
-        got = entropy_words(key)
-        assert got.dtype == np.uint32 and got.tolist() == words
-        want = np.random.default_rng(np.random.SeedSequence(key)).random(8)
-        np.testing.assert_array_equal(sampler.ray_rng(*key).random(8), want)
+        assert _key_words(key) == words
+        np.testing.assert_array_equal(sampler.ray_rng(*key).random(8),
+                                      numpy_stream(*key).random(8))
 
     @pytest.mark.parametrize("key", [(1, -1, 0), (-(2**40), 0, 0)])
     def test_a_negative_entry_raises_as_numpy_does(self, key):
         with pytest.raises(ValueError):
             np.random.SeedSequence(key)
         with pytest.raises(ValueError):
-            entropy_words(key)
+            _key_words(key)
         with pytest.raises(ValueError):
             sampler.ray_rng(*key)
 
-
-def keyed_rows(keys, n):
-    """Each key's stream built by numpy itself, its first n draws a row."""
-    return np.array([np.random.default_rng(np.random.SeedSequence(key)).random(n)
-                     for key in keys]).reshape(len(keys), n)
-
-
-# Entries of one word and of several: 2**32 takes two, 2**64 + 3 three.
-ENTRIES = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 3]) | st.integers(0, 2**70)
-KEYS = st.lists(st.lists(ENTRIES, min_size=1, max_size=6).map(tuple), max_size=6)
+    @settings(max_examples=100, deadline=None)
+    @given(KEYS, st.integers(-(2**70), -1), st.integers(0, 5))
+    def test_each_stream_is_numpys(self, keys, negative, at):
+        # random, normal and permutation read the generator state in
+        # different ways; all three agree with numpy's stream bit for bit.
+        # Any one negative entry raises numpy's error.
+        for key in keys:
+            got, want = stream(*key), numpy_stream(*key)
+            np.testing.assert_array_equal(got.random(5), want.random(5))
+            np.testing.assert_array_equal(got.normal(0.0, 2.0, 7), want.normal(0.0, 2.0, 7))
+            np.testing.assert_array_equal(got.permutation(11), want.permutation(11))
+            bad = key[:at] + (negative,) + key[at + 1:]
+            with pytest.raises(ValueError, match="expected non-negative integer"):
+                stream(*bad)
 
 
 class TestStreamUniforms:
@@ -293,7 +312,7 @@ class TestStreamUniforms:
     def test_ray_draws_are_the_ray_streams(self):
         got = sampler.ray_draws(3, np.array([0, 5, 2**33]), 7, 32)
         for row, ray_id in zip(got, (0, 5, 2**33)):
-            np.testing.assert_array_equal(row, sampler.ray_rng(3, ray_id, 7).random(32))
+            np.testing.assert_array_equal(row, numpy_stream(3, ray_id, 7).random(32))
 
 
 class TestFineGrid:

@@ -16,6 +16,7 @@ from plink import sensor, simscene
 from plink.errors import InvalidInputError
 from plink.field import Ray
 from plink.pipeline import resample_path
+from tests.test_sampler import numpy_stream
 
 SCENE = "panel_room.txt"
 PATHS = ("static_path.csv", "moving_path.csv")
@@ -553,7 +554,7 @@ class TestGenerateDataset:
         for f, frame in enumerate(frames):
             for i, ray in enumerate(frame_rays(frame)):
                 b, a = divmod(i, n_az)
-                rng = np.random.default_rng(np.random.SeedSequence((seed, f, b, a)))
+                rng = numpy_stream(seed, f, b, a)
                 want = simscene.sample_return(scene, ray, rng)
                 if want is None:
                     assert not frame.returned[b, a] and frame.ranges[b, a] == 0.0
@@ -561,11 +562,15 @@ class TestGenerateDataset:
                     assert frame.returned[b, a] and frame.ranges[b, a] == want
             assert 0 < frame.returned.sum() < frame.returned.size
 
-    def test_draw_chunks_do_not_change_a_pulse(self, monkeypatch):
-        # Chunks of 7 pulses split frames and the pulses of one frame.
+    @pytest.mark.parametrize("chunk", [1, 7, 60])
+    def test_draw_chunks_do_not_change_a_pulse(self, monkeypatch, chunk):
+        # The default draws the path's 216 uncertain pulses in one flush.
+        # Thresholds of 1 and 7 flush after every frame (each has 20-44 of
+        # them), and 60 after frames 3, 5 and 7: each flush draws its own
+        # set of pulses, at its own width.
         scene, path = shipped_scene(), rest_move_rest_path()
         want = simscene.generate_dataset(scene, path, intrinsics(), seed=2)
-        monkeypatch.setattr(simscene, "DRAW_CHUNK", 7)
+        monkeypatch.setattr(simscene, "DRAW_CHUNK", chunk)
         assert dataset_digest(simscene.generate_dataset(scene, path, intrinsics(), seed=2)) == (
             dataset_digest(want))
 
@@ -610,6 +615,27 @@ class TestGenerateDataset:
         path[2] = sensor.Pose(path[2].quaternion, path[2].translation, path[1].timestamp)
         with pytest.raises(InvalidInputError, match="end pose must be later"):
             simscene.generate_dataset(shipped_scene(), path, intrinsics(), seed=3)
+
+    def test_a_scene_of_opaque_first_surfaces_draws_nothing(self, monkeypatch):
+        # Without the p = 0.5 panel every pulse's first surface is opaque, so
+        # each outcome is traced (a return, or a drop at an oblique face),
+        # and no flush has a pulse to draw.
+        shipped = shipped_scene()
+        scene = simscene.SceneSpec([s for s in shipped.surfaces if s.return_prob == 1.0],
+                                   shipped.bounds)
+        assert len(scene.surfaces) == len(shipped.surfaces) - 1
+        calls = []
+        monkeypatch.setattr(simscene, "stream_uniforms", lambda *args: calls.append(args))
+        frames = simscene.generate_dataset(scene, rest_move_rest_path(), intrinsics(), seed=4)
+        assert not calls
+        n_az = intrinsics().azimuth_count
+        for f, frame in enumerate(frames):
+            for i, ray in enumerate(frame_rays(frame)):
+                b, a = divmod(i, n_az)
+                want = simscene.sample_return(scene, ray, numpy_stream(4, f, b, a))
+                assert frame.returned[b, a] == (want is not None)
+                assert frame.ranges[b, a] == (0.0 if want is None else want)
+            assert 0 < frame.returned.sum() < frame.returned.size
 
     def test_empty_scene_drops_every_pulse(self):
         scene = simscene.SceneSpec([], ([-1.0] * 3, [1.0] * 3))
