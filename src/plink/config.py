@@ -276,17 +276,19 @@ def read_sections(path, names=(), error=ConfigError) -> list:
     except (OSError, UnicodeDecodeError) as exc:
         raise top.fail(f"cannot read: {exc}") from exc
     sections = [top]
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line.startswith("[") and line.endswith("]"):
+    stripped = [raw.partition("#")[0].strip() for raw in lines]
+    for lineno, line in enumerate(stripped, start=1):
+        if not line:
+            continue
+        if line[0] == "[" and line[-1] == "]":
             if line[1:-1].strip() not in names:
                 raise top.fail(f"unknown section {line}", lineno)
             sections.append(Section(top.source, lineno, error))
-        elif "=" in line:
-            key, value = (part.strip() for part in line.split("=", 1))
-            sections[-1].rows[key] = (lineno, value)
-        elif line:
+            continue
+        key, equals, value = line.partition("=")
+        if not equals:
             raise top.fail(f"expected key = value, got {line!r}", lineno)
+        sections[-1].rows[key.strip()] = (lineno, value.strip())
     return sections
 
 
@@ -316,7 +318,7 @@ def _typed(section: Section, line: int, key: str, default, raw: str):
     try:
         if kind is bool:
             return _BOOL_STRINGS[raw.lower()]
-        value = [float(v) for v in raw.split()] if kind in (list, tuple) else kind(raw)
+        value = list(map(float, raw.split())) if kind in (list, tuple) else kind(raw)
         if kind is tuple and len(value) != len(default):
             raise ValueError
     except (KeyError, ValueError):

@@ -24,7 +24,9 @@ in (1e-9, s_max]), whose origins are `Pose`-checked and whose directions
 come from normalised quaternions; a `Ray` is one row, a batch a slice.
 `trace_true_cdf`, the one producer of `SampleGrid` and `CdfTrace`, builds
 knots strictly increasing in (1e-9, s_max] (merged within 1e-9 m) and a
-cdf that accumulates.
+cdf that accumulates. Nor does any of the three records convert what it
+is given: their producers hand them float64 arrays (`RaySet`'s rows, and
+`trace_true_cdf`'s), and a caller that builds one does the same.
 """
 
 from __future__ import annotations
@@ -41,10 +43,6 @@ class Ray:
     origin: np.ndarray
     direction: np.ndarray
     s_max: float
-
-    def __post_init__(self):
-        self.origin = np.asarray(self.origin, dtype=float)
-        self.direction = np.asarray(self.direction, dtype=float)
 
 
 @dataclass
@@ -93,9 +91,6 @@ class SampleGrid:
 
     gammas: np.ndarray
 
-    def __post_init__(self):
-        self.gammas = np.asarray(self.gammas, dtype=float)
-
     def __len__(self):
         return self.gammas.size
 
@@ -106,9 +101,6 @@ class CdfTrace:
 
     grid: SampleGrid
     cdf: np.ndarray
-
-    def __post_init__(self):
-        self.cdf = np.asarray(self.cdf, dtype=float)
 
     @property
     def total_mass(self) -> float:

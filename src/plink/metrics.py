@@ -34,6 +34,14 @@ written as ASCII PLY (one string, ``repr`` coordinates) and read from PLY
 or plain ``x y z`` text. The readers reject a non-finite point by its line,
 and rendered and ground-truth clouds are finite, so `PointCloud` does not
 check again; `MetricsReport` holds `evaluate`'s own arithmetic unchecked.
+
+A learned return distribution is scored against the exact one by the
+1-Wasserstein distance between their cdfs, the integral over [0, s_max]
+of their absolute difference. The exact cdf is a jump list
+(`simscene.trace_true_cdf`), read right-continuous by `true_cdf_on`: 0
+before the first jump, and everywhere on a trace with no jump. `w1_grid`
+integrates a model cdf sampled on a uniform grid's cell midpoints,
+`w1_empirical` the step cdf of a ray's simulated pulses, exactly.
 """
 
 from __future__ import annotations
@@ -122,6 +130,40 @@ def evaluate(gt: PointCloud, synth: PointCloud, threshold_cm: float) -> MetricsR
         f_score_pct=f_score,
         threshold_cm=threshold_cm,
     )
+
+
+# -- distance between return distributions ---------------------------------------
+
+
+def true_cdf_on(trace, s) -> np.ndarray:
+    """Right-continuous exact cdf of a jump-list trace at distances ``s``."""
+    return np.concatenate([[0.0], trace.cdf])[np.searchsorted(trace.grid.gammas, s,
+                                                               side="right")]
+
+
+def w1_grid(model_cdf: np.ndarray, grid: np.ndarray, step: float, traces) -> np.ndarray:
+    """Per-ray integral of |C_model - C_true| by the midpoint rule.
+
+    ``model_cdf`` is (rays, G) on the cell midpoints ``grid`` of a uniform
+    partition of [0, s_max] with cell width ``step``.
+    """
+    true = np.stack([true_cdf_on(t, grid) for t in traces])
+    return np.abs(model_cdf - true).sum(axis=1) * step
+
+
+def w1_empirical(outcomes, trace, s_max: float) -> float:
+    """Exact integral over [0, s_max] of |C_emp - C_true| for one ray.
+
+    ``outcomes`` holds one entry per simulated pulse, at least one: a range,
+    or None for a drop. Both cdfs are step functions, so the integral is a
+    finite sum.
+    """
+    returns = np.sort([r for r in outcomes if r is not None])
+    knots = np.unique(np.concatenate([[0.0, s_max], returns, trace.grid.gammas]))
+    knots = knots[(knots >= 0.0) & (knots <= s_max)]
+    left = knots[:-1]
+    emp = np.searchsorted(returns, left, side="right") / len(outcomes)
+    return float(np.sum(np.abs(emp - true_cdf_on(trace, left)) * np.diff(knots)))
 
 
 # -- cloud file IO -----------------------------------------------------------------

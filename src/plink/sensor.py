@@ -42,7 +42,14 @@ divided by the one norm `_norms` gives, through `_rotation_entries`, the
 formula `matrix_from_quat` applies to arrays.
 ``TestPose.test_rotation_bytes_equal_matrix_from_quat`` pins the two byte
 for byte. Stacked poses (`motion_compensate`, `ray_directions`) stay on
-numpy.
+numpy, in few calls: two poses agree on lists of floats (`same_pose`), a
+frame at rest skips the interpolation and multiplies by its start pose's
+matrix, and a moving frame's matrices come from nine products per
+quaternion, taken component by component (`matrix_from_quat`). The
+stacked matmul makes one BLAS product per azimuth step, whose rounding can
+depend on its operands' memory layout, so the matrices stay C-ordered.
+``TestAgainstReference`` in ``tests/test_sensor.py`` pins the generator to
+its first, entry-by-entry form byte for byte.
 """
 
 from __future__ import annotations
@@ -142,11 +149,12 @@ def sensor_frame_directions(intrinsics: SensorIntrinsics) -> np.ndarray:
     """Unit beam directions in the sensor frame, shape (n_beams, n_az, 3)."""
     theta = 2.0 * np.pi * np.arange(intrinsics.azimuth_count) / intrinsics.azimuth_count
     elev = intrinsics.elevation_angles[:, None]
-    return np.stack([
-        np.cos(elev) * np.cos(theta),
-        np.cos(elev) * np.sin(theta),
-        np.broadcast_to(np.sin(elev), (intrinsics.n_beams, theta.size)),
-    ], axis=-1)
+    cos_elev = np.cos(elev)
+    out = np.empty((intrinsics.n_beams, theta.size, 3))
+    np.multiply(cos_elev, np.cos(theta), out=out[..., 0])
+    np.multiply(cos_elev, np.sin(theta), out=out[..., 1])
+    out[..., 2] = np.sin(elev)
+    return out
 
 
 def motion_compensate(start: Pose, end: Pose, fractions) -> tuple:
@@ -166,8 +174,13 @@ def motion_compensate(start: Pose, end: Pose, fractions) -> tuple:
 
 
 def same_pose(a: Pose, b: Pose) -> bool:
-    """Whether two poses agree: equal rotation matrices and equal translations."""
-    return np.array_equal(a.rotation, b.rotation) and np.array_equal(a.translation, b.translation)
+    """Whether two poses agree: equal rotation matrices and equal translations.
+
+    Compared as lists of floats, as ``np.array_equal`` compares them: -0.0
+    equals 0.0, and a pose holds no NaN.
+    """
+    return (a.rotation.tolist() == b.rotation.tolist()
+            and a.translation.tolist() == b.translation.tolist())
 
 
 def check_pose_order(start: Pose, end: Pose) -> None:
@@ -185,15 +198,21 @@ def ray_directions(intrinsics: SensorIntrinsics, frame: ScanFrame):
     """
     start, end = frame.start_pose, frame.end_pose
     check_pose_order(start, end)
-    quaternions, translations = motion_compensate(start, end, frame.sample_fractions())
-    # At rest every step has the start pose, whose matrix is already built.
-    rotations = (np.broadcast_to(start.rotation, quaternions.shape[:-1] + (3, 3))
-                 if same_pose(start, end) else matrix_from_quat(quaternions))
     local = sensor_frame_directions(intrinsics)
-    # One (n_beams, 3) @ (3, 3) product per azimuth step, as a stacked matmul.
-    directions = np.matmul(local.transpose(1, 0, 2), rotations.transpose(0, 2, 1))
-    origins = np.broadcast_to(translations, local.shape)
-    return origins.copy(), np.ascontiguousarray(directions.transpose(1, 0, 2))
+    if same_pose(start, end):
+        # Every step has the start pose, whose matrix is already built.
+        translations, rotations = start.translation, start.rotation[None]
+    else:
+        quaternions, translations = motion_compensate(start, end, frame.sample_fractions())
+        rotations = matrix_from_quat(quaternions)
+    origins = np.empty_like(local)
+    origins[...] = translations
+    # One (n_beams, 3) @ (3, 3) product per azimuth step, as a stacked matmul
+    # that writes the (n_beams, azimuth_count, 3) result in place.
+    directions = np.empty_like(local)
+    np.matmul(local.transpose(1, 0, 2), rotations.transpose(0, 2, 1),
+              out=directions.transpose(1, 0, 2))
+    return origins, directions
 
 
 # -- unit-cube scaling ---------------------------------------------------------
@@ -231,24 +250,50 @@ def _norms(q: np.ndarray) -> np.ndarray:
 
 
 def _rotation_entries(w, x, y, z) -> tuple:
-    """The nine entries, row by row, of a unit quaternion's rotation matrix;
-    the same operations on Python floats (`Pose`) as on arrays."""
-    return (1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w),
-            2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w),
-            2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y))
+    """The nine entries, row by row, of a unit quaternion's rotation matrix,
+    on Python floats (`Pose`); `matrix_from_quat` computes each entry of
+    arrays by the same operations."""
+    xx, yy, zz, xy, xz, yz = x * x, y * y, z * z, x * y, x * z, y * z
+    xw, yw, zw = x * w, y * w, z * w
+    return (1 - 2 * (yy + zz), 2 * (xy - zw), 2 * (xz + yw),
+            2 * (xy + zw), 1 - 2 * (xx + zz), 2 * (yz - xw),
+            2 * (xz - yw), 2 * (yz + xw), 1 - 2 * (xx + yy))
+
+
+# The rotation matrix of a unit quaternion (w, x, y, z) from its nine
+# distinct products yy, zz, xx, xy, zw, xz, yw, yz, xw, each of components
+# _FACTORS[0] and _FACTORS[1]: entry k, row by row, is 2 * (a + s * b) for
+# the products a = _TERMS[0, k] and b = _TERMS[1, k] and the sign
+# s = _SIGNS[k], and a diagonal entry is 1 minus that.
+_FACTORS = np.array([[2, 3, 1, 1, 3, 1, 2, 2, 1], [2, 3, 1, 2, 0, 3, 0, 3, 0]])
+_TERMS = np.array([[0, 3, 5, 3, 2, 7, 5, 7, 2], [1, 4, 6, 4, 1, 8, 6, 8, 0]])
+_SIGNS = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])[:, None]
 
 
 def matrix_from_quat(q: np.ndarray) -> np.ndarray:
-    """Rotation matrices (..., 3, 3) from quaternions (..., 4)."""
+    """Rotation matrices (..., 3, 3) from quaternions (..., 4), in C order.
+
+    Each entry is `_rotation_entries`' formula: a product reused is the same
+    float operation, and a - b is a + (-1 * b). The work runs components
+    first, one row of M values per component, product or entry. The stacked
+    matmul of `ray_directions` reads the matrices, and matrices of another
+    memory layout may round differently there.
+    """
     q = np.asarray(q, dtype=float)
-    return np.stack(_rotation_entries(*np.moveaxis(q / _norms(q), -1, 0)),
-                    -1).reshape(q.shape[:-1] + (3, 3))
+    rows = q.reshape(-1, 4)
+    unit = rows.T / _norms(rows).T      # (4, M)
+    products = unit.take(_FACTORS[0], axis=0) * unit.take(_FACTORS[1], axis=0)
+    entries = products.take(_TERMS[1], axis=0) * _SIGNS     # (9, M)
+    entries += products.take(_TERMS[0], axis=0)
+    entries *= 2
+    np.subtract(1, entries[::4], out=entries[::4])
+    return np.ascontiguousarray(entries.T).reshape(q.shape[:-1] + (3, 3))
 
 
 def quat_slerp(q0: np.ndarray, q1: np.ndarray, fractions) -> np.ndarray:
     """Shortest-path spherical interpolation: one (4,) quaternion per fraction."""
-    q0 = q0 / np.linalg.norm(q0)
-    q1 = q1 / np.linalg.norm(q1)
+    q0 = q0 / math.sqrt(q0.dot(q0))     # np.linalg.norm's sqrt(dot)
+    q1 = q1 / math.sqrt(q1.dot(q1))
     dot = float(np.dot(q0, q1))
     if dot < 0.0:
         q1, dot = -q1, -dot
@@ -256,7 +301,7 @@ def quat_slerp(q0: np.ndarray, q1: np.ndarray, fractions) -> np.ndarray:
     if dot > 1.0 - 1e-12:
         out = (1.0 - f) * q0 + f * q1
         return out / _norms(out)
-    angle = np.arccos(np.clip(dot, -1.0, 1.0))
+    angle = np.arccos(dot)      # dot lies in [0, 1 - 1e-12] here
     return (np.sin((1.0 - f) * angle) * q0 + np.sin(f * angle) * q1) / np.sin(angle)
 
 

@@ -13,24 +13,28 @@ limit in [0, pi/2] beyond which a reflection is recorded as a ray drop
 instead of a return.
 
 Intersection is batched over rays and surfaces. A ``SceneSpec`` packs its
-surfaces into arrays when it is built, components first: origins and unit
-normals (3, S), tangent axes ``u`` and ``v`` (3, 2, S) and half-extents
-along them, widened by the 1e-12 m edge tolerance (2, S), plus return
-probabilities and oblique limits (S,). Tangent frames are computed once
-per surface, at construction. ``ray_distances`` tests N rays against all
-S surfaces at once and returns an (N, S) array of path distances in
-surface order, ``inf`` where a ray misses a surface: it runs parallel to
-it, meets its plane at or behind the origin, or passes outside its extent.
-Frames go through that kernel (``_distances``), and ``_sorted_hits``
-orders each ray's hits by a stable sort on distance, so surfaces at equal
-distance keep scene order. The kernel's dot products are explicit products summed in component order,
-each term one contiguous (N, S) block: for axis-aligned normals two of the
-three products are zero, so distances are bit-identical to any other
-evaluation order (``np.dot`` included), and they agree with such
+surfaces once, when it is built, into one (S, 16) table in surface order
+(`_surface_table`): origin, unit normal, tangent axes ``u`` and ``v``,
+half-extents widened by the 1e-12 m edge tolerance, return probability and
+oblique limit. Its columns, one contiguous row of S values each, are what
+frames are traced against (``rects``); its rows, as lists of Python floats,
+are what single rays walk (``rows``). ``ray_distances`` tests N rays
+against all S surfaces at once and returns an (N, S) array of path
+distances in surface order, ``inf`` where a ray misses a surface: it runs
+parallel to it, meets its plane at or behind the origin, or passes outside
+its extent. Frames go through that kernel (``_distances``): the plane
+distances of every (ray, surface) pair, the rays along the inner axis, then
+the in-plane test on the pairs whose distance lies in (1e-9, s_max] alone.
+``_sorted_hits`` orders each ray's hits by a stable sort on distance, so
+surfaces at equal distance keep scene order. The kernel's dot products are
+explicit products summed in component order: for axis-aligned normals two
+of the three products are zero, so distances are bit-identical to any
+other evaluation order (``np.dot`` included), and they agree with such
 evaluations within 1e-12 m otherwise.
 
-Numpy's fixed per-call cost outweighs the arithmetic on one ray or one
-surface, so these run on Python floats, each with its numpy reference's
+Numpy's fixed per-call cost outweighs the arithmetic on one ray, one
+surface or one scene of a few dozen surfaces, so these run on Python
+floats or on one array per scene, each with its numpy reference's
 operations in its order, and a test pins each to that reference byte for
 byte:
 
@@ -42,8 +46,15 @@ byte:
   (``test_no_incidence_angle_exceeds_a_right_angle``);
 - a ``SceneSurface`` divides its normal by ``np.linalg.norm``'s
   ``sqrt(dot)`` and builds its tangent frame (``_tangent_frame``) from
-  the quotients, and ``box_faces`` builds each face's corner and extent;
-  ``TestSceneSurface`` pins them to the ``np.cross`` formulas.
+  the quotients; ``TestSceneSurface`` pins them to the ``np.cross``
+  formulas. ``box_faces`` checks a box once and builds its six faces from
+  its floats, with the unit-axis normals and frames `_BOX_NORMALS` and
+  `_BOX_FRAMES`, as rows of one array per box;
+- a ``SceneSpec`` packs every surface with two ``np.concatenate`` calls,
+  and checks its bounds on the two extreme corners of each surface, which
+  monotone rounding makes the least and the largest of the four;
+- ``TestAgainstReference`` pins the packing and the frame tracer to their
+  field-by-field, every-pair forms in ``tests/simulator_reference.py``.
 
 A scene file is a key = value file (``plink.config``): a ``bounds`` line,
 then one ``[surface]`` section per surface. Unknown keys are rejected, a
@@ -96,56 +107,65 @@ def _tangent_frame(nx: float, ny: float, nz: float) -> tuple:
     return (ux, uy, uz), (ny * uz - nz * uy, nz * ux - nx * uz, nx * uy - ny * ux)
 
 
-def _kernel_layout(origins, normals, axes, extents) -> tuple:
-    """S rectangles in the layout ``_distances`` reads, components first.
+def _surface_table(surfaces) -> np.ndarray:
+    """S surfaces as an (S, 16) table, one row each in ``_walk``'s layout: the
+    origin, the unit normal, u, v, the two half-extents, the return
+    probability and the oblique limit. The half-extents are the surfaces'
+    own; `_add_reach` adds the edge tolerance."""
+    geometry = np.concatenate([part for s in surfaces for part in (
+        s.origin, s.normal, s.axes, s.extent)] + [()], axis=None).reshape(-1, 14)
+    reflection = np.array([(s.return_prob, s.oblique_drop_angle) for s in surfaces],
+                          dtype=float).reshape(-1, 2)
+    return np.concatenate([geometry, reflection], axis=1)
 
-    From (S, 3) origins and normals, (S, 2, 3) tangent axes u and v and
-    (S, 2) half-extents along them, returns contiguous copies shaped
-    (3, 1, S), (3, 1, S), (3, 2, 1, S) and (2, 1, S); the last holds the
-    half-extents plus the 1e-12 m edge tolerance.
+
+def _add_reach(table: np.ndarray) -> np.ndarray:
+    """``table`` with the 1e-12 m edge tolerance added to its half-extents."""
+    table[:, 12:14] += 1e-12
+    return table
+
+
+def _distances(o, d, rects, s_max: float = math.inf) -> tuple:
+    """Path distances from N rays to S rectangles, inf on a miss or past
+    ``s_max``, and d . n.
+
+    ``o`` and ``d`` are (N, 3); ``rects`` is `SceneSpec.rects`, one
+    contiguous row of S values per column of the surface table. Returns two
+    (N, S) arrays. Every dot product sums its products in x, y, z order. The
+    plane distances are taken over every pair, with the rays along the inner
+    axis; the in-plane test then runs on the pairs whose distance lies in
+    (1e-9, s_max] alone, so a NaN ``s_max`` keeps no hit. A ray parallel to a
+    plane divides by inf instead of ~0, which gives a distance of 0 and so a
+    miss: nothing warns.
     """
-    def first(a, order):
-        return np.ascontiguousarray(np.transpose(a, order))
-
-    return (first(origins, (1, 0))[:, None], first(normals, (1, 0))[:, None],
-            first(axes, (2, 1, 0))[:, :, None], first(extents + 1e-12, (1, 0))[:, None])
-
-
-def _distances(o, d, rects) -> tuple:
-    """Path distances from N rays to S rectangles, inf on a miss, and d . n.
-
-    ``o`` and ``d`` are (N, 3); ``rects`` is ``_kernel_layout``'s tuple.
-    Returns two (N, S) arrays. Every dot product sums its products in
-    x, y, z order, and each x, y or z term is one contiguous (N, S) block.
-    A ray parallel to a plane divides by inf instead of ~0, which gives a
-    distance of 0 and so a miss: nothing warns.
-    """
-    origin, normal, axes, reach = rects
-    o = np.ascontiguousarray(o.T)[:, :, None]   # (3, N, 1)
-    d = np.ascontiguousarray(d.T)[:, :, None]
-    dn = d * normal
-    denom = dn[0] + dn[1] + dn[2]
-    rn = (origin - o) * normal
-    s = (rn[0] + rn[1] + rn[2]) / np.where(np.abs(denom) >= 1e-12, denom, np.inf)
-    point = s * d
-    point += o
-    point -= origin
-    local = point[:, None] * axes   # (3, 2, N, S)
-    inside = np.abs(local[0] + local[1] + local[2]) <= reach
-    hit = (s > 1e-9) & inside[0] & inside[1]
-    return np.where(hit, s, np.inf), denom
-
-
-def _walk_rows(origins, normals, axes, extents, return_probs, oblique_limits) -> list:
-    """S rectangles as the rows ``_walk`` reads, one list of 16 floats each.
-
-    From (S, 3) origins and normals, (S, 2, 3) tangent axes, (S, 2)
-    half-extents and (S,) return probabilities and oblique limits, each row
-    holds the origin, the normal, u, v, the two half-extents plus the 1e-12
-    m edge tolerance, the return probability and the oblique limit.
-    """
-    return np.concatenate([origins, normals, axes.reshape(-1, 6), extents + 1e-12,
-                           return_probs[:, None], oblique_limits[:, None]], axis=1).tolist()
+    o = np.ascontiguousarray(o.T)   # (3, N)
+    d = np.ascontiguousarray(d.T)
+    origin, normal = rects[0:3, :, None], rects[3:6, :, None]   # (3, S, 1)
+    denom = d[0] * normal[0]    # (S, N)
+    denom += d[1] * normal[1]
+    denom += d[2] * normal[2]
+    num = origin[0] - o[0]
+    num *= normal[0]
+    for c in (1, 2):
+        term = origin[c] - o[c]
+        term *= normal[c]
+        num += term
+    s = num / np.where(np.abs(denom) >= 1e-12, denom, np.inf)
+    candidate = s > 1e-9
+    candidate &= s <= s_max
+    pair = np.flatnonzero(candidate)
+    surface = pair // o.shape[1]
+    ray = pair - surface * o.shape[1]
+    s = s.take(pair)
+    point = s * d.take(ray, axis=1)     # (3, K)
+    point += o.take(ray, axis=1)
+    point -= rects[0:3].take(surface, axis=1)
+    local = point * rects[6:12].reshape(2, 3, rects.shape[1]).take(surface, axis=2)   # (2, 3, K)
+    inside = np.abs(local[:, 0] + local[:, 1] + local[:, 2]) <= rects[12:14].take(surface, axis=1)
+    hit = inside[0] & inside[1]
+    dist = np.full((o.shape[1], rects.shape[1]), np.inf)
+    dist[ray[hit], surface[hit]] = s[hit]
+    return dist, denom.T
 
 
 def _vector(v) -> list:
@@ -157,7 +177,7 @@ def _walk(rows, origin, direction, s_max: float) -> list:
     """One ray's hits within ``s_max``, nearest first, as (distance, surface
     index, return probability, drops) tuples.
 
-    ``rows`` is ``_walk_rows``'s list, and ``origin`` and ``direction`` are
+    ``rows`` is `SceneSpec.rows`, and ``origin`` and ``direction`` are
     three floats each. Each distance and in-plane test is ``_distances``'s
     arithmetic in its operation order, on Python floats, so the hits equal a
     row of ``_sorted_hits`` bit for bit without numpy's fixed per-call cost.
@@ -189,6 +209,15 @@ def _walk(rows, origin, direction, s_max: float) -> list:
             for (s, k, prob, _, limit), angle in zip(hits, angles)]
 
 
+def _check_reflection(return_prob, oblique_drop_angle) -> None:
+    """Reject a return probability outside (0, 1] or an oblique limit outside
+    [0, pi/2], NaN included."""
+    if not (0.0 < return_prob <= 1.0):
+        raise InvalidInputError("return probability must lie in (0, 1]")
+    if not (0.0 <= oblique_drop_angle <= math.pi / 2):
+        raise InvalidInputError("oblique drop angle must lie in [0, pi/2]")
+
+
 @dataclass
 class SceneSurface:
     """A thin rectangle with a reflection probability and an oblique limit."""
@@ -209,19 +238,14 @@ class SceneSurface:
             raise InvalidInputError("surface normal must be nonzero and finite")
         unit = [c / norm for c in normal.tolist()]
         self.normal = np.array(unit)
-        if not (0.0 < self.return_prob <= 1.0):
-            raise InvalidInputError("return probability must lie in (0, 1]")
-        if not (0.0 <= self.oblique_drop_angle <= math.pi / 2):
-            raise InvalidInputError("oblique drop angle must lie in [0, pi/2]")
+        _check_reflection(self.return_prob, self.oblique_drop_angle)
         if any(e <= 0.0 for e in self.extent.tolist()):
             raise InvalidInputError("extent must be positive")
         self.axes = np.array(_tangent_frame(*unit))
 
     def intersect(self, origin: np.ndarray, direction: np.ndarray):
         """Path distance to the rectangle, or None when the ray misses it."""
-        rows = _walk_rows(self.origin[None], self.normal[None], self.axes[None],
-                          self.extent[None], np.array([self.return_prob]),
-                          np.array([self.oblique_drop_angle]))
+        rows = _add_reach(_surface_table([self])).tolist()
         hits = _walk(rows, _vector(origin), _vector(direction), math.inf)
         return hits[0][0] if hits else None
 
@@ -231,24 +255,46 @@ class SceneSurface:
         return float(np.arccos(np.clip(cos_i, 0.0, 1.0)))
 
 
+# A box's faces in order, -x, +x, -y, +y, -z, +z: their unit normals, the
+# tangent frames `_tangent_frame` gives them, and for each face its axis and
+# the axes that its u and its v run along.
+_BOX_NORMALS = np.array([[sign if i == axis else 0.0 for i in range(3)]
+                        for axis in range(3) for sign in (-1.0, 1.0)])
+_BOX_FRAMES = np.array([_tangent_frame(*normal) for normal in _BOX_NORMALS.tolist()])
+_BOX_AXES = [(k // 2, *np.abs(frame).argmax(axis=1).tolist())
+             for k, frame in enumerate(_BOX_FRAMES)]
+
+
 def box_faces(min_corner, size, return_prob=1.0, oblique_drop_angle=np.pi / 2) -> list:
-    """Six rectangle faces of an axis-aligned box, -x, +x, -y, +y, -z, +z."""
+    """Six rectangle faces of an axis-aligned box, -x, +x, -y, +y, -z, +z.
+
+    The box is checked once, as `SceneSurface` checks a rect, and its faces
+    are built from its floats: a face's normal is a unit axis and its
+    tangent frame is the axis's, so no face is normalised or checked again.
+    A face's extent is the box's half-sizes along its u and v axes. The
+    faces' arrays are rows of one array per box and kind.
+    """
     lo = [float(c) for c in min_corner]
     size = [float(c) for c in size]
     hi = [a + b for a, b in zip(lo, size)]
     center = [0.5 * (a + b) for a, b in zip(lo, hi)]
     half = [0.5 * b for b in size]
+    _check_reflection(return_prob, oblique_drop_angle)
+    if any(e <= 0.0 for e in half):
+        raise InvalidInputError("extent must be positive")
+    origins, extents = [], []
+    for k, (axis, u, v) in enumerate(_BOX_AXES):
+        origin = list(center)
+        origin[axis] = (lo, hi)[k % 2][axis]
+        origins += origin
+        extents += (half[u], half[v])
     faces = []
-    for axis in range(3):
-        others = [i for i in range(3) if i != axis]
-        for sign in (-1.0, 1.0):
-            normal = [0.0, 0.0, 0.0]
-            normal[axis] = sign
-            # the extent is ordered by the face's tangent frame
-            ext = [sum(abs(w[i]) * half[i] for i in others) for w in _tangent_frame(*normal)]
-            origin = list(center)
-            origin[axis] = lo[axis] if sign < 0 else hi[axis]
-            faces.append(SceneSurface(origin, normal, ext, return_prob, oblique_drop_angle))
+    for origin, normal, extent, axes in zip(np.array(origins).reshape(6, 3), _BOX_NORMALS.copy(),
+                                            np.array(extents).reshape(6, 2), _BOX_FRAMES.copy()):
+        face = object.__new__(SceneSurface)
+        face.origin, face.normal, face.extent, face.axes = origin, normal, extent, axes
+        face.return_prob, face.oblique_drop_angle = return_prob, oblique_drop_angle
+        faces.append(face)
     return faces
 
 
@@ -257,40 +303,37 @@ class SceneSpec:
     """Surface list plus the axis-aligned bounds of the sensing volume.
 
     The surfaces are packed when the spec is built, one entry per surface in
-    list order: into the arrays that frames are traced against, and into one
-    row of Python floats per surface (``_walk_rows``) that single rays walk.
-    Build a new spec instead of editing ``surfaces`` in place.
+    list order, into one (S, 16) table (`_surface_table`, its half-extents
+    widened by the 1e-12 m edge tolerance): its rows as lists of Python
+    floats, which single rays walk (``rows``), and its columns as contiguous
+    rows of S values, which frames are traced against (``rects``). Build a
+    new spec instead of editing ``surfaces`` in place.
     """
 
     surfaces: list
     bounds: tuple
-    rects: tuple = field(init=False, repr=False)              # _kernel_layout's arrays
-    rows: list = field(init=False, repr=False)                # _walk_rows's lists
+    rects: np.ndarray = field(init=False, repr=False)         # (16, S): the table's columns
+    rows: list = field(init=False, repr=False)                # S lists of 16 floats
     return_probs: np.ndarray = field(init=False, repr=False)  # (S,)
     oblique_limits: np.ndarray = field(init=False, repr=False)  # (S,)
 
     def __post_init__(self):
         lo, hi = (np.asarray(b, dtype=float) for b in self.bounds)
         self.bounds = (lo, hi)
-        if np.any(hi <= lo):
+        if (hi <= lo).any():
             raise InvalidInputError("bounds must have positive extent")
-
-        def pack(name, width):
-            return np.array([getattr(s, name) for s in self.surfaces],
-                            dtype=float).reshape(-1, width)
-
-        origins, normals = pack("origin", 3), pack("normal", 3)
-        axes, extents = pack("axes", 6).reshape(-1, 2, 3), pack("extent", 2)
-        self.rects = _kernel_layout(origins, normals, axes, extents)
-        self.return_probs = pack("return_prob", 1)[:, 0]
-        self.oblique_limits = pack("oblique_drop_angle", 1)[:, 0]
-        self.rows = _walk_rows(origins, normals, axes, extents, self.return_probs,
-                               self.oblique_limits)
-        half_u, half_v = (extents[..., None] * axes).transpose(1, 0, 2)
-        corners = np.concatenate([origins + su * half_u + sv * half_v
-                                  for su in (-1.0, 1.0) for sv in (-1.0, 1.0)])
-        if np.any(corners < lo - 1e-9) or np.any(corners > hi + 1e-9):
+        table = _surface_table(self.surfaces)
+        # A corner is origin +- e_u u +- e_v v, summed in that order; rounding
+        # is monotone, so the least and the largest of the four corners are
+        # these two.
+        origin, half_u, half_v = (table[:, 0:3], np.abs(table[:, 12:13] * table[:, 6:9]),
+                                  np.abs(table[:, 13:14] * table[:, 9:12]))
+        if (((origin - half_u) - half_v < lo - 1e-9).any()
+                or ((origin + half_u) + half_v > hi + 1e-9).any()):
             raise InvalidInputError("all surface corners must lie inside the bounds")
+        self.rows = _add_reach(table).tolist()
+        self.rects = np.ascontiguousarray(table.T)
+        self.return_probs, self.oblique_limits = self.rects[14], self.rects[15]
 
 
 def ray_distances(scene: SceneSpec, origins, dirs) -> np.ndarray:
@@ -317,12 +360,11 @@ def _sorted_hits(scene: SceneSpec, origins, dirs, s_max: float) -> tuple:
     """
     o = np.asarray(origins, dtype=float).reshape(-1, 3)
     d = np.asarray(dirs, dtype=float).reshape(-1, 3)
-    dist, denom = _distances(o, d, scene.rects)
-    dist[~(dist <= s_max)] = np.inf   # a NaN s_max keeps no hit
+    dist, denom = _distances(o, d, scene.rects, s_max)
     order = dist.argsort(axis=1, kind="stable")
     drops = np.arccos(np.minimum(np.abs(denom), 1.0)) > scene.oblique_limits
-    rows = np.arange(len(order))[:, None]
-    return dist[rows, order], order, drops[rows, order]
+    pick = np.arange(len(dist))[:, None] * dist.shape[1] + order   # flat indices
+    return dist.take(pick), order, drops.take(pick)
 
 
 def ray_hits(scene: SceneSpec, origin, direction, s_max: float) -> list:
@@ -386,13 +428,13 @@ def _trace_frame(scene: SceneSpec, rays, s_max: float) -> tuple:
     return probabilities and drop flags, and their hit counts).
     """
     dist, order, drops = _sorted_hits(scene, *rays, s_max)
-    probs = scene.return_probs[order]
+    probs = scene.return_probs.take(order)
     n_hits = np.count_nonzero(dist < np.inf, axis=1)
-    certain = (n_hits > 0) & (probs[:, 0] == 1.0)
-    returned = np.zeros(len(dist), dtype=bool)
-    returned[certain] = ~drops[certain, 0]
+    hit = dist[:, 0] < np.inf
+    certain = hit & (probs[:, 0] == 1.0)
+    returned = certain & ~drops[:, 0]
     ranges = np.where(returned, dist[:, 0], 0.0)
-    index = np.flatnonzero((n_hits > 0) & ~certain)
+    index = np.flatnonzero(hit ^ certain)
     return ranges, returned, (index, dist[index], probs[index], drops[index], n_hits[index])
 
 

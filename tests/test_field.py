@@ -26,7 +26,7 @@ class QuadGrid(SampleGrid):
     deltas: np.ndarray | None = None
 
     def __post_init__(self):
-        super().__post_init__()
+        self.gammas = np.asarray(self.gammas, dtype=float)
         self.deltas = np.asarray(trapezoid_deltas(self.gammas) if self.deltas is None
                                  else self.deltas, dtype=float)
 
@@ -117,7 +117,7 @@ def near_step_trace(jumps, s_max, eps=1e-6):
     if gammas[-1] < s_max:
         gammas.append(s_max)
         cdf.append(level)
-    return CdfTrace(QuadGrid(gammas), cdf)
+    return CdfTrace(QuadGrid(gammas), np.array(cdf))
 
 
 class TestSampleGrid:

@@ -23,7 +23,8 @@ from plink.pipeline import build_rays, resample_path
 from plink.sampler import (fine_grid_rows, histogram_from_heights, histogram_vjp,
                            quantile_points, uniform_bin_edges)
 from plink.sensor import SensorIntrinsics, read_poses
-from plink.simscene import generate_dataset, load_scene, trace_true_cdf
+from plink.simscene import (SceneSpec, SceneSurface, generate_dataset, load_scene,
+                            trace_true_cdf)
 from tests.test_field import (QuadGrid, SigmaTrace, cumulative_from_sigma, near_step_trace,
                               uniform_grid)
 from tests.test_sampler import ProposalHistogram
@@ -614,25 +615,36 @@ class TestBatchedAgainstPerRay:
             assert (mean[i], mean_sq[i]) == want
 
 
-def panel_rays(seed):
-    """The shipped scene's rays through its p = 0.5 panel, 20 returns each.
+def panel_rays(seed, scene=None, truth_cdf=(0.5, 1.0)):
+    """The rays of a scene, by default the shipped one, whose exact cdf is
+    ``truth_cdf``: on the shipped scene the rays through its p = 0.5 panel,
+    20 returns each.
 
     The static path resampled to 20 frames of one beam at elevation 0 by 64
-    azimuths, pooled by `build_rays`. Returns (ranges (R, 20), phantom
-    windows (R, 2)): a ray's window runs from 0.5 m past the panel's jump in
-    its exact cdf to 0.5 m short of the wall's.
+    azimuths, pooled by `build_rays`. Returns (ranges (R, 20), the jump
+    locations (R, J) of the rays' exact cdfs).
     """
-    scene = load_scene(shipped_file("panel_room.txt"))
+    scene = scene or load_scene(shipped_file("panel_room.txt"))
     path = resample_path(read_poses(shipped_file("static_path.csv")), 20)
     intrinsics = SensorIntrinsics(np.array([0.0]), 64, 20.0)
     rays = build_rays(generate_dataset(scene, path, intrinsics, seed))
-    ranges, windows = [], []
+    ranges, jumps = [], []
     for i in range(len(rays)):
         truth = trace_true_cdf(scene, rays[i])
-        if np.array_equal(truth.cdf, [0.5, 1.0]):
+        if np.array_equal(truth.cdf, truth_cdf):
             ranges.append(rays.ranges[i])
-            windows.append(truth.grid.gammas + [0.5, -0.5])
-    return np.array(ranges), np.array(windows)
+            jumps.append(truth.grid.gammas)
+    return np.array(ranges), np.array(jumps)
+
+
+def three_return_scene():
+    """The shipped scene with a second p = 0.5 panel at x = 6.5 m, wide
+    enough that every ray through the first panel crosses it: such a ray
+    returns at 4, 6.5 and 9 m with probabilities 0.5, 0.25 and 0.25."""
+    shipped = load_scene(shipped_file("panel_room.txt"))
+    panel = SceneSurface(np.array([6.5, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]),
+                         np.array([2.6, 1.0]), 0.5)
+    return SceneSpec(shipped.surfaces + [panel], shipped.bounds)
 
 
 def adam_step(theta, g, m, v, t, lr=0.05):
@@ -687,7 +699,8 @@ def test_step_mismatch_fits_the_panel_where_depth_l2_puts_a_phantom():
     # phantom mass 0.017 against 0.354-0.371, and the step mismatch fit
     # within 0.065-0.067 m (W1) of counts / K. Thresholds were fixed before
     # the margins were seen.
-    ranges, windows = panel_rays(seed=1)
+    ranges, jumps = panel_rays(seed=1)
+    windows = jumps + [0.5, -0.5]
     assert ranges.shape == (7, 20) and np.all(ranges < np.inf)
     knots = np.linspace(0.0, 20.0, 130)[1:]
     fits = {loss: fit_free_field(ranges, knots, loss == "depth_l2")
@@ -699,6 +712,38 @@ def test_step_mismatch_fits_the_panel_where_depth_l2_puts_a_phantom():
     empirical = measurement_counts(ranges, knots) / ranges.shape[1]
     w1 = np.sum(np.abs(cdf / cdf[:, -1:] - empirical) * trapezoid_deltas(knots), axis=1)
     assert np.median(w1) <= 0.15, w1
+
+
+def window_masses(cdf, knots, centres, half_width):
+    """Each ray's cdf mass within ``half_width`` of each of its ``centres``
+    (R, J) over its total mass, (R, J), the cdf taken linear between the
+    knots."""
+    return np.array([[np.diff(np.interp([x - half_width, x + half_width], knots, c))[0] / c[-1]
+                      for x in row] for c, row in zip(cdf, centres)])
+
+
+def test_step_mismatch_resolves_three_returns_where_depth_l2_does_not():
+    # A second p = 0.5 panel behind the first: each of the 7 rays through
+    # both panels returns from the planes x = 4, 6.5 and 9 m with
+    # probabilities 0.5, 0.25 and 0.25, so the truth has one answer at each
+    # of three depths. Fitted free fields, as in the phantom test: the step
+    # mismatch's median mass within 0.4 m of each of a ray's three jumps
+    # lies within 0.15 of its probability, with at most 0.1 outside the
+    # three windows; depth-L2's fit leaves at least 0.2 outside them.
+    # Thresholds were fixed before the first run; CHANGES.md records data
+    # seeds 1-5.
+    ranges, jumps = panel_rays(1, three_return_scene(), (0.5, 0.75, 1.0))
+    assert ranges.shape == (7, 20) and np.all(ranges < np.inf)
+    assert jumps[0].tolist() == [4.0, 6.5, 9.0]      # the ray along x
+    knots = np.linspace(0.0, 20.0, 130)[1:]
+    masses = {}
+    for loss in ("step_mismatch", "depth_l2"):
+        cdf = fit_free_field(ranges, knots, loss == "depth_l2")
+        masses[loss] = window_masses(cdf, knots, jumps, 0.4)
+    plink = np.median(masses["step_mismatch"], axis=0)
+    outside = {loss: np.median(1.0 - m.sum(axis=1)) for loss, m in masses.items()}
+    assert np.all(np.abs(plink - [0.5, 0.25, 0.25]) <= 0.15), plink
+    assert outside["step_mismatch"] <= 0.1 and outside["depth_l2"] >= 0.2, outside
 
 
 def hinge_proposal(target, edges):
@@ -733,7 +778,7 @@ def test_the_mass_target_gives_the_panel_its_bin_where_todays_target_does_not():
     # on data seeds 1-5: the panel's bin gets 0.427-0.526 of the proposal
     # with the mass target and 0.063-0.086 with today's. Thresholds were
     # fixed before any margin was seen.
-    ranges, windows = panel_rays(seed=1)
+    ranges, jumps = panel_rays(seed=1)
     knots = np.linspace(0.0, 20.0, 129)[1:]     # every fourth knot is a bin edge
     edges = uniform_bin_edges(20.0, 32)
     sigma = free_field_sigma(ranges, knots, depth_l2=False)
@@ -742,7 +787,7 @@ def test_the_mass_target_gives_the_panel_its_bin_where_todays_target_does_not():
     cdf = cdf_from_sigma_values(sigma, deltas)[0]
     targets = {"today": today / today.sum(axis=1, keepdims=True),
                "mass": mass_target(cdf)}
-    panel_bin = ((windows[:, 0] - 0.5) // (edges[1] - edges[0])).astype(int)[:, None]
+    panel_bin = (jumps[:, 0] // (edges[1] - edges[0])).astype(int)[:, None]
     share = {name: np.median(np.take_along_axis(hinge_proposal(target, edges), panel_bin, 1))
              for name, target in targets.items()}
     assert share["mass"] >= 0.30 and share["today"] <= 0.15, share
@@ -780,12 +825,11 @@ def test_continuous_inversion_resolves_the_panel_where_quantile_points_repeat_kn
     # the proposal's cdf spreads them through the bin. The render grid is
     # `fine_grid_rows` of the points and the 33 edges. Thresholds were fixed
     # before any value was seen; CHANGES.md has seeds 1-5.
-    ranges, windows = panel_rays(seed=1)
+    ranges, jumps = panel_rays(seed=1)     # the exact cdf's jumps are 0.5 each
     knots = np.linspace(0.0, 20.0, 129)[1:]
     edges = uniform_bin_edges(20.0, 32)
     cdf = fit_free_field(ranges, knots, depth_l2=False)
     masses = hinge_proposal(mass_target(cdf), edges)
-    jumps = windows + [-0.5, 0.5]       # the exact cdf's jumps, 0.5 each (`panel_rays`)
     grids = {name: fine_grid_rows(place(masses, edges, 32), edges)
              for name, place in (("quantile", quantile_points), ("inverted", inverted_points))}
     repeats = {name: np.count_nonzero(np.diff(grid, axis=1) == 0.0, axis=1)

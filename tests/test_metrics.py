@@ -1,8 +1,12 @@
 """Cloud metrics: the exact nearest-neighbor scan against scipy's k-d tree,
 bit for bit, across block edges, coincident points, 1-point clouds and far
-offsets; PLY round trips and vertex property names."""
+offsets; PLY round trips and vertex property names. The distances between
+return distributions on hand-built jump lists, and against the
+benchmark's own definitions."""
 
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,11 @@ from scipy.spatial import cKDTree
 
 from plink import metrics
 from plink.errors import InvalidInputError
+from plink.field import CdfTrace, SampleGrid
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import checks  # noqa: E402
 
 
 def tree_nn(queries, targets):
@@ -111,3 +120,74 @@ def test_read_ply_skips_the_rows_of_elements_before_the_vertex_element(tmp_path)
                     "property float x\nproperty float y\nproperty float z\n"
                     "end_header\n3 0 1 2\n7 8 9\n")
     np.testing.assert_array_equal(metrics.read_ply(path).points, [[7, 8, 9]])
+
+
+# -- distances between return distributions ---------------------------------------
+
+
+def jumps(*pairs):
+    """A jump-list trace from (distance, cdf after the jump) pairs."""
+    return CdfTrace(SampleGrid(np.array([d for d, _ in pairs], dtype=float)),
+                    np.array([c for _, c in pairs], dtype=float))
+
+
+# Right-continuous: a distance exactly on a jump reads the cdf after it.
+@pytest.mark.parametrize("trace, s, want", [
+    (jumps((4.0, 0.5)), [0.0, 3.999, 4.0, 4.001, 20.0], [0.0, 0.0, 0.5, 0.5, 0.5]),
+    (jumps((4.0, 0.5), (9.0, 1.0)), [4.0 - 1e-12, 4.0, 6.5, 9.0, 12.0],
+     [0.0, 0.5, 0.5, 1.0, 1.0]),
+    (jumps((4.0, 0.5), (9.0, 0.5)), [3.0, 4.0, 9.0, 10.0], [0.0, 0.5, 0.5, 0.5]),
+    (jumps(), [0.0, 4.0, 20.0], [0.0, 0.0, 0.0]),
+], ids=["one-jump", "two-jumps", "zero-height-jump", "empty"])
+def test_true_cdf_on_reads_the_jump_list(trace, s, want):
+    got = metrics.true_cdf_on(trace, np.array(s))
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("trace, model, want", [
+    (jumps((4.0, 1.0)), 0.0, 6.0),          # cells 4..9 read 1
+    (jumps((4.0, 1.0)), None, 0.0),         # the model is the truth
+    (jumps((4.0, 0.5), (9.0, 1.0)), 0.5, 0.5 * 4 + 0.0 * 5 + 0.5 * 1),
+    (jumps((4.0, 0.5), (9.0, 0.5)), 0.0, 0.5 * 6),
+    (jumps(), 0.25, 0.25 * 10),             # an empty trace reads 0 everywhere
+], ids=["one-jump", "exact-model", "two-jumps", "zero-height-jump", "empty"])
+def test_w1_grid_on_unit_cells(trace, model, want):
+    # Ten 1 m cells over [0, 10] m; every jump lies on a cell edge, so the
+    # midpoint rule is exact.
+    grid = np.arange(10) + 0.5
+    model_cdf = (metrics.true_cdf_on(trace, grid) if model is None
+                 else np.full(10, model))[None]
+    got = metrics.w1_grid(model_cdf, grid, 1.0, [trace])
+    assert got.shape == (1,)
+    assert got[0] == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("outcomes, trace, want", [
+    ([4.0, None], jumps((4.0, 0.5)), 0.0),
+    ([9.0, 9.0], jumps((4.0, 0.5), (9.0, 1.0)), 0.5 * 5),
+    ([4.0, 9.0, None, None], jumps((4.0, 0.5), (9.0, 1.0)), 0.25 * 5 + 0.5 * 11),
+    ([None, None], jumps((4.0, 0.5), (9.0, 0.5)), 0.5 * 16),
+    ([None, 2.0], jumps(), 0.5 * 18),
+    ([None], jumps(), 0.0),
+], ids=["one-jump", "two-jumps", "drops", "zero-height-jump", "empty-trace",
+        "empty-and-dropped"])
+def test_w1_empirical_is_exact(outcomes, trace, want):
+    assert metrics.w1_empirical(outcomes, trace, 20.0) == pytest.approx(want, abs=1e-12)
+
+
+def test_w1_matches_the_benchmark_checks():
+    # perfbench/checks.py scores traces with at least one jump the same way.
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        knots = np.unique(rng.choice(np.arange(1.0, 20.0, 0.5), size=rng.integers(1, 5)))
+        trace = jumps(*zip(knots, np.cumsum(rng.dirichlet(np.ones(knots.size + 1))[:-1])))
+        grid = (np.arange(64) + 0.5) * (20.0 / 64)
+        model_cdf = np.sort(rng.random((3, 64)), axis=1)
+        np.testing.assert_array_equal(metrics.true_cdf_on(trace, grid),
+                                      checks.true_cdf_on(trace, grid))
+        np.testing.assert_array_equal(metrics.w1_grid(model_cdf, grid, 20.0 / 64, [trace] * 3),
+                                      checks.w1_grid(model_cdf, grid, 20.0 / 64, [trace] * 3))
+        outcomes = [float(rng.choice(knots)) if rng.random() < 0.7 else None for _ in range(9)]
+        assert (metrics.w1_empirical(outcomes, trace, 20.0)
+                == checks.w1_empirical(outcomes, trace, 20.0))

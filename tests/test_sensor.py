@@ -6,7 +6,8 @@ bytes, its round trip and each input its reader refuses.
 boundary poses' quaternions and one validated `Pose` per azimuth step, and
 `scalar_matrix` turns a quaternion into a rotation one entry at a time.
 The package computes the poses only stacked, and must match both bit for
-bit.
+bit. The ray generator also matches its reference form
+(`tests.simulator_reference`) byte for byte, signed zeros included.
 """
 
 import csv
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from plink import pipeline, sensor
 from plink.config import RunConfig, intrinsics_from_config
 from plink.errors import InvalidInputError
+from tests import simulator_reference as reference
 from tests.test_simscene import shipped_file
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
@@ -254,6 +256,72 @@ class TestRayDirections:
         frame = moving_frame()
         _, dirs = sensor.ray_directions(frame.intrinsics, frame)
         np.testing.assert_allclose(np.linalg.norm(dirs, axis=-1), 1.0, atol=1e-12)
+
+
+def quaternions():
+    """Unit and non-unit quaternions, with signed zeros and near-identity ones."""
+    component = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-1.0, 1.0)
+    return st.tuples(st.lists(component, min_size=4, max_size=4),
+                     st.floats(-3.0, 3.0)).map(lambda c: np.array(c[0]) * 10.0 ** c[1]).filter(
+        lambda q: 1e-150 < np.sqrt(np.sum(q * q)) < 1e150)
+
+
+def assert_rays_as_reference(frame):
+    for got, want in zip(sensor.ray_directions(frame.intrinsics, frame),
+                         reference.ray_directions(frame.intrinsics, frame)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(quaternions(), quaternions(), st.sampled_from(["rest", "scaled", "turn", "move"]),
+           st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6),
+           st.integers(1, 6), st.integers(1, 100), st.integers(0, 2 ** 32 - 1))
+    def test_ray_directions_on_random_frames(self, q0, q1, kind, t, n_beams, n_az, seed):
+        # At rest both poses agree. The scaled end pose's quaternion is the
+        # start's times -2.5, whose matrix may differ in the last bit; a
+        # turn keeps the translation, and a move changes both.
+        elevations = np.sort(np.random.default_rng(seed).uniform(-1.5, 1.5, n_beams))
+        assume(np.all(np.diff(elevations) > 0.0))
+        intr = sensor.SensorIntrinsics(elevations, n_az, 20.0)
+        start = sensor.Pose(q0, np.array(t[:3]), 0.0)
+        end = sensor.Pose({"rest": q0, "scaled": -2.5 * q0}.get(kind, q1),
+                          np.array(t[3:] if kind == "move" else t[:3]), 0.25)
+        shape = (n_beams, n_az)
+        assert_rays_as_reference(sensor.ScanFrame(intr, start, end, np.zeros(shape),
+                                                  np.zeros(shape, dtype=bool)))
+        assert start.rotation.tobytes() == reference.matrix_from_quat(q0).tobytes()
+        fractions = np.arange(n_az) / n_az
+        for got, want in zip(sensor.motion_compensate(start, end, fractions),
+                             reference.motion_compensate(start, end, fractions)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name, n_frames", [("moving_path.csv", 20), ("static_path.csv", 3)])
+    @pytest.mark.parametrize("elevations, n_az", [([0.0], 24), ([-0.09, -0.03, 0.03, 0.09], 64)])
+    def test_ray_directions_on_the_shipped_paths(self, name, n_frames, elevations, n_az):
+        path = pipeline.resample_path(sensor.read_poses(shipped_file(name)), n_frames)
+        intr = sensor.SensorIntrinsics(elevations, n_az, 20.0)
+        shape = (intr.n_beams, n_az)
+        for start, end in zip(path, path[1:]):
+            assert_rays_as_reference(sensor.ScanFrame(intr, start, end, np.zeros(shape),
+                                                      np.zeros(shape, dtype=bool)))
+
+    def test_near_identical_rotations_take_the_reference_linear_branch(self):
+        start = sensor.Pose(IDENTITY, np.zeros(3), 0.0)
+        end = sensor.Pose(np.array([1.0, 1e-7, 0.0, 0.0]), np.ones(3), 1.0)
+        intr = sensor.SensorIntrinsics([-0.2, 0.3], 17, 20.0)
+        assert_rays_as_reference(sensor.ScanFrame(intr, start, end, np.zeros((2, 17)),
+                                                  np.zeros((2, 17), dtype=bool)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(quaternions(), min_size=1, max_size=40))
+    def test_matrix_from_quat_on_stacks(self, qs):
+        qs = np.array(qs)
+        for q in (qs, qs[0], qs.reshape(1, -1, 4)):
+            got, want = sensor.matrix_from_quat(q), reference.matrix_from_quat(q)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
 
 
 # -- file writers ------------------------------------------------------------------

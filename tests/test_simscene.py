@@ -1,6 +1,7 @@
 """Scene simulator: the batched ray x surface kernel against a scalar oracle,
 the single-ray walk against the kernel, exact cdfs, pulse draws, dataset
-generation and the shipped scene."""
+generation and the shipped scene; scene packing and frame tracing byte for
+byte against their reference forms (`tests.simulator_reference`)."""
 
 import hashlib
 import warnings
@@ -13,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plink import sensor, simscene
+from plink.config import fill, read_sections
 from plink.errors import InvalidInputError
 from plink.field import Ray
 from plink.pipeline import resample_path
+from tests import simulator_reference as reference
 from tests.test_sampler import numpy_stream
 
 SCENE = "panel_room.txt"
@@ -187,18 +190,29 @@ def oblique_limit(rng):
     return np.pi / 2 if rng.random() < 0.5 else rng.uniform(0.3, np.pi / 2)
 
 
-def mixed_scene(rng, n_rects, n_boxes):
+def mixed_parameters(rng, n_rects, n_boxes):
     """Tilted rects and axis-aligned boxes with random extents, return
     probabilities and oblique limits, half of them right angles, so that a
-    ray's hits may all be on surfaces that never drop; the first surface is
-    doubled in place."""
-    surfaces = [simscene.SceneSurface(rng.uniform(-4.0, 4.0, 3), normal,
-                                      rng.uniform(0.3, 3.0, 2), rng.uniform(0.05, 1.0),
-                                      oblique_limit(rng))
-                for normal in unit(rng.normal(size=(n_rects, 3)))]
-    for _ in range(n_boxes):
-        surfaces += simscene.box_faces(rng.uniform(-4.0, 1.0, 3), rng.uniform(0.5, 3.0, 3),
-                                       rng.uniform(0.05, 1.0), oblique_limit(rng))
+    ray's hits may all be on surfaces that never drop: (kind, arguments)
+    pairs for `build`."""
+    parts = [("rect", (rng.uniform(-4.0, 4.0, 3), normal, rng.uniform(0.3, 3.0, 2),
+                       rng.uniform(0.05, 1.0), oblique_limit(rng)))
+             for normal in unit(rng.normal(size=(n_rects, 3)))]
+    return parts + [("box", (rng.uniform(-4.0, 1.0, 3), rng.uniform(0.5, 3.0, 3),
+                             rng.uniform(0.05, 1.0), oblique_limit(rng)))
+                    for _ in range(n_boxes)]
+
+
+def build(parts, surface=simscene.SceneSurface, box_faces=simscene.box_faces) -> list:
+    """The surfaces of `mixed_parameters`' pairs, by the package or by the
+    reference's constructors."""
+    return [s for kind, args in parts
+            for s in ([surface(*args)] if kind == "rect" else box_faces(*args))]
+
+
+def mixed_scene(rng, n_rects, n_boxes):
+    """`mixed_parameters`' scene, its first surface doubled in place."""
+    surfaces = build(mixed_parameters(rng, n_rects, n_boxes))
     if surfaces:
         first = surfaces[0]
         surfaces.append(simscene.SceneSurface(first.origin, -first.normal, first.extent,
@@ -648,6 +662,149 @@ class TestGenerateDataset:
         path = shipped_path("static_path.csv", 2)[::-1]
         with pytest.raises(InvalidInputError, match="end pose must be later"):
             simscene.generate_dataset(scene, path, intrinsics(), seed=1)
+
+
+def same_bytes(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def reference_scene(path):
+    """The reference surfaces of a scene file's sections, and their packing."""
+    top, *sections = read_sections(path, ("surface",), InvalidInputError)
+    surfaces = []
+    for section in sections:
+        kind = section.rows.pop("kind", (0, "rect"))[1]
+        spec = fill(simscene._KINDS[kind][0](), section)
+        oblique = np.deg2rad(spec.oblique_drop_deg)
+        surfaces += ([reference.surface(spec.origin, spec.normal, spec.extent,
+                                        spec.return_prob, oblique)] if kind == "rect" else
+                     reference.box_faces(spec.origin, spec.extent, spec.return_prob, oblique))
+    return surfaces, reference.pack(surfaces)
+
+
+def assert_packed_as_reference(scene, surfaces, packed):
+    """Every surface's arrays and every packed array of ``scene`` equal the
+    reference's byte for byte; -0.0 is not 0.0 here."""
+    assert len(scene.surfaces) == len(surfaces)
+    for got, want in zip(scene.surfaces, surfaces):
+        for name in ("origin", "normal", "extent", "axes"):
+            assert same_bytes(getattr(got, name), want[name]), name
+        assert (got.return_prob, got.oblique_drop_angle) == (want["return_prob"],
+                                                              want["oblique_drop_angle"])
+    origin, normal, axes, reach = packed["rects"]    # (3 or 2, ..., 1, S)
+    assert same_bytes(scene.rects[0:3], origin[:, 0])
+    assert same_bytes(scene.rects[3:6], normal[:, 0])
+    assert same_bytes(scene.rects[6:12].reshape(2, 3, -1), axes[:, :, 0].transpose(1, 0, 2))
+    assert same_bytes(scene.rects[12:14], reach[:, 0])
+    assert same_bytes(np.array(scene.rows).reshape(-1, 16),
+                      np.array(packed["rows"]).reshape(-1, 16))
+    assert same_bytes(scene.return_probs, packed["return_probs"])
+    assert same_bytes(scene.oblique_limits, packed["oblique_limits"])
+
+
+# Tilted rects, one with a signed zero in its normal and one near z, and a
+# box, with oblique limits below a right angle.
+TILTED_SCENE = """bounds = -10 -10 -10 10 10 10
+[surface]
+origin = 2 1 0.5
+normal = 1 0.4 -0.3
+extent = 1.2 0.8
+return_prob = 0.3
+oblique_drop_deg = 45
+[surface]
+origin = -3 2 1
+normal = 0.1 0.2 1
+extent = 0.7 1.9
+return_prob = 0.8
+oblique_drop_deg = 80
+[surface]
+origin = 0 -4 -1
+normal = -0 3 -2
+extent = 2.5 0.4
+[surface]
+kind = box
+origin = -5 -5 -2
+extent = 3 4 2.5
+return_prob = 0.6
+oblique_drop_deg = 30
+"""
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("name", ["shipped", "tilted"])
+    def test_load_scene_packs_as_the_reference(self, tmp_path, name):
+        path = shipped_file(SCENE)
+        if name == "tilted":
+            path = tmp_path / "tilted.txt"
+            path.write_text(TILTED_SCENE)
+        surfaces, packed = reference_scene(path)
+        scene = simscene.load_scene(path)
+        assert_packed_as_reference(scene, surfaces, packed)
+        assert np.min(scene.oblique_limits) < simscene.RIGHT_ANGLE
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=0, max_value=6),
+           st.integers(min_value=0, max_value=3))
+    def test_scene_spec_packs_as_the_reference(self, seed, n_rects, n_boxes):
+        parts = mixed_parameters(np.random.default_rng(seed), n_rects, n_boxes)
+        references = build(parts, reference.surface, reference.box_faces)
+        scene = simscene.SceneSpec(build(parts), ([-10.0] * 3, [10.0] * 3))
+        assert_packed_as_reference(scene, references, reference.pack(references))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_bounds_check_agrees_with_every_reference_corner(self, seed):
+        # Bounds within a few ulps of 1e-9 m from a tilted rect's extreme
+        # corners, on each side: the package checks two corners per surface,
+        # the reference all four.
+        rng = np.random.default_rng(seed)
+        args = (rng.uniform(-3.0, 3.0, 3), unit(rng.normal(size=3)), rng.uniform(0.1, 2.0, 2))
+        corners = reference.pack([reference.surface(*args)])["corners"]
+        lo, hi = corners.min(axis=0) + 1e-9, corners.max(axis=0) - 1e-9
+        for _ in range(rng.integers(0, 3)):
+            lo, hi = np.nextafter(lo, rng.choice([-1.0, 1.0]) * 9.0), np.nextafter(hi, 0.0)
+        inside = not (np.any(corners < lo - 1e-9) or np.any(corners > hi + 1e-9))
+        try:
+            simscene.SceneSpec([simscene.SceneSurface(*args)], (lo, hi))
+        except InvalidInputError as exc:
+            assert not inside and "corners" in str(exc)
+        else:
+            assert inside
+
+    @pytest.mark.parametrize("path, n_frames", [("moving_path.csv", 4), ("static_path.csv", 2)])
+    def test_trace_frame_is_the_reference(self, path, n_frames):
+        scene = shipped_scene()
+        _, packed = reference_scene(shipped_file(SCENE))
+        poses = shipped_path(path, n_frames)
+        for start, end in zip(poses, poses[1:]):
+            frame = sensor.ScanFrame(intrinsics(), start, end, np.zeros((4, 64)),
+                                     np.zeros((4, 64), dtype=bool))
+            rays = sensor.ray_directions(frame.intrinsics, frame)
+            for s_max in (20.0, 6.0, np.nan):
+                assert_traced_as_reference(simscene._trace_frame(scene, rays, s_max),
+                                           reference.trace_frame(packed, rays, s_max))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=1, max_value=6),
+           st.integers(min_value=0, max_value=3))
+    def test_trace_frame_is_the_reference_on_mixed_scenes(self, seed, n_rects, n_boxes):
+        rng = np.random.default_rng(seed)
+        parts = mixed_parameters(rng, n_rects, n_boxes)
+        scene = simscene.SceneSpec(build(parts), ([-10.0] * 3, [10.0] * 3))
+        packed = reference.pack(build(parts, reference.surface, reference.box_faces))
+        rays = edge_seeking_rays(rng, scene, 64)
+        for s_max in (20.0, rng.uniform(0.5, 8.0)):
+            assert_traced_as_reference(simscene._trace_frame(scene, rays, s_max),
+                                       reference.trace_frame(packed, rays, s_max))
+
+
+def assert_traced_as_reference(got, want):
+    got = [got[0], got[1], *got[2]]
+    want = [want[0], want[1], *want[2]]
+    for name, g, w in zip(["ranges", "returned", "index", "distances", "return_probs",
+                           "drops", "hit_counts"], got, want):
+        assert same_bytes(g, w), name
 
 
 class TestShippedScene:
