@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -294,8 +294,10 @@ def read_sections(path, names=(), error=ConfigError) -> list:
 
 def fill(target, section: Section, required=()):
     """Set dataclass ``target``'s fields from ``section`` and return it; any
-    field may appear, and ``required`` must."""
-    allowed = [f.name for f in fields(target)]
+    field may appear, and ``required`` must. The targets declare no ClassVar
+    or InitVar, so their ``__dataclass_fields__`` are their fields, read
+    without `dataclasses.fields`' per-call tuple."""
+    allowed = target.__dataclass_fields__
     for key, (line, raw) in section.rows.items():
         if key not in allowed:
             raise section.fail(f"unknown key {key!r}", line)

@@ -17,14 +17,15 @@ surfaces once, when it is built, into one (S, 16) table in surface order
 (`_surface_table`): origin, unit normal, tangent axes ``u`` and ``v``,
 half-extents widened by the 1e-12 m edge tolerance, return probability and
 oblique limit. Its columns, one contiguous row of S values each, are what
-frames are traced against (``rects``); its rows, as lists of Python floats,
-are what single rays walk (``rows``). ``ray_distances`` tests N rays
-against all S surfaces at once and returns an (N, S) array of path
-distances in surface order, ``inf`` where a ray misses a surface: it runs
-parallel to it, meets its plane at or behind the origin, or passes outside
-its extent. Frames go through that kernel (``_distances``): the plane
-distances of every (ray, surface) pair, the rays along the inner axis, then
-the in-plane test on the pairs whose distance lies in (1e-9, s_max] alone.
+frames are traced against (``rects``); its rows, as Python floats, are what
+single rays walk, each in one of two forms (``walk``, `_walk_forms`).
+``ray_distances`` tests N rays against all S surfaces at once and returns
+an (N, S) array of path distances in surface order, ``inf`` where a ray
+misses a surface: it runs parallel to it, meets its plane at or behind the
+origin, or passes outside its extent. Frames go through that kernel
+(``_distances``): the plane distances of every (ray, surface) pair, the
+rays along the inner axis, then the in-plane test on the pairs whose
+distance lies in (1e-9, s_max] alone.
 ``_sorted_hits`` orders each ray's hits by a stable sort on distance, so
 surfaces at equal distance keep scene order. The kernel's dot products are
 explicit products summed in component order: for axis-aligned normals two
@@ -39,9 +40,17 @@ operations in its order, and a test pins each to that reference byte for
 byte:
 
 - single-ray queries (``ray_hits``, exact cdfs, single-pulse draws and
-  ``SceneSurface.intersect``) walk one row of floats per surface
-  (``_walk``), pinned to ``_sorted_hits``' rows by ``TestWalk``. The walk
-  calls ``np.arccos`` only when some hit's oblique limit is below
+  ``SceneSurface.intersect``) walk each surface in one of two forms
+  (``_walk``), pinned to ``_sorted_hits``' rows by ``TestWalk``. An aligned
+  surface, whose normal, u and v are unit axes (every box face, and every
+  rect with an axis normal), takes its distance in one division and each
+  in-plane test on one component, and the aligned surfaces facing one axis
+  share its parallel test; any other surface runs the kernel's arithmetic
+  in full. For finite geometry, which ``SceneSurface`` and ``box_faces``
+  insist on, the two forms agree bit for bit: the products an aligned
+  surface drops are +-0, adding +-0 leaves a nonzero sum unchanged, and
+  the +-1 factors are exact, their signs cancelling in the division. The
+  walk calls ``np.arccos`` only when some hit's oblique limit is below
   `RIGHT_ANGLE`, an angle no incidence exceeds
   (``test_no_incidence_angle_exceeds_a_right_angle``);
 - a ``SceneSurface`` divides its normal by ``np.linalg.norm``'s
@@ -75,7 +84,6 @@ vector must have the length shown, and a box takes no ``normal``;
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,7 +98,6 @@ from .sensor import (ScanFrame, SensorIntrinsics, check_pose_order, motion_compe
 # The largest incidence angle np.arccos gives for |d . n| in [0, 1]: a hit on
 # a surface whose oblique limit is this angle never drops.
 RIGHT_ANGLE = float(np.arccos(0.0))
-_DISTANCE = operator.itemgetter(0)
 
 
 def _tangent_frame(nx: float, ny: float, nz: float) -> tuple:
@@ -108,12 +115,12 @@ def _tangent_frame(nx: float, ny: float, nz: float) -> tuple:
 
 
 def _surface_table(surfaces) -> np.ndarray:
-    """S surfaces as an (S, 16) table, one row each in ``_walk``'s layout: the
-    origin, the unit normal, u, v, the two half-extents, the return
-    probability and the oblique limit. The half-extents are the surfaces'
-    own; `_add_reach` adds the edge tolerance."""
+    """S surfaces as an (S, 16) table, one row each in ``_walk``'s general
+    layout: the origin, the unit normal, u, v, the two half-extents, the
+    return probability and the oblique limit. The half-extents are the
+    surfaces' own; `_add_reach` adds the edge tolerance."""
     geometry = np.concatenate([part for s in surfaces for part in (
-        s.origin, s.normal, s.axes, s.extent)] + [()], axis=None).reshape(-1, 14)
+        s.origin, s.normal, s.axes.reshape(6), s.extent)] + [()]).reshape(-1, 14)
     reflection = np.array([(s.return_prob, s.oblique_drop_angle) for s in surfaces],
                           dtype=float).reshape(-1, 2)
     return np.concatenate([geometry, reflection], axis=1)
@@ -173,25 +180,81 @@ def _vector(v) -> list:
     return np.asarray(v, dtype=float).reshape(3).tolist()
 
 
-def _walk(rows, origin, direction, s_max: float) -> list:
+# |normal|, |u| and |v| of a surface whose three are unit axes, indexed by
+# their axes: `_walk_forms` compares each surface's to them.
+_UNIT_AXES = np.eye(3)
+
+
+def _walk_forms(table: np.ndarray) -> tuple:
+    """The forms in which ``_walk`` takes the surfaces of ``table``, a
+    `_surface_table` with its reach added: (aligned, general).
+
+    A surface is aligned when its normal, u and v each have exactly one
+    nonzero component, equal to +-1.0: every box face, and every rect with
+    an axis normal. ``aligned[a]`` lists, in surface order, the aligned
+    surfaces whose normal lies on axis a, each as (k, b, c, origin[a],
+    origin[b], origin[c], reach_u, reach_v, return probability, oblique
+    limit), where k is its index and b and c are the axes of its u and v.
+    ``general`` lists every other surface as (k, row), its table row as 16
+    floats.
+    """
+    size = np.abs(table[:, 3:12].reshape(-1, 3, 3))    # |normal|, |u|, |v|
+    axes = size.argmax(axis=2)
+    flags = (size == _UNIT_AXES.take(axes, axis=0)).reshape(-1, 9).all(axis=1).tolist()
+    aligned, general = ([], [], []), []
+    for k, row, flag, (a, b, c) in zip(range(len(flags)), table.tolist(), flags, axes.tolist()):
+        if flag:
+            aligned[a].append((k, b, c, row[a], row[b], row[c], row[12], row[13], row[14],
+                               row[15]))
+        else:
+            general.append((k, row))
+    return aligned, general
+
+
+def _walk(forms, origin, direction, s_max: float) -> list:
     """One ray's hits within ``s_max``, nearest first, as (distance, surface
     index, return probability, drops) tuples.
 
-    ``rows`` is `SceneSpec.rows`, and ``origin`` and ``direction`` are
-    three floats each. Each distance and in-plane test is ``_distances``'s
-    arithmetic in its operation order, on Python floats, so the hits equal a
-    row of ``_sorted_hits`` bit for bit without numpy's fixed per-call cost.
-    The sort is stable, so surfaces at equal distance keep scene order, and a
-    NaN ``s_max`` keeps no hit. The drop flags come from one ``np.arccos``
-    call, as ``math.acos`` may differ from numpy's in the last bit, and only
-    when some hit's oblique limit is below `RIGHT_ANGLE`; otherwise every
-    flag is False, as that call would give.
+    ``forms`` is `SceneSpec.walk` (`_walk_forms`), and ``origin`` and
+    ``direction`` are three floats each. Each distance and in-plane test is
+    ``_distances``'s arithmetic on Python floats, so the hits equal a row of
+    ``_sorted_hits`` bit for bit without numpy's fixed per-call cost. A
+    surface is taken in one of two forms:
+
+    - aligned: its normal is the unit axis a, and its u and v the unit axes
+      b and c. The walk skips the axis when -1e-12 < d_a < 1e-12, takes
+      s = (c_a - o_a) / d_a, and tests |(s d_b + o_b) - c_b| <= reach_u and
+      the same on axis c. For finite geometry this is the general
+      arithmetic bit for bit: each product the general form adds has a
+      zero factor, so it is +-0, and adding +-0 leaves a nonzero sum
+      unchanged. A zero numerator or in-plane term is a miss in both forms,
+      or has abs 0 in both. The +-1 factors are exact, and their signs
+      cancel in the division, so d . n is +-d_a and the drop angle uses
+      |d_a|;
+    - general: ``_distances``'s operations in their order.
+
+    Hits sort on (distance, index), so surfaces at equal distance keep scene
+    order across the two forms, and a NaN ``s_max`` keeps no hit. The drop
+    flags come from one ``np.arccos`` call, as ``math.acos`` may differ from
+    numpy's in the last bit, and only when some hit's oblique limit is below
+    `RIGHT_ANGLE`; otherwise every flag is False, as that call would give.
     """
+    aligned, general = forms
+    hits = []
+    for a, faces in enumerate(aligned):
+        da = direction[a]
+        if -1e-12 < da < 1e-12:
+            continue
+        oa = origin[a]
+        for k, b, c, ca, cb, cc, reach_u, reach_v, prob, limit in faces:
+            s = (ca - oa) / da
+            if (1e-9 < s <= s_max and abs((s * direction[b] + origin[b]) - cb) <= reach_u
+                    and abs((s * direction[c] + origin[c]) - cc) <= reach_v):
+                hits.append((s, k, prob, da, limit))
     ox, oy, oz = origin
     dx, dy, dz = direction
-    hits = []
     for k, (cx, cy, cz, nx, ny, nz, ux, uy, uz, vx, vy, vz, reach_u, reach_v, prob,
-            limit) in enumerate(rows):
+            limit) in general:
         denom = (dx * nx + dy * ny) + dz * nz
         s = (((cx - ox) * nx + (cy - oy) * ny) + (cz - oz) * nz) / (
             denom if abs(denom) >= 1e-12 else math.inf)
@@ -201,7 +264,7 @@ def _walk(rows, origin, direction, s_max: float) -> list:
         if (abs((px * ux + py * uy) + pz * uz) <= reach_u
                 and abs((px * vx + py * vy) + pz * vz) <= reach_v):
             hits.append((s, k, prob, denom, limit))
-    hits.sort(key=_DISTANCE)
+    hits.sort()
     if all(hit[4] >= RIGHT_ANGLE for hit in hits):   # no hit can drop
         return [(s, k, prob, False) for s, k, prob, _, _ in hits]
     angles = np.arccos([min(abs(hit[3]), 1.0) for hit in hits]).tolist()
@@ -230,23 +293,25 @@ class SceneSurface:
     axes: np.ndarray = field(init=False, repr=False)  # rows u, v: axes of extent
 
     def __post_init__(self):
-        self.origin = np.asarray(self.origin, dtype=float)
+        self.origin = np.asarray(self.origin, dtype=float).reshape(3)   # (3,) or (1, 3) given
         normal = np.asarray(self.normal, dtype=float)
         self.extent = np.asarray(self.extent, dtype=float)
+        if not all(map(math.isfinite, self.origin.tolist())):
+            raise InvalidInputError("origin must be finite")
         norm = math.sqrt(normal.dot(normal))     # np.linalg.norm's sqrt(dot)
         if not (0.0 < norm < math.inf):
             raise InvalidInputError("surface normal must be nonzero and finite")
         unit = [c / norm for c in normal.tolist()]
         self.normal = np.array(unit)
         _check_reflection(self.return_prob, self.oblique_drop_angle)
-        if any(e <= 0.0 for e in self.extent.tolist()):
-            raise InvalidInputError("extent must be positive")
+        if not all(0.0 < e < math.inf for e in self.extent.tolist()):
+            raise InvalidInputError("extent must be positive and finite")
         self.axes = np.array(_tangent_frame(*unit))
 
     def intersect(self, origin: np.ndarray, direction: np.ndarray):
         """Path distance to the rectangle, or None when the ray misses it."""
-        rows = _add_reach(_surface_table([self])).tolist()
-        hits = _walk(rows, _vector(origin), _vector(direction), math.inf)
+        forms = _walk_forms(_add_reach(_surface_table([self])))
+        hits = _walk(forms, _vector(origin), _vector(direction), math.inf)
         return hits[0][0] if hits else None
 
     def incidence_angle(self, direction: np.ndarray) -> float:
@@ -268,11 +333,13 @@ _BOX_AXES = [(k // 2, *np.abs(frame).argmax(axis=1).tolist())
 def box_faces(min_corner, size, return_prob=1.0, oblique_drop_angle=np.pi / 2) -> list:
     """Six rectangle faces of an axis-aligned box, -x, +x, -y, +y, -z, +z.
 
-    The box is checked once, as `SceneSurface` checks a rect, and its faces
-    are built from its floats: a face's normal is a unit axis and its
-    tangent frame is the axis's, so no face is normalised or checked again.
-    A face's extent is the box's half-sizes along its u and v axes. The
-    faces' arrays are rows of one array per box and kind.
+    The box is checked once, as `SceneSurface` checks a rect: its half-sizes
+    positive and finite, and its two corners and its centre finite, so that
+    no face holds an inf or a NaN. Its faces are built from its floats: a
+    face's normal is a unit axis and its tangent frame is the axis's, so no
+    face is normalised or checked again. A face's extent is the box's
+    half-sizes along its u and v axes. The faces' arrays are rows of one
+    array per box and kind.
     """
     lo = [float(c) for c in min_corner]
     size = [float(c) for c in size]
@@ -280,8 +347,10 @@ def box_faces(min_corner, size, return_prob=1.0, oblique_drop_angle=np.pi / 2) -
     center = [0.5 * (a + b) for a, b in zip(lo, hi)]
     half = [0.5 * b for b in size]
     _check_reflection(return_prob, oblique_drop_angle)
-    if any(e <= 0.0 for e in half):
-        raise InvalidInputError("extent must be positive")
+    if not all(0.0 < e < math.inf for e in half):
+        raise InvalidInputError("extent must be positive and finite")
+    if not all(map(math.isfinite, lo + hi + center)):
+        raise InvalidInputError("box corners must be finite")
     origins, extents = [], []
     for k, (axis, u, v) in enumerate(_BOX_AXES):
         origin = list(center)
@@ -304,23 +373,24 @@ class SceneSpec:
 
     The surfaces are packed when the spec is built, one entry per surface in
     list order, into one (S, 16) table (`_surface_table`, its half-extents
-    widened by the 1e-12 m edge tolerance): its rows as lists of Python
-    floats, which single rays walk (``rows``), and its columns as contiguous
-    rows of S values, which frames are traced against (``rects``). Build a
-    new spec instead of editing ``surfaces`` in place.
+    widened by the 1e-12 m edge tolerance): its rows in the aligned and
+    general forms that single rays walk (``walk``, `_walk_forms`), and its
+    columns as contiguous rows of S values, which frames are traced against
+    (``rects``). Build a new spec instead of editing ``surfaces`` in
+    place.
     """
 
     surfaces: list
     bounds: tuple
     rects: np.ndarray = field(init=False, repr=False)         # (16, S): the table's columns
-    rows: list = field(init=False, repr=False)                # S lists of 16 floats
+    walk: tuple = field(init=False, repr=False)               # `_walk_forms`' two forms
     return_probs: np.ndarray = field(init=False, repr=False)  # (S,)
     oblique_limits: np.ndarray = field(init=False, repr=False)  # (S,)
 
     def __post_init__(self):
         lo, hi = (np.asarray(b, dtype=float) for b in self.bounds)
         self.bounds = (lo, hi)
-        if (hi <= lo).any():
+        if np.count_nonzero(hi <= lo):      # count_nonzero: `any` at a third of its cost
             raise InvalidInputError("bounds must have positive extent")
         table = _surface_table(self.surfaces)
         # A corner is origin +- e_u u +- e_v v, summed in that order; rounding
@@ -328,10 +398,10 @@ class SceneSpec:
         # these two.
         origin, half_u, half_v = (table[:, 0:3], np.abs(table[:, 12:13] * table[:, 6:9]),
                                   np.abs(table[:, 13:14] * table[:, 9:12]))
-        if (((origin - half_u) - half_v < lo - 1e-9).any()
-                or ((origin + half_u) + half_v > hi + 1e-9).any()):
+        if (np.count_nonzero((origin - half_u) - half_v < lo - 1e-9)
+                or np.count_nonzero((origin + half_u) + half_v > hi + 1e-9)):
             raise InvalidInputError("all surface corners must lie inside the bounds")
-        self.rows = _add_reach(table).tolist()
+        self.walk = _walk_forms(_add_reach(table))
         self.rects = np.ascontiguousarray(table.T)
         self.return_probs, self.oblique_limits = self.rects[14], self.rects[15]
 
@@ -373,7 +443,7 @@ def ray_hits(scene: SceneSpec, origin, direction, s_max: float) -> list:
     The sort is stable: surfaces at equal distance keep scene order.
     """
     return [(s, scene.surfaces[k])
-            for s, k, _, _ in _walk(scene.rows, _vector(origin), _vector(direction), s_max)]
+            for s, k, _, _ in _walk(scene.walk, _vector(origin), _vector(direction), s_max)]
 
 
 def trace_true_cdf(scene: SceneSpec, ray: Ray) -> CdfTrace:
@@ -388,7 +458,7 @@ def trace_true_cdf(scene: SceneSpec, ray: Ray) -> CdfTrace:
     distances, values = [], []
     reach = 1.0
     total = 0.0
-    for s, _, prob, dropped in _walk(scene.rows, ray.origin.tolist(),
+    for s, _, prob, dropped in _walk(scene.walk, ray.origin.tolist(),
                                      ray.direction.tolist(), ray.s_max):
         if not dropped:
             total += reach * prob
@@ -413,7 +483,7 @@ def _first_reflection(hits, rng):
 
 def sample_return(scene: SceneSpec, ray: Ray, rng):
     """One stochastic pulse outcome: a range in meters, or None for a drop."""
-    hits = _walk(scene.rows, ray.origin.tolist(), ray.direction.tolist(), ray.s_max)
+    hits = _walk(scene.walk, ray.origin.tolist(), ray.direction.tolist(), ray.s_max)
     return _first_reflection([(s, prob, dropped) for s, _, prob, dropped in hits], rng)
 
 

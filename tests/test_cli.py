@@ -9,6 +9,7 @@ message, main where the C library has no mallopt, the ``python -m
 plink.cli`` entry point, and gen, train, render and eval in an interpreter
 where scipy cannot be imported."""
 
+import dataclasses
 import json
 import os
 import struct
@@ -232,6 +233,13 @@ def test_bad_config_exits_2(tmp_path, capsys, text, message):
     assert code == cli.EXIT_CONFIG
     assert err.startswith("invalid config:") and message in err
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("target", [RunConfig, simscene._Bounds, simscene._Rect, simscene._Box])
+def test_fill_targets_declare_only_plain_fields(target):
+    # config.fill takes a target's __dataclass_fields__ for its fields, which
+    # holds only while no ClassVar or InitVar is declared.
+    assert list(target.__dataclass_fields__) == [f.name for f in dataclasses.fields(target)]
 
 
 @pytest.mark.parametrize("argv", [

@@ -115,8 +115,10 @@ class TestRayDistances:
         np.testing.assert_array_equal(got, want)
 
     def test_intersect_goes_through_the_kernel(self):
+        # Tilted rects and rects with an axis normal: both walk forms.
         rng = np.random.default_rng(13)
-        scene = random_scene(rng, unit(rng.normal(size=(5, 3))))
+        normals = np.vstack([unit(rng.normal(size=(5, 3))), np.eye(3), -np.eye(3)])
+        scene = random_scene(rng, normals)
         origins, dirs = random_rays(rng, scene, 50)
         table = simscene.ray_distances(scene, origins, dirs)
         for r, (o, d) in enumerate(zip(origins, dirs)):
@@ -174,7 +176,7 @@ def assert_walk_equals_batch(scene, origins, dirs, s_max):
     dist, order, drops = simscene._sorted_hits(scene, origins, dirs, s_max)
     walks = []
     for i, (o, d) in enumerate(zip(origins.tolist(), dirs.tolist())):
-        hits = simscene._walk(scene.rows, o, d, s_max)
+        hits = simscene._walk(scene.walk, o, d, s_max)
         k = len(hits)
         assert np.isinf(dist[i, k:]).all()
         assert np.array([h[0] for h in hits], dtype=float).tobytes() == dist[i, :k].tobytes()
@@ -190,14 +192,24 @@ def oblique_limit(rng):
     return np.pi / 2 if rng.random() < 0.5 else rng.uniform(0.3, np.pi / 2)
 
 
+def rect_normal(rng):
+    """A unit axis of either sign, which walks in the aligned form, or else a
+    random unit normal, which walks in the general form."""
+    if rng.random() < 0.5:
+        return unit(rng.normal(size=3))
+    normal = np.zeros(3)
+    normal[rng.integers(3)] = rng.choice([-1.0, 1.0])
+    return normal
+
+
 def mixed_parameters(rng, n_rects, n_boxes):
-    """Tilted rects and axis-aligned boxes with random extents, return
-    probabilities and oblique limits, half of them right angles, so that a
-    ray's hits may all be on surfaces that never drop: (kind, arguments)
-    pairs for `build`."""
-    parts = [("rect", (rng.uniform(-4.0, 4.0, 3), normal, rng.uniform(0.3, 3.0, 2),
+    """Rects, tilted or with an axis normal, and axis-aligned boxes with
+    random extents, return probabilities and oblique limits, half of them
+    right angles, so that a ray's hits may all be on surfaces that never
+    drop: (kind, arguments) pairs for `build`."""
+    parts = [("rect", (rng.uniform(-4.0, 4.0, 3), rect_normal(rng), rng.uniform(0.3, 3.0, 2),
                        rng.uniform(0.05, 1.0), oblique_limit(rng)))
-             for normal in unit(rng.normal(size=(n_rects, 3)))]
+             for _ in range(n_rects)]
     return parts + [("box", (rng.uniform(-4.0, 1.0, 3), rng.uniform(0.5, 3.0, 3),
                              rng.uniform(0.05, 1.0), oblique_limit(rng)))
                     for _ in range(n_boxes)]
@@ -210,20 +222,36 @@ def build(parts, surface=simscene.SceneSurface, box_faces=simscene.box_faces) ->
             for s in ([surface(*args)] if kind == "rect" else box_faces(*args))]
 
 
+def general_twin(surface, rng):
+    """``surface``, whose normal is a unit axis, with +-1e-17 in one of its
+    normal's zero components: the same rect to the last bit of most
+    distances, but in the general walk form."""
+    normal = surface.normal.copy()
+    normal[rng.choice(np.flatnonzero(normal == 0.0))] = rng.choice([-1e-17, 1e-17])
+    return simscene.SceneSurface(surface.origin, normal, surface.extent, rng.uniform(0.05, 1.0),
+                                 oblique_limit(rng))
+
+
 def mixed_scene(rng, n_rects, n_boxes):
-    """`mixed_parameters`' scene, its first surface doubled in place."""
+    """`mixed_parameters`' scene, its first surface doubled in place, and an
+    aligned surface's `general_twin` at a random place in scene order, so
+    that ties at equal distance span the two walk forms in either order."""
     surfaces = build(mixed_parameters(rng, n_rects, n_boxes))
     if surfaces:
         first = surfaces[0]
         surfaces.append(simscene.SceneSurface(first.origin, -first.normal, first.extent,
                                               rng.uniform(0.05, 1.0)))
+    aligned = [s for s in surfaces if np.count_nonzero(s.normal) == 1]
+    if aligned:
+        twin = general_twin(aligned[rng.integers(len(aligned))], rng)
+        surfaces.insert(rng.integers(len(surfaces) + 1), twin)
     return simscene.SceneSpec(surfaces, ([-10.0] * 3, [10.0] * 3))
 
 
 def edge_seeking_rays(rng, scene, n):
     """Random rays, rays aimed at surface points and at the edges of the
-    extent or of the 1e-12 m reach beyond it, rays with a zero direction
-    component (parallel to box faces), and origins on surfaces."""
+    extent or of the 1e-12 m reach beyond it, rays with a zero or -0.0
+    direction component (parallel to box faces), and origins on surfaces."""
     origins = rng.uniform(-6.0, 6.0, (n, 3))
     dirs = unit(rng.normal(size=(n, 3)))
     for i in range(n):
@@ -236,7 +264,7 @@ def edge_seeking_rays(rng, scene, n):
         if kind == 0:      # aimed at a point of the surface, often at an edge
             dirs[i] = unit(point - origins[i])
         elif kind == 1:    # parallel to the axis planes of one component
-            dirs[i, rng.integers(3)] = 0.0
+            dirs[i, rng.integers(3)] = rng.choice([0.0, -0.0])
             dirs[i] = unit(dirs[i])
         elif kind == 2:    # starting on the surface, or 1e-10 m in front of it
             origins[i] = point - rng.choice([0.0, 1e-10]) * surface.normal
@@ -244,14 +272,14 @@ def edge_seeking_rays(rng, scene, n):
 
 
 class TestWalk:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=0, max_value=6),
            st.integers(min_value=0, max_value=2))
     def test_walk_equals_the_batched_rows(self, seed, n_rects, n_boxes):
         rng = np.random.default_rng(seed)
         scene = mixed_scene(rng, n_rects, n_boxes)
         if not scene.surfaces:
-            assert simscene._walk(scene.rows, [0.0] * 3, [1.0, 0.0, 0.0], 20.0) == []
+            assert simscene._walk(scene.walk, [0.0] * 3, [1.0, 0.0, 0.0], 20.0) == []
             return
         origins, dirs = edge_seeking_rays(rng, scene, 48)
         finite = simscene.ray_distances(scene, origins, dirs)
@@ -267,7 +295,8 @@ class TestWalk:
     # A p = 0.5 panel at x = 2 facing the origin, a coincident p = 0.25 panel
     # facing away, and a wall at x = 5; the panel drops reflections past 60
     # degrees, and the others, whose limit is a right angle, none. The
-    # panels' u axis is +y or -y, their v axis -z or +z.
+    # panels' u axis is +y or -y, their v axis -z or +z. All three walk in
+    # the aligned form; the property test above mixes both forms.
     @pytest.mark.parametrize("origin, direction, s_max, want", [
         ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 20.0,
          [(2.0, 0, False), (2.0, 1, False), (5.0, 2, False)]),
@@ -280,6 +309,8 @@ class TestWalk:
          [(2.0, 0, False), (2.0, 1, False), (5.0, 2, False)]),
         ((0.0, 1.0 + 1e-9, 0.0), (1.0, 0.0, 0.0), 20.0, [(2.0, 1, False), (5.0, 2, False)]),
         ((2.0 - 2.5e-13, 0.0, 0.0), (5e-13, 1.0, 0.0), 20.0, []),
+        ((2.0 - 2.0 ** -37, 0.0, 0.0), (1e-12, 0.1, 0.0), 20.0,
+         [(2.0 ** -37 / 1e-12, 0, True), (2.0 ** -37 / 1e-12, 1, False)]),
         ((2.0, 0.0, 0.0), (1.0, 0.0, 0.0), 20.0, [(3.0, 2, False)]),
         ((2.0 - 1e-10, 0.0, 0.0), (1.0, 0.0, 0.0), 20.0, [(5.0 - (2.0 - 1e-10), 2, False)]),
         ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 5.0,
@@ -291,7 +322,7 @@ class TestWalk:
          [(0.5 / 0.28, 0, True), (0.5 / 0.28, 1, False)]),
         ((4.5, 0.0, -1.2), (0.28, 0.0, 0.96), 20.0, [(0.5 / 0.28, 2, False)]),
     ], ids=["coincident", "parallel", "on-edge", "at-reach-u", "at-reach-v", "past-edge",
-            "nearly-parallel", "origin-on-surface",
+            "nearly-parallel", "parallel-but-for-1e-12", "origin-on-surface",
             "origin-1e-10-in-front", "at-s_max", "past-s_max", "nan-s_max", "oblique-drop",
             "oblique-on-a-right-angle-limit"])
     def test_edge_cases_equal_the_batched_rows(self, origin, direction, s_max, want):
@@ -302,6 +333,59 @@ class TestWalk:
         scene = simscene.SceneSpec([panel, twin, wall], ([-6.0] * 3, [6.0] * 3))
         walks = assert_walk_equals_batch(scene, np.array([origin]), np.array([direction]), s_max)
         assert walks == [want]
+
+    @pytest.mark.parametrize("twin_first", [False, True], ids=["aligned-first", "general-first"])
+    def test_a_tie_across_forms_keeps_scene_order(self, twin_first):
+        # A box's +x face and its general twin lie in one plane: a ray meets
+        # both at 3.0 m, and the one earlier in scene order comes first.
+        face = simscene.box_faces([-3.0, -1.0, -1.0], [6.0, 2.0, 2.0])[1]
+        twin = simscene.SceneSurface(face.origin, [1.0, 1e-17, 0.0], face.extent, 0.5)
+        surfaces = [twin, face] if twin_first else [face, twin]
+        scene = simscene.SceneSpec(surfaces, ([-4.0] * 3, [4.0] * 3))
+        aligned, general = scene.walk
+        assert (sum(map(len, aligned)), len(general)) == (1, 1)
+        walks = assert_walk_equals_batch(scene, np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0]]),
+                                         20.0)
+        assert walks == [[(3.0, 0, False), (3.0, 1, False)]]
+
+
+class TestWalkForms:
+    def test_axis_frames_pack_as_aligned(self):
+        box = simscene.box_faces([-1.0, -2.0, -0.5], [2.0, 3.0, 1.5], 0.5, 1.0)
+        rects = [simscene.SceneSurface([0.5, 0.25, 0.0], sign * np.eye(3)[axis], [1.0, 0.5])
+                 for axis in range(3) for sign in (-1.0, 1.0)]
+        rects.append(simscene.SceneSurface(np.zeros(3), [-0.0, 2.0, -0.0], [0.5, 0.5]))
+        scene = simscene.SceneSpec(box + rects, ([-5.0] * 3, [5.0] * 3))
+        aligned, general = scene.walk
+        assert general == []
+        # Box faces -x, +x, -y, +y, -z, +z, then the rects in the same order.
+        assert [[face[0] for face in faces] for faces in aligned] == [
+            [0, 1, 6, 7], [2, 3, 8, 9, 12], [4, 5, 10, 11]]
+        rows = scene.rects.T.tolist()
+        for a, faces in enumerate(aligned):
+            for k, b, c, *values in faces:
+                surface, row = scene.surfaces[k], rows[k]
+                frame = np.vstack([surface.normal, surface.axes])
+                assert np.abs(frame).tolist() == np.eye(3)[[a, b, c]].tolist()
+                assert values == [row[a], row[b], row[c], *row[12:]]
+
+    def test_other_frames_pack_as_general(self):
+        # A tilted rect, and an x-facing rect whose normal is 1e-17 off the axis.
+        tilted = simscene.SceneSurface(np.zeros(3), [1.0, 0.4, -0.3], [1.0, 0.5])
+        nearly = simscene.SceneSurface(np.zeros(3), [1.0, 1e-17, 0.0], [1.0, 0.5])
+        assert nearly.normal.tolist() == [1.0, 1e-17, 0.0]
+        face = simscene.SceneSurface(np.zeros(3), [1.0, 0.0, 0.0], [1.0, 0.5])
+        scene = simscene.SceneSpec([tilted, face, nearly], ([-5.0] * 3, [5.0] * 3))
+        aligned, general = scene.walk
+        assert [[face[0] for face in faces] for faces in aligned] == [[1], [], []]
+        rows = scene.rects.T.tolist()
+        assert general == [(0, rows[0]), (2, rows[2])]
+
+    def test_an_axis_normal_with_tilted_axes_packs_as_general(self):
+        # No constructor makes this frame, but u's and v's products are then
+        # not zero, so the packer checks all three vectors.
+        row = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.6, 0.8, 0.0, -0.8, 0.6, 1.0, 1.0, 1.0, 1.5]
+        assert simscene._walk_forms(np.array([row])) == (([], [], []), [(0, row)])
 
 
 def numpy_frame(normal):
@@ -369,6 +453,27 @@ class TestSceneSurface:
     def test_rejects_an_oblique_limit_outside_a_right_angle(self, angle):
         with pytest.raises(InvalidInputError, match=r"oblique drop angle must lie in \[0, pi/2\]"):
             simscene.SceneSurface(np.zeros(3), [1.0, 0, 0], [1.0, 1.0], 0.5, angle)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["origin", "extent"])
+    def test_rejects_non_finite_geometry(self, field, bad):
+        args = {"origin": [0.0, 1.0, 2.0], "normal": [1.0, 0.0, 0.0], "extent": [1.0, 1.0]}
+        args[field][1] = bad
+        with pytest.raises(InvalidInputError, match=f"{field} must be"):
+            simscene.SceneSurface(**args)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["corner", "size"])
+    def test_box_rejects_non_finite_geometry(self, field, bad):
+        corner, size = [0.0, 1.0, 2.0], [1.0, 2.0, 3.0]
+        (corner if field == "corner" else size)[2] = bad
+        with pytest.raises(InvalidInputError, match="corners must be" if field == "corner"
+                           else "extent must be"):
+            simscene.box_faces(corner, size)
+
+    def test_box_rejects_corners_past_the_float_range(self):
+        with pytest.raises(InvalidInputError, match="box corners must be finite"):
+            simscene.box_faces([1e308, 0.0, 0.0], [1e308, 1.0, 1.0])
 
     @pytest.mark.parametrize("angle", [0.0, np.pi / 2], ids=["zero", "right-angle"])
     def test_accepts_either_end_of_the_oblique_range(self, angle):
@@ -697,8 +802,8 @@ def assert_packed_as_reference(scene, surfaces, packed):
     assert same_bytes(scene.rects[3:6], normal[:, 0])
     assert same_bytes(scene.rects[6:12].reshape(2, 3, -1), axes[:, :, 0].transpose(1, 0, 2))
     assert same_bytes(scene.rects[12:14], reach[:, 0])
-    assert same_bytes(np.array(scene.rows).reshape(-1, 16),
-                      np.array(packed["rows"]).reshape(-1, 16))
+    # repr tells -0.0 from 0.0
+    assert repr(scene.walk) == repr(simscene._walk_forms(np.array(packed["rows"]).reshape(-1, 16)))
     assert same_bytes(scene.return_probs, packed["return_probs"])
     assert same_bytes(scene.oblique_limits, packed["oblique_limits"])
 
