@@ -52,7 +52,7 @@ from functools import partial
 import numpy as np
 
 from . import metrics, net as nets, pipeline, sampler
-from .config import WEIGHTED_DEPTH, RunConfig, apply_overrides, load_config
+from .config import SEED_MAX, WEIGHTED_DEPTH, RunConfig, apply_overrides, load_config
 from .errors import ConfigError, DivergenceError, PlinkError
 from .sensor import ScanFrame, read_poses
 from .simscene import load_scene
@@ -252,7 +252,7 @@ def cmd_compare(args) -> int:
     # Training data, then a fresh stochastic realization as ground truth.
     train_dir = os.path.join(out, "data")
     pipeline.generate_to_disk(scene_path, path_path, train_dir, config)
-    test_config = replace(config, seed=config.seed + 1000)
+    test_config = replace(config, seed=(config.seed + 1000) % (SEED_MAX + 1))
     test_dir = os.path.join(out, "testdata")
     pipeline.generate_to_disk(scene_path, path_path, test_dir, test_config)
 

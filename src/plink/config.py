@@ -9,23 +9,20 @@ key are errors naming the file, the line and the key (exit 2 at the CLI).
 A key given twice keeps its last value.
 
 Every run hyperparameter has a default; CLI flags override the file.
-The seed keys every random stream: weight init ``(seed, 0xC0A23E)``,
-coarse first; batch order ``(seed, 0x0BDE4)``; training draws ``(seed, ray
-id, epoch)``; render draws ``(seed, ray id, RENDER_STREAM)``; simulated
-pulses ``(seed, frame, beam, azimuth)``. A key's stream is, bit for bit,
-numpy's ``default_rng(SeedSequence(key))``, built one way for every key
-(`_generators`): SeedSequence's hashing as uint32 array arithmetic over a
-batch of keys, then numpy's own PCG64 from each key's state. `stream`
-gives one key's Generator (init, batch order), `stream_uniforms` a batch's
-first n uniforms (per-ray and per-pulse draws). No SeedSequence is built:
-numpy's own is only the tests' reference.
+The seed, an integer in [0, 2**64), keys every random stream: batch
+order ``(seed, 0x0BDE4, epoch)``; training draws ``(seed, ray id,
+epoch)``; render draws ``(seed, ray id, RENDER_STREAM)``; simulated
+pulses ``(seed, frame, beam, azimuth)``. One stateless kernel,
+`stream_uniforms`, gives a batch of keys' first n uniforms: a key hashes
+once to a uint64, then a Weyl sequence runs through the SplitMix64
+finalizer, so a stream depends on its key alone and carries no state.
+Weight init alone draws from numpy's generator keyed ``(seed, 0xC0A23E)``,
+coarse first (`pipeline.models_from_config`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +35,7 @@ from .sensor import SensorIntrinsics
 SIZE_KEYS = ("azimuth_count", "n_frames", "n_bins", "n_fine", "batch_rays", "encoding_levels",
              "dir_levels", "hidden_width", "hidden_layers", "render_draws")
 INT32_MAX = 2 ** 31 - 1
+SEED_MAX = 2 ** 64 - 1
 
 # The render modes `pipeline.render_ray` picks ranges by; WEIGHTED_DEPTH, the
 # mass-weighted mean depth, is the depth-L2 baseline's.
@@ -45,131 +43,45 @@ WEIGHTED_DEPTH = "weighted-depth"
 RENDER_MODES = ("stochastic", "confidence", "first-return", "strongest-return", WEIGHTED_DEPTH)
 
 
-def _key_words(key) -> list:
-    """SeedSequence's uint32 words of a tuple of ints: each entry's 32-bit
-    words, low first. A negative entry raises numpy's ValueError."""
-    words = []
-    for n in key:
-        n = operator.index(n)
-        if n < 0:
-            raise ValueError("expected non-negative integer")   # numpy's own message
-        words.append(n & 0xFFFFFFFF)
-        while n >> 32:
-            n >>= 32
-            words.append(n & 0xFFFFFFFF)
-    return words
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the Weyl sequence's
+# increment and the finalizer's multipliers.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MULT_1, _MULT_2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx) with its default pool
-# of four words: the two hash-constant sequences' seeds and multipliers, and
-# the mixer's multipliers.
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_SHIFT = np.uint32(16)
+def _finalize(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer of every entry of uint64 array ``z``, in place.
 
-
-def _powers(init: int, mult: int, count: int) -> np.ndarray:
-    """``init * mult**j`` mod 2**32 for j < count, as a (count, 1) uint32 column."""
-    out = [init]
-    while len(out) < count:
-        out.append(out[-1] * mult & 0xFFFFFFFF)
-    return np.array(out, dtype=np.uint32)[:, None]
-
-
-# The pool's hash constant before and after each of its hashmix calls: four
-# to fill the pool, 4 * 3 to mix it, and four per entropy word past the pool.
-@functools.lru_cache(maxsize=None)
-def _pool_constants(n_words: int) -> np.ndarray:
-    return _powers(_INIT_A, _MULT_A, 1 + _POOL * _POOL + _POOL * max(n_words - _POOL, 0))
-
-
-# generate_state(4, uint64) takes eight uint32 words, cycling through the pool.
-_STATE_CONSTANTS = _powers(_INIT_B, _MULT_B, 9)
-_STATE_POOL_ROWS = np.arange(8) % _POOL
-
-
-def _hashmix(value, constants, j: int, count: int):
-    """SeedSequence's hashmix of ``value`` for its calls j to j + count - 1."""
-    value = (value ^ constants[j:j + count]) * constants[j + 1:j + 1 + count]
-    return value ^ (value >> _SHIFT)
-
-
-def _mix(x, y):
-    result = x * _MIX_L - y * _MIX_R
-    return result ^ (result >> _SHIFT)
-
-
-def _seed_states(words: np.ndarray) -> np.ndarray:
-    """``SeedSequence(w).generate_state(4, np.uint64)`` for every column w of
-    ``words`` (n_words, N) uint32, as an (N, 4) uint64 array.
-
-    SeedSequence's loops run in their order, each step on all N keys at once;
-    the mixing steps from one source word to the other three pool words
-    read nothing that step writes, so they run as one. The arithmetic is on
-    uint32 arrays, whose products wrap silently: no scalar overflow warns.
+    Array products wrap silently; uint64 *scalar* ones warn, so no scalar
+    goes through here.
     """
-    n_words, n = words.shape
-    constants = _pool_constants(n_words)
-    pool = np.zeros((_POOL, n), dtype=np.uint32)
-    pool[:min(n_words, _POOL)] = words[:_POOL]
-    pool = _hashmix(pool, constants, 0, _POOL)
-    j = _POOL
-    for src in range(_POOL):
-        dst = [d for d in range(_POOL) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants, j, _POOL - 1))
-        j += _POOL - 1
-    for src in range(_POOL, n_words):
-        pool = _mix(pool, _hashmix(words[src], constants, j, _POOL))
-        j += _POOL
-    state = _hashmix(pool[_STATE_POOL_ROWS], _STATE_CONSTANTS, 0, 8)
-    # Little-endian word pairs, as generate_state views them.
-    return np.ascontiguousarray(state.T).astype("<u4").view("<u8").astype(np.uint64)
-
-
-@functools.lru_cache(maxsize=None)
-def _given_state():
-    """The seed sequence that hands numpy's PCG64 a state computed beforehand.
-
-    Built at the first draw, so that importing plink does not load
-    ``numpy.random``.
-    """
-    class GivenState(np.random.bit_generator.ISeedSequence):
-        def __init__(self, state):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state   # PCG64 asks only for its four uint64 words
-
-    return GivenState
-
-
-def _generators(keys):
-    """Yield (i, the stream of ``keys[i]``) for every key: `_seed_states`
-    hashes the keys of each word count at once, and numpy's own PCG64
-    starts from each key's state."""
-    rows = [_key_words(key) for key in keys]
-    given_state, pcg64, generator = _given_state(), np.random.PCG64, np.random.Generator
-    for count in set(map(len, rows)):
-        index = [i for i, words in enumerate(rows) if len(words) == count]
-        states = _seed_states(np.array([rows[i] for i in index], dtype=np.uint32).T)
-        for i, state in zip(index, states):
-            yield i, generator(pcg64(given_state(state)))
-
-
-def stream(*key) -> np.random.Generator:
-    """The stream keyed on ``key``; a negative entry raises ValueError."""
-    return next(_generators([key]))[1]
+    z ^= z >> 30
+    z *= _MULT_1
+    z ^= z >> 27
+    z *= _MULT_2
+    z ^= z >> 31
+    return z
 
 
 def stream_uniforms(keys, n: int) -> np.ndarray:
-    """(N, n) uniforms in [0, 1): row i is ``stream(*keys[i]).random(n)``,
-    all N streams from one `_generators` pass."""
-    out = np.empty((len(keys), n))
-    for i, rng in _generators(keys):
-        rng.random(out=out[i])
-    return out
+    """(N, n) uniforms in [0, 1): row i is the first n draws of ``keys[i]``'s stream.
+
+    ``keys`` holds N keys of one length L, as tuples or an (N, L) array of
+    integers in [0, 2**64); numpy raises OverflowError for an entry outside
+    that range. A key hashes to h: its length, then each entry in turn,
+    xor-ed in and finalized. Draw j is then the finalizer of h + (j + 1) *
+    gamma, shifted to its top 53 bits and scaled by 2**-53. A stream
+    depends on its key alone, and its first n draws are a prefix of its
+    first m > n.
+    """
+    if not len(keys):
+        return np.empty((0, n))
+    words = np.asarray(keys, dtype=np.uint64)
+    h = np.full(len(words), words.shape[1], dtype=np.uint64)
+    for column in words.T:
+        h = _finalize(h ^ column)
+    counters = np.arange(1, n + 1, dtype=np.uint64) * _GAMMA
+    return (_finalize(h[:, None] + counters) >> 11) * 2.0 ** -53
 
 
 @dataclass
@@ -212,8 +124,10 @@ class RunConfig:
         for key in SIZE_KEYS:
             if getattr(self, key) > INT32_MAX:
                 raise ConfigError(f"{key} must be at most {INT32_MAX}")
-        if self.seed < 0:   # a stream key takes no negative entry
+        if self.seed < 0:   # a stream key's entries are uint64
             raise ConfigError("seed must be at least 0")
+        if self.seed > SEED_MAX:
+            raise ConfigError(f"seed must be at most {SEED_MAX}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ConfigError("alpha must lie in [0, 1]")
         if not (0.0 < self.lr < np.inf):

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,6 +240,8 @@ def read_ply(path) -> PointCloud:
             raise InvalidInputError(f"{path}: PLY header declares no vertices")
         if len(properties) < 3:
             raise InvalidInputError(f"{path} line {n}: {_xyz_first(properties)}")
+        if rows_before + n_vertices > sys.maxsize:      # islice's bound: no file holds more
+            raise InvalidInputError(f"{path}: header declares more rows than a file can hold")
         body = itertools.islice(lines, rows_before, rows_before + n_vertices)
         cloud = _read_points(path, body)
     if len(cloud) != n_vertices:

@@ -30,7 +30,8 @@ import numpy as np
 
 from . import net as nets
 from . import sampler
-from .config import RENDER_MODES, WEIGHTED_DEPTH, RunConfig, intrinsics_from_config, stream
+from .config import (RENDER_MODES, WEIGHTED_DEPTH, RunConfig, intrinsics_from_config,
+                     stream_uniforms)
 from .errors import InvalidInputError
 # cdf_from_sigma_values is not called here; perfbench/layers.py probes this name.
 from .field import RaySet, bin_masses, cdf_from_sigma_values
@@ -113,7 +114,9 @@ def _check_in_bounds(origins: np.ndarray, dirs: np.ndarray, scale: UnitCubeScale
 
 
 def models_from_config(config: RunConfig):
-    rng = stream(config.seed, 0xC0A23E)
+    """Fresh coarse and fine models, He-normal from numpy's generator keyed
+    (seed, 0xC0A23E), coarse first."""
+    rng = np.random.default_rng((config.seed, 0xC0A23E))
     shape = (config.encoding_levels, config.dir_levels, config.use_direction,
              config.hidden_layers, config.hidden_width)
     return sampler.TrainState.fresh(*(
@@ -129,11 +132,12 @@ def train(train_set: TrainSet, config: RunConfig, depth_l2: bool = False,
     and keeps its handle across a divergence abort, so it can then dump a
     diagnostic checkpoint.
     """
-    order_rng = stream(config.seed, 0x0BDE4)
     history = []
     rays = train_set.rays
     for epoch in range(config.epochs):
-        order = order_rng.permutation(len(rays))
+        # Epoch e's order sorts its (seed, 0x0BDE4, e) stream: no state crosses epochs.
+        draws = stream_uniforms([(config.seed, 0x0BDE4, epoch)], len(rays))[0]
+        order = draws.argsort(kind="stable")
         totals = np.zeros(4)
         n_steps = 0
         for start in range(0, len(rays), config.batch_rays):

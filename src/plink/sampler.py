@@ -34,7 +34,7 @@ import numpy as np
 
 from . import net as nets
 from .errors import DivergenceError
-from .config import RunConfig, stream, stream_uniforms
+from .config import RunConfig, stream_uniforms
 from .field import (RaySet, bin_masses, bin_masses_vjp, cdf_from_sigma_values, cdf_vjp,
                     trapezoid_deltas)
 from .losses import (LossBreakdown, bce_values, bce_vjp, bin_accumulate, depth_l2_values,
@@ -130,20 +130,20 @@ def fine_grid_rows(fine_points: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([fine_points, tiled], axis=1), axis=1)
 
 
-def ray_rng(seed: int, ray_id: int, epoch: int) -> np.random.Generator:
-    """The (seed, ray, epoch) stream, so draws do not depend on batch order.
-
-    `ray_draws` draws these streams' uniforms for a batch at once. Nothing
-    in the package calls this; it keeps the name perfbench probes.
-    """
-    return stream(seed, ray_id, epoch)
+def ray_rng(seed: int, ray_id: int, epoch: int, n: int) -> np.ndarray:
+    """The first n uniforms of one ray's (seed, ray, epoch) stream: its
+    `ray_draws` row, so draws do not depend on batch order. Nothing in the
+    package calls this; it keeps the name perfbench probes."""
+    return ray_draws(seed, [ray_id], epoch, n)[0]
 
 
 def ray_draws(seed: int, ray_ids, epoch: int, n: int) -> np.ndarray:
     """(B, n) uniforms in [0, 1): row i is the first n draws of ray
-    ``ray_ids[i]``'s (seed, ray id, epoch) stream, the one `ray_rng` gives,
-    all B rows from one `stream_uniforms` call."""
-    return stream_uniforms([(seed, int(i), epoch) for i in ray_ids], n)
+    ``ray_ids[i]``'s (seed, ray id, epoch) stream, all B rows from one
+    `stream_uniforms` call."""
+    keys = np.empty((len(ray_ids), 3), dtype=np.uint64)
+    keys[:, 0], keys[:, 1], keys[:, 2] = seed, ray_ids, epoch
+    return stream_uniforms(keys, n)
 
 
 @dataclass

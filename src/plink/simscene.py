@@ -143,7 +143,8 @@ def _distances(o, d, rects, s_max: float = math.inf) -> tuple:
     axis; the in-plane test then runs on the pairs whose distance lies in
     (1e-9, s_max] alone, so a NaN ``s_max`` keeps no hit. A ray parallel to a
     plane divides by inf instead of ~0, which gives a distance of 0 and so a
-    miss: nothing warns.
+    miss: nothing warns. A distance past the float range (a sensor some
+    1e308 m away) overflows to inf, also a miss.
     """
     o = np.ascontiguousarray(o.T)   # (3, N)
     d = np.ascontiguousarray(d.T)
@@ -157,7 +158,8 @@ def _distances(o, d, rects, s_max: float = math.inf) -> tuple:
         term = origin[c] - o[c]
         term *= normal[c]
         num += term
-    s = num / np.where(np.abs(denom) >= 1e-12, denom, np.inf)
+    with np.errstate(over="ignore"):    # a distance past the float range is inf: a miss
+        s = num / np.where(np.abs(denom) >= 1e-12, denom, np.inf)
     candidate = s > 1e-9
     candidate &= s <= s_max
     pair = np.flatnonzero(candidate)
@@ -298,7 +300,8 @@ class SceneSurface:
         self.extent = np.asarray(self.extent, dtype=float)
         if not all(map(math.isfinite, self.origin.tolist())):
             raise InvalidInputError("origin must be finite")
-        norm = math.sqrt(normal.dot(normal))     # np.linalg.norm's sqrt(dot)
+        with np.errstate(over="ignore"):        # an overflowing norm is inf, and rejected
+            norm = math.sqrt(normal.dot(normal))     # np.linalg.norm's sqrt(dot)
         if not (0.0 < norm < math.inf):
             raise InvalidInputError("surface normal must be nonzero and finite")
         unit = [c / norm for c in normal.tolist()]
@@ -425,16 +428,21 @@ def _sorted_hits(scene: SceneSpec, origins, dirs, s_max: float) -> tuple:
 
     Returns distances (``inf`` past a ray's last hit), surface indices, and
     drop flags: True where the incidence angle exceeds the surface's oblique
-    limit, so that a reflection there is a ray drop. The sort is stable, so
-    surfaces at equal distance keep scene order.
+    limit, so that a reflection there is a ray drop. Only a hit's flag is
+    computed; past a ray's last hit every flag is False. The sort is stable,
+    so surfaces at equal distance keep scene order.
     """
     o = np.asarray(origins, dtype=float).reshape(-1, 3)
     d = np.asarray(dirs, dtype=float).reshape(-1, 3)
     dist, denom = _distances(o, d, scene.rects, s_max)
     order = dist.argsort(axis=1, kind="stable")
-    drops = np.arccos(np.minimum(np.abs(denom), 1.0)) > scene.oblique_limits
     pick = np.arange(len(dist))[:, None] * dist.shape[1] + order   # flat indices
-    return dist.take(pick), order, drops.take(pick)
+    dist = dist.take(pick)
+    hit = np.flatnonzero(dist < np.inf)
+    drops = np.zeros(dist.shape, dtype=bool)
+    drops.flat[hit] = (np.arccos(np.minimum(np.abs(denom.take(pick.take(hit))), 1.0))
+                       > scene.oblique_limits.take(order.take(hit)))
+    return dist, order, drops
 
 
 def ray_hits(scene: SceneSpec, origin, direction, s_max: float) -> list:
@@ -471,20 +479,18 @@ def trace_true_cdf(scene: SceneSpec, ray: Ray) -> CdfTrace:
     return CdfTrace(SampleGrid(np.array(distances)), np.array(values))
 
 
-def _first_reflection(hits, rng):
-    """Outcome of one pulse walking (distance, return_prob, drops) hits in
-    distance order: one uniform draw per surface reached, until one reflects.
-    None is a ray drop."""
-    for s, prob, drops in hits:
-        if rng.random() < prob:
-            return None if drops else float(s)
+def sample_return(scene: SceneSpec, ray: Ray, uniforms):
+    """One stochastic pulse outcome: a range in meters, or None for a drop.
+
+    ``uniforms`` is a row of the pulse's stream (`config.stream_uniforms`):
+    draw k decides at the k-th surface the ray reaches, in distance order,
+    which reflects when the draw falls below its return probability.
+    """
+    for (s, _, prob, dropped), u in zip(_walk(scene.walk, ray.origin.tolist(),
+                                             ray.direction.tolist(), ray.s_max), uniforms):
+        if u < prob:
+            return None if dropped else float(s)
     return None
-
-
-def sample_return(scene: SceneSpec, ray: Ray, rng):
-    """One stochastic pulse outcome: a range in meters, or None for a drop."""
-    hits = _walk(scene.walk, ray.origin.tolist(), ray.direction.tolist(), ray.s_max)
-    return _first_reflection([(s, prob, dropped) for s, _, prob, dropped in hits], rng)
 
 
 def _trace_frame(scene: SceneSpec, rays, s_max: float) -> tuple:
@@ -521,7 +527,7 @@ def _draw_first_reflections(frames: list, pending: list, seed: int) -> None:
     its (seed, f, b, a) stream, one per surface it reaches in distance
     order; it reflects at the first surface whose draw falls below its
     return probability, as a range or, where that hit drops, a drop
-    (`_first_reflection`'s walk, on every pulse at once). One
+    (`sample_return`'s walk, on every pulse at once). One
     `stream_uniforms` call draws all, as wide as the most hits: a prefix of
     each pulse's stream, so the width changes no outcome.
     """
@@ -530,9 +536,10 @@ def _draw_first_reflections(frames: list, pending: list, seed: int) -> None:
     azimuth_count = frames[0].intrinsics.azimuth_count
     index, dist, probs, drops, n_hits = (np.concatenate([hits[k] for _, hits in pending])
                                          for k in range(5))
-    beam, azimuth = np.divmod(index, azimuth_count)
-    frame = np.repeat([f for f, _ in pending], [len(hits[0]) for _, hits in pending])
-    keys = list(zip([seed] * len(index), frame.tolist(), beam.tolist(), azimuth.tolist()))
+    keys = np.empty((len(index), 4), dtype=np.uint64)
+    keys[:, 0] = seed
+    keys[:, 1] = np.repeat([f for f, _ in pending], [len(hits[0]) for _, hits in pending])
+    keys[:, 2], keys[:, 3] = np.divmod(index, azimuth_count)
     width = int(n_hits.max())
     reflects = ((stream_uniforms(keys, width) < probs[:, :width])
                 & (np.arange(width) < n_hits[:, None]))

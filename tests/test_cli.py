@@ -6,12 +6,15 @@ undecodable dataset, path and cloud files, rays that leave the scene
 bounds, truncated checkpoints and bad checkpoint headers, diverged runs,
 the seed flag, the exit code of each error class, gen's out-of-memory
 message, main where the C library has no mallopt, the ``python -m
-plink.cli`` entry point, and gen, train, render and eval in an interpreter
-where scipy cannot be imported."""
+plink.cli`` entry point, gen, train, render and eval in an interpreter
+where scipy cannot be imported, and gen and render without
+``numpy.random``."""
 
 import dataclasses
 import json
 import os
+import pathlib
+import re
 import struct
 import subprocess
 import sys
@@ -225,6 +228,7 @@ def test_eval_with_an_empty_synthetic_cloud_prints_nan(tmp_path, capsys):
     ("azimuth_count = 100000000000000000000000\n", "azimuth_count must be at most 2147483647"),
     ("hidden_width = 2147483648\n", "hidden_width must be at most 2147483647"),
     ("seed = -1\n", "seed must be at least 0"),
+    ("seed = 18446744073709551616\n", "seed must be at most 18446744073709551615"),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, text, message):
     cfg = write_config(tmp_path, text)
@@ -254,6 +258,23 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv):
     assert code == cli.EXIT_CONFIG
     assert err == "invalid config: seed must be at least 0\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_a_seed_past_uint64_exits_2(tmp_path, capsys):
+    # A stream key's entries are uint64: the seed is checked before any draw.
+    cfg = write_config(tmp_path, UNDER_TRAINED)
+    code, _, err = run(capsys, "gen", "--path", PATH, "--seed", "18446744073709551616",
+                       "--config", cfg, "--scene", SCENE, "--out", tmp_path / "out")
+    assert code == cli.EXIT_CONFIG
+    assert err == "invalid config: seed must be at most 18446744073709551615\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_takes_the_largest_seed(tmp_path, capsys):
+    # compare's test data takes the seed 1000 past the training seed, mod 2**64.
+    code, err, rows, _ = compare(tmp_path, UNDER_TRAINED + "seed = 18446744073709551615\n",
+                                 capsys)
+    assert code == cli.EXIT_OK and len(rows) == 4
 
 
 @pytest.mark.parametrize("key, value", [
@@ -970,6 +991,42 @@ def test_eval_does_not_load_numpy_random(tmp_path):
                           capture_output=True, text=True, env=fresh_env(), timeout=60)
     assert proc.returncode == cli.EXIT_OK, proc.stderr
     assert "chamfer" in proc.stdout.lower()
+
+
+GEN_AND_RENDER = """
+import contextlib, io, sys
+import plink.cli as cli
+
+cfg, scene, path, root = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["gen", "--path", path, "--out", root + "/gen"],
+                 ["render", "--checkpoint", root + "/train/model.ckpt",
+                  "--poses", root + "/data/poses.csv", "--out", root + "/render"]):
+        assert cli.main(argv + ["--config", cfg, "--scene", scene]) == 0, argv
+assert "numpy.random" not in sys.modules, "gen or render loaded numpy.random"
+"""
+
+
+def test_gen_and_render_do_not_load_numpy_random(tmp_path, capsys):
+    # Every draw but weight init comes from config's counter-based kernel:
+    # simulated pulses and render picks draw without numpy.random.
+    cfg = write_config(tmp_path, UNDER_TRAINED.replace("epochs = 2", "epochs = 1"))
+    for argv in (["gen", "--path", PATH, "--out", tmp_path / "data"],
+                 ["train", "--data", tmp_path / "data", "--out", tmp_path / "train"]):
+        assert run(capsys, *argv, "--config", cfg, "--scene", SCENE)[0] == cli.EXIT_OK
+    proc = subprocess.run([sys.executable, "-c", GEN_AND_RENDER, str(cfg), SCENE, PATH,
+                           str(tmp_path)], capture_output=True, text=True, env=fresh_env(),
+                          timeout=60)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+
+
+def test_only_weight_init_names_numpy_random():
+    # net.init_model and pipeline.models_from_config; every other draw
+    # comes from config.stream_uniforms.
+    package = pathlib.Path(cli.__file__).parent
+    named = sorted(p.name for p in package.glob("*.py")
+                   if re.search(r"\b(np|numpy)\.random\b", p.read_text()))
+    assert named == ["net.py", "pipeline.py"]
 
 
 def test_readme_quickstart_is_what_ci_runs():

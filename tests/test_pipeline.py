@@ -8,7 +8,6 @@ reference for the batched march and picker.
 
 import functools
 import hashlib
-import pathlib
 import re
 from dataclasses import dataclass, replace
 
@@ -18,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-import plink
 from plink import net as nets
 from plink import pipeline, sampler, sensor, simscene
 from plink.config import RENDER_MODES, WEIGHTED_DEPTH, RunConfig
@@ -26,7 +24,7 @@ from plink.errors import InvalidInputError
 from plink.field import Ray, RaySet, bin_masses, cdf_from_sigma_values, trapezoid_deltas
 from plink.losses import LossBreakdown
 from tests.test_field import inverse_transform_sample, render_confidence
-from tests.test_sampler import numpy_stream
+from tests.test_sampler import RowDraws, reference_row
 from tests.test_sensor import IDENTITY, frame_fractions, oracle_poses
 from tests.test_simscene import shipped_file
 
@@ -210,8 +208,8 @@ def tree_digest(root) -> str:
 
 class TestDatasetFiles:
     @pytest.mark.parametrize("path_name, digest", [
-        ("moving_path.csv", "1c67588267b8514ddd899d38c8891988c5715c4d5c9f90b38fcf02dee8b85ebe"),
-        ("static_path.csv", "d38c765b86d9b61166d2f600d9daa09828f1ec05331d99830432dbeb198b5c18"),
+        ("moving_path.csv", "3cf54771c0bf7c8ef47c0a89855f5861cc5d2a6fe84fb162aee8ead78d67ea15"),
+        ("static_path.csv", "3792b75be2842a1e3d9517e48fa282dc3b3681ee2be20ee77abeee0483f8e4fe"),
     ])
     def test_golden_bytes(self, tmp_path, path_name, digest):
         # Recorded from the csv.writer writers that the one-string writers
@@ -221,7 +219,8 @@ class TestDatasetFiles:
         # 0.667 s pose interval, and the moving path's ranges moved with its rays.
         # Recorded again once each scan became one binary record of float64s.
         # Recorded again once one scans.bin held the sensor and every frame,
-        # in place of intrinsics.txt and a file per frame.
+        # in place of intrinsics.txt and a file per frame. Recorded again once
+        # every pulse drew from the counter-based streams.
         config = RunConfig(elevations=[-0.09, 0.0, 0.09], azimuth_count=32,
                            n_frames=3).validate()
         pipeline.generate_to_disk(shipped_file("panel_room.txt"),
@@ -419,7 +418,8 @@ def oracle_frame_cloud(state, frame, scale, config, mode, frame_index=0):
         if mode == WEIGHTED_DEPTH:
             ranges = oracle_baseline_ray(render)
         else:
-            rng = numpy_stream(config.seed, ray_id, pipeline.RENDER_STREAM)
+            rng = RowDraws(reference_row((config.seed, ray_id, pipeline.RENDER_STREAM),
+                                         config.render_draws))
             ranges = oracle_render_ray(render, mode, draws=config.render_draws,
                                        level=config.confidence_level,
                                        peak_threshold=config.peak_threshold, rng=rng)
@@ -541,10 +541,12 @@ class TestRenderPicker:
             assert row.tolist() == want, i
 
     def test_per_ray_draws_equal_one_vector_draw(self):
-        scalar = numpy_stream(1, 17, pipeline.RENDER_STREAM)
-        vector = sampler.ray_rng(1, 17, epoch=pipeline.RENDER_STREAM)
+        # Render maps a draw u to 1e-12 + (1 - 1e-12) u, as the per-ray
+        # oracle's uniform(1e-12, 1) does.
+        scalar = RowDraws(reference_row((1, 17, pipeline.RENDER_STREAM), 5))
+        vector = sampler.ray_rng(1, 17, pipeline.RENDER_STREAM, 5)
         want = [float(scalar.uniform(1e-12, 1.0)) for _ in range(5)]
-        assert vector.uniform(1e-12, 1.0, 5).tolist() == want
+        assert (1e-12 + (1.0 - 1e-12) * vector).tolist() == want
 
     def test_unknown_mode_rejected(self):
         grid, cdf, q_hat, _ = picker_rows(3)
@@ -569,7 +571,7 @@ class TestStreams:
         config = RunConfig(seed=seed, encoding_levels=2, dir_levels=1, hidden_layers=2,
                            hidden_width=8, sigma_bias=-1.5).validate()
         state = pipeline.models_from_config(config)
-        rng = numpy_stream(seed, 0xC0A23E)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0A23E)))
         for model in (state.coarse, state.fine):
             want = self.oracle_params(model, rng, config.sigma_bias)
             assert model.params.dtype == np.float32
@@ -589,39 +591,9 @@ class TestStreams:
         monkeypatch.setattr(sampler, "train_step", step)
         config = RunConfig(seed=seed, epochs=epochs, batch_rays=4).validate()
         pipeline.train(pipeline.TrainSet(rays, None), config, state=None)
-        oracle = numpy_stream(seed, 0x0BDE4)
         for epoch in range(epochs):
-            order = oracle.permutation(n_rays).tolist()
+            draws = reference_row((seed, 0x0BDE4, epoch), n_rays)
+            order = sorted(range(n_rays), key=lambda i: draws[i])    # a stable sort
             assert seen[3 * epoch:3 * epoch + 3] == [
                 (epoch, order[0:4]), (epoch, order[4:8]), (epoch, order[8:])]
         assert len(seen) == 3 * epochs
-
-    def test_a_step_and_a_render_chunk_build_no_seed_sequence(self, monkeypatch):
-        # Every stream comes from `config`'s own construction: weight init,
-        # batch order, a train step's and a render chunk's per-ray draws and
-        # the simulator's per-pulse draws build no SeedSequence.
-        built = []
-
-        class Counted(np.random.SeedSequence):
-            def __init__(self, *args, **kwargs):
-                built.append(1)
-                super().__init__(*args, **kwargs)
-
-        state, frame, scale, config = render_setup(seed=2, batch_rays=64)
-        rays = RaySet(np.zeros((3, 3)), np.eye(3), np.array([[1.0], [2.0], [np.inf]]), 4.0)
-        monkeypatch.setattr(np.random, "SeedSequence", Counted)
-        sampler.train_step(state, rays, config, scale, epoch=1)
-        cloud = pipeline.render_frame_cloud(state, frame, scale, config, "stochastic")
-        fresh = pipeline.models_from_config(config)
-        _, history = pipeline.train(pipeline.TrainSet(rays, scale), replace(config, epochs=1),
-                                    state=fresh)
-        frames = dataset("moving_path.csv", 2, seed=2)
-        assert len(cloud.points) > 0 and len(history) == 1 and len(frames) == 2
-        assert frames[0].returned.any() and not built
-        numpy_stream(2, 0)      # the counter sees the tests' own reference
-        assert len(built) == 1
-
-    def test_only_config_builds_a_seed_sequence(self):
-        package = pathlib.Path(plink.__file__).parent
-        holders = sorted(p.name for p in package.glob("*.py") if "SeedSequence" in p.read_text())
-        assert holders == ["config.py"]

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ import tests.tape_head as tape_head
 from plink import autodiff as ad
 from plink import net as nets
 from plink import pipeline, sampler
-from plink.config import RunConfig, _key_words, stream, stream_uniforms
+from plink.config import RunConfig, stream_uniforms
 from plink.errors import ConfigError, DivergenceError, InvalidInputError
 from plink.field import RaySet
 from plink.sensor import UnitCubeScale
@@ -181,7 +182,7 @@ class TestImportanceSample:
         draws = sampler.ray_draws(42, [3, 0, 3], 5, 6)
         assert draws.shape == (3, 6)
         np.testing.assert_array_equal(draws[0], draws[2])
-        np.testing.assert_array_equal(draws[1], numpy_stream(42, 0, 5).random(6))
+        np.testing.assert_array_equal(draws[1], reference_row((42, 0, 5), 6))
         assert not np.array_equal(draws[0], draws[1])
 
     @pytest.mark.parametrize("n_bins, n_fine, n_rays", [
@@ -201,7 +202,8 @@ class TestImportanceSample:
             hist = oracle_histogram(edges, raw[i])
             assert hist.degenerate == (i == 1)
             np.testing.assert_array_equal(proposal.masses[i], hist.masses)
-            want = oracle_importance_sample(hist, n_fine, numpy_stream(9, ray_id, 4))
+            row = reference_row((9, ray_id, 4), 2 * n_fine)
+            want = oracle_importance_sample(hist, n_fine, RowDraws(row))
             np.testing.assert_array_equal(points[i], want)
 
     def test_quantile_points_are_deterministic(self):
@@ -230,89 +232,151 @@ class TestImportanceSample:
             assert np.all(np.diff(row) >= 0.0)
 
 
-def numpy_stream(*key) -> np.random.Generator:
-    """The stream keyed on ``key`` as numpy itself builds it: the tests'
-    reference for every keyed draw."""
-    return np.random.default_rng(np.random.SeedSequence(key))
+MASK = 2**64 - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def reference_finalize(z: int) -> int:
+    """SplitMix64's finalizer on a Python int masked to 64 bits."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK
+    return z ^ (z >> 31)
+
+
+def reference_row(key, n) -> np.ndarray:
+    """The first n draws of ``key``'s stream in plain Python: the tests'
+    reference for every keyed draw. The key's length, then each entry, is
+    xor-ed in and finalized; draw j finalizes h + (j + 1) * gamma."""
+    h = len(key)
+    for entry in map(int, key):
+        if not 0 <= entry <= MASK:
+            raise OverflowError(f"key entry {entry} is outside uint64")
+        h = reference_finalize(h ^ entry)
+    return np.array([(reference_finalize(h + (j + 1) * GAMMA & MASK) >> 11) * 2.0**-53
+                     for j in range(n)])
 
 
 def keyed_rows(keys, n):
-    """Each key's stream built by numpy itself, its first n draws a row."""
-    return np.array([numpy_stream(*key).random(n) for key in keys]).reshape(len(keys), n)
+    """Each key's reference row, its first n draws a row."""
+    return np.array([reference_row(key, n) for key in keys]).reshape(len(keys), n)
 
 
-# Entries of one word and of several: 2**32 takes two, 2**64 + 3 three.
-ENTRIES = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 3]) | st.integers(0, 2**70)
-KEYS = st.lists(st.lists(ENTRIES, min_size=1, max_size=6).map(tuple), max_size=6)
+class RowDraws:
+    """A row of a stream, read one draw at a time as the per-ray oracles read it."""
+
+    def __init__(self, row):
+        self.row, self.used = np.asarray(row), 0
+
+    def random(self, size=None):
+        """The next draw, or the next ``size`` draws as an array."""
+        start = self.used
+        self.used += 1 if size is None else size
+        return self.row[start] if size is None else self.row[start:self.used]
+
+    def uniform(self, low, high):
+        return low + (high - low) * self.random()
+
+
+# Entries of one 32-bit word and of two, up to the largest uint64.
+ENTRIES = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 5, MASK]) | st.integers(0, MASK)
+KEYS = st.integers(1, 6).flatmap(
+    lambda length: st.lists(st.tuples(*[ENTRIES] * length), max_size=6))
 
 
 class TestStreamKeys:
     @pytest.mark.parametrize("key, words", [
         ((0, 0, 0), [0, 0, 0]),
         ((2**32 - 1, 7, 2**32 - 1), [2**32 - 1, 7, 2**32 - 1]),
-        ((2**32, 0, 5), [0, 1, 0, 5]),
-        ((2**70 + 3, 1, 2), [3, 0, 64, 1, 2]),
-        ((1, 0x4E4DE2, 2**64 - 1), [1, 0x4E4DE2, 2**32 - 1, 2**32 - 1]),
+        ((2**32 + 5, 0, 5), [2**32 + 5, 0, 5]),
+        ((MASK, 1, 2), [MASK, 1, 2]),
+        ((1, 0x4E4DE2, MASK), [1, 0x4E4DE2, MASK]),
     ])
     def test_words_give_the_tuple_keyed_stream(self, key, words):
-        assert _key_words(key) == words
-        np.testing.assert_array_equal(sampler.ray_rng(*key).random(8),
-                                      numpy_stream(*key).random(8))
+        # A key given as uint64 words reads as the tuple of Python ints.
+        want = reference_row(key, 8)
+        np.testing.assert_array_equal(sampler.ray_rng(*key, 8), want)
+        np.testing.assert_array_equal(stream_uniforms(np.array([words], dtype=np.uint64), 8)[0],
+                                      want)
 
     @pytest.mark.parametrize("key", [(1, -1, 0), (-(2**40), 0, 0)])
     def test_a_negative_entry_raises_as_numpy_does(self, key):
-        with pytest.raises(ValueError):
-            np.random.SeedSequence(key)
-        with pytest.raises(ValueError):
-            _key_words(key)
-        with pytest.raises(ValueError):
-            sampler.ray_rng(*key)
+        with pytest.raises(OverflowError):
+            np.array(key, dtype=np.uint64)
+        with pytest.raises(OverflowError):
+            sampler.ray_rng(*key, 3)
 
     @settings(max_examples=100, deadline=None)
-    @given(KEYS, st.integers(-(2**70), -1), st.integers(0, 5))
-    def test_each_stream_is_numpys(self, keys, negative, at):
-        # random, normal and permutation read the generator state in
-        # different ways; all three agree with numpy's stream bit for bit.
-        # Any one negative entry raises numpy's error.
-        for key in keys:
-            got, want = stream(*key), numpy_stream(*key)
-            np.testing.assert_array_equal(got.random(5), want.random(5))
-            np.testing.assert_array_equal(got.normal(0.0, 2.0, 7), want.normal(0.0, 2.0, 7))
-            np.testing.assert_array_equal(got.permutation(11), want.permutation(11))
-            bad = key[:at] + (negative,) + key[at + 1:]
-            with pytest.raises(ValueError, match="expected non-negative integer"):
-                stream(*bad)
-
-
-class TestStreamUniforms:
-    @settings(max_examples=150, deadline=None)
     @given(KEYS, st.integers(1, 129))
-    def test_rows_are_the_keyed_streams(self, keys, n):
+    def test_each_stream_is_the_reference(self, keys, n):
         with warnings.catch_warnings():
-            warnings.simplefilter("error")      # uint32 arithmetic wraps silently
+            warnings.simplefilter("error")      # uint64 scalar arithmetic would warn
             got = stream_uniforms(keys, n)
         assert got.shape == (len(keys), n) and got.dtype == np.float64
         np.testing.assert_array_equal(got, keyed_rows(keys, n))
 
+    @pytest.mark.parametrize("seed", [0, 2**32 + 5, MASK])
+    def test_the_kernel_is_the_reference_at_the_edge_seeds(self, seed):
+        keys = [(seed, 0xC0A23E, 0, 0), (seed, 0xC0A23E, 1, 3), (seed, 17, 4, 60)]
+        np.testing.assert_array_equal(stream_uniforms(keys, 300), keyed_rows(keys, 300))
+        np.testing.assert_array_equal(stream_uniforms([(seed, 0x0BDE4, 2)], 5),
+                                      keyed_rows([(seed, 0x0BDE4, 2)], 5))
+
+
+class TestStreamUniforms:
+    @settings(max_examples=150, deadline=None)
+    @given(KEYS.filter(len), st.integers(1, 129))
+    def test_rows_are_the_keyed_streams(self, keys, n):
+        # An (N, L) uint64 array of keys gives the rows its tuples give.
+        np.testing.assert_array_equal(stream_uniforms(np.array(keys, dtype=np.uint64), n),
+                                      keyed_rows(keys, n))
+
     def test_one_batch_mixes_word_counts(self):
-        # 1 to 9 words, in an order that interleaves the word counts.
-        keys = [(2**64 + 3,) * 3, (0,), (1, 2, 3, 4, 5, 6), (2**32 - 1, 2**32),
-                (7,), (2**32, 0, 5), (0, 0, 0, 0), (1, 0x4E4DE2, 2**64 - 1)]
+        # Entries of one and two 32-bit words, and the largest uint64, in one batch.
+        keys = [(2**32 + 5,) * 3, (0, 0, 0), (1, 2, 3), (2**32 - 1, 2**32, 7),
+                (7, 0, MASK), (2**32, 0, 5), (MASK, MASK, MASK), (1, 0x4E4DE2, 2**64 - 2)]
         for n in (1, 13, 129):
             np.testing.assert_array_equal(stream_uniforms(keys, n), keyed_rows(keys, n))
+
+    def test_keys_of_several_lengths_are_refused(self):
+        with pytest.raises(ValueError):
+            stream_uniforms([(1, 2, 3), (1, 2)], 3)
 
     def test_an_empty_batch_gives_no_rows(self):
         assert stream_uniforms([], 5).shape == (0, 5)
 
     @pytest.mark.parametrize("keys", [[(1, -1, 0)], [(0, 1, 2), (-(2**40), 0, 0)]])
     def test_a_negative_entry_raises_as_stream_does(self, keys):
-        with pytest.raises(ValueError, match="expected non-negative integer"):
+        # The batch raises as the bad key's own one-ray stream does.
+        with pytest.raises(OverflowError):
+            sampler.ray_rng(*keys[-1], 3)
+        with pytest.raises(OverflowError):
             stream_uniforms(keys, 3)
+
+    def test_an_entry_past_uint64_is_refused(self):
+        with pytest.raises(OverflowError):
+            stream_uniforms([(2**64, 0, 0)], 3)
 
     def test_ray_draws_are_the_ray_streams(self):
         got = sampler.ray_draws(3, np.array([0, 5, 2**33]), 7, 32)
         for row, ray_id in zip(got, (0, 5, 2**33)):
-            np.testing.assert_array_equal(row, numpy_stream(3, ray_id, 7).random(32))
+            np.testing.assert_array_equal(row, reference_row((3, ray_id, 7), 32))
+            np.testing.assert_array_equal(row, sampler.ray_rng(3, ray_id, 7, 32))
+
+    def test_draws_are_uniform(self):
+        # Bound fixed before the first run: p above 1e-3.
+        draws = stream_uniforms([(1, ray, 0) for ray in range(100)], 1000).ravel()
+        assert scipy.stats.kstest(draws, "uniform").pvalue > 1e-3
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_adjacent_keys_are_uncorrelated(self, position):
+        # Keys one apart in one entry; 999 pairs of 100-draw rows, about 1e5
+        # draws, so a correlation's standard error is about 0.0032. Bound fixed
+        # before the first run: 0.02.
+        keys = np.full((1000, 3), 7, dtype=np.uint64)
+        keys[:, position] = np.arange(1000)
+        rows = stream_uniforms(keys, 100)
+        r = np.corrcoef(rows[:-1].ravel(), rows[1:].ravel())[0, 1]
+        assert abs(r) < 0.02
 
 
 class TestFineGrid:
